@@ -18,8 +18,10 @@ on the host and pinned so CI notices if it erodes:
 Wall numbers measure the host, so the regression gate
 (``baseline.py --compare``, via :func:`compare`) checks only the
 host-independent *shape*: tokens never slower than the checked path,
-bulk clearly cheaper than per-access, and the resident walk at least
-``WALK_FLOOR`` times faster with the hot path on.
+bulk clearly cheaper than per-access, the resident walk at least
+``WALK_FLOOR`` times faster with the hot path on, and the cold first
+call (fill path included) at most ``FIRST_CALL_CEILING`` times the
+resident walk.
 
 Timing uses the ``repro.bench.carrier`` discipline: collector off,
 best-of-three batches over a wall-time floor.
@@ -60,6 +62,11 @@ MICRO_ACCESSES = 256
 #: Host-independent gate floors (see :func:`compare`).
 BULK_VS_CHECKED = 0.5
 WALK_FLOOR = 1.5
+#: ``first_call_ms / hotpath_ms``: what the fill path (closure walk,
+#: batch encode, batch apply) may cost next to the resident walk it
+#: precedes.  30x before the compiled wire plans, 14x with them; the
+#: ceiling is the measured ratio plus a quarter.
+FIRST_CALL_CEILING = 17.5
 
 #: The pre-change reference: the same resident walk, same timing
 #: discipline, at the commit before the token/bulk work, on the host
@@ -157,6 +164,7 @@ def resident_walk_ms() -> Dict[str, float]:
         "hotpath_ms": round(hot * 1e3, 3),
         "checked_ms": round(checked * 1e3, 3),
         "speedup_checked_over_hotpath": round(checked / hot, 2),
+        "first_call_over_hotpath": round(first / hot, 2),
         "pre_change_reference": dict(PRE_CHANGE_REFERENCE),
         "speedup_vs_pre_change": round(
             PRE_CHANGE_REFERENCE["resident_walk_ms"] / (hot * 1e3), 2
@@ -209,6 +217,12 @@ def compare(baseline: Dict, current: Dict, label: str) -> List[str]:
                 f"{walk['speedup_checked_over_hotpath']}x under the "
                 f"{WALK_FLOOR}x floor"
             )
+        if walk["first_call_over_hotpath"] > FIRST_CALL_CEILING:
+            problems.append(
+                f"{label}: cold first call is "
+                f"{walk['first_call_over_hotpath']}x the resident walk, "
+                f"over the {FIRST_CALL_CEILING}x ceiling"
+            )
     return problems
 
 
@@ -236,9 +250,10 @@ def main(argv=None) -> int:
     )
     print(
         "  linked_list_4096_total resident walk: hotpath %.2f ms, "
-        "checked %.2f ms (%.2fx), first call %.1f ms" % (
+        "checked %.2f ms (%.2fx), first call %.1f ms (%.1fx the walk)" % (
             walk["hotpath_ms"], walk["checked_ms"],
             walk["speedup_checked_over_hotpath"], walk["first_call_ms"],
+            walk["first_call_over_hotpath"],
         )
     )
     print(

@@ -34,7 +34,7 @@ from repro.bench.carrier import carrier_per_byte, memcpy_per_byte
 from repro.bench.harness import SHM, SIMNET, TCP
 from repro.memory.address_space import AddressSpace
 from repro.xdr.arch import SPARC32
-from repro.xdr.raw import RawCodec, _pack_scalar, _unpack_scalar
+from repro.xdr.raw import RawCodec
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.types import ArrayType, ScalarType, uint32
 
@@ -144,7 +144,7 @@ def _legacy_encode_page(codec: RawCodec, address: int) -> bytes:
     assert isinstance(element, ScalarType)
     for index in range(PAGE_SPEC.count):
         raw = codec.space.read_raw(address + index * stride, 4)
-        _pack_scalar(encoder, element.kind, element.unpack_raw(raw, codec.arch))
+        encoder.pack_uint32(element.unpack_raw(raw, codec.arch))
     return encoder.getvalue()
 
 
@@ -154,7 +154,7 @@ def _legacy_decode_page(codec: RawCodec, payload: bytes, address: int) -> None:
     element = PAGE_SPEC.element
     stride = PAGE_SPEC.stride(codec.arch)
     for index in range(PAGE_SPEC.count):
-        value = _unpack_scalar(decoder, element.kind)
+        value = decoder.unpack_uint32()
         codec.space.write_raw(
             address + index * stride, element.pack_raw(value, codec.arch)
         )

@@ -16,7 +16,8 @@ Two access planes exist, mirroring user/kernel mode:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import struct
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.memory.faults import AccessViolation, FaultKind, SegmentationError
 from repro.memory.page import PAGE_SIZE_DEFAULT, Page, Protection
@@ -44,10 +45,11 @@ class AddressSpace:
         self.space_id = space_id
         self.page_size = page_size
         self._pages: Dict[int, Page] = {}
-        self._next_page = max(1, REGION_BASE // page_size)
+        self._first_page = max(1, REGION_BASE // page_size)
+        self._next_page = self._first_page
         self._fault_handler: Optional[FaultHandler] = None
         #: Mapping/protection generation.  Bumped whenever the page
-        #: table changes shape (:meth:`map_region`, :meth:`unmap_page`)
+        #: table changes shape (:meth:`map_region`, :meth:`unmap_pages`)
         #: or protection (:meth:`protect`).  :class:`repro.memory
         #: .accessor.Mem` compares it to discard stale page access
         #: tokens, so a coherency-driven protection flip is never
@@ -75,14 +77,40 @@ class AddressSpace:
         return base_page * self.page_size
 
     def unmap_page(self, page_number: int) -> None:
-        """Remove one page from the space (cache invalidation)."""
-        if page_number not in self._pages:
-            raise SegmentationError(
-                self.space_id, page_number * self.page_size, FaultKind.READ
-            )
-        del self._pages[page_number]
-        self.generation += 1
-        self._mapped_cache = None
+        """Remove one page from the space."""
+        self.unmap_pages((page_number,))
+
+    def unmap_pages(self, page_numbers: Iterable[int]) -> None:
+        """Remove pages from the space (cache invalidation).
+
+        One pass and one generation bump however many pages go.  Page
+        numbers above every page still mapped are handed out again by
+        :meth:`map_region`, so a space that maps and drops a cache area
+        per session does not creep towards the top of a 32-bit address
+        space; a stale :class:`~repro.memory.accessor.Mem` token for a
+        reused number cannot survive, because mapping bumps the
+        generation too.
+        """
+        pages = self._pages
+        try:
+            for number in page_numbers:
+                if number not in pages:
+                    raise SegmentationError(
+                        self.space_id, number * self.page_size, FaultKind.READ
+                    )
+                del pages[number]
+        finally:
+            top = self._next_page
+            while top > self._first_page and top - 1 not in pages:
+                top -= 1
+            self._next_page = top
+            self.generation += 1
+            self._mapped_cache = None
+
+    @property
+    def high_water_page(self) -> int:
+        """The next page number :meth:`map_region` would hand out."""
+        return self._next_page
 
     def is_mapped(self, address: int) -> bool:
         """Whether ``address`` falls on a mapped page."""
@@ -216,6 +244,31 @@ class AddressSpace:
             page.data[offset : offset + chunk] = view[:chunk]
             cursor += chunk
             view = view[chunk:]
+
+    def unpack_raw(self, codec: struct.Struct, address: int) -> tuple:
+        """``codec.unpack`` of the bytes at ``address`` (raw plane).
+
+        Reads straight out of the page buffer when the span stays
+        within one page — no intermediate ``bytes``.
+        """
+        page = self._pages.get(address // self.page_size)
+        if page is not None:
+            offset = address % self.page_size
+            if offset + codec.size <= self.page_size:
+                return codec.unpack_from(page.data, offset)
+        return codec.unpack(self.read_raw(address, codec.size))
+
+    def pack_raw(
+        self, codec: struct.Struct, address: int, values: Sequence
+    ) -> None:
+        """``codec.pack`` of ``values`` into the bytes at ``address``."""
+        page = self._pages.get(address // self.page_size)
+        if page is not None:
+            offset = address % self.page_size
+            if offset + codec.size <= self.page_size:
+                codec.pack_into(page.data, offset, *values)
+                return
+        self.write_raw(address, codec.pack(*values))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

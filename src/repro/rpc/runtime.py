@@ -42,7 +42,7 @@ from repro.rpc.session import RpcSession, SessionState
 from repro.simnet.message import Message, MessageKind
 from repro.transport.base import Endpoint, Transport
 from repro.xdr.arch import Architecture
-from repro.xdr.raw import RawCodec
+from repro.xdr.raw import RawCodec, WirePlan, wire_plan
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.types import StructType
 from repro.xdr.view import StructView
@@ -124,10 +124,25 @@ class RpcRuntime:
             stats=network.stats,
         )
         self.codec = RawCodec(self.space, arch)
+        self._wire_plans: Dict[str, WirePlan] = {}
         self._procedures: Dict[str, Tuple[ProcedureDef, Implementation]] = {}
         self._imported: Dict[str, ProcedureDef] = {}
         self._sessions: Dict[str, SessionState] = {}
         site.register_handler(MessageKind.CALL, self._handle_call)
+
+    def wire_plan(self, type_id: str) -> WirePlan:
+        """The compiled layout of ``type_id`` on this machine.
+
+        Resolves the id on first use (one name-server query when the
+        resolver is cold); a published definition is immutable, so the
+        memo never needs invalidating.
+        """
+        plan = self._wire_plans.get(type_id)
+        if plan is None:
+            plan = self._wire_plans[type_id] = wire_plan(
+                self.resolver.resolve(type_id), self.arch
+            )
+        return plan
 
     # -- identity ------------------------------------------------------------
 

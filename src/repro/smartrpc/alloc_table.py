@@ -18,7 +18,7 @@ residency, and provides the two lookups the method needs constantly:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.smartrpc.errors import SmartRpcError
@@ -58,17 +58,12 @@ class AllocEntry:
         return self.local_address <= address < self.end
 
 
-@dataclass
-class _PageIndex:
-    entries: List[AllocEntry] = field(default_factory=list)
-
-
 class DataAllocationTable:
     """The per-space, per-session data allocation table."""
 
     def __init__(self) -> None:
         self._by_pointer: Dict[LongPointer, AllocEntry] = {}
-        self._by_page: Dict[int, _PageIndex] = {}
+        self._by_page: Dict[int, List[AllocEntry]] = {}
         self._sorted_addresses: List[int] = []
         self._by_address: Dict[int, AllocEntry] = {}
 
@@ -86,10 +81,18 @@ class DataAllocationTable:
                 f"{entry.local_address:#x}"
             )
         self._by_pointer[entry.pointer] = entry
-        self._by_page.setdefault(
-            entry.page_number, _PageIndex()
-        ).entries.append(entry)
-        bisect.insort(self._sorted_addresses, entry.local_address)
+        on_page = self._by_page.get(entry.page_number)
+        if on_page is None:
+            self._by_page[entry.page_number] = [entry]
+        else:
+            on_page.append(entry)
+        # Placeholders are carved out of fresh pages, so addresses
+        # mostly arrive in ascending order: append, don't search.
+        addresses = self._sorted_addresses
+        if not addresses or entry.local_address > addresses[-1]:
+            addresses.append(entry.local_address)
+        else:
+            bisect.insort(addresses, entry.local_address)
         self._by_address[entry.local_address] = entry
 
     def remove(self, entry: AllocEntry) -> None:
@@ -99,9 +102,9 @@ class DataAllocationTable:
             raise SmartRpcError(
                 f"allocation table does not hold {entry.pointer!r}"
             )
-        page = self._by_page[entry.page_number]
-        page.entries.remove(entry)
-        if not page.entries:
+        on_page = self._by_page[entry.page_number]
+        on_page.remove(entry)
+        if not on_page:
             del self._by_page[entry.page_number]
         index = bisect.bisect_left(
             self._sorted_addresses, entry.local_address
@@ -168,8 +171,7 @@ class DataAllocationTable:
 
     def entries_on_page(self, page_number: int) -> List[AllocEntry]:
         """All rows on one cache page."""
-        page = self._by_page.get(page_number)
-        return list(page.entries) if page is not None else []
+        return list(self._by_page.get(page_number, ()))
 
     def pages(self) -> List[int]:
         """All cache pages with at least one row."""

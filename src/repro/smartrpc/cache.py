@@ -66,7 +66,10 @@ class PageState:
     @property
     def complete(self) -> bool:
         """Whether every entry on the page is resident."""
-        return all(entry.resident for entry in self.entries)
+        for entry in self.entries:
+            if not entry.resident:
+                return False
+        return True
 
 
 class CacheManager:
@@ -86,6 +89,9 @@ class CacheManager:
         self.runtime = runtime
         self.state = state
         self.strategy = strategy
+        #: The owning address space and its (fixed) page size.
+        self.space = runtime.space
+        self.page_size = runtime.space.page_size
         self.table = DataAllocationTable()
         self._pages: Dict[int, PageState] = {}
         # Open pages accepting new placeholders, keyed by
@@ -100,16 +106,6 @@ class CacheManager:
         self._untouched_shipped = 0
 
     # -- small accessors ------------------------------------------------------
-
-    @property
-    def space(self):
-        """The owning address space."""
-        return self.runtime.space
-
-    @property
-    def page_size(self) -> int:
-        """Cache page size (the space's page size)."""
-        return self.runtime.space.page_size
 
     def page_state(self, page_number: int) -> PageState:
         """Bookkeeping for one cache page."""
@@ -145,15 +141,11 @@ class CacheManager:
         entry = self.table.entry_for(pointer)
         if entry is not None:
             return entry
-        spec = self.runtime.resolver.resolve(pointer.type_id)
-        size = spec.sizeof(self.runtime.arch)
-        alignment = min(spec.alignment(self.runtime.arch), 8)
+        # Size and alignment come precomputed with the type's wire
+        # plan; the id resolves here if this space has not met it yet.
+        plan = self.runtime.wire_plan(pointer.type_id)
         return self._allocate(
-            pointer,
-            size,
-            alignment,
-            allocation_class=_REMOTE,
-            resident=False,
+            pointer, plan.size, min(plan.alignment, 8), _REMOTE, False
         )
 
     def allocate_fresh(self, pointer: LongPointer, size: int) -> AllocEntry:
@@ -186,7 +178,8 @@ class CacheManager:
         allocation_class: str,
         resident: bool,
     ) -> AllocEntry:
-        if size > self.page_size:
+        page_size = self.page_size
+        if size > page_size:
             return self._allocate_span(pointer, size, resident)
         if self.strategy == ISOLATED:
             # Fully lazy baseline: one datum per page, so every first
@@ -198,21 +191,19 @@ class CacheManager:
         page = self._open_pages.get(key)
         if page is not None:
             offset = _round_up(page.bump, alignment)
-            if page.closed or offset + size > self.page_size:
+            if page.closed or offset + size > page_size:
                 page = None
         if page is None:
             page = self._map_page(home if home else None)
             self._open_pages[key] = page
             offset = 0
-        else:
-            offset = _round_up(page.bump, alignment)
         entry = AllocEntry(
-            pointer=pointer,
-            local_address=page.number * self.page_size + offset,
-            size=size,
-            page_number=page.number,
-            offset=offset,
-            resident=resident,
+            pointer,
+            page.number * page_size + offset,
+            size,
+            page.number,
+            offset,
+            resident,
         )
         page.bump = offset + size
         page.entries.append(entry)
@@ -272,14 +263,13 @@ class CacheManager:
         self.runtime.register_cache_page(number, self)
         return state
 
-    def _entry_pages(self, entry: AllocEntry) -> List[int]:
-        first = entry.page_number
+    def _entry_pages(self, entry: AllocEntry) -> range:
         last = (entry.end - 1) // self.page_size
-        return list(range(first, last + 1))
+        return range(entry.page_number, last + 1)
 
     def pages_of(self, entry: AllocEntry) -> List[int]:
         """Every cache page an entry occupies (spans cover several)."""
-        return self._entry_pages(entry)
+        return list(self._entry_pages(entry))
 
     def incomplete_pages(self) -> Set[int]:
         """Pages still holding non-resident placeholders.
@@ -370,20 +360,26 @@ class CacheManager:
     # -- shipped-vs-touched accounting ----------------------------------------
 
     def note_shipped(self, entry: AllocEntry, prefetched: bool) -> None:
-        """Count an entry's bytes arriving on the fill path.
+        """Flag an entry as having arrived on the fill path.
 
         ``prefetched`` marks data shipped beyond the demanded roots —
         the eager-closure gamble the adaptive policy's feedback loop
-        scores against :meth:`note_touch`.
+        scores against :meth:`note_touch`.  The bytes are posted to the
+        ledgers once per batch, through :meth:`post_shipped`.
         """
         if not entry.shipped and not entry.touched:
             self._untouched_shipped += 1
         entry.shipped = True
         entry.prefetched = prefetched
-        self.state.transfer_stats.record_shipped(entry.size, prefetched)
-        self.runtime.stats.transfer_ledger.record_shipped(
-            entry.size, prefetched
-        )
+
+    def post_shipped(self, demanded: int, prefetched: int) -> None:
+        """Count fill-path bytes: demanded roots and prefetch apart."""
+        for ledger in (
+            self.state.transfer_stats,
+            self.runtime.stats.transfer_ledger,
+        ):
+            ledger.record_shipped(demanded, False)
+            ledger.record_shipped(prefetched, True)
 
     def note_duplicate_shipment(self, size: int) -> None:
         """Count bytes re-shipped for an already-resident entry.
@@ -392,8 +388,7 @@ class CacheManager:
         bytes crossed the wire and bought nothing, so they score as
         untouchable prefetch waste.
         """
-        self.state.transfer_stats.record_shipped(size, True)
-        self.runtime.stats.transfer_ledger.record_shipped(size, True)
+        self.post_shipped(0, size)
 
     def note_touch(self, address: int) -> None:
         """Record the program's first access to a shipped entry."""
@@ -497,9 +492,8 @@ class CacheManager:
 
     def invalidate(self) -> None:
         """Unmap the whole cache area and clear the table."""
-        for number in list(self._pages):
-            self.space.unmap_page(number)
-            self.runtime.unregister_cache_page(number)
+        self.space.unmap_pages(self._pages)
+        self.runtime.unregister_cache_pages(self._pages)
         self._pages.clear()
         self._open_pages.clear()
         self.dirty_pages.clear()

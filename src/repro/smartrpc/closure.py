@@ -16,10 +16,11 @@ that third space, but its data cannot be served from here.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.smartrpc.errors import DanglingPointerError, SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
+from repro.xdr.raw import RunPlan, WirePlan, wire_plan
 from repro.xdr.types import TypeSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,7 +45,13 @@ class ClosureItem:
 
 
 class ClosureWalker:
-    """Walks a home space's heap from a set of requested pointers."""
+    """Walks a home space's heap from a set of requested pointers.
+
+    One walker serves one request.  ``resolved`` maps every local
+    address the walk resolved through the heap to its long pointer;
+    :func:`repro.smartrpc.transfer.encode_batch` takes it over so the
+    same pointers are not unswizzled a second time while encoding.
+    """
 
     def __init__(
         self,
@@ -65,6 +72,12 @@ class ClosureWalker:
         # Default to the serving runtime's policy hints, so a walker
         # constructed bare behaves like the data plane's.
         self.hints = hints if hints is not None else runtime.policy.hints
+        self.resolved: Dict[int, LongPointer] = {}
+        # Per type id, resolved once per walk: the type's plan and
+        # spec, and (worked out when the first datum of the type is
+        # expanded) the read of the pointer words to follow.
+        self._shapes: Dict[str, Tuple[WirePlan, TypeSpec]] = {}
+        self._follow: Dict[str, Optional[RunPlan]] = {}
 
     def walk(self, roots: Sequence[LongPointer]) -> List[ClosureItem]:
         """Select data to transfer: all roots, then closure to budget.
@@ -84,31 +97,62 @@ class ClosureWalker:
                 continue
             seen.add(root)
             queue.append(self._materialise(root))
-            total += queue[-1].spec.sizeof(self.runtime.arch)
-        budget_left = total < self.budget_bytes
+            total += self._shape(root.type_id)[0].size
+        budget = self.budget_bytes
+        budget_left = total < budget
+        take = queue.popleft if self.order == BREADTH_FIRST else queue.pop
+        space = self.runtime.space
+        site_id = self.runtime.site_id
+        allocation_at = self.runtime.heap.allocation_at
+        resolved = self.resolved
+        shapes = self._shapes
+        follow = self._follow
         while queue:
-            item = (
-                queue.popleft()
-                if self.order == BREADTH_FIRST
-                else queue.pop()
-            )
+            item = take()
             items.append(item)
             if not budget_left:
                 continue
-            for child in self._children(item):
+            type_id = item.pointer[2]
+            run = follow.get(type_id, _UNSET)
+            if run is _UNSET:
+                run = follow[type_id] = self._pointers_to_follow(type_id)
+            if run is None:
+                continue
+            for value in run.read(space, item.address):
+                if not value:
+                    continue
+                child = resolved.get(value)
+                if child is None:
+                    allocation = allocation_at(value)
+                    if allocation is None or allocation.address != value:
+                        # A pointer into this space's *cache* of a
+                        # third space: the requester must fetch it from
+                        # that space; do not traverse.
+                        continue
+                    child = LongPointer(site_id, value, allocation.type_id)
+                    resolved[value] = child
                 if child in seen:
                     continue
-                candidate = self._materialise(child)
-                size = candidate.spec.sizeof(self.runtime.arch)
-                if total + size > self.budget_bytes:
+                plan, spec = shapes.get(child[2]) or self._shape(child[2])
+                if total + plan.size > budget:
                     budget_left = False
                     break
                 seen.add(child)
-                total += size
-                queue.append(candidate)
+                total += plan.size
+                queue.append(ClosureItem(child, spec, value))
         return items
 
     # -- internals -----------------------------------------------------------
+
+    def _shape(self, type_id: str) -> Tuple[WirePlan, TypeSpec]:
+        """The plan and spec of one type id (resolved at first use)."""
+        shape = self._shapes.get(type_id)
+        if shape is None:
+            spec = self.runtime.resolver.resolve(type_id)
+            shape = self._shapes[type_id] = (
+                wire_plan(spec, self.runtime.arch), spec,
+            )
+        return shape
 
     def _materialise(self, pointer: LongPointer) -> ClosureItem:
         if pointer.space_id != self.runtime.site_id:
@@ -121,45 +165,26 @@ class ClosureWalker:
             raise DanglingPointerError(
                 f"{pointer!r} does not reference a live allocation"
             )
-        spec = self.runtime.resolver.resolve(pointer.type_id)
-        return ClosureItem(pointer, spec, pointer.address)
+        return ClosureItem(
+            pointer, self._shape(pointer.type_id)[1], pointer.address
+        )
 
-    def _children(self, item: ClosureItem) -> List[LongPointer]:
-        """Long pointers of the item's locally-served children.
+    def _pointers_to_follow(self, type_id: str) -> Optional[RunPlan]:
+        """The pointer words to follow out of a datum of ``type_id``.
 
         Programmer hints (paper §6: "suggestions provided by the
         programmer") can restrict and order which pointer fields are
         followed per type; unhinted types follow every pointer field.
         """
+        plan, spec = self._shapes[type_id]
         offsets = None
-        hints = self.hints
-        if hints is not None:
-            offsets = hints.pointer_offsets(
-                item.pointer.type_id, item.spec, self.runtime.arch
+        if self.hints is not None:
+            offsets = self.hints.pointer_offsets(
+                type_id, spec, self.runtime.arch
             )
         if offsets is None:
-            offsets = [
-                offset
-                for offset, _ in item.spec.pointer_fields(
-                    self.runtime.arch
-                )
-            ]
-        children: List[LongPointer] = []
-        for offset in offsets:
-            value = self.runtime.codec.read_pointer(item.address + offset)
-            child = self._resolve_child(value)
-            if child is not None:
-                children.append(child)
-        return children
+            offsets = plan.pointer_offsets
+        return plan.pointer_run(tuple(offsets))
 
-    def _resolve_child(self, value: int) -> Optional[LongPointer]:
-        if value == 0:
-            return None
-        allocation = self.runtime.heap.allocation_at(value)
-        if allocation is not None and allocation.address == value:
-            return LongPointer(
-                self.runtime.site_id, value, allocation.type_id
-            )
-        # A pointer into this space's *cache* of a third space: the
-        # requester must fetch it from that space; do not traverse.
-        return None
+
+_UNSET = object()

@@ -22,7 +22,7 @@ Two encodings exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.xdr.errors import XdrError
@@ -34,28 +34,41 @@ from repro.xdr.stream import XdrDecoder, XdrEncoder
 PROVISIONAL_BASE = 1 << 62
 
 
-@dataclass(frozen=True)
-class LongPointer:
-    """One long pointer (paper §3.2)."""
+class LongPointer(tuple):
+    """One long pointer (paper §3.2): ``(space_id, address, type_id)``.
 
-    space_id: str
-    address: int
-    type_id: str
+    A tuple underneath — immutable, no per-instance ``__dict__``, built,
+    hashed and compared in C — because every ``seen``-set and
+    allocation-table probe of the fill path keys on one.  (A plain
+    3-tuple of the same values therefore compares equal to it.)
+    """
 
-    def __post_init__(self) -> None:
-        if self.address <= 0:
+    __slots__ = ()
+
+    def __new__(
+        cls, space_id: str, address: int, type_id: str
+    ) -> "LongPointer":
+        if address <= 0:
             raise XdrError(
-                f"long pointer address must be positive, got {self.address!r}"
+                f"long pointer address must be positive, got {address!r}"
             )
+        return tuple.__new__(cls, (space_id, address, type_id))
+
+    space_id = property(itemgetter(0), doc="Address space identifier.")
+    address = property(itemgetter(1), doc="Address within that space.")
+    type_id = property(itemgetter(2), doc="Data type specifier.")
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     @property
     def is_provisional(self) -> bool:
         """Whether the home address is still a pre-batch placeholder."""
-        return self.address >= PROVISIONAL_BASE
+        return self[1] >= PROVISIONAL_BASE
 
     def with_address(self, address: int) -> "LongPointer":
         """A copy at a different home address (batch patching)."""
-        return LongPointer(self.space_id, address, self.type_id)
+        return LongPointer(self[0], address, self[2])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = "?" if self.is_provisional else ""

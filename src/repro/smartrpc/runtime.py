@@ -27,7 +27,7 @@ one runtime.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.faults import AccessViolation
@@ -280,9 +280,11 @@ class SmartRpcRuntime(RpcRuntime):
         """Route faults on ``page_number`` to ``cache``."""
         self._page_cache[page_number] = cache
 
-    def unregister_cache_page(self, page_number: int) -> None:
-        """Stop routing faults for an unmapped cache page."""
-        self._page_cache.pop(page_number, None)
+    def unregister_cache_pages(self, page_numbers: Iterable[int]) -> None:
+        """Stop routing faults for unmapped cache pages."""
+        routes = self._page_cache
+        for number in page_numbers:
+            routes.pop(number, None)
 
     def _handle_fault(self, fault: AccessViolation) -> None:
         cache = self._page_cache.get(fault.page_number)

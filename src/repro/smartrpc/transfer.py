@@ -22,7 +22,8 @@ area is transferred later when necessary".
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+import struct
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.simnet.message import Message, MessageKind
 from repro.smartrpc.closure import (
@@ -33,23 +34,17 @@ from repro.smartrpc.closure import (
 )
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import (
-    LongPointer,
+    PROVISIONAL_BASE,
     HandlePool,
+    LongPointer,
     decode_long_pointer_pooled,
     encode_long_pointer_pooled,
 )
+from repro.xdr.arch import SPARC32
 from repro.xdr.errors import XdrError
+from repro.xdr.raw import LONG_SLOT, WirePlan, wire_plan
 from repro.xdr.stream import XdrDecoder, XdrEncoder
-from repro.xdr.types import (
-    ArrayType,
-    EnumType,
-    OpaqueType,
-    PointerType,
-    ScalarType,
-    StructType,
-    TypeSpec,
-    UnionType,
-)
+from repro.xdr.types import TypeSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
@@ -62,6 +57,9 @@ _STATUS_ERROR = 1
 _ORDER_CODES = {BREADTH_FIRST: 0, DEPTH_FIRST: 1}
 _ORDER_NAMES = {code: name for name, code in _ORDER_CODES.items()}
 
+#: One non-NULL pooled long pointer: pool handle + home address.
+_LONG = struct.Struct(">" + LONG_SLOT)
+
 
 # -- batch encoding -----------------------------------------------------------
 
@@ -70,30 +68,71 @@ def encode_batch(
     runtime: "SmartRpcRuntime",
     state: "SmartSessionState",
     items: Sequence[ClosureItem],
+    resolved: Optional[Dict[int, LongPointer]] = None,
 ) -> bytes:
-    """Encode data items into one batch (no time charged here)."""
-    pool = HandlePool()
-    body = XdrEncoder()
+    """Encode data items into one batch (no time charged here).
 
-    def pointer_out(encoder: XdrEncoder, value: int, _target: str) -> None:
-        pointer = state.swizzler.unswizzle(value)
-        if pointer is not None and pointer.is_provisional:
+    ``resolved`` is the request's ``local address -> long pointer``
+    memo: a :class:`ClosureWalker` hands over what its walk already
+    resolved, and every pointer unswizzled here joins it, so no address
+    is translated twice while one request is served.  It must not
+    outlive the request — the heap and the allocation table move on.
+    """
+    if resolved is None:
+        resolved = {}
+    pool = HandlePool()
+    intern = pool.intern
+    body = XdrEncoder()
+    pack = body.pack_struct
+    arch = runtime.arch
+    unpack_raw = runtime.space.unpack_raw
+    unswizzle = state.swizzler.unswizzle
+
+    def translate(value: int) -> LongPointer:
+        pointer = unswizzle(value)
+        if pointer.is_provisional:
             raise SmartRpcError(
                 f"provisional {pointer!r} leaked onto the wire; the "
                 "memory batch must flush before any transfer"
             )
-        encode_long_pointer_pooled(encoder, pointer, pool)
+        resolved[value] = pointer
+        return pointer
 
+    def pointer_out(value: int, _target: str) -> None:
+        pointer = (resolved.get(value) or translate(value)) if value else None
+        encode_long_pointer_pooled(body, pointer, pool)
+
+    plans: Dict[str, WirePlan] = {}
     for item in items:
-        encode_long_pointer_pooled(body, item.pointer, pool)
-        runtime.codec.encode(
-            item.address,
-            item.spec,
-            body,
-            pointer_out=lambda value, target: pointer_out(
-                body, value, target
-            ),
-        )
+        space_id, address, type_id = item.pointer
+        plan = plans.get(type_id)
+        if plan is None:
+            plan = plans[type_id] = wire_plan(item.spec, arch)
+        flat = plan.flat
+        if flat is None:
+            # A union inside: the hook-driven codec dispatches its arm.
+            encode_long_pointer_pooled(body, item.pointer, pool)
+            runtime.codec.encode(item.address, item.spec, body, pointer_out)
+            continue
+        if address >= PROVISIONAL_BASE:
+            raise XdrError(
+                f"provisional {item.pointer!r} must never reach the wire"
+            )
+        handle = intern(space_id, type_id)
+        values = unpack_raw(flat.native, item.address + flat.offset)
+        key = 1
+        if flat.slot_bits:
+            values = list(values)
+            for bit, index in flat.slot_bits:
+                value = values[index]
+                if value:
+                    pointer = resolved.get(value) or translate(value)
+                    values[index] = intern(pointer[0], pointer[2])
+                    values[index + 1] = pointer[1]
+                    key |= bit
+        if flat.enums:
+            flat.check_enums(values)
+        pack(flat.codecs.get(key) or flat.wire(key), handle, address, *values)
     head = XdrEncoder()
     pool.encode(head)
     head.pack_uint32(len(items))
@@ -123,80 +162,131 @@ def apply_batch(
     decoder = XdrDecoder(payload)
     pool = HandlePool.decode(decoder)
     count = decoder.unpack_uint32()
+    peek = decoder.peek_uint32
+    unpack = decoder.unpack_struct
+    lookup = pool.lookup
+    # Per pool handle, filled at the handle's first item so a cold
+    # resolver queries the name server where it always did.
+    plans: List[Optional[WirePlan]] = [None] * len(pool)
+    site_id = runtime.site_id
+    owns = runtime.heap.owns
+    store = runtime.codec.store
+    cache = state.cache
+    swizzle = state.swizzler.swizzle
 
     def pointer_in(_target: str) -> int:
-        return state.swizzler.swizzle(
-            decode_long_pointer_pooled(decoder, pool)
-        )
+        return swizzle(decode_long_pointer_pooled(decoder, pool))
 
     applied = 0
-    for _ in range(count):
-        pointer = decode_long_pointer_pooled(decoder, pool)
-        if pointer is None:
-            raise SmartRpcError("batch item with NULL long pointer")
-        spec = runtime.resolver.resolve(pointer.type_id)
-        if pointer.space_id == runtime.site_id:
-            # We are the home: the batch updates original data.
-            if not runtime.heap.owns(pointer.address):
-                raise SmartRpcError(
-                    f"batch updates dead home data {pointer!r}"
+    shipped = [0, 0]  # bytes of demanded roots, bytes of prefetch
+    last = -1  # the previous item's handle: runs of one type are the rule
+    try:
+        for _ in range(count):
+            handle = peek()
+            if handle != last:
+                if not handle:
+                    raise SmartRpcError("batch item with NULL long pointer")
+                space_id, type_id = lookup(handle)
+                plan = plans[handle - 1]
+                if plan is None:
+                    plan = plans[handle - 1] = runtime.wire_plan(type_id)
+                flat = plan.flat
+                last = handle
+            values = unpack(_LONG if flat is None else flat.sniff(peek, 1))
+            address = values[1]
+            pointer = LongPointer(space_id, address, type_id)
+            if space_id == site_id:
+                # We are the home: the batch updates original data.
+                if not owns(address):
+                    raise SmartRpcError(
+                        f"batch updates dead home data {pointer!r}"
+                    )
+                entry = None
+                target = address
+            else:
+                entry = cache.ensure_entry(pointer)
+                if entry.resident and not overwrite:
+                    if flat is None:
+                        _skip(decoder, plan.steps, pool)
+                    else:
+                        _check_handles(flat, values, 2, pool)
+                    runtime.stats.duplicate_entries += 1
+                    if demanded is not None:
+                        cache.note_duplicate_shipment(entry.size)
+                    continue
+                target = entry.local_address
+            if flat is None:
+                runtime.codec.decode(
+                    decoder,
+                    target,
+                    runtime.resolver.resolve(type_id),
+                    pointer_in,
                 )
-            runtime.codec.decode(
-                decoder, pointer.address, spec, pointer_in=pointer_in
-            )
+            else:
+                if flat.checked:
+                    flat.check_decoded(values, 2)
+                if flat.slot_bits:
+                    values = list(values)
+                    for _bit, index in flat.slot_bits:
+                        index += 2
+                        if values[index]:
+                            slot_space, slot_type = lookup(values[index])
+                            values[index] = swizzle(LongPointer(
+                                slot_space, values[index + 1], slot_type
+                            ))
+                            values[index + 1] = b""
+                store(flat, target, values[2:])
             applied += 1
-            runtime.stats.entries_transferred += 1
-            continue
-        entry = state.cache.ensure_entry(pointer)
-        if entry.resident and not overwrite:
-            skip_value(decoder, spec, pool)
-            runtime.stats.duplicate_entries += 1
+            if entry is None:
+                continue
+            cache.mark_resident(entry)
             if demanded is not None:
-                state.cache.note_duplicate_shipment(entry.size)
-            continue
-        runtime.codec.decode(
-            decoder, entry.local_address, spec, pointer_in=pointer_in
-        )
-        state.cache.mark_resident(entry)
+                prefetched = pointer not in demanded
+                cache.note_shipped(entry, prefetched)
+                shipped[prefetched] += entry.size
+            if overwrite:
+                # Dirty data stays part of the modified data set here
+                # too, so it keeps travelling with the thread of control.
+                state.relayed_dirty.add(entry)
+            # One datum's frontier children share placeholder pages; the
+            # next datum's children start fresh ones (locality grouping).
+            cache.finish_datum()
+        decoder.expect_done()
+        cache.finish_batch()
+    finally:
+        # Sums are order-free, so the counters move once per batch —
+        # by what did land, should an item have raised.
+        runtime.stats.entries_transferred += applied
         if demanded is not None:
-            state.cache.note_shipped(
-                entry, prefetched=pointer not in demanded
-            )
-        if overwrite:
-            # Dirty data stays part of the modified data set here too,
-            # so it keeps travelling with the thread of control.
-            state.relayed_dirty.add(entry)
-        applied += 1
-        runtime.stats.entries_transferred += 1
-        # One datum's frontier children share placeholder pages; the
-        # next datum's children start fresh ones (locality grouping).
-        state.cache.finish_datum()
-    decoder.expect_done()
-    state.cache.finish_batch()
+            cache.post_shipped(*shipped)
     return applied
 
 
 def skip_value(decoder: XdrDecoder, spec: TypeSpec, pool: HandlePool) -> None:
     """Consume one canonical value without materialising it."""
-    if isinstance(spec, ScalarType):
-        decoder.unpack_fixed_opaque(spec.canonical_size())
-    elif isinstance(spec, OpaqueType):
-        decoder.unpack_fixed_opaque(spec.length)
-    elif isinstance(spec, PointerType):
-        decode_long_pointer_pooled(decoder, pool)
-    elif isinstance(spec, ArrayType):
-        for _ in range(spec.count):
-            skip_value(decoder, spec.element, pool)
-    elif isinstance(spec, StructType):
-        for field in spec.fields:
-            skip_value(decoder, field.spec, pool)
-    elif isinstance(spec, EnumType):
-        decoder.unpack_int32()
-    elif isinstance(spec, UnionType):
-        discriminant = decoder.unpack_int32()
-        skip_value(decoder, spec.arm_for(discriminant), pool)
-    else:
-        raise XdrError(f"cannot skip value of spec {spec!r}")
+    # The canonical form is the same whatever machine laid the plan out.
+    _skip(decoder, wire_plan(spec, SPARC32).steps, pool)
+
+
+def _skip(decoder: XdrDecoder, steps: Sequence, pool: HandlePool) -> None:
+    for step in steps:
+        if step.arms is not None:
+            _skip(decoder, step.arm(decoder.unpack_int32()).steps, pool)
+        else:
+            values = decoder.unpack_struct(
+                step.sniff(decoder.peek_uint32, 0)
+            )
+            _check_handles(step, values, 0, pool)
+
+
+def _check_handles(
+    flat, values: Sequence, lead: int, pool: HandlePool
+) -> None:
+    """Raise unless every long pointer among ``values`` is well formed."""
+    for _bit, index in flat.slot_bits:
+        if values[index + lead]:
+            space_id, type_id = pool.lookup(values[index + lead])
+            LongPointer(space_id, values[index + lead + 1], type_id)
 
 
 # -- the data-request protocol ------------------------------------------------
@@ -367,7 +457,7 @@ def handle_data_request(
             runtime, state, budget, order=order, hints=runtime.policy.hints
         )
         items = walker.walk(roots)
-        batch = encode_batch(runtime, state, items)
+        batch = encode_batch(runtime, state, items, walker.resolved)
     except SmartRpcError as exc:
         encoder.pack_uint32(_STATUS_ERROR)
         encoder.pack_string(str(exc))

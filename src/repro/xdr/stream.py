@@ -142,6 +142,14 @@ class XdrEncoder:
         """Append a UTF-8 string as variable-length opaque."""
         self.pack_opaque(text.encode("utf-8"))
 
+    def pack_struct(self, codec: struct.Struct, *values) -> None:
+        """Append ``values`` through a precompiled canonical ``Struct``.
+
+        The wire plans' bulk entry point: the caller vouches that
+        ``codec`` is big-endian and 4-byte-unit clean.
+        """
+        self._buf += codec.pack(*values)
+
     # -- result ---------------------------------------------------------------
 
     def getvalue(self) -> bytes:
@@ -242,6 +250,20 @@ class XdrDecoder:
     def unpack_string(self) -> str:
         """Read a UTF-8 string."""
         return str(self.unpack_fixed_view(self.unpack_uint32()), "utf-8")
+
+    def unpack_struct(self, codec: struct.Struct) -> tuple:
+        """Read ``codec.size`` bytes through a precompiled ``Struct``."""
+        return codec.unpack_from(self._view, self._advance(codec.size))
+
+    def peek_uint32(self, ahead: int = 0) -> int:
+        """The unsigned 32-bit integer ``ahead`` bytes on, not consumed."""
+        offset = self._cursor + ahead
+        if offset + 4 > self._len:
+            raise XdrError(
+                f"XDR underflow: need {ahead + 4} bytes, "
+                f"have {self._len - self._cursor}"
+            )
+        return _U32.unpack_from(self._view, offset)[0]
 
     # -- cursor ---------------------------------------------------------------
 

@@ -10,13 +10,12 @@ to the workload, which is the paper's headline property.
 
 from __future__ import annotations
 
-import operator
-import struct
 from typing import Dict, Tuple, Union
 
 from repro.memory.accessor import Mem
 from repro.xdr.arch import Architecture
 from repro.xdr.errors import XdrError
+from repro.xdr.raw import RunPlan, compile_run, pointer_code
 from repro.xdr.types import (
     ArrayType,
     EnumType,
@@ -30,60 +29,12 @@ from repro.xdr.types import (
 FieldValue = Union[int, float, bytes]
 
 
-class RunPlan:
-    """A compiled bulk-read plan for a run of struct members.
-
-    One checked access covers the byte span ``[start, start + span)``
-    relative to the struct base; :meth:`unpack` decodes the named
-    members out of the blob with one precompiled :class:`struct.Struct`
-    call.  ``accesses`` is the modelled access count the run replaces
-    (one per member; one per element for array members), which the
-    accessor charges so simulated time stays identical to a per-field
-    loop.
-    """
-
-    __slots__ = ("start", "span", "accesses", "_struct", "_order")
-
-    def __init__(
-        self,
-        start: int,
-        span: int,
-        accesses: int,
-        codec: struct.Struct,
-        order: Tuple[int, ...],
-    ) -> None:
-        self.start = start
-        self.span = span
-        self.accesses = accesses
-        self._struct = codec
-        if order == tuple(range(len(order))):
-            self._order = None
-        elif len(order) == 1:
-            index = order[0]
-            self._order = lambda values: (values[index],)
-        else:
-            # itemgetter with several indices returns a tuple at C speed.
-            self._order = operator.itemgetter(*order)
-
-    def unpack(self, blob: bytes) -> tuple:
-        """Decode the run's values (``names`` order, arrays flattened)."""
-        values = self._struct.unpack(blob)
-        if self._order is None:
-            return values
-        return self._order(values)
-
-
 def _field_codes(spec: TypeSpec, arch: Architecture) -> Tuple[str, int, int, int]:
     """(struct codes, in-memory size, value count, access count)."""
     if isinstance(spec, ScalarType):
         return spec.kind.struct_code, spec.kind.size, 1, 1
     if isinstance(spec, PointerType):
-        code = {4: "I", 8: "Q"}.get(arch.pointer_size)
-        if code is None:
-            raise XdrError(
-                f"no run codec for {arch.pointer_size}-byte pointers"
-            )
-        return code, arch.pointer_size, 1, 1
+        return pointer_code(arch), arch.pointer_size, 1, 1
     if isinstance(spec, OpaqueType):
         return f"{spec.length}s", spec.length, 1, 1
     if isinstance(spec, EnumType):
@@ -122,40 +73,17 @@ def compile_run_plan(
 def _compile_run_plan(
     spec: StructType, arch: Architecture, names: Tuple[str, ...]
 ) -> RunPlan:
-    if not names:
-        raise XdrError("an access run needs at least one field")
     layout = spec.layout(arch)
-    items = []
+    members = []
     for name in names:
-        field = spec.field(name)
-        codes, size, nvalues, accesses = _field_codes(field.spec, arch)
-        items.append((layout.offsets[name], size, codes, nvalues, accesses, name))
-    items.sort()
-    start = items[0][0]
-    fmt = ">" if arch.byteorder == "big" else "<"
-    cursor = start
-    accesses_total = 0
-    positions: Dict[str, Tuple[int, int]] = {}
-    index = 0
-    for offset, size, codes, nvalues, accesses, name in items:
-        if offset < cursor:
-            raise XdrError(
-                f"fields of {spec.name!r} overlap in access run {names!r}"
-            )
-        if offset > cursor:
-            fmt += f"{offset - cursor}x"
-        fmt += codes
-        positions[name] = (index, nvalues)
-        index += nvalues
-        cursor = offset + size
-        accesses_total += accesses
-    order = []
-    for name in names:
-        first, nvalues = positions[name]
-        order.extend(range(first, first + nvalues))
-    return RunPlan(
-        start, cursor - start, accesses_total,
-        struct.Struct(fmt), tuple(order),
+        codes, size, nvalues, accesses = _field_codes(
+            spec.field(name).spec, arch
+        )
+        members.append(
+            (layout.offsets[name], size, codes, nvalues, accesses)
+        )
+    return compile_run(
+        arch, members, f"{spec.name!r} in access run {names!r}"
     )
 
 

@@ -43,6 +43,50 @@ class TestMapping:
         with pytest.raises(SegmentationError):
             space.unmap_page(999)
 
+    def test_unmap_pages_is_one_generation_bump(self, space):
+        base = space.map_region(5)
+        first = space.page_number(base)
+        before = space.generation
+        space.unmap_pages(range(first + 1, first + 4))
+        assert space.generation == before + 1
+        assert space.mapped_pages == [first, first + 4]
+
+    def test_unmap_pages_with_an_unmapped_page_raises(self, space):
+        base = space.map_region(2)
+        first = space.page_number(base)
+        before = space.generation
+        with pytest.raises(SegmentationError):
+            space.unmap_pages([first, 999, first + 1])
+        # What went before the bad number is gone, and seen to be gone.
+        assert space.mapped_pages == [first + 1]
+        assert space.generation > before
+
+    def test_unmapped_tail_numbers_are_handed_out_again(self, space):
+        floor = space.high_water_page
+        keep = space.page_number(space.map_region(1))
+        tail = space.page_number(space.map_region(3))
+        space.unmap_pages(range(tail, tail + 3))
+        assert space.high_water_page == tail
+        assert space.page_number(space.map_region(1)) == tail
+        space.unmap_pages([keep, tail])
+        assert space.high_water_page == floor
+
+    def test_a_hole_below_a_mapped_page_is_not_reused(self, space):
+        hole = space.page_number(space.map_region(1))
+        top = space.page_number(space.map_region(1))
+        space.unmap_page(hole)
+        assert space.high_water_page == top + 1
+        assert space.page_number(space.map_region(1)) == top + 1
+
+    def test_reused_number_is_a_fresh_zeroed_page(self, space):
+        base = space.map_region(1)
+        space.write_raw(base, b"stale")
+        space.unmap_page(space.page_number(base))
+        again = space.map_region(1, Protection.READ)
+        assert again == base
+        assert space.read_raw(base, 5) == bytes(5)
+        assert space.protection_of(space.page_number(base)) is Protection.READ
+
     def test_bad_page_size_rejected(self):
         with pytest.raises(ValueError):
             AddressSpace("x", page_size=100)  # not a multiple of 8

@@ -102,6 +102,15 @@ class TestTokenFastPath:
         with pytest.raises(SegmentationError):
             mem.load(base, 1)
 
+    def test_token_does_not_outlive_a_reused_page_number(self, space, mem):
+        base = space.map_region(1)
+        mem.store(base, b"old")  # writable token over the old buffer
+        space.unmap_page(space.page_number(base))
+        assert space.map_region(1, Protection.READ) == base
+        assert mem.load(base, 3) == bytes(3)  # the new page, not the old
+        with pytest.raises(AccessViolation):
+            mem.store(base, b"x")
+
     def test_map_region_invalidates_and_new_pages_work(self, space, mem):
         first = space.map_region(1)
         mem.load(first, 1)

@@ -29,6 +29,31 @@ class TestLongPointer:
         assert hash(first) == hash(second)
         assert first != LongPointer("B", 1, "t")
 
+    def test_differs_in_each_field(self):
+        pointer = LongPointer("A", 8, "t")
+        assert pointer != LongPointer("A", 16, "t")
+        assert pointer != LongPointer("A", 8, "u")
+        assert len({pointer, LongPointer("A", 8, "t")}) == 1
+
+    def test_immutable_and_dictless(self):
+        pointer = LongPointer("A", 8, "t")
+        for name in ("space_id", "address", "type_id", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(pointer, name, 1)
+        assert not hasattr(pointer, "__dict__")
+
+    def test_copies_and_pickles_as_itself(self):
+        import copy
+        import pickle
+
+        pointer = LongPointer("A", 8, "t")
+        for clone in (
+            copy.copy(pointer),
+            copy.deepcopy(pointer),
+            pickle.loads(pickle.dumps(pointer)),
+        ):
+            assert type(clone) is LongPointer and clone == pointer
+
     def test_zero_address_rejected(self):
         with pytest.raises(XdrError):
             LongPointer("A", 0, "t")

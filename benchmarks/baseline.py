@@ -37,7 +37,9 @@ per-byte cost of bulk shipping to the plain-memcpy floor; see
 ``repro.bench.carrier``) and the Figure 4 eager/lazy crossover sweep
 over both real carriers — cheap bulk bytes are the force pushing the
 crossover toward eager, and the shm crossover is never later than
-tcp's.
+tcp's — and ``carrier_rtt_us``, the 16-byte echo and PING round trips
+over both carriers, with one shape gate on ``--compare``: the shm echo
+p50 must stay under 0.8x tcp's measured in the same run.
 """
 
 from __future__ import annotations
@@ -107,6 +109,13 @@ ABLATION_VARIANTS: Dict[str, Callable[[], PipelinedPolicy]] = {
 
 #: Metrics gated by --compare (higher is worse for all three).
 COMPARED = ("round_trips", "bytes_shipped", "sim_seconds")
+
+#: The shm file's one host-independent shape gate on exchange latency
+#: (same spirit as ``first_call_over_hotpath``): a 16-byte echo over
+#: shared memory must cost at most this fraction of one over
+#: localhost TCP, both timed in the same process minutes apart.  It
+#: was 1.25 while every shm waiter sleep-polled, 0.4 with the doorbell.
+SHM_OVER_TCP_RTT_CEILING = 0.8
 
 #: What a real-carrier baseline gates: only the metrics the
 #: transport-equivalence property makes deterministic.  Seconds over a
@@ -248,12 +257,22 @@ def record_carrier(transport: str) -> Dict:
         # 16-byte tree nodes the sweep itself is marshalling-bound, so
         # the recorded invariant is that the shm crossover is never
         # later than tcp's; the collapse shows in the slopes.)
-        from repro.bench.carrier import carrier_per_byte, memcpy_per_byte
+        from repro.bench.carrier import (
+            carrier_per_byte,
+            carrier_rtt_us,
+            memcpy_per_byte,
+        )
 
         record["carrier_page_fill_ns_per_byte"] = {
             "memcpy": round(memcpy_per_byte() * 1e9, 4),
             TCP: round(carrier_per_byte(TCP) * 1e9, 4),
             SHM: round(carrier_per_byte(SHM) * 1e9, 4),
+        }
+        # What the slopes cancel out: the round trip of one small
+        # exchange, the paper's callback cost unit.
+        record["carrier_rtt_us"] = {
+            TCP: carrier_rtt_us(TCP),
+            SHM: carrier_rtt_us(SHM),
         }
         record["fig4_crossover"] = {
             SHM: _crossover_sweep(SHM),
@@ -313,6 +332,21 @@ def compare(
                         f"(>{TOLERANCE:.0%} tolerance)"
                     )
     return problems
+
+
+def compare_rtt(current: Dict, label: str) -> List[str]:
+    """The shm-vs-tcp echo ratio gate over a fresh carrier record."""
+    rtt = current.get("carrier_rtt_us")
+    if not rtt:
+        return []
+    ratio = rtt[SHM]["echo_p50"] / rtt[TCP]["echo_p50"]
+    if ratio <= SHM_OVER_TCP_RTT_CEILING:
+        return []
+    return [
+        f"{label}: shm echo p50 {rtt[SHM]['echo_p50']} us is "
+        f"{ratio:.2f}x tcp's {rtt[TCP]['echo_p50']} us "
+        f"(ceiling {SHM_OVER_TCP_RTT_CEILING})"
+    ]
 
 
 def main(argv=None) -> int:
@@ -375,6 +409,15 @@ def main(argv=None) -> int:
                         for name, value in slopes.items()
                     )
                 )
+            rtt = current.get("carrier_rtt_us")
+            if rtt:
+                print(
+                    "  carrier echo p50/p99 us: "
+                    + ", ".join(
+                        f"{name} {row['echo_p50']}/{row['echo_p99']}"
+                        for name, row in rtt.items()
+                    )
+                )
             crossover = current.get("fig4_crossover")
             if crossover:
                 for carrier, sweep in crossover.items():
@@ -392,6 +435,7 @@ def main(argv=None) -> int:
         problems.extend(
             compare(baseline, current, path.name, policies=policies)
         )
+        problems.extend(compare_rtt(current, path.name))
     if args.transport == SIMNET:
         # The memory hot-path gate rides along with the simnet compare:
         # re-measure and check the host-independent shape (tokens never

@@ -8,6 +8,8 @@ the extent in place, where TCP re-copies the body through framing,
 two socket buffers and a reassembled ``bytes``.  Everything here
 measures the *slope* between a small and a large reply, so every
 fixed per-exchange cost (rings, wakeups, dials) cancels out.
+:func:`carrier_rtt_us` measures exactly what the slopes cancel: the
+round trip of a 16-byte echo, the cost unit of the paper's callback.
 
 Used by ``benchmarks/bench_xdr.py`` (the asserting benchmark) and by
 ``benchmarks/baseline.py`` (which records the slopes into
@@ -16,13 +18,15 @@ Used by ``benchmarks/bench_xdr.py`` (the asserting benchmark) and by
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import statistics
 import struct
 import time
-from typing import Callable, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.simnet.message import MessageKind
-from repro.transport.base import RetryPolicy
+from repro.transport.base import RetryPolicy, Transport
 from repro.transport.shm import ShmTransport
 from repro.transport.tcp import TcpTransport
 
@@ -34,6 +38,9 @@ BULK_BIG = 4 * 1024 * 1024
 
 #: Wall-time floor per measurement batch.
 MIN_SECONDS = 0.05
+
+#: Individually timed round trips behind each RTT percentile.
+RTT_ECHOES = 2000
 
 _SIZE_REQ = struct.Struct(">Q")
 _SOURCE = bytes(range(256)) * (BULK_BIG // 256)
@@ -89,6 +96,77 @@ def memcpy_per_byte() -> float:
     return (big - small) / (BULK_BIG - BULK_SMALL)
 
 
+@contextlib.contextmanager
+def _deployment(
+    carrier: str, **server_options
+) -> Iterator[Tuple[Transport, Transport]]:
+    """A started, mutually introduced ``(server B, client A)`` pair."""
+    make = TcpTransport if carrier == TCP else ShmTransport
+    server = make("B", retry=_PATIENT, **server_options)
+    client = make("A", retry=_PATIENT)
+    try:
+        server.start()
+        client.start()
+        client.add_peer("B", server.address)
+        server.add_peer("A", client.address)
+        yield server, client
+    finally:
+        client.close()
+        server.close()
+
+
+def _percentiles_us(
+    fn: Callable[[], object], calls: int
+) -> Tuple[float, float]:
+    """``(p50, p99)`` microseconds of ``calls`` individually timed calls,
+    under :func:`seconds_per_call`'s discipline: warmed up, collector
+    off."""
+    for _ in range(20):  # dial, map segments, wake every service thread
+        fn()
+    gc.collect()
+    gc.disable()
+    try:
+        samples = []
+        for _ in range(calls):
+            start = time.perf_counter()
+            fn()
+            samples.append((time.perf_counter() - start) * 1e6)
+    finally:
+        gc.enable()
+    cuts = statistics.quantiles(samples, n=100)
+    return cuts[49], cuts[98]
+
+
+def carrier_rtt_us(
+    carrier: str, echoes: int = RTT_ECHOES
+) -> Dict[str, float]:
+    """Round-trip microseconds of one exchange over one carrier.
+
+    ``echo_*`` is a full 16-byte request/reply exchange through a
+    handler (what every fault-driven callback costs); ``ping_p50`` is
+    the transport-level PING/PONG underneath it, which skips handler
+    dispatch and the at-most-once bookkeeping — the carrier's own
+    hand-off cost.
+    """
+    body = bytes(16)
+    with _deployment(carrier) as (server, client):
+        server.endpoint.register_handler(
+            MessageKind.CALL, lambda message: bytes(message.payload)
+        )
+        echo_p50, echo_p99 = _percentiles_us(
+            lambda: client.endpoint.send(
+                "B", MessageKind.CALL, body, reply_kind=MessageKind.REPLY
+            ),
+            echoes,
+        )
+        ping_p50, _ = _percentiles_us(lambda: client.ping("B"), echoes)
+    return {
+        "echo_p50": round(echo_p50, 1),
+        "echo_p99": round(echo_p99, 1),
+        "ping_p50": round(ping_p50, 1),
+    }
+
+
 def carrier_per_byte(
     carrier: str,
     measured_hook: Optional[Callable[[Callable[[], None]], None]] = None,
@@ -101,21 +179,10 @@ def carrier_per_byte(
     ``measured_hook`` (e.g. ``pytest-benchmark``'s pedantic runner)
     receives the big-fetch closure while the deployment is still up.
     """
-    if carrier == TCP:
-        server = TcpTransport("B", retry=_PATIENT)
-        client = TcpTransport("A", retry=_PATIENT)
-    else:
-        # The segment holds many big extents so the bump allocator
-        # never waits on the one-behind deferred reply acks.
-        server = ShmTransport(
-            "B", retry=_PATIENT, segment_size=64 * 1024 * 1024
-        )
-        client = ShmTransport("A", retry=_PATIENT)
-    try:
-        server.start()
-        client.start()
-        client.add_peer("B", server.address)
-        server.add_peer("A", client.address)
+    # The shm segment holds many big extents so the bump allocator
+    # never waits on the one-behind deferred reply acks.
+    options = {"segment_size": 64 * 1024 * 1024} if carrier == SHM else {}
+    with _deployment(carrier, **options) as (server, client):
         source = memoryview(_SOURCE)
 
         if carrier == SHM:
@@ -145,6 +212,3 @@ def carrier_per_byte(
         if measured_hook is not None:
             measured_hook(lambda: fetch(BULK_BIG))
         return (big - small) / (BULK_BIG - BULK_SMALL)
-    finally:
-        client.close()
-        server.close()

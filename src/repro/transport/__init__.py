@@ -24,6 +24,9 @@ process; see :mod:`repro.transport.host`.
 
 from repro.transport.base import (
     Endpoint,
+    FaultInjector,
+    HandshakeError,
+    RemoteHandlerError,
     ReplyCache,
     RetryPolicy,
     Transport,
@@ -38,13 +41,7 @@ from repro.transport.shm import (
     ShmTransport,
     purge_stale_segments,
 )
-from repro.transport.tcp import (
-    FaultInjector,
-    HandshakeError,
-    RemoteHandlerError,
-    TcpEndpoint,
-    TcpTransport,
-)
+from repro.transport.tcp import TcpEndpoint, TcpTransport
 from repro.transport.wallclock import WallClock
 
 __all__ = [

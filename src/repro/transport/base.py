@@ -12,12 +12,16 @@ The pieces of the Birrell-Nelson at-most-once machinery that both
 backends share also live here: the :class:`ReplyCache` (the receiver
 half — a retransmitted exchange returns the cached reply instead of
 re-running the handler) and the :class:`RetryPolicy` (the sender half —
-timeout, exponential backoff, bounded attempts).
+timeout, exponential backoff, bounded attempts).  What the two real
+carriers share beyond that is here as well, so neither imports the
+other: the :class:`FaultInjector`, :data:`HANDSHAKE_TIMEOUT` and the
+:class:`HandshakeError` / :class:`RemoteHandlerError` types.
 """
 
 from __future__ import annotations
 
 import abc
+import random
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
@@ -25,8 +29,10 @@ from typing import (
     Callable,
     Dict,
     Hashable,
+    Iterable,
     Iterator,
     Optional,
+    Set,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,9 +46,20 @@ from repro.transport.vclock import VectorClock
 
 Handler = Callable[["Message"], bytes]
 
+#: How long connect + handshake may take before the attempt fails.
+HANDSHAKE_TIMEOUT = 5.0
+
 
 class TransportError(Exception):
     """A transport-level failure the runtimes cannot recover from."""
+
+
+class HandshakeError(TransportError):
+    """The peer refused the connection or speaks another protocol."""
+
+
+class RemoteHandlerError(TransportError):
+    """The remote handler raised outside the RPC error envelope."""
 
 
 class ReplyCache:
@@ -130,6 +147,148 @@ class RetryPolicy:
         for _ in range(self.max_attempts):
             yield min(current, self.max_timeout)
             current *= self.backoff
+
+
+class FaultInjector:
+    """Deterministic wire faults for exercising the retry machinery.
+
+    ``drop_requests`` / ``duplicate_requests`` / ``drop_replies`` are
+    1-based indices into this transport's sequence of outgoing request
+    (resp. reply) transmissions; ``loss_rate`` adds seeded random
+    request drops on top for chaos-style tests.
+
+    ``crash_sends`` / ``crash_recvs`` map a message-kind value to a
+    1-based ordinal N: the *process* exits hard (``os._exit``) right
+    after transmitting (resp. right before handling) its Nth frame of
+    that kind — the deterministic process-kill primitive behind the
+    crash-matrix tests.  A crash-send dies with the frame already on
+    the wire (the peer processes it; the reply is lost with the
+    sender); a crash-recv dies before the handler runs.
+    """
+
+    DROP = "drop"
+    DUPLICATE = "duplicate"
+
+    #: Exit status of an injected crash, so harnesses can tell a
+    #: planned death from an accidental one.
+    CRASH_EXIT_CODE = 86
+
+    def __init__(
+        self,
+        drop_requests: Iterable[int] = (),
+        duplicate_requests: Iterable[int] = (),
+        drop_replies: Iterable[int] = (),
+        loss_rate: float = 0.0,
+        seed: int = 0,
+        crash_sends: Optional[Dict[str, int]] = None,
+        crash_recvs: Optional[Dict[str, int]] = None,
+    ) -> None:
+        if not 0.0 <= loss_rate < 1.0:
+            raise ValueError(f"bad loss rate {loss_rate!r}")
+        self.drop_requests = frozenset(drop_requests)
+        self.duplicate_requests = frozenset(duplicate_requests)
+        self.drop_replies = frozenset(drop_replies)
+        self.loss_rate = loss_rate
+        self.crash_sends = dict(crash_sends or {})
+        self.crash_recvs = dict(crash_recvs or {})
+        self._rng = random.Random(seed)
+        self._requests_seen = 0
+        self._replies_seen = 0
+        self._sends_by_kind: Dict[str, int] = {}
+        self._recvs_by_kind: Dict[str, int] = {}
+
+    def request_action(self) -> Optional[str]:
+        """Fault to apply to the next outgoing request frame, if any."""
+        self._requests_seen += 1
+        if self._requests_seen in self.drop_requests:
+            return self.DROP
+        if self._requests_seen in self.duplicate_requests:
+            return self.DUPLICATE
+        if self.loss_rate and self._rng.random() < self.loss_rate:
+            return self.DROP
+        return None
+
+    def reply_action(self) -> Optional[str]:
+        """Fault to apply to the next outgoing reply frame, if any."""
+        self._replies_seen += 1
+        if self._replies_seen in self.drop_replies:
+            return self.DROP
+        return None
+
+    def crash_after_send(self, kind: "MessageKind") -> bool:
+        """Whether the process must die now, having sent this frame."""
+        planned = self.crash_sends.get(kind.value)
+        if planned is None:
+            return False
+        seen = self._sends_by_kind.get(kind.value, 0) + 1
+        self._sends_by_kind[kind.value] = seen
+        return seen == planned
+
+    def crash_on_receive(self, kind: "MessageKind") -> bool:
+        """Whether the process must die now, before handling this frame."""
+        planned = self.crash_recvs.get(kind.value)
+        if planned is None:
+            return False
+        seen = self._recvs_by_kind.get(kind.value, 0) + 1
+        self._recvs_by_kind[kind.value] = seen
+        return seen == planned
+
+    @classmethod
+    def parse(cls, spec: str) -> "FaultInjector":
+        """Build an injector from a CLI spec.
+
+        ``spec`` is a comma-separated list of ``drop-request=N``,
+        ``dup-request=N``, ``drop-reply=N``, ``loss=RATE``, ``seed=N``,
+        ``crash-send=KIND:N`` and ``crash-recv=KIND:N`` clauses, e.g.
+        ``drop-request=1,crash-recv=writeback_prepare:1``.
+        """
+        from repro.simnet.message import MessageKind
+
+        drop_requests: Set[int] = set()
+        duplicate_requests: Set[int] = set()
+        drop_replies: Set[int] = set()
+        crash_sends: Dict[str, int] = {}
+        crash_recvs: Dict[str, int] = {}
+        loss_rate = 0.0
+        seed = 0
+        for clause in filter(None, spec.split(",")):
+            name, _, value = clause.partition("=")
+            try:
+                if name == "drop-request":
+                    drop_requests.add(int(value))
+                elif name == "dup-request":
+                    duplicate_requests.add(int(value))
+                elif name == "drop-reply":
+                    drop_replies.add(int(value))
+                elif name == "loss":
+                    loss_rate = float(value)
+                elif name == "seed":
+                    seed = int(value)
+                elif name in ("crash-send", "crash-recv"):
+                    kind, _, ordinal = value.partition(":")
+                    MessageKind(kind)  # reject unknown kinds early
+                    target = (
+                        crash_sends if name == "crash-send" else crash_recvs
+                    )
+                    target[kind] = int(ordinal) if ordinal else 1
+                else:
+                    raise ValueError(name)
+            except ValueError:
+                raise ValueError(
+                    f"bad fault clause {clause!r} (expected "
+                    "drop-request=N, dup-request=N, drop-reply=N, "
+                    "loss=RATE, seed=N, crash-send=KIND:N or "
+                    "crash-recv=KIND:N)"
+                ) from None
+        return cls(
+            drop_requests=drop_requests,
+            duplicate_requests=duplicate_requests,
+            drop_replies=drop_replies,
+            loss_rate=loss_rate,
+            seed=seed,
+            crash_sends=crash_sends,
+            crash_recvs=crash_recvs,
+        )
 
 
 class Endpoint(abc.ABC):

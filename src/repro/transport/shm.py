@@ -25,13 +25,14 @@ transport's random base name (``srpc-<hex>``):
   field with port 0.  Its header holds magic, protocol version, owner
   pid and a ready/closed word so a dialer can refuse a corpse.
 * a **connection segment** (``<listener>.c<hex>``) is created by each
-  dialer: a header with per-side closed flags and heartbeat words,
-  then two slotted SPSC rings (dialer→listener, listener→dialer).
+  dialer: a header with per-side closed flags, heartbeat words and the
+  dialer's doorbell name, then two slotted SPSC rings
+  (dialer→listener, listener→dialer).
   A slot is ``[seq:u64][len:u32][pad][payload]``; the producer writes
   length and payload first and publishes by storing ``seq = pos + 1``
   last, the consumer retires the slot by storing ``seq = pos + slots``
-  (Vyukov's sequence scheme, futex-free: both sides spin with a short
-  sleep backoff; aligned 8-byte stores are the only synchronisation).
+  (Vyukov's sequence scheme; aligned 8-byte stores are the only
+  synchronisation on the data path).
 * the **data segment** (``<listener>.d``) backs the zero-copy path:
   a :class:`SegmentAllocator` hands out epoch-stamped *extents*
   (``[stamp:u64][len:u32][pad]`` + payload, stamp written last as the
@@ -44,11 +45,25 @@ transport's random base name (``srpc-<hex>``):
   staged view and releases the lease — the commit is the flip of the
   extent's stamp word from pinned to retired, not a re-ship of pages.
 
+Nobody polls.  Every started transport owns one **doorbell**: a
+datagram socket in the abstract namespace at ``"\\0" + name``, on
+which its poller sleeps.  Whoever pushes a frame into a ring then
+sends the consumer one byte; the poller takes one datagram off the
+bell and *then* pumps every ring, so a frame pushed before its
+datagram was sent is seen by the lap that datagram caused — a queued
+datagram can cost an empty lap, never a waiting frame.  The sleep is
+capped by :data:`HEARTBEAT_INTERVAL`, and each heartbeat lap also
+rescans for dialers, so a bell that was never rung (full queue, dead
+sender) makes an exchange one beat slower, not stuck, and a peer that
+will never ring again is still found by its stale heartbeat word.  The
+bell carries no data and no authority: a stranger's datagram is one
+empty lap, and everything read after it is validated as before.
+
 Reliability mirrors :class:`TcpTransport` frame for frame: exchange
 ids carry a per-boot incarnation, senders retransmit on timeout with
 exponential backoff, receivers suppress duplicates through the shared
 :class:`~repro.transport.base.ReplyCache` plus an in-flight table, and
-the same :class:`~repro.transport.tcp.FaultInjector` drops, duplicates
+the same :class:`~repro.transport.base.FaultInjector` drops, duplicates
 and crash-kills frames for the crash-matrix tests.  Peer death is
 detected by heartbeat words going stale (or a closed flag) — never a
 hang — and a dying transport bumps its data segment's epoch so any
@@ -66,10 +81,12 @@ from __future__ import annotations
 
 import itertools
 import os
+import queue
+import socket
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -77,7 +94,11 @@ from repro.simnet.clock import CostModel
 from repro.simnet.message import Message, MessageKind
 from repro.simnet.stats import StatsCollector
 from repro.transport.base import (
+    HANDSHAKE_TIMEOUT,
     Endpoint,
+    FaultInjector,
+    HandshakeError,
+    RemoteHandlerError,
     RetryPolicy,
     Transport,
     TransportError,
@@ -102,12 +123,6 @@ from repro.transport.framing import (
     decode_frame,
     encode_frame,
 )
-from repro.transport.tcp import (
-    HANDSHAKE_TIMEOUT,
-    FaultInjector,
-    HandshakeError,
-    RemoteHandlerError,
-)
 from repro.transport.wallclock import WallClock
 
 #: Where the kernel exposes POSIX shared memory objects.
@@ -129,11 +144,9 @@ DEFAULT_SLOT_BYTES = 4096
 #: Seconds of silent heartbeat after which a peer is declared dead.
 DEFAULT_PEER_TIMEOUT = 2.0
 
-#: How often the poller bumps its heartbeat words.
+#: How often the poller bumps its heartbeat words — and the longest it
+#: ever sleeps on its doorbell, so a lost datagram costs at most this.
 HEARTBEAT_INTERVAL = 0.05
-
-#: How often the listener rescans ``/dev/shm`` for new dialers.
-ACCEPT_SCAN_INTERVAL = 0.002
 
 #: A pinned extent whose SEG_ACK never arrives is reclaimed after
 #: this many seconds (the peer crashed mid-read, or a retained
@@ -141,7 +154,7 @@ ACCEPT_SCAN_INTERVAL = 0.002
 PIN_TTL = 60.0
 
 _LISTENER_MAGIC = b"SRPCLSN1"
-_CONN_MAGIC = b"SRPCCON1"
+_CONN_MAGIC = b"SRPCCON2"
 _DATA_MAGIC = b"SRPCDAT1"
 
 _U32 = struct.Struct("<I")
@@ -155,7 +168,14 @@ _LISTENER_SEG_SIZE = 64
 _C_MAGIC, _C_VERSION, _C_READY = 0, 8, 12
 _C_CLOSED_A, _C_CLOSED_B = 16, 20
 _C_HB_A, _C_HB_B, _C_PID_A, _C_PID_B = 24, 32, 40, 48
-_CONN_HEADER = 64
+# The dialer's doorbell name, NUL-padded (the listener's is its segment's).
+_C_BELL_A, _C_BELL_LEN = 64, 64
+_CONN_HEADER = 128
+
+# Doorbell datagrams: one byte saying where to look, nothing more.
+_BELL_RING = b"r"  # a frame was pushed into one of your rings
+_BELL_SCAN = b"s"  # a dialer created a connection segment for you
+_BELL_SPACE = b"f"  # a slot was freed in a ring a writer found full
 
 # Data segment header offsets (extents follow at SegmentAllocator.HEADER).
 _D_MAGIC, _D_VERSION, _D_EPOCH, _D_PID, _D_SIZE = 0, 8, 16, 24, 32
@@ -248,6 +268,11 @@ def _close_segment(
         pass
 
 
+def _bell_address(name: str) -> bytes:
+    """The abstract-namespace address of transport ``name``'s doorbell."""
+    return b"\0" + name.encode("ascii")
+
+
 def _pid_alive(pid: int) -> bool:
     if pid <= 0:
         return False
@@ -299,33 +324,6 @@ def purge_stale_segments(prefix: str = NAME_PREFIX) -> List[str]:
     return reaped
 
 
-class _Backoff:
-    """Spin → yield → sleep, the futex-free waiting discipline.
-
-    A handful of raw spins catches the common case (the peer is about
-    to publish), ``sleep(0)`` yields the GIL to in-process peers, and
-    a short capped sleep keeps an idle poller near-free while bounding
-    added latency to ~0.2 ms.
-    """
-
-    __slots__ = ("spins",)
-
-    def __init__(self) -> None:
-        self.spins = 0
-
-    def reset(self) -> None:
-        self.spins = 0
-
-    def pause(self) -> None:
-        self.spins += 1
-        if self.spins <= 16:
-            return
-        if self.spins <= 64:
-            time.sleep(0)
-            return
-        time.sleep(min(0.0002, 0.00001 * (self.spins - 64)))
-
-
 class _Ring:
     """One SPSC slotted ring inside a connection segment.
 
@@ -347,6 +345,7 @@ class _Ring:
         self.capacity = slot_bytes
         self._pos = 0  # this side's produce (or consume) position
         self._lock = threading.Lock()
+        self.relieved = False  # consumer: the last pop found the ring full
 
     @staticmethod
     def region_size(slots: int, slot_bytes: int) -> int:
@@ -389,6 +388,11 @@ class _Ring:
         length = _U32.unpack_from(self._mv, slot + 8)[0]
         body = slot + _SLOT_HEADER
         data = bytes(self._mv[body : body + length])
+        # Full: the slot behind this one is already a whole lap ahead.
+        newest = self._base + ((pos - 1) % self._slots) * self._stride
+        self.relieved = (
+            _U64.unpack_from(self._mv, newest)[0] == pos + self._slots
+        )
         # Retiring the slot hands it back to the producer's next lap.
         _U64.pack_into(self._mv, slot, pos + self._slots)
         self._pos = pos + 1
@@ -396,32 +400,84 @@ class _Ring:
 
 
 class _Waiter:
-    """One blocked exchange (or ping) awaiting its reply frame."""
+    """One blocked exchange (or ping, or dial) awaiting its frame: a
+    lock held from birth, released by whoever settles it."""
 
-    __slots__ = ("event", "value", "error")
+    __slots__ = ("_settled", "value", "error")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        self._settled = threading.Lock()
+        self._settled.acquire()
         self.value: Optional[Frame] = None
         self.error: Optional[BaseException] = None
 
     def resolve(self, frame: Frame) -> None:
-        if not self.event.is_set():
+        if self.value is None and self.error is None:
             self.value = frame
-            self.event.set()
+            self._wake()
 
     def fail(self, error: BaseException) -> None:
-        if not self.event.is_set():
+        if self.value is None and self.error is None:
             self.error = error
-            self.event.set()
+            self._wake()
+
+    def _wake(self) -> None:
+        try:
+            self._settled.release()
+        except RuntimeError:  # a reply raced an abort: already awake
+            pass
 
     def wait(self, timeout: float) -> Frame:
-        if not self.event.wait(timeout):
+        if not self._settled.acquire(timeout=max(timeout, 0.0)):
             raise TimeoutError("no reply within the attempt timeout")
         if self.error is not None:
             raise self.error
         assert self.value is not None
         return self.value
+
+
+class _Workers:
+    """Handler threads fed through one ``SimpleQueue``.
+
+    Handlers nest exchanges, so they never run on the poller; but the
+    poller is the only submitter and nobody reads a result, which is
+    all that ``ThreadPoolExecutor.submit`` spends its time on.  Threads
+    are spawned on demand, as the executor does: a handler blocked in a
+    nested exchange must not starve the request that unblocks it.
+    """
+
+    def __init__(self, serve, limit: int, prefix: str) -> None:
+        self._serve, self._limit, self._prefix = serve, limit, prefix
+        self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
+        self._threads: List[threading.Thread] = []
+        self._idle = 0  # tasks finished and not yet claimed by a submit
+        self._lock = threading.Lock()
+
+    def submit(self, *task) -> None:
+        self._tasks.put(task)
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+            elif len(self._threads) < self._limit:
+                name = f"{self._prefix}_{len(self._threads)}"
+                self._threads.append(threading.Thread(
+                    target=self._run, name=name, daemon=True
+                ))
+                self._threads[-1].start()
+
+    def _run(self) -> None:
+        for task in iter(self._tasks.get, None):
+            try:
+                self._serve(*task)
+            except Exception:  # noqa: BLE001 - the peer retransmits
+                traceback.print_exc()
+            with self._lock:
+                self._idle += 1
+
+    def shutdown(self) -> None:
+        """Tell every worker to exit after its current task."""
+        for _ in self._threads:
+            self._tasks.put(None)
 
 
 class _Connection:
@@ -435,15 +491,21 @@ class _Connection:
         slots: int,
         slot_bytes: int,
         owned: bool,
+        ringer: socket.socket,
+        peer_bell: Optional[bytes],
     ) -> None:
         self.name = name
         self.shm = shm
         self.side = side  # "a" dialed it, "b" accepted it
         self.owned = owned  # we created the segment (and unlink it)
+        self._ringer = ringer  # the transport's bell-ringing socket
+        self.peer_bell = peer_bell  # where the peer's poller sleeps
         self.peer: Optional[str] = None
         self.alive = True
         self.pending: Dict[int, _Waiter] = {}
         self.pings: Dict[int, _Waiter] = {}
+        self.greeting: Optional[_Waiter] = None  # a dial awaiting WELCOME
+        self.space = threading.Event()  # set when the peer freed a tx slot
         mv = shm.buf
         self._mv = mv
         ring_a = _CONN_HEADER
@@ -492,39 +554,55 @@ class _Connection:
         except Exception:  # pragma: no cover - segment already unmapped
             pass
 
+    def ring(self, note: bytes = _BELL_RING) -> None:
+        """Wake the peer's poller.  Best effort: a full queue means a
+        wake-up is already pending, and a bell that is lost or has no
+        listener costs the peer one heartbeat, never a frame."""
+        if self.peer_bell is not None:
+            try:
+                self._ringer.sendto(note, self.peer_bell)
+            except OSError:
+                pass
+
     def write(self, data: bytes, timeout: float) -> None:
-        """Push one frame, spinning while the ring is full."""
+        """Push one frame and ring the peer; while the ring is full,
+        sleep until the peer reports a freed slot (``_BELL_SPACE``)."""
         deadline = time.monotonic() + timeout
-        backoff = _Backoff()
         while True:
             if not self.alive:
                 raise ConnectionResetError(
                     f"connection {self.name} is closed"
                 )
             if self.tx.try_push(data):
+                self.ring()
                 return
-            if time.monotonic() > deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"ring to {self.peer!r} full for {timeout}s"
                 )
-            backoff.pause()
+            self.space.wait(min(deadline - now, HEARTBEAT_INTERVAL))
+            self.space.clear()
 
     def try_write(self, data: bytes, timeout: float = 0.2) -> bool:
         """Push best-effort (acks, goodbyes); False if it did not fit."""
         try:
             self.write(data, timeout)
             return True
-        except (TimeoutError, ConnectionResetError, ValueError, TypeError):
+        except (TimeoutError, ConnectionResetError, ValueError, TypeError,
+                AttributeError):  # the last three: released under us
             return False
 
     def abort(self, error: Exception) -> None:
         """Mark dead and fail every outstanding waiter."""
         self.alive = False
-        for waiter in list(self.pending.values()):
+        self.space.set()
+        waiters = list(self.pending.values()) + list(self.pings.values())
+        if self.greeting is not None:
+            waiters.append(self.greeting)
+        for waiter in waiters:
             waiter.fail(error)
         self.pending.clear()
-        for waiter in list(self.pings.values()):
-            waiter.fail(error)
         self.pings.clear()
 
     def release(self) -> None:
@@ -670,7 +748,8 @@ class SegmentAllocator:
         self._bump = self.HEADER
         # offset -> [end, stamp, pinned_at, peer]
         self._pins: Dict[int, List] = {}
-        self._lock = threading.Lock()
+        # A condition: a reserver short of room sleeps until an unpin.
+        self._lock = threading.Condition()
 
     @property
     def epoch(self) -> int:
@@ -705,24 +784,26 @@ class SegmentAllocator:
                 f"data segment {self.name!r} (raise --segment-size)"
             )
         deadline = time.monotonic() + timeout
-        backoff = _Backoff()
-        while True:
-            with self._lock:
+        with self._lock:
+            while True:
                 offset = self._find(need)
                 if offset is not None:
-                    stamp = next(self._stamps)
-                    self._pins[offset] = [
-                        offset + need, stamp, time.monotonic(), peer,
-                    ]
                     break
-            self.expire_pins()
-            if time.monotonic() > deadline:
-                raise TransportError(
-                    f"data segment {self.name!r} has no room for "
-                    f"{length} bytes ({len(self._pins)} extents pinned; "
-                    "raise --segment-size)"
-                )
-            backoff.pause()
+                if self.expire_pins():
+                    continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TransportError(
+                        f"data segment {self.name!r} has no room for "
+                        f"{length} bytes ({len(self._pins)} extents "
+                        "pinned; raise --segment-size)"
+                    )
+                # Crashed readers never ack: their pins only age out.
+                self._lock.wait(min(remaining, HEARTBEAT_INTERVAL))
+            stamp = next(self._stamps)
+            self._pins[offset] = [
+                offset + need, stamp, time.monotonic(), peer,
+            ]
         body = offset + _EXTENT_HEADER
         _U32.pack_into(self._mv, offset + 8, length)
         return offset, stamp, self._mv[body : body + length]
@@ -763,6 +844,7 @@ class SegmentAllocator:
             if entry is None or entry[1] != stamp:
                 return False
             del self._pins[offset]
+            self._lock.notify_all()
             return True
 
     def release_peer(self, peer: str) -> int:
@@ -774,6 +856,7 @@ class SegmentAllocator:
             ]
             for off in stale:
                 del self._pins[off]
+            self._lock.notify_all()
             return len(stale)
 
     def expire_pins(self, ttl: float = PIN_TTL) -> int:
@@ -786,6 +869,7 @@ class SegmentAllocator:
             ]
             for off in stale:
                 del self._pins[off]
+            self._lock.notify_all()
             return len(stale)
 
     def close(self) -> None:
@@ -895,12 +979,17 @@ class ShmTransport(Transport):
         self.handovers = 0
         incarnation = int.from_bytes(os.urandom(4), "big")
         self._exchange_ids = itertools.count((incarnation << 32) | 1)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix=f"shm-{site_id}"
+        self._workers = _Workers(
+            self._serve_request, max_workers, f"shm-{site_id}"
         )
         self._allocator: Optional[SegmentAllocator] = None
         self._listener_shm: Optional[shared_memory.SharedMemory] = None
+        # The poller sleeps in a timed recv() on ``_bell``; ringing goes
+        # out through a second, non-blocking socket so it never waits.
+        self._bell: Optional[socket.socket] = None
+        self._ringer: Optional[socket.socket] = None
         self._conns: Dict[str, _Connection] = {}  # segment name -> conn
+        self._live: Tuple[_Connection, ...] = ()  # the poller's snapshot
         self._by_peer: Dict[str, _Connection] = {}
         self._accepting: Dict[str, Tuple[_Connection, float]] = {}
         self._seen_conn_names: Set[str] = set()
@@ -934,6 +1023,11 @@ class ShmTransport(Transport):
         self._allocator = SegmentAllocator(
             self.name + ".d", self._segment_size
         )
+        # Abstract namespace: no file to leak, gone with the process.
+        self._bell = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+        self._bell.bind(_bell_address(self.name))
+        self._ringer = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
+        self._ringer.setblocking(False)
         if self._listen:
             shm = _create_segment(self.name, _LISTENER_SEG_SIZE)
             mv = shm.buf
@@ -979,11 +1073,19 @@ class ShmTransport(Transport):
                 pass
         self._stop.set()
         if self._poller is not None:
+            try:
+                self._ringer.sendto(_BELL_RING, _bell_address(self.name))
+            except OSError:  # pragma: no cover - one heartbeat slower
+                pass
             self._poller.join(HANDSHAKE_TIMEOUT)
-        self._executor.shutdown(wait=False)
+        self._workers.shutdown()
+        for sock in (self._bell, self._ringer):
+            if sock is not None:
+                sock.close()
         with self._conn_lock:
             conns = list(self._conns.values())
             self._conns.clear()
+            self._live = ()
             self._by_peer.clear()
             for conn, _deadline in self._accepting.values():
                 conns.append(conn)
@@ -1346,6 +1448,8 @@ class ShmTransport(Transport):
         # segment whose owner-pid word reads zero or dead.
         _U32.pack_into(mv, _C_VERSION, self._protocol_version)
         _U64.pack_into(mv, _C_PID_A, os.getpid())
+        bell = self.name.encode("ascii")
+        mv[_C_BELL_A : _C_BELL_A + len(bell)] = bell
         mv[_C_MAGIC : _C_MAGIC + 8] = _CONN_MAGIC
         ring_a = _CONN_HEADER
         ring_b = ring_a + _Ring.region_size(self._ring_slots,
@@ -1355,46 +1459,45 @@ class ShmTransport(Transport):
         _U32.pack_into(mv, _C_READY, 1)
         conn = _Connection(
             conn_name, shm, "a", self._ring_slots, self._slot_bytes,
-            owned=True,
+            owned=True, ringer=self._ringer,
+            peer_bell=_bell_address(listener_name),
         )
         conn.peer = dst
         conn.beat()
-        # Handshake runs on this thread; the poller takes over only
-        # after the connection is registered (SPSC stays SPSC).
-        hello = encode_frame(
-            Hello(self._protocol_version, self.site_id)
-        )
-        conn.write(hello, HANDSHAKE_TIMEOUT)
-        deadline = time.monotonic() + HANDSHAKE_TIMEOUT
-        backoff = _Backoff()
-        frame: Optional[Frame] = None
-        while frame is None:
-            data = conn.rx.try_pop()
-            if data is not None:
-                frame = _ring_decode(data)
-                break
-            if time.monotonic() > deadline:
-                conn.release()
-                raise ConnectionRefusedError(
-                    f"no WELCOME from {dst!r} within {HANDSHAKE_TIMEOUT}s"
-                )
-            backoff.pause()
+        # The poller consumes the receive ring from the start (SPSC
+        # stays SPSC) and hands the listener's greeting to this thread.
+        greeting = conn.greeting = _Waiter()
+        with self._conn_lock:
+            self._conns[conn_name] = conn
+            self._live = tuple(self._conns.values())
+        try:
+            conn.write(
+                encode_frame(Hello(self._protocol_version, self.site_id)),
+                HANDSHAKE_TIMEOUT,
+            )
+            conn.ring(_BELL_SCAN)
+            frame = greeting.wait(HANDSHAKE_TIMEOUT)
+        except (ConnectionError, TimeoutError) as exc:
+            self._drop_conn(conn, exc)
+            raise ConnectionRefusedError(
+                f"no WELCOME from {dst!r} within {HANDSHAKE_TIMEOUT}s "
+                f"({exc})"
+            ) from None
+        refusal: Optional[HandshakeError] = None
         if isinstance(frame, Goodbye):
-            conn.release()
-            raise HandshakeError(
+            refusal = HandshakeError(
                 f"site {dst!r} refused the connection: {frame.reason}"
             )
-        if (
-            not isinstance(frame, Welcome)
-            or frame.version != self._protocol_version
-        ):
-            conn.release()
-            raise HandshakeError(
+        elif frame.version != self._protocol_version:
+            refusal = HandshakeError(
                 f"bad handshake from {dst!r}: expected WELCOME v"
                 f"{self._protocol_version}, got {frame!r}"
             )
+        if refusal is not None:
+            self._drop_conn(conn, refusal)
+            raise refusal
+        conn.greeting = None
         with self._conn_lock:
-            self._conns[conn_name] = conn
             self._by_peer[dst] = conn
         self.dials[dst] = self.dials.get(dst, 0) + 1
         return conn
@@ -1404,6 +1507,7 @@ class ShmTransport(Transport):
         conn.abort(error)
         with self._conn_lock:
             self._conns.pop(conn.name, None)
+            self._live = tuple(self._conns.values())
             if conn.peer and self._by_peer.get(conn.peer) is conn:
                 del self._by_peer[conn.peer]
         if conn.peer and self._allocator is not None:
@@ -1441,29 +1545,40 @@ class ShmTransport(Transport):
     # -- poller ---------------------------------------------------------------
 
     def _poll_loop(self) -> None:
-        backoff = _Backoff()
-        last_scan = 0.0
-        last_beat = 0.0
+        """Sleep on the doorbell until the next heartbeat at the
+        latest, take one datagram off it, *then* look at every ring."""
+        bell = self._bell
+        next_beat = 0.0
         while not self._stop.is_set():
-            progressed = False
             now = time.monotonic()
-            if self._listen and now - last_scan >= ACCEPT_SCAN_INTERVAL:
-                last_scan = now
+            note = None
+            if now < next_beat:
                 try:
-                    progressed |= self._scan_for_dialers()
+                    bell.settimeout(next_beat - now)
+                    note = bell.recv(8)
+                except socket.timeout:
+                    pass
+                except OSError:  # pragma: no cover - closed under us
+                    return
+                now = time.monotonic()
+            beat = now >= next_beat
+            if beat:
+                next_beat = now + HEARTBEAT_INTERVAL
+            if note == _BELL_SPACE:
+                for conn in self._live:
+                    conn.space.set()
+            if self._listen and (beat or note == _BELL_SCAN):
+                try:
+                    self._scan_for_dialers()
                 except Exception:  # pragma: no cover - defensive
                     pass
-            progressed |= self._pump_accepting(now)
-            with self._conn_lock:
-                conns = list(self._conns.values())
-            beat = now - last_beat >= HEARTBEAT_INTERVAL
-            if beat:
-                last_beat = now
-            for conn in conns:
+            if self._accepting:
+                self._pump_accepting(now)
+            for conn in self._live:
                 if not conn.alive:
                     continue
                 try:
-                    progressed |= self._pump(conn)
+                    self._pump(conn)
                 except Exception:  # pragma: no cover - defensive
                     self._drop_conn(
                         conn, ConnectionResetError("poll failure")
@@ -1486,22 +1601,20 @@ class ShmTransport(Transport):
                         )
             if beat and self._allocator is not None:
                 self._allocator.expire_pins()
-            if progressed:
-                backoff.reset()
-            else:
-                backoff.pause()
 
-    def _scan_for_dialers(self) -> bool:
+    def _scan_for_dialers(self) -> None:
         """Attach fresh connection segments dialers created for us."""
         prefix = self.name + ".c"
-        progressed = False
         try:
-            names = os.listdir(SHM_DIR)
+            names = {
+                name for name in os.listdir(SHM_DIR)
+                if name.startswith(prefix)
+            }
         except OSError:  # pragma: no cover - /dev/shm vanished
-            return False
-        for name in names:
-            if not name.startswith(prefix) or name in self._seen_conn_names:
-                continue
+            return
+        # Remembered only while the segment exists: bounded by /dev/shm.
+        self._seen_conn_names &= names
+        for name in names - self._seen_conn_names:
             self._seen_conn_names.add(name)
             try:
                 shm = _attach_segment(name)
@@ -1513,21 +1626,24 @@ class ShmTransport(Transport):
                 _close_segment(shm)
                 self._seen_conn_names.discard(name)
                 continue
+            bell = bytes(
+                shm.buf[_C_BELL_A : _C_BELL_A + _C_BELL_LEN]
+            ).rstrip(b"\0")
+            if not bell.startswith(NAME_PREFIX.encode()):
+                bell = None  # not one of ours: never ring it
             conn = _Connection(
                 name, shm, "b", self._ring_slots, self._slot_bytes,
-                owned=False,
+                owned=False, ringer=self._ringer,
+                peer_bell=bell and b"\0" + bell,
             )
             _U64.pack_into(shm.buf, _C_PID_B, os.getpid())
             conn.beat()
             self._accepting[name] = (
                 conn, time.monotonic() + HANDSHAKE_TIMEOUT
             )
-            progressed = True
-        return progressed
 
-    def _pump_accepting(self, now: float) -> bool:
+    def _pump_accepting(self, now: float) -> None:
         """Finish handshakes on connections still awaiting HELLO."""
-        progressed = False
         for name, (conn, deadline) in list(self._accepting.items()):
             data = conn.rx.try_pop()
             if data is None:
@@ -1535,7 +1651,6 @@ class ShmTransport(Transport):
                     del self._accepting[name]
                     conn.release()
                 continue
-            progressed = True
             del self._accepting[name]
             try:
                 frame = _ring_decode(data)
@@ -1565,26 +1680,26 @@ class ShmTransport(Transport):
             ))
             with self._conn_lock:
                 self._conns[name] = conn
+                self._live = tuple(self._conns.values())
                 self._by_peer.setdefault(frame.site_id, conn)
-        return progressed
 
-    def _pump(self, conn: _Connection) -> bool:
+    def _pump(self, conn: _Connection) -> None:
         """Drain one connection's receive ring."""
-        progressed = False
         while True:
             data = conn.rx.try_pop()
             if data is None:
-                return progressed
-            progressed = True
+                return
             try:
                 frame = _ring_decode(data)
             except FramingError:
                 self._drop_conn(
                     conn, ConnectionResetError("malformed frame")
                 )
-                return True
+                return
+            if conn.rx.relieved:
+                conn.ring(_BELL_SPACE)
             if isinstance(frame, (Request, SegRequest)):
-                self._executor.submit(self._serve_request, conn, frame)
+                self._workers.submit(conn, frame)
             elif isinstance(frame, (Reply, SegReply)):
                 waiter = conn.pending.get(frame.exchange_id)
                 # A late reply to an exchange that already timed out
@@ -1602,6 +1717,10 @@ class ShmTransport(Transport):
                     self._allocator.release(
                         frame.offset - _EXTENT_HEADER, frame.extent
                     )
+            elif conn.greeting is not None and isinstance(
+                frame, (Welcome, Goodbye)
+            ):
+                conn.greeting.resolve(frame)  # the dialing thread judges
             elif isinstance(frame, Goodbye):
                 self._drop_conn(
                     conn,
@@ -1609,7 +1728,7 @@ class ShmTransport(Transport):
                         f"peer said goodbye: {frame.reason}"
                     ),
                 )
-                return True
+                return
 
     # -- segment mapping ------------------------------------------------------
 

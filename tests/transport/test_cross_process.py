@@ -30,6 +30,7 @@ from repro.namesvc.directory import DirectoryClient, DirectoryError
 from repro.simnet.stats import StatsCollector
 from repro.simnet.tracefmt import load_trace, save_trace
 from repro.transport.host import make_space, query_status
+from repro.transport.shm import purge_stale_segments
 from repro.transport.tcp import FaultInjector
 from repro.transport.tracemerge import export_trace, merge_trace_files
 from repro.workloads.traversal import (
@@ -142,6 +143,9 @@ def deployment(request, tmp_path):
     finally:
         for host in hosts:
             host.kill()
+        if transport == "shm":
+            # A host still up here dies by SIGKILL and unlinks nothing.
+            purge_stale_segments()
 
 
 def test_session_across_processes_with_faults(deployment, tmp_path):

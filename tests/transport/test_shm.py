@@ -20,9 +20,16 @@ import pytest
 
 from repro.simnet.message import MessageKind
 from repro.simnet.stats import StatsCollector
-from repro.transport.base import RetryPolicy, TransportError
+from repro.transport.base import (
+    FaultInjector,
+    HandshakeError,
+    RemoteHandlerError,
+    RetryPolicy,
+    TransportError,
+)
 from repro.transport.framing import FramingError
 from repro.transport.shm import (
+    HEARTBEAT_INTERVAL,
     SHM_DIR,
     SegmentAllocator,
     ShmTransport,
@@ -30,11 +37,6 @@ from repro.transport.shm import (
     _Ring,
     _SLOT_HEADER,
     purge_stale_segments,
-)
-from repro.transport.tcp import (
-    FaultInjector,
-    HandshakeError,
-    RemoteHandlerError,
 )
 
 FAST_RETRY = RetryPolicy(
@@ -240,6 +242,29 @@ def test_connection_pool_reuses_one_dial(stacks):
             reply_kind=MessageKind.REPLY,
         )
     assert client.dials["B"] == 1
+
+
+def test_seen_connection_names_do_not_accumulate(stacks):
+    """A long-lived listener remembers a dialer's segment name only
+    while the segment exists: dial and drop N connections and the
+    scan's memory is back to its floor (it used to keep all N)."""
+    server = _echo_server(stacks)
+    for index in range(12):
+        client = ShmTransport(f"C{index}", listen=False, retry=FAST_RETRY)
+        client.start()
+        try:
+            client.add_peer("B", server.address)
+            assert client.endpoint.send(
+                "B", MessageKind.CALL, b"x", reply_kind=MessageKind.REPLY
+            ) == b"echo:x"
+            assert len(server._seen_conn_names) == 1
+        finally:
+            client.close()
+    deadline = time.monotonic() + 20 * HEARTBEAT_INTERVAL
+    while server._seen_conn_names and time.monotonic() < deadline:
+        time.sleep(HEARTBEAT_INTERVAL)  # the next heartbeat's rescan
+    assert server._seen_conn_names == set()
+    assert server._live == ()
 
 
 def test_handshake_version_mismatch_refused(stacks):

@@ -9,7 +9,9 @@ two socket buffers and a reassembled ``bytes``.  Everything here
 measures the *slope* between a small and a large reply, so every
 fixed per-exchange cost (rings, wakeups, dials) cancels out.
 :func:`carrier_rtt_us` measures exactly what the slopes cancel: the
-round trip of a 16-byte echo, the cost unit of the paper's callback.
+round trip of a 16-byte echo, the cost unit of the paper's callback —
+and, as the yardstick that makes it comparable across hosts, the same
+ping-pong over a bare blocking socket (:data:`FLOOR`).
 
 Used by ``benchmarks/bench_xdr.py`` (the asserting benchmark) and by
 ``benchmarks/baseline.py`` (which records the slopes into
@@ -20,8 +22,11 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import os
+import socket
 import statistics
 import struct
+import threading
 import time
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
@@ -41,6 +46,10 @@ MIN_SECONDS = 0.05
 
 #: Individually timed round trips behind each RTT percentile.
 RTT_ECHOES = 2000
+
+#: The pseudo-carrier :func:`carrier_rtt_us` measures as the host's
+#: yardstick: two threads, one blocking TCP socket pair, no framing.
+FLOOR = "floor"
 
 _SIZE_REQ = struct.Struct(">Q")
 _SOURCE = bytes(range(256)) * (BULK_BIG // 256)
@@ -137,18 +146,77 @@ def _percentiles_us(
     return cuts[49], cuts[98]
 
 
+@contextlib.contextmanager
+def _one_cpu() -> Iterator[None]:
+    """Pin this thread, and every thread it starts, to one CPU.
+
+    An RTT is a chain of wake-ups; unpinned on a small VM each of them
+    may cross CPUs, and two consecutive runs of the same code read 234
+    and 518 us.  A no-op where the platform cannot pin.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(allowed)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+def _socket_floor_us(body: bytes, echoes: int) -> Tuple[float, float]:
+    """``(p50, p99)`` of ``body`` bounced off a thread over bare TCP."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname())
+        served, _peer = listener.accept()
+    for sock in (client, served):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def bounce() -> None:
+        with served:
+            while True:
+                data = served.recv(len(body))
+                if not data:
+                    return
+                served.sendall(data)
+
+    def ping() -> None:
+        client.sendall(body)
+        client.recv(len(body))
+
+    bouncer = threading.Thread(target=bounce, daemon=True)
+    bouncer.start()
+    try:
+        return _percentiles_us(ping, echoes)
+    finally:
+        client.close()
+        bouncer.join(5.0)
+
+
+@_one_cpu()
 def carrier_rtt_us(
     carrier: str, echoes: int = RTT_ECHOES
 ) -> Dict[str, float]:
-    """Round-trip microseconds of one exchange over one carrier.
+    """Round-trip microseconds of one exchange over one carrier,
+    measured with every thread involved pinned to one CPU.
 
     ``echo_*`` is a full 16-byte request/reply exchange through a
     handler (what every fault-driven callback costs); ``ping_p50`` is
     the transport-level PING/PONG underneath it, which skips handler
     dispatch and the at-most-once bookkeeping — the carrier's own
-    hand-off cost.
+    hand-off cost.  :data:`FLOOR` instead of a carrier gives the same
+    16 bytes bounced over a bare blocking socket: what this host
+    charges for two wake-ups and four system calls, the unit a
+    carrier's echo can be gated in on any host.
     """
     body = bytes(16)
+    if carrier == FLOOR:
+        echo_p50, echo_p99 = _socket_floor_us(body, echoes)
+        return {
+            "echo_p50": round(echo_p50, 1),
+            "echo_p99": round(echo_p99, 1),
+        }
     with _deployment(carrier) as (server, client):
         server.endpoint.register_handler(
             MessageKind.CALL, lambda message: bytes(message.payload)

@@ -4,15 +4,16 @@ The runtimes in :mod:`repro.rpc` and :mod:`repro.smartrpc` speak to
 their peers through a deliberately narrow waist — a
 :class:`~repro.transport.base.Transport` owning the shared clock, cost
 model and statistics, plus one :class:`~repro.transport.base.Endpoint`
-per address space offering ``register_handler`` / ``send``.  Two
+per address space offering ``register_handler`` / ``send``.  Three
 implementations exist:
 
 * :class:`repro.simnet.network.Network` — the deterministic in-process
   simulator the paper's figures are reproduced on;
-* :class:`repro.transport.tcp.TcpTransport` — a real asyncio TCP
-  transport (length-prefixed frames, versioned handshake, connection
-  pooling, timeout/backoff retransmission, at-most-once duplicate
-  suppression) so the same sessions run across genuine OS processes;
+* :class:`repro.transport.tcp.TcpTransport` — a real TCP transport
+  on blocking sockets (length-prefixed frames, versioned handshake,
+  connection pooling, timeout/backoff retransmission, at-most-once
+  duplicate suppression) so the same sessions run across genuine OS
+  processes;
 * :class:`repro.transport.shm.ShmTransport` — a zero-copy
   shared-memory carrier: control frames over lock-free SPSC ring
   buffers, bulk payloads handed over as epoch-stamped offsets into a

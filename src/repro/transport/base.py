@@ -433,6 +433,8 @@ class Transport(abc.ABC):
         hand.
         """
         self.stats.record_message(message)
+        if not self.stats.tracing:
+            return
         data = {
             "src": message.src,
             "dst": message.dst,
@@ -453,6 +455,8 @@ class Transport(abc.ABC):
         self, detail: str = "retransmitting", site: Optional[str] = None
     ) -> None:
         """Trace one retransmission timeout at ``site`` (the sender)."""
+        if not self.stats.tracing:
+            return
         self.stats.record_event(
             self.clock.now,
             "timeout",

@@ -407,8 +407,8 @@ def split_buffer(buffer: bytes) -> Tuple[Union[Frame, None], bytes]:
 
     Returns ``(frame, rest)``; ``frame`` is ``None`` while the buffer
     holds less than one whole frame.  Used by tests and any sans-I/O
-    consumer; the asyncio transport reads frames directly off its
-    stream with :func:`frame_length`.
+    consumer; the TCP transport reads frames directly off its socket
+    with :func:`frame_length`.
     """
     if len(buffer) < LENGTH_PREFIX.size:
         return None, buffer

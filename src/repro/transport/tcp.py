@@ -1,11 +1,12 @@
-"""A real inter-process transport: asyncio TCP with framed exchanges.
+"""A real inter-process transport: framed exchanges over blocking TCP.
 
 :class:`TcpTransport` carries the same :class:`~repro.simnet.message`
 traffic as the simulator, but across genuine OS processes over
 localhost (or any) TCP.  One transport hosts exactly one address
-space; its event loop runs on a dedicated daemon thread so the
-runtimes above stay fully synchronous — ``endpoint.send`` blocks the
-calling thread exactly as a simulated delivery does.
+space, and the runtimes above stay fully synchronous:
+``endpoint.send`` blocks the calling thread as a simulated delivery
+does, because that thread itself writes the request and reads the
+reply off a plain blocking socket.
 
 Reliability mirrors the classic Birrell-Nelson machinery the simulator
 models (and the acceptance tests inject faults to prove it):
@@ -22,11 +23,13 @@ models (and the acceptance tests inject faults to prove it):
   (:mod:`repro.transport.framing`) rejects incompatible peers at
   connect time.
 
-Because a callee blocked inside a handler routinely issues nested
-exchanges back to its caller (fault-driven data requests, callbacks),
-handlers run on a worker-thread pool while the event loop keeps
-serving — the process is always able to answer incoming requests even
-while one of its own calls is outstanding.
+Threads (DESIGN.md §9): a listening transport adds one daemon thread
+in ``accept`` and one per accepted connection, which runs handlers
+inline.  A callee blocked inside a handler sends its nested exchanges
+back on *its own* client connection, which the caller's side serves on
+that connection's thread — so a process can always answer requests
+while one of its own calls is outstanding.  One transport lock guards
+what those threads share.
 
 Statistics and trace events are recorded into the transport's shared
 :class:`~repro.simnet.stats.StatsCollector` with the same structured
@@ -36,14 +39,14 @@ shapes as the simulator's, so recorded real runs replay through
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import os
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+import time
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.simnet.clock import CostModel, SimClock
+from repro.simnet.clock import CostModel
 from repro.simnet.message import Message, MessageKind
 from repro.simnet.stats import StatsCollector
 # FaultInjector, the handshake timeout and the two error types live in
@@ -60,6 +63,7 @@ from repro.transport.base import (
     TransportError,
 )
 from repro.transport.framing import (
+    LENGTH_PREFIX,
     PROTOCOL_VERSION,
     STATUS_HANDLER_ERROR,
     STATUS_OK,
@@ -80,6 +84,13 @@ from repro.transport.wallclock import WallClock
 
 #: Idle connections kept per peer for reuse.
 POOL_SIZE = 4
+
+#: Bytes asked of the kernel per ``recv``.
+RECV_BYTES = 64 * 1024
+
+#: A bulk receive buffer up to this size stays with its connection:
+#: fresh pages cost several times the copy (2.3 vs 0.33 ms per 4 MB).
+BULK_KEEP = 8 * 1024 * 1024
 
 
 class TcpEndpoint(Endpoint):
@@ -109,43 +120,104 @@ class TcpEndpoint(Endpoint):
 
 
 class _Connection:
-    """One pooled TCP connection to (or from) a peer."""
+    """One TCP connection: a socket and the bytes read past a frame.
 
-    def __init__(
-        self,
-        peer: Optional[str],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.peer = peer
-        self.reader = reader
-        self.writer = writer
-        self.alive = True
-        self.pending: Dict[int, asyncio.Future] = {}
-        self.pings: Dict[int, asyncio.Future] = {}
-        self.pump_task: Optional[asyncio.Task] = None
-        self._write_lock = asyncio.Lock()
+    One thread at a time uses it: the exchange that took it from the
+    pool, or the thread serving it.  A ``deadline`` is a
+    ``time.monotonic()`` instant, enforced with ``socket.timeout`` (an
+    ``OSError``); ``None`` leaves the socket in its own mode.
+    """
 
-    async def write(self, data: bytes) -> None:
-        async with self._write_lock:
-            self.writer.write(data)
-            await self.writer.drain()
+    __slots__ = ("sock", "_buffer", "_bulk")
 
-    def abort(self, error: Exception) -> None:
-        """Mark dead and fail every outstanding waiter."""
-        self.alive = False
-        for waiter in list(self.pending.values()):
-            if not waiter.done():
-                waiter.set_exception(error)
-        self.pending.clear()
-        for waiter in list(self.pings.values()):
-            if not waiter.done():
-                waiter.set_exception(error)
-        self.pings.clear()
+    def __init__(self, sock: socket.socket) -> None:
+        # A duplicated request or a GOODBYE behind a reply is
+        # write-write-read: Nagle plus delayed ACK stalls that 40 ms.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self._buffer = b""
+        self._bulk = bytearray()
+
+    def _arm(self, deadline: Optional[float]) -> None:
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise socket.timeout("timed out")
+            self.sock.settimeout(remaining)
+
+    def send(self, data: bytes, deadline: Optional[float] = None) -> None:
+        self._arm(deadline)
+        self.sock.sendall(data)
+
+    def read_frame(self, deadline: Optional[float] = None):
+        """Read one frame; ``None`` on clean EOF."""
+        start = LENGTH_PREFIX.size
+        while len(self._buffer) < start:
+            self._arm(deadline)
+            chunk = self.sock.recv(RECV_BYTES)
+            if not chunk:
+                if self._buffer:
+                    raise FramingError("connection closed mid-prefix")
+                return None
+            self._buffer += chunk
+        buffer = self._buffer
+        end = start + frame_length(buffer[:start])
+        if len(buffer) >= end:
+            self._buffer = buffer[end:]
+            return decode_frame(memoryview(buffer)[start:end])
+        # Receive the rest into a buffer sized from the prefix.
+        length = end - start
+        body = self._bulk
+        if len(body) < length:
+            body = bytearray(length)
+            if length <= BULK_KEEP:
+                self._bulk = body
+        view = memoryview(body)[:length]
+        have = len(buffer) - start
+        view[:have] = memoryview(buffer)[start:]
+        while have < length:
+            self._arm(deadline)
+            count = self.sock.recv_into(view[have:])
+            if not count:
+                raise FramingError("connection closed mid-frame")
+            have += count
+        self._buffer = b""
+        return decode_frame(view)
+
+    def idle_alive(self) -> bool:
+        """Drain what arrived while pooled; False if the peer is gone.
+
+        Nobody reads a pooled connection: a peer's EOF or GOODBYE and
+        late duplicate replies wait in the kernel for the next taker.
+        ``settimeout(0)``, as ``MSG_DONTWAIT`` on a socket with a
+        Python timeout set still polls for that timeout first.
+        """
         try:
-            self.writer.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
+            self.sock.settimeout(0)
+            while True:
+                frame = self.read_frame()
+                if frame is None or isinstance(frame, Goodbye):
+                    return False
+                # Anything else is a stale REPLY or PONG: dropped.
+        except BlockingIOError:
+            # Drained.  Mid-frame (a bulk duplicate still arriving) a
+            # fresh dial is cheaper than waiting the rest out.
+            return not self._buffer
+        except (OSError, FramingError):
+            return False
+
+    def shutdown(self) -> None:
+        """Wake the thread blocked on the socket (``close`` alone does
+        not, on Linux); it closes the descriptor, whose number is
+        thus never reused under a call still in progress."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # never connected, or the peer got there first
+
+    def close(self) -> None:
+        self.shutdown()
+        self.sock.close()
 
 
 class TcpTransport(Transport):
@@ -202,91 +274,77 @@ class TcpTransport(Transport):
         self.retransmissions = 0
         self.dials: Dict[str, int] = {}
         # Exchange ids carry a random 32-bit incarnation in their high
-        # half — Birrell-Nelson's per-boot conversation identifier.
-        # Without it, a restarted process reusing a site id would
-        # restart its counter at 1 and collide with the replies its
-        # predecessor left in peers' duplicate-suppression caches.
+        # half — Birrell-Nelson's per-boot conversation identifier —
+        # or a restarted process reusing a site id would collide with
+        # the replies its predecessor left in peers' reply caches.
         incarnation = int.from_bytes(os.urandom(4), "big")
         self._exchange_ids = itertools.count((incarnation << 32) | 1)
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix=f"rpc-{site_id}"
-        )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._server: Optional[asyncio.AbstractServer] = None
+        # Guards the three tables below, dials/retransmissions, the
+        # reply cache, the stats counters and the fault ordinals:
+        # callers' threads and serving threads all touch them.
+        self._lock = threading.Lock()
         self._pool: Dict[str, List[_Connection]] = {}
-        self._inflight: Dict[Tuple[str, int], asyncio.Future] = {}
-        self._server_tasks: Set[asyncio.Task] = set()
-        self._server_conns: Set[_Connection] = set()
-        self._closed = False
+        # Every live connection (pooled, in an exchange, being served),
+        # so that close() can wake whoever is blocked on one.
+        self._conns: Set[_Connection] = set()
+        self._inflight: Dict[Tuple[str, int], threading.Event] = {}
+        self._handler_slots = threading.BoundedSemaphore(max_workers)
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        self._started = False
+        self._closed = threading.Event()
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> Optional[Tuple[str, int]]:
-        """Start the event loop thread (and listener); return the bound
-        ``(host, port)`` or ``None`` for a client-only transport."""
-        if self._thread is not None:
+        """Start listening; return the bound ``(host, port)``, or
+        ``None`` for a client-only transport."""
+        if self._started:
             raise TransportError(
                 f"transport for {self.site_id!r} already started"
             )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name=f"tcp-{self.site_id}",
-            daemon=True,
-        )
-        self._thread.start()
+        self._started = True
         if self._listen:
-            future = asyncio.run_coroutine_threadsafe(
-                self._start_server(), self._loop
+            v6 = ":" in self._host
+            self._listener = socket.create_server(
+                (self._host, self._port),
+                family=socket.AF_INET6 if v6 else socket.AF_INET,
             )
-            self.address = future.result(HANDSHAKE_TIMEOUT)
+            self.address = self._listener.getsockname()[:2]
+            self._acceptor = threading.Thread(
+                target=self._accept_loop,
+                name=f"tcp-{self.site_id}",
+                daemon=True,
+            )
+            self._acceptor.start()
         return self.address
 
-    async def _start_server(self) -> Tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._accept, self._host, self._port
-        )
-        name = self._server.sockets[0].getsockname()
-        return name[0], name[1]
-
     def close(self) -> None:
-        """Close listener, connections and the event loop thread."""
-        if self._closed or self._loop is None:
+        """Close listener and connections; the threads exit once woken."""
+        if not self._started or self._closed.is_set():
             return
-        self._closed = True
-        future = asyncio.run_coroutine_threadsafe(
-            self._shutdown(), self._loop
-        )
-        try:
-            future.result(HANDSHAKE_TIMEOUT)
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(HANDSHAKE_TIMEOUT)
-        self._executor.shutdown(wait=False)
-        if not self._loop.is_running():
-            self._loop.close()
-
-    async def _shutdown(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._server_tasks):
-            task.cancel()
+        self._closed.set()
+        if self._listener is not None:
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - platform dependent
+                pass
+            self._acceptor.join(HANDSHAKE_TIMEOUT)
+            self._listener.close()
+        with self._lock:
+            idle = [conn for pool in self._pool.values() for conn in pool]
+            self._pool.clear()
+            self._conns.difference_update(idle)
+            owned = list(self._conns)
         goodbye = encode_frame(Goodbye(self.site_id, "shutting down"))
-        for pool in self._pool.values():
-            for conn in pool:
-                try:
-                    await asyncio.wait_for(conn.write(goodbye), 0.2)
-                except Exception:
-                    pass
-                conn.abort(ConnectionResetError("transport closed"))
-        self._pool.clear()
-        for conn in list(self._server_conns):
-            conn.abort(ConnectionResetError("transport closed"))
-        self._server_conns.clear()
+        for conn in idle:
+            try:
+                conn.send(goodbye, time.monotonic() + 0.2)
+            except OSError:
+                pass
+            conn.close()
+        for conn in owned:
+            conn.shutdown()  # its thread drops and closes it
 
     # -- peer addressing ------------------------------------------------------
 
@@ -294,7 +352,7 @@ class TcpTransport(Transport):
         """Teach this transport where ``site_id`` listens."""
         self._peers[site_id] = tuple(address)
 
-    async def _resolve(self, dst: str) -> Tuple[str, int]:
+    def _resolve(self, dst: str) -> Tuple[str, int]:
         address = self._peers.get(dst)
         if address is not None:
             return address
@@ -304,7 +362,7 @@ class TcpTransport(Transport):
                 encode_lookup,
             )
 
-            payload = await self._exchange(
+            payload = self.exchange(
                 self._directory_site,
                 MessageKind.SITE_LOOKUP,
                 encode_lookup(dst),
@@ -319,6 +377,13 @@ class TcpTransport(Transport):
 
     # -- client side ----------------------------------------------------------
 
+    def _check_running(self) -> None:
+        if not self._started or self._closed.is_set():
+            state = "closed" if self._started else "not started"
+            raise TransportError(
+                f"transport for {self.site_id!r} is {state}"
+            )
+
     def exchange(
         self,
         dst: str,
@@ -327,39 +392,17 @@ class TcpTransport(Transport):
         reply_kind: Optional[MessageKind] = None,
         timeout: Optional[float] = None,
     ) -> bytes:
-        """Blocking request/response exchange with at-most-once retries.
+        """Blocking request/response exchange with at-most-once retries,
+        run entirely on the calling thread.
 
         ``timeout`` caps the *whole* exchange — connects, retransmits
-        and all — failing it with :class:`TransportError` once elapsed
-        instead of running the full retry schedule (the per-exchange
-        guard of the session fault-tolerance layer).
+        and all — with a :class:`TransportError` instead of the full
+        retry schedule (the session layer's per-exchange guard).
         """
-        if self._loop is None:
-            raise TransportError(
-                f"transport for {self.site_id!r} is not started"
-            )
-        if threading.current_thread() is self._thread:
-            raise TransportError(
-                "exchange() must not be called from the event loop thread"
-            )
-        future = asyncio.run_coroutine_threadsafe(
-            self._exchange(dst, kind, payload, reply_kind, timeout),
-            self._loop,
-        )
-        return future.result()
-
-    async def _exchange(
-        self,
-        dst: str,
-        kind: MessageKind,
-        payload: bytes,
-        reply_kind: Optional[MessageKind],
-        cap: Optional[float] = None,
-    ) -> bytes:
-        deadline = (
-            self._loop.time() + cap if cap is not None else None
-        )
-        address = await self._resolve(dst)
+        self._check_running()
+        cap = timeout
+        deadline = time.monotonic() + cap if cap is not None else None
+        address = self._resolve(dst)
         exchange_id = next(self._exchange_ids)
         # Piggyback this site's vector clock on the request; the
         # responder merges it before running the handler.  The frame is
@@ -375,12 +418,16 @@ class TcpTransport(Transport):
                 clock=clock_to_wire(self.endpoint.vclock.tick()),
             )
         )
+        message = Message(
+            src=self.site_id, dst=dst, kind=kind, payload=payload
+        )
         attempts = 0
         last_error: Optional[BaseException] = None
         for timeout in self._retry.timeouts():
+            self._check_running()
             attempts += 1
             if deadline is not None:
-                remaining = deadline - self._loop.time()
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TransportError(
                         f"{kind.value} exchange {self.site_id!r}->"
@@ -389,74 +436,90 @@ class TcpTransport(Transport):
                     )
                 timeout = min(timeout, remaining)
             try:
-                conn = await self._acquire(dst, address)
-            except HandshakeError:
-                raise
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                conn = self._acquire(dst, address)
+            except OSError as exc:  # a HandshakeError passes through
                 last_error = exc
                 self.note_timeout(
                     f"connect to {dst!r} failed ({exc}); retrying",
                     site=self.site_id,
                 )
-                await asyncio.sleep(timeout)
+                self._closed.wait(timeout)
                 continue
-            waiter = self._loop.create_future()
-            conn.pending[exchange_id] = waiter
-            action = (
-                self._faults.request_action() if self._faults else None
-            )
+            until = time.monotonic() + timeout
             try:
-                message = Message(
-                    src=self.site_id, dst=dst, kind=kind, payload=payload
-                )
-                if action == FaultInjector.DROP:
-                    # Charged as sent, lost in transit — the simulator's
-                    # lossy path does exactly this.
-                    self.note_message(message, stamp=self._stamp())
-                    self.stats.record_event(
-                        self.clock.now,
-                        "loss",
-                        f"injected drop of {kind.value} "
-                        f"{self.site_id}->{dst}",
-                        data={"site": self.site_id},
+                with self._lock:
+                    action = (
+                        self._faults.request_action()
+                        if self._faults else None
                     )
+                if action == FaultInjector.DROP:
+                    # Charged as sent, lost in transit — the
+                    # simulator's lossy path does exactly this.
+                    self._note(message)
+                    self._note_loss(f"{kind.value} {self.site_id}->{dst}")
                 else:
-                    await conn.write(encoded)
-                    self.note_message(message, stamp=self._stamp())
-                    if self._faults is not None and (
-                        self._faults.crash_after_send(kind)
-                    ):
-                        # Planned death: the frame is on the wire (the
-                        # peer will process it) but this process dies
-                        # before its reply can land.
-                        os._exit(FaultInjector.CRASH_EXIT_CODE)
+                    conn.send(encoded, until)
+                    self._note(message)
+                    if self._faults is not None:
+                        with self._lock:
+                            if self._faults.crash_after_send(kind):
+                                # Planned death: the peer will process
+                                # the frame, its reply finds nobody.
+                                os._exit(FaultInjector.CRASH_EXIT_CODE)
                     if action == FaultInjector.DUPLICATE:
-                        await conn.write(encoded)
-                        self.note_message(message, stamp=self._stamp())
-                reply = await asyncio.wait_for(waiter, timeout)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                        conn.send(encoded, until)
+                        self._note(message)
+                reply = self._await(conn, exchange_id, until)
+            except (OSError, FramingError) as exc:
                 last_error = exc
-                self.retransmissions += 1
-                self.note_timeout(
-                    f"{kind.value} exchange {self.site_id}->{dst} timed "
-                    "out; retransmitting",
-                    site=self.site_id,
-                )
-                conn.pending.pop(exchange_id, None)
-                conn.abort(ConnectionResetError("exchange timed out"))
+                self._discard(conn)
+                with self._lock:
+                    self.retransmissions += 1
+                    self.note_timeout(
+                        f"{kind.value} exchange {self.site_id}->{dst} "
+                        "timed out; retransmitting",
+                        site=self.site_id,
+                    )
                 continue
-            finally:
-                conn.pending.pop(exchange_id, None)
-            await self._release(dst, conn)
+            except BaseException:
+                self._discard(conn)
+                raise
+            self._release(dst, conn)
             return self._finish(dst, kind, reply_kind, reply)
         raise TransportError(
             f"{kind.value} exchange {self.site_id!r}->{dst!r} failed "
             f"after {attempts} attempts ({last_error})"
         )
 
-    def _stamp(self) -> Optional[dict]:
-        """The endpoint's causal stamp, or None when tracing is off."""
-        return self.endpoint.stamp() if self.stats.tracing else None
+    @staticmethod
+    def _await(
+        conn: _Connection, ident: int, deadline: float
+    ) -> Union[Reply, Pong]:
+        """Read up to the REPLY or PONG answering ``ident`` (ids and
+        tokens share one counter); any other REPLY is the late
+        duplicate of an exchange already completed, and is dropped."""
+        while True:
+            frame = conn.read_frame(deadline)
+            if frame is None or isinstance(frame, Goodbye):
+                raise ConnectionResetError("connection lost")
+            if isinstance(frame, Reply) and frame.exchange_id == ident:
+                return frame
+            if isinstance(frame, Pong) and frame.token == ident:
+                return frame
+
+    def _note(self, message: Message) -> None:
+        """Count one transmitted message; stamp it when tracing."""
+        with self._lock:
+            stamp = self.endpoint.stamp() if self.stats.tracing else None
+            self.note_message(message, stamp=stamp)
+
+    def _note_loss(self, what: str) -> None:
+        self.stats.record_event(
+            self.clock.now,
+            "loss",
+            f"injected drop of {what}",
+            data={"site": self.site_id},
+        )
 
     def _finish(
         self,
@@ -484,231 +547,192 @@ class TcpTransport(Transport):
                     f"one-way {kind} message to {dst!r} produced a reply"
                 )
             return b""
-        self.note_message(
-            Message(
-                src=dst,
-                dst=self.site_id,
-                kind=reply_kind,
-                payload=reply.payload,
-            ),
-            stamp=self._stamp(),
+        message = Message(
+            src=dst, dst=self.site_id, kind=reply_kind, payload=reply.payload
         )
+        self._note(message)
         return reply.payload
 
-    async def _acquire(
-        self, dst: str, address: Tuple[str, int]
-    ) -> _Connection:
-        pool = self._pool.setdefault(dst, [])
-        while pool:
-            conn = pool.pop()
-            if conn.alive:
-                return conn
-        return await self._dial(dst, address)
-
-    async def _release(self, dst: str, conn: _Connection) -> None:
-        if not conn.alive:
-            return
-        pool = self._pool.setdefault(dst, [])
-        if len(pool) < POOL_SIZE:
-            pool.append(conn)
-        else:
-            conn.abort(ConnectionResetError("pool full"))
-
-    async def _dial(
-        self, dst: str, address: Tuple[str, int]
-    ) -> _Connection:
-        host, port = address
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), HANDSHAKE_TIMEOUT
-        )
-        conn = _Connection(dst, reader, writer)
-        await conn.write(
-            encode_frame(Hello(self._protocol_version, self.site_id))
-        )
-        frame = await asyncio.wait_for(
-            self._read_frame(reader), HANDSHAKE_TIMEOUT
-        )
-        if isinstance(frame, Goodbye):
-            conn.abort(ConnectionResetError("refused"))
-            raise HandshakeError(
-                f"site {dst!r} refused the connection: {frame.reason}"
-            )
-        if (
-            not isinstance(frame, Welcome)
-            or frame.version != self._protocol_version
-        ):
-            conn.abort(ConnectionResetError("bad handshake"))
-            raise HandshakeError(
-                f"bad handshake from {dst!r}: expected WELCOME v"
-                f"{self._protocol_version}, got {frame!r}"
-            )
-        conn.pump_task = self._loop.create_task(self._pump(conn))
-        self.dials[dst] = self.dials.get(dst, 0) + 1
-        return conn
-
-    async def _pump(self, conn: _Connection) -> None:
-        """Dispatch incoming frames on a client connection."""
-        try:
-            while True:
-                frame = await self._read_frame(conn.reader)
-                if frame is None or isinstance(frame, Goodbye):
+    def _acquire(self, dst: str, address: Tuple[str, int]) -> _Connection:
+        """A connection to ``dst`` for this thread's exclusive use."""
+        while True:
+            with self._lock:
+                pool = self._pool.get(dst)
+                if not pool:
                     break
-                if isinstance(frame, Reply):
-                    waiter = conn.pending.get(frame.exchange_id)
-                    # A late reply to an exchange that already timed out
-                    # and completed via retransmission is simply dropped.
-                    if waiter is not None and not waiter.done():
-                        waiter.set_result(frame)
-                elif isinstance(frame, Pong):
-                    waiter = conn.pings.pop(frame.token, None)
-                    if waiter is not None and not waiter.done():
-                        waiter.set_result(self._loop.time())
-        except (ConnectionError, OSError, FramingError):
-            pass
-        finally:
-            conn.abort(ConnectionResetError("connection lost"))
+                conn = pool.pop()
+            if conn.idle_alive():
+                return conn
+            # The peer went away (restarted, say) while this sat idle:
+            # nothing was lost, so dial afresh, not a retransmission.
+            self._discard(conn)
+        return self._dial(dst, address)
+
+    def _release(self, dst: str, conn: _Connection) -> None:
+        with self._lock:
+            pool = self._pool.setdefault(dst, [])
+            if len(pool) < POOL_SIZE and not self._closed.is_set():
+                pool.append(conn)
+                return
+        self._discard(conn)
+
+    def _discard(self, conn: _Connection) -> None:
+        with self._lock:
+            self._conns.discard(conn)
+        conn.close()
+
+    def _dial(self, dst: str, address: Tuple[str, int]) -> _Connection:
+        deadline = time.monotonic() + HANDSHAKE_TIMEOUT
+        conn = _Connection(
+            socket.create_connection(address, HANDSHAKE_TIMEOUT)
+        )
+        try:
+            conn.send(
+                encode_frame(Hello(self._protocol_version, self.site_id)),
+                deadline,
+            )
+            frame = conn.read_frame(deadline)
+            if isinstance(frame, Goodbye):
+                raise HandshakeError(
+                    f"site {dst!r} refused the connection: {frame.reason}"
+                )
+            if (
+                not isinstance(frame, Welcome)
+                or frame.version != self._protocol_version
+            ):
+                raise HandshakeError(
+                    f"bad handshake from {dst!r}: expected WELCOME v"
+                    f"{self._protocol_version}, got {frame!r}"
+                )
+            with self._lock:
+                self._check_running()  # close() may have come first
+                self._conns.add(conn)
+                self.dials[dst] = self.dials.get(dst, 0) + 1
+        except BaseException:
+            conn.close()
+            raise
+        return conn
 
     def ping(self, dst: str, timeout: float = 2.0) -> float:
         """Round-trip a transport-level PING; returns the RTT seconds."""
-        if self._loop is None:
-            raise TransportError(
-                f"transport for {self.site_id!r} is not started"
-            )
-        future = asyncio.run_coroutine_threadsafe(
-            self._ping(dst, timeout), self._loop
-        )
-        return future.result()
-
-    async def _ping(self, dst: str, timeout: float) -> float:
-        address = await self._resolve(dst)
-        conn = await self._acquire(dst, address)
+        self._check_running()
+        conn = self._acquire(dst, self._resolve(dst))
         token = next(self._exchange_ids)
-        waiter = self._loop.create_future()
-        conn.pings[token] = waiter
-        started = self._loop.time()
+        started = time.monotonic()
         try:
-            await conn.write(encode_frame(Ping(token)))
-            finished = await asyncio.wait_for(waiter, timeout)
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            conn.abort(ConnectionResetError("ping failed"))
+            conn.send(encode_frame(Ping(token)), started + timeout)
+            self._await(conn, token, started + timeout)
+        except (OSError, FramingError) as exc:
+            self._discard(conn)
             raise TransportError(
                 f"no PONG from {dst!r} within {timeout}s ({exc})"
             ) from None
-        finally:
-            conn.pings.pop(token, None)
-        await self._release(dst, conn)
+        finished = time.monotonic()
+        self._release(dst, conn)
         return finished - started
 
     # -- server side ----------------------------------------------------------
 
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(None, reader, writer)
-        self._server_conns.add(conn)
+    def _accept_loop(self) -> None:
+        """Hand every accepted connection its own serving thread."""
+        while not self._closed.is_set():
+            try:
+                sock, _peer = self._listener.accept()
+            except OSError:
+                # close() shut the listener down (the loop ends), or
+                # one accept failed; out of descriptors would spin.
+                self._closed.wait(0.05)
+                continue
+            conn = _Connection(sock)
+            with self._lock:
+                if self._closed.is_set():
+                    conn.close()
+                    return
+                self._conns.add(conn)
+            threading.Thread(
+                target=self._serve,
+                args=(conn,),
+                name=f"rpc-{self.site_id}",
+                daemon=True,
+            ).start()
+
+    def _serve(self, conn: _Connection) -> None:
+        """Handshake, then answer one connection until it ends."""
         try:
-            frame = await asyncio.wait_for(
-                self._read_frame(reader), HANDSHAKE_TIMEOUT
-            )
+            frame = conn.read_frame(time.monotonic() + HANDSHAKE_TIMEOUT)
+            refusal = None
             if not isinstance(frame, Hello):
-                await conn.write(
-                    encode_frame(
-                        Goodbye(self.site_id, "expected HELLO")
-                    )
+                refusal = "expected HELLO"
+            elif frame.version not in self._accept_versions:
+                supported = sorted(self._accept_versions)
+                refusal = (
+                    f"unsupported protocol version {frame.version} "
+                    f"(supported: {', '.join(map(str, supported))})"
                 )
+            if refusal is not None:
+                conn.send(encode_frame(Goodbye(self.site_id, refusal)))
                 return
-            if frame.version not in self._accept_versions:
-                supported = ", ".join(
-                    str(v) for v in sorted(self._accept_versions)
-                )
-                await conn.write(
-                    encode_frame(
-                        Goodbye(
-                            self.site_id,
-                            f"unsupported protocol version "
-                            f"{frame.version} (supported: {supported})",
-                        )
-                    )
-                )
-                return
-            conn.peer = frame.site_id
-            await conn.write(
-                encode_frame(Welcome(frame.version, self.site_id))
-            )
+            conn.send(encode_frame(Welcome(frame.version, self.site_id)))
+            conn.sock.settimeout(None)  # from here on, block
             while True:
-                frame = await self._read_frame(reader)
+                frame = conn.read_frame()
                 if frame is None or isinstance(frame, Goodbye):
                     break
                 if isinstance(frame, Ping):
-                    await conn.write(encode_frame(Pong(frame.token)))
+                    conn.send(encode_frame(Pong(frame.token)))
                 elif isinstance(frame, Request):
-                    task = self._loop.create_task(
-                        self._serve_request(frame, conn)
-                    )
-                    self._server_tasks.add(task)
-                    task.add_done_callback(self._server_tasks.discard)
-        except (
-            ConnectionError,
-            OSError,
-            FramingError,
-            asyncio.TimeoutError,
-            asyncio.CancelledError,
-        ):
-            pass
+                    self._serve_request(frame, conn)
+        except (OSError, FramingError):
+            pass  # a broken or hostile peer costs its own connection
         finally:
-            self._server_conns.discard(conn)
-            conn.abort(ConnectionResetError("connection closed"))
+            self._discard(conn)
 
-    async def _serve_request(
-        self, request: Request, conn: _Connection
-    ) -> None:
+    def _serve_request(self, request: Request, conn: _Connection) -> None:
         """Run (or replay) one exchange and send its reply frame."""
         key = (request.src, request.exchange_id)
         cache = self.endpoint.reply_cache
-        encoded = cache.get(key)
-        if encoded is None:
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                # A retransmission arrived while the first transmission's
-                # handler is still running: wait for that one result.
-                encoded = await asyncio.shield(inflight)
-            else:
-                future = self._loop.create_future()
-                self._inflight[key] = future
-                try:
-                    encoded = await self._execute(request)
-                    cache.put(key, encoded)
-                    future.set_result(encoded)
-                except asyncio.CancelledError:
-                    future.cancel()
-                    raise
-                finally:
-                    self._inflight.pop(key, None)
-        if self._faults is not None and (
-            self._faults.reply_action() == FaultInjector.DROP
-        ):
-            self.stats.record_event(
-                self.clock.now,
-                "loss",
-                f"injected drop of reply {self.site_id}->{request.src}",
-                data={"site": self.site_id},
-            )
-            return
+        with self._lock:
+            encoded = cache.get(key)
+            if encoded is None:
+                running = self._inflight.get(key)
+                if running is None:
+                    self._inflight[key] = threading.Event()
+        if encoded is None and running is None:
+            try:
+                encoded = self._execute(request)
+            finally:
+                with self._lock:
+                    if encoded is not None:
+                        cache.put(key, encoded)
+                    self._inflight.pop(key).set()
+        elif encoded is None:
+            # A retransmission on another connection while the first
+            # transmission's handler still runs: wait for that one run.
+            running.wait()
+            with self._lock:
+                encoded = cache.get(key)
+            if encoded is None:
+                return  # that run died; the peer will retransmit
+        if self._faults is not None:
+            with self._lock:
+                action = self._faults.reply_action()
+            if action == FaultInjector.DROP:
+                self._note_loss(f"reply {self.site_id}->{request.src}")
+                return
         try:
-            await conn.write(encoded)
-        except (ConnectionError, OSError):
+            conn.send(encoded)
+        except OSError:
             pass  # the peer will retransmit and hit the reply cache
 
-    async def _execute(self, request: Request) -> bytes:
-        """Dispatch one request to its handler on the worker pool."""
+    def _execute(self, request: Request) -> bytes:
+        """Dispatch one request to its handler, on this thread."""
         try:
             kind = MessageKind(request.kind)
-            if self._faults is not None and (
-                self._faults.crash_on_receive(kind)
-            ):
-                # Planned death: the frame arrived but this process
-                # dies before its handler can run.
-                os._exit(FaultInjector.CRASH_EXIT_CODE)
+            if self._faults is not None:
+                with self._lock:
+                    if self._faults.crash_on_receive(kind):
+                        # Planned death before the handler can run.
+                        os._exit(FaultInjector.CRASH_EXIT_CODE)
             # Observe the sender's piggybacked clock before the handler
             # runs, so every event the handler records happens-after
             # everything the sender did up to this exchange.
@@ -719,9 +743,8 @@ class TcpTransport(Transport):
                 kind=kind,
                 payload=request.payload,
             )
-            body = await self._loop.run_in_executor(
-                self._executor, self.endpoint.handle, message
-            )
+            with self._handler_slots:
+                body = self.endpoint.handle(message)
             if not request.expects_reply and body:
                 raise TransportError(
                     f"one-way {kind} message produced a reply"
@@ -741,29 +764,5 @@ class TcpTransport(Transport):
             )
         return encode_frame(reply)
 
-    # -- frame I/O ------------------------------------------------------------
-
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader):
-        """Read one frame; ``None`` on clean EOF."""
-        try:
-            prefix = await reader.readexactly(4)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise FramingError(
-                "connection closed mid-frame (truncated length prefix)"
-            ) from None
-        length = frame_length(prefix)
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise FramingError(
-                "connection closed mid-frame (truncated body)"
-            ) from None
-        return decode_frame(body)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TcpTransport({self.site_id!r}, address={self.address!r})"
-        )
+        return f"TcpTransport({self.site_id!r}, address={self.address!r})"

@@ -39,9 +39,10 @@ over both real carriers — cheap bulk bytes are the force pushing the
 crossover toward eager, and the shm crossover is never later than
 tcp's — and ``carrier_rtt_us``, the 16-byte echo and PING round trips
 over both carriers next to the same ping-pong over a bare blocking
-socket, all pinned to one CPU, with one shape gate on ``--compare``:
-each carrier's echo p50 must stay under 20x that floor measured in the
-same run.
+socket and one ``Request`` through the frame codec and back, all
+pinned to one CPU, with two shape gates on ``--compare``: each
+carrier's echo p50 must stay under 15x that floor measured in the same
+run, and the frame round trip under 1x it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.bench.carrier import (
     FLOOR,
+    FRAME,
     carrier_per_byte,
     carrier_rtt_us,
     memcpy_per_byte,
@@ -123,10 +125,15 @@ COMPARED = ("round_trips", "bytes_shipped", "sim_seconds")
 #: echo may cost at most this many bare blocking-socket ping-pongs of
 #: the same 16 bytes, timed in the same process on the same pinned
 #: CPU.  On the reference VM the floor itself flips between 8 and
-#: 13 us with the host's state; over a dozen runs tcp read 8-13x it
-#: (30-50x while it ran on an event loop, which must fail), shm
-#: 10-18x with its doorbell.
-RTT_OVER_FLOOR_CEILING = 20
+#: 13 us with the host's state; with the compiled frame codec tcp
+#: reads about 8x it and shm about 12x (13x and 18x on the per-field
+#: ladder; tcp 30-50x while it ran on an event loop, which must fail).
+RTT_OVER_FLOOR_CEILING = 15
+
+#: The frame codec's gate, in the same unit: encoding and decoding one
+#: 64-byte ``Request`` may cost at most one bare-socket ping-pong (it
+#: reads 0.3-0.5x; the per-field ladder read 1.3-2x and must fail).
+FRAME_OVER_FLOOR_CEILING = 1
 
 #: What a real-carrier baseline gates: only the metrics the
 #: transport-equivalence property makes deterministic.  Seconds over a
@@ -277,7 +284,8 @@ def record_carrier(transport: str) -> Dict:
         # exchange, the paper's callback cost unit, and the bare
         # socket ping-pong it is gated against.
         record["carrier_rtt_us"] = {
-            name: carrier_rtt_us(name) for name in (FLOOR, TCP, SHM)
+            name: carrier_rtt_us(name)
+            for name in (FLOOR, FRAME, TCP, SHM)
         }
         record["fig4_crossover"] = {
             SHM: _crossover_sweep(SHM),
@@ -340,19 +348,25 @@ def compare(
 
 
 def compare_rtt(current: Dict, label: str) -> List[str]:
-    """Each carrier's echo against the bare-socket floor of the same
-    fresh record."""
+    """Each carrier's echo, and the frame codec's round trip, against
+    the bare-socket floor of the same fresh record."""
     rtt = current.get("carrier_rtt_us")
     if not rtt:
         return []
     floor = rtt[FLOOR]["echo_p50"]
+    gated = [
+        (FRAME, "round trip", rtt[FRAME]["roundtrip_us"],
+         FRAME_OVER_FLOOR_CEILING)
+    ] + [
+        (carrier, "echo p50", rtt[carrier]["echo_p50"],
+         RTT_OVER_FLOOR_CEILING)
+        for carrier in (TCP, SHM)
+    ]
     return [
-        f"{label}: {carrier} echo p50 {row['echo_p50']} us is "
-        f"{row['echo_p50'] / floor:.1f}x the bare-socket floor "
-        f"{floor} us (ceiling {RTT_OVER_FLOOR_CEILING}x)"
-        for carrier, row in rtt.items()
-        if carrier != FLOOR
-        and row["echo_p50"] > RTT_OVER_FLOOR_CEILING * floor
+        f"{label}: {name} {what} {value} us is {value / floor:.1f}x the "
+        f"bare-socket floor {floor} us (ceiling {ceiling}x)"
+        for name, what, value, ceiling in gated
+        if value > ceiling * floor
     ]
 
 
@@ -423,7 +437,9 @@ def main(argv=None) -> int:
                     + ", ".join(
                         f"{name} {row['echo_p50']}/{row['echo_p99']}"
                         for name, row in rtt.items()
+                        if name != FRAME
                     )
+                    + f"; frame round trip {rtt[FRAME]['roundtrip_us']} us"
                 )
             crossover = current.get("fig4_crossover")
             if crossover:

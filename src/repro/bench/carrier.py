@@ -11,7 +11,9 @@ fixed per-exchange cost (rings, wakeups, dials) cancels out.
 :func:`carrier_rtt_us` measures exactly what the slopes cancel: the
 round trip of a 16-byte echo, the cost unit of the paper's callback —
 and, as the yardstick that makes it comparable across hosts, the same
-ping-pong over a bare blocking socket (:data:`FLOOR`).
+ping-pong over a bare blocking socket (:data:`FLOOR`), plus the one
+piece of an exchange that is pure Python on both carriers: a
+``Request`` through the frame codec and back (:data:`FRAME`).
 
 Used by ``benchmarks/bench_xdr.py`` (the asserting benchmark) and by
 ``benchmarks/baseline.py`` (which records the slopes into
@@ -32,8 +34,10 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.simnet.message import MessageKind
 from repro.transport.base import RetryPolicy, Transport
+from repro.transport.framing import Request, decode_frame, encode_frame_into
 from repro.transport.shm import ShmTransport
 from repro.transport.tcp import TcpTransport
+from repro.xdr.stream import XdrEncoder
 
 from .harness import SHM, TCP
 
@@ -50,6 +54,10 @@ RTT_ECHOES = 2000
 #: The pseudo-carrier :func:`carrier_rtt_us` measures as the host's
 #: yardstick: two threads, one blocking TCP socket pair, no framing.
 FLOOR = "floor"
+
+#: The other pseudo-carrier: no wire at all, one 64-byte ``Request``
+#: encoded and decoded again — the frame codec's share of an exchange.
+FRAME = "frame"
 
 _SIZE_REQ = struct.Struct(">Q")
 _SOURCE = bytes(range(256)) * (BULK_BIG // 256)
@@ -194,6 +202,31 @@ def _socket_floor_us(body: bytes, echoes: int) -> Tuple[float, float]:
         bouncer.join(5.0)
 
 
+def _frame_roundtrip_us(batch: int = 256) -> float:
+    """One 64-byte ``Request`` through ``encode_frame_into`` and
+    ``decode_frame`` — the loop ``srpcbench`` times as
+    ``transport.framing.roundtrip_ns``."""
+    request = Request(
+        exchange_id=7,
+        src="A",
+        dst="B",
+        kind=MessageKind.DATA_REQUEST.value,
+        expects_reply=True,
+        payload=bytes(64),
+    )
+    encoder = XdrEncoder()
+
+    def roundtrips() -> None:
+        for _ in range(batch):
+            encoder.reset()
+            image = encode_frame_into(request, encoder)
+            wire = bytes(image)  # what a socket or ring would carry
+            image.release()
+            decode_frame(memoryview(wire)[4:])  # body after the length
+
+    return seconds_per_call(roundtrips) * 1e6 / batch
+
+
 @_one_cpu()
 def carrier_rtt_us(
     carrier: str, echoes: int = RTT_ECHOES
@@ -208,8 +241,11 @@ def carrier_rtt_us(
     hand-off cost.  :data:`FLOOR` instead of a carrier gives the same
     16 bytes bounced over a bare blocking socket: what this host
     charges for two wake-ups and four system calls, the unit a
-    carrier's echo can be gated in on any host.
+    carrier's echo can be gated in on any host.  :data:`FRAME` gives
+    ``roundtrip_us``, the frame codec alone on the same pinned CPU.
     """
+    if carrier == FRAME:
+        return {"roundtrip_us": round(_frame_roundtrip_us(), 2)}
     body = bytes(16)
     if carrier == FLOOR:
         echo_p50, echo_p99 = _socket_floor_us(body, echoes)

@@ -2,8 +2,8 @@
 
 Every frame on the wire is a 4-byte big-endian body length followed by
 the body; the body is a frame-type word followed by XDR-encoded fields
-(the same :mod:`repro.xdr` stream codec the RPC payloads use, so the
-whole wire format has one encoding discipline).  The TCP transport
+(the encoding discipline of the :mod:`repro.xdr` streams the RPC
+payloads use, so the whole wire format has one).  The TCP transport
 writes frames onto sockets; the shared-memory transport
 (:mod:`repro.transport.shm`) writes the *same* frames into its ring
 buffers, so both carriers share one codec and one handshake.
@@ -34,18 +34,28 @@ The handshake is versioned: a connection opens with ``HELLO``; the
 server answers ``WELCOME`` when it speaks that version and ``GOODBYE``
 (then closes) when it does not, so incompatible peers fail loudly at
 connect time instead of corrupting exchanges.
+
+The codec is *compiled* (DESIGN.md §9): ``_FRAME_TABLE`` declares each
+frame's fields in wire order and ``_compile`` generates one encoder
+and one decoder per type from it on first use, as :mod:`repro.xdr.raw`
+does per datum — fixed-width words through one ``struct.Struct`` per
+run, site ids / kinds / segment names spliced from bounded intern
+tables, clock and payload by offset off the one ``memoryview``.  The
+byte image and every check are those of the per-field ladder it
+replaced (``tests/transport/frame_ladder.py``, the differential
+oracle); every failure is a :class:`FramingError`, bad UTF-8 included.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+import threading
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from repro.transport.base import TransportError
-from repro.xdr.errors import XdrError
-from repro.xdr.stream import XdrDecoder, XdrEncoder
+from repro.xdr.stream import XdrEncoder
 
 #: Current wire protocol version, sent in every HELLO/WELCOME.
 #: Version 2 added the piggybacked vector clock on REQUEST/REPLY.
@@ -204,202 +214,264 @@ Frame = Union[
 ]
 
 
-def clock_to_wire(clock) -> Tuple[Tuple[str, int], ...]:
-    """Normalize a vector-clock mapping into its wire form."""
-    return tuple(sorted((str(k), int(v)) for k, v in dict(clock).items()))
+# -- the frame table and the codec compiled from it -------------------------
+#
+# One row per frame type: class, type word, and the body's fields in
+# wire order as ``name:kind``.  Kinds: ``I`` uint32, ``Q`` uint64, ``?``
+# boolean (a 0/1 uint32), ``s`` string (spliced from the intern
+# tables), ``c`` vector clock, ``o`` opaque payload.
+_FRAME_TABLE = (
+    (Hello, FrameType.HELLO, "version:I site_id:s"),
+    (Welcome, FrameType.WELCOME, "version:I site_id:s"),
+    (Goodbye, FrameType.GOODBYE, "site_id:s reason:s"),
+    (Request, FrameType.REQUEST,
+     "exchange_id:Q src:s dst:s kind:s expects_reply:? clock:c payload:o"),
+    (Reply, FrameType.REPLY, "exchange_id:Q status:I clock:c payload:o"),
+    (Ping, FrameType.PING, "token:Q"),
+    (Pong, FrameType.PONG, "token:Q"),
+    (SegRequest, FrameType.SEG_REQUEST,
+     "exchange_id:Q src:s dst:s kind:s expects_reply:? clock:c "
+     "segment:s offset:Q length:I extent:Q epoch:Q"),
+    (SegReply, FrameType.SEG_REPLY,
+     "exchange_id:Q status:I clock:c "
+     "segment:s offset:Q length:I extent:Q epoch:Q"),
+    (SegAck, FrameType.SEG_ACK, "segment:s offset:Q extent:Q"),
+)
+
+_U32 = struct.Struct("!I")
+_U64 = struct.Struct("!Q")
+_NO_CLOCK = bytes(4)
+_PADS = (b"", bytes(3), bytes(2), bytes(1))
+
+#: The intern tables: a string (site id, kind, segment name) <-> its
+#: whole XDR image (length word, UTF-8 bytes, zero padding), checked
+#: once on the way in.  The decode side is keyed by bytes a peer chose,
+#: so both are cleared at ``INTERN_CAP`` entries rather than left to grow.
+INTERN_CAP = 1024
+_IMAGES: Dict[str, bytes] = {}
+_TEXTS: Dict[bytes, str] = {}
+_INTERN_LOCK = threading.Lock()
 
 
-def _encode_clock(
-    encoder: XdrEncoder, clock: Tuple[Tuple[str, int], ...]
-) -> None:
-    encoder.pack_uint32(len(clock))
+def _intern(text: str, image: bytes) -> None:
+    with _INTERN_LOCK:
+        if len(_IMAGES) >= INTERN_CAP:
+            _IMAGES.clear()
+            _TEXTS.clear()
+        _IMAGES[text] = image
+        _TEXTS[image] = text
+
+
+def _intern_text(text: str) -> bytes:
+    """The XDR image of ``text`` (encode-side intern miss)."""
+    raw = text.encode("utf-8")
+    image = _U32.pack(len(raw)) + raw + _PADS[len(raw) & 3]
+    _intern(text, image)
+    return image
+
+
+def _intern_image(image: bytes) -> str:
+    """Check and decode one string image (decode-side intern miss)."""
+    end = 4 + _U32.unpack_from(image)[0]
+    if len(image) != end + (-end & 3) or any(image[end:]):
+        raise FramingError("malformed frame body: bad string extent")
+    try:
+        text = str(image[4:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise FramingError(f"malformed frame body: {exc}") from None
+    _intern(text, image)
+    return text
+
+
+def _clock_image(clock: Tuple[Tuple[str, int], ...]) -> bytes:
+    parts = [_U32.pack(len(clock))]
     for site, count in clock:
-        encoder.pack_string(site)
-        encoder.pack_uint64(count)
+        parts += _IMAGES.get(site) or _intern_text(site), _U64.pack(count)
+    return b"".join(parts)
 
 
-def _decode_clock(decoder: XdrDecoder) -> Tuple[Tuple[str, int], ...]:
-    count = decoder.unpack_uint32()
-    return tuple(
-        (decoder.unpack_string(), decoder.unpack_uint64())
-        for _ in range(count)
-    )
+def _decode_clock(view: memoryview, offset: int, count: int):
+    """``count`` (site, ticks) pairs at ``offset``; also the end offset."""
+    clock = []
+    for _ in range(count):
+        end = offset + 4 + (_U32.unpack_from(view, offset)[0] + 3 & -4)
+        image = view[offset:end].tobytes()
+        site = _TEXTS.get(image)
+        if site is None:
+            site = _intern_image(image)
+        clock.append((site, _U64.unpack_from(view, end)[0]))
+        offset = end + 8
+    return tuple(clock), offset
+
+
+def _compile(cls, type_word: int, layout: str) -> None:
+    """Generate and register one frame type's encoder and decoder.
+
+    Consecutive fixed-width words (prefix, type word, every length and
+    count word) collapse into one ``Struct`` per run.  Decoded frames
+    are filled through ``__dict__``: a frozen dataclass's ``__init__``
+    pays one ``object.__setattr__`` per field.
+    """
+    env = globals()  # the generated functions are this module's own
+    fields = [item.split(":") for item in layout.split()]
+
+    def run(method: str, fmt: str) -> int:
+        codec = struct.Struct("!" + fmt)
+        env[f"_{method}_{fmt}"] = getattr(codec, method)  # shared by types
+        return codec.size
+
+    # Encoder: intern-table splices and packed runs, joined once.
+    encode, parts, sizes = [f"def _encode_{cls.__name__}(f):"], [], []
+    fmt, args = "II", ["_size", str(int(type_word))]
+    fixed = -LENGTH_PREFIX.size  # the body length leaves the prefix out
+    for name, kind in fields + [("", "")]:
+        if kind and kind in "IQ?":
+            fmt += kind.replace("?", "I")
+            args.append(
+                f"1 if f.{name} else 0" if kind == "?" else f"f.{name}"
+            )
+            continue
+        if kind == "o":
+            encode += [f"{name} = f.{name}", f"{name}_n = len({name})"]
+            fmt, args = fmt + "I", args + [f"{name}_n"]
+        if fmt:  # a run ends here
+            parts.append(f"_pack_{fmt}({', '.join(args)})")
+            fixed, fmt, args = fixed + run("pack", fmt), "", []
+        if kind == "o":
+            parts += [name, f"_PADS[{name}_n & 3]"]
+            sizes.append(f"{name}_n + (-{name}_n & 3)")
+        elif kind:
+            encode.append(
+                f"{name} = _IMAGES.get(f.{name}) or _intern_text(f.{name})"
+                if kind == "s" else
+                f"{name} = _clock_image(f.{name}) if f.{name} else _NO_CLOCK"
+            )
+            parts.append(name)
+            sizes.append(f"len({name})")
+    encode += [
+        f"_size = {' + '.join([str(fixed)] + sizes)}",
+        "if _size > MAX_FRAME_BYTES: raise FramingError(f'frame body of "
+        "{_size} bytes exceeds the {MAX_FRAME_BYTES}-byte limit')",
+        f"return b''.join(({', '.join(parts)},))",
+    ]
+
+    # Decoder: the same runs read back.  The read position is tracked
+    # symbolically: ``base`` (nothing, then the ``_off`` local once a
+    # variable-length field has been passed) plus a constant ``delta``.
+    words = [("I", "_")]
+    for name, kind in fields:
+        if kind in "IQ?":
+            words.append((kind.replace("?", "I"), name))
+        else:
+            words += [("I", "_count" if kind == "c" else "_len"), (kind, name)]
+    decode = [f"def _decode_{cls.__name__}(_view, _n):"]
+    fmt, names, base, delta = "", [], "", 0
+
+    def pos(extra: int = 0) -> str:
+        offset = delta + extra
+        return f"{base} + {offset}" if base and offset else base or str(offset)
+
+    for kind, name in words + [("", "")]:
+        if kind and kind in "IQ":
+            fmt, names = fmt + kind, names + [name]
+            continue
+        if fmt:
+            decode.append(
+                f"{', '.join(names)}, = _unpack_from_{fmt}(_view, {pos()})"
+            )
+            delta, fmt, names = delta + run("unpack_from", fmt), "", []
+        if kind == "s":  # the interned image starts at its length word
+            decode += [
+                f"_at = {pos(-4)}",
+                f"_off = {pos()} + (_len + 3 & -4)",
+                f"{name} = _TEXTS.get(_image := _view[_at:_off].tobytes())",
+                f"if {name} is None: {name} = _intern_image(_image)",
+            ]
+        elif kind == "c":
+            decode += [
+                f"_off = {pos()}",
+                f"{name} = ()",
+                f"if _count: {name}, _off = "
+                "_decode_clock(_view, _off, _count)",
+            ]
+        elif kind == "o":
+            decode += [
+                f"_at = {pos()}",
+                "_end = _at + _len",
+                f"{name} = _view[_at:_end].tobytes()",
+                "_off = _end + (-_len & 3)",
+                "if _off != _end and any(_view[_end:_off]): raise "
+                "FramingError('malformed frame body: nonzero padding')",
+            ]
+        else:  # past the last field: nothing missing, nothing left over
+            decode.append(f"if {pos()} != _n: raise FramingError("
+                          "'malformed frame body: wrong length')")
+        base, delta = "_off", 0
+    decode += [
+        f"_frame = object.__new__({cls.__name__})", "_fill = _frame.__dict__"
+    ]
+    for name, kind in fields:
+        if kind == "?":
+            decode.append(f"if {name} > 1: raise FramingError("
+                          "'malformed frame body: bad boolean')")
+        decode.append(
+            f"_fill['{name}'] = {name}" + (" == 1" if kind == "?" else "")
+        )
+    source = "\n ".join(encode) + "\n" + "\n ".join(decode + ["return _frame"])
+    exec(compile(source, f"<{cls.__name__} frame codec>", "exec"), env)
+    _ENCODERS[cls] = env["_encode_" + cls.__name__]
+    _DECODERS[int(type_word)] = env["_decode_" + cls.__name__]
+
+
+#: The compiled codecs, by frame class and by type word; a row is
+#: compiled on first use, so simnet-only processes never pay for one.
+_ENCODERS: Dict[type, Callable[[Frame], bytes]] = {}
+_DECODERS: Dict[int, Callable[[memoryview, int], Frame]] = {}
+
+
+def _compiled(registry: dict, key):
+    """Compile the table row of ``key`` (a frame class or a type word)
+    and return its new ``registry`` entry; ``None`` without such a row."""
+    for row in _FRAME_TABLE:
+        if key in row[:2]:
+            _compile(*row)
+            return registry[key]
+    return None
 
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialize ``frame`` as length prefix + body."""
-    encoder = XdrEncoder.pooled()
+    kind = type(frame)
+    encode = _ENCODERS.get(kind) or _compiled(_ENCODERS, kind)
+    if encode is None:
+        raise FramingError(f"cannot encode frame {frame!r}")
     try:
-        return bytes(encode_frame_into(frame, encoder))
-    finally:
-        encoder.release()
+        return encode(frame)
+    except struct.error as exc:
+        raise FramingError(f"cannot encode {frame!r}: {exc}") from None
 
 
 def encode_frame_into(frame: Frame, encoder: XdrEncoder) -> memoryview:
-    """Serialize ``frame`` into ``encoder``; return the wire image.
-
-    The whole wire image — length prefix and body — is packed into the
-    encoder's single buffer, so a ``Request``/``Reply`` payload is
-    copied exactly once between the caller and the socket.  The
-    returned view aliases the encoder's buffer: write (or copy) it
-    before reusing the encoder.
-    """
+    """Append ``frame``'s wire image to ``encoder``'s buffer; the view
+    returned aliases it, so write (or copy) it before reusing it."""
     start = encoder.size
-    encoder.pack_uint32(0)  # length prefix, patched below
-    if isinstance(frame, Hello):
-        encoder.pack_uint32(FrameType.HELLO)
-        encoder.pack_uint32(frame.version)
-        encoder.pack_string(frame.site_id)
-    elif isinstance(frame, Welcome):
-        encoder.pack_uint32(FrameType.WELCOME)
-        encoder.pack_uint32(frame.version)
-        encoder.pack_string(frame.site_id)
-    elif isinstance(frame, Goodbye):
-        encoder.pack_uint32(FrameType.GOODBYE)
-        encoder.pack_string(frame.site_id)
-        encoder.pack_string(frame.reason)
-    elif isinstance(frame, Request):
-        encoder.pack_uint32(FrameType.REQUEST)
-        encoder.pack_uint64(frame.exchange_id)
-        encoder.pack_string(frame.src)
-        encoder.pack_string(frame.dst)
-        encoder.pack_string(frame.kind)
-        encoder.pack_bool(frame.expects_reply)
-        _encode_clock(encoder, frame.clock)
-        encoder.pack_opaque(frame.payload)
-    elif isinstance(frame, Reply):
-        encoder.pack_uint32(FrameType.REPLY)
-        encoder.pack_uint64(frame.exchange_id)
-        encoder.pack_uint32(frame.status)
-        _encode_clock(encoder, frame.clock)
-        encoder.pack_opaque(frame.payload)
-    elif isinstance(frame, Ping):
-        encoder.pack_uint32(FrameType.PING)
-        encoder.pack_uint64(frame.token)
-    elif isinstance(frame, Pong):
-        encoder.pack_uint32(FrameType.PONG)
-        encoder.pack_uint64(frame.token)
-    elif isinstance(frame, SegRequest):
-        encoder.pack_uint32(FrameType.SEG_REQUEST)
-        encoder.pack_uint64(frame.exchange_id)
-        encoder.pack_string(frame.src)
-        encoder.pack_string(frame.dst)
-        encoder.pack_string(frame.kind)
-        encoder.pack_bool(frame.expects_reply)
-        _encode_clock(encoder, frame.clock)
-        encoder.pack_string(frame.segment)
-        encoder.pack_uint64(frame.offset)
-        encoder.pack_uint32(frame.length)
-        encoder.pack_uint64(frame.extent)
-        encoder.pack_uint64(frame.epoch)
-    elif isinstance(frame, SegReply):
-        encoder.pack_uint32(FrameType.SEG_REPLY)
-        encoder.pack_uint64(frame.exchange_id)
-        encoder.pack_uint32(frame.status)
-        _encode_clock(encoder, frame.clock)
-        encoder.pack_string(frame.segment)
-        encoder.pack_uint64(frame.offset)
-        encoder.pack_uint32(frame.length)
-        encoder.pack_uint64(frame.extent)
-        encoder.pack_uint64(frame.epoch)
-    elif isinstance(frame, SegAck):
-        encoder.pack_uint32(FrameType.SEG_ACK)
-        encoder.pack_string(frame.segment)
-        encoder.pack_uint64(frame.offset)
-        encoder.pack_uint64(frame.extent)
-    else:
-        raise FramingError(f"cannot encode frame {frame!r}")
-    body_length = encoder.size - start - LENGTH_PREFIX.size
-    if body_length > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"frame body of {body_length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    image = encoder.getbuffer()[start:]
-    LENGTH_PREFIX.pack_into(image, 0, body_length)
-    return image
+    encoder.pack_fixed_opaque(encode_frame(frame))
+    return encoder.getbuffer()[start:]
 
 
 def decode_frame(body) -> Frame:
     """Parse one frame body (the bytes after the length prefix)."""
-    decoder = XdrDecoder(body)
+    view = body if type(body) is memoryview else memoryview(body)
+    if view.format != "B":
+        view = view.cast("B")
     try:
-        raw_type = decoder.unpack_uint32()
-        try:
-            frame_type = FrameType(raw_type)
-        except ValueError:
-            raise FramingError(f"unknown frame type {raw_type!r}") from None
-        if frame_type is FrameType.HELLO:
-            frame: Frame = Hello(
-                version=decoder.unpack_uint32(),
-                site_id=decoder.unpack_string(),
-            )
-        elif frame_type is FrameType.WELCOME:
-            frame = Welcome(
-                version=decoder.unpack_uint32(),
-                site_id=decoder.unpack_string(),
-            )
-        elif frame_type is FrameType.GOODBYE:
-            frame = Goodbye(
-                site_id=decoder.unpack_string(),
-                reason=decoder.unpack_string(),
-            )
-        elif frame_type is FrameType.REQUEST:
-            frame = Request(
-                exchange_id=decoder.unpack_uint64(),
-                src=decoder.unpack_string(),
-                dst=decoder.unpack_string(),
-                kind=decoder.unpack_string(),
-                expects_reply=decoder.unpack_bool(),
-                clock=_decode_clock(decoder),
-                payload=decoder.unpack_opaque(),
-            )
-        elif frame_type is FrameType.REPLY:
-            frame = Reply(
-                exchange_id=decoder.unpack_uint64(),
-                status=decoder.unpack_uint32(),
-                clock=_decode_clock(decoder),
-                payload=decoder.unpack_opaque(),
-            )
-        elif frame_type is FrameType.PING:
-            frame = Ping(token=decoder.unpack_uint64())
-        elif frame_type is FrameType.PONG:
-            frame = Pong(token=decoder.unpack_uint64())
-        elif frame_type is FrameType.SEG_REQUEST:
-            frame = SegRequest(
-                exchange_id=decoder.unpack_uint64(),
-                src=decoder.unpack_string(),
-                dst=decoder.unpack_string(),
-                kind=decoder.unpack_string(),
-                expects_reply=decoder.unpack_bool(),
-                clock=_decode_clock(decoder),
-                segment=decoder.unpack_string(),
-                offset=decoder.unpack_uint64(),
-                length=decoder.unpack_uint32(),
-                extent=decoder.unpack_uint64(),
-                epoch=decoder.unpack_uint64(),
-            )
-        elif frame_type is FrameType.SEG_REPLY:
-            frame = SegReply(
-                exchange_id=decoder.unpack_uint64(),
-                status=decoder.unpack_uint32(),
-                clock=_decode_clock(decoder),
-                segment=decoder.unpack_string(),
-                offset=decoder.unpack_uint64(),
-                length=decoder.unpack_uint32(),
-                extent=decoder.unpack_uint64(),
-                epoch=decoder.unpack_uint64(),
-            )
-        else:
-            frame = SegAck(
-                segment=decoder.unpack_string(),
-                offset=decoder.unpack_uint64(),
-                extent=decoder.unpack_uint64(),
-            )
-        decoder.expect_done()
-    except XdrError as exc:
+        (type_word,) = _U32.unpack_from(view, 0)
+        decode = _DECODERS.get(type_word) or _compiled(_DECODERS, type_word)
+        if decode is None:
+            raise FramingError(f"unknown frame type {type_word!r}")
+        return decode(view, len(view))
+    except struct.error as exc:
         raise FramingError(f"malformed frame body: {exc}") from None
-    return frame
 
 
 def split_buffer(buffer: bytes) -> Tuple[Union[Frame, None], bytes]:

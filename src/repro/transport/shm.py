@@ -119,7 +119,6 @@ from repro.transport.framing import (
     SegReply,
     SegRequest,
     Welcome,
-    clock_to_wire,
     decode_frame,
     encode_frame,
 )
@@ -1191,7 +1190,7 @@ class ShmTransport(Transport):
             elif len(payload) > self.spill_threshold:
                 spill = self.reserve_payload(len(payload))
                 spill.view[:] = payload
-            clock = clock_to_wire(self.endpoint.vclock.tick())
+            clock = self.endpoint.vclock.tick_wire()
             if spill is not None:
                 if not spill.published:
                     self._allocator.publish(spill.offset)
@@ -1334,7 +1333,7 @@ class ShmTransport(Transport):
         # The reply piggybacks the responder's clock: merging it makes
         # everything the handler did happen-before this site's next
         # traced event.
-        self.endpoint.vclock.merge(dict(reply.clock))
+        self.endpoint.vclock.merge_wire(reply.clock)
         if isinstance(reply, SegReply):
             payload: bytes = self._open_reply(dst, reply)
         else:
@@ -1886,7 +1885,7 @@ class ShmTransport(Transport):
             # Observe the sender's piggybacked clock before the handler
             # runs, so every event the handler records happens-after
             # everything the sender did up to this exchange.
-            self.endpoint.vclock.merge(dict(request.clock))
+            self.endpoint.vclock.merge_wire(request.clock)
             if isinstance(request, SegRequest):
                 payload, lease = self._map_extent(
                     conn, request.src, request.kind, request.segment,
@@ -1922,7 +1921,7 @@ class ShmTransport(Transport):
                 request.exchange_id,
                 STATUS_HANDLER_ERROR,
                 f"{type(exc).__name__}: {exc}".encode("utf-8"),
-                clock=clock_to_wire(self.endpoint.vclock.tick()),
+                clock=self.endpoint.vclock.tick_wire(),
             ))
         return reply
 
@@ -1934,7 +1933,7 @@ class ShmTransport(Transport):
         peer: str,
     ) -> bytes:
         """Encode the reply, spilling large bodies to the data segment."""
-        clock = clock_to_wire(self.endpoint.vclock.tick())
+        clock = self.endpoint.vclock.tick_wire()
         spill: Optional[SegmentPayload] = None
         if isinstance(body, SegmentPayload):
             spill = body

@@ -75,7 +75,6 @@ from repro.transport.framing import (
     Reply,
     Request,
     Welcome,
-    clock_to_wire,
     decode_frame,
     encode_frame,
     frame_length,
@@ -415,7 +414,7 @@ class TcpTransport(Transport):
                 kind=kind.value,
                 expects_reply=reply_kind is not None,
                 payload=payload,
-                clock=clock_to_wire(self.endpoint.vclock.tick()),
+                clock=self.endpoint.vclock.tick_wire(),
             )
         )
         message = Message(
@@ -531,7 +530,7 @@ class TcpTransport(Transport):
         # The reply piggybacks the responder's clock: merging it makes
         # everything the handler did happen-before this site's next
         # traced event.
-        self.endpoint.vclock.merge(dict(reply.clock))
+        self.endpoint.vclock.merge_wire(reply.clock)
         if reply.status == STATUS_HANDLER_ERROR:
             raise RemoteHandlerError(
                 f"{kind.value} handler at {dst!r} failed: "
@@ -627,6 +626,9 @@ class TcpTransport(Transport):
             raise TransportError(
                 f"no PONG from {dst!r} within {timeout}s ({exc})"
             ) from None
+        except BaseException:
+            self._discard(conn)
+            raise
         finished = time.monotonic()
         self._release(dst, conn)
         return finished - started
@@ -736,7 +738,7 @@ class TcpTransport(Transport):
             # Observe the sender's piggybacked clock before the handler
             # runs, so every event the handler records happens-after
             # everything the sender did up to this exchange.
-            self.endpoint.vclock.merge(dict(request.clock))
+            self.endpoint.vclock.merge_wire(request.clock)
             message = Message(
                 src=request.src,
                 dst=request.dst,
@@ -753,14 +755,14 @@ class TcpTransport(Transport):
                 request.exchange_id,
                 STATUS_OK,
                 body,
-                clock=clock_to_wire(self.endpoint.vclock.tick()),
+                clock=self.endpoint.vclock.tick_wire(),
             )
         except Exception as exc:  # noqa: BLE001 - ship transport errors
             reply = Reply(
                 request.exchange_id,
                 STATUS_HANDLER_ERROR,
                 f"{type(exc).__name__}: {exc}".encode("utf-8"),
-                clock=clock_to_wire(self.endpoint.vclock.tick()),
+                clock=self.endpoint.vclock.tick_wire(),
             )
         return encode_frame(reply)
 

@@ -14,12 +14,18 @@ traces need no synchronized wall clocks.
 
 Clocks are thread-safe: the TCP transport dispatches handlers on worker
 threads, and the pipeline touches the trace from its prefetch executor.
+
+The real carriers piggyback the clock in its *wire form* — the sorted
+``(site id, tick count)`` pairs a frame carries — and use
+:meth:`VectorClock.tick_wire` / :meth:`VectorClock.merge_wire`, which
+produce and consume that form directly instead of copying the clock
+into a dict, sorting it and copying it back on every exchange.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 __all__ = [
     "VectorClock",
@@ -31,6 +37,10 @@ __all__ = [
 #: A clock snapshot: site id -> number of local ticks observed.
 ClockMap = Dict[str, int]
 
+#: The same snapshot as frames carry it: ``(site id, ticks)`` pairs
+#: sorted by site id.
+WireClock = Tuple[Tuple[str, int], ...]
+
 
 class VectorClock:
     """One site's vector clock plus its per-session event sequences."""
@@ -38,6 +48,9 @@ class VectorClock:
     def __init__(self, site_id: str) -> None:
         self.site_id = site_id
         self._clock: ClockMap = {}
+        #: The clock's site ids, sorted; stale (shorter than the clock)
+        #: after a merge added a site, and re-sorted on the next use.
+        self._order: List[str] = []
         self._seqs: Dict[Optional[str], int] = {}
         self._lock = threading.Lock()
 
@@ -46,6 +59,26 @@ class VectorClock:
         with self._lock:
             self._clock[self.site_id] = self._clock.get(self.site_id, 0) + 1
             return dict(self._clock)
+
+    def tick_wire(self) -> WireClock:
+        """:meth:`tick`, returning the snapshot in wire form."""
+        with self._lock:
+            clock = self._clock
+            clock[self.site_id] = clock.get(self.site_id, 0) + 1
+            order = self._order
+            if len(order) != len(clock):  # sites are only ever added
+                order = self._order = sorted(clock)
+            return tuple([(site, clock[site]) for site in order])
+
+    def merge_wire(self, pairs: WireClock) -> None:
+        """:meth:`merge` for a snapshot in wire form."""
+        if not pairs:
+            return
+        with self._lock:
+            clock = self._clock
+            for site, count in pairs:
+                if count > clock.get(site, 0):
+                    clock[site] = count
 
     def merge(self, other: Optional[Mapping[str, int]]) -> None:
         """Fold a received snapshot in (pointwise maximum)."""

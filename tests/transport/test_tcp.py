@@ -1,8 +1,10 @@
 """TcpTransport behaviour: handshake, pooling, retries, at-most-once.
 
 All tests run several transports inside one interpreter over real
-localhost sockets — each transport still has its own event loop,
-executor and listener, exactly as separate processes would.
+localhost sockets — each transport still has its own listener, accept
+thread and one serving thread per accepted connection, and callers
+run their exchanges on their own threads, exactly as separate
+processes would.
 """
 
 import pytest

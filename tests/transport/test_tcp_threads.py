@@ -27,6 +27,7 @@ from repro.transport.framing import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     Hello,
+    Request,
     Welcome,
     encode_frame,
     split_buffer,
@@ -201,11 +202,24 @@ def _closed_by_peer(raw):
     return True
 
 
+def _handshake(raw, site_id="X"):
+    raw.sendall(encode_frame(Hello(PROTOCOL_VERSION, site_id)))
+    buffer = b""
+    frame = None
+    while frame is None:
+        buffer += raw.recv(4096)
+        frame, buffer = split_buffer(buffer)
+    assert isinstance(frame, Welcome)
+
+
 def test_hostile_peer_is_local_damage(stacks, monkeypatch):
-    """Silence, a garbage length prefix and a truncated frame each cost
-    the offender its own connection; a well-behaved client on the same
-    server never notices."""
+    """Silence, a garbage length prefix, a truncated frame and a site
+    id that is not UTF-8 each cost the offender its own connection — no
+    serving thread dies of an uncaught exception — and a well-behaved
+    client on the same server never notices."""
     monkeypatch.setattr(tcp, "HANDSHAKE_TIMEOUT", 0.2)
+    uncaught = []
+    monkeypatch.setattr(threading, "excepthook", uncaught.append)
     server = _echo_server(stacks)
     client = _client(stacks, server)
     assert _echo(client, b"before") == b"echo:before"
@@ -222,19 +236,50 @@ def test_hostile_peer_is_local_damage(stacks, monkeypatch):
     assert _echo(client, b"after-garbage") == b"echo:after-garbage"
 
     with _raw(server) as truncated:
-        truncated.sendall(encode_frame(Hello(PROTOCOL_VERSION, "X")))
-        buffer = b""
-        frame = None
-        while frame is None:
-            buffer += truncated.recv(4096)
-            frame, buffer = split_buffer(buffer)
-        assert isinstance(frame, Welcome)
+        _handshake(truncated)
         truncated.sendall(LENGTH_PREFIX.pack(100) + b"short body")
         truncated.shutdown(socket.SHUT_WR)
         assert _closed_by_peer(truncated)
     assert _echo(client, b"after-truncation") == b"echo:after-truncation"
+
+    # Well-formed frames whose site id is the byte 0xff: not UTF-8.
+    hello = encode_frame(Hello(PROTOCOL_VERSION, "X")).replace(b"X", b"\xff")
+    request = encode_frame(
+        Request(1, "X", "B", MessageKind.CALL.value, True, b"hi")
+    ).replace(b"X", b"\xff")
+    with _raw(server) as bad_hello:
+        bad_hello.sendall(hello)
+        assert _closed_by_peer(bad_hello)
+    assert _echo(client, b"after-bad-hello") == b"echo:after-bad-hello"
+    with _raw(server) as bad_request:
+        _handshake(bad_request)
+        bad_request.sendall(request)
+        assert _closed_by_peer(bad_request)
+    assert _echo(client, b"after-bad-request") == b"echo:after-bad-request"
+    assert not uncaught
     assert client.dials == {"B": 1}
     assert client.retransmissions == 0
+
+
+def test_ping_gives_its_connection_up_on_any_error(stacks, monkeypatch):
+    """``ping()`` took a pooled connection for itself; whatever goes
+    wrong while it holds it, the connection is closed — not left out of
+    the pool and open until the transport closes."""
+    server = _echo_server(stacks)
+    client = _client(stacks, server)
+    assert client.ping("B") > 0.0
+    assert len(client._conns) == 1
+
+    def surprise(conn, ident, deadline):
+        raise RuntimeError("not an OSError, not a FramingError")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(client, "_await", surprise)
+        with pytest.raises(RuntimeError):
+            client.ping("B")
+    assert not client._conns
+    assert client.ping("B") > 0.0
+    assert client.dials == {"B": 2}
 
 
 def _open_fds():

@@ -1,11 +1,18 @@
 """Tests for vector clocks (the causal-stamp layer)."""
 
+import sys
+import threading
+
 from repro.transport.vclock import (
     VectorClock,
     concurrent,
     dominates,
     happens_before,
 )
+
+# A clock mapping in wire form the slow and obvious way, as the
+# carriers did it before ``tick_wire``.
+from tests.transport.frame_ladder import clock_to_wire
 
 
 class TestVectorClock:
@@ -39,6 +46,85 @@ class TestVectorClock:
         assert clock.next_seq("s2") == 0
         assert clock.next_seq(None) == 0
         assert clock.next_seq("s1") == 3
+
+
+class TestWireForm:
+    """``tick_wire`` / ``merge_wire``: the carriers' per-exchange path."""
+
+    def test_tick_wire_is_tick_in_wire_form(self):
+        clock, twin = VectorClock("M"), VectorClock("M")
+        for _ in range(3):
+            assert clock.tick_wire() == clock_to_wire(twin.tick())
+            assert clock.tick_wire() == clock_to_wire(clock.snapshot())
+            twin.tick()
+        assert clock.tick_wire() == (("M", 7),)
+
+    def test_site_order_follows_merges(self):
+        clock = VectorClock("M")
+        assert clock.tick_wire() == (("M", 1),)
+        clock.merge({"Z": 4})
+        assert clock.tick_wire() == (("M", 2), ("Z", 4))
+        # A site that sorts before every known one, right before a tick.
+        clock.merge_wire((("A", 9), ("Q", 1)))
+        wire = clock.tick_wire()
+        assert wire == (("A", 9), ("M", 3), ("Q", 1), ("Z", 4))
+        assert wire == clock_to_wire(clock.snapshot())
+        clock.merge({"B": 1})
+        assert clock.tick_wire() == clock_to_wire(clock.snapshot())
+        # Non-ASCII ids sort by code point, as ``sorted`` on the dict did.
+        clock.merge_wire((("β", 2), ("a", 1)))
+        assert clock.tick_wire() == clock_to_wire(clock.snapshot())
+
+    def test_merge_wire_is_merge_of_the_mapping(self):
+        received = [
+            (),
+            (("A", 3), ("B", 5)),
+            (("A", 1), ("B", 9), ("C", 2)),
+            (("A", 2**63), ("M", 0)),
+            (("M", 1),),
+        ]
+        clock, twin = VectorClock("M"), VectorClock("M")
+        for pairs in received:
+            clock.merge_wire(pairs)
+            twin.merge(dict(pairs))
+            assert clock.snapshot() == twin.snapshot()
+            assert clock.tick_wire() == clock_to_wire(twin.tick())
+
+    def test_concurrent_ticks_lose_no_count(self):
+        clock, rounds, seen = VectorClock("M"), 2000, []
+
+        def worker(ident: int) -> None:
+            mine = []
+            for count in range(rounds):
+                if count % 2:
+                    mine.append(dict(clock.tick_wire())["M"])
+                else:
+                    mine.append(clock.tick()["M"])
+                if count % 100 == 0:
+                    clock.merge_wire(((f"peer-{ident}-{count}", 1),))
+            seen.append(mine)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(ident,))
+                for ident in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        # Every tick was handed to exactly one caller, in order.
+        assert all(mine == sorted(mine) for mine in seen)
+        assert sorted(sum(seen, [])) == list(range(1, 4 * rounds + 1))
+        wire = clock.tick_wire()
+        assert wire == clock_to_wire(clock.snapshot())
+        assert dict(wire)["M"] == 4 * rounds + 1
+        assert len(wire) == 1 + 4 * (rounds // 100)
 
 
 class TestCausalOrder:

@@ -161,12 +161,9 @@ def _legacy_decode_page(codec: RawCodec, payload: bytes, address: int) -> None:
 
 
 def _current_encode_page(codec: RawCodec, address: int) -> bytes:
-    encoder = XdrEncoder.pooled()
-    try:
-        codec.encode(address, PAGE_SPEC, encoder, None)
-        return encoder.getvalue()
-    finally:
-        encoder.release()
+    encoder = XdrEncoder()
+    codec.encode(address, PAGE_SPEC, encoder, None)
+    return encoder.getvalue()
 
 
 def _current_decode_page(codec: RawCodec, payload: bytes, address: int) -> None:
@@ -262,18 +259,15 @@ def test_xdr_scalar_stream_throughput(benchmark):
             decoder.unpack_uint64()
 
     def current():
-        encoder = XdrEncoder.pooled()
-        try:
-            for value in range(256):
-                encoder.pack_uint32(value)
-                encoder.pack_uint64(value)
-            decoder = XdrDecoder(encoder.getbuffer())
-            for _ in range(256):
-                decoder.unpack_uint32()
-                decoder.unpack_uint64()
-            decoder.expect_done()
-        finally:
-            encoder.release()
+        encoder = XdrEncoder()
+        for value in range(256):
+            encoder.pack_uint32(value)
+            encoder.pack_uint64(value)
+        decoder = XdrDecoder(encoder.getbuffer())
+        for _ in range(256):
+            decoder.unpack_uint32()
+            decoder.unpack_uint64()
+        decoder.expect_done()
 
     legacy_rate = _throughput(legacy)
     current_rate = _throughput(current)

@@ -15,8 +15,6 @@ simulated distributed system:
   pointer swizzling, the data allocation table, fault-driven caching
   with eager closures, the session coherency protocol, and
   ``extended_malloc`` / ``extended_free``;
-* :mod:`repro.baselines` — the fully eager and fully lazy baselines,
-  now presets of :mod:`repro.smartrpc.policy`;
 * :mod:`repro.workloads` — the evaluation's subjects;
 * :mod:`repro.bench` — the harness that regenerates every figure and
   table in the paper's evaluation.
@@ -36,7 +34,6 @@ Quickstart::
 See ``examples/quickstart.py`` for the complete version.
 """
 
-from repro.baselines import FullyEagerRpc
 from repro.memory import AddressSpace, Heap, Mem, Protection
 from repro.namesvc import TypeNameServer, TypeResolver
 from repro.rpc import (
@@ -59,7 +56,6 @@ __all__ = [
     "CallContext",
     "ClientStub",
     "CostModel",
-    "FullyEagerRpc",
     "Heap",
     "InterfaceDef",
     "LongPointer",

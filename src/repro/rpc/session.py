@@ -20,6 +20,19 @@ from repro.rpc.errors import SessionError
 
 _session_numbers = itertools.count(1)
 
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _base36(number: int) -> str:
+    """Session numbers in base 36: every session-stamped message carries
+    the id as a padded XDR string, and two digits (1 295 sessions a
+    process) keep that the same width where decimal grew at the 100th."""
+    digits = ""
+    while number:
+        number, digit = divmod(number, 36)
+        digits = _DIGITS[digit] + digits
+    return digits or "0"
+
 
 class SessionState:
     """Per-address-space state of one RPC session."""
@@ -56,7 +69,7 @@ class RpcSession:
     def __init__(self, runtime: "RpcRuntimeLike") -> None:
         self._runtime = runtime
         self.session_id = (
-            f"{runtime.site_id}#{next(_session_numbers)}"
+            f"{runtime.site_id}#{_base36(next(_session_numbers))}"
         )
         self._state: Optional[SessionState] = None
 

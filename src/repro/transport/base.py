@@ -90,11 +90,6 @@ class ReplyCache:
         self.retransmission_hits = 0
         self.piggyback_hits = 0
 
-    @property
-    def hits(self) -> int:
-        """Legacy alias for :attr:`retransmission_hits`."""
-        return self.retransmission_hits
-
     def note_piggyback(self) -> None:
         """Count one fault absorbed by an in-flight exchange."""
         self.piggyback_hits += 1

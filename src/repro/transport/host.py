@@ -54,14 +54,19 @@ from repro.smartrpc.errors import SessionAbortedError
 from repro.smartrpc.policy import POLICY_NAMES, make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 from repro.smartrpc.validate import session_diagnostics
-from repro.transport.base import Endpoint, RetryPolicy, TransportError
+from repro.transport.base import (
+    Endpoint,
+    FaultInjector,
+    RetryPolicy,
+    TransportError,
+)
 from repro.transport.shm import (
     DEFAULT_RING_SLOTS,
     DEFAULT_SEGMENT_SIZE,
     ShmTransport,
     purge_stale_segments,
 )
-from repro.transport.tcp import FaultInjector, TcpTransport
+from repro.transport.tcp import TcpTransport
 from repro.workloads.hashtable import bind_hash_server, register_hash_types
 from repro.workloads.linked_list import bind_list_server, register_list_types
 from repro.workloads.traversal import (

@@ -59,19 +59,16 @@ will never ring again is still found by its stale heartbeat word.  The
 bell carries no data and no authority: a stranger's datagram is one
 empty lap, and everything read after it is validated as before.
 
-Reliability mirrors :class:`TcpTransport` frame for frame: exchange
-ids carry a per-boot incarnation, senders retransmit on timeout with
-exponential backoff, receivers suppress duplicates through the shared
-:class:`~repro.transport.base.ReplyCache` plus an in-flight table, and
-the same :class:`~repro.transport.base.FaultInjector` drops, duplicates
-and crash-kills frames for the crash-matrix tests.  Peer death is
-detected by heartbeat words going stale (or a closed flag) — never a
-hang — and a dying transport bumps its data segment's epoch so any
-extent reference still in flight fails validation instead of reading
-freed memory (no torn page can be observed).
+The exchange itself — ids, retransmission, at-most-once, faults,
+clocks, dispatch — is :class:`~repro.transport.exchange.ExchangeTransport`;
+this module is its shared-memory *link* plus the payload hooks that
+ship a body by reference.  Peer death is detected by heartbeat words
+going stale (or a closed flag) — never a hang — and a dying transport
+bumps its data segment's epoch so any extent reference still in flight
+fails validation instead of reading freed memory (no torn page can be
+observed).
 
-Every exchange carries the PR 6 vector clocks in its frame header, and
-every zero-copy mapping records a ``segment-handover`` trace event
+Every zero-copy mapping records a ``segment-handover`` trace event
 (checked offline by rule SRPC330 and replayed by the SRPC4xx
 sanitizer).  Segments a crashed process left behind are reaped by
 :func:`purge_stale_segments`, keyed on the owner pid in each header.
@@ -88,24 +85,21 @@ import threading
 import time
 import traceback
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.simnet.clock import CostModel
 from repro.simnet.message import Message, MessageKind
-from repro.simnet.stats import StatsCollector
 from repro.transport.base import (
     HANDSHAKE_TIMEOUT,
-    Endpoint,
-    FaultInjector,
     HandshakeError,
-    RemoteHandlerError,
-    RetryPolicy,
-    Transport,
     TransportError,
+)
+from repro.transport.exchange import (
+    MAX_HANDLERS,
+    ExchangeEndpoint,
+    ExchangeTransport,
 )
 from repro.transport.framing import (
     PROTOCOL_VERSION,
-    STATUS_HANDLER_ERROR,
     STATUS_OK,
     FramingError,
     Frame,
@@ -122,7 +116,6 @@ from repro.transport.framing import (
     decode_frame,
     encode_frame,
 )
-from repro.transport.wallclock import WallClock
 
 #: Where the kernel exposes POSIX shared memory objects.
 SHM_DIR = "/dev/shm"
@@ -501,8 +494,7 @@ class _Connection:
         self.peer_bell = peer_bell  # where the peer's poller sleeps
         self.peer: Optional[str] = None
         self.alive = True
-        self.pending: Dict[int, _Waiter] = {}
-        self.pings: Dict[int, _Waiter] = {}
+        self.pending: Dict[int, _Waiter] = {}  # by exchange id or token
         self.greeting: Optional[_Waiter] = None  # a dial awaiting WELCOME
         self.space = threading.Event()  # set when the peer freed a tx slot
         mv = shm.buf
@@ -596,13 +588,12 @@ class _Connection:
         """Mark dead and fail every outstanding waiter."""
         self.alive = False
         self.space.set()
-        waiters = list(self.pending.values()) + list(self.pings.values())
+        waiters = list(self.pending.values())
         if self.greeting is not None:
             waiters.append(self.greeting)
         for waiter in waiters:
             waiter.fail(error)
         self.pending.clear()
-        self.pings.clear()
 
     def release(self) -> None:
         """Unmap (and unlink, if we created the segment)."""
@@ -846,6 +837,14 @@ class SegmentAllocator:
             self._lock.notify_all()
             return True
 
+    def reroute(self, offset: int, peer: str) -> None:
+        """Charge the extent at ``offset`` to ``peer``, so that it is
+        reaped with that peer's connection (:meth:`release_peer`)."""
+        with self._lock:
+            entry = self._pins.get(offset)
+            if entry is not None:
+                entry[3] = peer
+
     def release_peer(self, peer: str) -> int:
         """Unpin everything shipped to a now-dead peer."""
         with self._lock:
@@ -881,105 +880,56 @@ class SegmentAllocator:
         _close_segment(self.shm, unlink=True)
 
 
-class ShmEndpoint(Endpoint):
+class ShmEndpoint(ExchangeEndpoint):
     """The one address space a :class:`ShmTransport` hosts."""
 
-    def __init__(
-        self,
-        site_id: str,
-        transport: "ShmTransport",
-        reply_cache_limit: int = 4096,
-    ) -> None:
-        super().__init__(site_id, reply_cache_limit=reply_cache_limit)
-        self.transport = transport
-
-    def send(
-        self,
-        dst: str,
-        kind: MessageKind,
-        payload: bytes,
-        reply_kind: Optional[MessageKind] = None,
-        timeout: Optional[float] = None,
-    ) -> bytes:
-        """Run one framed exchange with ``dst``; blocks until replied."""
-        return self.transport.exchange(
-            dst, kind, payload, reply_kind, timeout=timeout
-        )
+    # Bound in this class's own dict, not just inherited: the
+    # benchmark's tracer patches ``vars(cls)["send"]`` per carrier.
+    send = ExchangeEndpoint.send
 
 
-class ShmTransport(Transport):
+class ShmTransport(ExchangeTransport):
     """Ring-buffered, segment-offset-shipped at-most-once exchanges.
 
-    One instance per OS process (or per simulated "process" when tests
-    run several transports inside one interpreter — the rings work
-    identically across threads).  ``peers`` maps site ids to listener
-    segment names; unknown destinations resolve through the site
-    directory at ``directory_site``, whose records carry the segment
-    name in their ``host`` field (port 0).
+    The rings work identically across threads and across processes.
+    ``peers`` maps site ids to listener segment names; directory
+    records carry the segment name in their ``host`` field (port 0).
+    The other keyword options are
+    :class:`~repro.transport.exchange.ExchangeTransport`'s.
     """
+
+    endpoint_class = ShmEndpoint
+
+    # A failed dial has already cost a missing segment or a whole
+    # HANDSHAKE_TIMEOUT of silence: one heartbeat more, then try again.
+    CONNECT_BACKOFF = HEARTBEAT_INTERVAL
 
     def __init__(
         self,
         site_id: str,
         *,
-        clock=None,
-        cost_model: Optional[CostModel] = None,
-        stats: Optional[StatsCollector] = None,
-        peers: Optional[Dict[str, str]] = None,
-        directory_site: Optional[str] = None,
-        retry: Optional[RetryPolicy] = None,
-        faults: Optional[FaultInjector] = None,
-        reply_cache_limit: int = 4096,
-        max_workers: int = 32,
-        listen: bool = True,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         ring_slots: int = DEFAULT_RING_SLOTS,
         slot_bytes: int = DEFAULT_SLOT_BYTES,
         peer_timeout: float = DEFAULT_PEER_TIMEOUT,
-        protocol_version: int = PROTOCOL_VERSION,
-        accept_versions: Optional[Iterable[int]] = None,
+        **exchange_options,
     ) -> None:
-        super().__init__(
-            clock=clock if clock is not None else WallClock(),
-            cost_model=cost_model,
-            stats=stats,
-        )
         if ring_slots < 2 or slot_bytes < 256:
             raise ValueError(
                 f"bad ring geometry slots={ring_slots} bytes={slot_bytes}"
             )
-        self.site_id = site_id
-        self._listen = listen
-        # Shared by reference (like TcpTransport): make_world mutates
-        # one peer table in place as each stack's listener comes up.
-        self._peers: Dict[str, str] = peers if peers is not None else {}
-        self._directory_site = directory_site
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._faults = faults
+        super().__init__(site_id, **exchange_options)
         self._segment_size = segment_size
         self._ring_slots = ring_slots
         self._slot_bytes = slot_bytes
         self._peer_timeout = peer_timeout
-        self._protocol_version = protocol_version
-        self._accept_versions = frozenset(
-            accept_versions if accept_versions is not None
-            else (protocol_version,)
-        )
         # Payloads above this ship as segment extents; the threshold
         # leaves headroom in the slot for the frame envelope.
         self.spill_threshold = slot_bytes - 512
-        self.endpoint = ShmEndpoint(
-            site_id, self, reply_cache_limit=reply_cache_limit
-        )
         self.name = NAME_PREFIX + os.urandom(6).hex()
-        self.address: Optional[str] = None
-        self.retransmissions = 0
-        self.dials: Dict[str, int] = {}
         self.handovers = 0
-        incarnation = int.from_bytes(os.urandom(4), "big")
-        self._exchange_ids = itertools.count((incarnation << 32) | 1)
         self._workers = _Workers(
-            self._serve_request, max_workers, f"shm-{site_id}"
+            self._serve_request, MAX_HANDLERS, f"shm-{site_id}"
         )
         self._allocator: Optional[SegmentAllocator] = None
         self._listener_shm: Optional[shared_memory.SharedMemory] = None
@@ -994,8 +944,6 @@ class ShmTransport(Transport):
         self._seen_conn_names: Set[str] = set()
         self._conn_lock = threading.Lock()
         self._dial_lock = threading.Lock()
-        self._serve_lock = threading.Lock()
-        self._inflight: Dict[Tuple[str, int], threading.Event] = {}
         self._attached: Dict[str, Tuple[shared_memory.SharedMemory,
                                         memoryview]] = {}
         self._attach_lock = threading.Lock()
@@ -1004,21 +952,17 @@ class ShmTransport(Transport):
         self._deferred_lock = threading.Lock()
         self._poller: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self._closed = False
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> Optional[str]:
         """Create segments, start the poller; return the address
         (the listener segment name) or ``None`` when not listening."""
-        if self._poller is not None:
-            raise TransportError(
-                f"transport for {self.site_id!r} already started"
-            )
         if not os.path.isdir(SHM_DIR):  # pragma: no cover - exotic host
             raise TransportError(
                 f"shared-memory carrier needs {SHM_DIR} (POSIX shm)"
             )
+        self._mark_started()
         self._allocator = SegmentAllocator(
             self.name + ".d", self._segment_size
         )
@@ -1049,9 +993,9 @@ class ShmTransport(Transport):
 
     def close(self) -> None:
         """Say goodbye, invalidate the segment epoch, unlink everything."""
-        if self._closed:
+        if self._closed.is_set():
             return
-        self._closed = True
+        self._closed.set()
         # Settle zero-copy reply leases still deferred anywhere.
         with self._deferred_lock:
             leases = list(self._all_deferred)
@@ -1113,28 +1057,8 @@ class ShmTransport(Transport):
             address = address[0]
         self._peers[site_id] = str(address)
 
-    def _resolve(self, dst: str) -> str:
-        name = self._peers.get(dst)
-        if name is not None:
-            return name
-        if self._directory_site is not None and dst != self._directory_site:
-            from repro.namesvc.directory import (
-                decode_lookup_reply,
-                encode_lookup,
-            )
-
-            payload = self.exchange(
-                self._directory_site,
-                MessageKind.SITE_LOOKUP,
-                encode_lookup(dst),
-                MessageKind.DIR_REPLY,
-            )
-            host, _port, _age = decode_lookup_reply(bytes(payload), dst)
-            self._peers[dst] = host
-            return host
-        raise TransportError(
-            f"site {self.site_id!r} has no route to {dst!r}"
-        )
+    def _address_of(self, host: str, port: int) -> str:
+        return host
 
     # -- zero-copy send buffers ----------------------------------------------
 
@@ -1145,226 +1069,64 @@ class ShmTransport(Transport):
         ``send`` in place of ``bytes``: the carrier then ships only
         the segment offset — zero per-byte cost end to end.
         """
-        if self._allocator is None:
-            raise TransportError(
-                f"transport for {self.site_id!r} is not started"
-            )
+        self._check_running()
         offset, stamp, view = self._allocator.reserve(length)
         return SegmentPayload(offset, stamp, view, length)
 
-    # -- client side ----------------------------------------------------------
+    # -- payload hooks: bodies shipped by reference ---------------------------
 
-    def exchange(
-        self,
-        dst: str,
-        kind: MessageKind,
-        payload: Union[bytes, SegmentPayload],
-        reply_kind: Optional[MessageKind] = None,
-        timeout: Optional[float] = None,
-    ) -> bytes:
-        """Blocking request/response exchange with at-most-once retries.
+    def _spill(self, payload) -> SegmentPayload:
+        """``payload`` published in the data segment: it is there
+        already, or too big for a ring slot."""
+        if isinstance(payload, SegmentPayload):
+            spill = payload
+        else:
+            spill = self.reserve_payload(len(payload))
+            spill.view[:] = payload
+        if not spill.published:
+            self._allocator.publish(spill.offset)
+            spill.published = True
+        return spill
 
-        ``timeout`` caps the *whole* exchange — handshakes, ring
-        pushes, retransmits and all — failing it with
-        :class:`TransportError` once elapsed instead of running the
-        full retry schedule.
-        """
-        if self._poller is None:
-            raise TransportError(
-                f"transport for {self.site_id!r} is not started"
-            )
+    def _request_frame(
+        self, exchange_id: int, dst: str, kind: MessageKind,
+        expects_reply: bool, payload: Union[bytes, SegmentPayload],
+    ):
         if threading.current_thread() is self._poller:
             raise TransportError(
                 "exchange() must not be called from the poller thread"
             )
         self._flush_deferred()
-        cap = timeout
-        deadline = time.monotonic() + cap if cap is not None else None
-        name = self._resolve(dst)
-        exchange_id = next(self._exchange_ids)
-        spill: Optional[SegmentPayload] = None
-        settled = False
-        try:
-            if isinstance(payload, SegmentPayload):
-                spill = payload
-            elif len(payload) > self.spill_threshold:
-                spill = self.reserve_payload(len(payload))
-                spill.view[:] = payload
-            clock = self.endpoint.vclock.tick_wire()
-            if spill is not None:
-                if not spill.published:
-                    self._allocator.publish(spill.offset)
-                    spill.published = True
-                frame: Frame = SegRequest(
-                    exchange_id=exchange_id,
-                    src=self.site_id,
-                    dst=dst,
-                    kind=kind.value,
-                    expects_reply=reply_kind is not None,
-                    segment=self._allocator.name,
-                    offset=spill.offset + _EXTENT_HEADER,
-                    length=spill.length,
-                    extent=spill.stamp,
-                    epoch=self._allocator.epoch,
-                    clock=clock,
-                )
-                logical = spill.view if spill.view is not None else b""
-            else:
-                frame = Request(
-                    exchange_id=exchange_id,
-                    src=self.site_id,
-                    dst=dst,
-                    kind=kind.value,
-                    expects_reply=reply_kind is not None,
-                    payload=bytes(payload),
-                    clock=clock,
-                )
-                logical = frame.payload
-            encoded = encode_frame(frame)
-            reply = self._run_attempts(
-                dst, name, kind, exchange_id, encoded, logical,
-                cap, deadline,
+        if not isinstance(payload, SegmentPayload) and (
+            len(payload) <= self.spill_threshold
+        ):
+            return super()._request_frame(
+                exchange_id, dst, kind, expects_reply, bytes(payload)
             )
-            settled = True  # peer acks (or TTL-reaps) the extent now
-            return self._finish(dst, kind, reply_kind, reply)
-        finally:
-            if not settled and spill is not None and self._allocator:
-                self._allocator.release(spill.offset, spill.stamp)
-
-    def _run_attempts(
-        self,
-        dst: str,
-        name: str,
-        kind: MessageKind,
-        exchange_id: int,
-        encoded: bytes,
-        logical,
-        cap: Optional[float],
-        deadline: Optional[float],
-    ) -> Frame:
-        """The retry loop: transmit, wait, back off — TcpTransport's."""
-        attempts = 0
-        last_error: Optional[BaseException] = None
-        for attempt_timeout in self._retry.timeouts():
-            attempts += 1
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportError(
-                        f"{kind.value} exchange {self.site_id!r}->"
-                        f"{dst!r} exceeded its {cap}s cap after "
-                        f"{attempts - 1} attempt(s) ({last_error})"
-                    )
-                attempt_timeout = min(attempt_timeout, remaining)
-            try:
-                conn = self._acquire(dst, name)
-            except HandshakeError:
-                raise
-            except (ConnectionError, OSError, TimeoutError) as exc:
-                last_error = exc
-                self.note_timeout(
-                    f"connect to {dst!r} failed ({exc}); retrying",
-                    site=self.site_id,
-                )
-                time.sleep(min(attempt_timeout, 0.05))
-                continue
-            waiter = _Waiter()
-            conn.pending[exchange_id] = waiter
-            action = (
-                self._faults.request_action() if self._faults else None
-            )
-            try:
-                message = Message(
-                    src=self.site_id, dst=dst, kind=kind, payload=logical
-                )
-                if action == FaultInjector.DROP:
-                    # Charged as sent, lost in transit — the simulator's
-                    # lossy path does exactly this.
-                    self.note_message(message, stamp=self._stamp())
-                    self.stats.record_event(
-                        self.clock.now,
-                        "loss",
-                        f"injected drop of {kind.value} "
-                        f"{self.site_id}->{dst}",
-                        data={"site": self.site_id},
-                    )
-                else:
-                    conn.write(encoded, attempt_timeout)
-                    self.note_message(message, stamp=self._stamp())
-                    if self._faults is not None and (
-                        self._faults.crash_after_send(kind)
-                    ):
-                        # Planned death: the frame is in the ring (the
-                        # peer will process it) but this process dies
-                        # before its reply can land.
-                        os._exit(FaultInjector.CRASH_EXIT_CODE)
-                    if action == FaultInjector.DUPLICATE:
-                        conn.write(encoded, attempt_timeout)
-                        self.note_message(message, stamp=self._stamp())
-                reply = waiter.wait(attempt_timeout)
-            except (ConnectionError, OSError, TimeoutError) as exc:
-                last_error = exc
-                self.retransmissions += 1
-                self.note_timeout(
-                    f"{kind.value} exchange {self.site_id}->{dst} timed "
-                    "out; retransmitting",
-                    site=self.site_id,
-                )
-                continue
-            finally:
-                conn.pending.pop(exchange_id, None)
-            return reply
-        raise TransportError(
-            f"{kind.value} exchange {self.site_id!r}->{dst!r} failed "
-            f"after {attempts} attempts ({last_error})"
+        spill = self._spill(payload)
+        request = SegRequest(
+            exchange_id=exchange_id,
+            src=self.site_id,
+            dst=dst,
+            kind=kind.value,
+            expects_reply=expects_reply,
+            segment=self._allocator.name,
+            offset=spill.offset + _EXTENT_HEADER,
+            length=spill.length,
+            extent=spill.stamp,
+            epoch=self._allocator.epoch,
+            clock=self.endpoint.vclock.tick_wire(),
         )
+        return request, (spill.view if spill.view is not None else b"")
 
-    def _stamp(self) -> Optional[dict]:
-        """The endpoint's causal stamp, or None when tracing is off."""
-        return self.endpoint.stamp() if self.stats.tracing else None
-
-    def _finish(
-        self,
-        dst: str,
-        kind: MessageKind,
-        reply_kind: Optional[MessageKind],
-        reply: Frame,
-    ) -> bytes:
-        # The reply piggybacks the responder's clock: merging it makes
-        # everything the handler did happen-before this site's next
-        # traced event.
-        self.endpoint.vclock.merge_wire(reply.clock)
-        if isinstance(reply, SegReply):
-            payload: bytes = self._open_reply(dst, reply)
-        else:
-            payload = reply.payload
-        if reply.status == STATUS_HANDLER_ERROR:
-            raise RemoteHandlerError(
-                f"{kind.value} handler at {dst!r} failed: "
-                f"{bytes(payload).decode('utf-8', 'replace')}"
+    def _abandon(self, frame: Frame) -> None:
+        # No reply, so nobody will ack the extent: unpin it now.
+        if isinstance(frame, SegRequest):
+            self._allocator.release(
+                frame.offset - _EXTENT_HEADER, frame.extent
             )
-        if reply.status != STATUS_OK:
-            raise TransportError(
-                f"bad reply status {reply.status!r} from {dst!r}"
-            )
-        if reply_kind is None:
-            if payload:
-                raise TransportError(
-                    f"one-way {kind} message to {dst!r} produced a reply"
-                )
-            return b""
-        self.note_message(
-            Message(
-                src=dst,
-                dst=self.site_id,
-                kind=reply_kind,
-                payload=payload,
-            ),
-            stamp=self._stamp(),
-        )
-        return payload
 
-    def _open_reply(self, dst: str, reply: SegReply) -> memoryview:
+    def _reply_payload(self, dst: str, reply: SegReply) -> memoryview:
         """Map a reply extent; the ack is deferred until this thread's
         next exchange so the caller can consume the view first."""
         conn = self._by_peer.get(dst)
@@ -1378,6 +1140,54 @@ class ShmTransport(Transport):
         )
         self._defer_release(lease)
         return view
+
+    def _deliver(
+        self, conn: _Connection, request: SegRequest, kind: MessageKind
+    ) -> bytes:
+        payload, lease = self._map_extent(
+            conn, request.src, request.kind, request.segment,
+            request.offset, request.length, request.extent, request.epoch,
+        )
+        try:
+            body = self.endpoint.handle(
+                Message(
+                    src=request.src,
+                    dst=request.dst,
+                    kind=kind,
+                    payload=payload,
+                    carrier_ref=lease,
+                )
+            )
+            if not lease.retained:
+                # The handler is done with the view: re-check for a
+                # tear before the extent goes back to its owner.
+                lease.validate()
+        finally:
+            lease.settle()
+        return body
+
+    def _reply_frame(
+        self, request: Union[Request, SegRequest],
+        body: Union[bytes, SegmentPayload],
+    ) -> Frame:
+        if not isinstance(body, SegmentPayload) and (
+            len(body) <= self.spill_threshold
+        ):
+            return super()._reply_frame(request, bytes(body))
+        spill = self._spill(body)
+        # Re-route the pin to the requester so a dead peer's unacked
+        # reply extent is reaped with its connection.
+        self._allocator.reroute(spill.offset, request.src)
+        return SegReply(
+            exchange_id=request.exchange_id,
+            status=STATUS_OK,
+            segment=self._allocator.name,
+            offset=spill.offset + _EXTENT_HEADER,
+            length=spill.length,
+            extent=spill.stamp,
+            epoch=self._allocator.epoch,
+            clock=self.endpoint.vclock.tick_wire(),
+        )
 
     def _defer_release(self, lease: SegmentLease) -> None:
         acks = getattr(self._deferred, "acks", None)
@@ -1482,23 +1292,16 @@ class ShmTransport(Transport):
                 f"no WELCOME from {dst!r} within {HANDSHAKE_TIMEOUT}s "
                 f"({exc})"
             ) from None
-        refusal: Optional[HandshakeError] = None
-        if isinstance(frame, Goodbye):
-            refusal = HandshakeError(
-                f"site {dst!r} refused the connection: {frame.reason}"
-            )
-        elif frame.version != self._protocol_version:
-            refusal = HandshakeError(
-                f"bad handshake from {dst!r}: expected WELCOME v"
-                f"{self._protocol_version}, got {frame!r}"
-            )
-        if refusal is not None:
+        try:
+            self._judge_welcome(dst, frame)
+        except HandshakeError as refusal:
             self._drop_conn(conn, refusal)
-            raise refusal
+            raise
         conn.greeting = None
         with self._conn_lock:
             self._by_peer[dst] = conn
-        self.dials[dst] = self.dials.get(dst, 0) + 1
+        with self._lock:
+            self.dials[dst] = self.dials.get(dst, 0) + 1
         return conn
 
     def _drop_conn(self, conn: _Connection, error: Exception) -> None:
@@ -1513,33 +1316,24 @@ class ShmTransport(Transport):
             self._allocator.release_peer(conn.peer)
         conn.release()
 
-    def ping(self, dst: str, timeout: float = 2.0) -> float:
-        """Round-trip a transport-level PING; returns the RTT seconds."""
-        if self._poller is None:
-            raise TransportError(
-                f"transport for {self.site_id!r} is not started"
-            )
-        name = self._resolve(dst)
+    def _attempt(
+        self, conn: _Connection, ident: int, encoded: bytes, copies: int,
+        timeout: float, sent: Callable[[int], None],
+    ) -> Frame:
+        # The poller finds the waiter by id and hands the frame over.
+        waiter = conn.pending[ident] = _Waiter()
         try:
-            conn = self._acquire(dst, name)
-        except (ConnectionError, OSError, TimeoutError) as exc:
-            raise TransportError(
-                f"no PONG from {dst!r} within {timeout}s ({exc})"
-            ) from None
-        token = next(self._exchange_ids)
-        waiter = _Waiter()
-        conn.pings[token] = waiter
-        started = time.monotonic()
-        try:
-            conn.write(encode_frame(Ping(token)), timeout)
-            waiter.wait(timeout)
-        except (ConnectionError, OSError, TimeoutError) as exc:
-            raise TransportError(
-                f"no PONG from {dst!r} within {timeout}s ({exc})"
-            ) from None
+            for copy in range(copies):
+                conn.write(encoded, timeout)
+                sent(copy)
+            return waiter.wait(timeout)
         finally:
-            conn.pings.pop(token, None)
-        return time.monotonic() - started
+            conn.pending.pop(ident, None)
+
+    def _push_reply(self, conn: _Connection, encoded: bytes) -> None:
+        # The peer will retransmit and hit the reply cache if this
+        # push fails (ring full, connection torn down).
+        conn.try_write(encoded, timeout=1.0)
 
     # -- poller ---------------------------------------------------------------
 
@@ -1656,27 +1450,12 @@ class ShmTransport(Transport):
             except FramingError:
                 conn.release()
                 continue
-            if not isinstance(frame, Hello):
-                conn.try_write(encode_frame(
-                    Goodbye(self.site_id, "expected HELLO")
-                ))
-                conn.release()
-                continue
-            if frame.version not in self._accept_versions:
-                supported = ", ".join(
-                    str(v) for v in sorted(self._accept_versions)
-                )
-                conn.try_write(encode_frame(Goodbye(
-                    self.site_id,
-                    f"unsupported protocol version {frame.version} "
-                    f"(supported: {supported})",
-                )))
+            answer = self._answer_hello(frame)
+            conn.try_write(encode_frame(answer))
+            if isinstance(answer, Goodbye):
                 conn.release()
                 continue
             conn.peer = frame.site_id
-            conn.try_write(encode_frame(
-                Welcome(frame.version, self.site_id)
-            ))
             with self._conn_lock:
                 self._conns[name] = conn
                 self._live = tuple(self._conns.values())
@@ -1708,7 +1487,7 @@ class ShmTransport(Transport):
             elif isinstance(frame, Ping):
                 conn.try_write(encode_frame(Pong(frame.token)))
             elif isinstance(frame, Pong):
-                waiter = conn.pings.pop(frame.token, None)
+                waiter = conn.pending.get(frame.token)
                 if waiter is not None:
                     waiter.resolve(frame)
             elif isinstance(frame, SegAck):
@@ -1821,150 +1600,3 @@ class ShmTransport(Transport):
                 data=data,
             )
         return view, lease
-
-    # -- server side ----------------------------------------------------------
-
-    def _serve_request(
-        self, conn: _Connection, request: Union[Request, SegRequest]
-    ) -> None:
-        """Run (or replay) one exchange and push its reply frame."""
-        key = (request.src, request.exchange_id)
-        cache = self.endpoint.reply_cache
-        encoded: Optional[bytes] = None
-        while True:
-            with self._serve_lock:
-                encoded = cache.get(key)
-                if encoded is not None:
-                    break
-                gate = self._inflight.get(key)
-                if gate is None:
-                    self._inflight[key] = threading.Event()
-                    break
-            # A retransmission arrived while the first transmission's
-            # handler is still running: wait for that one result.
-            gate.wait(HANDSHAKE_TIMEOUT)
-        if encoded is None:
-            try:
-                encoded = self._execute(conn, request)
-                with self._serve_lock:
-                    cache.put(key, encoded)
-            finally:
-                with self._serve_lock:
-                    gate = self._inflight.pop(key, None)
-                if gate is not None:
-                    gate.set()
-        if encoded is None:  # pragma: no cover - crash path only
-            return
-        if self._faults is not None and (
-            self._faults.reply_action() == FaultInjector.DROP
-        ):
-            self.stats.record_event(
-                self.clock.now,
-                "loss",
-                f"injected drop of reply {self.site_id}->{request.src}",
-                data={"site": self.site_id},
-            )
-            return
-        # The peer will retransmit and hit the reply cache if this
-        # push fails (ring full, connection torn down).
-        conn.try_write(encoded, timeout=1.0)
-
-    def _execute(
-        self, conn: _Connection, request: Union[Request, SegRequest]
-    ) -> bytes:
-        """Dispatch one request to its handler on this worker thread."""
-        lease: Optional[SegmentLease] = None
-        try:
-            kind = MessageKind(request.kind)
-            if self._faults is not None and (
-                self._faults.crash_on_receive(kind)
-            ):
-                # Planned death: the frame arrived but this process
-                # dies before its handler can run.
-                os._exit(FaultInjector.CRASH_EXIT_CODE)
-            # Observe the sender's piggybacked clock before the handler
-            # runs, so every event the handler records happens-after
-            # everything the sender did up to this exchange.
-            self.endpoint.vclock.merge_wire(request.clock)
-            if isinstance(request, SegRequest):
-                payload, lease = self._map_extent(
-                    conn, request.src, request.kind, request.segment,
-                    request.offset, request.length, request.extent,
-                    request.epoch,
-                )
-            else:
-                payload = request.payload
-            message = Message(
-                src=request.src,
-                dst=request.dst,
-                kind=kind,
-                payload=payload,
-                carrier_ref=lease,
-            )
-            body = self.endpoint.handle(message)
-            if lease is not None and not lease.retained:
-                # The handler is done with the view: re-check for a
-                # tear, then hand the extent back to its owner.
-                lease.validate()
-                lease.release()
-            if not request.expects_reply and body:
-                raise TransportError(
-                    f"one-way {kind} message produced a reply"
-                )
-            reply = self._build_reply(
-                request, STATUS_OK, body, request.src
-            )
-        except Exception as exc:  # noqa: BLE001 - ship transport errors
-            if lease is not None and not lease.retained:
-                lease.release()
-            reply = encode_frame(Reply(
-                request.exchange_id,
-                STATUS_HANDLER_ERROR,
-                f"{type(exc).__name__}: {exc}".encode("utf-8"),
-                clock=self.endpoint.vclock.tick_wire(),
-            ))
-        return reply
-
-    def _build_reply(
-        self,
-        request: Union[Request, SegRequest],
-        status: int,
-        body: Union[bytes, SegmentPayload],
-        peer: str,
-    ) -> bytes:
-        """Encode the reply, spilling large bodies to the data segment."""
-        clock = self.endpoint.vclock.tick_wire()
-        spill: Optional[SegmentPayload] = None
-        if isinstance(body, SegmentPayload):
-            spill = body
-        elif len(body) > self.spill_threshold and self._allocator:
-            spill = self.reserve_payload(len(body))
-            spill.view[:] = body
-        if spill is not None and self._allocator is not None:
-            if not spill.published:
-                self._allocator.publish(spill.offset)
-                spill.published = True
-            # Re-route the pin to the requester so a dead peer's
-            # unacked reply extent is reaped with its connection.
-            with self._allocator._lock:
-                entry = self._allocator._pins.get(spill.offset)
-                if entry is not None:
-                    entry[3] = peer
-            return encode_frame(SegReply(
-                exchange_id=request.exchange_id,
-                status=status,
-                segment=self._allocator.name,
-                offset=spill.offset + _EXTENT_HEADER,
-                length=spill.length,
-                extent=spill.stamp,
-                epoch=self._allocator.epoch,
-                clock=clock,
-            ))
-        return encode_frame(Reply(
-            request.exchange_id, status, bytes(body), clock=clock
-        ))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShmTransport({self.site_id!r}, address={self.address!r})"
-        )

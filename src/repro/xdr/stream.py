@@ -13,8 +13,7 @@ The streams are built for a zero-copy wire path:
   geometrically, packed in place with ``struct.pack_into``) instead of
   accumulating per-field ``bytes`` chunks; :meth:`XdrEncoder.getbuffer`
   exposes the encoded region as a ``memoryview`` so framing can copy a
-  payload onto the wire exactly once.  Buffers can be pooled across
-  messages via :meth:`XdrEncoder.pooled` / :meth:`XdrEncoder.release`.
+  payload onto the wire exactly once.
 * :class:`XdrDecoder` reads through a ``memoryview`` with
   ``unpack_from`` — no intermediate slice objects — and accepts
   ``bytes``, ``bytearray`` or ``memoryview`` input, so nested decoders
@@ -25,7 +24,7 @@ The streams are built for a zero-copy wire path:
 from __future__ import annotations
 
 import struct
-from typing import List, Union
+from typing import Union
 
 from repro.xdr.errors import XdrError
 
@@ -41,13 +40,6 @@ _F64 = struct.Struct(">d")
 
 _ZEROS = bytes(4)
 
-#: Free list of encoder buffers (see :meth:`XdrEncoder.pooled`).  Plain
-#: list append/pop are atomic under the GIL, which is all the thread
-#: safety the transport's handler pool needs.
-_BUFFER_POOL: List[bytearray] = []
-_BUFFER_POOL_LIMIT = 16
-_POOLED_BUFFER_BYTES = 8192
-
 Readable = Union[bytes, bytearray, memoryview]
 
 
@@ -61,27 +53,8 @@ class XdrEncoder:
 
     __slots__ = ("_buf",)
 
-    def __init__(self, buffer: bytearray = None) -> None:
-        self._buf = bytearray() if buffer is None else buffer
-
-    @classmethod
-    def pooled(cls) -> "XdrEncoder":
-        """An encoder backed by a recycled buffer (see :meth:`release`)."""
-        try:
-            buffer = _BUFFER_POOL.pop()
-        except IndexError:
-            buffer = bytearray()
-        return cls(buffer=buffer)
-
-    def release(self) -> None:
-        """Return the backing buffer to the pool; the encoder is dead."""
-        buffer, self._buf = self._buf, bytearray()
-        try:
-            del buffer[:]
-        except BufferError:
-            return  # a live view still pins the buffer; leave it to GC
-        if len(_BUFFER_POOL) < _BUFFER_POOL_LIMIT:
-            _BUFFER_POOL.append(buffer)
+    def __init__(self) -> None:
+        self._buf = bytearray()
 
     # -- integers -----------------------------------------------------------
 

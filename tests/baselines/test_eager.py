@@ -1,13 +1,14 @@
-"""Tests for the fully eager baseline (deep-copy marshalling)."""
+"""Tests for the fully eager baseline: the smart runtime under the
+``graphcopy`` policy (deep-copy marshalling)."""
 
 import pytest
 
-from repro.baselines.eager import FullyEagerRpc
 from repro.namesvc.client import TypeResolver
 from repro.namesvc.server import TypeNameServer
 from repro.rpc.errors import MarshalError, RpcRemoteError
 from repro.rpc.interface import InterfaceDef, Param, ProcedureDef
 from repro.rpc.stubgen import ClientStub, bind_server
+from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.workloads.traversal import (
     bind_tree_server,
     expected_search_checksum,
@@ -34,8 +35,12 @@ def pair(network):
     runtimes = []
     for site_id, arch in (("A", SPARC32), ("B", X86_64)):
         site = network.add_site(site_id)
-        runtime = FullyEagerRpc(
-            network, site, arch, resolver=TypeResolver(site, "NS")
+        runtime = SmartRpcRuntime(
+            network,
+            site,
+            arch,
+            resolver=TypeResolver(site, "NS"),
+            policy="graphcopy",
         )
         register_tree_types(runtime)
         register_list_types(runtime)

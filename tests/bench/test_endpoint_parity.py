@@ -41,8 +41,8 @@ PARITY_FIELDS = (
 
 def _align_session_ids():
     """Pin the process-global session counter for one compared pair
-    (session-id strings pad to XDR words; a digit-count change would
-    shift ``bytes_moved``)."""
+    (session-id strings pad to XDR words; crossing from ``A#zz`` to
+    ``A#100``, the 1 296th session, would shift ``bytes_moved``)."""
     rpc_session._session_numbers = itertools.count(100)
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.baselines.eager import FullyEagerRpc
 from repro.bench.harness import (
     FULLY_EAGER,
     FULLY_LAZY,
@@ -161,11 +160,14 @@ class TestRunHashCall:
 
 class TestEagerConstructorCompat:
     def test_fully_eager_class_is_the_pinned_runtime(self):
+        """The fully eager method has no class of its own: it is the
+        smart runtime under the policy named ``graphcopy``."""
         world = make_world(FULLY_EAGER)
-        eager = FullyEagerRpc(
+        eager = SmartRpcRuntime(
             world.network,
             world.network.add_site("E"),
             world.caller.arch,
+            policy="graphcopy",
         )
-        assert isinstance(eager, SmartRpcRuntime)
-        assert eager.policy.name == "graphcopy"
+        assert isinstance(eager.policy, GraphcopyPolicy)
+        assert eager.policy.name == world.caller.policy.name == "graphcopy"

@@ -52,8 +52,9 @@ transports = st.sampled_from([SIMNET, TCP])
 
 
 def _align_session_ids():
-    # Session ids embed a process-wide counter; pin it so paired runs
-    # produce identically-sized frames (see test_transport_equivalence).
+    # Session ids embed a process-wide counter; pin it below the 1 296th
+    # session so paired runs produce identically-sized frames (see
+    # test_transport_equivalence).
     rpc_session._session_numbers = itertools.count(500)
 
 

@@ -67,10 +67,12 @@ methods = st.sampled_from(METHODS)
 def _align_session_ids():
     """Restart the global session counter for one compared pair.
 
-    Session ids embed a process-wide counter; when the compared runs
-    straddle a digit-count boundary (``A#9`` vs ``A#10``), XDR string
-    padding shifts ``bytes_moved`` by one word per message.  Pinning
-    the counter makes the paired sessions byte-identical.
+    Session ids embed a process-wide counter, written in base 36;
+    when the compared runs straddle the one boundary where the padded
+    XDR string grows a word (``A#zz`` vs ``A#100``, the 1 296th
+    session — a long hypothesis run gets there), ``bytes_moved``
+    shifts by one word per message.  Pinning the counter makes the
+    paired sessions byte-identical.
     """
     rpc_session._session_numbers = itertools.count(100)
 

@@ -63,11 +63,7 @@ def _decode_clock(decoder: XdrDecoder) -> Tuple[Tuple[str, int], ...]:
 
 def encode_frame(frame: Frame) -> bytes:
     """Serialize ``frame`` as length prefix + body."""
-    encoder = XdrEncoder.pooled()
-    try:
-        return bytes(encode_frame_into(frame, encoder))
-    finally:
-        encoder.release()
+    return bytes(encode_frame_into(frame, XdrEncoder()))
 
 
 def encode_frame_into(frame: Frame, encoder: XdrEncoder) -> memoryview:

@@ -1,7 +1,8 @@
-"""ShmTransport behaviour: rings, segment extents, leases, reliability.
+"""ShmTransport behaviour: rings, segment extents, leases — and the
+exchange contract, run over real shared memory.
 
-The exchange-level tests mirror ``test_tcp.py`` one for one — the shm
-carrier implements the same contract — and then add what is unique to
+What an exchange does is stated once, in ``exchange_contract.py``, and
+imported here to run on this carrier.  The rest is what is unique to
 shared memory: extent handovers for bulk payloads, the stamp/epoch
 validation protocol, zero-copy send buffers, deferred reply acks and
 stale-segment reaping.
@@ -20,13 +21,7 @@ import pytest
 
 from repro.simnet.message import MessageKind
 from repro.simnet.stats import StatsCollector
-from repro.transport.base import (
-    FaultInjector,
-    HandshakeError,
-    RemoteHandlerError,
-    RetryPolicy,
-    TransportError,
-)
+from repro.transport.base import TransportError
 from repro.transport.framing import FramingError
 from repro.transport.shm import (
     HEARTBEAT_INTERVAL,
@@ -35,12 +30,13 @@ from repro.transport.shm import (
     ShmTransport,
     _EXTENT_HEADER,
     _Ring,
-    _SLOT_HEADER,
     purge_stale_segments,
 )
-
-FAST_RETRY = RetryPolicy(
-    timeout=0.2, backoff=2.0, max_timeout=1.0, max_attempts=4
+from tests.transport.exchange_contract import *  # noqa: F401,F403
+from tests.transport.exchange_contract import (
+    FAST_RETRY,
+    _echo_server,
+    opened_stacks,
 )
 
 _U64 = struct.Struct("<Q")
@@ -166,82 +162,29 @@ def test_allocator_epoch_bump(allocator):
     assert header_epoch == allocator.epoch
 
 
-# -- transport fixture --------------------------------------------------------
+# -- the exchange contract, on this carrier -----------------------------------
+
+
+@pytest.fixture
+def carrier():
+    return ShmTransport
 
 
 @pytest.fixture
 def stacks():
     """Factory for started transports, all closed at teardown."""
     opened = []
-
-    def make(site_id, **kwargs):
-        kwargs.setdefault("retry", FAST_RETRY)
-        transport = ShmTransport(site_id, **kwargs)
-        transport.start()
-        opened.append(transport)
-        for other in opened:
-            if other is not transport:
-                if transport.address is not None:
-                    other.add_peer(site_id, transport.address)
-                if other.address is not None:
-                    transport.add_peer(other.site_id, other.address)
-        return transport
-
-    yield make
-    names = [t.name for t in opened]
-    for transport in opened:
-        transport.close()
+    yield from opened_stacks(ShmTransport, opened)
     # Every segment this test created must be gone from /dev/shm.
     leftovers = [
         entry
         for entry in os.listdir(SHM_DIR)
-        if any(entry.startswith(name) for name in names)
+        if any(entry.startswith(transport.name) for transport in opened)
     ]
     assert leftovers == []
 
 
-def _echo_server(stacks, site_id="B", **kwargs):
-    server = stacks(site_id, **kwargs)
-    server.endpoint.register_handler(
-        MessageKind.CALL, lambda m: b"echo:" + m.payload
-    )
-    return server
-
-
-# -- exchange contract (mirrors test_tcp.py) ----------------------------------
-
-
-def test_basic_exchange(stacks):
-    _echo_server(stacks)
-    client = stacks("A")
-    reply = client.endpoint.send(
-        "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"echo:hi"
-
-
-def test_one_way_message(stacks):
-    server = stacks("B")
-    seen = []
-    server.endpoint.register_handler(
-        MessageKind.INVALIDATE, lambda m: seen.append(m.payload) or b""
-    )
-    client = stacks("A")
-    assert client.endpoint.send("B", MessageKind.INVALIDATE, b"x") == b""
-    assert seen == [b"x"]
-
-
-def test_connection_pool_reuses_one_dial(stacks):
-    _echo_server(stacks)
-    client = stacks("A")
-    for index in range(10):
-        client.endpoint.send(
-            "B",
-            MessageKind.CALL,
-            str(index).encode(),
-            reply_kind=MessageKind.REPLY,
-        )
-    assert client.dials["B"] == 1
+# -- the listener (what a shm link adds) -------------------------------------
 
 
 def test_seen_connection_names_do_not_accumulate(stacks):
@@ -265,134 +208,6 @@ def test_seen_connection_names_do_not_accumulate(stacks):
         time.sleep(HEARTBEAT_INTERVAL)  # the next heartbeat's rescan
     assert server._seen_conn_names == set()
     assert server._live == ()
-
-
-def test_handshake_version_mismatch_refused(stacks):
-    _echo_server(stacks)
-    rogue = stacks("R", protocol_version=99)
-    with pytest.raises(HandshakeError) as excinfo:
-        rogue.endpoint.send(
-            "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-        )
-    assert "version" in str(excinfo.value)
-
-
-def test_dropped_request_is_retransmitted(stacks):
-    _echo_server(stacks)
-    client = stacks("A", faults=FaultInjector(drop_requests={1}))
-    reply = client.endpoint.send(
-        "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"echo:hi"
-    assert client.retransmissions == 1
-
-
-def test_duplicated_request_executes_once(stacks):
-    server = stacks("B")
-    calls = []
-    server.endpoint.register_handler(
-        MessageKind.CALL,
-        lambda m: calls.append(m.payload) or str(len(calls)).encode(),
-    )
-    client = stacks("A", faults=FaultInjector(duplicate_requests={1}))
-    reply = client.endpoint.send(
-        "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"1"
-    assert calls == [b"hi"]
-
-
-def test_dropped_reply_served_from_cache(stacks):
-    server = stacks("B", faults=FaultInjector(drop_replies={1}))
-    calls = []
-    server.endpoint.register_handler(
-        MessageKind.CALL,
-        lambda m: calls.append(m.payload) or str(len(calls)).encode(),
-    )
-    client = stacks("A")
-    reply = client.endpoint.send(
-        "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"1"
-    assert calls == [b"hi"]
-    assert client.retransmissions >= 1
-    assert server.endpoint.reply_cache.hits >= 1
-
-
-def test_retry_exhaustion_raises(stacks):
-    _echo_server(stacks)
-    client = stacks(
-        "A",
-        faults=FaultInjector(drop_requests={1, 2}),
-        retry=RetryPolicy(timeout=0.1, max_attempts=2),
-    )
-    with pytest.raises(TransportError):
-        client.endpoint.send(
-            "B", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
-        )
-
-
-def test_unknown_destination_raises(stacks):
-    client = stacks("A")
-    with pytest.raises(TransportError):
-        client.endpoint.send(
-            "nowhere", MessageKind.CALL, b"", reply_kind=MessageKind.REPLY
-        )
-
-
-def test_remote_handler_exception_propagates(stacks):
-    server = stacks("B")
-
-    def explode(message):
-        raise RuntimeError("kaboom")
-
-    server.endpoint.register_handler(MessageKind.CALL, explode)
-    client = stacks("A")
-    with pytest.raises(RemoteHandlerError) as excinfo:
-        client.endpoint.send(
-            "B", MessageKind.CALL, b"", reply_kind=MessageKind.REPLY
-        )
-    assert "kaboom" in str(excinfo.value)
-
-
-def test_nested_exchange_back_to_blocked_caller(stacks):
-    """B's handler calls back into A while A is blocked on B — the
-    shape of every fault-driven data request."""
-    a = stacks("A")
-    b = stacks("B")
-    a.endpoint.register_handler(
-        MessageKind.DATA_REQUEST, lambda m: b"data:" + m.payload
-    )
-
-    def relay(message):
-        inner = b.endpoint.send(
-            "A",
-            MessageKind.DATA_REQUEST,
-            message.payload,
-            reply_kind=MessageKind.DATA_REPLY,
-        )
-        return b"relay:" + inner
-
-    b.endpoint.register_handler(MessageKind.CALL, relay)
-    reply = a.endpoint.send(
-        "B", MessageKind.CALL, b"x", reply_kind=MessageKind.REPLY
-    )
-    assert reply == b"relay:data:x"
-
-
-def test_ping_measures_round_trip(stacks):
-    _echo_server(stacks)
-    client = stacks("A")
-    assert client.ping("B") > 0.0
-
-
-def test_send_before_start_raises():
-    transport = ShmTransport("A")
-    try:
-        with pytest.raises(TransportError):
-            transport.exchange("B", MessageKind.CALL, b"", None)
-    finally:
-        transport.close()
 
 
 # -- segment handover (what shm adds) -----------------------------------------

@@ -7,7 +7,7 @@ pays one production copy into its data segment and the client maps
 the extent in place, where TCP re-copies the body through framing,
 two socket buffers and a reassembled ``bytes``.  Everything here
 measures the *slope* between a small and a large reply, so every
-fixed per-exchange cost (rings, wakeups, dials) cancels out.
+fixed per-exchange cost (frames, wakeups, dials) cancels out.
 :func:`carrier_rtt_us` measures exactly what the slopes cancel: the
 round trip of a 16-byte echo, the cost unit of the paper's callback —
 and, as the yardstick that makes it comparable across hosts, the same
@@ -220,7 +220,7 @@ def _frame_roundtrip_us(batch: int = 256) -> float:
         for _ in range(batch):
             encoder.reset()
             image = encode_frame_into(request, encoder)
-            wire = bytes(image)  # what a socket or ring would carry
+            wire = bytes(image)  # what a socket would carry
             image.release()
             decode_frame(memoryview(wire)[4:])  # body after the length
 

@@ -15,8 +15,8 @@ Worlds come in two transports (``transport=`` of :func:`make_world`):
   are genuine wall time.  Message/byte/fault counters are identical
   across the two, which the equivalence property test pins down.
 * ``shm`` — three :class:`~repro.transport.shm.ShmTransport` stacks
-  exchanging the same frames through shared-memory ring buffers, with
-  bulk payloads handed over as segment offsets instead of copies;
+  exchanging the same frames over local sockets, with bulk payloads
+  handed over as shared-memory segment offsets instead of copies;
   ``seconds`` are wall time, counters again identical.
 
 TCP and shm worlds own OS resources (ports, threads, shared-memory
@@ -228,9 +228,9 @@ def make_world(
         caller_net = callee_net = network
     elif transport in _CARRIERS:
         # Three real stacks on this host sharing one stats collector
-        # and one peer table (site id -> (host, port) or listener
-        # segment name, updated in place as listeners come up).
-        # Neither localhost nor a ring loses anything, so a patient
+        # and one peer table (site id -> (host, port) or transport
+        # name, updated in place as listeners come up).
+        # Neither carrier loses anything on one host, so a patient
         # retry schedule keeps large eager transfers from timing out
         # into retransmissions that would skew the message/byte
         # counters under measurement.

@@ -290,23 +290,6 @@ def handle_writeback_commit(
     return b""
 
 
-def handle_write_back(
-    runtime: "SmartRpcRuntime", message: Message
-) -> bytes:
-    """Home-space side of write-back: update original data."""
-    runtime.clock.advance(
-        runtime.cost_model.codec_cost(len(message.payload))
-    )
-    decoder = XdrDecoder(message.payload)
-    session_id = decoder.unpack_string()
-    ground_site = decoder.unpack_string()
-    batch = decoder.unpack_opaque()
-    decoder.expect_done()
-    state = runtime.ensure_smart_session(session_id, ground_site)
-    transfer.apply_batch(runtime, state, batch, overwrite=True)
-    return b""
-
-
 def handle_invalidate(
     runtime: "SmartRpcRuntime", message: Message
 ) -> bytes:

@@ -146,10 +146,6 @@ class SmartRpcRuntime(RpcRuntime):
             lambda message: transfer.handle_data_request(self, message),
         )
         site.register_handler(
-            MessageKind.WRITE_BACK,
-            lambda message: coherency.handle_write_back(self, message),
-        )
-        site.register_handler(
             MessageKind.WRITEBACK_PREPARE,
             lambda message: coherency.handle_writeback_prepare(self, message),
         )

@@ -6,7 +6,8 @@ One *batch* format carries typed data everywhere data moves:
   closure),
 * piggybacked on every call and reply (the coherency protocol's
   modified data set),
-* in a ``WRITE_BACK`` at session end.
+* in a ``WRITEBACK_PREPARE`` at session end (staged at its home,
+  applied by the ``WRITEBACK_COMMIT`` that follows).
 
 Batch layout (canonical XDR)::
 

@@ -37,7 +37,7 @@ from repro.transport.host import (
     run_shutdown,
     run_status,
 )
-from repro.transport.shm import DEFAULT_RING_SLOTS, DEFAULT_SEGMENT_SIZE
+from repro.transport.shm import DEFAULT_SEGMENT_SIZE
 from repro.transport.tracemerge import run_merge
 
 
@@ -46,7 +46,7 @@ def _add_registry_options(parser: argparse.ArgumentParser) -> None:
         "--registry",
         metavar="ADDR",
         help="address of the registry host (site directory): HOST:PORT "
-        "over tcp, the registry's listener segment name over shm",
+        "over tcp, the registry's srpc-<hex> name over shm",
     )
     parser.add_argument(
         "--registry-site",
@@ -59,7 +59,8 @@ def _add_registry_options(parser: argparse.ArgumentParser) -> None:
         choices=TRANSPORTS,
         default="tcp",
         help="carrier to serve or dial on: tcp sockets, or shm "
-        "(same-machine shared-memory segments; default tcp)",
+        "(same machine: a local socket for the frames, a shared-memory "
+        "segment for bulk bodies; default tcp)",
     )
 
 
@@ -154,14 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="shm only: data segment size for bulk payload handover "
         f"(default {DEFAULT_SEGMENT_SIZE})",
-    )
-    serve.add_argument(
-        "--ring-slots",
-        type=int,
-        default=DEFAULT_RING_SLOTS,
-        metavar="N",
-        help="shm only: control-ring slots per direction "
-        f"(default {DEFAULT_RING_SLOTS})",
     )
     serve.set_defaults(run=run_serve)
 

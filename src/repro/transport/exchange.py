@@ -17,16 +17,19 @@ clock, and a :class:`~repro.transport.base.FaultInjector` drops,
 duplicates and crash-kills at the same ordinals on either carrier.
 
 :class:`ExchangeTransport` is the skeleton; a carrier subclasses it
-and supplies its *link*, which is all that differs between a socket
-and a ring:
+and supplies its *link*
+(:class:`~repro.transport.stream.StreamTransport` is the one both
+have):
 
 ``_address_of(host, port)``
     A directory record as the address ``_acquire`` dials.
 ``_acquire(dst, address)`` / ``_release(dst, conn)`` / ``_discard(conn)``
-    Get a connection to ``dst`` (dialling and shaking hands if need
+    Take a connection to ``dst`` (dialling and shaking hands if need
     be; ``OSError`` when that fails), give it back after a completed
-    exchange, drop it after a failed attempt.  The last two default to
-    nothing, for a link whose connections are shared rather than taken.
+    exchange, close it after a failed attempt: it may hold half a
+    frame.  A refused connect returns at once, so the loop waits the
+    attempt's timeout out before the next — the retry schedule spans a
+    peer that is just restarting.
 ``_attempt(conn, ident, encoded, copies, timeout, sent)``
     One attempt: register interest in ``ident``, put ``encoded`` on
     the wire ``copies`` times (0 = dropped in transit, 2 = duplicated)
@@ -43,17 +46,9 @@ shared-memory carrier ship a body by reference: ``_request_frame`` /
 takes back the body of a request nobody will answer, ``_deliver`` /
 ``_reply_payload`` open what is not a plain ``Request`` / ``Reply``.
 
-Where the two carriers had drifted apart, one behaviour was chosen
-(``tests/transport/exchange_contract.py`` pins each):
+Where the two carriers had once drifted apart, one behaviour was
+chosen (``tests/transport/exchange_contract.py`` pins each):
 
-* **Connect failure** backs off ``min(attempt timeout,
-  CONNECT_BACKOFF)``, a class constant per link: a refused TCP connect
-  returns at once, so tcp waits the whole attempt out; a refused shm
-  dial has already been a missing segment or a whole
-  ``HANDSHAKE_TIMEOUT`` of silence, so shm waits one heartbeat.
-* **A failed attempt** calls ``_discard``: tcp closes the connection
-  (it may hold half a frame), shm keeps it — its poller owns liveness,
-  and a ring loses nothing.
 * **The in-flight gate** is waited on once, without a timeout (the
   running handler's ``finally`` always opens it); a retransmission that
   then finds nothing cached gives up, and the peer retransmits again.
@@ -61,8 +56,7 @@ Where the two carriers had drifted apart, one behaviour was chosen
   ``retransmissions``, ``dials`` and the statistics counters: callers'
   threads and serving threads touch all of them on both carriers.
 * **Handlers** are bounded by :data:`MAX_HANDLERS`, a constant no
-  caller ever chose otherwise, through each link's own threading: the
-  size of shm's worker pool, a semaphore tcp's serving threads pass.
+  caller ever chose otherwise: a semaphore the serving threads pass.
 * **The running check** is made before every attempt, so a closed
   transport fails at once on either carrier instead of dialling.
 
@@ -155,9 +149,6 @@ class ExchangeTransport(Transport):
     #: The carrier's :class:`ExchangeEndpoint` subclass.
     endpoint_class = ExchangeEndpoint
 
-    #: Longest wait between a failed connect and the next attempt.
-    CONNECT_BACKOFF: float
-
     def __init__(
         self,
         site_id: str,
@@ -215,11 +206,13 @@ class ExchangeTransport(Transport):
     def _acquire(self, dst: str, address):
         """A connection to ``dst``; ``OSError`` if none can be made."""
 
+    @abc.abstractmethod
     def _release(self, dst: str, conn) -> None:
         """Give ``conn`` back after a completed exchange."""
 
+    @abc.abstractmethod
     def _discard(self, conn) -> None:
-        """Drop ``conn`` after a failed attempt."""
+        """Close ``conn`` after a failed attempt."""
 
     @abc.abstractmethod
     def _attempt(
@@ -255,8 +248,9 @@ class ExchangeTransport(Transport):
     def _abandon(self, frame: Frame) -> None:
         """The exchange ``frame`` opened has failed for good."""
 
-    def _reply_payload(self, dst: str, reply):
-        """The body of a reply that is not a plain ``Reply``."""
+    def _reply_payload(self, conn, dst: str, reply):
+        """The body of a reply, not a plain ``Reply``, that ``conn``
+        brought."""
         raise NotImplementedError
 
     def _deliver(self, conn, request, kind: MessageKind) -> bytes:
@@ -362,20 +356,21 @@ class ExchangeTransport(Transport):
         message = Message(self.site_id, dst, kind, logical)
         try:
             # Encoded once: every retransmission carries the same clock.
-            reply = self._run_attempts(
+            conn, reply = self._run_attempts(
                 dst, address, exchange_id, encode_frame(frame), message,
                 timeout, deadline,
             )
         except BaseException:
             self._abandon(frame)
             raise
-        return self._finish(dst, kind, reply_kind, reply)
+        return self._finish(conn, dst, kind, reply_kind, reply)
 
     def _run_attempts(
         self, dst: str, address, exchange_id: int, encoded: bytes,
         message: Message, cap: Optional[float], deadline: Optional[float],
-    ) -> Reply:
-        """The retry loop: connect, transmit, wait, back off."""
+    ) -> tuple:
+        """The retry loop: connect, transmit, wait, back off.  Returns
+        the reply and, first, the connection that brought it."""
         kind = message.kind
         faults = self._faults
 
@@ -411,7 +406,7 @@ class ExchangeTransport(Transport):
                     f"connect to {dst!r} failed ({exc}); retrying",
                     site=self.site_id,
                 )
-                self._closed.wait(min(timeout, self.CONNECT_BACKOFF))
+                self._closed.wait(timeout)
                 continue
             copies = 1
             if faults is not None:
@@ -444,7 +439,7 @@ class ExchangeTransport(Transport):
                 self._discard(conn)
                 raise
             self._release(dst, conn)
-            return reply
+            return conn, reply
         raise TransportError(
             f"{kind.value} exchange {self.site_id!r}->{dst!r} failed "
             f"after {attempts} attempts ({last_error})"
@@ -466,6 +461,7 @@ class ExchangeTransport(Transport):
 
     def _finish(
         self,
+        conn,
         dst: str,
         kind: MessageKind,
         reply_kind: Optional[MessageKind],
@@ -478,7 +474,7 @@ class ExchangeTransport(Transport):
         if reply.__class__ is Reply:
             payload = reply.payload
         else:
-            payload = self._reply_payload(dst, reply)
+            payload = self._reply_payload(conn, dst, reply)
         if reply.status == STATUS_HANDLER_ERROR:
             raise RemoteHandlerError(
                 f"{kind.value} handler at {dst!r} failed: "

@@ -4,9 +4,9 @@ Every frame on the wire is a 4-byte big-endian body length followed by
 the body; the body is a frame-type word followed by XDR-encoded fields
 (the encoding discipline of the :mod:`repro.xdr` streams the RPC
 payloads use, so the whole wire format has one).  The TCP transport
-writes frames onto sockets; the shared-memory transport
-(:mod:`repro.transport.shm`) writes the *same* frames into its ring
-buffers, so both carriers share one codec and one handshake.
+and the shared-memory transport (:mod:`repro.transport.shm`) write the
+*same* frames onto their sockets, through one link
+(:mod:`repro.transport.stream`), one codec and one handshake.
 
 Frame vocabulary::
 
@@ -25,7 +25,7 @@ Frame vocabulary::
                                    segment extent; the owner may reuse it
 
 The ``SEG_*`` frames are the shared-memory carrier's zero-copy path:
-instead of copying a large payload through the ring they hand over an
+instead of copying a large payload through the socket they hand over an
 *offset* into the sender's data segment (see
 :class:`repro.transport.shm.SegmentAllocator`), which the receiver maps
 as a ``memoryview`` and decodes in place.  TCP never emits them.

@@ -61,7 +61,6 @@ from repro.transport.base import (
     TransportError,
 )
 from repro.transport.shm import (
-    DEFAULT_RING_SLOTS,
     DEFAULT_SEGMENT_SIZE,
     ShmTransport,
     purge_stale_segments,
@@ -90,10 +89,10 @@ from repro.xdr.view import StructView
 #: Default site id of the registry host (directory + type name server).
 REGISTRY_SITE = "NS"
 
-#: Carriers a host can serve on.  ``tcp`` listens on a socket; ``shm``
-#: listens on a shared-memory segment (same-machine deployments), and
-#: its "address" is the listener segment name published to the
-#: directory as a host string with port 0.
+#: Carriers a host can serve on.  ``tcp`` listens on a TCP socket;
+#: ``shm`` (same-machine deployments) on a local socket beside its
+#: shared data segment, and its "address" is the transport's name,
+#: published to the directory as a host string with port 0.
 TRANSPORTS = ("tcp", "shm")
 
 
@@ -111,43 +110,31 @@ def _make_transport(
     faults: Optional[FaultInjector] = None,
     listen: bool = True,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    ring_slots: int = DEFAULT_RING_SLOTS,
 ):
     """Build (and start) the chosen carrier for one host process."""
     if transport == "shm":
         # Reap segments abandoned by crashed hosts (``os._exit`` never
         # runs ``close()``) before creating fresh ones.
         purge_stale_segments()
-        built = ShmTransport(
-            site_id,
-            stats=stats,
-            clock=clock,
-            peers=peers,
-            directory_site=directory_site,
-            retry=retry,
-            faults=faults,
-            listen=listen,
-            segment_size=segment_size,
-            ring_slots=ring_slots,
-        )
+        carrier, extras = ShmTransport, {"segment_size": segment_size}
     elif transport == "tcp":
-        built = TcpTransport(
-            site_id,
-            host,
-            port,
-            stats=stats,
-            clock=clock,
-            peers=peers,
-            directory_site=directory_site,
-            retry=retry,
-            faults=faults,
-            listen=listen,
-        )
+        carrier, extras = TcpTransport, {"host": host, "port": port}
     else:
         raise TransportError(
             f"unknown transport {transport!r} (expected one of "
             f"{', '.join(TRANSPORTS)})"
         )
+    built = carrier(
+        site_id,
+        stats=stats,
+        clock=clock,
+        peers=peers,
+        directory_site=directory_site,
+        retry=retry,
+        faults=faults,
+        listen=listen,
+        **extras,
+    )
     built.start()
     return built
 
@@ -328,7 +315,6 @@ def make_space(
     orphan_grace: float = 0.0,
     transport: str = "tcp",
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    ring_slots: int = DEFAULT_RING_SLOTS,
 ):
     """Build one carrier-attached address space: transport plus runtime.
 
@@ -341,7 +327,7 @@ def make_space(
     use static peers).
     """
     if transport == "shm" and isinstance(registry, tuple):
-        registry = registry[0]  # the directory's listener segment name
+        registry = registry[0]  # the directory's transport name
     peers = {registry_site: registry} if registry is not None else None
     built = _make_transport(
         transport,
@@ -356,7 +342,6 @@ def make_space(
         faults=faults,
         listen=listen,
         segment_size=segment_size,
-        ring_slots=ring_slots,
     )
     resolver = TypeResolver(
         built.endpoint,
@@ -414,12 +399,11 @@ class ProcessHost:
         orphan_grace: float = 0.0,
         transport: str = "tcp",
         segment_size: int = DEFAULT_SEGMENT_SIZE,
-        ring_slots: int = DEFAULT_RING_SLOTS,
     ) -> None:
         if not serve_registry and registry is None:
             raise TransportError(
                 "a space host needs --registry (HOST:PORT, or the "
-                "registry's segment name under --transport shm) to "
+                "registry's name under --transport shm) to "
                 "find peers"
             )
         self.site_id = site_id
@@ -445,7 +429,6 @@ class ProcessHost:
                 stats=self._stats,
                 retry=retry,
                 segment_size=segment_size,
-                ring_slots=ring_slots,
             )
             self.directory = SiteDirectory(self.transport.endpoint)
             registry_types = TypeRegistry()
@@ -470,7 +453,6 @@ class ProcessHost:
                 orphan_grace=orphan_grace,
                 transport=transport,
                 segment_size=segment_size,
-                ring_slots=ring_slots,
             )
             self._directory_client = DirectoryClient(
                 self.transport.endpoint, registry_site
@@ -489,7 +471,7 @@ class ProcessHost:
     def address(self) -> Tuple[str, int]:
         """The bound listening address.
 
-        A shm host's "address" is its listener segment name; it is
+        A shm host's "address" is its transport's name; it is
         normalised to ``(name, 0)`` so directory registration and the
         READY line keep the one ``host:port`` shape everywhere.
         """
@@ -640,8 +622,8 @@ def parse_address(text: str) -> Tuple[str, int]:
 
 
 def _registry_argument(args):
-    """The --registry value: ``(host, port)`` on tcp, a bare listener
-    segment name on shm (a ``name:0`` form is accepted too)."""
+    """The --registry value: ``(host, port)`` on tcp, a bare transport
+    name on shm (a ``name:0`` form is accepted too)."""
     if args.registry is None:
         return None
     if getattr(args, "transport", "tcp") == "shm":
@@ -686,7 +668,6 @@ def run_serve(args) -> int:
         orphan_grace=args.orphan_grace,
         transport=args.transport,
         segment_size=args.segment_size,
-        ring_slots=args.ring_slots,
     )
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: host.request_stop())

@@ -4,69 +4,63 @@
 :class:`~repro.transport.tcp.TcpTransport`.  It speaks the exact same
 :class:`~repro.transport.base.Transport` / ``Endpoint`` contract —
 every runtime, workload, benchmark and test runs on it unmodified via
-``make_world(transport="shm")`` — but nothing it ships crosses a
-socket.  Control traffic flows through lock-free SPSC ring buffers in
-a shared *connection segment*; bulk payloads (protected-page fills,
-activity transfers, write-back batches) never enter the rings at all:
-the sender parks the bytes once in its own *data segment* and ships a
-``SEG_REQUEST`` / ``SEG_REPLY`` frame carrying only ``(segment,
-offset, length, extent, epoch)`` — the swizzling target of a long
-pointer becomes a segment offset, and the receiver reads the payload
-in place through a ``memoryview``.
+``make_world(transport="shm")``.  Shared memory carries the pages, a
+socket carries the frames: the carrier is **the stream link plus a
+data segment**.
 
-Layout and protocol
--------------------
+* The **control plane** is
+  :class:`~repro.transport.stream.StreamTransport`, the link tcp runs,
+  over an ``AF_UNIX`` stream socket in the abstract namespace at
+  ``"\\0" + name`` (``srpc-<hex>``; no file to leak, gone with the
+  process).  The bare name is the transport's published address —
+  directory registrations carry it in the ``host`` field with port 0.
+  Threads, pool, handshake, at-most-once and liveness are that link's:
+  a dead peer is EOF, seen at once by whoever is blocked on it.
+* The **data segment** (``<name>.d``), one POSIX shared-memory object
+  per started transport, backs the zero-copy path.  Bulk payloads
+  (protected-page fills, activity transfers, write-back batches) never
+  enter the socket: a body above ``ShmTransport.spill_threshold`` is
+  parked once in the sender's segment and a ``SEG_REQUEST`` /
+  ``SEG_REPLY`` frame carries only ``(segment, offset, length, extent,
+  epoch)`` — the swizzling target of a long pointer becomes a segment
+  offset, and the receiver reads the payload in place through a
+  ``memoryview``.
 
-Three kinds of POSIX shared-memory segment, all named under the
-transport's random base name (``srpc-<hex>``):
+A :class:`SegmentAllocator` hands out epoch-stamped *extents*
+(``[stamp:u64][len:u32][pad]`` + payload, stamp written last as the
+publication barrier).  The receiver validates the segment epoch and
+extent stamp before reading and acknowledges with ``SEG_ACK`` when
+done, which unpins the extent for reuse.  The two-phase write-back of
+DESIGN.md §12 commits *in place*: ``WRITEBACK_PREPARE`` stages a
+:class:`SegmentLease` on the staged batch (the bytes stay in the
+sender's segment), and ``WRITEBACK_COMMIT`` applies through the staged
+view and releases the lease — the commit is the flip of the extent's
+stamp word from pinned to retired, not a re-ship of pages.
 
-* the **listener segment** (the base name itself) is the transport's
-  published address — directory registrations carry it in the ``host``
-  field with port 0.  Its header holds magic, protocol version, owner
-  pid and a ready/closed word so a dialer can refuse a corpse.
-* a **connection segment** (``<listener>.c<hex>``) is created by each
-  dialer: a header with per-side closed flags, heartbeat words and the
-  dialer's doorbell name, then two slotted SPSC rings
-  (dialer→listener, listener→dialer).
-  A slot is ``[seq:u64][len:u32][pad][payload]``; the producer writes
-  length and payload first and publishes by storing ``seq = pos + 1``
-  last, the consumer retires the slot by storing ``seq = pos + slots``
-  (Vyukov's sequence scheme; aligned 8-byte stores are the only
-  synchronisation on the data path).
-* the **data segment** (``<listener>.d``) backs the zero-copy path:
-  a :class:`SegmentAllocator` hands out epoch-stamped *extents*
-  (``[stamp:u64][len:u32][pad]`` + payload, stamp written last as the
-  publication barrier).  The receiver validates the segment epoch and
-  extent stamp before reading and acknowledges with ``SEG_ACK`` when
-  done, which unpins the extent for reuse.  The two-phase write-back
-  of DESIGN.md §12 commits *in place*: ``WRITEBACK_PREPARE`` stages a
-  :class:`SegmentLease` on the staged batch (the bytes stay in the
-  sender's segment), and ``WRITEBACK_COMMIT`` applies through the
-  staged view and releases the lease — the commit is the flip of the
-  extent's stamp word from pinned to retired, not a re-ship of pages.
+Three decisions the stream link leaves to this module:
 
-Nobody polls.  Every started transport owns one **doorbell**: a
-datagram socket in the abstract namespace at ``"\\0" + name``, on
-which its poller sleeps.  Whoever pushes a frame into a ring then
-sends the consumer one byte; the poller takes one datagram off the
-bell and *then* pumps every ring, so a frame pushed before its
-datagram was sent is seen by the lap that datagram caused — a queued
-datagram can cost an empty lap, never a waiting frame.  The sleep is
-capped by :data:`HEARTBEAT_INTERVAL`, and each heartbeat lap also
-rescans for dialers, so a bell that was never rung (full queue, dead
-sender) makes an exchange one beat slower, not stuck, and a peer that
-will never ring again is still found by its stale heartbeat word.  The
-bell carries no data and no authority: a stranger's datagram is one
-empty lap, and everything read after it is validated as before.
-
-The exchange itself — ids, retransmission, at-most-once, faults,
-clocks, dispatch — is :class:`~repro.transport.exchange.ExchangeTransport`;
-this module is its shared-memory *link* plus the payload hooks that
-ship a body by reference.  Peer death is detected by heartbeat words
-going stale (or a closed flag) — never a hang — and a dying transport
-bumps its data segment's epoch so any extent reference still in flight
-fails validation instead of reading freed memory (no torn page can be
-observed).
+* **Acks.**  A ``SEG_ACK`` names ``(segment, offset, extent)`` and
+  rides the connection its extent arrived on, written whole (under
+  that connection's write lock) by whichever thread releases the
+  lease: the serving thread once the handler returns, the caller at
+  its next exchange, the commit handler or the orphan reaper for a
+  retained write-back lease.  It arrives where no reader waits for it
+  — ahead of a reply, on a pooled connection, between requests — and
+  the link hands every such frame to :meth:`ShmTransport._stray`,
+  which unpins.  Best effort: an ack that cannot be written is an
+  extent that ages out after :data:`PIN_TTL`.
+* **Liveness.**  When the peer ends the *last* connection this side
+  has with it — EOF, reset, GOODBYE or garbage — what was shipped to
+  it is unpinned (``release_peer``): nobody is left to ack.  While
+  another connection with that peer lives, one ending proves nothing
+  (the peer evicted it from its pool, or gave it up after a timeout,
+  and may be reading a reply extent still), and this side's own
+  evictions unpin nothing.  Stamp and epoch validation is what turns
+  a reference that outlived its pin into a :class:`TransportError`
+  instead of a torn page; a dying transport bumps its segment's epoch
+  so every reference still in flight fails it.
+* **The spill threshold** is a constant: every frame on the socket is
+  smaller than one page.
 
 Every zero-copy mapping records a ``segment-handover`` trace event
 (checked offline by rule SRPC330 and replayed by the SRPC4xx
@@ -78,116 +72,56 @@ from __future__ import annotations
 
 import itertools
 import os
-import queue
 import socket
 import struct
 import threading
 import time
-import traceback
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.simnet.message import Message, MessageKind
-from repro.transport.base import (
-    HANDSHAKE_TIMEOUT,
-    HandshakeError,
-    TransportError,
-)
-from repro.transport.exchange import (
-    MAX_HANDLERS,
-    ExchangeEndpoint,
-    ExchangeTransport,
-)
+from repro.transport.base import HANDSHAKE_TIMEOUT, TransportError
+from repro.transport.exchange import ExchangeEndpoint
 from repro.transport.framing import (
     PROTOCOL_VERSION,
     STATUS_OK,
-    FramingError,
     Frame,
-    Goodbye,
-    Hello,
-    Ping,
-    Pong,
-    Reply,
     Request,
     SegAck,
     SegReply,
     SegRequest,
-    Welcome,
-    decode_frame,
     encode_frame,
 )
+from repro.transport.stream import Connection, StreamTransport
 
 #: Where the kernel exposes POSIX shared memory objects.
 SHM_DIR = "/dev/shm"
 
-#: Listener/data/connection segment names all start with this.
+#: Transport names — socket address and data segment — start with this.
 NAME_PREFIX = "srpc-"
 
 #: Data segment capacity (``--segment-size``).
 DEFAULT_SEGMENT_SIZE = 16 * 1024 * 1024
-
-#: Slots per SPSC ring (``--ring-slots``).
-DEFAULT_RING_SLOTS = 64
-
-#: Payload capacity of one ring slot; frames that do not fit ship
-#: their payload through the data segment instead.
-DEFAULT_SLOT_BYTES = 4096
-
-#: Seconds of silent heartbeat after which a peer is declared dead.
-DEFAULT_PEER_TIMEOUT = 2.0
-
-#: How often the poller bumps its heartbeat words — and the longest it
-#: ever sleeps on its doorbell, so a lost datagram costs at most this.
-HEARTBEAT_INTERVAL = 0.05
 
 #: A pinned extent whose SEG_ACK never arrives is reclaimed after
 #: this many seconds (the peer crashed mid-read, or a retained
 #: write-back lease was orphaned by an aborted session).
 PIN_TTL = 60.0
 
-_LISTENER_MAGIC = b"SRPCLSN1"
-_CONN_MAGIC = b"SRPCCON2"
+#: How often a reserver short of room looks for pins past their TTL:
+#: crashed readers never ack.
+PIN_POLL = 0.05
+
 _DATA_MAGIC = b"SRPCDAT1"
 
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
-# Listener segment header offsets.
-_L_MAGIC, _L_VERSION, _L_READY, _L_CLOSED, _L_PID = 0, 8, 12, 16, 24
-_LISTENER_SEG_SIZE = 64
-
-# Connection segment header offsets (rings follow at _CONN_HEADER).
-_C_MAGIC, _C_VERSION, _C_READY = 0, 8, 12
-_C_CLOSED_A, _C_CLOSED_B = 16, 20
-_C_HB_A, _C_HB_B, _C_PID_A, _C_PID_B = 24, 32, 40, 48
-# The dialer's doorbell name, NUL-padded (the listener's is its segment's).
-_C_BELL_A, _C_BELL_LEN = 64, 64
-_CONN_HEADER = 128
-
-# Doorbell datagrams: one byte saying where to look, nothing more.
-_BELL_RING = b"r"  # a frame was pushed into one of your rings
-_BELL_SCAN = b"s"  # a dialer created a connection segment for you
-_BELL_SPACE = b"f"  # a slot was freed in a ring a writer found full
-
 # Data segment header offsets (extents follow at SegmentAllocator.HEADER).
 _D_MAGIC, _D_VERSION, _D_EPOCH, _D_PID, _D_SIZE = 0, 8, 16, 24, 32
 
-# Per-slot ring header: published sequence number, payload length.
-_SLOT_HEADER = 16
-
 # Per-extent header: publication stamp, payload length.
 _EXTENT_HEADER = 16
-
-
-def _ring_decode(data: bytes) -> Frame:
-    """Decode one ring slot (a whole wire image, prefix included).
-
-    Slots carry :func:`encode_frame` output verbatim — the 4-byte
-    length prefix is redundant next to the slot's own length word, but
-    keeping it means recorded frames are byte-identical across the TCP
-    and shm carriers.
-    """
-    return decode_frame(memoryview(data)[4:])
 
 
 def _untrack(shm: shared_memory.SharedMemory) -> None:
@@ -260,11 +194,6 @@ def _close_segment(
         pass
 
 
-def _bell_address(name: str) -> bytes:
-    """The abstract-namespace address of transport ``name``'s doorbell."""
-    return b"\0" + name.encode("ascii")
-
-
 def _pid_alive(pid: int) -> bool:
     if pid <= 0:
         return False
@@ -300,306 +229,13 @@ def purge_stale_segments(prefix: str = NAME_PREFIX) -> List[str]:
         except (FileNotFoundError, OSError, ValueError):
             continue
         try:
-            magic = bytes(shm.buf[:8])
-            if magic == _LISTENER_MAGIC:
-                pid = _U64.unpack_from(shm.buf, _L_PID)[0]
-            elif magic == _CONN_MAGIC:
-                pid = _U64.unpack_from(shm.buf, _C_PID_A)[0]
-            elif magic == _DATA_MAGIC:
-                pid = _U64.unpack_from(shm.buf, _D_PID)[0]
-            else:
+            if bytes(shm.buf[:8]) != _DATA_MAGIC:
                 continue
-            if not _pid_alive(pid):
+            if not _pid_alive(_U64.unpack_from(shm.buf, _D_PID)[0]):
                 reaped.append(name)
         finally:
             _close_segment(shm, unlink=name in reaped)
     return reaped
-
-
-class _Ring:
-    """One SPSC slotted ring inside a connection segment.
-
-    Exactly one process produces and exactly one consumes; within the
-    producing process a lock serialises concurrent senders, so the
-    cross-process protocol stays single-producer.  Publication relies
-    on aligned 8-byte stores being atomic and ordered after the
-    payload write (x86-64 TSO; CPython's ``pack_into`` into an aligned
-    ``memoryview`` is a single 8-byte store).
-    """
-
-    def __init__(
-        self, mv: memoryview, base: int, slots: int, slot_bytes: int
-    ) -> None:
-        self._mv = mv
-        self._base = base
-        self._slots = slots
-        self._stride = _SLOT_HEADER + slot_bytes
-        self.capacity = slot_bytes
-        self._pos = 0  # this side's produce (or consume) position
-        self._lock = threading.Lock()
-        self.relieved = False  # consumer: the last pop found the ring full
-
-    @staticmethod
-    def region_size(slots: int, slot_bytes: int) -> int:
-        return slots * (_SLOT_HEADER + slot_bytes)
-
-    @staticmethod
-    def format(mv: memoryview, base: int, slots: int, slot_bytes: int) -> None:
-        """Initialise slot sequence numbers for an empty ring."""
-        stride = _SLOT_HEADER + slot_bytes
-        for index in range(slots):
-            _U64.pack_into(mv, base + index * stride, index)
-            _U32.pack_into(mv, base + index * stride + 8, 0)
-
-    def try_push(self, data: bytes) -> bool:
-        """Publish one frame; False when the ring is full."""
-        if len(data) > self.capacity:
-            raise FramingError(
-                f"frame of {len(data)} bytes exceeds the ring slot "
-                f"capacity of {self.capacity}"
-            )
-        with self._lock:
-            pos = self._pos
-            slot = self._base + (pos % self._slots) * self._stride
-            if _U64.unpack_from(self._mv, slot)[0] != pos:
-                return False
-            body = slot + _SLOT_HEADER
-            _U32.pack_into(self._mv, slot + 8, len(data))
-            self._mv[body : body + len(data)] = data
-            # The store of seq = pos + 1 is the publication barrier.
-            _U64.pack_into(self._mv, slot, pos + 1)
-            self._pos = pos + 1
-            return True
-
-    def try_pop(self) -> Optional[bytes]:
-        """Consume one frame; None when the ring is empty."""
-        pos = self._pos
-        slot = self._base + (pos % self._slots) * self._stride
-        if _U64.unpack_from(self._mv, slot)[0] != pos + 1:
-            return None
-        length = _U32.unpack_from(self._mv, slot + 8)[0]
-        body = slot + _SLOT_HEADER
-        data = bytes(self._mv[body : body + length])
-        # Full: the slot behind this one is already a whole lap ahead.
-        newest = self._base + ((pos - 1) % self._slots) * self._stride
-        self.relieved = (
-            _U64.unpack_from(self._mv, newest)[0] == pos + self._slots
-        )
-        # Retiring the slot hands it back to the producer's next lap.
-        _U64.pack_into(self._mv, slot, pos + self._slots)
-        self._pos = pos + 1
-        return data
-
-
-class _Waiter:
-    """One blocked exchange (or ping, or dial) awaiting its frame: a
-    lock held from birth, released by whoever settles it."""
-
-    __slots__ = ("_settled", "value", "error")
-
-    def __init__(self) -> None:
-        self._settled = threading.Lock()
-        self._settled.acquire()
-        self.value: Optional[Frame] = None
-        self.error: Optional[BaseException] = None
-
-    def resolve(self, frame: Frame) -> None:
-        if self.value is None and self.error is None:
-            self.value = frame
-            self._wake()
-
-    def fail(self, error: BaseException) -> None:
-        if self.value is None and self.error is None:
-            self.error = error
-            self._wake()
-
-    def _wake(self) -> None:
-        try:
-            self._settled.release()
-        except RuntimeError:  # a reply raced an abort: already awake
-            pass
-
-    def wait(self, timeout: float) -> Frame:
-        if not self._settled.acquire(timeout=max(timeout, 0.0)):
-            raise TimeoutError("no reply within the attempt timeout")
-        if self.error is not None:
-            raise self.error
-        assert self.value is not None
-        return self.value
-
-
-class _Workers:
-    """Handler threads fed through one ``SimpleQueue``.
-
-    Handlers nest exchanges, so they never run on the poller; but the
-    poller is the only submitter and nobody reads a result, which is
-    all that ``ThreadPoolExecutor.submit`` spends its time on.  Threads
-    are spawned on demand, as the executor does: a handler blocked in a
-    nested exchange must not starve the request that unblocks it.
-    """
-
-    def __init__(self, serve, limit: int, prefix: str) -> None:
-        self._serve, self._limit, self._prefix = serve, limit, prefix
-        self._tasks: "queue.SimpleQueue" = queue.SimpleQueue()
-        self._threads: List[threading.Thread] = []
-        self._idle = 0  # tasks finished and not yet claimed by a submit
-        self._lock = threading.Lock()
-
-    def submit(self, *task) -> None:
-        self._tasks.put(task)
-        with self._lock:
-            if self._idle:
-                self._idle -= 1
-            elif len(self._threads) < self._limit:
-                name = f"{self._prefix}_{len(self._threads)}"
-                self._threads.append(threading.Thread(
-                    target=self._run, name=name, daemon=True
-                ))
-                self._threads[-1].start()
-
-    def _run(self) -> None:
-        for task in iter(self._tasks.get, None):
-            try:
-                self._serve(*task)
-            except Exception:  # noqa: BLE001 - the peer retransmits
-                traceback.print_exc()
-            with self._lock:
-                self._idle += 1
-
-    def shutdown(self) -> None:
-        """Tell every worker to exit after its current task."""
-        for _ in self._threads:
-            self._tasks.put(None)
-
-
-class _Connection:
-    """One connection segment: two rings plus liveness words."""
-
-    def __init__(
-        self,
-        name: str,
-        shm: shared_memory.SharedMemory,
-        side: str,
-        slots: int,
-        slot_bytes: int,
-        owned: bool,
-        ringer: socket.socket,
-        peer_bell: Optional[bytes],
-    ) -> None:
-        self.name = name
-        self.shm = shm
-        self.side = side  # "a" dialed it, "b" accepted it
-        self.owned = owned  # we created the segment (and unlink it)
-        self._ringer = ringer  # the transport's bell-ringing socket
-        self.peer_bell = peer_bell  # where the peer's poller sleeps
-        self.peer: Optional[str] = None
-        self.alive = True
-        self.pending: Dict[int, _Waiter] = {}  # by exchange id or token
-        self.greeting: Optional[_Waiter] = None  # a dial awaiting WELCOME
-        self.space = threading.Event()  # set when the peer freed a tx slot
-        mv = shm.buf
-        self._mv = mv
-        ring_a = _CONN_HEADER
-        ring_b = ring_a + _Ring.region_size(slots, slot_bytes)
-        if side == "a":
-            self.tx = _Ring(mv, ring_a, slots, slot_bytes)
-            self.rx = _Ring(mv, ring_b, slots, slot_bytes)
-            self._hb_mine, self._hb_theirs = _C_HB_A, _C_HB_B
-            self._closed_mine, self._closed_theirs = (
-                _C_CLOSED_A,
-                _C_CLOSED_B,
-            )
-        else:
-            self.tx = _Ring(mv, ring_b, slots, slot_bytes)
-            self.rx = _Ring(mv, ring_a, slots, slot_bytes)
-            self._hb_mine, self._hb_theirs = _C_HB_B, _C_HB_A
-            self._closed_mine, self._closed_theirs = (
-                _C_CLOSED_B,
-                _C_CLOSED_A,
-            )
-        self._hb_value = 0
-        self._peer_hb = -1
-        self._peer_hb_seen = time.monotonic()
-
-    def beat(self) -> None:
-        """Bump this side's heartbeat word."""
-        self._hb_value += 1
-        _U64.pack_into(self._mv, self._hb_mine, self._hb_value)
-
-    def peer_stalled(self, timeout: float) -> bool:
-        """True once the peer's heartbeat word has been silent too long."""
-        current = _U64.unpack_from(self._mv, self._hb_theirs)[0]
-        now = time.monotonic()
-        if current != self._peer_hb:
-            self._peer_hb = current
-            self._peer_hb_seen = now
-            return False
-        return now - self._peer_hb_seen > timeout
-
-    def peer_closed(self) -> bool:
-        return _U32.unpack_from(self._mv, self._closed_theirs)[0] != 0
-
-    def mark_closed(self) -> None:
-        try:
-            _U32.pack_into(self._mv, self._closed_mine, 1)
-        except Exception:  # pragma: no cover - segment already unmapped
-            pass
-
-    def ring(self, note: bytes = _BELL_RING) -> None:
-        """Wake the peer's poller.  Best effort: a full queue means a
-        wake-up is already pending, and a bell that is lost or has no
-        listener costs the peer one heartbeat, never a frame."""
-        if self.peer_bell is not None:
-            try:
-                self._ringer.sendto(note, self.peer_bell)
-            except OSError:
-                pass
-
-    def write(self, data: bytes, timeout: float) -> None:
-        """Push one frame and ring the peer; while the ring is full,
-        sleep until the peer reports a freed slot (``_BELL_SPACE``)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            if not self.alive:
-                raise ConnectionResetError(
-                    f"connection {self.name} is closed"
-                )
-            if self.tx.try_push(data):
-                self.ring()
-                return
-            now = time.monotonic()
-            if now >= deadline:
-                raise TimeoutError(
-                    f"ring to {self.peer!r} full for {timeout}s"
-                )
-            self.space.wait(min(deadline - now, HEARTBEAT_INTERVAL))
-            self.space.clear()
-
-    def try_write(self, data: bytes, timeout: float = 0.2) -> bool:
-        """Push best-effort (acks, goodbyes); False if it did not fit."""
-        try:
-            self.write(data, timeout)
-            return True
-        except (TimeoutError, ConnectionResetError, ValueError, TypeError,
-                AttributeError):  # the last three: released under us
-            return False
-
-    def abort(self, error: Exception) -> None:
-        """Mark dead and fail every outstanding waiter."""
-        self.alive = False
-        self.space.set()
-        waiters = list(self.pending.values())
-        if self.greeting is not None:
-            waiters.append(self.greeting)
-        for waiter in waiters:
-            waiter.fail(error)
-        self.pending.clear()
-
-    def release(self) -> None:
-        """Unmap (and unlink, if we created the segment)."""
-        self._mv = memoryview(b"")
-        self.tx = self.rx = None  # type: ignore[assignment]
-        _close_segment(self.shm, unlink=self.owned)
 
 
 class SegmentLease:
@@ -617,7 +253,7 @@ class SegmentLease:
     def __init__(
         self,
         transport: "ShmTransport",
-        conn: _Connection,
+        conn: Connection,
         segment: str,
         offset: int,
         extent: int,
@@ -664,7 +300,10 @@ class SegmentLease:
         )
         # Best effort: a dead connection means the owner is reaping
         # pins for this peer (or expiring them by TTL) anyway.
-        self._conn.try_write(ack)
+        try:
+            self._conn.send(ack)
+        except OSError:
+            pass
 
     def settle(self) -> None:
         """Release unless the handler retained the lease."""
@@ -789,7 +428,7 @@ class SegmentAllocator:
                         "pinned; raise --segment-size)"
                     )
                 # Crashed readers never ack: their pins only age out.
-                self._lock.wait(min(remaining, HEARTBEAT_INTERVAL))
+                self._lock.wait(min(remaining, PIN_POLL))
             stamp = next(self._stamps)
             self._pins[offset] = [
                 offset + need, stamp, time.monotonic(), peer,
@@ -888,170 +527,96 @@ class ShmEndpoint(ExchangeEndpoint):
     send = ExchangeEndpoint.send
 
 
-class ShmTransport(ExchangeTransport):
-    """Ring-buffered, segment-offset-shipped at-most-once exchanges.
+class _AckedConnection(Connection):
+    """A stream connection that leases ack on: a ``SEG_ACK`` is written
+    by whichever thread lets its lease go, not only by the one thread
+    using the connection, so writes take turns and frames stay whole."""
 
-    The rings work identically across threads and across processes.
-    ``peers`` maps site ids to listener segment names; directory
-    records carry the segment name in their ``host`` field (port 0).
-    The other keyword options are
-    :class:`~repro.transport.exchange.ExchangeTransport`'s.
+    __slots__ = ("_writing",)
+
+    def __init__(self, sock: socket.socket) -> None:
+        super().__init__(sock)
+        self._writing = threading.Lock()
+
+    def send(self, data: bytes, deadline: Optional[float] = None) -> None:
+        with self._writing:
+            super().send(data, deadline)
+
+
+class ShmTransport(StreamTransport):
+    """The stream link over ``AF_UNIX``, bulk bodies by segment offset.
+
+    ``peers`` maps site ids to transport names; directory records carry
+    the name in their ``host`` field (port 0).  The other keyword
+    options are :class:`~repro.transport.exchange.ExchangeTransport`'s.
     """
 
     endpoint_class = ShmEndpoint
 
-    # A failed dial has already cost a missing segment or a whole
-    # HANDSHAKE_TIMEOUT of silence: one heartbeat more, then try again.
-    CONNECT_BACKOFF = HEARTBEAT_INTERVAL
+    #: Bodies above this ship as segment extents, so that a frame with
+    #: its envelope stays under one page.
+    spill_threshold = 3584
 
     def __init__(
         self,
         site_id: str,
         *,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
-        ring_slots: int = DEFAULT_RING_SLOTS,
-        slot_bytes: int = DEFAULT_SLOT_BYTES,
-        peer_timeout: float = DEFAULT_PEER_TIMEOUT,
         **exchange_options,
     ) -> None:
-        if ring_slots < 2 or slot_bytes < 256:
-            raise ValueError(
-                f"bad ring geometry slots={ring_slots} bytes={slot_bytes}"
-            )
         super().__init__(site_id, **exchange_options)
         self._segment_size = segment_size
-        self._ring_slots = ring_slots
-        self._slot_bytes = slot_bytes
-        self._peer_timeout = peer_timeout
-        # Payloads above this ship as segment extents; the threshold
-        # leaves headroom in the slot for the frame envelope.
-        self.spill_threshold = slot_bytes - 512
         self.name = NAME_PREFIX + os.urandom(6).hex()
         self.handovers = 0
-        self._workers = _Workers(
-            self._serve_request, MAX_HANDLERS, f"shm-{site_id}"
-        )
         self._allocator: Optional[SegmentAllocator] = None
-        self._listener_shm: Optional[shared_memory.SharedMemory] = None
-        # The poller sleeps in a timed recv() on ``_bell``; ringing goes
-        # out through a second, non-blocking socket so it never waits.
-        self._bell: Optional[socket.socket] = None
-        self._ringer: Optional[socket.socket] = None
-        self._conns: Dict[str, _Connection] = {}  # segment name -> conn
-        self._live: Tuple[_Connection, ...] = ()  # the poller's snapshot
-        self._by_peer: Dict[str, _Connection] = {}
-        self._accepting: Dict[str, Tuple[_Connection, float]] = {}
-        self._seen_conn_names: Set[str] = set()
-        self._conn_lock = threading.Lock()
-        self._dial_lock = threading.Lock()
         self._attached: Dict[str, Tuple[shared_memory.SharedMemory,
                                         memoryview]] = {}
         self._attach_lock = threading.Lock()
         self._deferred = threading.local()
         self._all_deferred: Set[SegmentLease] = set()
         self._deferred_lock = threading.Lock()
-        self._poller: Optional[threading.Thread] = None
-        self._stop = threading.Event()
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> Optional[str]:
-        """Create segments, start the poller; return the address
-        (the listener segment name) or ``None`` when not listening."""
+        """Create the data segment, start listening; return the address
+        (this transport's name) or ``None`` when not listening."""
         if not os.path.isdir(SHM_DIR):  # pragma: no cover - exotic host
             raise TransportError(
                 f"shared-memory carrier needs {SHM_DIR} (POSIX shm)"
             )
-        self._mark_started()
-        self._allocator = SegmentAllocator(
-            self.name + ".d", self._segment_size
-        )
-        # Abstract namespace: no file to leak, gone with the process.
-        self._bell = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
-        self._bell.bind(_bell_address(self.name))
-        self._ringer = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
-        self._ringer.setblocking(False)
-        if self._listen:
-            shm = _create_segment(self.name, _LISTENER_SEG_SIZE)
-            mv = shm.buf
-            # Magic last: a concurrent purge must never see the magic
-            # with the owner-pid word still zero (it would reap us).
-            _U32.pack_into(mv, _L_VERSION, self._protocol_version)
-            _U64.pack_into(mv, _L_PID, os.getpid())
-            _U32.pack_into(mv, _L_CLOSED, 0)
-            _U32.pack_into(mv, _L_READY, 1)
-            mv[_L_MAGIC : _L_MAGIC + 8] = _LISTENER_MAGIC
-            self._listener_shm = shm
-            self.address = self.name
-        self._poller = threading.Thread(
-            target=self._poll_loop,
-            name=f"shm-poll-{self.site_id}",
-            daemon=True,
-        )
-        self._poller.start()
-        return self.address
+        if not self._started:  # a second start() fails below, leaking nothing
+            self._allocator = SegmentAllocator(
+                self.name + ".d", self._segment_size
+            )
+        return super().start()
 
     def close(self) -> None:
-        """Say goodbye, invalidate the segment epoch, unlink everything."""
-        if self._closed.is_set():
+        """Settle leases, close the link, invalidate the segment epoch,
+        unlink the segment."""
+        if not self._started or self._closed.is_set():
             return
-        self._closed.set()
-        # Settle zero-copy reply leases still deferred anywhere.
+        # Zero-copy reply leases still deferred anywhere: their acks go
+        # out while the connections are still there to carry them.
         with self._deferred_lock:
             leases = list(self._all_deferred)
         for lease in leases:
             lease.release()
-        goodbye = encode_frame(Goodbye(self.site_id, "shutting down"))
-        with self._conn_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            if conn.alive:
-                conn.mark_closed()
-                conn.try_write(goodbye, timeout=0.05)
-            conn.abort(ConnectionResetError("transport closed"))
-        if self._listener_shm is not None:
-            try:
-                _U32.pack_into(self._listener_shm.buf, _L_CLOSED, 1)
-            except (ValueError, TypeError):  # pragma: no cover
-                pass
-        self._stop.set()
-        if self._poller is not None:
-            try:
-                self._ringer.sendto(_BELL_RING, _bell_address(self.name))
-            except OSError:  # pragma: no cover - one heartbeat slower
-                pass
-            self._poller.join(HANDSHAKE_TIMEOUT)
-        self._workers.shutdown()
-        for sock in (self._bell, self._ringer):
-            if sock is not None:
-                sock.close()
-        with self._conn_lock:
-            conns = list(self._conns.values())
-            self._conns.clear()
-            self._live = ()
-            self._by_peer.clear()
-            for conn, _deadline in self._accepting.values():
-                conns.append(conn)
-            self._accepting.clear()
-        for conn in conns:
-            conn.release()
+        super().close()
         with self._attach_lock:
             attached = list(self._attached.values())
             self._attached.clear()
         for shm, _mv in attached:
             _close_segment(shm)
-        if self._allocator is not None:
-            self._allocator.close()
-        _close_segment(self._listener_shm, unlink=True)
-        self._listener_shm = None
+        self._allocator.close()
 
-    # -- peer addressing ------------------------------------------------------
+    # -- the link: where to listen, how to connect ----------------------------
 
     def add_peer(self, site_id: str, address: Union[str, Tuple]) -> None:
-        """Teach this transport which listener segment ``site_id`` owns.
+        """Teach this transport which name ``site_id`` listens at.
 
-        Accepts a bare segment name or a directory-shaped ``(host,
-        port)`` pair whose host carries the segment name.
+        Accepts a bare name or a directory-shaped ``(host, port)`` pair
+        whose host carries the name.
         """
         if isinstance(address, tuple):
             address = address[0]
@@ -1059,6 +624,48 @@ class ShmTransport(ExchangeTransport):
 
     def _address_of(self, host: str, port: int) -> str:
         return host
+
+    def _bind(self) -> Tuple[socket.socket, str]:
+        # Abstract namespace: no file to leak, gone with the process.
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            listener.bind("\0" + self.name)
+            listener.listen()
+        except OSError:
+            listener.close()
+            raise
+        return listener, self.name
+
+    def _connect(self, address: str) -> socket.socket:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(HANDSHAKE_TIMEOUT)
+            sock.connect("\0" + address)
+        except OSError:
+            sock.close()
+            raise
+        return sock
+
+    def _adopt(self, sock: socket.socket) -> Connection:
+        return _AckedConnection(sock)
+
+    def _stray(self, frame: Frame) -> None:
+        if isinstance(frame, SegAck):
+            self._allocator.release(
+                frame.offset - _EXTENT_HEADER, frame.extent
+            )
+
+    def _hung_up(self, conn: Connection) -> None:
+        peer = conn.peer
+        if peer is None:  # it never shook hands
+            return
+        with self._lock:
+            last = not any(
+                other.peer == peer
+                for other in self._conns if other is not conn
+            )
+        if last:
+            self._allocator.release_peer(peer)
 
     # -- zero-copy send buffers ----------------------------------------------
 
@@ -1077,7 +684,7 @@ class ShmTransport(ExchangeTransport):
 
     def _spill(self, payload) -> SegmentPayload:
         """``payload`` published in the data segment: it is there
-        already, or too big for a ring slot."""
+        already, or too big to go inline."""
         if isinstance(payload, SegmentPayload):
             spill = payload
         else:
@@ -1092,10 +699,6 @@ class ShmTransport(ExchangeTransport):
         self, exchange_id: int, dst: str, kind: MessageKind,
         expects_reply: bool, payload: Union[bytes, SegmentPayload],
     ):
-        if threading.current_thread() is self._poller:
-            raise TransportError(
-                "exchange() must not be called from the poller thread"
-            )
         self._flush_deferred()
         if not isinstance(payload, SegmentPayload) and (
             len(payload) <= self.spill_threshold
@@ -1126,14 +729,11 @@ class ShmTransport(ExchangeTransport):
                 frame.offset - _EXTENT_HEADER, frame.extent
             )
 
-    def _reply_payload(self, dst: str, reply: SegReply) -> memoryview:
+    def _reply_payload(
+        self, conn: Connection, dst: str, reply: SegReply
+    ) -> memoryview:
         """Map a reply extent; the ack is deferred until this thread's
         next exchange so the caller can consume the view first."""
-        conn = self._by_peer.get(dst)
-        if conn is None or not conn.alive:
-            raise TransportError(
-                f"reply extent from {dst!r} arrived on a dead connection"
-            )
         view, lease = self._map_extent(
             conn, dst, "reply", reply.segment, reply.offset,
             reply.length, reply.extent, reply.epoch,
@@ -1142,7 +742,7 @@ class ShmTransport(ExchangeTransport):
         return view
 
     def _deliver(
-        self, conn: _Connection, request: SegRequest, kind: MessageKind
+        self, conn: Connection, request: SegRequest, kind: MessageKind
     ) -> bytes:
         payload, lease = self._map_extent(
             conn, request.src, request.kind, request.segment,
@@ -1210,303 +810,6 @@ class ShmTransport(ExchangeTransport):
         with self._deferred_lock:
             self._all_deferred.discard(lease)
 
-    # -- connection management ------------------------------------------------
-
-    def _acquire(self, dst: str, name: str) -> _Connection:
-        conn = self._by_peer.get(dst)
-        if conn is not None and conn.alive:
-            return conn
-        with self._dial_lock:
-            conn = self._by_peer.get(dst)
-            if conn is not None and conn.alive:
-                return conn
-            return self._dial(dst, name)
-
-    def _dial(self, dst: str, listener_name: str) -> _Connection:
-        try:
-            listener = _attach_segment(listener_name)
-        except (FileNotFoundError, OSError, ValueError) as exc:
-            raise ConnectionRefusedError(
-                f"no listener segment {listener_name!r} ({exc})"
-            ) from None
-        try:
-            if bytes(listener.buf[:8]) != _LISTENER_MAGIC:
-                raise ConnectionRefusedError(
-                    f"segment {listener_name!r} is not a listener"
-                )
-            if _U32.unpack_from(listener.buf, _L_READY)[0] != 1 or (
-                _U32.unpack_from(listener.buf, _L_CLOSED)[0] != 0
-            ):
-                raise ConnectionRefusedError(
-                    f"listener {listener_name!r} is not accepting"
-                )
-            pid = _U64.unpack_from(listener.buf, _L_PID)[0]
-            if not _pid_alive(pid):
-                raise ConnectionRefusedError(
-                    f"listener {listener_name!r} owner (pid {pid}) is dead"
-                )
-        finally:
-            _close_segment(listener)
-        conn_name = f"{listener_name}.c{os.urandom(4).hex()}"
-        size = _CONN_HEADER + 2 * _Ring.region_size(
-            self._ring_slots, self._slot_bytes
-        )
-        shm = _create_segment(conn_name, size)
-        mv = shm.buf
-        # Pid before magic: purge_stale_segments reaps any magicked
-        # segment whose owner-pid word reads zero or dead.
-        _U32.pack_into(mv, _C_VERSION, self._protocol_version)
-        _U64.pack_into(mv, _C_PID_A, os.getpid())
-        bell = self.name.encode("ascii")
-        mv[_C_BELL_A : _C_BELL_A + len(bell)] = bell
-        mv[_C_MAGIC : _C_MAGIC + 8] = _CONN_MAGIC
-        ring_a = _CONN_HEADER
-        ring_b = ring_a + _Ring.region_size(self._ring_slots,
-                                            self._slot_bytes)
-        _Ring.format(mv, ring_a, self._ring_slots, self._slot_bytes)
-        _Ring.format(mv, ring_b, self._ring_slots, self._slot_bytes)
-        _U32.pack_into(mv, _C_READY, 1)
-        conn = _Connection(
-            conn_name, shm, "a", self._ring_slots, self._slot_bytes,
-            owned=True, ringer=self._ringer,
-            peer_bell=_bell_address(listener_name),
-        )
-        conn.peer = dst
-        conn.beat()
-        # The poller consumes the receive ring from the start (SPSC
-        # stays SPSC) and hands the listener's greeting to this thread.
-        greeting = conn.greeting = _Waiter()
-        with self._conn_lock:
-            self._conns[conn_name] = conn
-            self._live = tuple(self._conns.values())
-        try:
-            conn.write(
-                encode_frame(Hello(self._protocol_version, self.site_id)),
-                HANDSHAKE_TIMEOUT,
-            )
-            conn.ring(_BELL_SCAN)
-            frame = greeting.wait(HANDSHAKE_TIMEOUT)
-        except (ConnectionError, TimeoutError) as exc:
-            self._drop_conn(conn, exc)
-            raise ConnectionRefusedError(
-                f"no WELCOME from {dst!r} within {HANDSHAKE_TIMEOUT}s "
-                f"({exc})"
-            ) from None
-        try:
-            self._judge_welcome(dst, frame)
-        except HandshakeError as refusal:
-            self._drop_conn(conn, refusal)
-            raise
-        conn.greeting = None
-        with self._conn_lock:
-            self._by_peer[dst] = conn
-        with self._lock:
-            self.dials[dst] = self.dials.get(dst, 0) + 1
-        return conn
-
-    def _drop_conn(self, conn: _Connection, error: Exception) -> None:
-        conn.mark_closed()
-        conn.abort(error)
-        with self._conn_lock:
-            self._conns.pop(conn.name, None)
-            self._live = tuple(self._conns.values())
-            if conn.peer and self._by_peer.get(conn.peer) is conn:
-                del self._by_peer[conn.peer]
-        if conn.peer and self._allocator is not None:
-            self._allocator.release_peer(conn.peer)
-        conn.release()
-
-    def _attempt(
-        self, conn: _Connection, ident: int, encoded: bytes, copies: int,
-        timeout: float, sent: Callable[[int], None],
-    ) -> Frame:
-        # The poller finds the waiter by id and hands the frame over.
-        waiter = conn.pending[ident] = _Waiter()
-        try:
-            for copy in range(copies):
-                conn.write(encoded, timeout)
-                sent(copy)
-            return waiter.wait(timeout)
-        finally:
-            conn.pending.pop(ident, None)
-
-    def _push_reply(self, conn: _Connection, encoded: bytes) -> None:
-        # The peer will retransmit and hit the reply cache if this
-        # push fails (ring full, connection torn down).
-        conn.try_write(encoded, timeout=1.0)
-
-    # -- poller ---------------------------------------------------------------
-
-    def _poll_loop(self) -> None:
-        """Sleep on the doorbell until the next heartbeat at the
-        latest, take one datagram off it, *then* look at every ring."""
-        bell = self._bell
-        next_beat = 0.0
-        while not self._stop.is_set():
-            now = time.monotonic()
-            note = None
-            if now < next_beat:
-                try:
-                    bell.settimeout(next_beat - now)
-                    note = bell.recv(8)
-                except socket.timeout:
-                    pass
-                except OSError:  # pragma: no cover - closed under us
-                    return
-                now = time.monotonic()
-            beat = now >= next_beat
-            if beat:
-                next_beat = now + HEARTBEAT_INTERVAL
-            if note == _BELL_SPACE:
-                for conn in self._live:
-                    conn.space.set()
-            if self._listen and (beat or note == _BELL_SCAN):
-                try:
-                    self._scan_for_dialers()
-                except Exception:  # pragma: no cover - defensive
-                    pass
-            if self._accepting:
-                self._pump_accepting(now)
-            for conn in self._live:
-                if not conn.alive:
-                    continue
-                try:
-                    self._pump(conn)
-                except Exception:  # pragma: no cover - defensive
-                    self._drop_conn(
-                        conn, ConnectionResetError("poll failure")
-                    )
-                    continue
-                if beat:
-                    try:
-                        conn.beat()
-                        gone = conn.peer_closed() or (
-                            conn.peer_stalled(self._peer_timeout)
-                        )
-                    except Exception:  # segment released under us
-                        gone = True
-                    if gone:
-                        self._drop_conn(
-                            conn,
-                            ConnectionResetError(
-                                f"peer {conn.peer!r} is gone"
-                            ),
-                        )
-            if beat and self._allocator is not None:
-                self._allocator.expire_pins()
-
-    def _scan_for_dialers(self) -> None:
-        """Attach fresh connection segments dialers created for us."""
-        prefix = self.name + ".c"
-        try:
-            names = {
-                name for name in os.listdir(SHM_DIR)
-                if name.startswith(prefix)
-            }
-        except OSError:  # pragma: no cover - /dev/shm vanished
-            return
-        # Remembered only while the segment exists: bounded by /dev/shm.
-        self._seen_conn_names &= names
-        for name in names - self._seen_conn_names:
-            self._seen_conn_names.add(name)
-            try:
-                shm = _attach_segment(name)
-            except (FileNotFoundError, OSError, ValueError):
-                continue
-            if bytes(shm.buf[:8]) != _CONN_MAGIC or (
-                _U32.unpack_from(shm.buf, _C_READY)[0] != 1
-            ):
-                _close_segment(shm)
-                self._seen_conn_names.discard(name)
-                continue
-            bell = bytes(
-                shm.buf[_C_BELL_A : _C_BELL_A + _C_BELL_LEN]
-            ).rstrip(b"\0")
-            if not bell.startswith(NAME_PREFIX.encode()):
-                bell = None  # not one of ours: never ring it
-            conn = _Connection(
-                name, shm, "b", self._ring_slots, self._slot_bytes,
-                owned=False, ringer=self._ringer,
-                peer_bell=bell and b"\0" + bell,
-            )
-            _U64.pack_into(shm.buf, _C_PID_B, os.getpid())
-            conn.beat()
-            self._accepting[name] = (
-                conn, time.monotonic() + HANDSHAKE_TIMEOUT
-            )
-
-    def _pump_accepting(self, now: float) -> None:
-        """Finish handshakes on connections still awaiting HELLO."""
-        for name, (conn, deadline) in list(self._accepting.items()):
-            data = conn.rx.try_pop()
-            if data is None:
-                if now > deadline:
-                    del self._accepting[name]
-                    conn.release()
-                continue
-            del self._accepting[name]
-            try:
-                frame = _ring_decode(data)
-            except FramingError:
-                conn.release()
-                continue
-            answer = self._answer_hello(frame)
-            conn.try_write(encode_frame(answer))
-            if isinstance(answer, Goodbye):
-                conn.release()
-                continue
-            conn.peer = frame.site_id
-            with self._conn_lock:
-                self._conns[name] = conn
-                self._live = tuple(self._conns.values())
-                self._by_peer.setdefault(frame.site_id, conn)
-
-    def _pump(self, conn: _Connection) -> None:
-        """Drain one connection's receive ring."""
-        while True:
-            data = conn.rx.try_pop()
-            if data is None:
-                return
-            try:
-                frame = _ring_decode(data)
-            except FramingError:
-                self._drop_conn(
-                    conn, ConnectionResetError("malformed frame")
-                )
-                return
-            if conn.rx.relieved:
-                conn.ring(_BELL_SPACE)
-            if isinstance(frame, (Request, SegRequest)):
-                self._workers.submit(conn, frame)
-            elif isinstance(frame, (Reply, SegReply)):
-                waiter = conn.pending.get(frame.exchange_id)
-                # A late reply to an exchange that already timed out
-                # and completed via retransmission is simply dropped.
-                if waiter is not None:
-                    waiter.resolve(frame)
-            elif isinstance(frame, Ping):
-                conn.try_write(encode_frame(Pong(frame.token)))
-            elif isinstance(frame, Pong):
-                waiter = conn.pending.get(frame.token)
-                if waiter is not None:
-                    waiter.resolve(frame)
-            elif isinstance(frame, SegAck):
-                if self._allocator is not None:
-                    self._allocator.release(
-                        frame.offset - _EXTENT_HEADER, frame.extent
-                    )
-            elif conn.greeting is not None and isinstance(
-                frame, (Welcome, Goodbye)
-            ):
-                conn.greeting.resolve(frame)  # the dialing thread judges
-            elif isinstance(frame, Goodbye):
-                self._drop_conn(
-                    conn,
-                    ConnectionResetError(
-                        f"peer said goodbye: {frame.reason}"
-                    ),
-                )
-                return
 
     # -- segment mapping ------------------------------------------------------
 
@@ -1555,7 +858,7 @@ class ShmTransport(ExchangeTransport):
 
     def _map_extent(
         self,
-        conn: _Connection,
+        conn: Connection,
         src: str,
         kind: str,
         segment: str,

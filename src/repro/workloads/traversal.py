@@ -173,8 +173,9 @@ TREE_EXPOSE = InterfaceDef(
 This inverts the usual experiment (caller-homed data walked by the
 callee): here the caller receives a remote pointer into the callee's
 space and may dereference — and modify — the callee's data directly.
-A modifying caller exercises the session-end WRITE_BACK path, since
-at close time the ground holds dirty data whose home is the callee.
+A modifying caller exercises the session-end write-back
+(``WRITEBACK_PREPARE`` / ``WRITEBACK_COMMIT``), since at close time
+the ground holds dirty data whose home is the callee.
 ``tree_checksum`` reads the tree in its home space, so a later call
 observes whether written-back updates really landed (and landed once).
 """

@@ -395,11 +395,11 @@ def registry(request):
 
 
 def _register(directory, transport):
-    """Register a transport whose address may be a segment name."""
+    """Register a transport whose address may be an shm carrier's name."""
     address = transport.address
     if isinstance(address, tuple):
         directory.register(*address)
-    else:  # shm: the listener segment name, published with port 0
+    else:  # shm: the transport's name, published with port 0
         directory.register(address, 0)
 
 

@@ -1,8 +1,9 @@
 """The full smart stack over a lossy transport.
 
 Retransmission must never duplicate protocol side effects: a re-sent
-MEMORY_BATCH must not allocate twice, a re-sent WRITE_BACK must not
-corrupt, a re-sent call must not re-run the procedure.  These tests
+MEMORY_BATCH must not allocate twice, a re-sent WRITEBACK_PREPARE or
+WRITEBACK_COMMIT must not corrupt, a re-sent call must not re-run the
+procedure.  These tests
 drive the side-effecting paths end-to-end under seeded loss.
 """
 

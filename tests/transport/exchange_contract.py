@@ -1,11 +1,10 @@
 """The exchange contract, checked on each real carrier by one body.
 
-``repro.transport.exchange`` is one skeleton under two links, so the
-behaviour of an exchange is stated here once.  ``test_tcp.py`` and
-``test_shm.py`` each ``import *`` this module and supply two fixtures —
-``carrier`` (the transport class) and ``stacks`` (a factory of started,
-mutually introduced transports, from :func:`opened_stacks`) — so every
-test below runs, under its own name, once per carrier.
+``repro.transport.exchange`` is one skeleton under both carriers, so
+the behaviour of an exchange is stated here once.  ``test_tcp.py`` and
+``test_shm.py`` each ``import *`` this module and supply the ``carrier``
+fixture (the transport class), so every test below runs, under its own
+name, once per carrier.
 
 All tests run several transports inside one interpreter over real
 sockets / real shared memory: each transport still has its own service
@@ -37,19 +36,14 @@ FAST_RETRY = RetryPolicy(
     timeout=0.2, backoff=2.0, max_timeout=1.0, max_attempts=4
 )
 
-#: Dials one exchange costs when its first attempt times out: tcp
-#: discards the connection the attempt used (it may hold half a frame),
-#: shm keeps it (its poller owns liveness, and a ring loses nothing).
-DIALS_AFTER_A_FAILED_ATTEMPT = {TcpTransport: 2, ShmTransport: 1}
 
-
-def opened_stacks(carrier, opened):
-    """The body of a ``stacks`` fixture: a factory for started
-    transports of class ``carrier``, collected in ``opened`` and all
-    closed at teardown."""
+def opened_stacks(carrier, opened, retry=FAST_RETRY):
+    """The body of a ``stacks`` fixture: a factory for started,
+    mutually introduced transports of class ``carrier``, collected in
+    ``opened`` and all closed at teardown."""
 
     def make(site_id, **kwargs):
-        kwargs.setdefault("retry", FAST_RETRY)
+        kwargs.setdefault("retry", retry)
         transport = carrier(site_id, **kwargs)
         transport.start()
         opened.append(transport)
@@ -62,15 +56,27 @@ def opened_stacks(carrier, opened):
         return transport
 
     yield make
-    for transport in opened:
+    for transport in reversed(opened):
         transport.close()
 
 
-def _echo_server(stacks, site_id="B", **kwargs):
+@pytest.fixture
+def stacks(carrier):
+    """Factory for started transports, all closed at teardown."""
+    yield from opened_stacks(carrier, [])
+
+
+def _echo_server(stacks, site_id="B", runs=None, **kwargs):
+    """Server ``site_id`` answering ``echo:<payload>``; ``runs``
+    collects the payload of every handler run."""
     server = stacks(site_id, **kwargs)
-    server.endpoint.register_handler(
-        MessageKind.CALL, lambda m: b"echo:" + m.payload
-    )
+
+    def handler(message):
+        if runs is not None:
+            runs.append(bytes(message.payload))
+        return b"echo:" + message.payload
+
+    server.endpoint.register_handler(MessageKind.CALL, handler)
     return server
 
 
@@ -78,6 +84,36 @@ def _call(client, body=b"hi", **kwargs):
     return client.endpoint.send(
         "B", MessageKind.CALL, body, reply_kind=MessageKind.REPLY, **kwargs
     )
+
+
+def hammer(callers, each, turn, switch_interval=1e-5):
+    """``turn(worker, index)`` ``each`` times on each of ``callers``
+    threads at once — more threads than cores and a short switch
+    interval, so an unguarded counter or table would lose an update."""
+    failures = []
+
+    def run(worker):
+        try:
+            for index in range(each):
+                turn(worker, index)
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(worker,), daemon=True)
+        for worker in range(callers)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(switch_interval)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
 
 
 def _counting_server(stacks, **kwargs):
@@ -139,14 +175,16 @@ def test_dropped_request_is_retransmitted(stacks):
     assert client.retransmissions == 1
 
 
-def test_failed_attempt_connection_fate(stacks, carrier):
+def test_failed_attempt_connection_fate(stacks):
+    """The connection a failed attempt used is closed, not pooled: a
+    stream may hold half a frame."""
     _echo_server(stacks)
     client = stacks("A", faults=FaultInjector(drop_requests={2}))
     assert _call(client) == b"echo:hi"
     assert client.dials == {"B": 1}
     assert _call(client) == b"echo:hi"  # first attempt lost
     assert client.retransmissions == 1
-    assert client.dials == {"B": DIALS_AFTER_A_FAILED_ATTEMPT[carrier]}
+    assert client.dials == {"B": 2}
 
 
 def test_duplicated_request_executes_once(stacks):
@@ -227,17 +265,15 @@ def test_whole_exchange_cap(stacks):
     )
 
 
-def test_connect_failure_backs_off_per_carrier(stacks, carrier):
-    """A refused dial waits ``min(attempt timeout, CONNECT_BACKOFF)``:
-    tcp the whole attempt, shm one heartbeat.  Nothing was sent, so
-    nothing counts as a retransmission."""
+def test_connect_failure_backs_off_per_carrier(stacks):
+    """A refused dial returns at once on either carrier, so each waits
+    the attempt's timeout out.  Nothing was sent, so nothing counts as
+    a retransmission."""
     gone = stacks("B")
     gone.close()  # its address now refuses
     retry = RetryPolicy(timeout=0.1, backoff=2.0, max_attempts=3)
     client = stacks("A", retry=retry)
-    expected = sum(
-        min(timeout, carrier.CONNECT_BACKOFF) for timeout in retry.timeouts()
-    )
+    expected = sum(retry.timeouts())
     started = time.monotonic()
     with pytest.raises(TransportError, match="failed after 3 attempts"):
         _call(client)
@@ -304,30 +340,10 @@ def test_eight_threads_lose_no_fault_ordinal(stacks):
         retry=RetryPolicy(timeout=0.4, backoff=1.0, max_attempts=6),
     )
     threads, each = 8, 15
-    failures = []
-
-    def run(index):
-        try:
-            for turn in range(each):
-                _call(client, b"%d.%d" % (index, turn))
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        workers = [
-            threading.Thread(target=run, args=(index,))
-            for index in range(threads)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert not failures
+    hammer(
+        threads, each,
+        lambda index, turn: _call(client, b"%d.%d" % (index, turn)),
+    )
     assert sorted(calls) == sorted(
         b"%d.%d" % (index, turn)
         for index in range(threads) for turn in range(each)

@@ -1,16 +1,16 @@
-"""ShmTransport behaviour: rings, segment extents, leases — and the
-exchange contract, run over real shared memory.
+"""ShmTransport behaviour: segment extents, leases — and the exchange
+contract, run over an ``AF_UNIX`` link and real shared memory.
 
 What an exchange does is stated once, in ``exchange_contract.py``, and
-imported here to run on this carrier.  The rest is what is unique to
-shared memory: extent handovers for bulk payloads, the stamp/epoch
-validation protocol, zero-copy send buffers, deferred reply acks and
-stale-segment reaping.
+imported here to run on this carrier (the link's threading model and
+what it leaves to ``shm.py`` are in ``test_shm_doorbell.py``).  The
+rest is what is unique to shared memory: extent handovers for bulk
+payloads, the stamp/epoch validation protocol, zero-copy send buffers,
+deferred reply acks and stale-segment reaping.
 
-All tests run several transports inside one interpreter; the rings are
-genuinely shared memory, so the cross-process protocol is exercised in
-full (separate-process coverage lives in ``test_cross_process.py`` and
-the crash matrix).
+All tests run several transports inside one interpreter over genuinely
+shared memory, so the cross-process protocol is exercised in full
+(separate processes: ``test_cross_process.py`` and the crash matrix).
 """
 
 import os
@@ -22,70 +22,17 @@ import pytest
 from repro.simnet.message import MessageKind
 from repro.simnet.stats import StatsCollector
 from repro.transport.base import TransportError
-from repro.transport.framing import FramingError
 from repro.transport.shm import (
-    HEARTBEAT_INTERVAL,
     SHM_DIR,
     SegmentAllocator,
     ShmTransport,
     _EXTENT_HEADER,
-    _Ring,
     purge_stale_segments,
 )
 from tests.transport.exchange_contract import *  # noqa: F401,F403
-from tests.transport.exchange_contract import (
-    FAST_RETRY,
-    _echo_server,
-    opened_stacks,
-)
+from tests.transport.exchange_contract import _call, _echo_server
 
 _U64 = struct.Struct("<Q")
-
-
-# -- ring unit tests ----------------------------------------------------------
-
-
-def _make_ring(slots=4, slot_bytes=64):
-    region = bytearray(_Ring.region_size(slots, slot_bytes))
-    mv = memoryview(region)
-    _Ring.format(mv, 0, slots, slot_bytes)
-    producer = _Ring(mv, 0, slots, slot_bytes)
-    consumer = _Ring(mv, 0, slots, slot_bytes)
-    return producer, consumer
-
-
-def test_ring_round_trip():
-    producer, consumer = _make_ring()
-    assert consumer.try_pop() is None
-    assert producer.try_push(b"hello")
-    assert consumer.try_pop() == b"hello"
-    assert consumer.try_pop() is None
-
-
-def test_ring_full_refuses_then_recovers():
-    producer, consumer = _make_ring(slots=2)
-    assert producer.try_push(b"a")
-    assert producer.try_push(b"b")
-    # Both slots hold unconsumed frames: the producer must not overwrite.
-    assert not producer.try_push(b"c")
-    assert consumer.try_pop() == b"a"
-    assert producer.try_push(b"c")
-    assert consumer.try_pop() == b"b"
-    assert consumer.try_pop() == b"c"
-
-
-def test_ring_wraps_many_laps():
-    producer, consumer = _make_ring(slots=3)
-    for lap in range(50):
-        body = str(lap).encode()
-        assert producer.try_push(body)
-        assert consumer.try_pop() == body
-
-
-def test_ring_oversize_frame_raises():
-    producer, _consumer = _make_ring(slot_bytes=32)
-    with pytest.raises(FramingError):
-        producer.try_push(b"x" * 33)
 
 
 # -- allocator unit tests -----------------------------------------------------
@@ -170,44 +117,31 @@ def carrier():
     return ShmTransport
 
 
-@pytest.fixture
-def stacks():
-    """Factory for started transports, all closed at teardown."""
-    opened = []
-    yield from opened_stacks(ShmTransport, opened)
-    # Every segment this test created must be gone from /dev/shm.
-    leftovers = [
-        entry
-        for entry in os.listdir(SHM_DIR)
-        if any(entry.startswith(transport.name) for transport in opened)
-    ]
-    assert leftovers == []
+@pytest.fixture(autouse=True)
+def no_segment_left_behind():
+    """Every segment a test created must be gone from /dev/shm."""
+    before = set(os.listdir(SHM_DIR))
+    yield
+    assert set(os.listdir(SHM_DIR)) <= before
 
 
-# -- the listener (what a shm link adds) -------------------------------------
+# -- the listener -------------------------------------------------------------
 
 
 def test_seen_connection_names_do_not_accumulate(stacks):
-    """A long-lived listener remembers a dialer's segment name only
-    while the segment exists: dial and drop N connections and the
-    scan's memory is back to its floor (it used to keep all N)."""
+    """A long-lived listener remembers a connection only while it
+    lasts: dial and close N of them and its connection set — and with
+    it the serving threads — is back to empty."""
     server = _echo_server(stacks)
     for index in range(12):
-        client = ShmTransport(f"C{index}", listen=False, retry=FAST_RETRY)
-        client.start()
-        try:
-            client.add_peer("B", server.address)
-            assert client.endpoint.send(
-                "B", MessageKind.CALL, b"x", reply_kind=MessageKind.REPLY
-            ) == b"echo:x"
-            assert len(server._seen_conn_names) == 1
-        finally:
-            client.close()
-    deadline = time.monotonic() + 20 * HEARTBEAT_INTERVAL
-    while server._seen_conn_names and time.monotonic() < deadline:
-        time.sleep(HEARTBEAT_INTERVAL)  # the next heartbeat's rescan
-    assert server._seen_conn_names == set()
-    assert server._live == ()
+        client = stacks(f"C{index}", listen=False)
+        assert _call(client, b"x") == b"echo:x"
+        assert len(server._conns) == 1
+        client.close()
+        deadline = time.monotonic() + 1.0
+        while server._conns and time.monotonic() < deadline:
+            time.sleep(0.01)  # its serving thread is reading the GOODBYE
+        assert server._conns == set()
 
 
 # -- segment handover (what shm adds) -----------------------------------------
@@ -215,10 +149,10 @@ def test_seen_connection_names_do_not_accumulate(stacks):
 
 def test_bulk_payload_ships_as_extent(stacks):
     """Payloads above the spill threshold travel as segment offsets:
-    the ring carries a fixed-size descriptor, the bytes never move."""
+    the socket carries a fixed-size descriptor, the bytes never move."""
     _echo_server(stacks)
     client = stacks("A")
-    body = bytes(range(256)) * 4096  # 1 MiB, way past any slot
+    body = bytes(range(256)) * 4096  # 1 MiB, way past the threshold
     reply = client.endpoint.send(
         "B", MessageKind.CALL, body, reply_kind=MessageKind.REPLY
     )
@@ -252,7 +186,7 @@ def test_small_payload_stays_inline(stacks):
 
 def test_bulk_counters_charge_logical_bytes(stacks):
     """Stats must count the payload the runtime sent, not the 60-byte
-    descriptor the ring carried — counter parity with tcp/simnet."""
+    descriptor the socket carried — counter parity with tcp/simnet."""
     stats = StatsCollector()
     _echo_server(stacks, stats=stats)
     client = stacks("A", stats=stats)
@@ -414,8 +348,9 @@ def test_close_unlinks_every_segment():
     transport = ShmTransport("solo")
     transport.start()
     name = transport.name
-    assert os.path.exists(os.path.join(SHM_DIR, name))
-    assert os.path.exists(os.path.join(SHM_DIR, name + ".d"))
+    assert [e for e in os.listdir(SHM_DIR) if e.startswith(name)] == [
+        name + ".d"
+    ]
     transport.close()
     leftovers = [
         entry for entry in os.listdir(SHM_DIR) if entry.startswith(name)

@@ -1,246 +1,255 @@
-"""The shm carrier's doorbell: a wake-up, never a dependency.
+"""The shm carrier's link: the stream link over ``AF_UNIX``, and what
+riding it means for extents.
 
-Every started :class:`ShmTransport` sleeps on one datagram socket in
-the abstract namespace and is rung after each ring push.  The bell
-carries no data and no authority, so the properties worth pinning are
-the ones about what happens when it misbehaves: a bell that never
-rings only makes things slow (bounded by the heartbeat), a bell rung
-by a stranger changes nothing, an idle poller is off the CPU, a dead
-peer is still found by the liveness words, and ``close()`` gives the
-sockets back.
+The threading model is stated once, in ``stream_contract.py``, and
+imported here to run on this carrier.  The rest pins what the link
+leaves to ``shm.py`` — a ``SEG_ACK`` is handled wherever it turns up,
+a peer that ends its last connection has its pins released and a local
+eviction releases none, the spill threshold is one constant — and what
+the rings and their doorbell (this module keeps the name) used to be
+checked for: idle is idle, a dead peer is noticed, a stranger is
+harmless, a blocked writer loses nothing, ``close()`` gives all back.
 """
 
-import os
 import socket
-import threading
 import time
 
 import pytest
 
 from repro.simnet.message import MessageKind
-from repro.transport.base import RetryPolicy, TransportError
-from repro.transport.shm import (
-    HEARTBEAT_INTERVAL,
-    SHM_DIR,
-    ShmTransport,
-    _bell_address,
+from repro.transport.base import FaultInjector, RetryPolicy, TransportError
+from repro.transport.framing import (
+    Goodbye,
+    Request,
+    SegAck,
+    SegReply,
+    encode_frame,
+    split_buffer,
+)
+from repro.transport.shm import ShmTransport
+from tests.transport.test_shm import no_segment_left_behind  # noqa: F401
+from tests.transport.stream_contract import *  # noqa: F401,F403
+from tests.transport.stream_contract import (
+    _client,
+    _closed_by_peer,
+    _echo,
+    _echo_server,
+    _handshake,
+    _open_fds,
+    _raw,
+    hammer,
 )
 
-PATIENT = RetryPolicy(
-    timeout=5.0, backoff=2.0, max_timeout=5.0, max_attempts=1
-)
+#: One attempt: a retransmission would only hide what a test looks for.
+ONCE = RetryPolicy(timeout=5.0, max_attempts=1)
 
 
 @pytest.fixture
-def pair():
-    """A started echo server ``B`` and client ``A``, closed after."""
-    opened = []
+def carrier():
+    return ShmTransport
+
+
+@pytest.fixture
+def pair(stacks):
+    """A started echo server ``B`` and its client ``A``."""
 
     def make(**client_kwargs):
-        server = ShmTransport("B", retry=PATIENT)
-        client = ShmTransport("A", listen=False, **client_kwargs)
-        for transport in (server, client):
-            transport.start()
-            opened.append(transport)
-        client.add_peer("B", server.address)
-        server.endpoint.register_handler(
-            MessageKind.CALL, lambda m: b"echo:" + bytes(m.payload)
-        )
-        return server, client
+        server = _echo_server(stacks)
+        return server, _client(stacks, retry=ONCE, **client_kwargs)
 
-    yield make
-    for transport in reversed(opened):
-        transport.close()
-    names = tuple(t.name for t in opened)
-    assert [e for e in os.listdir(SHM_DIR) if e.startswith(names)] == []
+    return make
 
 
-def _echo(client, body=b"hi"):
-    return client.endpoint.send(
-        "B", MessageKind.CALL, body, reply_kind=MessageKind.REPLY
+def _eventually(condition, within=2.0):
+    deadline = time.monotonic() + within
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def test_ack_ahead_of_the_reply_unpins_its_extent(pair):
+    """The serving thread acks the request extent once the handler is
+    back, then replies: the caller meets the ack while it waits for
+    the reply, and the extent is free when ``send`` returns."""
+    server, client = pair()
+    server.endpoint.register_handler(MessageKind.CALL, lambda m: b"ok")
+    strays, stray = [], client._stray
+    client._stray = lambda frame: strays.append(frame) or stray(frame)
+    assert _echo(client, b"b" * 100_000) == b"ok"
+    assert [type(frame) for frame in strays] == [SegAck]
+    assert client._allocator.pinned_bytes() == 0
+    assert _echo(client, b"b" * 100_000) == b"ok"
+    assert (client.dials, client.retransmissions) == ({"B": 1}, 0)
+
+
+def _retaining_server(pair):
+    """``(server, client, held)``: the handler keeps every lease."""
+    server, client = pair()
+    held = []
+    server.endpoint.register_handler(
+        MessageKind.CALL,
+        lambda m: m.carrier_ref.retain() or held.append(m) or b"kept",
     )
+    return server, client, held
 
 
-class _MuteBell:
-    """Stands in for a transport's ringing socket: every ring is lost."""
+def test_ack_on_an_idle_pooled_connection_unpins_its_extent(pair):
+    """A retained lease released later, from another thread, acks on a
+    connection nobody is reading: the ack waits for the next taker's
+    idle drain, unpins there, and poisons nothing."""
+    server, client, held = _retaining_server(pair)
+    assert _echo(client, b"k" * 100_000) == b"kept"
+    held.pop().carrier_ref.release()
+    assert client._allocator.pinned_bytes() > 0  # written, not yet read
+    server.endpoint.register_handler(MessageKind.CALL, lambda m: b"next")
+    assert _echo(client) == b"next"
+    assert client._allocator.pinned_bytes() == 0
+    assert (client.dials, client.retransmissions) == ({"B": 1}, 0)
 
-    def __init__(self, real):
-        self._real = real
-        self.attempts = 0
 
-    def sendto(self, *_args):
-        self.attempts += 1
-        raise OSError("doorbell lost")
+@pytest.mark.parametrize(
+    "farewell", [encode_frame(Goodbye("X", "bye")), b""],
+    ids=["goodbye", "vanishes"],
+)
+def test_peer_ending_its_last_connection_releases_its_pins(pair, farewell):
+    """A raw peer ``X`` takes a reply too big to go inline and never
+    acks it.  One of its two connections ending proves nothing (it may
+    be reading the extent still); the last one ending unpins."""
+    server, _ = pair()
+    raw, spare = _raw(server), _raw(server)
+    with raw, spare:
+        buffer = _handshake(raw)
+        _handshake(spare)
+        raw.sendall(encode_frame(
+            Request(1, "X", "B", MessageKind.CALL.value, True, b"x" * 4000)
+        ))
+        frame = None
+        while frame is None:
+            buffer += raw.recv(4096)
+            frame, buffer = split_buffer(buffer)
+        assert isinstance(frame, SegReply)
+        pinned = server._allocator.pinned_bytes()
+        assert pinned > 0 and len(server._conns) == 2
+        spare.close()
+        assert _eventually(lambda: len(server._conns) == 1)
+        assert server._allocator.pinned_bytes() == pinned
+        raw.sendall(farewell)
+    assert _eventually(lambda: server._allocator.pinned_bytes() == 0)
 
-    def close(self):
-        self._real.close()
+
+def test_local_eviction_releases_no_pins(pair):
+    """Dropping a connection on this side says nothing about the peer:
+    the extent it still holds stays pinned (until ack or TTL)."""
+    server, client, held = _retaining_server(pair)
+    assert _echo(client, b"k" * 100_000) == b"kept"
+    pinned = client._allocator.pinned_bytes()
+    assert pinned > 0
+    client._discard(client._pool["B"].pop())
+    assert _eventually(lambda: not server._conns)
+    assert client._allocator.pinned_bytes() == pinned
+    assert bytes(held[0].payload) == b"k" * 100_000  # still whole
+    held.pop().carrier_ref.release()
 
 
-def test_lost_bell_is_only_slow_never_stuck(pair):
-    """With every ring of the client lost — the dial's scan request and
-    each request's wake-up — the server still finds the frames at its
-    next heartbeat: slow, but complete, and nothing is retransmitted."""
-    server, client = pair(
-        retry=RetryPolicy(timeout=1.0, max_attempts=2)
-    )
-    client._ringer = mute = _MuteBell(client._ringer)
-    worst = 0.0
-    for index in range(20):
-        started = time.monotonic()
-        assert _echo(client, b"%d" % index) == b"echo:%d" % index
-        worst = max(worst, time.monotonic() - started)
-    assert mute.attempts >= 20  # the client did try to ring
-    assert worst < 4 * HEARTBEAT_INTERVAL
-    assert client.retransmissions == 0
-    assert client.dials["B"] == 1
+def test_spill_threshold_is_3584_bytes(pair):
+    server, client = pair()
+    server.endpoint.register_handler(MessageKind.CALL, lambda m: b"ok")
+    assert client.spill_threshold == 3584
+    assert _echo(client, b"i" * 3584) == b"ok"
+    assert (client.handovers, server.handovers) == (0, 0)
+    assert _echo(client, b"e" * 3585) == b"ok"
+    assert (client.handovers, server.handovers) == (0, 1)
 
 
 def test_strangers_datagrams_are_harmless(pair):
-    """Junk on the bell costs an empty lap: no exception in the poller,
-    no connection dropped, echoes unchanged."""
-    server, client = pair(retry=PATIENT)
+    """A stranger that connects and writes junk costs its own
+    connection: no serving thread dies, nobody else's connection is
+    dropped, echoes are unchanged."""
+    server, client = pair()
     assert _echo(client) == b"echo:hi"
-    stranger = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
-    stranger.setblocking(False)
-    try:
-        for target in (server, client):
-            address = _bell_address(target.name)
-            for junk in (b"", b"\xff", b"s", b"f", bytes(range(64))):
-                stranger.sendto(junk, address)
-            # Flood past the queue limit: the kernel refuses the rest.
-            refused = 0
-            for _ in range(2000):
-                try:
-                    stranger.sendto(b"\x00", address)
-                except BlockingIOError:
-                    refused += 1
-            assert refused > 0
-            for index in range(5):
-                assert _echo(client, b"%d" % index) == b"echo:%d" % index
-    finally:
-        stranger.close()
-    time.sleep(2 * HEARTBEAT_INTERVAL)
-    assert _echo(client) == b"echo:hi"
-    assert server._poller.is_alive() and client._poller.is_alive()
-    assert client.dials["B"] == 1
-    assert len(server._live) == 1 and len(client._live) == 1
-    assert client.retransmissions == 0
+    for junk in (b"\xff" * 64, bytes(range(64)), b"s"):
+        with _raw(server) as stranger:
+            stranger.sendall(junk)
+            stranger.shutdown(socket.SHUT_WR)
+            assert _closed_by_peer(stranger)
+        assert _echo(client, junk) == b"echo:" + junk
+    assert _eventually(lambda: len(server._conns) == 1)
+    assert (client.dials, client.retransmissions) == ({"B": 1}, 0)
 
 
 def test_idle_is_idle(pair):
     """Two started, connected transports with nothing to say stay off
-    the CPU: only the heartbeat laps run (the polling loop this
-    replaced burned ~15 % of a CPU doing nothing)."""
-    server, client = pair(retry=PATIENT)
+    the CPU: every thread is blocked in ``accept`` or ``recv`` (the
+    polling loop of old burned ~15 % of a CPU doing nothing)."""
+    _server, client = pair()
     assert _echo(client) == b"echo:hi"
-    time.sleep(2 * HEARTBEAT_INTERVAL)
+    time.sleep(0.1)
     cpu = time.process_time()
     started = time.monotonic()
     time.sleep(1.0)
     share = (time.process_time() - cpu) / (time.monotonic() - started)
-    assert share < 0.02, f"idle pollers used {share:.1%} of a CPU"
+    assert share < 0.02, f"idle transports used {share:.1%} of a CPU"
 
 
 def test_dead_peer_is_still_detected(pair):
-    """A bell that will never ring again falls back to the liveness
-    words: the caller, blocked in an exchange whose own timeout is
-    seconds away, gets its typed error once the peer's heartbeat has
-    been silent for ``peer_timeout``."""
-    peer_timeout = 0.3
-    server, client = pair(retry=PATIENT, peer_timeout=peer_timeout)
-    release = threading.Event()
+    """A caller blocked in an exchange whose own timeout is seconds
+    away gets its typed error as soon as the peer's end goes away."""
+    server, client = pair()
+    gone = []
     server.endpoint.register_handler(
-        MessageKind.CALL, lambda m: release.wait(10) and b""
+        MessageKind.CALL,
+        lambda m: gone.append(time.monotonic()) or server.close() or b"",
     )
-    killed = []
-
-    def kill_poller():
-        time.sleep(0.1)  # the caller is inside waiter.wait by now
-        server._stop.set()
-        server._poller.join(1.0)
-        killed.append(time.monotonic())
-
-    killer = threading.Thread(target=kill_poller)
-    killer.start()
-    try:
-        with pytest.raises(TransportError) as excinfo:
-            _echo(client)
-        failed = time.monotonic()
-    finally:
-        release.set()
-        killer.join(5.0)
-    assert not server._poller.is_alive()
-    assert "gone" in str(excinfo.value)
-    # One beat for the client to observe the last heartbeat, the
-    # timeout itself, one beat to notice it expired; the rest is slack
-    # for a loaded host.
-    assert failed - killed[0] < peer_timeout + 2 * HEARTBEAT_INTERVAL + 0.25
+    with pytest.raises(TransportError, match="connection lost"):
+        _echo(client)
+    assert time.monotonic() - gone[0] < 0.5
 
 
-def _open_fds():
-    return len(os.listdir("/proc/self/fd"))
+def test_close_returns_the_bell_sockets(floor):
+    """The listening socket — all that is left in the abstract
+    namespace under the transport's name — goes with ``close()``."""
 
-
-def test_close_returns_the_bell_sockets():
-    # The first shared-memory use starts the resource tracker, which
-    # keeps a pipe for the life of the process: get that out of the way.
-    warm = ShmTransport("warm")
-    warm.start()
-    warm.close()
+    def listening(name):
+        with open("/proc/net/unix") as table:
+            return "@" + name in table.read()
 
     before = _open_fds()
     transport = ShmTransport("solo")
     transport.start()
-    assert _open_fds() > before
-    with open("/proc/net/unix") as table:
-        assert "@" + transport.name in table.read()
+    assert _open_fds() > before and listening(transport.name)
     transport.close()
-    assert _open_fds() == before
-    with open("/proc/net/unix") as table:
-        assert "@" + transport.name not in table.read()
-
-    unstarted = ShmTransport("never")
-    unstarted.close()
+    assert _open_fds() == before and not listening(transport.name)
+    ShmTransport("never").close()
     assert _open_fds() == before
 
 
-def test_full_ring_is_woken_by_its_consumer(pair):
-    """Writers that find a two-slot ring full sleep until the consumer
-    rings ``_BELL_SPACE`` after freeing a slot — not for a heartbeat
-    per collision, which is what a lost bell would cost them."""
-    server, client = pair(retry=PATIENT, ring_slots=2)
-    server._ring_slots = 2  # both ends must agree on the geometry
-    assert _echo(client) == b"echo:hi"
-    conn = client._by_peer["B"]
-    waits = []
-    wait = conn.space.wait
+def test_full_ring_is_woken_by_its_consumer(pair, monkeypatch):
+    """Eight threads hammering through writers that block — every
+    request is written twice into a send buffer smaller than the two,
+    so the second ``sendall`` sleeps until the peer has read the first
+    — lose nothing and retransmit nothing."""
+    connect = ShmTransport._connect
 
-    def timed_wait(timeout):
-        started = time.monotonic()
-        wait(timeout)
-        waits.append(time.monotonic() - started)
+    def cramped(self, address):
+        sock = connect(self, address)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)  # the floor
+        return sock
 
-    conn.space.wait = timed_wait
-    failures = []
+    monkeypatch.setattr(ShmTransport, "_connect", cramped)
+    server, client = pair(
+        faults=FaultInjector(duplicate_requests=range(1, 999))
+    )
+    padding = b"p" * 3500  # inline: under the spill threshold
+    assert _echo(client, padding)[5:] == padding
+    [conn] = client._conns
+    assert conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) < (
+        2 * len(padding)
+    ), "the link never fills: the test has no teeth"
 
-    def hammer(worker):
-        try:
-            for index in range(25):
-                body = b"%d:%d" % (worker, index)
-                assert _echo(client, body) == b"echo:" + body
-        except Exception as exc:  # noqa: BLE001 - reported below
-            failures.append(exc)
+    def turn(worker, index):
+        body = b"%d:%d:" % (worker, index) + padding
+        assert _echo(client, body) == b"echo:" + body
 
-    threads = [
-        threading.Thread(target=hammer, args=(n,)) for n in range(8)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(30.0)
-    assert not any(thread.is_alive() for thread in threads)
-    assert failures == []
-    assert waits, "the ring never filled: the test has no teeth"
-    # Unwoken, every one of these sleeps a whole HEARTBEAT_INTERVAL.
-    assert sorted(waits)[len(waits) // 2] < HEARTBEAT_INTERVAL / 5
+    hammer(8, 25, turn)
     assert client.retransmissions == 0
+    assert client.handovers == server.handovers == 0

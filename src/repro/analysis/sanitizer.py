@@ -82,7 +82,6 @@ ClockMap = Dict[str, int]
 EXCHANGE_PAIRS: Dict[str, str] = {
     "call": "reply",
     "data_request": "data_reply",
-    "write_back": "write_back_ack",
     "writeback_prepare": "writeback_prepare_ack",
     "writeback_commit": "writeback_commit_ack",
     "memory_batch": "memory_batch_reply",

@@ -5,7 +5,7 @@ site "A" holding the data, and a callee site "B" running the remote
 procedures — the paper's two-SPARCstation setup.  Each measurement
 builds a fresh world so runs are independent and deterministic.
 
-Worlds come in two transports (``transport=`` of :func:`make_world`):
+Worlds come in three transports (``transport=`` of :func:`make_world`):
 
 * ``simnet`` — the deterministic in-process simulator; ``seconds``
   are modeled time under the calibrated cost model (the paper's
@@ -13,7 +13,7 @@ Worlds come in two transports (``transport=`` of :func:`make_world`):
 * ``tcp`` — three :class:`~repro.transport.tcp.TcpTransport` stacks
   exchanging framed messages over real localhost sockets; ``seconds``
   are genuine wall time.  Message/byte/fault counters are identical
-  across the two, which the equivalence property test pins down.
+  to simnet's, which the equivalence property test pins down.
 * ``shm`` — three :class:`~repro.transport.shm.ShmTransport` stacks
   exchanging the same frames over local sockets, with bulk payloads
   handed over as shared-memory segment offsets instead of copies;
@@ -147,7 +147,7 @@ _CARRIERS = {TCP: TcpTransport, SHM: ShmTransport}
 
 @dataclass
 class World:
-    """One two-site deployment (simulated or real TCP)."""
+    """One two-site deployment (simulated, tcp or shm)."""
 
     network: Transport
     caller: RpcRuntime

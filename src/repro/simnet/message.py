@@ -27,8 +27,6 @@ class MessageKind(enum.Enum):
     REPLY = "reply"
     DATA_REQUEST = "data_request"
     DATA_REPLY = "data_reply"
-    WRITE_BACK = "write_back"
-    WRITE_BACK_ACK = "write_back_ack"
     # Two-phase session-end write-back (DESIGN.md §12): every dirty
     # home stages its batch on prepare; only when every prepare is
     # acknowledged does the ground commit, so a crash between phases

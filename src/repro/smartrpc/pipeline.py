@@ -369,7 +369,6 @@ class FetchPipeline:
         reply = self._collect(fetch)
         self.state.transfer_stats.record_piggyback_hit()
         self.runtime.stats.transfer_ledger.record_piggyback_hit()
-        self.runtime.site.reply_cache.note_piggyback()
         self._record_batch_event(
             "absorb",
             fetch.fetch_id,

@@ -15,8 +15,8 @@ implementations exist:
   duplicate suppression) so the same sessions run across genuine OS
   processes;
 * :class:`repro.transport.shm.ShmTransport` — a zero-copy
-  shared-memory carrier: control frames over the same stream link on
-  a local socket, bulk payloads handed over as epoch-stamped offsets
+  shared-memory carrier: control frames over tcp's link on a local
+  socket, bulk payloads handed over as epoch-stamped offsets
   into a shared data segment (no per-byte wire cost at all).
 
 ``python -m repro.transport serve`` hosts one address space per OS

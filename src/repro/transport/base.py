@@ -71,15 +71,11 @@ class ReplyCache:
 
     Eviction is least-recently-*used*: a hit refreshes the entry's
     recency, so a hot exchange id being retransmitted is not evicted
-    before cold ones merely because it was inserted earlier.
-
-    Two kinds of "hit" are kept apart.  ``retransmission_hits`` is the
-    at-most-once metric proper: a duplicate *request* answered from the
-    cache instead of re-running the handler.  ``piggyback_hits`` counts
-    faults the fetch pipeline satisfied by absorbing an exchange that
-    was already in flight (see :mod:`repro.smartrpc.pipeline`) — no
-    duplicate request ever reached this cache, so folding them into the
-    retransmission counter would inflate the at-most-once metrics.
+    before cold ones merely because it was inserted earlier.  A carrier
+    that knows a reply can no longer be asked for retires it early
+    (:meth:`discard`).  ``retransmission_hits`` counts duplicate
+    *requests* answered from the cache instead of re-running the
+    handler.
     """
 
     def __init__(self, limit: int = 4096) -> None:
@@ -88,11 +84,6 @@ class ReplyCache:
         self.limit = limit
         self._entries: "OrderedDict[Hashable, bytes]" = OrderedDict()
         self.retransmission_hits = 0
-        self.piggyback_hits = 0
-
-    def note_piggyback(self) -> None:
-        """Count one fault absorbed by an in-flight exchange."""
-        self.piggyback_hits += 1
 
     def get(self, key: Hashable) -> Optional[bytes]:
         """The cached reply for ``key``, refreshing its recency."""
@@ -108,6 +99,10 @@ class ReplyCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.limit:
             self._entries.popitem(last=False)
+
+    def discard(self, key: Hashable) -> None:
+        """Retire the reply for ``key``, if cached: acknowledged."""
+        self._entries.pop(key, None)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
@@ -323,10 +318,6 @@ class Endpoint(abc.ABC):
     def register_handler(self, kind: MessageKind, handler: Handler) -> None:
         """Install ``handler`` for incoming messages of ``kind``."""
         self._handlers[kind] = handler
-
-    def handler_for(self, kind: MessageKind) -> Optional[Handler]:
-        """The installed handler for ``kind``, if any."""
-        return self._handlers.get(kind)
 
     def handle(self, message: Message) -> bytes:
         """Dispatch an incoming message to its registered handler."""

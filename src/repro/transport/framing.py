@@ -6,7 +6,7 @@ the body; the body is a frame-type word followed by XDR-encoded fields
 payloads use, so the whole wire format has one).  The TCP transport
 and the shared-memory transport (:mod:`repro.transport.shm`) write the
 *same* frames onto their sockets, through one link
-(:mod:`repro.transport.stream`), one codec and one handshake.
+(:mod:`repro.transport.exchange`), one codec and one handshake.
 
 Frame vocabulary::
 

@@ -2,7 +2,8 @@
 
 ``python -m repro.transport serve`` runs one of these.  A *space host*
 owns a full smart-RPC address space — runtime, heap, allocation table,
-bound workload servers — attached to a :class:`TcpTransport`, and
+bound workload servers — attached to a real carrier (``--transport``:
+a :class:`TcpTransport` or a :class:`ShmTransport`), and
 registers itself with the site directory so peers can find it.  A
 *registry host* (``--serve-registry``) instead hosts the shared name
 services every deployment needs exactly once: the

@@ -5,12 +5,13 @@
 :class:`~repro.transport.base.Transport` / ``Endpoint`` contract —
 every runtime, workload, benchmark and test runs on it unmodified via
 ``make_world(transport="shm")``.  Shared memory carries the pages, a
-socket carries the frames: the carrier is **the stream link plus a
-data segment**.
+socket carries the frames: the carrier is **tcp's link plus a data
+segment**.
 
 * The **control plane** is
-  :class:`~repro.transport.stream.StreamTransport`, the link tcp runs,
-  over an ``AF_UNIX`` stream socket in the abstract namespace at
+  :class:`~repro.transport.exchange.ExchangeTransport`, the exchange
+  and link tcp runs, over an ``AF_UNIX`` stream socket in the abstract
+  namespace at
   ``"\\0" + name`` (``srpc-<hex>``; no file to leak, gone with the
   process).  The bare name is the transport's published address —
   directory registrations carry it in the ``host`` field with port 0.
@@ -37,7 +38,7 @@ sender's segment), and ``WRITEBACK_COMMIT`` applies through the staged
 view and releases the lease — the commit is the flip of the extent's
 stamp word from pinned to retired, not a re-ship of pages.
 
-Three decisions the stream link leaves to this module:
+Three decisions the link leaves to this module:
 
 * **Acks.**  A ``SEG_ACK`` names ``(segment, offset, extent)`` and
   rides the connection its extent arrived on, written whole (under
@@ -81,7 +82,11 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.simnet.message import Message, MessageKind
 from repro.transport.base import HANDSHAKE_TIMEOUT, TransportError
-from repro.transport.exchange import ExchangeEndpoint
+from repro.transport.exchange import (
+    Connection,
+    ExchangeEndpoint,
+    ExchangeTransport,
+)
 from repro.transport.framing import (
     PROTOCOL_VERSION,
     STATUS_OK,
@@ -92,7 +97,6 @@ from repro.transport.framing import (
     SegRequest,
     encode_frame,
 )
-from repro.transport.stream import Connection, StreamTransport
 
 #: Where the kernel exposes POSIX shared memory objects.
 SHM_DIR = "/dev/shm"
@@ -543,8 +547,8 @@ class _AckedConnection(Connection):
             super().send(data, deadline)
 
 
-class ShmTransport(StreamTransport):
-    """The stream link over ``AF_UNIX``, bulk bodies by segment offset.
+class ShmTransport(ExchangeTransport):
+    """Exchanges over ``AF_UNIX``, bulk bodies by segment offset.
 
     ``peers`` maps site ids to transport names; directory records carry
     the name in their ``host`` field (port 0).  The other keyword
@@ -809,7 +813,6 @@ class ShmTransport(StreamTransport):
     def _lease_released(self, lease: SegmentLease) -> None:
         with self._deferred_lock:
             self._all_deferred.discard(lease)
-
 
     # -- segment mapping ------------------------------------------------------
 

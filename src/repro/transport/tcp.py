@@ -5,10 +5,9 @@ traffic as the simulator, but across genuine OS processes over
 localhost (or any) TCP.  One transport hosts exactly one address
 space, and the runtimes above stay fully synchronous.
 
-The exchange is :class:`~repro.transport.exchange.ExchangeTransport`,
-the link — connections, pool, handshake, serving threads —
-:class:`~repro.transport.stream.StreamTransport`; this module says
-where a TCP transport listens and how it connects.
+The exchange and its link — connections, pool, handshake, serving
+threads — are :class:`~repro.transport.exchange.ExchangeTransport`;
+this module says where a TCP transport listens and how it connects.
 """
 
 from __future__ import annotations
@@ -17,10 +16,11 @@ import socket
 from typing import Tuple
 
 from repro.transport.base import HANDSHAKE_TIMEOUT
-# Lives in base.py; tests import it from here too.
-from repro.transport.base import FaultInjector  # noqa: F401
-from repro.transport.exchange import ExchangeEndpoint
-from repro.transport.stream import Connection, StreamTransport
+from repro.transport.exchange import (
+    Connection,
+    ExchangeEndpoint,
+    ExchangeTransport,
+)
 
 
 class TcpEndpoint(ExchangeEndpoint):
@@ -31,8 +31,8 @@ class TcpEndpoint(ExchangeEndpoint):
     send = ExchangeEndpoint.send
 
 
-class TcpTransport(StreamTransport):
-    """The stream link over TCP.  ``peers`` maps site ids to ``(host,
+class TcpTransport(ExchangeTransport):
+    """Exchanges over TCP.  ``peers`` maps site ids to ``(host,
     port)``; every keyword option is
     :class:`~repro.transport.exchange.ExchangeTransport`'s."""
 

@@ -18,7 +18,7 @@ class TestMessage:
         # break, so pin them.
         assert MessageKind.CALL.value == "call"
         assert MessageKind.DATA_REQUEST.value == "data_request"
-        assert MessageKind.WRITE_BACK.value == "write_back"
+        assert MessageKind.WRITEBACK_PREPARE.value == "writeback_prepare"
         assert MessageKind.INVALIDATE.value == "invalidate"
         assert MessageKind.MEMORY_BATCH.value == "memory_batch"
 

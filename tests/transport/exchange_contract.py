@@ -1,7 +1,7 @@
 """The exchange contract, checked on each real carrier by one body.
 
-``repro.transport.exchange`` is one skeleton under both carriers, so
-the behaviour of an exchange is stated here once.  ``test_tcp.py`` and
+``repro.transport.exchange`` is one exchange and one link under both
+carriers, so the behaviour of an exchange is stated here once.  ``test_tcp.py`` and
 ``test_shm.py`` each ``import *`` this module and supply the ``carrier``
 fixture (the transport class), so every test below runs, under its own
 name, once per carrier.
@@ -29,7 +29,13 @@ from repro.transport.base import (
     RetryPolicy,
     TransportError,
 )
-from repro.transport.shm import NAME_PREFIX, SHM_DIR, ShmTransport
+from repro.transport.exchange import Connection
+from repro.transport.shm import (
+    NAME_PREFIX,
+    SHM_DIR,
+    ShmTransport,
+    _AckedConnection,
+)
 from repro.transport.tcp import TcpTransport
 
 FAST_RETRY = RetryPolicy(
@@ -128,12 +134,18 @@ def _counting_server(stacks, **kwargs):
 
 
 def test_one_skeleton_under_both_carriers():
-    """The fork cannot quietly come back."""
+    """The fork cannot quietly come back: exchanging, awaiting, pooling,
+    dialling, accepting and serving are the same function objects on
+    either carrier, and there is one frame reader whatever a carrier
+    wraps a socket in."""
     for name in (
         "exchange", "ping", "_run_attempts", "_finish", "_resolve",
-        "_serve_request", "_execute",
+        "_await", "_acquire", "_release", "_discard", "_dial",
+        "_accept_loop", "_serve", "_serve_request", "_execute",
     ):
         assert getattr(TcpTransport, name) is getattr(ShmTransport, name)
+    assert _AckedConnection.read_frame is Connection.read_frame
+    assert _AckedConnection.idle_alive is Connection.idle_alive
 
 
 def test_basic_exchange(stacks):
@@ -207,6 +219,21 @@ def test_dropped_reply_served_from_cache(stacks):
     assert calls == [b"hi"]
     assert client.retransmissions >= 1
     assert server.endpoint.reply_cache.retransmission_hits >= 1
+
+
+def test_next_request_retires_the_previous_reply(stacks):
+    """A client sends on a connection only once it has read the reply
+    to its previous request there, so the next request acknowledges
+    that reply and it leaves the cache: eight 1 MB fetches over one
+    pooled connection leave one reply cached, not eight."""
+    bulk = b"m" * (1 << 20)
+    server = stacks("B")
+    server.endpoint.register_handler(MessageKind.CALL, lambda m: bulk)
+    client = stacks("A")
+    for _ in range(8):
+        assert bytes(_call(client)) == bulk
+    assert client.dials == {"B": 1}
+    assert len(server.endpoint.reply_cache) == 1
 
 
 def test_retransmission_waits_for_the_running_handler(stacks):

@@ -1,5 +1,5 @@
-"""The stream link's threading model, checked on each real carrier by
-one body: who blocks where, and what is left.
+"""The link's threading model, checked on each real carrier by one
+body: who blocks where, and what is left.
 
 ``exchange()`` runs on the caller's own thread over a blocking socket;
 a listening transport serves every accepted connection on a thread of
@@ -25,7 +25,7 @@ import time
 
 import pytest
 
-import repro.transport.stream as stream
+import repro.transport.exchange as exchange
 from repro.simnet.message import MessageKind
 from repro.transport.base import FaultInjector, RetryPolicy, TransportError
 from repro.transport.framing import (
@@ -38,12 +38,7 @@ from repro.transport.framing import (
     encode_frame,
     split_buffer,
 )
-from repro.transport.shm import (
-    ShmTransport,
-    _AckedConnection,
-    purge_stale_segments,
-)
-from repro.transport.tcp import TcpTransport
+from repro.transport.shm import purge_stale_segments
 from tests.transport.exchange_contract import _call as _echo
 from tests.transport.exchange_contract import (
     _echo_server,
@@ -65,19 +60,6 @@ SRC = os.path.abspath(
 def stacks(carrier):
     """Factory for started transports, all closed at teardown."""
     yield from opened_stacks(carrier, [], retry=PATIENT)
-
-
-def test_one_stream_link_under_both_carriers():
-    """The fork cannot quietly come back: serving, accepting, awaiting
-    and pooling are the same function objects on either carrier, and
-    there is one frame reader whatever a carrier wraps a socket in."""
-    for name in (
-        "_serve", "_accept_loop", "_await", "_attempt", "_acquire",
-        "_release", "_discard", "_dial", "_push_reply",
-    ):
-        assert getattr(ShmTransport, name) is getattr(TcpTransport, name)
-    assert _AckedConnection.read_frame is stream.Connection.read_frame
-    assert _AckedConnection.idle_alive is stream.Connection.idle_alive
 
 
 def _client(stacks, site_id="A", **kwargs):
@@ -201,7 +183,7 @@ def test_hostile_peer_is_local_damage(stacks, monkeypatch):
     id that is not UTF-8 each cost the offender its own connection — no
     serving thread dies of an uncaught exception — and a well-behaved
     client on the same server never notices."""
-    monkeypatch.setattr(stream, "HANDSHAKE_TIMEOUT", 0.2)
+    monkeypatch.setattr(exchange, "HANDSHAKE_TIMEOUT", 0.2)
     uncaught = []
     monkeypatch.setattr(threading, "excepthook", uncaught.append)
     server = _echo_server(stacks)

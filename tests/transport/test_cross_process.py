@@ -29,9 +29,9 @@ from repro.analysis.diagnostics import DiagnosticCollector
 from repro.namesvc.directory import DirectoryClient, DirectoryError
 from repro.simnet.stats import StatsCollector
 from repro.simnet.tracefmt import load_trace, save_trace
+from repro.transport.base import FaultInjector
 from repro.transport.host import make_space, query_status
 from repro.transport.shm import purge_stale_segments
-from repro.transport.tcp import FaultInjector
 from repro.transport.tracemerge import export_trace, merge_trace_files
 from repro.workloads.traversal import (
     expected_search_checksum,

@@ -1,14 +1,15 @@
-"""The shm carrier's link: the stream link over ``AF_UNIX``, and what
-riding it means for extents.
+"""The shm carrier's link: tcp's link over ``AF_UNIX``, and what riding
+it means for extents.
 
 The threading model is stated once, in ``stream_contract.py``, and
 imported here to run on this carrier.  The rest pins what the link
 leaves to ``shm.py`` — a ``SEG_ACK`` is handled wherever it turns up,
 a peer that ends its last connection has its pins released and a local
 eviction releases none, the spill threshold is one constant — and what
-the rings and their doorbell (this module keeps the name) used to be
-checked for: idle is idle, a dead peer is noticed, a stranger is
-harmless, a blocked writer loses nothing, ``close()`` gives all back.
+the carrier's earlier rings and doorbell were checked for, which the
+link must keep true: idle is idle, a dead peer is noticed, a stranger
+is harmless, a blocked writer loses nothing, ``close()`` gives all
+back.
 """
 
 import socket

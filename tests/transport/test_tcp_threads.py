@@ -1,4 +1,4 @@
-"""The stream link's threading model, run over TCP.
+"""The link's threading model, run over TCP.
 
 What the link has to keep true is stated once, in
 ``stream_contract.py``, and imported here to run on this carrier; what

@@ -23,8 +23,8 @@ Usage (from the repository root)::
 policy regresses more than 10% on round trips, bytes shipped, or
 simulated seconds against the committed baseline, or when any result
 value differs at all.  ``--policies`` restricts the comparison (the CI
-gate checks ``adaptive`` and ``pipelined``); wall time is recorded but
-never compared — it measures the host, not the code under test.
+gate checks every policy); wall time is recorded but never compared —
+it measures the host, not the code under test.
 
 ``--transport tcp`` / ``--transport shm`` runs the same workloads over
 a real carrier instead and records ``BENCH_tcp.json`` /

@@ -20,14 +20,19 @@ costs exactly as much as local data.
 Two mechanisms keep the *Python-level* cost of that claim honest:
 
 * **Page access tokens.**  On the first touch of a page, ``Mem``
-  caches ``(readable, writable, buffer view)`` for it; subsequent
-  accesses on the page skip the checked ``AddressSpace.read``/``write``
-  path entirely and slice the page buffer directly.  Tokens are
-  discarded wholesale whenever the space's ``generation`` counter
-  moves — ``map_region``, ``unmap_page`` and ``protect`` all bump it —
-  so a coherency-driven protection flip is never missed.  Page buffers
-  are mutated in place (never rebound), so a live token always sees
-  current contents.
+  caches ``(read limit, write limit, page buffer)`` for it: how far
+  into the page a load and a store may reach on the fast path (the
+  buffer's length, or -1 when the protection denies the access);
+  subsequent accesses on the page skip the checked
+  ``AddressSpace.read``/``write`` path entirely and slice the page
+  buffer directly.  Tokens are discarded wholesale whenever the
+  space's ``generation`` counter moves — ``map_region``, ``unmap_page``
+  and ``protect`` all bump it — so a coherency-driven protection flip
+  is never missed.  A page buffer is mutated in place, so a live token
+  always sees current contents, with one exception: a write past the
+  bytes a buffer backs rebinds it to a longer one, and that bumps the
+  generation too.  An access past a token's limit takes the checked
+  path, which reads zeros there and grows the buffer on a write.
 * **Access runs.**  :meth:`load_run`/:meth:`store_run` perform one
   protection check for a whole run of accesses, charge the clock once
   per modelled access (in the same float-accumulation order as the
@@ -47,8 +52,12 @@ from repro.simnet.stats import StatsCollector
 
 _MAX_FAULT_RETRIES = 8
 
-#: token = (readable, writable, page buffer view)
-_Token = Tuple[bool, bool, memoryview]
+#: token = (read limit, write limit, page buffer); a limit is the
+#: buffer's length, or -1 when the page's protection denies the access.
+#: The buffer itself, not a view of it: a cold walk takes one token per
+#: page, and a tuple of ints and a bytearray is one object the cyclic
+#: collector can stop tracking, where a memoryview is a second one.
+_Token = Tuple[int, int, bytearray]
 
 
 class Mem:
@@ -91,8 +100,8 @@ class Mem:
         """The access token for a page, acquiring one when mapped.
 
         Callers must have synchronised ``_token_gen`` with the space's
-        generation first; the cached protection bits are then valid
-        because any later ``protect``/``unmap_page`` bumps the
+        generation first; the cached limits are then valid because any
+        later ``protect``/``unmap_page`` or buffer growth bumps the
         generation and discards the whole token table.
         """
         token = self._tokens.get(page_number)
@@ -101,19 +110,14 @@ class Mem:
             if page is None:
                 return None
             protection = page.protection
+            data = page.data
             token = (
-                protection.allows_read(),
-                protection.allows_write(),
-                memoryview(page.data),
+                len(data) if protection.readable else -1,
+                len(data) if protection.writable else -1,
+                data,
             )
             self._tokens[page_number] = token
         return token
-
-    def _sync_tokens(self) -> None:
-        generation = self.space.generation
-        if self._token_gen != generation:
-            self._tokens.clear()
-            self._token_gen = generation
 
     # -- raw loads/stores ----------------------------------------------------
 
@@ -129,10 +133,10 @@ class Mem:
             token = self._tokens.get(page_number)
             if token is None:
                 token = self._token(page_number)
-            if token is not None and token[0]:
+            if token is not None:
                 offset = address - page_number * page_size
                 end = offset + size
-                if end <= page_size:
+                if end <= token[0]:
                     data = bytes(token[2][offset:end])
                     if self.clock is not None:
                         self.clock.advance(self._local_access)
@@ -167,10 +171,10 @@ class Mem:
             token = self._tokens.get(page_number)
             if token is None:
                 token = self._token(page_number)
-            if token is not None and token[1]:
+            if token is not None:
                 offset = address - page_number * page_size
                 end = offset + size
-                if end <= page_size:
+                if end <= token[1]:
                     token[2][offset:end] = data
                     if self.clock is not None:
                         self.clock.advance(self._local_access)
@@ -215,10 +219,10 @@ class Mem:
             token = self._tokens.get(page_number)
             if token is None:
                 token = self._token(page_number)
-            if token is not None and token[0]:
+            if token is not None:
                 offset = address - page_number * page_size
                 end = offset + size
-                if end <= page_size:
+                if end <= token[0]:
                     data = bytes(token[2][offset:end])
                     bill = self._bill
                     if bill is not None and accesses > 0:
@@ -257,10 +261,10 @@ class Mem:
             token = self._tokens.get(page_number)
             if token is None:
                 token = self._token(page_number)
-            if token is not None and token[1]:
+            if token is not None:
                 offset = address - page_number * page_size
                 end = offset + size
-                if end <= page_size:
+                if end <= token[1]:
                     token[2][offset:end] = data
                     bill = self._bill
                     if bill is not None and accesses > 0:

@@ -12,6 +12,10 @@ Two access planes exist, mirroring user/kernel mode:
 * :meth:`read_raw` / :meth:`write_raw` bypass protection — the runtime
   uses these to fill protected cache pages, the way the original
   runtime wrote through a second unprotected mapping / kernel copy.
+
+A page's buffer backs it only as far as it has been written
+(:class:`~repro.memory.page.Page`); both planes read the rest as
+zeros, and a write past the backed bytes grows the buffer.
 """
 
 from __future__ import annotations
@@ -49,11 +53,12 @@ class AddressSpace:
         self._next_page = self._first_page
         self._fault_handler: Optional[FaultHandler] = None
         #: Mapping/protection generation.  Bumped whenever the page
-        #: table changes shape (:meth:`map_region`, :meth:`unmap_pages`)
-        #: or protection (:meth:`protect`).  :class:`repro.memory
-        #: .accessor.Mem` compares it to discard stale page access
-        #: tokens, so a coherency-driven protection flip is never
-        #: missed by the token fast path.  Read-only to callers.
+        #: table changes shape (:meth:`map_region`, :meth:`unmap_pages`),
+        #: protection (:meth:`protect_pages`) or a page's buffer grows.
+        #: :class:`repro.memory.accessor.Mem` compares it to discard
+        #: stale page access tokens, so neither a coherency-driven
+        #: protection flip nor a rebound buffer is missed by the token
+        #: fast path.  Read-only to callers.
         self.generation = 0
         self._mapped_cache: Optional[List[int]] = None
 
@@ -151,8 +156,29 @@ class AddressSpace:
 
     def protect(self, page_number: int, protection: Protection) -> None:
         """Change one page's protection."""
-        self.page(page_number).protection = protection
-        self.generation += 1
+        self.protect_pages((page_number,), protection)
+
+    def protect_pages(
+        self, page_numbers: Iterable[int], protection: Protection
+    ) -> None:
+        """Change several pages' protection in one pass.
+
+        One generation bump however many pages change, as in
+        :meth:`unmap_pages`.  An unmapped number raises
+        :class:`~repro.memory.faults.SegmentationError`; the pages
+        before it keep their new protection, and the bump still lands.
+        """
+        pages = self._pages
+        try:
+            for number in page_numbers:
+                page = pages.get(number)
+                if page is None:
+                    raise SegmentationError(
+                        self.space_id, number * self.page_size, FaultKind.READ
+                    )
+                page.protection = protection
+        finally:
+            self.generation += 1
 
     def protection_of(self, page_number: int) -> Protection:
         """Current protection of one page."""
@@ -194,9 +220,9 @@ class AddressSpace:
             if page is None:
                 raise SegmentationError(self.space_id, address, kind)
             allowed = (
-                page.protection.allows_read()
+                page.protection.readable
                 if kind is FaultKind.READ
-                else page.protection.allows_write()
+                else page.protection.writable
             )
             if not allowed:
                 fault_address = max(address, page.base_address)
@@ -208,54 +234,64 @@ class AddressSpace:
 
     def read_raw(self, address: int, size: int) -> bytes:
         """Load bytes ignoring protection (runtime/kernel plane)."""
+        page_size = self.page_size
         # Fast path: the access stays within one page.
-        page = self._pages.get(address // self.page_size)
+        page = self._pages.get(address // page_size)
         if page is not None:
-            offset = address - page.base_address
-            if offset + size <= self.page_size:
-                return bytes(page.data[offset : offset + size])
+            offset = address % page_size
+            if offset + size <= page_size:
+                return _backed(page, offset, size)
         out = bytearray()
         cursor = address
         remaining = size
         while remaining > 0:
-            page = self.page(cursor // self.page_size)
-            offset = cursor - page.base_address
-            chunk = min(remaining, self.page_size - offset)
-            out += page.data[offset : offset + chunk]
+            page = self.page(cursor // page_size)
+            offset = cursor % page_size
+            chunk = min(remaining, page_size - offset)
+            out += _backed(page, offset, chunk)
             cursor += chunk
             remaining -= chunk
         return bytes(out)
 
     def write_raw(self, address: int, data: bytes) -> None:
         """Store bytes ignoring protection (runtime/kernel plane)."""
+        page_size = self.page_size
         # Fast path: the access stays within one page.
-        page = self._pages.get(address // self.page_size)
+        page = self._pages.get(address // page_size)
         if page is not None:
-            offset = address - page.base_address
-            if offset + len(data) <= self.page_size:
-                page.data[offset : offset + len(data)] = data
+            offset = address % page_size
+            end = offset + len(data)
+            if end <= page_size:
+                buffer = page.data
+                if end > len(buffer):
+                    buffer = self._grow(page, end)
+                buffer[offset:end] = data
                 return
         cursor = address
         view = memoryview(data)
         while view.nbytes > 0:
-            page = self.page(cursor // self.page_size)
-            offset = cursor - page.base_address
-            chunk = min(view.nbytes, self.page_size - offset)
-            page.data[offset : offset + chunk] = view[:chunk]
-            cursor += chunk
-            view = view[chunk:]
+            page = self.page(cursor // page_size)
+            offset = cursor % page_size
+            end = min(page_size, offset + view.nbytes)
+            buffer = page.data
+            if end > len(buffer):
+                buffer = self._grow(page, end)
+            buffer[offset:end] = view[: end - offset]
+            cursor += end - offset
+            view = view[end - offset :]
 
     def unpack_raw(self, codec: struct.Struct, address: int) -> tuple:
         """``codec.unpack`` of the bytes at ``address`` (raw plane).
 
-        Reads straight out of the page buffer when the span stays
-        within one page — no intermediate ``bytes``.
+        Reads straight out of the page buffer when the span lies within
+        the page's backed bytes — no intermediate ``bytes``.
         """
         page = self._pages.get(address // self.page_size)
         if page is not None:
-            offset = address % self.page_size
-            if offset + codec.size <= self.page_size:
-                return codec.unpack_from(page.data, offset)
+            try:
+                return codec.unpack_from(page.data, address % self.page_size)
+            except struct.error:
+                pass  # past the backed bytes, or across a page boundary
         return codec.unpack(self.read_raw(address, codec.size))
 
     def pack_raw(
@@ -265,13 +301,38 @@ class AddressSpace:
         page = self._pages.get(address // self.page_size)
         if page is not None:
             offset = address % self.page_size
-            if offset + codec.size <= self.page_size:
-                codec.pack_into(page.data, offset, *values)
+            end = offset + codec.size
+            if end <= self.page_size:
+                buffer = page.data
+                if end > len(buffer):
+                    buffer = self._grow(page, end)
+                codec.pack_into(buffer, offset, *values)
                 return
         self.write_raw(address, codec.pack(*values))
+
+    def _grow(self, page: Page, end: int) -> bytearray:
+        """Back ``page`` up to byte ``end``: the one rebinding of a buffer.
+
+        A :class:`~repro.memory.accessor.Mem` token holds the old
+        buffer, so the generation moves and every token is dropped
+        before it could serve a byte the new buffer no longer shares.
+        """
+        grown = bytearray(end)
+        grown[: len(page.data)] = page.data
+        page.data = grown
+        self.generation += 1
+        return grown
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AddressSpace({self.space_id!r}, {len(self._pages)} pages "
             f"of {self.page_size}B)"
         )
+
+
+def _backed(page: Page, offset: int, size: int) -> bytes:
+    """``size`` bytes of ``page`` at ``offset``; zeros past its buffer."""
+    chunk = bytes(page.data[offset : offset + size])
+    if len(chunk) < size:
+        chunk += bytes(size - len(chunk))
+    return chunk

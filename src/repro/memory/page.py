@@ -24,17 +24,25 @@ class Protection(enum.Enum):
     READ = 1
     READ_WRITE = 2
 
-    def allows_read(self) -> bool:
-        """Whether a load from the page succeeds."""
-        return self is not Protection.NONE
-
-    def allows_write(self) -> bool:
-        """Whether a store to the page succeeds."""
-        return self is Protection.READ_WRITE
+    def __init__(self, value: int) -> None:
+        # Plain attributes: the fill and access paths ask once per page,
+        # and a member lookup on the enum class costs more than that.
+        #: Whether a load from the page succeeds.
+        self.readable = value != 0
+        #: Whether a store to the page succeeds.
+        self.writable = value == 2
 
 
 class Page:
-    """One page of simulated physical memory."""
+    """One page of simulated physical memory.
+
+    ``data`` backs the page only as far as it has been written: bytes
+    past ``len(data)`` read as zeros.  A page mapped ``NONE`` — a
+    protected page area, which "contains no data at this time" — starts
+    with an empty buffer and grows as the runtime fills it, so a cache
+    page holding one 8-byte datum costs 8 bytes, not 4 KB.  Any other
+    page starts fully backed.
+    """
 
     __slots__ = ("number", "size", "protection", "data")
 
@@ -47,7 +55,7 @@ class Page:
         self.number = number
         self.size = size
         self.protection = protection
-        self.data = bytearray(size)
+        self.data = bytearray(size if protection.readable else 0)
 
     @property
     def base_address(self) -> int:

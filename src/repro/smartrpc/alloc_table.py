@@ -6,21 +6,26 @@ spaces.  The entries of the table are the page number, the offset
 within the page, and a long pointer."
 
 This implementation additionally tracks each entry's local size and
-residency, and provides the two lookups the method needs constantly:
+residency, and provides the three lookups the method needs constantly:
 
 * by long pointer — "has this remote datum already been swizzled here?"
   (the caching effect);
+* by page — "which data are allocated to the faulted page?";
 * by local address — unswizzling an ordinary pointer back to its long
-  pointer;
-* by page — "which data are allocated to the faulted page?".
+  pointer; answered from the rows of the page the address lies on.
+
+So there are two indexes: the long-pointer dict and one address-ordered
+row list per page.  The cache's
+:class:`~repro.smartrpc.cache.PageState` holds that very list as its
+``entries``, so the table and the page bookkeeping cannot disagree.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.memory.page import PAGE_SIZE_DEFAULT
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
 
@@ -61,56 +66,69 @@ class AllocEntry:
 class DataAllocationTable:
     """The per-space, per-session data allocation table."""
 
-    def __init__(self) -> None:
+    def __init__(self, page_size: int = PAGE_SIZE_DEFAULT) -> None:
+        self.page_size = page_size
         self._by_pointer: Dict[LongPointer, AllocEntry] = {}
+        #: Page number -> the rows on that page in address order.  A row
+        #: spanning several pages is listed on each.  Lists stay even
+        #: when emptied: a page's bookkeeping shares its list.
         self._by_page: Dict[int, List[AllocEntry]] = {}
-        self._sorted_addresses: List[int] = []
-        self._by_address: Dict[int, AllocEntry] = {}
+
+    def page_rows(self, page_number: int) -> List[AllocEntry]:
+        """The live, address-ordered row list of one page.
+
+        Created empty on first use; the table mutates it in place from
+        then on, so a caller may keep it as its view of the page.
+        """
+        rows = self._by_page.get(page_number)
+        if rows is None:
+            rows = self._by_page[page_number] = []
+        return rows
+
+    def _pages_of(self, entry: AllocEntry) -> range:
+        last = (entry.local_address + entry.size - 1) // self.page_size
+        return range(entry.page_number, max(entry.page_number, last) + 1)
 
     # -- mutation -----------------------------------------------------------
 
     def add(self, entry: AllocEntry) -> None:
-        """Insert a new row; the long pointer must be new."""
-        if entry.pointer in self._by_pointer:
-            raise SmartRpcError(
-                f"allocation table already has {entry.pointer!r}"
-            )
-        if entry.local_address in self._by_address:
-            raise SmartRpcError(
-                f"allocation table already maps local address "
-                f"{entry.local_address:#x}"
-            )
-        self._by_pointer[entry.pointer] = entry
-        on_page = self._by_page.get(entry.page_number)
-        if on_page is None:
-            self._by_page[entry.page_number] = [entry]
+        """Insert a new row; the long pointer and local address must be new."""
+        pointer = entry.pointer
+        if pointer in self._by_pointer:
+            raise SmartRpcError(f"allocation table already has {pointer!r}")
+        address = entry.local_address
+        number = entry.page_number
+        rows = self._by_page.get(number)
+        if rows is None:
+            rows = self._by_page[number] = []
+        # Placeholders are carved out of fresh pages in bump order, so
+        # a row mostly lands past every row already on its page.
+        if not rows or rows[-1].local_address < address:
+            rows.append(entry)
         else:
-            on_page.append(entry)
-        # Placeholders are carved out of fresh pages, so addresses
-        # mostly arrive in ascending order: append, don't search.
-        addresses = self._sorted_addresses
-        if not addresses or entry.local_address > addresses[-1]:
-            addresses.append(entry.local_address)
-        else:
-            bisect.insort(addresses, entry.local_address)
-        self._by_address[entry.local_address] = entry
+            index = _last_at_or_before(rows, address)
+            if index >= 0 and rows[index].local_address == address:
+                raise SmartRpcError(
+                    f"allocation table already maps local address "
+                    f"{address:#x}"
+                )
+            rows.insert(index + 1, entry)
+        # A row spilling onto later pages starts before any row there.
+        last = (address + entry.size - 1) // self.page_size
+        while number < last:
+            number += 1
+            self.page_rows(number).insert(0, entry)
+        self._by_pointer[pointer] = entry
 
     def remove(self, entry: AllocEntry) -> None:
         """Delete a row (extended_free of a cached datum)."""
-        stored = self._by_pointer.pop(entry.pointer, None)
-        if stored is not entry:
+        if self._by_pointer.get(entry.pointer) is not entry:
             raise SmartRpcError(
                 f"allocation table does not hold {entry.pointer!r}"
             )
-        on_page = self._by_page[entry.page_number]
-        on_page.remove(entry)
-        if not on_page:
-            del self._by_page[entry.page_number]
-        index = bisect.bisect_left(
-            self._sorted_addresses, entry.local_address
-        )
-        del self._sorted_addresses[index]
-        del self._by_address[entry.local_address]
+        del self._by_pointer[entry.pointer]
+        for number in self._pages_of(entry):
+            self._by_page[number].remove(entry)
 
     def repoint(self, entry: AllocEntry, pointer: LongPointer) -> None:
         """Replace an entry's long pointer (provisional -> real address).
@@ -137,11 +155,14 @@ class DataAllocationTable:
 
     def entry_containing(self, local_address: int) -> Optional[AllocEntry]:
         """The row whose placeholder contains a local address."""
-        index = bisect.bisect_right(self._sorted_addresses, local_address)
-        if index == 0:
-            return None
-        entry = self._by_address[self._sorted_addresses[index - 1]]
-        return entry if entry.contains(local_address) else None
+        rows = self._by_page.get(local_address // self.page_size)
+        if rows:
+            index = _last_at_or_before(rows, local_address)
+            if index >= 0:
+                entry = rows[index]
+                if local_address < entry.local_address + entry.size:
+                    return entry
+        return None
 
     def entries_overlapping(self, address: int, size: int) -> List[AllocEntry]:
         """Rows whose placeholders intersect ``[address, address+size)``.
@@ -154,19 +175,24 @@ class DataAllocationTable:
         if size <= 0:
             entry = self.entry_containing(address)
             return [entry] if entry is not None else []
-        out: List[AllocEntry] = []
-        index = bisect.bisect_right(self._sorted_addresses, address)
-        if index:
-            entry = self._by_address[self._sorted_addresses[index - 1]]
-            if entry.contains(address):
-                out.append(entry)
         end = address + size
-        while index < len(self._sorted_addresses):
-            start = self._sorted_addresses[index]
-            if start >= end:
-                break
-            out.append(self._by_address[start])
-            index += 1
+        out: List[AllocEntry] = []
+        page_size = self.page_size
+        by_page = self._by_page
+        for number in range(address // page_size, (end - 1) // page_size + 1):
+            rows = by_page.get(number)
+            if not rows:
+                continue
+            index = _last_at_or_before(rows, address)
+            for entry in rows[index if index > 0 else 0 :]:
+                start = entry.local_address
+                if start >= end:
+                    break
+                # A row crossing into this page was the last one seen.
+                if start + entry.size > address and (
+                    not out or out[-1] is not entry
+                ):
+                    out.append(entry)
         return out
 
     def entries_on_page(self, page_number: int) -> List[AllocEntry]:
@@ -175,7 +201,7 @@ class DataAllocationTable:
 
     def pages(self) -> List[int]:
         """All cache pages with at least one row."""
-        return sorted(self._by_page)
+        return sorted(number for number, rows in self._by_page.items() if rows)
 
     def __len__(self) -> int:
         return len(self._by_pointer)
@@ -200,3 +226,24 @@ class DataAllocationTable:
         for page_number, offset, pointer in self.rows():
             lines.append(f"{page_number:<7} {offset:<23} {pointer!r}")
         return "\n".join(lines)
+
+
+def _last_at_or_before(rows: List[AllocEntry], address: int) -> int:
+    """Index of the last of ``rows`` (non-empty) starting at or before
+    ``address``, or -1.
+
+    ``bisect`` takes no ``key`` before Python 3.10, and a page holds few
+    rows, so the search is written out.  Lookups mostly land on or past
+    a page's last row (most pages hold one), so that is tried first.
+    """
+    high = len(rows) - 1
+    if rows[high].local_address <= address:
+        return high
+    low = 0
+    while low < high:
+        middle = (low + high) // 2
+        if rows[middle].local_address <= address:
+            low = middle + 1
+        else:
+            high = middle
+    return low - 1

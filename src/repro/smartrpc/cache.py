@@ -21,7 +21,7 @@ This module implements the virtual-memory half of the method:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.memory.faults import AccessViolation, FaultKind
@@ -48,6 +48,10 @@ class PageState:
 
     number: int
     home: Optional[str]
+    #: The allocation table's row list for this page, in address order
+    #: (one list, two owners): the table inserts and removes, the cache
+    #: reads.
+    entries: List[AllocEntry]
     bump: int = 0
     closed: bool = False
     dirty: bool = False
@@ -55,13 +59,7 @@ class PageState:
     #: modification; faults record the version they observe so the
     #: offline sanitizer can detect stale reads (SRPC401).
     version: int = 0
-    entries: List[AllocEntry] = field(default_factory=list)
     span_of: Optional[AllocEntry] = None
-
-    @property
-    def resident_count(self) -> int:
-        """Resident entries on this page."""
-        return sum(1 for entry in self.entries if entry.resident)
 
     @property
     def complete(self) -> bool:
@@ -92,7 +90,7 @@ class CacheManager:
         #: The owning address space and its (fixed) page size.
         self.space = runtime.space
         self.page_size = runtime.space.page_size
-        self.table = DataAllocationTable()
+        self.table = DataAllocationTable(self.page_size)
         self._pages: Dict[int, PageState] = {}
         # Open pages accepting new placeholders, keyed by
         # (allocation class, home) — home collapses to "" under MIXED.
@@ -104,6 +102,9 @@ class CacheManager:
         # lets :meth:`note_touch_range` return without a table lookup —
         # the steady-state fast path.
         self._untouched_shipped = 0
+        # Pages completed inside a batch, remapped READ in one pass when
+        # it ends (:meth:`hold_releases`); ``None`` outside a batch.
+        self._held: Optional[List[int]] = None
 
     # -- small accessors ------------------------------------------------------
 
@@ -206,7 +207,6 @@ class CacheManager:
             resident,
         )
         page.bump = offset + size
-        page.entries.append(entry)
         self.table.add(entry)
         return entry
 
@@ -224,7 +224,6 @@ class CacheManager:
             resident=resident,
         )
         page.bump = size
-        page.entries.append(entry)
         self.table.add(entry)
         return entry
 
@@ -245,9 +244,12 @@ class CacheManager:
         for index in range(pages):
             number = first + index
             state = PageState(
-                number, pointer.space_id, closed=True, span_of=entry
+                number,
+                pointer.space_id,
+                self.table.page_rows(number),
+                closed=True,
+                span_of=entry,
             )
-            state.entries.append(entry)
             self._pages[number] = state
             self.runtime.register_cache_page(number, self)
         self.table.add(entry)
@@ -258,7 +260,7 @@ class CacheManager:
     def _map_page(self, home: Optional[str]) -> PageState:
         base = self.space.map_region(1, Protection.NONE)
         number = base // self.page_size
-        state = PageState(number, home)
+        state = PageState(number, home, self.table.page_rows(number))
         self._pages[number] = state
         self.runtime.register_cache_page(number, self)
         return state
@@ -431,8 +433,28 @@ class CacheManager:
         if not page.complete:
             return
         page.closed = True
-        if not page.dirty:
+        if page.dirty:
+            return
+        if self._held is not None:
+            self._held.append(page_number)
+        else:
             self.space.protect(page_number, Protection.READ)
+
+    def hold_releases(self) -> None:
+        """Defer the READ remap of pages completed from now on.
+
+        A transfer batch completes up to one page per item; instead of
+        one ``protect`` and one generation bump each,
+        :meth:`release_held` remaps them all in one pass, as
+        :meth:`invalidate` unmaps a whole cache area in one.
+        """
+        self._held = []
+
+    def release_held(self) -> None:
+        """Remap READ every page completed since :meth:`hold_releases`."""
+        held, self._held = self._held, None
+        if held:
+            self.space.protect_pages(held, Protection.READ)
 
     def mark_dirty_page(self, page_number: int) -> None:
         """First write detected: remap writable, join the dirty set."""
@@ -483,10 +505,6 @@ class CacheManager:
         if entry.shipped and not entry.touched:
             self._untouched_shipped -= 1
         self.table.remove(entry)
-        for number in self._entry_pages(entry):
-            page = self._pages[number]
-            if entry in page.entries:
-                page.entries.remove(entry)
 
     # -- teardown -------------------------------------------------------------
 
@@ -498,7 +516,7 @@ class CacheManager:
         self._open_pages.clear()
         self.dirty_pages.clear()
         self._untouched_shipped = 0
-        self.table = DataAllocationTable()
+        self.table = DataAllocationTable(self.page_size)
         self.runtime.stats.invalidations += 1
 
 

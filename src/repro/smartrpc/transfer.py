@@ -181,6 +181,9 @@ def apply_batch(
     applied = 0
     shipped = [0, 0]  # bytes of demanded roots, bytes of prefetch
     last = -1  # the previous item's handle: runs of one type are the rule
+    # Pages the batch completes turn READ in one pass at its end —
+    # should an item raise, those completed before it still do.
+    cache.hold_releases()
     try:
         for _ in range(count):
             handle = peek()
@@ -255,6 +258,7 @@ def apply_batch(
         decoder.expect_done()
         cache.finish_batch()
     finally:
+        cache.release_held()
         # Sums are order-free, so the counters move once per batch —
         # by what did land, should an item have raised.
         runtime.stats.entries_transferred += applied

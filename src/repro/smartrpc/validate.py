@@ -15,17 +15,16 @@ the full diagnostic list) if anything failed.
 
 The invariants, each traceable to the method's design:
 
-1. every table row lies inside a cache page owned by this session
-   (SRPC201);
-2. a page's entry list and the table's page index agree (SRPC202);
-3. protection matches residency: a page with any non-resident entry is
+1. every table row lies inside a cache page owned by this session,
+   and that page lists it (SRPC201, SRPC202);
+2. protection matches residency: a page with any non-resident entry is
    inaccessible (``NONE``); a complete clean page is read-only; a
    dirty page is read-write and fully resident (dirtiness is detected
    by a write fault, which can only follow a complete fill) (SRPC203);
-4. placeholders on one page never overlap (SRPC204);
-5. under the single-home strategy, all entries on a page share one
+3. placeholders on one page never overlap (SRPC204);
+4. under the single-home strategy, all entries on a page share one
    home space (SRPC205);
-6. the relayed modified-data-set only references live, resident
+5. the relayed modified-data-set only references live, resident
    entries (SRPC206).
 """
 
@@ -95,20 +94,7 @@ def session_diagnostics(
                     page=number,
                 )
 
-    # 2: the table's page index agrees with the page entry lists.
-    for number in table.pages():
-        listed = set(id(e) for e in cache.page_state(number).entries)
-        indexed = set(id(e) for e in table.entries_on_page(number))
-        if not indexed <= listed:
-            collector.emit(
-                "SRPC202",
-                f"table page index for {number} disagrees with the "
-                "page state",
-                session=state.session_id,
-                page=number,
-            )
-
-    # 3: protection matches residency and dirtiness.
+    # 2: protection matches residency and dirtiness.
     for number, page in cache._pages.items():
         protection = space.protection_of(number)
         if page.dirty:
@@ -145,7 +131,7 @@ def session_diagnostics(
                     page=number,
                 )
 
-    # 4: no overlap within a page.
+    # 3: no overlap within a page.
     for number in table.pages():
         spans = sorted(
             (entry.local_address, entry.end)
@@ -160,7 +146,7 @@ def session_diagnostics(
                     page=number,
                 )
 
-    # 5: single-home pages are homogeneous.
+    # 4: single-home pages are homogeneous.
     if cache.strategy == "single_home":
         for number in table.pages():
             homes = {
@@ -176,7 +162,7 @@ def session_diagnostics(
                     page=number,
                 )
 
-    # 6: relayed dirty entries are live and resident.
+    # 5: relayed dirty entries are live and resident.
     for entry in state.relayed_dirty:
         if table.entry_for(entry.pointer) is not entry:
             collector.emit(
@@ -206,13 +192,12 @@ def validate_session(
     diagnostics = session_diagnostics(runtime, state)
     checks = [
         "rows-within-owned-pages",
-        "page-indices-agree",
         "protection-matches-residency",
         "no-placeholder-overlap",
         "relayed-dirty-live",
     ]
     if state.cache.strategy == "single_home":
-        checks.insert(4, "single-home-pages")
+        checks.insert(3, "single-home-pages")
     if diagnostics:
         summary = "; ".join(
             f"{d.code}: {d.message}" for d in diagnostics

@@ -172,12 +172,12 @@ class TestProtection:
         assert space.protection_of(number) is Protection.NONE
 
     def test_protection_enum_semantics(self):
-        assert not Protection.NONE.allows_read()
-        assert not Protection.NONE.allows_write()
-        assert Protection.READ.allows_read()
-        assert not Protection.READ.allows_write()
-        assert Protection.READ_WRITE.allows_read()
-        assert Protection.READ_WRITE.allows_write()
+        assert not Protection.NONE.readable
+        assert not Protection.NONE.writable
+        assert Protection.READ.readable
+        assert not Protection.READ.writable
+        assert Protection.READ_WRITE.readable
+        assert Protection.READ_WRITE.writable
 
     def test_mapped_pages_sorted(self, space):
         space.map_region(3)

@@ -52,13 +52,13 @@ class Shadow:
 
     def read(self, number: int, offset: int, size: int):
         entry = self.pages.get(number)
-        if entry is None or not entry[1].allows_read():
+        if entry is None or not entry[1].readable:
             return None  # access must not succeed
         return bytes(entry[0][offset:offset + size])
 
     def write(self, number: int, offset: int, data: bytes) -> bool:
         entry = self.pages.get(number)
-        if entry is None or not entry[1].allows_write():
+        if entry is None or not entry[1].writable:
             return False
         entry[0][offset:offset + len(data)] = data
         return True

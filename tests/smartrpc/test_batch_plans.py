@@ -9,6 +9,7 @@ for entry, and every check the per-field code made must still raise.
 
 import pytest
 
+from repro.memory.page import Protection
 from repro.namesvc.client import TypeResolver
 from repro.simnet.network import Network
 from repro.smartrpc import transfer
@@ -77,6 +78,12 @@ def cache_image(runtime, state):
         ],
         "pages": {
             number: runtime.space.read_raw(number * page_size, page_size)
+            for number in state.cache.table.pages()
+        },
+        # The batch releases its pages in one pass; the reference one
+        # page at a time.  Both must end on the same protections.
+        "protections": {
+            number: runtime.space.protection_of(number)
             for number in state.cache.table.pages()
         },
         "session_ledger": state.transfer_stats.as_dict(),
@@ -318,6 +325,17 @@ class TestEveryCheckStays:
         batch = batch_of([("A", LIST_NODE_TYPE_ID)], 2, body.getvalue())
         with pytest.raises(XdrError, match="bad handle-pool handle"):
             transfer.apply_batch(pair.b, state_b, batch, False)
+
+    def test_failing_batch_still_releases_what_it_completed(self, worlds):
+        pair, root, state_a, state_b = worlds
+        item = tree_item(pair.a, root)
+        entry = state_b.cache.ensure_entry(item.pointer)
+        state_b.cache.finish_datum()  # as the call's argument swizzle does
+        batch = transfer.encode_batch(pair.a, state_a, [item])
+        with pytest.raises(XdrError, match="trailing"):
+            transfer.apply_batch(pair.b, state_b, batch + bytes(4), False)
+        assert entry.resident
+        assert pair.b.space.protection_of(entry.page_number) is Protection.READ
 
     def test_trailing_bytes(self, worlds):
         pair, root, state_a, state_b = worlds

@@ -148,6 +148,55 @@ class TestResidencyAndRelease:
         entry = cache.ensure_entry(remote_pointer())
         cache.release_entry(entry)
         assert cache.table.entry_for(entry.pointer) is None
+        assert cache.page_state(entry.page_number).entries == []
+
+    def test_held_releases_land_in_one_pass(self, smart_pair, callee_state):
+        cache = callee_state.cache
+        space = smart_pair.b.space
+        entries = []
+        for address in (0x1000, 0x2000, 0x3000):
+            entries.append(cache.ensure_entry(remote_pointer(address)))
+            cache.finish_datum()
+        cache.hold_releases()
+        for entry in entries:
+            cache.mark_resident(entry)
+        assert all(
+            space.protection_of(entry.page_number) is Protection.NONE
+            for entry in entries
+        )
+        before = space.generation
+        cache.release_held()
+        assert space.generation == before + 1
+        assert all(
+            space.protection_of(entry.page_number) is Protection.READ
+            for entry in entries
+        )
+
+
+class TestOnePageIndex:
+    def test_page_entries_are_the_table_rows(self, callee_state):
+        cache = callee_state.cache
+        first = cache.ensure_entry(remote_pointer(0x1000))
+        second = cache.ensure_entry(remote_pointer(0x2000))
+        rows = cache.page_state(first.page_number).entries
+        assert rows is cache.table.page_rows(first.page_number)
+        assert rows == [first, second]
+
+    def test_span_rows_are_listed_on_every_page(
+        self, smart_pair, callee_state
+    ):
+        cache = callee_state.cache
+        page_size = smart_pair.b.space.page_size
+        entry = cache._allocate_span(
+            remote_pointer(0x8000, "big"), page_size * 2 + 100, False
+        )
+        for number in cache.pages_of(entry):
+            assert cache.page_state(number).entries == [entry]
+        last = entry.local_address + entry.size - 1
+        assert cache.table.entry_containing(last) is entry
+        assert cache.table.entries_overlapping(
+            entry.local_address + page_size - 4, page_size
+        ) == [entry]
 
 
 class TestDirtiness:

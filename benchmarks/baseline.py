@@ -91,6 +91,8 @@ TOLERANCE = 0.10
 #: enough that a fully-lazy ratio-1.0 walk stays fast over a real
 #: carrier, large enough that the eager closure is genuinely bulk.
 CROSSOVER_NODES = 2047
+#: Recorded as ``closure_bytes``; neither duelling method takes a
+#: budget (graphcopy has no data plane, lazy pins 0).
 CROSSOVER_CLOSURE = 8192
 CROSSOVER_RATIOS = (0.0, 0.05, 0.1, 0.2, 0.5, 1.0)
 
@@ -222,11 +224,7 @@ def _crossover_sweep(transport: str) -> Dict:
                 # inside a polling handoff would be charged to the
                 # carrier.
                 gc.collect()
-                with make_world(
-                    method,
-                    closure_size=CROSSOVER_CLOSURE,
-                    transport=transport,
-                ) as world:
+                with make_world(method, transport=transport) as world:
                     run = run_tree_call(
                         world, CROSSOVER_NODES, "search", ratio=ratio
                     )

@@ -9,7 +9,12 @@ measures the implemented points in that tradeoff space.
 import pytest
 from conftest import record_sim_result
 
-from repro.bench.harness import PROPOSED, make_world, run_tree_call
+from repro.bench.harness import (
+    PROPOSED,
+    make_world,
+    resolve_policy,
+    run_tree_call,
+)
 from repro.smartrpc.cache import ISOLATED, PACKED, SINGLE_HOME
 
 NODES = 32767
@@ -19,7 +24,9 @@ RATIO = 0.5
 @pytest.mark.parametrize("strategy", [SINGLE_HOME, PACKED, ISOLATED])
 def test_ablation_alloc_strategy(benchmark, strategy):
     def run():
-        world = make_world(PROPOSED, allocation_strategy=strategy)
+        world = make_world(
+            resolve_policy(PROPOSED, allocation_strategy=strategy)
+        )
         return run_tree_call(world, NODES, "search", ratio=RATIO)
 
     run_result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -8,7 +8,12 @@ closure matches a depth-first consumer better at partial ratios.
 import pytest
 from conftest import record_sim_result
 
-from repro.bench.harness import PROPOSED, make_world, run_tree_call
+from repro.bench.harness import (
+    PROPOSED,
+    make_world,
+    resolve_policy,
+    run_tree_call,
+)
 from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST
 
 NODES = 32767
@@ -20,7 +25,7 @@ def test_ablation_closure_order(benchmark, order, ratio, policy_mode):
     method = PROPOSED if policy_mode is None else policy_mode
 
     def run():
-        world = make_world(method, closure_order=order)
+        world = make_world(resolve_policy(method, closure_order=order))
         return run_tree_call(world, NODES, "search", ratio=ratio)
 
     run_result = benchmark.pedantic(run, rounds=1, iterations=1)

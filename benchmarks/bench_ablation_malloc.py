@@ -8,7 +8,12 @@ batches them until thread activity moves.  This bench measures both.
 import pytest
 from conftest import record_sim_result
 
-from repro.bench.harness import CALLEE, PROPOSED, make_world
+from repro.bench.harness import (
+    CALLEE,
+    PROPOSED,
+    make_world,
+    resolve_policy,
+)
 from repro.workloads.linked_list import build_list, list_client
 
 ALLOCATIONS = 500
@@ -18,7 +23,9 @@ ALLOCATIONS = 500
                          ids=["batched", "immediate"])
 def test_ablation_remote_malloc(benchmark, batched):
     def run():
-        world = make_world(PROPOSED, batch_memory_ops=batched)
+        world = make_world(
+            resolve_policy(PROPOSED, batch_memory_ops=batched)
+        )
         head = build_list(world.caller, [0])
         client = list_client(world.caller, CALLEE)
         world.stats.reset()

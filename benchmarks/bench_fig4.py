@@ -21,6 +21,7 @@ from repro.bench.harness import (
     PROPOSED,
     SIMNET,
     make_world,
+    resolve_policy,
     run_tree_call,
 )
 
@@ -36,12 +37,10 @@ def test_fig4_search(
         method = policy_mode
 
     def run():
-        with make_world(
-            method,
-            closure_size=FIG4_CLOSURE,
-            closure_order=closure_order_mode,
-            transport=transport_mode,
-        ) as world:
+        policy = resolve_policy(
+            method, closure_size=FIG4_CLOSURE, closure_order=closure_order_mode
+        )
+        with make_world(policy, transport=transport_mode) as world:
             return run_tree_call(world, FIG4_NODES, "search", ratio=ratio)
 
     run_result = benchmark.pedantic(run, rounds=1, iterations=1)

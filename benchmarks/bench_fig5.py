@@ -13,6 +13,7 @@ from repro.bench.harness import (
     FULLY_LAZY,
     PROPOSED,
     make_world,
+    resolve_policy,
     run_tree_call,
 )
 
@@ -28,12 +29,10 @@ def test_fig5_callbacks(
         method = policy_mode
 
     def run():
-        with make_world(
-            method,
-            closure_size=FIG4_CLOSURE,
-            closure_order=closure_order_mode,
-            transport=transport_mode,
-        ) as world:
+        policy = resolve_policy(
+            method, closure_size=FIG4_CLOSURE, closure_order=closure_order_mode
+        )
+        with make_world(policy, transport=transport_mode) as world:
             return run_tree_call(world, FIG4_NODES, "search", ratio=ratio)
 
     run_result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,7 +11,12 @@ import pytest
 from conftest import record_sim_result
 
 from repro.bench.calibration import FIG6_REPEATS
-from repro.bench.harness import PROPOSED, make_world, run_tree_call
+from repro.bench.harness import (
+    PROPOSED,
+    make_world,
+    resolve_policy,
+    run_tree_call,
+)
 
 NODE_COUNTS = [16383, 32767, 65535]
 CLOSURE_SIZES = [0, 2048, 4096, 8192, 16384, 32768, 49152]
@@ -30,12 +35,10 @@ def test_fig6_closure_sweep(
     method = PROPOSED if policy_mode is None else policy_mode
 
     def run():
-        with make_world(
-            method,
-            closure_size=closure_size,
-            closure_order=closure_order_mode,
-            transport=transport_mode,
-        ) as world:
+        policy = resolve_policy(
+            method, closure_size=closure_size, closure_order=closure_order_mode
+        )
+        with make_world(policy, transport=transport_mode) as world:
             return run_tree_call(
                 world, num_nodes, "search_repeat", repeats=FIG6_REPEATS
             )

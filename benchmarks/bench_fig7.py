@@ -10,7 +10,12 @@ import pytest
 from conftest import record_sim_result
 
 from repro.bench.calibration import FIG4_CLOSURE, FIG4_NODES
-from repro.bench.harness import PROPOSED, make_world, run_tree_call
+from repro.bench.harness import (
+    PROPOSED,
+    make_world,
+    resolve_policy,
+    run_tree_call,
+)
 
 RATIOS = [0.2, 0.4, 0.6, 0.8, 1.0]
 
@@ -23,12 +28,10 @@ def test_fig7_update(
     method = PROPOSED if policy_mode is None else policy_mode
 
     def run():
-        with make_world(
-            method,
-            closure_size=FIG4_CLOSURE,
-            closure_order=closure_order_mode,
-            transport=transport_mode,
-        ) as world:
+        policy = resolve_policy(
+            method, closure_size=FIG4_CLOSURE, closure_order=closure_order_mode
+        )
+        with make_world(policy, transport=transport_mode) as world:
             return run_tree_call(world, FIG4_NODES, procedure, ratio=ratio)
 
     run_result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -15,7 +15,7 @@ Run::
 from repro.namesvc import TypeNameServer, TypeResolver
 from repro.simnet import Network, StatsCollector
 from repro.simnet.tracefmt import format_timeline, summarize_trace
-from repro.smartrpc import SmartRpcRuntime
+from repro.smartrpc import SmartRpcRuntime, make_policy
 from repro.workloads.traversal import bind_tree_server, tree_client
 from repro.workloads.trees import (
     TREE_NODE_TYPE_ID,
@@ -35,13 +35,14 @@ def main() -> None:
     name_server = TypeNameServer(network.add_site("NS"), TypeRegistry())
     name_server.publish(TREE_NODE_TYPE_ID, tree_node_spec())
     site_a, site_b = network.add_site("A"), network.add_site("B")
+    policy = make_policy("fixed", closure_size=256)
     machine_a = SmartRpcRuntime(
         network, site_a, SPARC32, resolver=TypeResolver(site_a, "NS"),
-        closure_size=256,
+        policy=policy,
     )
     machine_b = SmartRpcRuntime(
         network, site_b, SPARC32, resolver=TypeResolver(site_b, "NS"),
-        closure_size=256,
+        policy=policy,
     )
     root = build_complete_tree(machine_a, 63)
     bind_tree_server(machine_b)

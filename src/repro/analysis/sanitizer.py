@@ -14,12 +14,8 @@ Causal order comes from vector clocks.  Schema revision 2 traces
 every protocol event: both carriers piggyback per-site vector clocks
 on their exchanges (synchronously in the simulator, as a frame field
 over TCP), and every runtime event is stamped with its site's clock at
-emission.  For legacy revision-1 traces the sanitizer derives clocks
-by replaying the merged log: each event ticks its site's clock, and
-each ``message`` record merges the sender's clock into the receiver's.
-Derived clocks over-order (the recorded interleaving is one total
-order), so legacy traces still verify clean but seeded races in them
-may go undetected — re-record with a stamping runtime to hunt races.
+emission.  A trace with an unstamped session event (revision 1) is
+rejected: a replayed log's clocks would hide the very races sought.
 
 The rules:
 
@@ -106,71 +102,24 @@ _ACTIVITY_CATEGORIES = ("fault", "write", "data-batch")
 def resolve_clocks(
     events: Sequence[TraceEvent],
 ) -> List[Optional[ClockMap]]:
-    """One vector clock per event: recorded stamps, or derived.
+    """One vector clock per event: its recorded ``vc`` stamp, if any.
 
-    When every protocol event carries a recorded ``vc`` stamp (schema
-    revision 2) the stamps are authoritative.  Otherwise clocks are
-    derived by replay — see :func:`derive_clocks`.
+    Every session-scoped event must carry one (schema revision 2); an
+    unstamped one raises :class:`TraceFormatError` naming its line,
+    because the causal order the rules judge would be unknown.
     """
-    stamped = False
-    for event in events:
-        if event.category in SESSION_CATEGORIES:
-            if not isinstance((event.data or {}).get("vc"), dict):
-                return derive_clocks(events)
-            stamped = True
-    if not stamped and not any(
-        isinstance((e.data or {}).get("vc"), dict) for e in events
-    ):
-        return derive_clocks(events)
-    return [
-        (event.data or {}).get("vc")
-        if isinstance((event.data or {}).get("vc"), dict)
-        else None
-        for event in events
-    ]
-
-
-def derive_clocks(
-    events: Sequence[TraceEvent],
-) -> List[Optional[ClockMap]]:
-    """Derive per-event vector clocks from a legacy (unstamped) trace.
-
-    Replays the merged log in recorded order: every event ticks its
-    own site's clock, and every ``message`` record merges the sender's
-    clock into the receiver's (the record precedes the receiver's
-    handler events, so deliveries order what they should).  The result
-    respects the recorded interleaving, which makes it conservative:
-    clean traces verify clean, but concurrency the interleaving hid
-    stays hidden.
-    """
-    clocks: Dict[str, ClockMap] = {}
-
-    def tick(site: str) -> ClockMap:
-        clock = clocks.setdefault(site, {})
-        clock[site] = clock.get(site, 0) + 1
-        return dict(clock)
-
-    def merge(src: str, dst: str) -> None:
-        target = clocks.setdefault(dst, {})
-        for site, count in clocks.get(src, {}).items():
-            if target.get(site, 0) < count:
-                target[site] = count
-
-    derived: List[Optional[ClockMap]] = []
-    for event in events:
-        data = event.data or {}
-        if event.category == "message":
-            src = data.get("src")
-            dst = data.get("dst")
-            derived.append(tick(src) if src else None)
-            if src and dst:
-                merge(src, dst)
-        elif event.category in SESSION_CATEGORIES:
-            site = data.get("site") or data.get("space")
-            derived.append(tick(site) if site else None)
-        else:
-            derived.append(None)
-    return derived
+    clocks: List[Optional[ClockMap]] = []
+    for index, event in enumerate(events):
+        vc = (event.data or {}).get("vc")
+        if not isinstance(vc, dict):
+            if event.category in SESSION_CATEGORIES:
+                raise TraceFormatError(
+                    f"line {index + 1}: {event.category} event has no "
+                    "vector-clock stamp (a revision-1 trace?)"
+                )
+            vc = None
+        clocks.append(vc)
+    return clocks
 
 
 # -- the sanitizer ------------------------------------------------------------
@@ -181,7 +130,10 @@ def check_events(
     collector: DiagnosticCollector,
     filename: Optional[str] = None,
 ) -> None:
-    """Run every happens-before rule over an in-memory event list."""
+    """Run every happens-before rule over an in-memory event list.
+
+    Raises :class:`TraceFormatError` on an unstamped session event.
+    """
     vcs = resolve_clocks(events)
 
     def loc(index: int) -> SourceLocation:
@@ -530,9 +482,13 @@ def analyze_trace_file(
     path,
     collector: DiagnosticCollector,
 ) -> Optional[List[TraceEvent]]:
-    """Load and sanitize one trace log; SRPC100 on unreadable input."""
+    """Load and sanitize one trace log.
+
+    An unreadable, malformed or unstamped log is one SRPC100 and ``None``.
+    """
     try:
         events = load_trace(path)
+        check_events(events, collector, filename=str(path))
     except (OSError, UnicodeDecodeError) as exc:
         collector.emit(
             "SRPC100",
@@ -551,7 +507,6 @@ def analyze_trace_file(
             ),
         )
         return None
-    check_events(events, collector, filename=str(path))
     return events
 
 

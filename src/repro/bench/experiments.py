@@ -17,6 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.smartrpc.cache import ISOLATED, PACKED, SINGLE_HOME
 from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST
 from repro.smartrpc.long_pointer import LongPointer
+from repro.smartrpc.policy import make_policy
+from repro.workloads.hashtable import build_hash_table, hash_client
 from repro.workloads.linked_list import list_client
 from repro.workloads.trees import build_complete_tree
 from repro.xdr.types import Field as XField
@@ -26,30 +28,31 @@ from repro.bench import calibration
 from repro.bench.ascii_chart import render_chart
 from repro.bench.harness import (
     CALLEE,
-    CALLER,
     FULLY_EAGER,
     FULLY_LAZY,
     METHODS,
-    NAME_SERVER,
     PROPOSED,
     ExperimentRun,
     make_world,
+    resolve_policy,
     run_hash_call,
     run_tree_call,
+    standard_workload_hints,
 )
 from repro.bench.reporting import format_table
 
 
-def _proposed_world(policy, closure_order, **knobs):
-    """A world for the figure's "proposed" column.
+def _world(method, policy=None, **knobs):
+    """A fresh world for one cell of a figure.
 
-    ``--policy`` substitutes any transfer policy for the proposed
-    method's column while the baseline columns stay what the paper
-    plots; ``--closure-order`` rides along on every world whose policy
-    has a data plane.
+    ``policy`` (``--policy``) substitutes any transfer policy for the
+    proposed method's column while the baseline columns stay what the
+    paper plots; the sweep knobs (closure size, ``--closure-order``)
+    ride along on every world whose policy has a data plane.
     """
-    method = PROPOSED if policy is None else policy
-    return make_world(method, closure_order=closure_order, **knobs)
+    if method == PROPOSED and policy is not None:
+        method = policy
+    return make_world(resolve_policy(method, **knobs))
 
 
 @dataclass
@@ -91,16 +94,12 @@ def fig4_methods_comparison(
     for ratio in ratios:
         times: Dict[str, float] = {}
         for method in METHODS:
-            if method == PROPOSED:
-                world = _proposed_world(
-                    policy, closure_order, closure_size=closure_size
-                )
-            else:
-                world = make_world(
-                    method,
-                    closure_size=closure_size,
-                    closure_order=closure_order,
-                )
+            world = _world(
+                method,
+                policy,
+                closure_size=closure_size,
+                closure_order=closure_order,
+            )
             run = run_tree_call(world, num_nodes, "search", ratio=ratio)
             times[method] = run.seconds
         rows.append(
@@ -151,16 +150,12 @@ def fig5_callback_counts(
     for ratio in ratios:
         counts: Dict[str, int] = {}
         for method in (FULLY_LAZY, PROPOSED):
-            if method == PROPOSED:
-                world = _proposed_world(
-                    policy, closure_order, closure_size=closure_size
-                )
-            else:
-                world = make_world(
-                    method,
-                    closure_size=closure_size,
-                    closure_order=closure_order,
-                )
+            world = _world(
+                method,
+                policy,
+                closure_size=closure_size,
+                closure_order=closure_order,
+            )
             run = run_tree_call(world, num_nodes, "search", ratio=ratio)
             counts[method] = run.callbacks
         rows.append((ratio, counts[FULLY_LAZY], counts[PROPOSED]))
@@ -203,8 +198,11 @@ def fig6_closure_size(
     for num_nodes in node_counts:
         best: Tuple[float, int] = (float("inf"), -1)
         for closure_size in closure_sizes:
-            world = _proposed_world(
-                policy, closure_order, closure_size=closure_size
+            world = _world(
+                PROPOSED,
+                policy,
+                closure_size=closure_size,
+                closure_order=closure_order,
             )
             run = run_tree_call(
                 world, num_nodes, "search_repeat", repeats=repeats
@@ -259,12 +257,18 @@ def fig7_update_performance(
         ratios = calibration.ACCESS_RATIOS
     rows = []
     for ratio in ratios:
-        visit_world = _proposed_world(
-            policy, closure_order, closure_size=closure_size
+        visit_world = _world(
+            PROPOSED,
+            policy,
+            closure_size=closure_size,
+            closure_order=closure_order,
         )
         visit = run_tree_call(visit_world, num_nodes, "search", ratio=ratio)
-        update_world = _proposed_world(
-            policy, closure_order, closure_size=closure_size
+        update_world = _world(
+            PROPOSED,
+            policy,
+            closure_size=closure_size,
+            closure_order=closure_order,
         )
         update = run_tree_call(
             update_world, num_nodes, "search_update", ratio=ratio
@@ -384,10 +388,8 @@ def ablation_alloc_strategy(
     """
     rows = []
     for strategy in (SINGLE_HOME, PACKED, ISOLATED):
-        world = make_world(
-            PROPOSED,
-            closure_size=closure_size,
-            allocation_strategy=strategy,
+        world = _world(
+            PROPOSED, closure_size=closure_size, allocation_strategy=strategy
         )
         run = run_tree_call(world, num_nodes, "search", ratio=ratio)
         rows.append(
@@ -424,8 +426,9 @@ def ablation_closure_order(
     for ratio in ratios:
         times = {}
         for order in (BREADTH_FIRST, DEPTH_FIRST):
-            world = make_world(
-                PROPOSED if policy is None else policy,
+            world = _world(
+                PROPOSED,
+                policy,
                 closure_size=closure_size,
                 closure_order=order,
             )
@@ -470,7 +473,7 @@ def ablation_batched_malloc(counts: Sequence[int] = (50, 200, 800)) -> (
     for count in counts:
         per_mode = {}
         for batched in (True, False):
-            world = make_world(PROPOSED, batch_memory_ops=batched)
+            world = _world(PROPOSED, batch_memory_ops=batched)
             head = build_list(world.caller, [1, 2, 3])
             client = list_client(world.caller, CALLEE)
             world.stats.reset()
@@ -524,62 +527,29 @@ def ablation_closure_hints(
     waste of sparse access.  Paired with isolated placeholders, where
     page-grain fills cannot mask the hint.
     """
-    from repro.namesvc.client import TypeResolver
-    from repro.namesvc.server import TypeNameServer
-    from repro.simnet.network import Network
-    from repro.smartrpc.cache import ISOLATED
-    from repro.smartrpc.hints import ClosureHints
-    from repro.smartrpc.runtime import SmartRpcRuntime
-    from repro.workloads.hashtable import (
-        HASH_NODE_TYPE_ID,
-        HASH_OPS,
-        HASH_TABLE_TYPE_ID,
-        bind_hash_server,
-        build_hash_table,
-        hash_client,
-        register_hash_types,
-    )
-    from repro.xdr.arch import SPARC32
-    from repro.xdr.registry import TypeRegistry
-
-    from repro.bench.calibration import PAPER_COST_MODEL
-
     def run(hints):
-        network = Network(cost_model=PAPER_COST_MODEL)
-        TypeNameServer(network.add_site(NAME_SERVER), TypeRegistry())
-        runtimes = []
-        for site_id in (CALLER, CALLEE):
-            site = network.add_site(site_id)
-            runtime = SmartRpcRuntime(
-                network,
-                site,
-                SPARC32,
-                resolver=TypeResolver(site, NAME_SERVER),
-                allocation_strategy=ISOLATED,
-                closure_hints=hints,
-            )
-            register_hash_types(runtime)
-            runtimes.append(runtime)
-        caller, callee = runtimes
-        table, _ = build_hash_table(caller, list(range(num_keys)))
-        bind_hash_server(callee)
-        caller.import_interface(HASH_OPS)
-        stub = hash_client(caller, CALLEE)
-        network.stats.reset()
-        start = network.clock.now
-        with caller.session() as session:
+        policy = make_policy(
+            "fixed", allocation_strategy=ISOLATED, closure_hints=hints
+        )
+        world = make_world(policy)
+        table, _ = build_hash_table(world.caller, list(range(num_keys)))
+        stub = hash_client(world.caller, CALLEE)
+        world.stats.reset()
+        clock = world.network.clock
+        start = clock.now
+        with world.caller.session() as session:
             stub.lookup_many(session, table, 17, lookups)
         return (
-            network.clock.now - start,
-            network.stats.total_bytes,
-            network.stats.entries_transferred,
+            clock.now - start,
+            world.stats.total_bytes,
+            world.stats.entries_transferred,
         )
 
-    hints = ClosureHints()
-    hints.follow(HASH_TABLE_TYPE_ID, [])
-    hints.follow(HASH_NODE_TYPE_ID, ["next"])
     rows = []
-    for label, configured in (("unhinted", None), ("hinted", hints)):
+    for label, configured in (
+        ("unhinted", None),
+        ("hinted", standard_workload_hints()),
+    ):
         seconds, total_bytes, entries = run(configured)
         rows.append((label, seconds, total_bytes, entries))
     return ExperimentResult(
@@ -614,7 +584,7 @@ def ablation_adaptive_closure(
     rows = []
     baseline: Dict[str, int] = {}
     for name in policies:
-        world = make_world(name, closure_order=closure_order)
+        world = _world(name, closure_order=closure_order)
         run = run_hash_call(world, num_keys, lookups)
         baseline[name] = run.bytes_moved
         rows.append(

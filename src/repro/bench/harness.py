@@ -72,10 +72,10 @@ from repro.xdr.registry import TypeRegistry
 from repro.bench.calibration import PAPER_COST_MODEL
 
 #: The paper's three systems, as transfer-policy names.  ``proposed``
-#: is an alias for the ``paper`` policy that additionally accepts the
-#: benchmark knobs (closure size sweeps etc.); the fully eager method
-#: is the ``graphcopy`` policy and the fully lazy one the ``lazy``
-#: policy, so every baseline runs through the one smart runtime.
+#: is an alias for the ``paper`` policy, which the benchmark sweeps
+#: (closure size etc.) vary through :func:`resolve_policy`; the fully
+#: eager method is the ``graphcopy`` policy and the fully lazy one the
+#: ``lazy`` policy, so every baseline runs through the one smart runtime.
 PROPOSED = "proposed"
 FULLY_EAGER = "graphcopy"
 FULLY_LAZY = "lazy"
@@ -99,40 +99,30 @@ def standard_workload_hints() -> ClosureHints:
     return hints
 
 
-def resolve_policy(
-    method,
-    closure_size=None,
-    allocation_strategy=None,
-    closure_order=None,
-    batch_memory_ops=None,
-    closure_hints=None,
-) -> TransferPolicy:
-    """Resolve a ``make_world`` method/policy argument into a policy.
+def resolve_policy(method, **knobs) -> TransferPolicy:
+    """Resolve a benchmark method plus sweep knobs into a policy.
 
-    ``proposed`` maps to the ``paper`` policy with every benchmark knob
-    applied; the pinned presets (``lazy``, ``eager``, ``graphcopy``)
-    ignore the closure-size sweep knob, which belongs to the proposed
-    method's ablations.
+    ``knobs`` are :func:`~repro.smartrpc.policy.make_policy`'s.
+    ``proposed`` is the ``paper`` policy; ``hinted`` gets
+    :func:`standard_workload_hints` unless ``closure_hints`` is given;
+    the pinned presets (``lazy``, ``eager``, ``graphcopy``) ignore the
+    closure-size sweep knob, which belongs to the proposed method's
+    ablations (``graphcopy`` ignores every knob).  A policy instance
+    passes through unchanged.
     """
     if isinstance(method, TransferPolicy):
         return method
     name = "paper" if method == PROPOSED else method
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown method {method!r}")
-    if name == "hinted" and closure_hints is None:
-        closure_hints = standard_workload_hints()
-    if name in ("lazy", "eager"):
-        closure_size = None
     if name == "graphcopy":
         return make_policy(name)
-    return make_policy(
-        name,
-        closure_size=closure_size,
-        allocation_strategy=allocation_strategy,
-        closure_order=closure_order,
-        batch_memory_ops=batch_memory_ops,
-        closure_hints=closure_hints,
-    )
+    if name == "hinted" and knobs.get("closure_hints") is None:
+        knobs["closure_hints"] = standard_workload_hints()
+    if name in ("lazy", "eager"):
+        knobs.pop("closure_size", None)
+    return make_policy(name, **knobs)
+
 
 CALLER = "A"
 CALLEE = "B"
@@ -188,35 +178,25 @@ def _make_runtime(
 
 def make_world(
     method: str = PROPOSED,
-    closure_size: Optional[int] = None,
-    allocation_strategy: Optional[str] = None,
-    closure_order: Optional[str] = None,
+    *,
     caller_arch: Architecture = SPARC32,
     callee_arch: Architecture = SPARC32,
     cost_model: Optional[CostModel] = None,
-    batch_memory_ops: Optional[bool] = None,
     transport: str = SIMNET,
     trace: bool = False,
-    closure_hints: Optional[ClosureHints] = None,
 ) -> World:
     """Build a fresh deployment running ``method`` over ``transport``.
 
     ``method`` is any transfer-policy name (``proposed``, ``lazy``,
     ``eager``, ``graphcopy``, ``paper``, ``hinted``, ``adaptive``,
     ``fixed``) or a :class:`~repro.smartrpc.policy.TransferPolicy`
-    instance; each runtime gets its own fresh copy.
+    instance; each runtime gets its own fresh copy.  A sweep passes
+    ``resolve_policy(PROPOSED, closure_size=...)``.
 
     Both sites default to the paper's SPARC architecture so node sizes
     (16 bytes) and therefore transfer volumes match the original.
     """
-    policy = resolve_policy(
-        method,
-        closure_size=closure_size,
-        allocation_strategy=allocation_strategy,
-        closure_order=closure_order,
-        batch_memory_ops=batch_memory_ops,
-        closure_hints=closure_hints,
-    )
+    policy = resolve_policy(method)
     model = cost_model if cost_model is not None else PAPER_COST_MODEL
     stats = StatsCollector(trace=trace)
     if transport == SIMNET:

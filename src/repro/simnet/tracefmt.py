@@ -61,9 +61,10 @@ class TraceFormatError(ValueError):
 #: Trace schema revision.  Revision 2 (the coherency-sanitizer rev)
 #: requires every session-scoped protocol event to carry ``session``,
 #: ``site``, a per-(site, session) monotonic ``seq`` and a vector-clock
-#: ``vc`` stamp.  :func:`load_trace` still reads revision-1 logs (the
-#: sanitizer derives clocks for them); :func:`save_trace` enforces the
-#: current revision at write time.
+#: ``vc`` stamp.  :func:`save_trace` enforces the current revision at
+#: write time; :func:`load_trace` validates only on request, so a
+#: deliberately broken mutant still loads, and the race sanitizer
+#: rejects a log whose session events carry no ``vc`` stamp.
 TRACE_SCHEMA = 2
 
 #: Every session-scoped protocol event category; schema revision 2

@@ -77,16 +77,12 @@ class CacheManager:
         self,
         runtime: "SmartRpcRuntime",
         state: "SmartSessionState",
-        strategy: Optional[str] = None,
     ) -> None:
-        if strategy is None:
-            # The placeholder strategy is a transfer-policy decision.
-            strategy = runtime.policy.allocation_strategy
-        if strategy not in STRATEGIES:
-            raise SmartRpcError(f"unknown allocation strategy {strategy!r}")
         self.runtime = runtime
         self.state = state
-        self.strategy = strategy
+        # The placeholder strategy is a transfer-policy decision, checked
+        # when the policy was built.
+        self.strategy = runtime.policy.allocation_strategy
         #: The owning address space and its (fixed) page size.
         self.space = runtime.space
         self.page_size = runtime.space.page_size

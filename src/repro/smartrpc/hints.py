@@ -18,7 +18,9 @@ so prefetching the other 255 buckets' chains is pure waste::
     hints = ClosureHints()
     hints.follow("hash_table", [])          # never fan out of the header
     hints.follow("hash_node", ["next"])     # do run down the chain
-    runtime.closure_hints = hints
+    runtime = SmartRpcRuntime(
+        network, site, arch, policy=make_policy("fixed", closure_hints=hints)
+    )
 """
 
 from __future__ import annotations

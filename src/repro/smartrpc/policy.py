@@ -56,14 +56,24 @@ UNBOUNDED = 0xFFFFFFFF
 """The eager endpoint's closure budget (fills the uint32 wire slot)."""
 
 
+def _check_knobs(allocation_strategy: str, closure_order: str) -> None:
+    """Reject a placeholder strategy or traversal order no code runs."""
+    if allocation_strategy not in STRATEGIES:
+        raise SmartRpcError(
+            f"unknown allocation strategy {allocation_strategy!r}"
+        )
+    if closure_order not in (BREADTH_FIRST, DEPTH_FIRST):
+        raise SmartRpcError(f"unknown closure order {closure_order!r}")
+
+
 class TransferPolicy:
     """Every transfer/eagerness decision of one runtime, in one object.
 
     Class attributes are the static decisions; :meth:`request_budget`
     is the per-data-request one (and the only method adaptive policies
     override).  Policies are cheap value objects: each runtime gets its
-    own copy via :meth:`fresh` so mutating one (``closure_size``
-    assignment, adaptive feedback) never leaks across runtimes.
+    own copy via :meth:`fresh` so mutating one (``set_budget``,
+    adaptive feedback) never leaks across runtimes.
     """
 
     name: str = "custom"
@@ -156,14 +166,7 @@ class FixedPolicy(TransferPolicy):
             raise SmartRpcError(
                 f"closure size {budget!r} exceeds the wire maximum"
             )
-        if allocation_strategy not in STRATEGIES:
-            raise SmartRpcError(
-                f"unknown allocation strategy {allocation_strategy!r}"
-            )
-        if closure_order not in (BREADTH_FIRST, DEPTH_FIRST):
-            raise SmartRpcError(
-                f"unknown closure order {closure_order!r}"
-            )
+        _check_knobs(allocation_strategy, closure_order)
         self.name = name
         self.budget = budget
         self.allocation_strategy = allocation_strategy
@@ -180,7 +183,7 @@ class FixedPolicy(TransferPolicy):
     pinned: bool = False
 
     def set_budget(self, budget: int) -> None:
-        """Change the fixed budget (legacy ``closure_size=`` setter)."""
+        """Change the fixed budget mid-run (closure-size sweeps)."""
         if self.pinned:
             raise SmartRpcError(
                 f"the {self.name!r} policy pins its closure budget; "
@@ -361,13 +364,9 @@ def _adaptive(budget: Optional[int] = None, **overrides) -> TransferPolicy:
     policy = AdaptivePolicy(
         initial=DEFAULT_CLOSURE_SIZE if budget is None else budget
     )
-    for knob in ("allocation_strategy", "closure_order", "hints"):
-        value = overrides.pop(knob, None)
-        if value is not None:
-            setattr(policy, knob, value)
-    batch = overrides.pop("batch_memory_ops", None)
-    if batch is not None:
-        policy.batch_memory_ops = batch
+    for knob, value in overrides.items():
+        setattr(policy, knob, value)
+    _check_knobs(policy.allocation_strategy, policy.closure_order)
     return policy
 
 
@@ -405,8 +404,8 @@ def make_policy(
     """Build a preset policy by name, with optional knob overrides.
 
     Unknown names raise :class:`ValueError` (CLI-friendly); invalid
-    knob values raise :class:`SmartRpcError` like the runtime always
-    did.
+    knob values raise :class:`SmartRpcError` here, for every preset,
+    before any runtime or session sees them.
     """
     factory = _PRESETS.get(name)
     if factory is None:
@@ -431,7 +430,4 @@ def make_policy(
         kwargs["batch_memory_ops"] = batch_memory_ops
     if closure_hints is not None or name == "hinted":
         kwargs["hints"] = closure_hints
-    if name == "adaptive":
-        # Adaptive handles its own partial overrides.
-        return _adaptive(budget=closure_size, **kwargs)
     return factory(budget=closure_size, **kwargs)

@@ -18,11 +18,9 @@ closure) and implements ``extended_malloc`` / ``extended_free``.
 Every transfer/eagerness decision — marshalling style, closure budget,
 traversal order, hints, placeholder strategy, malloc batching, whether
 coherency runs at all — lives in the runtime's
-:class:`~repro.smartrpc.policy.TransferPolicy`.  The legacy constructor
-knobs (``closure_size=``, ``allocation_strategy=``, ...) still work and
-build a fixed policy, so existing code keeps its meaning; the paper's
-baselines are now just the ``lazy`` and ``graphcopy`` presets of this
-one runtime.
+:class:`~repro.smartrpc.policy.TransferPolicy`, the one thing a runtime
+is configured with; the paper's baselines are just the ``lazy`` and
+``graphcopy`` presets of this one runtime.
 """
 
 from __future__ import annotations
@@ -41,23 +39,15 @@ from repro.simnet.stats import TransferLedger
 from repro.transport.base import Endpoint, Transport, TransportError
 from repro.smartrpc import coherency, graphcopy, remote_heap, transfer
 from repro.smartrpc.alloc_table import AllocEntry
-from repro.smartrpc.cache import SINGLE_HOME, CacheManager
-from repro.smartrpc.closure import BREADTH_FIRST
+from repro.smartrpc.cache import CacheManager
 from repro.smartrpc.errors import SessionAbortedError, SmartRpcError
-from repro.smartrpc.hints import ClosureHints
 from repro.smartrpc.long_pointer import (
     LongPointer,
     decode_long_pointer,
     encode_long_pointer,
 )
 from repro.smartrpc.pipeline import FetchPipeline
-from repro.smartrpc.policy import (
-    DEFAULT_CLOSURE_SIZE,
-    GRAPHCOPY,
-    FixedPolicy,
-    TransferPolicy,
-    make_policy,
-)
+from repro.smartrpc.policy import GRAPHCOPY, TransferPolicy, make_policy
 from repro.smartrpc.swizzle import Swizzler
 from repro.xdr.arch import Architecture
 from repro.xdr.stream import XdrDecoder, XdrEncoder
@@ -80,9 +70,7 @@ class SmartSessionState(SessionState):
     ) -> None:
         super().__init__(session_id, ground_site)
         self.policy = runtime.policy
-        self.cache = CacheManager(
-            runtime, self, strategy=self.policy.allocation_strategy
-        )
+        self.cache = CacheManager(runtime, self)
         self.swizzler = Swizzler(runtime, self)
         self.pipeline = FetchPipeline(runtime, self)
         self.relayed_dirty: Set[AllocEntry] = set()
@@ -113,7 +101,12 @@ class SmartSessionState(SessionState):
 
 
 class SmartRpcRuntime(RpcRuntime):
-    """RPC runtime with transparent remote pointers."""
+    """RPC runtime with transparent remote pointers.
+
+    ``policy`` is a preset name (built by
+    :func:`~repro.smartrpc.policy.make_policy`) or a policy instance,
+    of which the runtime keeps its own copy.
+    """
 
     def __init__(
         self,
@@ -122,22 +115,15 @@ class SmartRpcRuntime(RpcRuntime):
         arch: Architecture,
         resolver: Optional[TypeResolver] = None,
         space: Optional[AddressSpace] = None,
-        policy: Optional[Union[str, TransferPolicy]] = None,
-        closure_size: Optional[int] = None,
-        allocation_strategy: Optional[str] = None,
-        closure_order: Optional[str] = None,
-        batch_memory_ops: Optional[bool] = None,
-        closure_hints: Optional["ClosureHints"] = None,
+        policy: Union[str, TransferPolicy] = "paper",
     ) -> None:
         super().__init__(network, site, arch, resolver=resolver, space=space)
-        self.policy = self._resolve_policy(
-            policy,
-            closure_size,
-            allocation_strategy,
-            closure_order,
-            batch_memory_ops,
-            closure_hints,
-        )
+        if isinstance(policy, str):
+            self.policy = make_policy(policy)
+        elif isinstance(policy, TransferPolicy):
+            self.policy = policy.fresh()
+        else:
+            raise SmartRpcError(f"bad policy {policy!r}")
         self._page_cache: Dict[int, CacheManager] = {}
         self.space.set_fault_handler(self._handle_fault)
         self.mem.observer = self._note_program_access
@@ -161,105 +147,6 @@ class SmartRpcRuntime(RpcRuntime):
             MessageKind.MEMORY_BATCH,
             lambda message: remote_heap.handle_memory_batch(self, message),
         )
-
-    @staticmethod
-    def _resolve_policy(
-        policy: Optional[Union[str, TransferPolicy]],
-        closure_size: Optional[int],
-        allocation_strategy: Optional[str],
-        closure_order: Optional[str],
-        batch_memory_ops: Optional[bool],
-        closure_hints: Optional["ClosureHints"],
-    ) -> TransferPolicy:
-        if isinstance(policy, TransferPolicy):
-            knobs = (
-                closure_size,
-                allocation_strategy,
-                closure_order,
-                batch_memory_ops,
-                closure_hints,
-            )
-            if any(knob is not None for knob in knobs):
-                raise SmartRpcError(
-                    "pass either a TransferPolicy instance or the "
-                    "legacy knobs, not both"
-                )
-            return policy.fresh()
-        if isinstance(policy, str):
-            return make_policy(
-                policy,
-                closure_size=closure_size,
-                allocation_strategy=allocation_strategy,
-                closure_order=closure_order,
-                batch_memory_ops=batch_memory_ops,
-                closure_hints=closure_hints,
-            )
-        if policy is not None:
-            raise SmartRpcError(f"bad policy {policy!r}")
-        defaults = (
-            closure_size is None
-            and allocation_strategy is None
-            and closure_order is None
-            and closure_hints is None
-        )
-        return FixedPolicy(
-            DEFAULT_CLOSURE_SIZE if closure_size is None else closure_size,
-            name="paper" if defaults else "fixed",
-            allocation_strategy=(
-                SINGLE_HOME
-                if allocation_strategy is None
-                else allocation_strategy
-            ),
-            closure_order=(
-                BREADTH_FIRST if closure_order is None else closure_order
-            ),
-            hints=closure_hints,
-            batch_memory_ops=(
-                True if batch_memory_ops is None else batch_memory_ops
-            ),
-        )
-
-    # -- policy views (the legacy knob surface) -------------------------------
-
-    @property
-    def closure_size(self) -> int:
-        """The policy's per-request budget (fixed policies only)."""
-        budget = self.policy.declared_budget
-        if budget is None:
-            raise SmartRpcError(
-                f"policy {self.policy.name!r} has no fixed closure size"
-            )
-        return budget
-
-    @closure_size.setter
-    def closure_size(self, budget: int) -> None:
-        setter = getattr(self.policy, "set_budget", None)
-        if setter is None:
-            raise SmartRpcError(
-                f"policy {self.policy.name!r} does not take a fixed "
-                "closure size"
-            )
-        setter(budget)
-
-    @property
-    def allocation_strategy(self) -> str:
-        """The policy's placeholder-page allocation strategy."""
-        return self.policy.allocation_strategy
-
-    @property
-    def closure_order(self) -> str:
-        """The policy's closure traversal order."""
-        return self.policy.closure_order
-
-    @property
-    def batch_memory_ops(self) -> bool:
-        """Whether extended_malloc/free batch per activity transfer."""
-        return self.policy.batch_memory_ops
-
-    @property
-    def closure_hints(self) -> Optional["ClosureHints"]:
-        """The policy's programmer closure hints (paper §6)."""
-        return self.policy.hints
 
     @property
     def _piggyback_expected(self) -> bool:

@@ -159,10 +159,10 @@ METHODS = tuple(
 )
 
 
-def _method_policy(method: str, closure_size: int):
+def _method_policy(method: str):
     """Map a host ``--method`` to a transfer policy."""
     if method == PROPOSED:
-        return make_policy("paper", closure_size=closure_size)
+        return make_policy("paper")
     if method == FULLY_EAGER:
         return make_policy("graphcopy")
     if method in POLICY_NAMES:
@@ -309,7 +309,6 @@ def make_space(
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
     listen: bool = True,
-    closure_size: int = 8192,
     expose_tree: int = 0,
     session_deadline: float = 0.0,
     exchange_timeout: float = 0.0,
@@ -348,7 +347,7 @@ def make_space(
         built.endpoint,
         registry_site if registry is not None else None,
     )
-    policy = _method_policy(method, closure_size)
+    policy = _method_policy(method)
     # Fault-tolerance knobs (DESIGN.md §12); the zero defaults leave
     # the policy exactly as its preset built it.
     policy.session_deadline = session_deadline

@@ -8,13 +8,13 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.analysis.diagnostics import DiagnosticCollector
-from repro.analysis.sanitizer import (
-    check_events,
-    derive_clocks,
-    resolve_clocks,
-)
+from repro.analysis.sanitizer import check_events
 from repro.simnet.stats import TraceEvent
-from repro.simnet.tracefmt import load_trace
+from repro.simnet.tracefmt import (
+    SESSION_CATEGORIES,
+    TraceFormatError,
+    load_trace,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RACES_OK = FIXTURES / "races" / "ok"
@@ -72,61 +72,31 @@ class TestRecordedFixtures:
         }
 
 
-class TestDerivedClocks:
-    """Legacy (unstamped) traces fall back to replay-derived clocks."""
+class TestUnstampedTraces:
+    """Causal order comes only from recorded ``vc`` stamps."""
 
-    def strip_stamps(self, events):
-        stripped = []
-        for event in events:
-            if event.data is None:
-                stripped.append(event)
-                continue
-            data = {
-                key: value
-                for key, value in event.data.items()
-                if key not in ("vc", "seq")
-            }
-            stripped.append(dataclasses.replace(event, data=data))
-        return stripped
-
-    def test_unstamped_good_trace_is_still_clean(self):
-        events = self.strip_stamps(
-            load_trace(RACES_OK / "race_session.trace")
-        )
-        assert codes(sanitize(events)) == set()
-
-    def test_resolve_prefers_recorded_stamps(self):
+    def test_stamp_stripped_trace_is_rejected(self):
         events = load_trace(RACES_OK / "race_session.trace")
-        resolved = resolve_clocks(events)
-        for event, vc in zip(events, resolved):
-            recorded = (event.data or {}).get("vc")
-            if recorded is not None:
-                assert vc == recorded
-
-    def test_resolve_falls_back_to_derivation(self):
-        events = self.strip_stamps(
-            load_trace(RACES_OK / "race_session.trace")
+        first = next(
+            index
+            for index, event in enumerate(events)
+            if event.category in SESSION_CATEGORIES
         )
-        assert resolve_clocks(events) == derive_clocks(events)
-
-    def test_derived_clocks_order_message_delivery(self):
-        events = [
-            TraceEvent(0.0, "fault", "a", {
-                "session": "s", "space": "A", "page": 0,
-                "kind": "read", "version": 0,
-            }),
-            TraceEvent(0.1, "message", "A->B call", {
-                "src": "A", "dst": "B", "kind": "call", "size": 1,
-            }),
-            TraceEvent(0.2, "fault", "b", {
-                "session": "s", "space": "B", "page": 0,
-                "kind": "read", "version": 0,
-            }),
+        stripped = [
+            dataclasses.replace(
+                event,
+                data={
+                    key: value
+                    for key, value in event.data.items()
+                    if key not in ("vc", "seq")
+                },
+            )
+            if event.data is not None
+            else event
+            for event in events
         ]
-        first, _, third = derive_clocks(events)
-        # B's fault saw A's clock through the delivered message.
-        assert third["A"] >= first["A"]
-        assert third["B"] > 0
+        with pytest.raises(TraceFormatError, match=f"line {first + 1}:"):
+            check_events(stripped, DiagnosticCollector())
 
 
 class TestCrashTraces:

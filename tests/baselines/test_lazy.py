@@ -98,8 +98,8 @@ class TestCallbackPerDereference:
 
     def test_configuration_is_lazy_extreme(self, pair):
         network, a, b = pair
-        assert b.closure_size == 0
-        assert b.allocation_strategy == "isolated"
+        assert b.policy.declared_budget == 0
+        assert b.policy.allocation_strategy == "isolated"
         assert b.policy.name == "lazy"
 
     def test_lazy_budget_cannot_be_overridden(self, pair):
@@ -107,7 +107,7 @@ class TestCallbackPerDereference:
         from repro.smartrpc.errors import SmartRpcError
 
         with pytest.raises(SmartRpcError):
-            b.closure_size = 4096
+            b.policy.set_budget(4096)
 
     def test_updates_write_back_like_smart_runtime(self, pair):
         """Lazy is the smart machinery at a degenerate point, so the

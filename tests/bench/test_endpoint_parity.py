@@ -16,6 +16,7 @@ import repro.rpc.session as rpc_session
 from repro.bench.harness import (
     PROPOSED,
     make_world,
+    resolve_policy,
     run_hash_call,
     run_tree_call,
 )
@@ -46,6 +47,11 @@ def _align_session_ids():
     rpc_session._session_numbers = itertools.count(100)
 
 
+def _sweep(**knobs):
+    """A world running the proposed method swept to ``knobs``."""
+    return make_world(resolve_policy(PROPOSED, **knobs))
+
+
 def _assert_parity(sweep, preset):
     for name in PARITY_FIELDS:
         assert getattr(sweep, name) == getattr(preset, name), name
@@ -58,9 +64,7 @@ class TestLazyEndpoint:
     def test_tree_search_matches(self, ratio):
         _align_session_ids()
         sweep = run_tree_call(
-            make_world(
-                PROPOSED, closure_size=0, allocation_strategy=ISOLATED
-            ),
+            _sweep(closure_size=0, allocation_strategy=ISOLATED),
             63,
             "search",
             ratio=ratio,
@@ -74,9 +78,7 @@ class TestLazyEndpoint:
     def test_tree_update_matches(self):
         _align_session_ids()
         sweep = run_tree_call(
-            make_world(
-                PROPOSED, closure_size=0, allocation_strategy=ISOLATED
-            ),
+            _sweep(closure_size=0, allocation_strategy=ISOLATED),
             31,
             "search_update",
             ratio=0.5,
@@ -89,9 +91,7 @@ class TestLazyEndpoint:
     def test_hash_lookup_matches(self):
         _align_session_ids()
         sweep = run_hash_call(
-            make_world(
-                PROPOSED, closure_size=0, allocation_strategy=ISOLATED
-            ),
+            _sweep(closure_size=0, allocation_strategy=ISOLATED),
             60,
             4,
         )
@@ -106,7 +106,7 @@ class TestEagerEndpoint:
     def test_tree_search_matches(self, ratio):
         _align_session_ids()
         sweep = run_tree_call(
-            make_world(PROPOSED, closure_size=UNBOUNDED),
+            _sweep(closure_size=UNBOUNDED),
             63,
             "search",
             ratio=ratio,
@@ -119,8 +119,6 @@ class TestEagerEndpoint:
 
     def test_hash_lookup_matches(self):
         _align_session_ids()
-        sweep = run_hash_call(
-            make_world(PROPOSED, closure_size=UNBOUNDED), 60, 4
-        )
+        sweep = run_hash_call(_sweep(closure_size=UNBOUNDED), 60, 4)
         preset = run_hash_call(make_world("eager"), 60, 4)
         _assert_parity(sweep, preset)

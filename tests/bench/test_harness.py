@@ -34,8 +34,8 @@ class TestMakeWorld:
         world = make_world(FULLY_LAZY)
         assert isinstance(world.caller, SmartRpcRuntime)
         assert world.caller.policy.name == "lazy"
-        assert world.caller.closure_size == 0
-        assert world.caller.allocation_strategy == "isolated"
+        assert world.caller.policy.declared_budget == 0
+        assert world.caller.policy.allocation_strategy == "isolated"
 
     def test_every_policy_name_builds_a_world(self):
         for name in POLICIES:
@@ -47,12 +47,12 @@ class TestMakeWorld:
             make_world("telepathy")
 
     def test_closure_size_propagates(self):
-        world = make_world(PROPOSED, closure_size=1234)
-        assert world.callee.closure_size == 1234
+        world = make_world(resolve_policy(PROPOSED, closure_size=1234))
+        assert world.callee.policy.declared_budget == 1234
 
     def test_policy_instance_accepted(self):
         world = make_world(make_policy("paper", closure_size=512))
-        assert world.caller.closure_size == 512
+        assert world.caller.policy.declared_budget == 512
         assert world.method == "paper"
 
     def test_runtimes_get_independent_policy_copies(self):

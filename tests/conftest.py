@@ -24,22 +24,22 @@ def network() -> Network:
 class SmartPair:
     """Two smart runtimes (A holds data, B serves procedures) plus NS."""
 
-    def __init__(self, network: Network, **runtime_kwargs) -> None:
+    def __init__(self, network: Network, policy="paper") -> None:
         self.network = network
         self.name_server = TypeNameServer(
             network.add_site("NS"), TypeRegistry()
         )
-        self.a = self._runtime("A", SPARC32, runtime_kwargs)
-        self.b = self._runtime("B", X86_64, runtime_kwargs)
+        self.a = self._runtime("A", SPARC32, policy)
+        self.b = self._runtime("B", X86_64, policy)
 
-    def _runtime(self, site_id, arch, kwargs) -> SmartRpcRuntime:
+    def _runtime(self, site_id, arch, policy) -> SmartRpcRuntime:
         site = self.network.add_site(site_id)
         runtime = SmartRpcRuntime(
             self.network,
             site,
             arch,
             resolver=TypeResolver(site, "NS"),
-            **kwargs,
+            policy=policy,
         )
         register_tree_types(runtime)
         register_list_types(runtime)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.namesvc.client import TypeResolver
 from repro.namesvc.server import TypeNameServer
 from repro.simnet.network import Network
+from repro.smartrpc.policy import make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.workloads.linked_list import (
     LIST_OPS,
@@ -42,7 +43,7 @@ def make_pair(closure_size=8192):
             site,
             arch,
             resolver=TypeResolver(site, "NS"),
-            closure_size=closure_size,
+            policy=make_policy("fixed", closure_size=closure_size),
         )
         register_tree_types(runtime)
         register_list_types(runtime)

@@ -4,9 +4,10 @@ import pytest
 
 from repro.memory.faults import AccessViolation, FaultKind
 from repro.memory.page import Protection
-from repro.smartrpc.cache import ISOLATED, MIXED, PACKED, CacheManager
+from repro.smartrpc.cache import ISOLATED, MIXED, PACKED
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
+from repro.smartrpc.policy import make_policy
 from repro.workloads.trees import TREE_NODE_TYPE_ID
 
 
@@ -81,9 +82,12 @@ class TestPlaceholderAllocation:
         for number in pages:
             assert cache.owns_page(number)
 
-    def test_unknown_strategy_rejected(self, smart_pair, callee_state):
-        with pytest.raises(SmartRpcError):
-            CacheManager(smart_pair.b, callee_state, strategy="bogus")
+    def test_unknown_strategy_rejected(self):
+        # Checked once, when the policy is built: a cache manager never
+        # sees a strategy it cannot run.
+        for name in ("paper", "lazy", "adaptive", "pipelined"):
+            with pytest.raises(SmartRpcError):
+                make_policy(name, allocation_strategy="bogus")
 
 
 class TestStrategies:

@@ -8,6 +8,7 @@ from repro.smartrpc.hints import (
     chain_only_hints,
     default_pointer_offsets,
 )
+from repro.smartrpc.policy import make_policy
 from repro.workloads.hashtable import (
     HASH_NODE_TYPE_ID,
     HASH_OPS,
@@ -93,8 +94,9 @@ class TestHintedTransfers:
         # isolated placeholder allocation.
         pair = SmartPair(
             network,
-            closure_hints=hints,
-            allocation_strategy="isolated",
+            make_policy(
+                "fixed", closure_hints=hints, allocation_strategy="isolated"
+            ),
         )
         table, _ = build_hash_table(pair.a, list(range(600)))
         bind_hash_server(pair.b)
@@ -132,7 +134,7 @@ class TestHintedTransfers:
         hints.follow(TREE_NODE_TYPE_ID, ["right"])  # search goes left!
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, closure_hints=hints)
+        pair = SmartPair(network, make_policy("fixed", closure_hints=hints))
         root = build_complete_tree(pair.a, 31)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")
@@ -144,7 +146,7 @@ class TestHintedTransfers:
         hints.follow(TREE_NODE_TYPE_ID, [])
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, closure_hints=hints)
+        pair = SmartPair(network, make_policy("fixed", closure_hints=hints))
         root = build_complete_tree(pair.a, 15)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")

@@ -11,6 +11,7 @@ import pytest
 from repro.bench.harness import (
     PROPOSED,
     make_world,
+    resolve_policy,
     run_hash_call,
     run_tree_call,
 )
@@ -159,6 +160,10 @@ class TestMakePolicyErrors:
             make_policy("paper", allocation_strategy="scattered")
         with pytest.raises(SmartRpcError):
             make_policy("paper", closure_order="random")
+        with pytest.raises(SmartRpcError):
+            make_policy("adaptive", allocation_strategy="scattered")
+        with pytest.raises(SmartRpcError):
+            make_policy("adaptive", closure_order="random")
 
     def test_bad_adaptive_bounds(self):
         with pytest.raises(SmartRpcError):
@@ -255,7 +260,7 @@ class TestPolicyWiring:
 
     def test_decisions_carry_the_requested_dfs_order(self):
         world = make_world(
-            PROPOSED, closure_order=DEPTH_FIRST, trace=True
+            resolve_policy(PROPOSED, closure_order=DEPTH_FIRST), trace=True
         )
         run_tree_call(world, 63, "search", ratio=1.0)
         decisions = [

@@ -8,6 +8,7 @@ from repro.rpc.stubgen import ClientStub, bind_server
 from repro.simnet.message import MessageKind
 from repro.smartrpc import remote_heap
 from repro.smartrpc.errors import SwizzleError
+from repro.smartrpc.policy import make_policy
 from repro.workloads.linked_list import (
     LIST_NODE_TYPE_ID,
     LIST_OPS,
@@ -163,7 +164,9 @@ class TestEndToEndListExtension:
     def test_immediate_mode_sends_per_operation(self, network):
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, batch_memory_ops=False)
+        pair = SmartPair(
+            network, make_policy("fixed", batch_memory_ops=False)
+        )
         bind_list_server(pair.b)
         pair.a.import_interface(LIST_OPS)
         head = build_list(pair.a, [1])

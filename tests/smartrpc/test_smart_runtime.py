@@ -7,6 +7,7 @@ from repro.rpc.errors import SessionError
 from repro.rpc.interface import InterfaceDef, Param, ProcedureDef
 from repro.rpc.stubgen import ClientStub, bind_server
 from repro.smartrpc.errors import SmartRpcError
+from repro.smartrpc.policy import make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.workloads.traversal import (
     TREE_OPS,
@@ -176,17 +177,26 @@ class TestFigureOneModel:
 
 
 class TestConfiguration:
-    def test_negative_closure_size_rejected(self, network):
-        site = network.add_site("X")
+    def test_negative_closure_size_rejected(self):
+        with pytest.raises(SmartRpcError):
+            make_policy("fixed", closure_size=-1)
+
+    def test_runtime_takes_only_a_policy(self, network):
+        from repro.bench.harness import PROPOSED, make_world
         from repro.xdr.arch import SPARC32
 
+        site = network.add_site("X")
+        with pytest.raises(TypeError):
+            SmartRpcRuntime(network, site, SPARC32, closure_size=0)
+        with pytest.raises(TypeError):
+            make_world(PROPOSED, closure_size=0)
         with pytest.raises(SmartRpcError):
-            SmartRpcRuntime(network, site, SPARC32, closure_size=-1)
+            SmartRpcRuntime(network, site, SPARC32, policy=8192)
 
     def test_closure_size_zero_still_correct(self, network):
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, closure_size=0)
+        pair = SmartPair(network, make_policy("fixed", closure_size=0))
         root = build_complete_tree(pair.a, 15)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")
@@ -198,7 +208,7 @@ class TestConfiguration:
     def test_large_closure_single_request(self, network):
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, closure_size=10**6)
+        pair = SmartPair(network, make_policy("fixed", closure_size=10**6))
         root = build_complete_tree(pair.a, 63)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")
@@ -212,7 +222,9 @@ class TestConfiguration:
                                                     strategy):
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, allocation_strategy=strategy)
+        pair = SmartPair(
+            network, make_policy("fixed", allocation_strategy=strategy)
+        )
         root = build_complete_tree(pair.a, 31)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")
@@ -225,7 +237,7 @@ class TestConfiguration:
     def test_both_closure_orders_correct(self, network, order):
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, closure_order=order)
+        pair = SmartPair(network, make_policy("fixed", closure_order=order))
         root = build_complete_tree(pair.a, 31)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")

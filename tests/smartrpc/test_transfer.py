@@ -199,7 +199,7 @@ class TestRequestProtocol:
 
     def test_request_with_closure_prefetches(self, worlds):
         pair, root, state_a, state_b = worlds
-        pair.b.closure_size = 16 * 7  # whole 7-node tree
+        pair.b.policy.set_budget(16 * 7)  # whole 7-node tree
         pointer = LongPointer("A", root, TREE_NODE_TYPE_ID)
         state_b.cache.ensure_entry(pointer)
         applied = transfer.request_data(pair.b, state_b, "A", [pointer])

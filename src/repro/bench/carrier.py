@@ -33,13 +33,11 @@ import time
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.simnet.message import MessageKind
-from repro.transport.base import RetryPolicy, Transport
+from repro.transport.base import Transport
 from repro.transport.framing import Request, decode_frame, encode_frame_into
-from repro.transport.shm import ShmTransport
-from repro.transport.tcp import TcpTransport
 from repro.xdr.stream import XdrEncoder
 
-from .harness import SHM, TCP
+from .harness import PATIENT_RETRY, SHM, make_carrier
 
 #: The two reply sizes whose timing difference isolates per-byte cost.
 BULK_SMALL = 64 * 1024
@@ -61,12 +59,6 @@ FRAME = "frame"
 
 _SIZE_REQ = struct.Struct(">Q")
 _SOURCE = bytes(range(256)) * (BULK_BIG // 256)
-
-#: Patient retries: a retransmitted exchange would double-count bytes.
-_PATIENT = RetryPolicy(
-    timeout=5.0, backoff=2.0, max_timeout=30.0, max_attempts=4
-)
-
 
 def seconds_per_call(fn: Callable[[], None]) -> float:
     """Best-of-three seconds per call, timed over >= MIN_SECONDS.
@@ -118,18 +110,14 @@ def _deployment(
     carrier: str, **server_options
 ) -> Iterator[Tuple[Transport, Transport]]:
     """A started, mutually introduced ``(server B, client A)`` pair."""
-    make = TcpTransport if carrier == TCP else ShmTransport
-    server = make("B", retry=_PATIENT, **server_options)
-    client = make("A", retry=_PATIENT)
-    try:
-        server.start()
-        client.start()
+    with contextlib.closing(
+        make_carrier(carrier, "B", retry=PATIENT_RETRY, **server_options)
+    ) as server, contextlib.closing(
+        make_carrier(carrier, "A", retry=PATIENT_RETRY)
+    ) as client:
         client.add_peer("B", server.address)
         server.add_peer("A", client.address)
         yield server, client
-    finally:
-        client.close()
-        server.close()
 
 
 def _percentiles_us(

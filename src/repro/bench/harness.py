@@ -21,6 +21,12 @@ Worlds come in three transports (``transport=`` of :func:`make_world`):
 
 TCP and shm worlds own OS resources (ports, threads, shared-memory
 segments); use them as context managers or call :meth:`World.close`.
+
+A world's sites are built from three pieces the process host
+(:func:`repro.transport.host.make_space`) builds its one site from:
+:func:`resolve_policy`, :func:`make_carrier` and
+:func:`install_workloads`.  The host imports them from here, so this
+module must not import the host.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from typing import List, Optional
 from repro.namesvc.client import TypeResolver
 from repro.namesvc.server import TypeNameServer
 from repro.rpc.runtime import RpcRuntime
-from repro.rpc.stubgen import ClientStub
 from repro.simnet.clock import CostModel, Stopwatch
 from repro.simnet.network import Network
 from repro.simnet.stats import StatsCollector
@@ -42,8 +47,14 @@ from repro.smartrpc.policy import (
     make_policy,
 )
 from repro.smartrpc.runtime import SmartRpcRuntime
-from repro.transport.base import Endpoint, RetryPolicy, Transport
-from repro.transport.shm import ShmTransport
+from repro.transport.base import (
+    Endpoint,
+    FaultInjector,
+    RetryPolicy,
+    Transport,
+    TransportError,
+)
+from repro.transport.shm import DEFAULT_SEGMENT_SIZE, ShmTransport
 from repro.transport.tcp import TcpTransport
 from repro.workloads.hashtable import (
     HASH_NODE_TYPE_ID,
@@ -60,6 +71,7 @@ from repro.workloads.linked_list import (
     register_list_types,
 )
 from repro.workloads.traversal import (
+    TREE_EXPOSE,
     TREE_OPS,
     bind_tree_server,
     tree_client,
@@ -131,8 +143,82 @@ NAME_SERVER = "NS"
 SIMNET = "simnet"
 TCP = "tcp"
 SHM = "shm"
-TRANSPORTS = (SIMNET, TCP, SHM)
-_CARRIERS = {TCP: TcpTransport, SHM: ShmTransport}
+#: The real carriers: ``tcp`` listens on a TCP socket; ``shm``
+#: (same-machine deployments) on a local socket beside its shared data
+#: segment, and its address is the transport's name.
+CARRIERS = (TCP, SHM)
+TRANSPORTS = (SIMNET,) + CARRIERS
+
+#: Neither carrier loses anything on one host, so a patient retry
+#: schedule keeps large transfers from timing out into retransmissions
+#: that would double-count the message and byte counters under
+#: measurement.
+PATIENT_RETRY = RetryPolicy(
+    timeout=5.0, backoff=2.0, max_timeout=30.0, max_attempts=4
+)
+
+
+def make_carrier(
+    transport: str,
+    site_id: str,
+    *,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    stats: Optional[StatsCollector] = None,
+    cost_model: Optional[CostModel] = None,
+    peers: Optional[dict] = None,
+    directory_site: Optional[str] = None,
+    retry: Optional[RetryPolicy] = None,
+    faults: Optional[FaultInjector] = None,
+    listen: bool = True,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
+) -> Transport:
+    """Build and start one real carrier stack for ``site_id``.
+
+    ``host`` and ``port`` are tcp's listening address, ``segment_size``
+    shm's data segment; the rest are
+    :class:`~repro.transport.exchange.ExchangeTransport`'s.
+    """
+    if transport == TCP:
+        carrier, extras = TcpTransport, {"host": host, "port": port}
+    elif transport == SHM:
+        carrier, extras = ShmTransport, {"segment_size": segment_size}
+    else:
+        raise TransportError(
+            f"unknown transport {transport!r} (expected one of "
+            f"{', '.join(CARRIERS)})"
+        )
+    built = carrier(
+        site_id,
+        stats=stats,
+        cost_model=cost_model,
+        peers=peers,
+        directory_site=directory_site,
+        retry=retry,
+        faults=faults,
+        listen=listen,
+        **extras,
+    )
+    built.start()
+    return built
+
+
+def install_workloads(runtime: RpcRuntime) -> None:
+    """Make ``runtime`` a site of every standard workload.
+
+    The tree, hash and list types are registered, the tree interfaces
+    imported and the three workload servers bound, so the site can
+    play caller or callee for any experiment.  Serving a tree of its
+    own (``TREE_EXPOSE``) is the deployment's choice, not done here.
+    """
+    register_tree_types(runtime)
+    register_hash_types(runtime)
+    register_list_types(runtime)
+    runtime.import_interface(TREE_OPS)
+    runtime.import_interface(TREE_EXPOSE)
+    bind_tree_server(runtime)
+    bind_hash_server(runtime)
+    bind_list_server(runtime)
 
 
 @dataclass
@@ -189,8 +275,9 @@ def make_world(
 
     ``method`` is any transfer-policy name (``proposed``, ``lazy``,
     ``eager``, ``graphcopy``, ``paper``, ``hinted``, ``adaptive``,
-    ``fixed``) or a :class:`~repro.smartrpc.policy.TransferPolicy`
-    instance; each runtime gets its own fresh copy.  A sweep passes
+    ``fixed``, ``pipelined``) or a
+    :class:`~repro.smartrpc.policy.TransferPolicy` instance; each
+    runtime gets its own fresh copy.  A sweep passes
     ``resolve_policy(PROPOSED, closure_size=...)``.
 
     Both sites default to the paper's SPARC architecture so node sizes
@@ -206,30 +293,23 @@ def make_world(
         callee_site = network.add_site(CALLEE)
         transports: List[Transport] = []
         caller_net = callee_net = network
-    elif transport in _CARRIERS:
+    elif transport in CARRIERS:
         # Three real stacks on this host sharing one stats collector
         # and one peer table (site id -> (host, port) or transport
-        # name, updated in place as listeners come up).
-        # Neither carrier loses anything on one host, so a patient
-        # retry schedule keeps large eager transfers from timing out
-        # into retransmissions that would skew the message/byte
-        # counters under measurement.
-        patient = RetryPolicy(
-            timeout=5.0, backoff=2.0, max_timeout=30.0, max_attempts=4
-        )
+        # name, filled in as each listener comes up).
         peers: dict = {}
-        transports = [
-            _CARRIERS[transport](
+        transports = []
+        for site_id in (NAME_SERVER, CALLER, CALLEE):
+            stack = make_carrier(
+                transport,
                 site_id,
                 stats=stats,
                 cost_model=model,
                 peers=peers,
-                retry=patient,
+                retry=PATIENT_RETRY,
             )
-            for site_id in (NAME_SERVER, CALLER, CALLEE)
-        ]
-        for stack in transports:
-            peers[stack.site_id] = stack.start()
+            transports.append(stack)
+            peers[site_id] = stack.address
         ns_net, caller_net, callee_net = transports
         network = caller_net
         ns_site = ns_net.endpoint
@@ -240,14 +320,8 @@ def make_world(
     TypeNameServer(ns_site, TypeRegistry())
     caller = _make_runtime(policy, caller_net, caller_site, caller_arch)
     callee = _make_runtime(policy, callee_net, callee_site, callee_arch)
-    for runtime in (caller, callee):
-        register_tree_types(runtime)
-        register_hash_types(runtime)
-        register_list_types(runtime)
-        runtime.import_interface(TREE_OPS)
-    bind_tree_server(callee)
-    bind_hash_server(callee)
-    bind_list_server(callee)
+    install_workloads(caller)
+    install_workloads(callee)
     label = method if isinstance(method, str) else policy.name
     return World(network, caller, callee, label, transport, transports)
 

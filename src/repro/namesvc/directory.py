@@ -12,9 +12,10 @@ to an address (and see how stale its liveness information is).
 
 Like the :class:`~repro.namesvc.server.TypeNameServer`, the directory
 is transport-agnostic: it is just handlers on an endpoint, so it runs
-over the simulator in tests and over TCP in real deployments.  The
-encode/decode helpers are module-level so the TCP transport can issue
-lookups from inside its own event loop without a blocking client.
+over the simulator in tests and over tcp or shm in real deployments.
+The lookup encode/decode helpers are module-level so a carrier can
+resolve an unknown peer with one raw exchange, without holding a
+:class:`DirectoryClient`.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ class SiteDirectory:
         return encoder.getvalue()
 
 
-# -- wire helpers (shared with the TCP transport's in-loop lookups) ----------
+# -- wire helpers (shared with the carriers' peer resolution) ---------------
 
 
 def encode_lookup(site_id: str) -> bytes:

@@ -26,12 +26,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from repro.bench.harness import CARRIERS, POLICIES, PROPOSED, TCP
 from repro.transport.host import (
-    METHODS,
-    PROPOSED,
     REGISTRY_SITE,
     HEARTBEAT_INTERVAL,
-    TRANSPORTS,
     run_ping,
     run_serve,
     run_shutdown,
@@ -56,8 +54,8 @@ def _add_registry_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--transport",
-        choices=TRANSPORTS,
-        default="tcp",
+        choices=CARRIERS,
+        default=TCP,
         help="carrier to serve or dial on: tcp sockets, or shm "
         "(same machine: a local socket for the frames, a shared-memory "
         "segment for bulk bodies; default tcp)",
@@ -92,9 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--method",
-        choices=METHODS,
+        choices=POLICIES,
         default=PROPOSED,
-        help="which runtime this address space runs (default proposed)",
+        help="transfer policy this address space's runtime runs "
+        f"(default {PROPOSED}, the paper's method)",
     )
     serve.add_argument(
         "--heartbeat",

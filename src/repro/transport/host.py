@@ -3,8 +3,10 @@
 ``python -m repro.transport serve`` runs one of these.  A *space host*
 owns a full smart-RPC address space — runtime, heap, allocation table,
 bound workload servers — attached to a real carrier (``--transport``:
-a :class:`TcpTransport` or a :class:`ShmTransport`), and
-registers itself with the site directory so peers can find it.  A
+a :class:`TcpTransport` or a :class:`ShmTransport`), built by
+:func:`make_space` the way :func:`repro.bench.harness.make_world`
+builds each of its sites, and registers itself with the site directory
+so peers can find it.  A
 *registry host* (``--serve-registry``) instead hosts the shared name
 services every deployment needs exactly once: the
 :class:`~repro.namesvc.directory.SiteDirectory` and the
@@ -14,7 +16,8 @@ The host prints one ``READY site=<id> addr=<host>:<port>`` line to
 stdout once it is serving — spawners wait for that line — then blocks
 until a signal (SIGINT/SIGTERM) or a ``SHUTDOWN`` control message
 arrives.  While blocked it heartbeats the directory so liveness
-information stays fresh, and — when the runtime's policy sets an
+information stays fresh (registering again if the directory forgot
+it), and — when the runtime's policy sets an
 ``orphan_grace`` — feeds the directory's liveness ages to the orphan
 reaper so sessions grounded at (or joined by) a dead peer are
 discarded (DESIGN.md §12).  On the way out it deregisters, dumps its
@@ -44,100 +47,44 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.harness import (
+    PROPOSED,
+    SHM,
+    TCP,
+    install_workloads,
+    make_carrier,
+    resolve_policy,
+)
 from repro.namesvc.client import TypeResolver
 from repro.namesvc.directory import DirectoryClient, SiteDirectory
 from repro.namesvc.server import TypeNameServer
-from repro.rpc.runtime import RpcRuntime
 from repro.simnet.message import Message, MessageKind
 from repro.simnet.stats import StatsCollector
 from repro.simnet.tracefmt import save_trace
 from repro.smartrpc.errors import SessionAbortedError
-from repro.smartrpc.policy import POLICY_NAMES, make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 from repro.smartrpc.validate import session_diagnostics
 from repro.transport.base import (
     Endpoint,
     FaultInjector,
     RetryPolicy,
+    Transport,
     TransportError,
 )
-from repro.transport.shm import (
-    DEFAULT_SEGMENT_SIZE,
-    ShmTransport,
-    purge_stale_segments,
-)
-from repro.transport.tcp import TcpTransport
-from repro.workloads.hashtable import bind_hash_server, register_hash_types
-from repro.workloads.linked_list import bind_list_server, register_list_types
-from repro.workloads.traversal import (
-    TREE_EXPOSE,
-    TREE_OPS,
-    bind_tree_expose,
-    bind_tree_server,
-    tree_expose_client,
-)
+from repro.transport.shm import DEFAULT_SEGMENT_SIZE, purge_stale_segments
+from repro.workloads.traversal import bind_tree_expose, tree_expose_client
 from repro.workloads.trees import (
     TREE_NODE_TYPE_ID,
     build_complete_tree,
-    register_tree_types,
     tree_node_spec,
 )
-from repro.xdr.arch import SPARC32, Architecture
+from repro.xdr.arch import SPARC32
 from repro.xdr.registry import TypeRegistry
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.view import StructView
 
 #: Default site id of the registry host (directory + type name server).
 REGISTRY_SITE = "NS"
-
-#: Carriers a host can serve on.  ``tcp`` listens on a TCP socket;
-#: ``shm`` (same-machine deployments) on a local socket beside its
-#: shared data segment, and its "address" is the transport's name,
-#: published to the directory as a host string with port 0.
-TRANSPORTS = ("tcp", "shm")
-
-
-def _make_transport(
-    transport: str,
-    site_id: str,
-    host: str,
-    port: int,
-    *,
-    stats: Optional[StatsCollector] = None,
-    clock=None,
-    peers=None,
-    directory_site: Optional[str] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultInjector] = None,
-    listen: bool = True,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-):
-    """Build (and start) the chosen carrier for one host process."""
-    if transport == "shm":
-        # Reap segments abandoned by crashed hosts (``os._exit`` never
-        # runs ``close()``) before creating fresh ones.
-        purge_stale_segments()
-        carrier, extras = ShmTransport, {"segment_size": segment_size}
-    elif transport == "tcp":
-        carrier, extras = TcpTransport, {"host": host, "port": port}
-    else:
-        raise TransportError(
-            f"unknown transport {transport!r} (expected one of "
-            f"{', '.join(TRANSPORTS)})"
-        )
-    built = carrier(
-        site_id,
-        stats=stats,
-        clock=clock,
-        peers=peers,
-        directory_site=directory_site,
-        retry=retry,
-        faults=faults,
-        listen=listen,
-        **extras,
-    )
-    built.start()
-    return built
 
 #: Seconds between directory heartbeats while a space host is serving.
 HEARTBEAT_INTERVAL = 2.0
@@ -146,28 +93,28 @@ HEARTBEAT_INTERVAL = 2.0
 #: SHUTDOWN_ACK itself) drain before the transport closes.
 _DRAIN_SECONDS = 0.2
 
-PROPOSED = "proposed"
-FULLY_EAGER = "eager"
-FULLY_LAZY = "lazy"
-#: Historical method names plus every transfer-policy preset.  The
-#: historical ``eager`` maps to the ``graphcopy`` policy (the §2 deep
-#: copy baseline this flag always meant); any policy name is accepted
-#: directly.
-METHODS = tuple(
-    [FULLY_EAGER, FULLY_LAZY, PROPOSED]
-    + sorted(set(POLICY_NAMES) - {"lazy"})
-)
+
+def _host_carrier(transport: str, site_id: str, **options) -> Transport:
+    """:func:`make_carrier` for a host process or control command."""
+    if transport == SHM:
+        # Reap segments abandoned by crashed hosts (``os._exit`` never
+        # runs ``close()``) before creating fresh ones.
+        purge_stale_segments()
+    return make_carrier(transport, site_id, **options)
 
 
-def _method_policy(method: str):
-    """Map a host ``--method`` to a transfer policy."""
-    if method == PROPOSED:
-        return make_policy("paper")
-    if method == FULLY_EAGER:
-        return make_policy("graphcopy")
-    if method in POLICY_NAMES:
-        return make_policy(method)
-    raise ValueError(f"unknown method {method!r}")
+def published_address(transport: Transport) -> Tuple[str, int]:
+    """The ``(host, port)`` a started stack registers with the directory.
+
+    A tcp stack's address is its bound socket address; a shm stack's is
+    its transport's name, published with port 0 so directory records
+    and the READY line keep one ``host:port`` shape everywhere.
+    """
+    address = transport.address
+    assert address is not None
+    if isinstance(address, tuple):
+        return address
+    return (address, 0)
 
 
 # -- control-plane wire formats (STATUS / RUN_SESSION) -----------------------
@@ -297,77 +244,64 @@ def run_crash_session(runtime: SmartRpcRuntime, peers: List[str]) -> Dict[str, i
 
 def make_space(
     site_id: str,
-    method: str = PROPOSED,
+    method=PROPOSED,
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    registry: Optional[Tuple[str, int]] = None,
+    registry=None,
     registry_site: str = REGISTRY_SITE,
-    arch: Architecture = SPARC32,
     stats: Optional[StatsCollector] = None,
-    clock=None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
-    listen: bool = True,
     expose_tree: int = 0,
     session_deadline: float = 0.0,
     exchange_timeout: float = 0.0,
     orphan_grace: float = 0.0,
-    transport: str = "tcp",
+    transport: str = TCP,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
 ):
     """Build one carrier-attached address space: transport plus runtime.
 
-    The runtime mirrors what :func:`repro.bench.harness.make_world`
-    builds per site — workload types registered, tree interface
-    imported, workload servers bound — so a space host can play caller
-    or callee for any existing experiment.  The transport (``tcp`` or
-    ``shm``) is started; directory registration is the caller's
-    business (spawned hosts register, in-process test transports often
-    use static peers).
+    The recipe is :func:`~repro.bench.harness.make_world`'s for one
+    site: ``method`` (a policy name or a ``TransferPolicy``) goes
+    through :func:`~repro.bench.harness.resolve_policy`, the carrier
+    through :func:`~repro.bench.harness.make_carrier` (started), the
+    runtime through :func:`~repro.bench.harness.install_workloads`, so
+    a space host can play caller or callee for any experiment.
+    ``registry`` is the directory's ``(host, port)``, or its transport
+    name over shm.  Directory registration is the caller's business
+    (spawned hosts register, in-process test transports often use
+    static peers).
     """
-    if transport == "shm" and isinstance(registry, tuple):
+    if transport == SHM and isinstance(registry, tuple):
         registry = registry[0]  # the directory's transport name
-    peers = {registry_site: registry} if registry is not None else None
-    built = _make_transport(
+    directory_site = registry_site if registry is not None else None
+    built = _host_carrier(
         transport,
         site_id,
-        host,
-        port,
+        host=host,
+        port=port,
         stats=stats,
-        clock=clock,
-        peers=peers,
-        directory_site=registry_site if registry is not None else None,
+        peers={registry_site: registry} if registry is not None else None,
+        directory_site=directory_site,
         retry=retry,
         faults=faults,
-        listen=listen,
         segment_size=segment_size,
     )
-    resolver = TypeResolver(
-        built.endpoint,
-        registry_site if registry is not None else None,
-    )
-    policy = _method_policy(method)
+    policy = resolve_policy(method).fresh()
     # Fault-tolerance knobs (DESIGN.md §12); the zero defaults leave
     # the policy exactly as its preset built it.
     policy.session_deadline = session_deadline
     policy.exchange_timeout = exchange_timeout
     policy.orphan_grace = orphan_grace
-    runtime: RpcRuntime = SmartRpcRuntime(
+    runtime = SmartRpcRuntime(
         built,
         built.endpoint,
-        arch,
-        resolver=resolver,
+        SPARC32,
+        resolver=TypeResolver(built.endpoint, directory_site),
         policy=policy,
     )
-    register_tree_types(runtime)
-    register_hash_types(runtime)
-    register_list_types(runtime)
-    runtime.import_interface(TREE_OPS)
-    runtime.import_interface(TREE_EXPOSE)
-    bind_tree_server(runtime)
-    bind_hash_server(runtime)
-    bind_list_server(runtime)
+    install_workloads(runtime)
     if expose_tree:
         # This space homes a tree of its own and hands out the root
         # pointer, so remote grounds can dereference, modify and — at
@@ -377,109 +311,45 @@ def make_space(
 
 
 class ProcessHost:
-    """One serving OS process: an address space or the registry."""
+    """One serving OS process: an address space or the registry.
+
+    ``transport`` is the started stack to serve on; ``runtime`` is the
+    space's runtime, or ``None`` for the registry host, whose directory
+    and type name server are already handlers on ``transport``.  A
+    space host registers with the directory at ``registry_site`` and
+    heartbeats it every ``heartbeat_interval`` seconds; ``trace_path``
+    receives the transport's recorded trace on the way out.
+    """
 
     def __init__(
         self,
-        site_id: str,
+        transport: Transport,
+        runtime: Optional[SmartRpcRuntime] = None,
         *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        registry: Optional[Tuple[str, int]] = None,
         registry_site: str = REGISTRY_SITE,
-        serve_registry: bool = False,
-        method: str = PROPOSED,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
         trace_path: Optional[str] = None,
-        faults: Optional[FaultInjector] = None,
-        retry: Optional[RetryPolicy] = None,
-        expose_tree: int = 0,
-        session_deadline: float = 0.0,
-        exchange_timeout: float = 0.0,
-        orphan_grace: float = 0.0,
-        transport: str = "tcp",
-        segment_size: int = DEFAULT_SEGMENT_SIZE,
     ) -> None:
-        if not serve_registry and registry is None:
-            raise TransportError(
-                "a space host needs --registry (HOST:PORT, or the "
-                "registry's name under --transport shm) to "
-                "find peers"
-            )
-        self.site_id = site_id
-        self.serve_registry = serve_registry
+        self.transport = transport
+        self.runtime = runtime
+        self.site_id = transport.endpoint.site_id
         self.heartbeat_interval = heartbeat_interval
         self.trace_path = trace_path
         self._stop = threading.Event()
-        self._stats = StatsCollector(trace=trace_path is not None)
         #: STATUS-barrier counters, guarded by ``_status_cond`` so the
         #: blocking STATUS handler can wait for them to advance.
         self._status_cond = threading.Condition()
         self.heartbeats = 0
         self.orphans_reaped = 0
-        self.runtime: Optional[RpcRuntime] = None
-        self.directory: Optional[SiteDirectory] = None
         self._directory_client: Optional[DirectoryClient] = None
-        if serve_registry:
-            self.transport = _make_transport(
-                transport,
-                site_id,
-                host,
-                port,
-                stats=self._stats,
-                retry=retry,
-                segment_size=segment_size,
-            )
-            self.directory = SiteDirectory(self.transport.endpoint)
-            registry_types = TypeRegistry()
-            server = TypeNameServer(self.transport.endpoint, registry_types)
-            # Publish the standard workload types so spaces may resolve
-            # them over the wire instead of registering locally.
-            server.publish(TREE_NODE_TYPE_ID, tree_node_spec())
-        else:
-            self.transport, self.runtime = make_space(
-                site_id,
-                method,
-                host=host,
-                port=port,
-                registry=registry,
-                registry_site=registry_site,
-                stats=self._stats,
-                retry=retry,
-                faults=faults,
-                expose_tree=expose_tree,
-                session_deadline=session_deadline,
-                exchange_timeout=exchange_timeout,
-                orphan_grace=orphan_grace,
-                transport=transport,
-                segment_size=segment_size,
-            )
-            self._directory_client = DirectoryClient(
-                self.transport.endpoint, registry_site
-            )
-            self.transport.endpoint.register_handler(
+        endpoint = transport.endpoint
+        if runtime is not None:
+            self._directory_client = DirectoryClient(endpoint, registry_site)
+            endpoint.register_handler(
                 MessageKind.RUN_SESSION, self._handle_run_session
             )
-        self.transport.endpoint.register_handler(
-            MessageKind.SHUTDOWN, self._handle_shutdown
-        )
-        self.transport.endpoint.register_handler(
-            MessageKind.STATUS, self._handle_status
-        )
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound listening address.
-
-        A shm host's "address" is its transport's name; it is
-        normalised to ``(name, 0)`` so directory registration and the
-        READY line keep the one ``host:port`` shape everywhere.
-        """
-        address = self.transport.address
-        assert address is not None
-        if isinstance(address, tuple):
-            return address
-        return (address, 0)
+        endpoint.register_handler(MessageKind.SHUTDOWN, self._handle_shutdown)
+        endpoint.register_handler(MessageKind.STATUS, self._handle_status)
 
     def _handle_shutdown(self, message: Message) -> bytes:
         self._stop.set()
@@ -511,7 +381,7 @@ class ProcessHost:
             reaped = self.orphans_reaped
         open_sessions = 0
         invariant_errors = 0
-        if isinstance(self.runtime, SmartRpcRuntime):
+        if self.runtime is not None:
             for state in list(self.runtime._sessions.values()):
                 if not isinstance(state, SmartSessionState):
                     continue
@@ -536,7 +406,7 @@ class ProcessHost:
         count = decoder.unpack_uint32()
         peers = [decoder.unpack_string() for _ in range(count)]
         decoder.expect_done()
-        assert isinstance(self.runtime, SmartRpcRuntime)
+        assert self.runtime is not None
         encoder = XdrEncoder()
         try:
             checksums = run_crash_session(self.runtime, peers)
@@ -561,10 +431,9 @@ class ProcessHost:
 
     def serve_forever(self) -> None:
         """Register, announce readiness, heartbeat until told to stop."""
+        bound_host, bound_port = published_address(self.transport)
         if self._directory_client is not None:
-            bound_host, bound_port = self.address
             self._directory_client.register(bound_host, bound_port)
-        bound_host, bound_port = self.address
         print(
             f"READY site={self.site_id} addr={bound_host}:{bound_port}",
             flush=True,
@@ -575,12 +444,15 @@ class ProcessHost:
                     continue
                 reaped = 0
                 try:
-                    self._directory_client.heartbeat()
+                    if not self._directory_client.heartbeat():
+                        # The directory forgot this site (a registry
+                        # restart): without a record, new peers cannot
+                        # look it up and reapers count it dead.
+                        self._directory_client.register(
+                            bound_host, bound_port
+                        )
                     runtime = self.runtime
-                    if (
-                        isinstance(runtime, SmartRpcRuntime)
-                        and runtime.policy.orphan_grace > 0
-                    ):
+                    if runtime is not None and runtime.policy.orphan_grace > 0:
                         # The directory's liveness ages are the failure
                         # detector: a peer past the grace (or missing
                         # entirely) is dead, and every session it took
@@ -608,7 +480,7 @@ class ProcessHost:
                 pass
             self._directory_client = None
         if self.trace_path is not None:
-            save_trace(self._stats, self.trace_path)
+            save_trace(self.transport.stats, self.trace_path)
             self.trace_path = None
         self.transport.close()
 
@@ -626,19 +498,17 @@ def _registry_argument(args):
     name on shm (a ``name:0`` form is accepted too)."""
     if args.registry is None:
         return None
-    if getattr(args, "transport", "tcp") == "shm":
+    if args.transport == SHM:
         name, _, port = args.registry.rpartition(":")
         return name if name and port.isdigit() else args.registry
     return parse_address(args.registry)
 
 
-def _control_transport(args, role: str):
+def _control_transport(args, role: str) -> Transport:
     """A non-listening transport for ping/status/shutdown commands."""
-    return _make_transport(
-        getattr(args, "transport", "tcp"),
+    return _host_carrier(
+        args.transport,
         f"_{role}-{os.getpid()}",
-        "127.0.0.1",
-        0,
         listen=False,
         peers={args.registry_site: _registry_argument(args)},
         directory_site=args.registry_site,
@@ -646,28 +516,57 @@ def _control_transport(args, role: str):
 
 
 def run_serve(args) -> int:
-    """Entry point for ``python -m repro.transport serve``."""
+    """Entry point for ``python -m repro.transport serve``: build the
+    stack, then serve it until told to stop."""
     registry = _registry_argument(args)
     faults = (
         FaultInjector.parse(args.fault) if args.fault is not None else None
     )
+    stats = StatsCollector(trace=args.trace is not None)
+    runtime = None
+    if args.serve_registry:
+        transport = _host_carrier(
+            args.transport,
+            args.site,
+            host=args.host,
+            port=args.port,
+            stats=stats,
+            segment_size=args.segment_size,
+        )
+        SiteDirectory(transport.endpoint)
+        # Publish the standard workload types so spaces may resolve
+        # them over the wire instead of registering locally.
+        TypeNameServer(transport.endpoint, TypeRegistry()).publish(
+            TREE_NODE_TYPE_ID, tree_node_spec()
+        )
+    elif registry is None:
+        raise TransportError(
+            "a space host needs --registry (HOST:PORT, or the "
+            "registry's name under --transport shm) to find peers"
+        )
+    else:
+        transport, runtime = make_space(
+            args.site,
+            args.method,
+            host=args.host,
+            port=args.port,
+            registry=registry,
+            registry_site=args.registry_site,
+            stats=stats,
+            faults=faults,
+            expose_tree=args.expose_tree,
+            session_deadline=args.session_deadline,
+            exchange_timeout=args.exchange_timeout,
+            orphan_grace=args.orphan_grace,
+            transport=args.transport,
+            segment_size=args.segment_size,
+        )
     host = ProcessHost(
-        args.site,
-        host=args.host,
-        port=args.port,
-        registry=registry,
+        transport,
+        runtime,
         registry_site=args.registry_site,
-        serve_registry=args.serve_registry,
-        method=args.method,
         heartbeat_interval=args.heartbeat,
         trace_path=args.trace,
-        faults=faults,
-        expose_tree=args.expose_tree,
-        session_deadline=args.session_deadline,
-        exchange_timeout=args.exchange_timeout,
-        orphan_grace=args.orphan_grace,
-        transport=args.transport,
-        segment_size=args.segment_size,
     )
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda *_: host.request_stop())

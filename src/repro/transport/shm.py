@@ -579,6 +579,7 @@ class ShmTransport(ExchangeTransport):
         self._deferred = threading.local()
         self._all_deferred: Set[SegmentLease] = set()
         self._deferred_lock = threading.Lock()
+        self._close_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -597,22 +598,24 @@ class ShmTransport(ExchangeTransport):
 
     def close(self) -> None:
         """Settle leases, close the link, invalidate the segment epoch,
-        unlink the segment."""
-        if not self._started or self._closed.is_set():
-            return
-        # Zero-copy reply leases still deferred anywhere: their acks go
-        # out while the connections are still there to carry them.
-        with self._deferred_lock:
-            leases = list(self._all_deferred)
-        for lease in leases:
-            lease.release()
-        super().close()
-        with self._attach_lock:
-            attached = list(self._attached.values())
-            self._attached.clear()
-        for shm, _mv in attached:
-            _close_segment(shm)
-        self._allocator.close()
+        unlink the segment.  A close racing another one (a handler
+        closing its own transport) returns once the segment is gone."""
+        with self._close_lock:
+            if not self._started or self._closed.is_set():
+                return
+            # Zero-copy reply leases still deferred anywhere: their acks
+            # go out while the connections are still there to carry them.
+            with self._deferred_lock:
+                leases = list(self._all_deferred)
+            for lease in leases:
+                lease.release()
+            super().close()
+            with self._attach_lock:
+                attached = list(self._attached.values())
+                self._attached.clear()
+            for shm, _mv in attached:
+                _close_segment(shm)
+            self._allocator.close()
 
     # -- the link: where to listen, how to connect ----------------------------
 

@@ -57,6 +57,7 @@ from repro.transport.host import (
     decode_run_reply,
     encode_run_session,
     make_space,
+    published_address,
     query_status,
     run_crash_session,
 )
@@ -394,15 +395,6 @@ def registry(request):
         purge_stale_segments()
 
 
-def _register(directory, transport):
-    """Register a transport whose address may be an shm carrier's name."""
-    address = transport.address
-    if isinstance(address, tuple):
-        directory.register(*address)
-    else:  # shm: the transport's name, published with port 0
-        directory.register(address, 0)
-
-
 def _spawn_home(site_id, registry_addr, trace_path, carrier, fault=None):
     args = [
         "--registry", registry_addr,
@@ -485,7 +477,7 @@ def test_process_crash_cell(role, step, registry, tmp_path):
                 transport=carrier,
             )
             directory = DirectoryClient(transport.endpoint, "NS")
-            _register(directory, transport)
+            directory.register(*published_address(transport))
             with pytest.raises(TransportError):
                 transport.endpoint.send(
                     sites[GROUND],
@@ -521,7 +513,7 @@ def test_process_crash_cell(role, step, registry, tmp_path):
                 transport=carrier,
             )
             directory = DirectoryClient(transport.endpoint, "NS")
-            _register(directory, transport)
+            directory.register(*published_address(transport))
             with pytest.raises(SessionAbortedError) as aborted:
                 run_crash_session(runtime, peers)
             assert aborted.value.reason.startswith(

@@ -30,7 +30,11 @@ from repro.namesvc.directory import DirectoryClient, DirectoryError
 from repro.simnet.stats import StatsCollector
 from repro.simnet.tracefmt import load_trace, save_trace
 from repro.transport.base import FaultInjector
-from repro.transport.host import make_space, query_status
+from repro.transport.host import (
+    make_space,
+    published_address,
+    query_status,
+)
 from repro.transport.shm import purge_stale_segments
 from repro.transport.tracemerge import export_trace, merge_trace_files
 from repro.workloads.traversal import (
@@ -163,11 +167,7 @@ def test_session_across_processes_with_faults(deployment, tmp_path):
     )
     try:
         directory = DirectoryClient(transport.endpoint, "NS")
-        address = transport.address
-        if isinstance(address, tuple):  # shm publishes (segment, 0)
-            directory.register(*address)
-        else:
-            directory.register(address, 0)
+        directory.register(*published_address(transport))
         assert set(directory.list()) == {"A", "B", "C"}
 
         root = build_complete_tree(runtime, NODES)

@@ -111,21 +111,21 @@ def total(ctx: CallContext, head: int) -> int:
     access run per node: one protection check per node instead of one
     per field, with identical modelled charges.  The run plan is
     compiled once before the loop, so each node costs a single
-    ``load_run`` plus one precompiled unpack — no per-node view
+    ``load`` plus one precompiled unpack — no per-node view
     construction.
     """
     from repro.xdr.view import compile_run_plan
 
     spec = ctx.runtime.resolver.resolve(LIST_NODE_TYPE_ID)
     plan = compile_run_plan(spec, ctx.runtime.arch, ("value", "next"))
-    load_run = ctx.mem.load_run
+    load = ctx.mem.load
     start, span, accesses, unpack = (
         plan.start, plan.span, plan.accesses, plan.unpack,
     )
     result = 0
     address = head
     while address != 0:
-        value, address = unpack(load_run(address + start, span, accesses))
+        value, address = unpack(load(address + start, span, accesses))
         result += value
     return result
 

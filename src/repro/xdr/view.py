@@ -133,7 +133,7 @@ class StructView:
         """Load several members with one checked access run.
 
         The named members' contiguous byte span (padding included) is
-        read in a single :meth:`Mem.load_run`, so the protection check
+        read in a single :meth:`Mem.load`, so the protection check
         and fault retry are paid once per struct instead of once per
         field; the clock is still charged once per member (per element
         for array members) and the observer sees one coalesced
@@ -141,7 +141,7 @@ class StructView:
         flattened into individual elements.
         """
         plan = compile_run_plan(self.spec, self.arch, names)
-        blob = self.mem.load_run(
+        blob = self.mem.load(
             self.address + plan.start, plan.span, plan.accesses
         )
         return plan.unpack(blob)

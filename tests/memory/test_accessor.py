@@ -30,17 +30,6 @@ class TestPlainAccess:
         mem.store(base, b"data!")
         assert mem.load(base, 5) == b"data!"
 
-    def test_uint_helpers(self, space, mem):
-        base = space.map_region(1)
-        mem.store_uint(base, 0xDEADBEEF, 4, "big")
-        assert mem.load_uint(base, 4, "big") == 0xDEADBEEF
-        assert mem.load_uint(base, 4, "little") == 0xEFBEADDE
-
-    def test_int_helpers_signed(self, space, mem):
-        base = space.map_region(1)
-        mem.store_int(base, -1234, 4, "little")
-        assert mem.load_int(base, 4, "little") == -1234
-
     def test_clock_charged_per_access(self, space):
         clock = SimClock()
         mem = Mem(space, clock=clock,

@@ -1,10 +1,12 @@
-"""Page access tokens, bulk access runs, and typed bulk transfers.
+"""Page access tokens, access runs, and typed bulk loads.
 
 The token fast path must be invisible: every behaviour here (fault
 delivery, protection enforcement, charge accounting, observer
 callbacks) is specified by the checked path, and the token path must
 reproduce it exactly — only cheaper.
 """
+
+import struct
 
 import pytest
 
@@ -28,6 +30,8 @@ from repro.xdr.types import (
     int32,
     int64,
 )
+from repro.xdr.view import StructView
+from tests.memory.checked import checked_mem
 
 
 @pytest.fixture
@@ -52,8 +56,8 @@ class TestTokenFastPath:
         assert mem.load(base, 4) == b"data"
         assert mem.load(base + 8, 2) == b"\x00\x00"
 
-    def test_use_tokens_false_takes_checked_path(self, space):
-        mem = Mem(space, use_tokens=False)
+    def test_token_miss_takes_checked_path(self, space):
+        mem = checked_mem(space)
         base = space.map_region(1)
         reads = []
         original = space.read
@@ -131,7 +135,7 @@ class TestTokenFastPath:
         assert mem.load(boundary, 4) == b"abcd"
 
     def test_tokens_shared_nothing_between_accessors(self, space):
-        checked = Mem(space, use_tokens=False)
+        checked = checked_mem(space)
         fast = Mem(space)
         base = space.map_region(1)
         fast.store(base, b"t")
@@ -166,19 +170,19 @@ class TestFaultCounting:
 
 
 class TestAccessRuns:
-    def test_load_run_single_coalesced_observer(self, space, mem):
+    def test_load_accesses_single_coalesced_observer(self, space, mem):
         base = space.map_region(1)
         mem.store(base, b"abcdefgh")
         seen = []
         mem.observer = lambda a, s, w: seen.append((a, s, w))
-        assert mem.load_run(base, 8, accesses=2) == b"abcdefgh"
+        assert mem.load(base, 8, accesses=2) == b"abcdefgh"
         assert seen == [(base, 8, False)]
 
-    def test_store_run_single_coalesced_observer(self, space, mem):
+    def test_store_accesses_single_coalesced_observer(self, space, mem):
         base = space.map_region(1)
         seen = []
         mem.observer = lambda a, s, w: seen.append((a, s, w))
-        mem.store_run(base, b"zyxw", accesses=4)
+        mem.store(base, b"zyxw", accesses=4)
         assert seen == [(base, 4, True)]
         assert space.read_raw(base, 4) == b"zyxw"
 
@@ -187,8 +191,9 @@ class TestAccessRuns:
         bulk_clock, loop_clock = SimClock(), SimClock()
         mem = Mem(space, clock=bulk_clock, cost_model=model)
         base = space.map_region(1)
-        mem.load_run(base, 16, accesses=7)
-        for _ in range(7):
+        mem.load(base, 16, accesses=7)
+        mem.store(base, b"abcd", accesses=3)
+        for _ in range(10):
             loop_clock.advance(model.local_access)
         # Exact equality, not approx: a run must accumulate float time
         # in the same order as the per-access loop it replaces.
@@ -197,11 +202,12 @@ class TestAccessRuns:
     def test_run_charges_on_checked_path_too(self, space):
         model = CostModel(local_access=0.3e-6)
         clock = SimClock()
-        mem = Mem(space, clock=clock, cost_model=model, use_tokens=False)
+        mem = checked_mem(space, clock=clock, cost_model=model)
         base = space.map_region(1)
-        mem.load_run(base, 16, accesses=7)
+        mem.load(base, 16, accesses=7)
+        mem.store(base, b"abcd", accesses=3)
         loop = SimClock()
-        for _ in range(7):
+        for _ in range(10):
             loop.advance(model.local_access)
         assert clock.now == loop.now
 
@@ -215,7 +221,7 @@ class TestAccessRuns:
 
         space.set_fault_handler(handler)
         boundary = base + space.page_size - 4
-        assert mem.load_run(boundary, 8, accesses=2) == b"\x00" * 8
+        assert mem.load(boundary, 8, accesses=2) == b"\x00" * 8
         assert filled == [space.page_number(base),
                           space.page_number(base) + 1]
 
@@ -227,28 +233,79 @@ class TestAccessRuns:
             space.protect(fault.page_number, Protection.READ_WRITE)
 
         space.set_fault_handler(handler)
-        assert mem.load_run(base, 6, accesses=3) == b"ready!"
+        assert mem.load(base, 6, accesses=3) == b"ready!"
         space.read = None  # type: ignore[assignment]  # must not be used
-        assert mem.load_run(base, 6, accesses=3) == b"ready!"
+        assert mem.load(base, 6, accesses=3) == b"ready!"
 
+
+    def test_single_access_does_not_bill(self, space):
+        class AdvanceOnly(SimClock):
+            def bill(self, seconds, count):
+                raise AssertionError("a single access went through bill")
+
+        clock = AdvanceOnly()
+        mem = Mem(space, clock=clock, cost_model=CostModel(local_access=1e-6))
+        base = space.map_region(1)
+        mem.store(base, b"ab")
+        assert mem.load(base, 2) == b"ab"
+        assert clock.now == 2e-6
+
+
+class TestNegativeAccessCount:
+    """``accesses < 0`` is a ``ValueError`` on every path, clock or not."""
+
+    @pytest.fixture(params=["token", "checked"])
+    def make(self, request):
+        return Mem if request.param == "token" else checked_mem
+
+    @pytest.mark.parametrize("clocked", [True, False])
+    def test_load_rejects_negative_accesses(self, space, make, clocked):
+        clock = SimClock() if clocked else None
+        mem = make(space, clock=clock)
+        base = space.map_region(1)
+        seen = []
+        mem.observer = lambda a, s, w: seen.append(a)
+        with pytest.raises(ValueError):
+            mem.load(base, 8, accesses=-3)
+        assert seen == []
+        assert clock is None or clock.now == 0.0
+
+    @pytest.mark.parametrize("clocked", [True, False])
+    def test_store_rejects_negative_accesses(self, space, make, clocked):
+        clock = SimClock() if clocked else None
+        mem = make(space, clock=clock)
+        base = space.map_region(1)
+        with pytest.raises(ValueError):
+            mem.store(base, b"abcd", accesses=-1)
+        assert space.read_raw(base, 4) == bytes(4)
+        assert clock is None or clock.now == 0.0
+
+    def test_cross_page_span_rejects_negative_accesses(self, space, mem):
+        base = space.map_region(2)
+        boundary = base + space.page_size - 2
+        with pytest.raises(ValueError):
+            mem.load(boundary, 4, accesses=-2)
+        with pytest.raises(ValueError):
+            mem.store(boundary, b"abcd", accesses=-2)
+        assert space.read_raw(boundary, 4) == bytes(4)
 
 class TestTypedBulk:
     def test_load_array_int32_round_trip(self, space, mem):
         base = space.map_region(1)
         values = [3, -1, 70000, 0]
-        mem.store_array(base, int32, values, SPARC32)
+        mem.store(base, struct.pack(">4i", *values), accesses=4)
         assert mem.load_array(base, int32, 4, SPARC32) == values
 
     def test_load_array_int64_round_trip(self, space, mem):
         base = space.map_region(1)
         values = [1 << 40, -5]
-        mem.store_array(base, int64, values, SPARC32)
+        mem.store(base, struct.pack(">2q", *values), accesses=2)
         assert mem.load_array(base, int64, 2, SPARC32) == values
 
     def test_opaque_array_round_trip(self, space, mem):
         base = space.map_region(1)
         values = [b"aaaabbbb", b"ccccdddd"]
-        mem.store_array(base, OpaqueType(8), values, SPARC32)
+        mem.store(base, b"".join(values), accesses=2)
         assert mem.load_array(base, OpaqueType(8), 2, SPARC32) == values
 
     def test_non_identity_layout_rejected(self, space, mem):
@@ -256,18 +313,11 @@ class TestTypedBulk:
         # int32 on a little-endian machine is not wire-identical.
         with pytest.raises(ValueError):
             mem.load_array(base, int32, 1, X86_64)
-        with pytest.raises(ValueError):
-            mem.store_array(base, int32, [1], X86_64)
 
     def test_negative_count_rejected(self, space, mem):
         base = space.map_region(1)
         with pytest.raises(ValueError):
             mem.load_array(base, int32, -1, SPARC32)
-
-    def test_bad_opaque_element_rejected(self, space, mem):
-        base = space.map_region(1)
-        with pytest.raises(ValueError):
-            mem.store_array(base, OpaqueType(8), [b"short"], SPARC32)
 
     def test_array_run_charges_once_per_element(self, space):
         model = CostModel(local_access=1e-6)
@@ -280,7 +330,7 @@ class TestTypedBulk:
             loop.advance(model.local_access)
         assert clock.now == loop.now
 
-    def test_load_struct_run_orders_and_flattens(self, space, mem):
+    def test_struct_view_run_orders_and_flattens(self, space, mem):
         spec = StructType("node", [
             Field("edges", ArrayType(PointerType("node"), 3)),
             Field("weight", int64),
@@ -296,5 +346,5 @@ class TestTypedBulk:
             base + layout.offsets["weight"],
             (99).to_bytes(8, "big", signed=True),
         )
-        run = mem.load_struct_run(base, spec, ("weight", "edges"), SPARC32)
+        run = StructView(mem, base, spec, SPARC32).get_run("weight", "edges")
         assert run == (99, 0x10, 0x20, 0x30)

@@ -4,9 +4,10 @@ Two obligations:
 
 * **Freshness.** A cached token must never let the program observe
   pre-invalidation protection or post-invalidation bytes: any
-  interleaving of checked reads/writes, bulk runs, raw-plane writes,
-  ``protect`` flips and ``unmap_page`` calls must behave exactly like
-  a shadow model that re-checks everything on every access.
+  interleaving of single and multi-access loads and stores (within a
+  page or straddling two), raw-plane writes, ``protect`` flips and
+  ``unmap_page`` calls must behave exactly like a shadow model that
+  re-checks everything on every access.
 * **Coherency silence.** Sessions that interleave bulk-read calls
   (``total``, one access run per node) with writing calls (``scale``)
   must stay free of coherency-sanitizer diagnostics and return the
@@ -24,19 +25,28 @@ from repro.bench.harness import CALLEE, SIMNET, make_world
 from repro.memory.accessor import Mem
 from repro.memory.address_space import AddressSpace
 from repro.memory.faults import AccessViolation
-from repro.memory.page import Protection
+from repro.memory.page import PAGE_SIZE_DEFAULT, Protection
 from repro.workloads.linked_list import build_list, list_client
 
 NUM_PAGES = 3
+PAGE = PAGE_SIZE_DEFAULT
 
 #: One interleaved step: (op, page index, offset, size-ish payload).
-ops = st.sampled_from(["load", "load_run", "store", "raw_write",
-                       "protect_ro", "protect_rw", "unmap", "remap"])
+#: ``*_many`` ops make one access stand for ``size`` modelled accesses;
+#: offsets near the page end straddle into the next page number, which
+#: may be mapped, protected or not mapped at all, so the checked
+#: fallback is held to the model too.
+ops = st.sampled_from(["load", "load_many", "store", "store_many",
+                       "raw_write", "protect_ro", "protect_rw", "unmap",
+                       "remap"])
 steps = st.lists(
     st.tuples(
         ops,
         st.integers(min_value=0, max_value=NUM_PAGES - 1),
-        st.integers(min_value=0, max_value=120),
+        st.one_of(
+            st.integers(min_value=0, max_value=120),
+            st.integers(min_value=PAGE - 16, max_value=PAGE - 1),
+        ),
         st.integers(min_value=1, max_value=16),
     ),
     max_size=40,
@@ -50,17 +60,37 @@ class Shadow:
         self.page_size = page_size
         self.pages = {}  # number -> (bytearray, Protection)
 
-    def read(self, number: int, offset: int, size: int):
-        entry = self.pages.get(number)
-        if entry is None or not entry[1].readable:
-            return None  # access must not succeed
-        return bytes(entry[0][offset:offset + size])
+    def _pieces(self, address: int, size: int):
+        """``(entry, offset, length)`` per page of the span, or None
+        when any of those pages is unmapped."""
+        pieces = []
+        end = address + size
+        while address < end:
+            number, offset = divmod(address, self.page_size)
+            entry = self.pages.get(number)
+            if entry is None:
+                return None
+            length = min(end - address, self.page_size - offset)
+            pieces.append((entry, offset, length))
+            address += length
+        return pieces
 
-    def write(self, number: int, offset: int, data: bytes) -> bool:
-        entry = self.pages.get(number)
-        if entry is None or not entry[1].writable:
+    def read(self, address: int, size: int):
+        pieces = self._pieces(address, size)
+        if pieces is None or not all(e[1].readable for e, _, _ in pieces):
+            return None  # access must not succeed
+        return b"".join(bytes(e[0][o:o + n]) for e, o, n in pieces)
+
+    def write(self, address: int, data: bytes, check: bool = True) -> bool:
+        pieces = self._pieces(address, len(data))
+        if pieces is None or (
+            check and not all(e[1].writable for e, _, _ in pieces)
+        ):
             return False
-        entry[0][offset:offset + len(data)] = data
+        cursor = 0
+        for entry, offset, length in pieces:
+            entry[0][offset:offset + length] = data[cursor:cursor + length]
+            cursor += length
         return True
 
 
@@ -70,6 +100,7 @@ def test_tokens_always_match_a_recheck_model(trace, rng):
     space = AddressSpace("P")
     mem = Mem(space)
     shadow = Shadow(space.page_size)
+    assert space.page_size == PAGE
     base = space.map_region(NUM_PAGES)
     first = space.page_number(base)
     numbers = list(range(first, first + NUM_PAGES))
@@ -81,28 +112,26 @@ def test_tokens_always_match_a_recheck_model(trace, rng):
         number = numbers[index]
         address = number * space.page_size + offset
         mapped = shadow.pages.get(number)
-        if op in ("load", "load_run"):
-            expected = shadow.read(number, offset, size)
+        accesses = size if op.endswith("_many") else 1
+        if op in ("load", "load_many"):
+            expected = shadow.read(address, size)
             if expected is None:
                 with pytest.raises(Exception):
-                    mem.load(address, size)
-            elif op == "load":
-                assert mem.load(address, size) == expected
+                    mem.load(address, size, accesses)
             else:
-                assert mem.load_run(address, size, accesses=size) == expected
-        elif op == "store":
+                assert mem.load(address, size, accesses) == expected
+        elif op in ("store", "store_many"):
             payload = bytes(rng.randrange(256) for _ in range(size))
-            if shadow.write(number, offset, payload):
-                mem.store(address, payload)
+            if shadow.write(address, payload):
+                mem.store(address, payload, accesses)
             else:
                 with pytest.raises(Exception):
-                    mem.store(address, payload)
+                    mem.store(address, payload, accesses)
         elif op == "raw_write":
             # The raw plane ignores protection but needs the mapping.
-            if mapped is not None:
-                payload = bytes(rng.randrange(256) for _ in range(size))
+            payload = bytes(rng.randrange(256) for _ in range(size))
+            if shadow.write(address, payload, check=False):
                 space.write_raw(address, payload)
-                mapped[0][offset:offset + size] = payload
         elif op == "protect_ro" and mapped is not None:
             space.protect(number, Protection.READ)
             shadow.pages[number] = (mapped[0], Protection.READ)
@@ -121,6 +150,8 @@ def test_tokens_always_match_a_recheck_model(trace, rng):
             shadow.pages[numbers[index]] = (
                 bytearray(space.page_size), Protection.READ_WRITE
             )
+    for number, (data, _) in shadow.pages.items():
+        assert space.read_raw(number * PAGE, PAGE) == bytes(data)
 
 
 def sanitize(events):

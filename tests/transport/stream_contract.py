@@ -10,7 +10,7 @@ concurrent callers keep at-most-once, a slow handler still runs once,
 a hostile peer damages only its own connection, a peer that dies fails
 whoever is blocked on it at once, and ``close()`` gives every thread
 and descriptor back — also to a caller blocked mid-call.
-``test_tcp_threads.py`` and ``test_shm_doorbell.py`` ``import *`` this
+``test_tcp_link.py`` and ``test_shm_link.py`` ``import *`` this
 module and supply the ``carrier`` fixture, as ``test_tcp.py`` and
 ``test_shm.py`` do with ``exchange_contract.py``.
 """

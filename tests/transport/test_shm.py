@@ -3,7 +3,7 @@ contract, run over an ``AF_UNIX`` link and real shared memory.
 
 What an exchange does is stated once, in ``exchange_contract.py``, and
 imported here to run on this carrier (the link's threading model and
-what it leaves to ``shm.py`` are in ``test_shm_doorbell.py``).  The
+what it leaves to ``shm.py`` are in ``test_shm_link.py``).  The
 rest is what is unique to shared memory: extent handovers for bulk
 payloads, the stamp/epoch validation protocol, zero-copy send buffers,
 deferred reply acks and stale-segment reaping.

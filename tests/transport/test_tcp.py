@@ -3,7 +3,7 @@
 What an exchange does is stated once, in ``exchange_contract.py``, and
 imported here to run on this carrier; the link's threading model —
 descriptors, the pool's idle drain, hostile peers — is stated in
-``stream_contract.py`` and run on it by ``test_tcp_threads.py``.
+``stream_contract.py`` and run on it by ``test_tcp_link.py``.
 """
 
 import pytest

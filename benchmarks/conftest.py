@@ -1,33 +1,24 @@
-"""Benchmark-suite plumbing.
+"""Benchmark-suite plumbing for the pytest-benchmark micro-benchmarks.
 
-pytest-benchmark measures the *wall time of the simulation harness*;
-the numbers the paper reports are the *simulated* seconds and message
-counts, which each benchmark records here.  A terminal-summary hook
-prints the reproduced series after the benchmark table, so a plain
-``pytest benchmarks/ --benchmark-only`` leaves the reproduction visible
-in its output.
+The paper's tables, figures and ablations are not here: ``python -m
+repro.bench <name>`` is their one runner.  What runs through pytest
+are the micro-benchmarks (``bench_xdr.py``): pytest-benchmark measures
+their wall time, and each records its reproduced figures here.  A
+terminal-summary hook prints them after the benchmark table, so a
+plain ``pytest benchmarks/bench_xdr.py`` leaves them visible in its
+output.
 
-``--transport`` selects what the worlds run over: ``simnet`` (default,
-deterministic modeled seconds), ``tcp`` (real localhost sockets, wall
-seconds), ``shm`` (same-machine shared-memory segments, wall seconds),
-or ``all`` — which parametrizes every benchmark over every carrier so
-their rows land side by side in the pytest-benchmark JSON (``both`` is
-the accepted legacy spelling from the two-carrier days).
-
-``--policy`` substitutes any transfer policy for the proposed-method
-rows (the baseline rows keep their fixed policies), and
-``--closure-order`` forces the closure traversal order, so e.g. the CI
-smoke run exercises the adaptive policy end to end.
+``--transport`` selects the carrier a ``transport_mode`` benchmark
+runs over: ``simnet`` (default), ``tcp``, ``shm``, or ``all`` — which
+parametrizes it over every carrier so their rows land side by side in
+the pytest-benchmark JSON.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-import pytest
-
-from repro.bench.harness import POLICIES, SIMNET, TRANSPORTS
-from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST
+from repro.bench.harness import SIMNET, TRANSPORTS
 
 _SIM_RESULTS: List[str] = []
 
@@ -35,44 +26,16 @@ _SIM_RESULTS: List[str] = []
 def pytest_addoption(parser):
     parser.addoption(
         "--transport",
-        choices=(*TRANSPORTS, "all", "both"),
+        choices=(*TRANSPORTS, "all"),
         default=SIMNET,
-        help="run benchmark worlds over simnet, tcp, shm, or all "
-        "of them (both is a legacy alias for all)",
+        help="run benchmarks over simnet, tcp, shm, or all of them",
     )
-    parser.addoption(
-        "--policy",
-        choices=POLICIES,
-        default=None,
-        help="transfer policy for the proposed-method rows",
-    )
-    parser.addoption(
-        "--closure-order",
-        choices=(BREADTH_FIRST, DEPTH_FIRST),
-        default=None,
-        help="closure traversal order (bfs is the paper's)",
-    )
-
-
-@pytest.fixture
-def policy_mode(request):
-    """The ``--policy`` override, or None for each figure's default."""
-    return request.config.getoption("--policy")
-
-
-@pytest.fixture
-def closure_order_mode(request):
-    """The ``--closure-order`` override, or None for the policy's."""
-    return request.config.getoption("--closure-order")
 
 
 def pytest_generate_tests(metafunc):
     if "transport_mode" in metafunc.fixturenames:
         choice = metafunc.config.getoption("--transport")
-        if choice in ("all", "both"):
-            modes = list(TRANSPORTS)
-        else:
-            modes = [choice]
+        modes = list(TRANSPORTS) if choice == "all" else [choice]
         metafunc.parametrize("transport_mode", modes)
 
 

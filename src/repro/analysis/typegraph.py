@@ -21,9 +21,9 @@ Two edge kinds matter and are kept separate:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
-from repro.rpc.interface import InterfaceDef, ProcedureDef
+from repro.rpc.interface import ProcedureDef
 from repro.xdr.arch import Architecture
 from repro.xdr.types import (
     ArrayType,
@@ -130,10 +130,6 @@ class TypeGraph:
                     return found
         return None
 
-    def has_embedding_cycle(self) -> bool:
-        """Whether any by-value embedding cycle exists."""
-        return self.embedding_cycle() is not None
-
     # -- sizes ----------------------------------------------------------------
 
     def _embed_reachable(self, name: str) -> Set[str]:
@@ -199,14 +195,6 @@ class TypeGraph:
                     roots |= self.pointer_edges.get(reached, set())
         return sorted(roots)
 
-    def interface_roots(self, interface: InterfaceDef) -> List[str]:
-        """Pointer-target names rooted anywhere in one interface."""
-        roots: Set[str] = set()
-        for procedure in interface.procedures:
-            roots |= set(self.procedure_roots(procedure))
-        return sorted(roots)
-
-
 def _collect_edges(
     spec: TypeSpec, pointers: Set[str], embeds: Set[str]
 ) -> None:
@@ -222,20 +210,3 @@ def _collect_edges(
         # arms still contribute embed edges for size accounting.
         for arm in spec.arms.values():
             _collect_edges(arm, pointers, embeds)
-
-
-def pointer_specs(spec: TypeSpec) -> List[Tuple[str, PointerType]]:
-    """Every pointer spec inside ``spec`` with a path-ish label."""
-    found: List[Tuple[str, PointerType]] = []
-
-    def walk(current: TypeSpec, label: str) -> None:
-        if isinstance(current, PointerType):
-            found.append((label, current))
-        elif isinstance(current, ArrayType):
-            walk(current.element, label + "[]")
-        elif isinstance(current, StructType):
-            for field in current.fields:
-                walk(field.spec, f"{label}.{field.name}")
-
-    walk(spec, "")
-    return found

@@ -6,13 +6,14 @@
 * :mod:`repro.bench.harness` — world construction (network + name
   server + caller/callee runtimes for each method) and single-run
   experiment drivers;
-* :mod:`repro.bench.experiments` — one function per figure/table, each
-  returning the rows the paper plots;
+* :mod:`repro.bench.experiments` — one function per table, figure and
+  ablation, each returning the rows the paper plots;
 * :mod:`repro.bench.reporting` — fixed-width table rendering.
 
-Run everything from the command line::
+``python -m repro.bench`` is the one runner of every one of them::
 
     python -m repro.bench fig4
+    python -m repro.bench fig5 --transport shm
     python -m repro.bench all
 """
 

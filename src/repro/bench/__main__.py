@@ -1,11 +1,12 @@
 """Command-line entry point: regenerate the paper's tables and figures.
 
-Usage::
+The one runner of every table, figure and ablation.  Usage::
 
     python -m repro.bench            # list experiments
     python -m repro.bench fig4       # one experiment at paper scale
     python -m repro.bench all        # everything (several minutes)
     python -m repro.bench fig4 --quick   # reduced scale for smoke runs
+    python -m repro.bench fig5 --transport shm   # over a real carrier
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import inspect
 import sys
 
 from repro.bench.experiments import ALL_EXPERIMENTS
-from repro.bench.harness import POLICIES
+from repro.bench.harness import POLICIES, TRANSPORTS
 from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST
 
 _QUICK_OVERRIDES = {
@@ -27,6 +28,8 @@ _QUICK_OVERRIDES = {
         repeats=3,
     ),
     "fig7": dict(num_nodes=8191, ratios=[0.0, 0.25, 0.5, 0.75, 1.0]),
+    "ablation_alloc": dict(num_nodes=8191),
+    "ablation_closure": dict(num_nodes=8191),
 }
 
 
@@ -56,6 +59,12 @@ def main(argv=None) -> int:
         choices=(BREADTH_FIRST, DEPTH_FIRST),
         help="closure traversal order (bfs is the paper's)",
     )
+    parser.add_argument(
+        "--transport",
+        choices=TRANSPORTS,
+        help="carrier the figures run over (simnet is the default; "
+        "tcp and shm report wall seconds)",
+    )
     args = parser.parse_args(argv)
     if not args.experiment:
         print("available experiments:")
@@ -78,6 +87,7 @@ def main(argv=None) -> int:
         for flag, value in (
             ("policy", args.policy),
             ("closure_order", args.closure_order),
+            ("transport", args.transport),
         ):
             if value is None:
                 continue

@@ -1,12 +1,14 @@
-"""One function per table/figure in the paper's evaluation.
+"""One function per table, figure and ablation of the paper's evaluation.
 
 Each returns the rows the paper plots (plus the counters that explain
-them) and a rendered text table.  ``python -m repro.bench <name>`` runs
-one from the command line; ``benchmarks/bench_*.py`` wraps them for
-pytest-benchmark.
+them) and a rendered text table.  ``python -m repro.bench <name>`` is
+the one runner of every one of them (``ALL_EXPERIMENTS``).
 
 Parameters default to the paper's values; tests pass smaller trees so
-the full suite stays fast.
+the full suite stays fast.  The figures take ``transport=`` and run
+over a real carrier (``tcp`` / ``shm``), where seconds are wall time
+and the counters are simnet's.  Every world an experiment builds is
+closed when its cell is done.
 """
 
 from __future__ import annotations
@@ -16,11 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.smartrpc.cache import ISOLATED, PACKED, SINGLE_HOME
 from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST
-from repro.smartrpc.long_pointer import LongPointer
 from repro.smartrpc.policy import make_policy
 from repro.workloads.hashtable import build_hash_table, hash_client
 from repro.workloads.linked_list import list_client
-from repro.workloads.trees import build_complete_tree
 from repro.xdr.types import Field as XField
 from repro.xdr.types import OpaqueType, PointerType, StructType
 
@@ -32,7 +32,7 @@ from repro.bench.harness import (
     FULLY_LAZY,
     METHODS,
     PROPOSED,
-    ExperimentRun,
+    SIMNET,
     make_world,
     resolve_policy,
     run_hash_call,
@@ -42,8 +42,8 @@ from repro.bench.harness import (
 from repro.bench.reporting import format_table
 
 
-def _world(method, policy=None, **knobs):
-    """A fresh world for one cell of a figure.
+def _world(method, policy=None, transport=SIMNET, **knobs):
+    """A fresh world for one cell of a figure; use it in ``with``.
 
     ``policy`` (``--policy``) substitutes any transfer policy for the
     proposed method's column while the baseline columns stay what the
@@ -52,7 +52,12 @@ def _world(method, policy=None, **knobs):
     """
     if method == PROPOSED and policy is not None:
         method = policy
-    return make_world(resolve_policy(method, **knobs))
+    return make_world(resolve_policy(method, **knobs), transport=transport)
+
+
+def _over(transport: str) -> str:
+    """The result-name suffix naming a real carrier (none for simnet)."""
+    return "" if transport == SIMNET else f" over {transport} (wall seconds)"
 
 
 @dataclass
@@ -86,6 +91,7 @@ def fig4_methods_comparison(
     closure_size: int = calibration.FIG4_CLOSURE,
     policy: Optional[str] = None,
     closure_order: Optional[str] = None,
+    transport: str = SIMNET,
 ) -> ExperimentResult:
     """Figure 4: processing time vs access ratio, three methods."""
     if ratios is None:
@@ -94,13 +100,14 @@ def fig4_methods_comparison(
     for ratio in ratios:
         times: Dict[str, float] = {}
         for method in METHODS:
-            world = _world(
+            with _world(
                 method,
                 policy,
+                transport,
                 closure_size=closure_size,
                 closure_order=closure_order,
-            )
-            run = run_tree_call(world, num_nodes, "search", ratio=ratio)
+            ) as world:
+                run = run_tree_call(world, num_nodes, "search", ratio=ratio)
             times[method] = run.seconds
         rows.append(
             (
@@ -122,6 +129,7 @@ def fig4_methods_comparison(
         name=(
             f"Figure 4 - processing time (s) vs access ratio "
             f"({num_nodes} nodes, closure {closure_size} B)"
+            f"{_over(transport)}"
         ),
         headers=["ratio", "fully eager", "fully lazy", "proposed"],
         rows=rows,
@@ -142,6 +150,7 @@ def fig5_callback_counts(
     closure_size: int = calibration.FIG4_CLOSURE,
     policy: Optional[str] = None,
     closure_order: Optional[str] = None,
+    transport: str = SIMNET,
 ) -> ExperimentResult:
     """Figure 5: number of callbacks vs access ratio, lazy vs proposed."""
     if ratios is None:
@@ -150,19 +159,20 @@ def fig5_callback_counts(
     for ratio in ratios:
         counts: Dict[str, int] = {}
         for method in (FULLY_LAZY, PROPOSED):
-            world = _world(
+            with _world(
                 method,
                 policy,
+                transport,
                 closure_size=closure_size,
                 closure_order=closure_order,
-            )
-            run = run_tree_call(world, num_nodes, "search", ratio=ratio)
+            ) as world:
+                run = run_tree_call(world, num_nodes, "search", ratio=ratio)
             counts[method] = run.callbacks
         rows.append((ratio, counts[FULLY_LAZY], counts[PROPOSED]))
     return ExperimentResult(
         name=(
             f"Figure 5 - callbacks vs access ratio ({num_nodes} nodes, "
-            f"closure {closure_size} B)"
+            f"closure {closure_size} B){_over(transport)}"
         ),
         headers=["ratio", "fully lazy", "proposed"],
         rows=rows,
@@ -182,6 +192,7 @@ def fig6_closure_size(
     repeats: int = calibration.FIG6_REPEATS,
     policy: Optional[str] = None,
     closure_order: Optional[str] = None,
+    transport: str = SIMNET,
 ) -> ExperimentResult:
     """Figure 6: processing time vs closure size, three tree sizes.
 
@@ -198,15 +209,16 @@ def fig6_closure_size(
     for num_nodes in node_counts:
         best: Tuple[float, int] = (float("inf"), -1)
         for closure_size in closure_sizes:
-            world = _world(
+            with _world(
                 PROPOSED,
                 policy,
+                transport,
                 closure_size=closure_size,
                 closure_order=closure_order,
-            )
-            run = run_tree_call(
-                world, num_nodes, "search_repeat", repeats=repeats
-            )
+            ) as world:
+                run = run_tree_call(
+                    world, num_nodes, "search_repeat", repeats=repeats
+                )
             rows.append(
                 (num_nodes, closure_size, run.seconds, run.callbacks)
             )
@@ -233,7 +245,7 @@ def fig6_closure_size(
     return ExperimentResult(
         name=(
             f"Figure 6 - processing time (s) vs closure size "
-            f"({repeats} repeated searches)"
+            f"({repeats} repeated searches){_over(transport)}"
         ),
         headers=["nodes", "closure B", "seconds", "callbacks"],
         rows=rows,
@@ -251,32 +263,27 @@ def fig7_update_performance(
     closure_size: int = calibration.FIG4_CLOSURE,
     policy: Optional[str] = None,
     closure_order: Optional[str] = None,
+    transport: str = SIMNET,
 ) -> ExperimentResult:
     """Figure 7: update vs visit-only processing time per ratio."""
     if ratios is None:
         ratios = calibration.ACCESS_RATIOS
     rows = []
     for ratio in ratios:
-        visit_world = _world(
-            PROPOSED,
-            policy,
-            closure_size=closure_size,
-            closure_order=closure_order,
-        )
-        visit = run_tree_call(visit_world, num_nodes, "search", ratio=ratio)
-        update_world = _world(
-            PROPOSED,
-            policy,
-            closure_size=closure_size,
-            closure_order=closure_order,
-        )
-        update = run_tree_call(
-            update_world, num_nodes, "search_update", ratio=ratio
-        )
-        quotient = (
-            update.seconds / visit.seconds if visit.seconds > 0 else 0.0
-        )
-        rows.append((ratio, visit.seconds, update.seconds, quotient))
+        seconds: Dict[str, float] = {}
+        for procedure in ("search", "search_update"):
+            with _world(
+                PROPOSED,
+                policy,
+                transport,
+                closure_size=closure_size,
+                closure_order=closure_order,
+            ) as world:
+                run = run_tree_call(world, num_nodes, procedure, ratio=ratio)
+            seconds[procedure] = run.seconds
+        visit, update = seconds["search"], seconds["search_update"]
+        quotient = update / visit if visit > 0 else 0.0
+        rows.append((ratio, visit, update, quotient))
     chart = render_chart(
         {
             "visited only": [(row[0], row[1]) for row in rows],
@@ -287,7 +294,7 @@ def fig7_update_performance(
     return ExperimentResult(
         name=(
             f"Figure 7 - update performance ({num_nodes} nodes, "
-            f"closure {closure_size} B)"
+            f"closure {closure_size} B){_over(transport)}"
         ),
         headers=["ratio", "not updated (s)", "updated (s)", "updated/not"],
         rows=rows,
@@ -322,15 +329,6 @@ def table1_allocation_table() -> ExperimentResult:
             XField("link", PointerType("record")),
         ],
     )
-    world = make_world(PROPOSED)
-    for runtime in (world.caller, world.callee):
-        runtime.resolver.register("record", record)
-    a_address = world.caller.heap.malloc(
-        record.sizeof(world.caller.arch), "record"
-    )
-    b_address = world.caller.heap.malloc(
-        record.sizeof(world.caller.arch), "record"
-    )
     interface = InterfaceDef(
         "table1",
         [
@@ -352,10 +350,19 @@ def table1_allocation_table() -> ExperimentResult:
         captured.extend(ctx.state.cache.table.rows())
         return len(ctx.state.cache.table)
 
-    bind_server(world.callee, interface, {"swizzle_only": swizzle_only})
-    stub = ClientStub(world.caller, interface, CALLEE)
-    with world.caller.session() as session:
-        count = stub.swizzle_only(session, a_address, b_address)
+    with make_world(PROPOSED) as world:
+        for runtime in (world.caller, world.callee):
+            runtime.resolver.register("record", record)
+        a_address = world.caller.heap.malloc(
+            record.sizeof(world.caller.arch), "record"
+        )
+        b_address = world.caller.heap.malloc(
+            record.sizeof(world.caller.arch), "record"
+        )
+        bind_server(world.callee, interface, {"swizzle_only": swizzle_only})
+        stub = ClientStub(world.caller, interface, CALLEE)
+        with world.caller.session() as session:
+            count = stub.swizzle_only(session, a_address, b_address)
     rows = [
         (page, offset, repr(pointer))
         for page, offset, pointer in captured
@@ -375,7 +382,7 @@ def table1_allocation_table() -> ExperimentResult:
 
 
 def ablation_alloc_strategy(
-    num_nodes: int = 8191,
+    num_nodes: int = calibration.FIG4_NODES,
     ratio: float = 0.5,
     closure_size: int = calibration.FIG4_CLOSURE,
 ) -> ExperimentResult:
@@ -388,10 +395,10 @@ def ablation_alloc_strategy(
     """
     rows = []
     for strategy in (SINGLE_HOME, PACKED, ISOLATED):
-        world = _world(
+        with _world(
             PROPOSED, closure_size=closure_size, allocation_strategy=strategy
-        )
-        run = run_tree_call(world, num_nodes, "search", ratio=ratio)
+        ) as world:
+            run = run_tree_call(world, num_nodes, "search", ratio=ratio)
         rows.append(
             (
                 strategy,
@@ -416,7 +423,7 @@ def ablation_alloc_strategy(
 
 
 def ablation_closure_order(
-    num_nodes: int = 8191,
+    num_nodes: int = calibration.FIG4_NODES,
     ratios: Sequence[float] = (0.25, 0.5, 1.0),
     closure_size: int = calibration.FIG4_CLOSURE,
     policy: Optional[str] = None,
@@ -426,14 +433,15 @@ def ablation_closure_order(
     for ratio in ratios:
         times = {}
         for order in (BREADTH_FIRST, DEPTH_FIRST):
-            world = _world(
+            with _world(
                 PROPOSED,
                 policy,
                 closure_size=closure_size,
                 closure_order=order,
-            )
-            run = run_tree_call(world, num_nodes, "search", ratio=ratio)
-            times[order] = run
+            ) as world:
+                times[order] = run_tree_call(
+                    world, num_nodes, "search", ratio=ratio
+                )
         rows.append(
             (
                 ratio,
@@ -473,18 +481,18 @@ def ablation_batched_malloc(counts: Sequence[int] = (50, 200, 800)) -> (
     for count in counts:
         per_mode = {}
         for batched in (True, False):
-            world = _world(PROPOSED, batch_memory_ops=batched)
-            head = build_list(world.caller, [1, 2, 3])
-            client = list_client(world.caller, CALLEE)
-            world.stats.reset()
-            clock = world.network.clock
-            start = clock.now
-            with world.caller.session() as session:
-                client.append_range(session, head, 100, count)
-            per_mode[batched] = (
-                clock.now - start,
-                world.stats.messages_by_kind,
-            )
+            with _world(PROPOSED, batch_memory_ops=batched) as world:
+                head = build_list(world.caller, [1, 2, 3])
+                client = list_client(world.caller, CALLEE)
+                world.stats.reset()
+                clock = world.network.clock
+                start = clock.now
+                with world.caller.session() as session:
+                    client.append_range(session, head, 100, count)
+                per_mode[batched] = (
+                    clock.now - start,
+                    world.stats.messages_by_kind,
+                )
         batched_s, batched_msgs = per_mode[True]
         immediate_s, immediate_msgs = per_mode[False]
         from repro.simnet.message import MessageKind
@@ -531,19 +539,19 @@ def ablation_closure_hints(
         policy = make_policy(
             "fixed", allocation_strategy=ISOLATED, closure_hints=hints
         )
-        world = make_world(policy)
-        table, _ = build_hash_table(world.caller, list(range(num_keys)))
-        stub = hash_client(world.caller, CALLEE)
-        world.stats.reset()
-        clock = world.network.clock
-        start = clock.now
-        with world.caller.session() as session:
-            stub.lookup_many(session, table, 17, lookups)
-        return (
-            clock.now - start,
-            world.stats.total_bytes,
-            world.stats.entries_transferred,
-        )
+        with make_world(policy) as world:
+            table, _ = build_hash_table(world.caller, list(range(num_keys)))
+            stub = hash_client(world.caller, CALLEE)
+            world.stats.reset()
+            clock = world.network.clock
+            start = clock.now
+            with world.caller.session() as session:
+                stub.lookup_many(session, table, 17, lookups)
+            return (
+                clock.now - start,
+                world.stats.total_bytes,
+                world.stats.entries_transferred,
+            )
 
     rows = []
     for label, configured in (
@@ -584,8 +592,8 @@ def ablation_adaptive_closure(
     rows = []
     baseline: Dict[str, int] = {}
     for name in policies:
-        world = _world(name, closure_order=closure_order)
-        run = run_hash_call(world, num_keys, lookups)
+        with _world(name, closure_order=closure_order) as world:
+            run = run_hash_call(world, num_keys, lookups)
         baseline[name] = run.bytes_moved
         rows.append(
             (

@@ -34,9 +34,3 @@ def _render(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.3f}"
     return str(value)
-
-
-def format_series(name: str, points: Sequence[tuple]) -> str:
-    """Render one curve as ``name: x=y`` pairs (compact form)."""
-    body = "  ".join(f"{x:g}={_render(y)}" for x, y in points)
-    return f"{name}: {body}"

@@ -14,7 +14,7 @@ subclasses with its cache, dirty set and memory-operation batch.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.rpc.errors import SessionError
 
@@ -104,8 +104,3 @@ class RpcRuntimeLike:
     def end_session(self, state: SessionState) -> None:
         """Tear a session down (write-back + invalidate in smart RPC)."""
         raise NotImplementedError
-
-
-def active_sessions(states: List[SessionState]) -> List[str]:
-    """Ids of sessions not yet closed (debugging helper)."""
-    return [s.session_id for s in states if not s.closed]

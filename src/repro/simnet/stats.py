@@ -217,16 +217,3 @@ class StatsCollector:
             f"orphans reaped: {self.orphans_reaped}",
         ]
         return "\n".join(lines)
-
-
-def merged_counter(collectors: List[StatsCollector]) -> Counter:
-    """Sum per-kind message counters across ``collectors``."""
-    total: Counter = Counter()
-    for collector in collectors:
-        total.update(collector.messages_by_kind)
-    return total
-
-
-def optional_stats(stats: Optional[StatsCollector]) -> StatsCollector:
-    """Return ``stats`` or a fresh throwaway collector."""
-    return stats if stats is not None else StatsCollector()

@@ -1,9 +1,12 @@
 """Tests for the ``python -m repro.bench`` command line."""
 
+import functools
+
 import pytest
 
+from repro.bench import __main__ as cli
 from repro.bench.__main__ import main
-from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.experiments import ALL_EXPERIMENTS, fig5_callback_counts
 
 
 class TestListing:
@@ -68,3 +71,19 @@ class TestRunning:
         captured = capsys.readouterr()
         assert "Table 1" in captured.out
         assert "policy" in captured.err
+
+    def test_transport_flag_reaches_a_figure(self, capsys, monkeypatch):
+        small_fig5 = functools.partial(
+            fig5_callback_counts, num_nodes=255, ratios=(0.5,)
+        )
+        monkeypatch.setitem(cli.ALL_EXPERIMENTS, "fig5", small_fig5)
+        assert main(["fig5", "--transport", "tcp"]) == 0
+        captured = capsys.readouterr()
+        assert "over tcp (wall seconds)" in captured.out
+        assert captured.err == ""
+
+    def test_transport_flag_is_ignored_for_table1(self, capsys):
+        assert main(["table1", "--transport", "tcp"]) == 0
+        captured = capsys.readouterr()
+        assert "Table 1" in captured.out
+        assert "does not take --transport; ignored" in captured.err

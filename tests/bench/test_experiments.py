@@ -6,11 +6,15 @@ how much, and where the regimes change.  Full-scale numbers are in
 EXPERIMENTS.md and regenerate via ``python -m repro.bench all``.
 """
 
+import threading
+
 import pytest
 
 from repro.bench.experiments import (
+    ablation_adaptive_closure,
     ablation_alloc_strategy,
     ablation_batched_malloc,
+    ablation_closure_hints,
     ablation_closure_order,
     fig4_methods_comparison,
     fig5_callback_counts,
@@ -147,3 +151,40 @@ class TestAblations:
         assert batched_s < immediate_s
         assert batched_msgs == 1
         assert immediate_msgs == 40
+
+    def test_hints_ship_fewer_bytes(self):
+        result = ablation_closure_hints(num_keys=500, lookups=6)
+        by_label = {row[0]: row for row in result.rows}
+        assert by_label["hinted"][2] < by_label["unhinted"][2]
+
+    def test_adaptive_ships_no_more_than_paper(self):
+        result = ablation_adaptive_closure(
+            num_keys=500, lookups=20, policies=("paper", "adaptive")
+        )
+        by_policy = {row[0]: row for row in result.rows}
+        paper, adaptive = by_policy["paper"], by_policy["adaptive"]
+        assert adaptive[3] <= paper[3]
+        assert adaptive[6] == paper[6]
+
+
+class TestRealCarriers:
+    """A figure over tcp or shm counts what it counts over simnet."""
+
+    @pytest.fixture(scope="class")
+    def simnet_rows(self):
+        return fig5_callback_counts(num_nodes=1023, ratios=(0.5, 1.0)).rows
+
+    @pytest.mark.parametrize("transport", ["tcp", "shm"])
+    def test_fig5_rows_match_simnet(self, simnet_rows, transport):
+        before = set(threading.enumerate())
+        result = fig5_callback_counts(
+            num_nodes=1023, ratios=(0.5, 1.0), transport=transport
+        )
+        assert result.rows == simnet_rows
+        assert f"over {transport} (wall seconds)" in result.name
+        leaked = [
+            thread
+            for thread in set(threading.enumerate()) - before
+            if not thread.daemon
+        ]
+        assert leaked == []

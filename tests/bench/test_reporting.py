@@ -1,6 +1,6 @@
 """Tests for table rendering."""
 
-from repro.bench.reporting import format_series, format_table
+from repro.bench.reporting import format_table
 
 
 class TestFormatTable:
@@ -21,11 +21,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         text = format_table("T", ["x"], [])
         assert "T" in text
-
-
-class TestFormatSeries:
-    def test_pairs_rendered(self):
-        text = format_series("lazy", [(0.0, 1.0), (0.5, 2.25)])
-        assert text.startswith("lazy:")
-        assert "0=1.000" in text
-        assert "0.5=2.250" in text

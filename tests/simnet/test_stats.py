@@ -1,7 +1,7 @@
 """Tests for statistics collection and tracing."""
 
 from repro.simnet.message import Message, MessageKind
-from repro.simnet.stats import StatsCollector, merged_counter, optional_stats
+from repro.simnet.stats import StatsCollector
 
 
 def _message(kind=MessageKind.CALL, size=10):
@@ -66,20 +66,3 @@ class TestTrace:
         stats.record_event(0.2, "fault", "b")
         stats.record_event(0.3, "message", "c")
         assert [e.detail for e in stats.events_in("message")] == ["a", "c"]
-
-
-class TestHelpers:
-    def test_merged_counter_sums(self):
-        first, second = StatsCollector(), StatsCollector()
-        first.record_message(_message())
-        second.record_message(_message())
-        second.record_message(_message(MessageKind.REPLY))
-        merged = merged_counter([first, second])
-        assert merged[MessageKind.CALL] == 2
-        assert merged[MessageKind.REPLY] == 1
-
-    def test_optional_stats_passthrough_and_fresh(self):
-        stats = StatsCollector()
-        assert optional_stats(stats) is stats
-        fresh = optional_stats(None)
-        assert isinstance(fresh, StatsCollector)

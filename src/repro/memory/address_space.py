@@ -52,15 +52,20 @@ class AddressSpace:
         self._first_page = max(1, REGION_BASE // page_size)
         self._next_page = self._first_page
         self._fault_handler: Optional[FaultHandler] = None
-        #: Mapping/protection generation.  Bumped whenever the page
-        #: table changes shape (:meth:`map_region`, :meth:`unmap_pages`),
-        #: protection (:meth:`protect_pages`) or a page's buffer grows.
-        #: :class:`repro.memory.accessor.Mem` compares it to discard
-        #: stale page access tokens, so neither a coherency-driven
-        #: protection flip nor a rebound buffer is missed by the token
-        #: fast path.  Read-only to callers.
+        #: Mapping/protection generation.  Bumped whenever a page goes
+        #: away (:meth:`unmap_pages`), changes protection
+        #: (:meth:`protect_pages`) or has its buffer rebound, and by
+        #: :meth:`map_region`; :meth:`map_page` needs no bump (see
+        #: there).  :class:`repro.memory.accessor.Mem` compares it to
+        #: discard stale page access tokens, so neither a
+        #: coherency-driven protection flip nor a rebound buffer is
+        #: missed by the token fast path.  Read-only to callers.
         self.generation = 0
         self._mapped_cache: Optional[List[int]] = None
+        #: ``page_if_mapped(number)``: the page, or ``None`` when
+        #: unmapped (no fault raised).  The page dict's own ``get``:
+        #: the access plane and the fault router ask on every miss.
+        self.page_if_mapped = self._pages.get
 
     # -- mapping -----------------------------------------------------------
 
@@ -81,6 +86,26 @@ class AddressSpace:
         self._mapped_cache = None
         return base_page * self.page_size
 
+    def map_page(self, page) -> int:
+        """Map one caller-built page at the next free page number.
+
+        ``page`` only has to look like a :class:`Page` to this space:
+        ``protection`` and ``data`` are read and rebound here, and its
+        ``number`` is assigned here and returned.  A caller that keeps
+        its own bookkeeping per page (the smart-RPC cache) so maps that
+        bookkeeping itself, instead of a second object.
+
+        No generation bump: a :class:`~repro.memory.accessor.Mem` token
+        is only ever taken for a mapped page, and a number that was
+        mapped before has been unmapped since, which bumped.  So no
+        token can name the fresh number.
+        """
+        number = page.number = self._next_page
+        self._pages[number] = page
+        self._next_page = number + 1
+        self._mapped_cache = None
+        return number
+
     def unmap_page(self, page_number: int) -> None:
         """Remove one page from the space."""
         self.unmap_pages((page_number,))
@@ -90,11 +115,11 @@ class AddressSpace:
 
         One pass and one generation bump however many pages go.  Page
         numbers above every page still mapped are handed out again by
-        :meth:`map_region`, so a space that maps and drops a cache area
-        per session does not creep towards the top of a 32-bit address
-        space; a stale :class:`~repro.memory.accessor.Mem` token for a
-        reused number cannot survive, because mapping bumps the
-        generation too.
+        :meth:`map_region` and :meth:`map_page`, so a space that maps and
+        drops a cache area per session does not creep towards the top
+        of a 32-bit address space; a stale
+        :class:`~repro.memory.accessor.Mem` token for a reused number
+        cannot survive, because this bump drops every token first.
         """
         pages = self._pages
         try:
@@ -133,10 +158,6 @@ class AddressSpace:
             raise SegmentationError(
                 self.space_id, page_number * self.page_size, FaultKind.READ
             ) from None
-
-    def page_if_mapped(self, page_number: int) -> Optional[Page]:
-        """The page, or ``None`` when unmapped (no fault raised)."""
-        return self._pages.get(page_number)
 
     @property
     def mapped_pages(self) -> List[int]:
@@ -225,7 +246,7 @@ class AddressSpace:
                 else page.protection.writable
             )
             if not allowed:
-                fault_address = max(address, page.base_address)
+                fault_address = max(address, number * self.page_size)
                 raise AccessViolation(
                     self.space_id, fault_address, kind, number
                 )
@@ -318,7 +339,8 @@ class AddressSpace:
         before it could serve a byte the new buffer no longer shares.
         """
         grown = bytearray(end)
-        grown[: len(page.data)] = page.data
+        if page.data:  # a fresh page's first write has nothing to copy
+            grown[: len(page.data)] = page.data
         page.data = grown
         self.generation += 1
         return grown

@@ -15,14 +15,14 @@ residency, and provides the three lookups the method needs constantly:
   pointer; answered from the rows of the page the address lies on.
 
 So there are two indexes: the long-pointer dict and one address-ordered
-row list per page.  The cache's
-:class:`~repro.smartrpc.cache.PageState` holds that very list as its
-``entries``, so the table and the page bookkeeping cannot disagree.
+row list per page.  A cache hands the table its own page dict, whose
+values are its :class:`~repro.smartrpc.cache.CachePage` objects — each
+*is* its page's row list — so the table and the page bookkeeping
+cannot disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.memory.page import PAGE_SIZE_DEFAULT
@@ -30,28 +30,43 @@ from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
 
 
-@dataclass(eq=False)
 class AllocEntry:
     """One row of the data allocation table.
 
-    Identity-hashed (``eq=False``): two rows are the same row only if
-    they are the same object, which lets sets of entries (the relayed
-    modified-data-set) survive provisional-pointer repointing.
+    Identity-hashed: two rows are the same row only if they are the
+    same object, which lets sets of entries (the relayed
+    modified-data-set) survive provisional-pointer repointing.  Slots
+    written out by hand (``dataclass(slots=True)`` needs Python 3.10):
+    a cold session holds one row per placeholder.
     """
 
-    pointer: LongPointer
-    local_address: int
-    size: int
-    page_number: int
-    offset: int
-    resident: bool = False
-    #: Shipped-vs-touched accounting (the adaptive policy's signal):
-    #: ``shipped`` marks data that arrived on the fault-driven fill
-    #: path, ``prefetched`` the subset shipped beyond the demanded
-    #: roots, ``touched`` whether the program ever accessed it.
-    shipped: bool = False
-    prefetched: bool = False
-    touched: bool = False
+    __slots__ = (
+        "pointer", "local_address", "size", "page_number", "offset",
+        "resident", "shipped", "prefetched", "touched",
+    )
+
+    def __init__(
+        self,
+        pointer: LongPointer,
+        local_address: int,
+        size: int,
+        page_number: int,
+        offset: int,
+        resident: bool = False,
+    ) -> None:
+        self.pointer = pointer
+        self.local_address = local_address
+        self.size = size
+        self.page_number = page_number
+        self.offset = offset
+        self.resident = resident
+        #: Shipped-vs-touched accounting (the adaptive policy's signal):
+        #: ``shipped`` marks data that arrived on the fault-driven fill
+        #: path, ``prefetched`` the subset shipped beyond the demanded
+        #: roots, ``touched`` whether the program ever accessed it.
+        self.shipped = False
+        self.prefetched = False
+        self.touched = False
 
     @property
     def end(self) -> int:
@@ -62,17 +77,35 @@ class AllocEntry:
         """Whether a local address falls inside this entry."""
         return self.local_address <= address < self.end
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"AllocEntry({self.pointer!r} at {self.local_address:#x}, "
+            f"{self.size} B{', resident' if self.resident else ''})"
+        )
+
 
 class DataAllocationTable:
     """The per-space, per-session data allocation table."""
 
-    def __init__(self, page_size: int = PAGE_SIZE_DEFAULT) -> None:
+    def __init__(
+        self,
+        page_size: int = PAGE_SIZE_DEFAULT,
+        pages: Optional[Dict[int, List[AllocEntry]]] = None,
+    ) -> None:
         self.page_size = page_size
         self._by_pointer: Dict[LongPointer, AllocEntry] = {}
         #: Page number -> the rows on that page in address order.  A row
         #: spanning several pages is listed on each.  Lists stay even
-        #: when emptied: a page's bookkeeping shares its list.
-        self._by_page: Dict[int, List[AllocEntry]] = {}
+        #: when emptied: a page's bookkeeping may be its list.  A cache
+        #: passes its own page dict, and files each page there before
+        #: any row lands on it.
+        self._by_page: Dict[int, List[AllocEntry]] = (
+            {} if pages is None else pages
+        )
+        #: The row for a long pointer, if already swizzled here — the
+        #: dict's own ``get``, since every swizzle of the fill path
+        #: asks.
+        self.entry_for = self._by_pointer.get
 
     def page_rows(self, page_number: int) -> List[AllocEntry]:
         """The live, address-ordered row list of one page.
@@ -148,10 +181,6 @@ class DataAllocationTable:
         self._by_pointer[pointer] = entry
 
     # -- lookups --------------------------------------------------------------
-
-    def entry_for(self, pointer: LongPointer) -> Optional[AllocEntry]:
-        """The row for a long pointer, if already swizzled here."""
-        return self._by_pointer.get(pointer)
 
     def entry_containing(self, local_address: int) -> Optional[AllocEntry]:
         """The row whose placeholder contains a local address."""

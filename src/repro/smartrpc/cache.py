@@ -21,8 +21,7 @@ This module implements the virtual-memory half of the method:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.memory.faults import AccessViolation, FaultKind
 from repro.memory.page import Protection
@@ -42,29 +41,45 @@ _FRESH = "fresh"
 _REMOTE = "remote"
 
 
-@dataclass
-class PageState:
-    """Cache-side bookkeeping of one mapped cache page."""
+class CachePage(list):
+    """One mapped cache page, as one object.
 
-    number: int
-    home: Optional[str]
-    #: The allocation table's row list for this page, in address order
-    #: (one list, two owners): the table inserts and removes, the cache
-    #: reads.
-    entries: List[AllocEntry]
-    bump: int = 0
-    closed: bool = False
-    dirty: bool = False
-    #: Write generation of the page's contents, bumped on each traced
-    #: modification; faults record the version they observe so the
-    #: offline sanitizer can detect stale reads (SRPC401).
-    version: int = 0
-    span_of: Optional[AllocEntry] = None
+    The list holds the allocation table's rows on the page, in address
+    order: the table inserts and removes, the cache reads.  The same
+    object is the page the address space maps
+    (:meth:`~repro.memory.address_space.AddressSpace.map_page`:
+    ``number``, ``protection``, ``data``) and the cache's bookkeeping
+    for it.  A cold session maps a placeholder page per datum, so one
+    object per page, not four, is what keeps the cyclic collector's
+    work down.  Slots are written out by hand for Python 3.9.
+    """
+
+    __slots__ = (
+        "cache", "number", "protection", "data", "home", "bump", "closed",
+        "dirty", "version",
+    )
+
+    def __init__(self, cache: "CacheManager", home: Optional[str]) -> None:
+        #: The owning cache: faults and first touches route through it.
+        self.cache = cache
+        self.protection = Protection.NONE
+        #: Backed only as far as written (see
+        #: :class:`~repro.memory.page.Page`): a protected page area
+        #: "contains no data at this time".
+        self.data = bytearray()
+        self.home = home
+        self.bump = 0
+        self.closed = False
+        self.dirty = False
+        #: Write generation of the page's contents, bumped on each
+        #: traced modification; faults record the version they observe
+        #: so the offline sanitizer can detect stale reads (SRPC401).
+        self.version = 0
 
     @property
     def complete(self) -> bool:
         """Whether every entry on the page is resident."""
-        for entry in self.entries:
+        for entry in self:
             if not entry.resident:
                 return False
         return True
@@ -86,28 +101,30 @@ class CacheManager:
         #: The owning address space and its (fixed) page size.
         self.space = runtime.space
         self.page_size = runtime.space.page_size
-        self.table = DataAllocationTable(self.page_size)
-        self._pages: Dict[int, PageState] = {}
+        #: Page number -> :class:`CachePage`, every page of the area.
+        #: The table indexes its rows through this very dict (each page
+        #: is its own row list).  Read-only to callers.
+        self.pages: Dict[int, CachePage] = {}
+        self.table = DataAllocationTable(self.page_size, self.pages)
         # Open pages accepting new placeholders, keyed by
         # (allocation class, home) — home collapses to "" under MIXED.
-        self._open_pages: Dict[Tuple[str, str], PageState] = {}
+        self._open_pages: Dict[Tuple[str, str], CachePage] = {}
         self.dirty_pages: Set[int] = set()
-        # Shipped entries the program has not yet touched.  The access
-        # observer fires on every program access; once everything
-        # shipped has been scored touched, the counter reaching zero
-        # lets :meth:`note_touch_range` return without a table lookup —
-        # the steady-state fast path.
-        self._untouched_shipped = 0
+        #: Shipped entries the program has not yet touched.  The access
+        #: observer fires on every program access to a cache page; while
+        #: this is zero it need not call :meth:`note_touch_range` — the
+        #: steady-state fast path.
+        self.untouched_shipped = 0
         # Pages completed inside a batch, remapped READ in one pass when
         # it ends (:meth:`hold_releases`); ``None`` outside a batch.
         self._held: Optional[List[int]] = None
 
     # -- small accessors ------------------------------------------------------
 
-    def page_state(self, page_number: int) -> PageState:
+    def page_state(self, page_number: int) -> CachePage:
         """Bookkeeping for one cache page."""
         try:
-            return self._pages[page_number]
+            return self.pages[page_number]
         except KeyError:
             raise SmartRpcError(
                 f"page {page_number} is not a cache page of session "
@@ -116,7 +133,7 @@ class CacheManager:
 
     def owns_page(self, page_number: int) -> bool:
         """Whether the page belongs to this session's cache area."""
-        return page_number in self._pages
+        return page_number in self.pages
 
     def footprint(self) -> Tuple[int, int]:
         """(mapped protected pages, allocation-table rows) still held.
@@ -124,7 +141,7 @@ class CacheManager:
         The fault-tolerance layer's leak metric: after a clean close,
         an abort or a reap, both counts must be zero.
         """
-        return len(self._pages), len(self.table)
+        return len(self.pages), len(self.table)
 
     # -- placeholder allocation -----------------------------------------------
 
@@ -141,9 +158,7 @@ class CacheManager:
         # Size and alignment come precomputed with the type's wire
         # plan; the id resolves here if this space has not met it yet.
         plan = self.runtime.wire_plan(pointer.type_id)
-        return self._allocate(
-            pointer, plan.size, min(plan.alignment, 8), _REMOTE, False
-        )
+        return self.place(pointer, plan.size, min(plan.alignment, 8))
 
     def allocate_fresh(self, pointer: LongPointer, size: int) -> AllocEntry:
         """A resident, writable entry for ``extended_malloc`` data.
@@ -153,116 +168,82 @@ class CacheManager:
         birth: the new contents must reach the home space through the
         coherency protocol.
         """
-        entry = self._allocate(
-            pointer,
-            size,
-            alignment=8,
-            allocation_class=_FRESH,
-            resident=True,
-        )
+        entry = self.place(pointer, size, 8, _FRESH, True)
         for number in self._entry_pages(entry):
-            state = self._pages[number]
-            state.dirty = True
+            self.pages[number].dirty = True
             self.dirty_pages.add(number)
             self.space.protect(number, Protection.READ_WRITE)
         return entry
 
-    def _allocate(
+    def place(
         self,
         pointer: LongPointer,
         size: int,
         alignment: int,
-        allocation_class: str,
-        resident: bool,
+        allocation_class: str = _REMOTE,
+        resident: bool = False,
     ) -> AllocEntry:
+        """The new row for ``pointer``, on an open page or a fresh one.
+
+        The one allocator: a batch's swizzle miss calls it directly
+        with the target type's size and alignment (at most 8).  A
+        fresh page is built and mapped right here, without a
+        generation bump (see ``AddressSpace.map_page``).
+        """
         page_size = self.page_size
         if size > page_size:
-            return self._allocate_span(pointer, size, resident)
+            return self._place_span(pointer, size, resident)
         if self.strategy == ISOLATED:
             # Fully lazy baseline: one datum per page, so every first
             # access to every datum faults individually (a callback
             # per dereferenced pointer, as in the paper's §2 baseline).
-            return self._allocate_isolated(pointer, size, resident)
-        home = "" if self.strategy == MIXED else pointer.space_id
-        key = (allocation_class, home)
-        page = self._open_pages.get(key)
-        if page is not None:
-            offset = _round_up(page.bump, alignment)
-            if page.closed or offset + size > page_size:
-                page = None
+            home, key, page = pointer[0], None, None
+        else:
+            home = "" if self.strategy == MIXED else pointer[0]
+            key = (allocation_class, home)
+            page = self._open_pages.get(key)
+            if page is not None:
+                offset = (page.bump + alignment - 1) & -alignment
+                if page.closed or offset + size > page_size:
+                    page = None
         if page is None:
-            page = self._map_page(home if home else None)
-            self._open_pages[key] = page
+            page = CachePage(self, home or None)
+            number = self.space.map_page(page)
+            self.pages[number] = page
+            if key is None:
+                page.closed = True
+            else:
+                self._open_pages[key] = page
             offset = 0
+        else:
+            number = page.number
         entry = AllocEntry(
-            pointer,
-            page.number * page_size + offset,
-            size,
-            page.number,
-            offset,
+            pointer, number * page_size + offset, size, number, offset,
             resident,
         )
         page.bump = offset + size
         self.table.add(entry)
         return entry
 
-    def _allocate_isolated(
-        self, pointer: LongPointer, size: int, resident: bool
-    ) -> AllocEntry:
-        page = self._map_page(pointer.space_id)
-        page.closed = True
-        entry = AllocEntry(
-            pointer=pointer,
-            local_address=page.number * self.page_size,
-            size=size,
-            page_number=page.number,
-            offset=0,
-            resident=resident,
-        )
-        page.bump = size
-        self.table.add(entry)
-        return entry
-
-    def _allocate_span(
+    def _place_span(
         self, pointer: LongPointer, size: int, resident: bool
     ) -> AllocEntry:
         pages = -(-size // self.page_size)
-        base = self.space.map_region(pages, Protection.NONE)
-        first = base // self.page_size
+        for _ in range(pages):
+            page = CachePage(self, pointer.space_id)
+            page.closed = True
+            self.pages[self.space.map_page(page)] = page
+        first = page.number - pages + 1  # map_page numbers consecutively
         entry = AllocEntry(
-            pointer=pointer,
-            local_address=base,
-            size=size,
-            page_number=first,
-            offset=0,
-            resident=resident,
+            pointer, first * self.page_size, size, first, 0, resident
         )
-        for index in range(pages):
-            number = first + index
-            state = PageState(
-                number,
-                pointer.space_id,
-                self.table.page_rows(number),
-                closed=True,
-                span_of=entry,
-            )
-            self._pages[number] = state
-            self.runtime.register_cache_page(number, self)
         self.table.add(entry)
         if resident:
             self._maybe_release(first)
         return entry
 
-    def _map_page(self, home: Optional[str]) -> PageState:
-        base = self.space.map_region(1, Protection.NONE)
-        number = base // self.page_size
-        state = PageState(number, home, self.table.page_rows(number))
-        self._pages[number] = state
-        self.runtime.register_cache_page(number, self)
-        return state
-
     def _entry_pages(self, entry: AllocEntry) -> range:
-        last = (entry.end - 1) // self.page_size
+        last = (entry.local_address + entry.size - 1) // self.page_size
         return range(entry.page_number, last + 1)
 
     def pages_of(self, entry: AllocEntry) -> List[int]:
@@ -278,8 +259,8 @@ class CacheManager:
         """
         return {
             number
-            for number, page in self._pages.items()
-            if page.entries and not page.complete
+            for number, page in self.pages.items()
+            if page and not page.complete
         }
 
     def finish_datum(self) -> None:
@@ -306,6 +287,12 @@ class CacheManager:
         if self.strategy != PACKED:
             self._open_pages.clear()
 
+    @property
+    def datum_seal(self) -> Optional[Callable[[], None]]:
+        """:meth:`finish_datum` as one bound call, for a batch loop to
+        read once per batch; ``None`` under ``packed``."""
+        return None if self.strategy == PACKED else self._open_pages.clear
+
     def finish_batch(self) -> None:
         """Seal open pages at the end of one whole transfer batch."""
         self._open_pages.clear()
@@ -315,7 +302,7 @@ class CacheManager:
     def handle_fault(self, fault: AccessViolation) -> None:
         """The user-level access-violation handler for cache pages."""
         page = self.page_state(fault.page_number)
-        protection = self.space.protection_of(fault.page_number)
+        protection = page.protection
         kind = "write" if fault.kind is FaultKind.WRITE else "read"
         self.runtime.trace_event(
             "fault",
@@ -333,7 +320,7 @@ class CacheManager:
             self.mark_dirty_page(fault.page_number)
         self.runtime.clock.advance(self.runtime.cost_model.page_fault)
 
-    def _fill(self, page: PageState) -> None:
+    def _fill(self, page: CachePage) -> None:
         """Transfer every non-resident datum allocated to the page.
 
         "All of the other data allocated to the page must be
@@ -347,7 +334,7 @@ class CacheManager:
         under the ``pipelined`` policy.
         """
         self.state.pipeline.fill_page(self, page)
-        missing = [e.pointer for e in page.entries if not e.resident]
+        missing = [e.pointer for e in page if not e.resident]
         if missing:
             raise SmartRpcError(
                 f"home space failed to supply {missing!r} for page "
@@ -364,9 +351,10 @@ class CacheManager:
         the eager-closure gamble the adaptive policy's feedback loop
         scores against :meth:`note_touch`.  The bytes are posted to the
         ledgers once per batch, through :meth:`post_shipped`.
+        (``transfer.apply_batch`` does the same inline, per item.)
         """
         if not entry.shipped and not entry.touched:
-            self._untouched_shipped += 1
+            self.untouched_shipped += 1
         entry.shipped = True
         entry.prefetched = prefetched
 
@@ -402,15 +390,33 @@ class CacheManager:
         no-op, which is what keeps the steady-state access fast path
         cheap.
         """
-        if not self._untouched_shipped:
+        if not self.untouched_shipped:
             return
+        page = self.pages.get(address // self.page_size)
+        if (
+            page is not None
+            and len(page) == 1
+            and address % self.page_size + size <= self.page_size
+        ):
+            # A run on a page holding one row — a cold walk's first
+            # touch of each datum — overlaps that row or nothing.
+            entry = page[0]
+            start = entry.local_address
+            reach = address + size if size > 0 else address + 1
+            found = (
+                (entry,)
+                if start < reach and address < start + entry.size
+                else ()
+            )
+        else:
+            found = self.table.entries_overlapping(address, size)
         transfer_stats = self.state.transfer_stats
         ledger = self.runtime.stats.transfer_ledger
-        for entry in self.table.entries_overlapping(address, size):
+        for entry in found:
             if not entry.shipped or entry.touched:
                 continue
             entry.touched = True
-            self._untouched_shipped -= 1
+            self.untouched_shipped -= 1
             transfer_stats.record_touched(entry.size, entry.prefetched)
             ledger.record_touched(entry.size, entry.prefetched)
 
@@ -425,7 +431,7 @@ class CacheManager:
             self._maybe_release(number)
 
     def _maybe_release(self, page_number: int) -> None:
-        page = self._pages[page_number]
+        page = self.pages[page_number]
         if not page.complete:
             return
         page.closed = True
@@ -436,15 +442,18 @@ class CacheManager:
         else:
             self.space.protect(page_number, Protection.READ)
 
-    def hold_releases(self) -> None:
+    def hold_releases(self) -> List[int]:
         """Defer the READ remap of pages completed from now on.
 
         A transfer batch completes up to one page per item; instead of
         one ``protect`` and one generation bump each,
         :meth:`release_held` remaps them all in one pass, as
-        :meth:`invalidate` unmaps a whole cache area in one.
+        :meth:`invalidate` unmaps a whole cache area in one.  Returns
+        the list of held page numbers: a batch that completes a page
+        itself appends the number there.
         """
         self._held = []
+        return self._held
 
     def release_held(self) -> None:
         """Remap READ every page completed since :meth:`hold_releases`."""
@@ -483,7 +492,7 @@ class CacheManager:
         seen = set()
         out: List[AllocEntry] = []
         for page_number in sorted(self.dirty_pages):
-            for entry in self._pages[page_number].entries:
+            for entry in self.pages[page_number]:
                 key = id(entry)
                 if key not in seen:
                     seen.add(key)
@@ -496,25 +505,27 @@ class CacheManager:
         """Drop a cache entry (its placeholder bytes are abandoned).
 
         The cache area is session-scoped, so placeholder space is not
-        recycled — it all disappears at invalidation.
+        recycled — it all disappears at invalidation.  A row still
+        missing was what kept its page protected: with it gone the page
+        may be complete, and then it is released as if the row had
+        arrived — else a fault on it would refetch nothing, forever.
         """
         if entry.shipped and not entry.touched:
-            self._untouched_shipped -= 1
+            self.untouched_shipped -= 1
         self.table.remove(entry)
+        if not entry.resident:
+            for number in self._entry_pages(entry):
+                if self.pages[number]:
+                    self._maybe_release(number)
 
     # -- teardown -------------------------------------------------------------
 
     def invalidate(self) -> None:
         """Unmap the whole cache area and clear the table."""
-        self.space.unmap_pages(self._pages)
-        self.runtime.unregister_cache_pages(self._pages)
-        self._pages.clear()
+        self.space.unmap_pages(self.pages)
+        self.pages.clear()
         self._open_pages.clear()
         self.dirty_pages.clear()
-        self._untouched_shipped = 0
-        self.table = DataAllocationTable(self.page_size)
+        self.untouched_shipped = 0
+        self.table = DataAllocationTable(self.page_size, self.pages)
         self.runtime.stats.invalidations += 1
-
-
-def _round_up(value: int, alignment: int) -> int:
-    return (value + alignment - 1) & ~(alignment - 1)

@@ -61,7 +61,7 @@ from repro.transport.base import TransportError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import Future, ThreadPoolExecutor
-    from repro.smartrpc.cache import CacheManager, PageState
+    from repro.smartrpc.cache import CacheManager, CachePage
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 
 
@@ -136,7 +136,7 @@ class FetchPipeline:
 
     # -- the fill path ---------------------------------------------------------
 
-    def fill_page(self, cache: "CacheManager", page: "PageState") -> None:
+    def fill_page(self, cache: "CacheManager", page: "CachePage") -> None:
         """Make every datum allocated to ``page`` resident.
 
         The page is closed to further placeholder allocation first: the
@@ -148,12 +148,12 @@ class FetchPipeline:
         if not self.active:
             # Pass-through: exactly the classic fill — one request per
             # home space, demanded roots only, nothing asynchronous.
-            wanted = self._group_by_home(page.entries)
+            wanted = self._group_by_home(page)
             for home, pointers in wanted.items():
                 self.runtime.request_data(self.state, home, pointers)
             return
         fault_pages = {page.number}
-        for entry in page.entries:
+        for entry in page:
             fault_pages.update(cache.pages_of(entry))
         incomplete_before = cache.incomplete_pages() - fault_pages
         # 1. A fetch already in flight for this page absorbs the fault.
@@ -161,7 +161,7 @@ class FetchPipeline:
             if fetch.pages & fault_pages:
                 self._absorb(fetch, page.number)
         # 2. Demand the remainder, coalescing same-home frontier entries.
-        wanted = self._group_by_home(page.entries)
+        wanted = self._group_by_home(page)
         for home, pointers in wanted.items():
             self._demand(cache, page, home, pointers)
         # 3. Score pages this fault completed beyond its own: each is a
@@ -190,7 +190,7 @@ class FetchPipeline:
     def _demand(
         self,
         cache: "CacheManager",
-        page: "PageState",
+        page: "CachePage",
         home: str,
         pointers: List[LongPointer],
     ) -> None:

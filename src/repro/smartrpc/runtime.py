@@ -25,7 +25,7 @@ is configured with; the paper's baselines are just the ``lazy`` and
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.faults import AccessViolation
@@ -39,7 +39,7 @@ from repro.simnet.stats import TransferLedger
 from repro.transport.base import Endpoint, Transport, TransportError
 from repro.smartrpc import coherency, graphcopy, remote_heap, transfer
 from repro.smartrpc.alloc_table import AllocEntry
-from repro.smartrpc.cache import CacheManager
+from repro.smartrpc.cache import CacheManager, CachePage
 from repro.smartrpc.errors import SessionAbortedError, SmartRpcError
 from repro.smartrpc.long_pointer import (
     LongPointer,
@@ -124,7 +124,6 @@ class SmartRpcRuntime(RpcRuntime):
             self.policy = policy.fresh()
         else:
             raise SmartRpcError(f"bad policy {policy!r}")
-        self._page_cache: Dict[int, CacheManager] = {}
         self.space.set_fault_handler(self._handle_fault)
         self.mem.observer = self._note_program_access
         site.register_handler(
@@ -156,47 +155,41 @@ class SmartRpcRuntime(RpcRuntime):
         return self.policy.coherency
 
     # -- cache page fault dispatch --------------------------------------------
-
-    def register_cache_page(
-        self, page_number: int, cache: CacheManager
-    ) -> None:
-        """Route faults on ``page_number`` to ``cache``."""
-        self._page_cache[page_number] = cache
-
-    def unregister_cache_pages(self, page_numbers: Iterable[int]) -> None:
-        """Stop routing faults for unmapped cache pages."""
-        routes = self._page_cache
-        for number in page_numbers:
-            routes.pop(number, None)
+    #
+    # A cache page is mapped as its session's ``CachePage``, which names
+    # its cache, so routing a fault or a touch is one page-dict lookup
+    # in the space, and nothing is registered per page.
 
     def _handle_fault(self, fault: AccessViolation) -> None:
-        cache = self._page_cache.get(fault.page_number)
-        if cache is None:
+        page = self.space.page_if_mapped(fault.page_number)
+        if not isinstance(page, CachePage):
             # Not a cache page: a genuine protection bug — surface it.
             raise fault
-        cache.handle_fault(fault)
+        page.cache.handle_fault(fault)
 
     def _note_program_access(
         self, address: int, size: int, _write: bool
     ) -> None:
         # The Mem observer: the program plane touched local memory.
-        # Only cache pages matter for shipped-vs-touched accounting.
-        # Bulk runs arrive as one coalesced callback covering the whole
-        # byte range; every overlapping entry is scored.
+        # Only cache pages holding untouched shipped data matter for
+        # shipped-vs-touched accounting.  Bulk runs arrive as one
+        # coalesced callback covering the whole byte range; every
+        # overlapping entry is scored.
+        page_of = self.space.page_if_mapped
         page_size = self.space.page_size
         first = address // page_size
         last = (address + size - 1) // page_size if size > 1 else first
         if first == last:
-            cache = self._page_cache.get(first)
-            if cache is not None:
+            cache = getattr(page_of(first), "cache", None)
+            if cache is not None and cache.untouched_shipped:
                 cache.note_touch_range(address, size)
             return
         cursor = address
         remaining = size
         for number in range(first, last + 1):
             chunk = min(remaining, (number + 1) * page_size - cursor)
-            cache = self._page_cache.get(number)
-            if cache is not None:
+            cache = getattr(page_of(number), "cache", None)
+            if cache is not None and cache.untouched_shipped:
                 cache.note_touch_range(cursor, chunk)
             cursor += chunk
             remaining -= chunk

@@ -41,11 +41,9 @@ from repro.smartrpc.long_pointer import (
     decode_long_pointer_pooled,
     encode_long_pointer_pooled,
 )
-from repro.xdr.arch import SPARC32
 from repro.xdr.errors import XdrError
 from repro.xdr.raw import LONG_SLOT, WirePlan, wire_plan
 from repro.xdr.stream import XdrDecoder, XdrEncoder
-from repro.xdr.types import TypeSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
@@ -159,6 +157,15 @@ def apply_batch(
     ``demanded`` (fill path only) is the set of requested root
     pointers; items outside it were *prefetched* by the eager closure,
     and the split feeds the shipped-vs-touched ledgers.
+
+    One pass per item does all of a datum's work: its own row (a
+    lookup in the table's long-pointer dict, keyed by a plain tuple —
+    a :class:`LongPointer` is built only for a row that is new), the
+    swizzle of each pointer slot (the same lookup; a miss is one
+    :meth:`~repro.smartrpc.cache.CacheManager.place`, which builds the
+    row and any fresh page), residency and the page release it may
+    complete, the shipped flags and the per-datum seal.  The union
+    path swizzles through the session's swizzler instead.
     """
     decoder = XdrDecoder(payload)
     pool = HandlePool.decode(decoder)
@@ -166,24 +173,31 @@ def apply_batch(
     peek = decoder.peek_uint32
     unpack = decoder.unpack_struct
     lookup = pool.lookup
-    # Per pool handle, filled at the handle's first item so a cold
-    # resolver queries the name server where it always did.
+    # Per pool handle, filled at the handle's first item or first new
+    # row so a cold resolver queries the name server where it always did.
     plans: List[Optional[WirePlan]] = [None] * len(pool)
+    wire_plan_of = runtime.wire_plan
     site_id = runtime.site_id
     owns = runtime.heap.owns
     store = runtime.codec.store
     cache = state.cache
+    entry_for = cache.table.entry_for
+    place = cache.place
+    pages = cache.pages
+    page_size = cache.page_size
+    seal = cache.datum_seal
     swizzle = state.swizzler.swizzle
 
     def pointer_in(_target: str) -> int:
         return swizzle(decode_long_pointer_pooled(decoder, pool))
 
     applied = 0
+    untouched = 0  # entries newly flagged shipped, none touched yet
     shipped = [0, 0]  # bytes of demanded roots, bytes of prefetch
     last = -1  # the previous item's handle: runs of one type are the rule
     # Pages the batch completes turn READ in one pass at its end —
     # should an item raise, those completed before it still do.
-    cache.hold_releases()
+    held = cache.hold_releases()
     try:
         for _ in range(count):
             handle = peek()
@@ -193,14 +207,15 @@ def apply_batch(
                 space_id, type_id = lookup(handle)
                 plan = plans[handle - 1]
                 if plan is None:
-                    plan = plans[handle - 1] = runtime.wire_plan(type_id)
+                    plan = plans[handle - 1] = wire_plan_of(type_id)
                 flat = plan.flat
+                home = space_id == site_id
                 last = handle
             values = unpack(_LONG if flat is None else flat.sniff(peek, 1))
             address = values[1]
-            pointer = LongPointer(space_id, address, type_id)
-            if space_id == site_id:
+            if home:
                 # We are the home: the batch updates original data.
+                pointer = LongPointer(space_id, address, type_id)
                 if not owns(address):
                     raise SmartRpcError(
                         f"batch updates dead home data {pointer!r}"
@@ -208,8 +223,15 @@ def apply_batch(
                 entry = None
                 target = address
             else:
-                entry = cache.ensure_entry(pointer)
-                if entry.resident and not overwrite:
+                key = (space_id, address, type_id)
+                entry = entry_for(key)
+                if entry is None:
+                    entry = place(
+                        LongPointer(space_id, address, type_id),
+                        plan.size,
+                        min(plan.alignment, 8),
+                    )
+                elif entry.resident and not overwrite:
                     if flat is None:
                         _skip(decoder, plan.steps, pool)
                     else:
@@ -233,20 +255,58 @@ def apply_batch(
                     values = list(values)
                     for _bit, index in flat.slot_bits:
                         index += 2
-                        if values[index]:
-                            slot_space, slot_type = lookup(values[index])
+                        slot = values[index]
+                        if not slot:
+                            continue
+                        slot_space, slot_type = lookup(slot)
+                        slot_address = values[index + 1]
+                        if slot_space == site_id:
                             values[index] = swizzle(LongPointer(
-                                slot_space, values[index + 1], slot_type
+                                slot_space, slot_address, slot_type
                             ))
-                            values[index + 1] = b""
+                        else:
+                            row = entry_for(
+                                (slot_space, slot_address, slot_type)
+                            )
+                            if row is None:
+                                slot_plan = plans[slot - 1]
+                                if slot_plan is None:
+                                    slot_plan = plans[slot - 1] = (
+                                        wire_plan_of(slot_type)
+                                    )
+                                row = place(
+                                    LongPointer(
+                                        slot_space, slot_address, slot_type
+                                    ),
+                                    slot_plan.size,
+                                    min(slot_plan.alignment, 8),
+                                )
+                            values[index] = row.local_address
+                        values[index + 1] = b""
                 store(flat, target, values[2:])
             applied += 1
             if entry is None:
                 continue
-            cache.mark_resident(entry)
+            if not entry.resident:
+                if entry.offset + entry.size > page_size:
+                    cache.mark_resident(entry)  # a span: all its pages
+                else:
+                    entry.resident = True
+                    number = entry.page_number
+                    page = pages[number]
+                    for row in page:
+                        if not row.resident:
+                            break
+                    else:
+                        page.closed = True
+                        if not page.dirty:
+                            held.append(number)
             if demanded is not None:
-                prefetched = pointer not in demanded
-                cache.note_shipped(entry, prefetched)
+                prefetched = key not in demanded
+                if not entry.shipped and not entry.touched:
+                    untouched += 1
+                entry.shipped = True
+                entry.prefetched = prefetched
                 shipped[prefetched] += entry.size
             if overwrite:
                 # Dirty data stays part of the modified data set here
@@ -254,7 +314,8 @@ def apply_batch(
                 state.relayed_dirty.add(entry)
             # One datum's frontier children share placeholder pages; the
             # next datum's children start fresh ones (locality grouping).
-            cache.finish_datum()
+            if seal is not None:
+                seal()
         decoder.expect_done()
         cache.finish_batch()
     finally:
@@ -262,15 +323,10 @@ def apply_batch(
         # Sums are order-free, so the counters move once per batch —
         # by what did land, should an item have raised.
         runtime.stats.entries_transferred += applied
+        cache.untouched_shipped += untouched
         if demanded is not None:
             cache.post_shipped(*shipped)
     return applied
-
-
-def skip_value(decoder: XdrDecoder, spec: TypeSpec, pool: HandlePool) -> None:
-    """Consume one canonical value without materialising it."""
-    # The canonical form is the same whatever machine laid the plan out.
-    _skip(decoder, wire_plan(spec, SPARC32).steps, pool)
 
 
 def _skip(decoder: XdrDecoder, steps: Sequence, pool: HandlePool) -> None:

@@ -86,7 +86,7 @@ def session_diagnostics(
                     session=state.session_id,
                     page=number,
                 )
-            elif entry not in cache.page_state(number).entries:
+            elif entry not in cache.page_state(number):
                 collector.emit(
                     "SRPC202",
                     f"page {number} does not list {entry.pointer!r}",
@@ -95,7 +95,7 @@ def session_diagnostics(
                 )
 
     # 2: protection matches residency and dirtiness.
-    for number, page in cache._pages.items():
+    for number, page in cache.pages.items():
         protection = space.protection_of(number)
         if page.dirty:
             if protection is not Protection.READ_WRITE:
@@ -113,7 +113,7 @@ def session_diagnostics(
                     session=state.session_id,
                     page=number,
                 )
-        elif page.entries and page.complete:
+        elif page and page.complete:
             if protection is Protection.NONE and not page.closed:
                 collector.emit(
                     "SRPC203",

@@ -74,8 +74,8 @@ class TestPlaceholderAllocation:
     def test_span_allocation_for_large_data(self, smart_pair, callee_state):
         cache = callee_state.cache
         page_size = smart_pair.b.space.page_size
-        entry = cache._allocate_span(
-            remote_pointer(0x8000, "big"), page_size * 2 + 100, False
+        entry = cache.place(
+            remote_pointer(0x8000, "big"), page_size * 2 + 100, 8
         )
         pages = cache._entry_pages(entry)
         assert len(pages) == 3
@@ -152,7 +152,25 @@ class TestResidencyAndRelease:
         entry = cache.ensure_entry(remote_pointer())
         cache.release_entry(entry)
         assert cache.table.entry_for(entry.pointer) is None
-        assert cache.page_state(entry.page_number).entries == []
+        assert cache.page_state(entry.page_number) == []
+
+    def test_freeing_the_last_missing_row_releases_the_page(
+        self, smart_pair, callee_state
+    ):
+        cache = callee_state.cache
+        first = cache.ensure_entry(remote_pointer(0x1000))
+        second = cache.ensure_entry(remote_pointer(0x2000))
+        assert first.page_number == second.page_number
+        cache.mark_resident(first)
+        cache.release_entry(second)
+        space = smart_pair.b.space
+        assert space.protection_of(first.page_number) is Protection.READ
+        # The surviving datum reads without a fault: no fill that can
+        # fetch nothing, no fault loop.
+        stats = smart_pair.network.stats
+        filled, faults = stats.pages_filled, stats.page_faults
+        assert smart_pair.b.mem.load(first.local_address, 8) == bytes(8)
+        assert (stats.pages_filled, stats.page_faults) == (filled, faults)
 
     def test_held_releases_land_in_one_pass(self, smart_pair, callee_state):
         cache = callee_state.cache
@@ -182,7 +200,7 @@ class TestOnePageIndex:
         cache = callee_state.cache
         first = cache.ensure_entry(remote_pointer(0x1000))
         second = cache.ensure_entry(remote_pointer(0x2000))
-        rows = cache.page_state(first.page_number).entries
+        rows = cache.page_state(first.page_number)
         assert rows is cache.table.page_rows(first.page_number)
         assert rows == [first, second]
 
@@ -191,11 +209,11 @@ class TestOnePageIndex:
     ):
         cache = callee_state.cache
         page_size = smart_pair.b.space.page_size
-        entry = cache._allocate_span(
-            remote_pointer(0x8000, "big"), page_size * 2 + 100, False
+        entry = cache.place(
+            remote_pointer(0x8000, "big"), page_size * 2 + 100, 8
         )
         for number in cache.pages_of(entry):
-            assert cache.page_state(number).entries == [entry]
+            assert cache.page_state(number) == [entry]
         last = entry.local_address + entry.size - 1
         assert cache.table.entry_containing(last) is entry
         assert cache.table.entries_overlapping(

@@ -132,7 +132,7 @@ class TestSessionEnd:
         with session:
             stub.search(session, root, 7)
             state_b = smart_pair.b.session_state(session.session_id)
-            pages = list(state_b.cache._pages)
+            pages = list(state_b.cache.pages)
         for page in pages:
             assert not smart_pair.b.space.is_mapped(page * 4096)
 

@@ -5,10 +5,18 @@ import pytest
 from repro.smartrpc import transfer
 from repro.smartrpc.closure import ClosureItem
 from repro.smartrpc.errors import SmartRpcError
-from repro.smartrpc.long_pointer import HandlePool, LongPointer
+from repro.smartrpc.long_pointer import LongPointer
 from repro.workloads.trees import TREE_NODE_TYPE_ID, build_complete_tree
-from repro.xdr.stream import XdrDecoder, XdrEncoder
-from repro.xdr.types import OpaqueType, int32
+from repro.xdr.types import (
+    ArrayType,
+    EnumType,
+    Field,
+    OpaqueType,
+    PointerType,
+    StructType,
+    UnionType,
+    int32,
+)
 
 
 @pytest.fixture
@@ -145,35 +153,45 @@ class TestBatchRoundTrip:
             transfer.apply_batch(pair.a, state_a, batch, True)
 
 
+#: A union inside makes a datum take the hook-driven codec, so a
+#: duplicate copy of one is consumed by ``transfer._skip``.
+COLOR = EnumType("color", {"RED": 0, "GREEN": 1})
+SKIPPED = StructType("skipped", [
+    Field("a", int32),
+    Field("p", PointerType(TREE_NODE_TYPE_ID)),
+    Field("o", OpaqueType(6)),
+    Field("u", UnionType("u", COLOR, {"RED": int32, "GREEN": int32})),
+    Field("arr", ArrayType(int32, 2)),
+])
+
+
 class TestSkipValue:
-    def test_skip_consumes_exact_bytes(self):
-        from repro.xdr.types import (
-            ArrayType,
-            Field,
-            PointerType,
-            StructType,
+    def test_duplicate_skip_consumes_exact_bytes(self, worlds):
+        pair, root, state_a, state_b = worlds
+        for runtime in (pair.a, pair.b):
+            runtime.resolver.register("skipped", SKIPPED)
+        address = pair.a.heap.malloc(SKIPPED.sizeof(pair.a.arch), "skipped")
+        layout = SKIPPED.layout(pair.a.arch)
+        pair.a.codec.write_pointer(address + layout.offsets["p"], root)
+        datum = ClosureItem(
+            LongPointer("A", address, "skipped"), SKIPPED, address
         )
-
-        spec = StructType("s", [
-            Field("a", int32),
-            Field("p", PointerType("s")),
-            Field("o", OpaqueType(6)),
-            Field("arr", ArrayType(int32, 2)),
-        ])
-        pool = HandlePool()
-        encoder = XdrEncoder()
-        encoder.pack_int32(1)
-        from repro.smartrpc.long_pointer import encode_long_pointer_pooled
-
-        encode_long_pointer_pooled(
-            encoder, LongPointer("A", 8, "s"), pool
+        first = transfer.encode_batch(pair.a, state_a, [datum])
+        assert transfer.apply_batch(pair.b, state_b, first, False) == 1
+        rows = len(state_b.cache.table)  # the datum and the root it names
+        # The resident datum again, then the root: the skip must stop
+        # exactly where the root's item starts, swizzling nothing.
+        second = transfer.encode_batch(
+            pair.a, state_a, [datum] + home_items(pair.a, state_a, [root])
         )
-        encoder.pack_fixed_opaque(b"abcdef")
-        encoder.pack_int32(2)
-        encoder.pack_int32(3)
-        decoder = XdrDecoder(encoder.getvalue())
-        transfer.skip_value(decoder, spec, pool)
-        decoder.expect_done()
+        duplicates = pair.b.stats.duplicate_entries
+        assert transfer.apply_batch(pair.b, state_b, second, False) == 1
+        assert pair.b.stats.duplicate_entries == duplicates + 1
+        root_entry = state_b.cache.table.entry_for(
+            LongPointer("A", root, TREE_NODE_TYPE_ID)
+        )
+        assert root_entry.resident
+        assert len(state_b.cache.table) == rows + 2  # the root's children
 
     def test_skip_does_not_swizzle(self, worlds):
         pair, root, state_a, state_b = worlds

@@ -83,7 +83,7 @@ class TestViolationsDetected:
         )
         state.cache.table.add(forged)
         # One list: the table's row lands in the page's entries too.
-        assert forged in state.cache.page_state(entry.page_number).entries
+        assert forged in state.cache.page_state(entry.page_number)
         with pytest.raises(InvariantViolation):
             validate_session(smart_pair.b, state)
 

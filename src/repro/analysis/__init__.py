@@ -1,6 +1,6 @@
 """Static analysis for smart RPC ("smartlint").
 
-Three layers over one diagnostic engine:
+Four layers over one diagnostic engine:
 
 * :mod:`repro.analysis.idl_rules` — IDL/type-graph rules (``SRPC0xx``)
   over parsed interface definitions;
@@ -10,7 +10,8 @@ Three layers over one diagnostic engine:
   reported through the same vocabulary (``SRPC2xx``);
 * :mod:`repro.analysis.sanitizer` — the coherency sanitizer: vector
   clock happens-before race detection over protocol traces
-  (``SRPC4xx``), run via ``python -m repro.analysis race``.
+  (``SRPC4xx``), run over the same parse as the conformance rules by
+  :func:`repro.analysis.trace_rules.analyze_trace_file`.
 
 The CLI front end is ``python -m repro.analysis``; see
 :mod:`repro.analysis.cli`.

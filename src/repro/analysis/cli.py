@@ -3,22 +3,18 @@
 Run as ``python -m repro.analysis``::
 
     python -m repro.analysis examples/interfaces/inventory.x
-    python -m repro.analysis run.trace --json
-    python -m repro.analysis race merged.jsonl
+    python -m repro.analysis merged.jsonl --json
     python -m repro.analysis --self-check
 
 Positional arguments are files to lint.  ``.x`` files go through the
 IDL/type-graph rules (``SRPC0xx``, linted together so cross-file type
 conflicts surface as ``SRPC008``); everything else is treated as a
-JSON-lines trace log and replayed through the conformance rules
-(``SRPC1xx``).  Directories are scanned recursively for ``.x`` and
-``.trace`` files.
-
-The ``race`` subcommand runs the coherency sanitizer instead: it
-rebuilds the happens-before order of each trace from its vector-clock
-stamps and reports races (``SRPC4xx``) — see
-:mod:`repro.analysis.sanitizer`.  It takes the same ``--json``,
-``--suppress`` and ``--self-check`` options.
+JSON-lines trace log, parsed once and checked by both trace rule
+families: the conformance rules (``SRPC1xx``/``SRPC3xx``) and the
+coherency sanitizer, which rebuilds the happens-before order from the
+events' vector-clock stamps and reports races (``SRPC4xx``).  See
+:func:`repro.analysis.trace_rules.analyze_trace_file`.  Directories are
+scanned recursively for ``.x``, ``.trace`` and ``.jsonl`` files.
 
 Options:
 
@@ -30,8 +26,9 @@ Options:
 ``--closure-size N``
     Budget for the SRPC005 closure check (default 8192, the runtime's).
 ``--self-check``
-    Lint the repository's own shipped interfaces and recorded example
-    trace; fails if anything is reported at all.
+    Lint the repository's own shipped interfaces and recorded good
+    traces (:data:`SELF_CHECK_PATHS`); fails if anything is reported
+    at all.
 
 Exit status: 0 when clean, 1 when anything was reported at error or
 warning severity (suppress rules you accept), 2 on usage errors (bad
@@ -45,7 +42,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis import idl_rules, sanitizer, trace_rules
+from repro.analysis import idl_rules, trace_rules
 from repro.analysis.diagnostics import DiagnosticCollector
 from repro.analysis.render import render_json, render_text
 
@@ -61,24 +58,29 @@ _TRACE_SUFFIXES = (".trace", ".jsonl")
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit status."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "race":
-        return _race_main(argv[1:])
     parser = _build_parser()
     options = parser.parse_args(argv)
     suppress = _gather_suppressions(options.suppress)
 
+    missing: List[str] = []
     if options.self_check:
         if options.paths:
             parser.error("--self-check takes no positional paths")
-        return _self_check(options, suppress)
-
-    if not options.paths:
+        targets, missing = _self_check_targets(Path(options.root))
+        if not targets:
+            print(
+                "error: --self-check found none of: "
+                + ", ".join(SELF_CHECK_PATHS),
+                file=sys.stderr,
+            )
+            return 2
+    elif options.paths:
+        targets = options.paths
+    else:
         parser.error("no files to lint (or use --self-check)")
 
     try:
-        idl_paths, trace_paths = _partition(options.paths)
+        idl_paths, trace_paths = _partition(targets)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -90,107 +92,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for path in trace_paths:
         trace_rules.analyze_trace_file(path, collector)
 
-    report = (
-        render_json(collector) if options.json else render_text(collector)
-    )
-    print(report)
-    return _exit_status(collector)
-
-
-def _race_main(argv: Sequence[str]) -> int:
-    """The ``race`` subcommand: the coherency sanitizer over traces."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis race",
-        description="Happens-before race detection (SRPC4xx) over "
-        "recorded protocol traces (the coherency sanitizer).",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="trace logs or directories to sanitize",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the JSON report instead of text",
-    )
-    parser.add_argument(
-        "--suppress",
-        action="append",
-        default=[],
-        metavar="CODES",
-        help="comma-separated rule codes to drop (repeatable)",
-    )
-    parser.add_argument(
-        "--self-check",
-        action="store_true",
-        help="sanitize the repository's recorded good traces; any "
-        "finding fails",
-    )
-    parser.add_argument(
-        "--root",
-        default=".",
-        metavar="DIR",
-        help="repository root for --self-check (default: cwd)",
-    )
-    options = parser.parse_args(argv)
-    suppress = _gather_suppressions(options.suppress)
-
+    if options.self_check and not options.json:
+        checked = len(idl_paths) + len(trace_paths)
+        print(f"self-check: {checked} file(s) linted")
+        for relative in missing:
+            print(f"self-check: skipped missing {relative}")
+    print(render_json(collector) if options.json else render_text(collector))
     if options.self_check:
-        if options.paths:
-            parser.error("--self-check takes no positional paths")
-        trace_paths, missing = _self_check_traces(Path(options.root))
-        if not trace_paths:
-            print(
-                "error: --self-check found no recorded traces under "
-                + ", ".join(SELF_CHECK_PATHS),
-                file=sys.stderr,
-            )
-            return 2
-        collector = sanitizer.analyze_trace_files(
-            trace_paths, suppress=suppress
-        )
-        if not options.json:
-            print(f"self-check: {len(trace_paths)} trace(s) sanitized")
-            for relative in missing:
-                print(f"self-check: skipped missing {relative}")
-        print(
-            render_json(collector)
-            if options.json
-            else render_text(collector)
-        )
+        # Self-check demands a spotless repo: any diagnostic at all fails.
         return 1 if len(collector) else 0
-
-    if not options.paths:
-        parser.error("no traces to sanitize (or use --self-check)")
-    try:
-        _, trace_paths = _partition(options.paths)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    collector = sanitizer.analyze_trace_files(
-        trace_paths, suppress=suppress
-    )
-    print(
-        render_json(collector)
-        if options.json
-        else render_text(collector)
-    )
     return _exit_status(collector)
 
 
-def _self_check_traces(root: Path) -> Tuple[List[Path], List[str]]:
-    """(trace files, missing dirs) under the self-check paths."""
-    traces: List[Path] = []
+def _self_check_targets(root: Path) -> Tuple[List[str], List[str]]:
+    """(existing, missing) self-check paths under ``root``."""
+    targets: List[str] = []
     missing: List[str] = []
     for relative in SELF_CHECK_PATHS:
         candidate = root / relative
-        if not candidate.exists():
+        if candidate.exists():
+            targets.append(str(candidate))
+        else:
             missing.append(relative)
-            continue
-        for suffix in _TRACE_SUFFIXES:
-            traces.extend(sorted(candidate.rglob(f"*{suffix}")))
-    return traces, missing
+    return targets, missing
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -227,8 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--self-check",
         action="store_true",
-        help="lint the repository's shipped interfaces and example "
-        "trace; any finding fails",
+        help="lint the repository's shipped interfaces and recorded "
+        "good traces; any finding fails",
     )
     parser.add_argument(
         "--root",
@@ -266,48 +190,6 @@ def _partition(paths: Sequence[str]) -> Tuple[List[Path], List[Path]]:
         else:
             trace_paths.append(path)
     return idl_paths, trace_paths
-
-
-def _self_check(options, suppress: List[str]) -> int:
-    """Lint the repo's own shipped artifacts; anything found fails."""
-    root = Path(options.root)
-    targets: List[str] = []
-    missing: List[str] = []
-    for relative in SELF_CHECK_PATHS:
-        candidate = root / relative
-        if candidate.exists():
-            targets.append(str(candidate))
-        else:
-            missing.append(relative)
-    if not targets:
-        print(
-            "error: --self-check found none of: "
-            + ", ".join(SELF_CHECK_PATHS),
-            file=sys.stderr,
-        )
-        return 2
-
-    idl_paths, trace_paths = _partition(targets)
-    collector = DiagnosticCollector(suppress=suppress)
-    idl_rules.analyze_files(
-        idl_paths, collector, closure_size=options.closure_size
-    )
-    for path in trace_paths:
-        trace_rules.analyze_trace_file(path, collector)
-        # The recorded good traces must also be race-free (SRPC4xx).
-        sanitizer.analyze_trace_file(path, collector)
-
-    report = (
-        render_json(collector) if options.json else render_text(collector)
-    )
-    checked = len(idl_paths) + len(trace_paths)
-    if not options.json:
-        print(f"self-check: {checked} file(s) linted")
-        for relative in missing:
-            print(f"self-check: skipped missing {relative}")
-    print(report)
-    # Self-check demands a spotless repo: any diagnostic at all fails.
-    return 1 if len(collector) else 0
 
 
 def _exit_status(collector: DiagnosticCollector) -> int:

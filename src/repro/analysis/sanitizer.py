@@ -9,6 +9,9 @@ single active thread of control (paper §3.4), so any genuine
 concurrency between data-plane operations of one session is a bug in
 the protocol machinery, not an acceptable interleaving.
 
+A trace file goes through both rule families over one parse, in
+:func:`repro.analysis.trace_rules.analyze_trace_file`.
+
 Causal order comes from vector clocks.  Schema revision 2 traces
 (:data:`repro.simnet.tracefmt.TRACE_SCHEMA`) record a ``vc`` stamp on
 every protocol event: both carriers piggyback per-site vector clocks
@@ -47,10 +50,8 @@ is covered by the fault-tolerance rules (SRPC32x) instead.
 
 from __future__ import annotations
 
-import re
 from typing import (
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -63,11 +64,7 @@ from repro.analysis.diagnostics import (
     SourceLocation,
 )
 from repro.simnet.stats import TraceEvent
-from repro.simnet.tracefmt import (
-    SESSION_CATEGORIES,
-    TraceFormatError,
-    load_trace,
-)
+from repro.simnet.tracefmt import SESSION_CATEGORIES, TraceFormatError
 from repro.transport.vclock import concurrent, happens_before
 
 ClockMap = Dict[str, int]
@@ -114,8 +111,9 @@ def resolve_clocks(
         if not isinstance(vc, dict):
             if event.category in SESSION_CATEGORIES:
                 raise TraceFormatError(
-                    f"line {index + 1}: {event.category} event has no "
-                    "vector-clock stamp (a revision-1 trace?)"
+                    index + 1,
+                    f"{event.category} event has no vector-clock stamp "
+                    "(a revision-1 trace?)",
                 )
             vc = None
         clocks.append(vc)
@@ -473,49 +471,3 @@ def _find_cycle(
         return None
 
     return visit(start)
-
-
-# -- file-level entry points --------------------------------------------------
-
-
-def analyze_trace_file(
-    path,
-    collector: DiagnosticCollector,
-) -> Optional[List[TraceEvent]]:
-    """Load and sanitize one trace log.
-
-    An unreadable, malformed or unstamped log is one SRPC100 and ``None``.
-    """
-    try:
-        events = load_trace(path)
-        check_events(events, collector, filename=str(path))
-    except (OSError, UnicodeDecodeError) as exc:
-        collector.emit(
-            "SRPC100",
-            f"cannot read trace log: {exc}",
-            SourceLocation(file=str(path)),
-        )
-        return None
-    except TraceFormatError as exc:
-        match = re.search(r"line (\d+)", str(exc))
-        collector.emit(
-            "SRPC100",
-            str(exc),
-            SourceLocation(
-                file=str(path),
-                line=int(match.group(1)) if match else None,
-            ),
-        )
-        return None
-    return events
-
-
-def analyze_trace_files(
-    paths: Iterable,
-    suppress: Optional[Iterable[str]] = None,
-) -> DiagnosticCollector:
-    """Sanitize several trace logs into one fresh collector."""
-    collector = DiagnosticCollector(suppress=suppress)
-    for path in paths:
-        analyze_trace_file(path, collector)
-    return collector

@@ -1,5 +1,9 @@
 """Trace conformance checker (SRPC1xx, SRPC30x–SRPC330).
 
+:func:`analyze_trace_file` is the one way a trace log is loaded and
+checked: it parses the log once and runs these rules and the coherency
+sanitizer's (SRPC4xx, :mod:`repro.analysis.sanitizer`) over it.
+
 Replays a recorded simulation trace — a JSON-lines log written by
 :func:`repro.simnet.tracefmt.save_trace` — and verifies the coherency
 protocol's observable obligations (paper §3.4) offline:
@@ -77,9 +81,9 @@ offending record's position in the log.
 
 from __future__ import annotations
 
-import re
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
+from repro.analysis import sanitizer
 from repro.analysis.diagnostics import (
     DiagnosticCollector,
     SourceLocation,
@@ -597,13 +601,17 @@ def analyze_trace_file(
     path,
     collector: DiagnosticCollector,
 ) -> Optional[List[TraceEvent]]:
-    """Load and check one trace log; SRPC100 on I/O or format errors.
+    """Load one trace log and run both rule families over it.
 
-    Returns the parsed events, or ``None`` when the file was
-    unreadable.
+    The log is parsed once; the conformance rules and then the
+    coherency sanitizer (:mod:`repro.analysis.sanitizer`) check the
+    same event list.  An unreadable or malformed log, or one whose
+    session events lack ``vc`` stamps, is one SRPC100 and ``None``.
     """
     try:
         events = load_trace(path)
+        # Reject an unstamped trace before either family reports on it.
+        sanitizer.resolve_clocks(events)
     except (OSError, UnicodeDecodeError) as exc:
         collector.emit(
             "SRPC100",
@@ -613,28 +621,9 @@ def analyze_trace_file(
         return None
     except TraceFormatError as exc:
         collector.emit(
-            "SRPC100",
-            str(exc),
-            _format_error_location(str(exc), str(path)),
+            "SRPC100", str(exc), SourceLocation(file=str(path), line=exc.line)
         )
         return None
     check_events(events, collector, filename=str(path))
+    sanitizer.check_events(events, collector, filename=str(path))
     return events
-
-
-def analyze_trace_files(
-    paths: Iterable,
-    suppress: Optional[Iterable[str]] = None,
-) -> DiagnosticCollector:
-    """Check several trace logs into one fresh collector."""
-    collector = DiagnosticCollector(suppress=suppress)
-    for path in paths:
-        analyze_trace_file(path, collector)
-    return collector
-
-
-def _format_error_location(message: str, filename: str) -> SourceLocation:
-    """Pull ``line N`` out of a TraceFormatError message."""
-    match = re.search(r"line (\d+)", message)
-    line = int(match.group(1)) if match else None
-    return SourceLocation(file=filename, line=line)

@@ -295,12 +295,6 @@ class RpcRuntime:
                 f"session {session_id!r} is not open at {self.site_id!r}"
             ) from None
 
-    def drop_session(self, session_id: str) -> None:
-        """Forget a session's local state (invalidation path)."""
-        state = self._sessions.pop(session_id, None)
-        if state is not None:
-            state.closed = True
-
     def _ensure_session(
         self, session_id: str, ground_site: str
     ) -> SessionState:

@@ -14,7 +14,7 @@ Server-side binding is :func:`bind_server`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Sequence
+from typing import Any, Callable, Dict
 
 from repro.rpc.errors import RpcError
 from repro.rpc.interface import InterfaceDef, ProcedureDef
@@ -141,11 +141,6 @@ def emit_stub_source(interface: InterfaceDef) -> str:
         ]
     lines.append("")
     return "\n".join(lines)
-
-
-def interface_signature(interface: InterfaceDef) -> Sequence[str]:
-    """Qualified names of every procedure (introspection helper)."""
-    return [interface.qualified(p.name) for p in interface.procedures]
 
 
 def _camel(name: str) -> str:

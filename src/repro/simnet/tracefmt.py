@@ -55,7 +55,14 @@ def format_timeline(
 
 
 class TraceFormatError(ValueError):
-    """A trace log line could not be parsed back into a TraceEvent."""
+    """A trace log line could not be parsed back into a TraceEvent.
+
+    ``line`` is the offending record's 1-based position in the log.
+    """
+
+    def __init__(self, line: int, reason: str) -> None:
+        super().__init__(f"line {line}: {reason}")
+        self.line = line
 
 
 #: Trace schema revision.  Revision 2 (the coherency-sanitizer rev)
@@ -63,7 +70,7 @@ class TraceFormatError(ValueError):
 #: ``site``, a per-(site, session) monotonic ``seq`` and a vector-clock
 #: ``vc`` stamp.  :func:`save_trace` enforces the current revision at
 #: write time; :func:`load_trace` validates only on request, so a
-#: deliberately broken mutant still loads, and the race sanitizer
+#: deliberately broken mutant still loads, and the trace analyzer
 #: rejects a log whose session events carry no ``vc`` stamp.
 TRACE_SCHEMA = 2
 
@@ -88,22 +95,24 @@ def validate_event(event: TraceEvent, lineno: int = 0) -> None:
     """
     if event.category not in SESSION_CATEGORIES:
         return
-    where = f"line {lineno}: {event.category} event"
+    what = f"{event.category} event"
     data = event.data
     if data is None:
-        raise TraceFormatError(f"{where} has no data fields")
+        raise TraceFormatError(lineno, f"{what} has no data fields")
     session = data.get("session")
     if not isinstance(session, str) or not session:
         raise TraceFormatError(
-            f"{where} has no session id (got {session!r})"
+            lineno, f"{what} has no session id (got {session!r})"
         )
     site = data.get("site")
     if not isinstance(site, str) or not site:
-        raise TraceFormatError(f"{where} has no site id (got {site!r})")
+        raise TraceFormatError(
+            lineno, f"{what} has no site id (got {site!r})"
+        )
     seq = data.get("seq")
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 0:
         raise TraceFormatError(
-            f"{where} has no monotonic sequence (got {seq!r})"
+            lineno, f"{what} has no monotonic sequence (got {seq!r})"
         )
     vc = data.get("vc")
     if not isinstance(vc, dict) or not all(
@@ -114,7 +123,7 @@ def validate_event(event: TraceEvent, lineno: int = 0) -> None:
         for k, v in vc.items()
     ):
         raise TraceFormatError(
-            f"{where} has no vector-clock stamp (got {vc!r})"
+            lineno, f"{what} has no vector-clock stamp (got {vc!r})"
         )
 
 
@@ -132,28 +141,22 @@ def event_from_json(line: str, lineno: int = 0) -> TraceEvent:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise TraceFormatError(
-            f"line {lineno}: not valid JSON: {exc}"
-        ) from None
+        raise TraceFormatError(lineno, f"not valid JSON: {exc}") from None
     if not isinstance(record, dict):
-        raise TraceFormatError(f"line {lineno}: expected a JSON object")
+        raise TraceFormatError(lineno, "expected a JSON object")
     try:
         time = record["t"]
         category = record["category"]
         detail = record["detail"]
     except KeyError as exc:
-        raise TraceFormatError(
-            f"line {lineno}: missing trace field {exc}"
-        ) from None
+        raise TraceFormatError(lineno, f"missing trace field {exc}") from None
     if not isinstance(time, (int, float)) or isinstance(time, bool):
-        raise TraceFormatError(f"line {lineno}: bad timestamp {time!r}")
+        raise TraceFormatError(lineno, f"bad timestamp {time!r}")
     if not isinstance(category, str) or not isinstance(detail, str):
-        raise TraceFormatError(
-            f"line {lineno}: category and detail must be strings"
-        )
+        raise TraceFormatError(lineno, "category and detail must be strings")
     data = record.get("data")
     if data is not None and not isinstance(data, dict):
-        raise TraceFormatError(f"line {lineno}: bad data field {data!r}")
+        raise TraceFormatError(lineno, f"bad data field {data!r}")
     return TraceEvent(
         time=float(time), category=category, detail=detail, data=data
     )
@@ -202,23 +205,6 @@ def load_trace(path) -> List[TraceEvent]:
     """Read a trace log written by :func:`save_trace`."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_trace(handle.read())
-
-
-def events_for_session(
-    events: Iterable[TraceEvent], session_id: str
-) -> List[TraceEvent]:
-    """The sub-trace of one session, in original order.
-
-    Crash forensics helper: a session's lifecycle — transfers, faults,
-    abort, reap, write-back phases — filtered out of a (possibly
-    merged multi-space) trace by the ``session`` key every smart-RPC
-    event carries.
-    """
-    return [
-        event
-        for event in events
-        if (event.data or {}).get("session") == session_id
-    ]
 
 
 def summarize_trace(stats: StatsCollector) -> str:

@@ -29,12 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.smartrpc.errors import SmartRpcError
 from repro.xdr.arch import Architecture
-from repro.xdr.types import (
-    ArrayType,
-    PointerType,
-    StructType,
-    TypeSpec,
-)
+from repro.xdr.types import StructType, TypeSpec
 
 
 class ClosureHints:
@@ -91,19 +86,3 @@ class ClosureHints:
                 )
             offsets.extend(member_offsets)
         return offsets
-
-
-def default_pointer_offsets(
-    spec: TypeSpec, arch: Architecture
-) -> List[int]:
-    """Every pointer offset of a type (the unhinted behaviour)."""
-    return [offset for offset, _ in spec.pointer_fields(arch)]
-
-
-def chain_only_hints(
-    node_type_id: str, next_field: str = "next"
-) -> ClosureHints:
-    """Convenience: prefetch along one linked-list field only."""
-    hints = ClosureHints()
-    hints.follow(node_type_id, [next_field])
-    return hints

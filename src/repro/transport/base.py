@@ -181,6 +181,19 @@ class FaultInjector:
         self.loss_rate = loss_rate
         self.crash_sends = dict(crash_sends or {})
         self.crash_recvs = dict(crash_recvs or {})
+        # An ordinal below 1 names no frame, so its fault would never
+        # fire and the run would pass without the fault it planned.
+        for clause, n in (
+            *((f"drop-request={n}", n) for n in self.drop_requests),
+            *((f"dup-request={n}", n) for n in self.duplicate_requests),
+            *((f"drop-reply={n}", n) for n in self.drop_replies),
+            *((f"crash-send={k}:{n}", n) for k, n in self.crash_sends.items()),
+            *((f"crash-recv={k}:{n}", n) for k, n in self.crash_recvs.items()),
+        ):
+            if n < 1:
+                raise ValueError(
+                    f"bad fault clause {clause!r}: ordinals count from 1"
+                )
         self._rng = random.Random(seed)
         self._requests_seen = 0
         self._replies_seen = 0

@@ -474,28 +474,6 @@ def decode_frame(body) -> Frame:
         raise FramingError(f"malformed frame body: {exc}") from None
 
 
-def split_buffer(buffer: bytes) -> Tuple[Union[Frame, None], bytes]:
-    """Parse one frame off the front of ``buffer`` if complete.
-
-    Returns ``(frame, rest)``; ``frame`` is ``None`` while the buffer
-    holds less than one whole frame.  Used by tests and any sans-I/O
-    consumer; the TCP transport reads frames directly off its socket
-    with :func:`frame_length`.
-    """
-    if len(buffer) < LENGTH_PREFIX.size:
-        return None, buffer
-    (length,) = LENGTH_PREFIX.unpack_from(buffer)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    end = LENGTH_PREFIX.size + length
-    if len(buffer) < end:
-        return None, buffer
-    body = memoryview(buffer)[LENGTH_PREFIX.size : end]
-    return decode_frame(body), buffer[end:]
-
-
 def frame_length(prefix: bytes) -> int:
     """Decode and bounds-check one 4-byte length prefix."""
     (length,) = LENGTH_PREFIX.unpack(prefix)

@@ -16,7 +16,8 @@ log, so interleavings stay attributable after the merge.
 When the ``REPRO_TRACE_EXPORT`` environment variable names a
 directory, :func:`export_trace` copies merged traces there — CI sets
 it so the integration suites leave their merged timelines behind for
-the coherency-sanitizer gate and the uploaded race-report artifact.
+the trace gate (conformance and sanitizer rules) and the uploaded
+race-report artifact.
 """
 
 from __future__ import annotations

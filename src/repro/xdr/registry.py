@@ -13,7 +13,7 @@ that has never seen it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.xdr.errors import XdrError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
@@ -163,27 +163,3 @@ def decode_spec(decoder: XdrDecoder) -> TypeSpec:
             arms[member] = decode_spec(decoder)
         return UnionType(name, discriminant, arms)
     raise XdrError(f"unknown type-spec tag {tag!r}")
-
-
-def spec_to_bytes(spec: TypeSpec) -> bytes:
-    """Standalone canonical encoding of one spec."""
-    encoder = XdrEncoder()
-    encode_spec(spec, encoder)
-    return encoder.getvalue()
-
-
-def spec_from_bytes(data: bytes) -> TypeSpec:
-    """Decode one standalone spec, checking framing."""
-    decoder = XdrDecoder(data)
-    spec = decode_spec(decoder)
-    decoder.expect_done()
-    return spec
-
-
-def shared_registry(*registries: TypeRegistry) -> Optional[TypeRegistry]:
-    """Merge registries into a fresh one (testing helper)."""
-    merged = TypeRegistry()
-    for registry in registries:
-        for type_id in registry.type_ids:
-            merged.register(type_id, registry.resolve(type_id))
-    return merged

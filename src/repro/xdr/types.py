@@ -81,10 +81,6 @@ class TypeSpec:
         """Yield ``(byte offset, pointer spec)`` for every pointer inside."""
         raise NotImplementedError
 
-    def has_pointers(self, arch: Architecture) -> bool:
-        """Whether any pointer field exists anywhere inside."""
-        return next(self.pointer_fields(arch), None) is not None
-
 
 @dataclass(frozen=True)
 class ScalarType(TypeSpec):

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.rpc.stubgen import emit_stub_source, interface_signature
-from repro.workloads.graphs import GRAPH_OPS
+from repro.rpc.stubgen import emit_stub_source
 from repro.workloads.hashtable import HASH_OPS
 from repro.workloads.linked_list import LIST_OPS
 from repro.workloads.traversal import TREE_OPS
+from tests.workloads.graphs import GRAPH_OPS
 
 INTERFACES = [TREE_OPS, HASH_OPS, LIST_OPS, GRAPH_OPS]
 
@@ -28,7 +28,8 @@ def test_every_workload_interface_emits_compilable_stubs(interface):
     "interface", INTERFACES, ids=[i.name for i in INTERFACES]
 )
 def test_signatures_qualified_consistently(interface):
-    for qualified in interface_signature(interface):
+    for procedure in interface.procedures:
+        qualified = interface.qualified(procedure.name)
         assert qualified.startswith(interface.name + ".")
 
 

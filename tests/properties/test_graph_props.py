@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.harness import METHODS, make_world
-from repro.workloads.graphs import (
+from tests.workloads.graphs import (
     GRAPH_OPS,
     bind_graph_server,
     build_random_graph,

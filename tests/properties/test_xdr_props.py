@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xdr.registry import spec_from_bytes, spec_to_bytes
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.types import (
     ArrayType,
@@ -14,6 +13,7 @@ from repro.xdr.types import (
     ScalarType,
     StructType,
 )
+from tests.xdr.test_registry import spec_bytes, spec_from_wire
 
 uint32s = st.integers(min_value=0, max_value=2**32 - 1)
 int32s = st.integers(min_value=-(2**31), max_value=2**31 - 1)
@@ -121,4 +121,4 @@ class TestSpecWireForm:
     @settings(max_examples=60)
     @given(type_specs())
     def test_any_spec_round_trips(self, spec):
-        assert spec_from_bytes(spec_to_bytes(spec)) == spec
+        assert spec_from_wire(spec_bytes(spec)) == spec

@@ -121,15 +121,6 @@ class TestSessions:
             state = b.session_state(session.session_id)
             assert "A" in state.participants
 
-    def test_callee_state_dropped_via_drop_session(self, pair):
-        network, a, b = pair
-        stub = ClientStub(a, MATH, "B")
-        with a.session() as session:
-            stub.add(session, 1, 2)
-            b.drop_session(session.session_id)
-            with pytest.raises(SessionError):
-                b.session_state(session.session_id)
-
     def test_end_foreign_session_rejected(self, pair):
         network, a, b = pair
         stub = ClientStub(a, MATH, "B")

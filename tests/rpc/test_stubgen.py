@@ -5,12 +5,7 @@ import pytest
 from repro.rpc.errors import RpcError
 from repro.rpc.interface import InterfaceDef, Param, ProcedureDef
 from repro.rpc.runtime import RpcRuntime
-from repro.rpc.stubgen import (
-    ClientStub,
-    bind_server,
-    emit_stub_source,
-    interface_signature,
-)
+from repro.rpc.stubgen import ClientStub, bind_server, emit_stub_source
 from repro.simnet.network import Network
 from repro.xdr.arch import SPARC32
 from repro.xdr.types import float64, int32
@@ -110,11 +105,3 @@ class TestEmittedSource:
         with a.session() as session:
             assert stub.neg(session, 1.5) == -1.5
 
-
-class TestIntrospection:
-    def test_interface_signature(self):
-        assert interface_signature(CALC) == [
-            "calc_service.add",
-            "calc_service.neg",
-            "calc_service.nothing",
-        ]

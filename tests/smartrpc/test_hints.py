@@ -3,11 +3,7 @@
 import pytest
 
 from repro.smartrpc.errors import SmartRpcError
-from repro.smartrpc.hints import (
-    ClosureHints,
-    chain_only_hints,
-    default_pointer_offsets,
-)
+from repro.smartrpc.hints import ClosureHints
 from repro.smartrpc.policy import make_policy
 from repro.workloads.hashtable import (
     HASH_NODE_TYPE_ID,
@@ -16,7 +12,6 @@ from repro.workloads.hashtable import (
     bind_hash_server,
     build_hash_table,
     hash_client,
-    hash_node_spec,
     value_for,
 )
 from repro.workloads.traversal import bind_tree_server, tree_client
@@ -73,16 +68,6 @@ class TestHintResolution:
             hints.pointer_offsets(
                 TREE_NODE_TYPE_ID, tree_node_spec(), SPARC32
             )
-
-    def test_default_offsets_cover_all_pointers(self):
-        assert default_pointer_offsets(tree_node_spec(), SPARC32) == [0, 4]
-
-    def test_chain_only_convenience(self):
-        hints = chain_only_hints(HASH_NODE_TYPE_ID)
-        offsets = hints.pointer_offsets(
-            HASH_NODE_TYPE_ID, hash_node_spec(), SPARC32
-        )
-        assert offsets == [0]
 
 
 class TestHintedTransfers:

@@ -35,8 +35,9 @@ from repro.transport.framing import (
     Hello,
     Request,
     Welcome,
+    decode_frame,
     encode_frame,
-    split_buffer,
+    frame_length,
 )
 from repro.transport.shm import purge_stale_segments
 from tests.transport.exchange_contract import _call as _echo
@@ -165,6 +166,22 @@ def _closed_by_peer(raw):
     except OSError:
         pass
     return True
+
+
+def split_buffer(buffer):
+    """Parse one frame off the front of ``buffer`` if complete.
+
+    Returns ``(frame, rest)``; ``frame`` is ``None`` while the buffer
+    holds less than one whole frame.  The carriers read frames straight
+    off their sockets; a test reading a raw socket buffers with this.
+    """
+    if len(buffer) < LENGTH_PREFIX.size:
+        return None, buffer
+    end = LENGTH_PREFIX.size + frame_length(buffer[: LENGTH_PREFIX.size])
+    if len(buffer) < end:
+        return None, buffer
+    body = memoryview(buffer)[LENGTH_PREFIX.size : end]
+    return decode_frame(body), buffer[end:]
 
 
 def _handshake(raw, site_id="X"):

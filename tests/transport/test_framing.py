@@ -22,8 +22,8 @@ from repro.transport.framing import (
     decode_frame,
     encode_frame,
     frame_length,
-    split_buffer,
 )
+from tests.transport.stream_contract import split_buffer
 
 FRAMES = [
     Hello(version=PROTOCOL_VERSION, site_id="A"),

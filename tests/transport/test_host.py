@@ -15,6 +15,7 @@ from repro.bench.harness import (
 from repro.namesvc.directory import DirectoryClient, SiteDirectory
 from repro.smartrpc.policy import make_policy
 from repro.transport.__main__ import _build_parser
+from repro.transport.base import FaultInjector
 from repro.transport.host import ProcessHost, make_space, query_status
 
 
@@ -119,3 +120,17 @@ def test_host_registers_again_when_the_directory_forgets_it():
         probe.close()
         registry.close()
     assert not serving.is_alive()
+
+
+def test_fault_ordinal_below_one_is_rejected():
+    # `serve --fault` specs count frames from 1; a 0 or negative
+    # ordinal would plan a fault that never fires.
+    for spec, clause in (
+        ("crash-recv=writeback_prepare:0", "crash-recv=writeback_prepare:0"),
+        ("drop-request=1,dup-request=-2", "dup-request=-2"),
+        ("drop-reply=0", "drop-reply=0"),
+    ):
+        with pytest.raises(ValueError, match=clause):
+            FaultInjector.parse(spec)
+    with pytest.raises(ValueError, match="crash-send=call:0"):
+        FaultInjector(crash_sends={"call": 0})

@@ -25,7 +25,6 @@ from repro.transport.framing import (
     SegAck,
     SegReply,
     encode_frame,
-    split_buffer,
 )
 from repro.transport.shm import ShmTransport
 from tests.transport.test_shm import no_segment_left_behind  # noqa: F401
@@ -39,6 +38,7 @@ from tests.transport.stream_contract import (
     _open_fds,
     _raw,
     hammer,
+    split_buffer,
 )
 
 #: One attempt: a retransmission would only hide what a test looks for.

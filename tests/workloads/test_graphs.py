@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bench.harness import FULLY_EAGER, FULLY_LAZY, PROPOSED
-from repro.workloads.graphs import (
+from repro.xdr.arch import SPARC32, X86_64
+from tests.workloads.graphs import (
     GRAPH_OPS,
     bind_graph_server,
     build_random_graph,
@@ -12,7 +13,6 @@ from repro.workloads.graphs import (
     local_reachable_weight,
     register_graph_types,
 )
-from repro.xdr.arch import SPARC32, X86_64
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from repro.rpc.errors import MarshalError
 from repro.xdr.arch import SPARC32, X86_64
 from repro.xdr.errors import XdrError
 from repro.xdr.raw import RawCodec
-from repro.xdr.registry import spec_from_bytes, spec_to_bytes
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.types import (
     EnumType,
@@ -20,6 +19,7 @@ from repro.xdr.types import (
     float64,
     int32,
 )
+from tests.xdr.test_registry import spec_bytes, spec_from_wire
 
 COLOR = EnumType("color", {"RED": 0, "GREEN": 1, "BLUE": 2})
 SHAPE = UnionType(
@@ -99,16 +99,16 @@ class TestUnionType:
 
 class TestWireForm:
     def test_enum_spec_round_trip(self):
-        assert spec_from_bytes(spec_to_bytes(COLOR)) == COLOR
+        assert spec_from_wire(spec_bytes(COLOR)) == COLOR
 
     def test_union_spec_round_trip(self):
-        assert spec_from_bytes(spec_to_bytes(SHAPE)) == SHAPE
+        assert spec_from_wire(spec_bytes(SHAPE)) == SHAPE
 
     def test_struct_with_enum_round_trip(self):
         spec = StructType("painted", [
             Field("c", COLOR), Field("v", int32),
         ])
-        assert spec_from_bytes(spec_to_bytes(spec)) == spec
+        assert spec_from_wire(spec_bytes(spec)) == spec
 
 
 class TestRawCodec:

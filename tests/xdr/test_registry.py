@@ -3,12 +3,8 @@
 import pytest
 
 from repro.xdr.errors import XdrError
-from repro.xdr.registry import (
-    TypeRegistry,
-    shared_registry,
-    spec_from_bytes,
-    spec_to_bytes,
-)
+from repro.xdr.registry import TypeRegistry, decode_spec, encode_spec
+from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.types import (
     ArrayType,
     Field,
@@ -20,6 +16,21 @@ from repro.xdr.types import (
     int32,
     uint64,
 )
+
+
+def spec_bytes(spec):
+    """One spec's canonical wire form, as the name server ships it."""
+    encoder = XdrEncoder()
+    encode_spec(spec, encoder)
+    return encoder.getvalue()
+
+
+def spec_from_wire(data):
+    """Decode one spec that must fill ``data`` exactly."""
+    decoder = XdrDecoder(data)
+    spec = decode_spec(decoder)
+    decoder.expect_done()
+    return spec
 
 
 class TestRegistry:
@@ -51,13 +62,6 @@ class TestRegistry:
         assert registry.knows("a") and not registry.knows("c")
         assert registry.type_ids == ["a", "b"]
 
-    def test_shared_registry_merges(self):
-        first, second = TypeRegistry(), TypeRegistry()
-        first.register("a", int32)
-        second.register("b", uint64)
-        merged = shared_registry(first, second)
-        assert merged.knows("a") and merged.knows("b")
-
 
 class TestSpecWireForm:
     @pytest.mark.parametrize("spec", [
@@ -79,26 +83,22 @@ class TestSpecWireForm:
         ]),
     ])
     def test_round_trip(self, spec):
-        assert spec_from_bytes(spec_to_bytes(spec)) == spec
+        assert spec_from_wire(spec_bytes(spec)) == spec
 
     def test_unknown_tag_rejected(self):
-        from repro.xdr.stream import XdrEncoder
-
         encoder = XdrEncoder()
         encoder.pack_uint32(99)
         with pytest.raises(XdrError):
-            spec_from_bytes(encoder.getvalue())
+            spec_from_wire(encoder.getvalue())
 
     def test_unknown_scalar_kind_rejected(self):
-        from repro.xdr.stream import XdrEncoder
-
         encoder = XdrEncoder()
         encoder.pack_uint32(0)  # scalar tag
         encoder.pack_string("NOT_A_KIND")
         with pytest.raises(XdrError):
-            spec_from_bytes(encoder.getvalue())
+            spec_from_wire(encoder.getvalue())
 
     def test_trailing_bytes_rejected(self):
-        data = spec_to_bytes(int32) + b"\x00\x00\x00\x00"
+        data = spec_bytes(int32) + b"\x00\x00\x00\x00"
         with pytest.raises(XdrError):
-            spec_from_bytes(data)
+            spec_from_wire(data)

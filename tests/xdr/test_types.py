@@ -69,7 +69,6 @@ class TestScalars:
 
     def test_no_pointer_fields(self):
         assert list(int32.pointer_fields(SPARC32)) == []
-        assert not int32.has_pointers(SPARC32)
 
 
 class TestOpaque:

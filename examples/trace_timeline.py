@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Watch the protocol work: a traced (and slightly lossy) session.
+"""Watch the protocol work: a traced session that loses two frames.
 
 Tracing timestamps every message; this example runs one small remote
-tree search over a network that drops 10% of messages and prints the
+tree search while A drops its third request and B its second reply
+(the ``--fault`` clauses a tcp or shm process takes), and prints the
 full timeline — calls, data requests with their eager closures,
-retransmission timeouts, write-backs and the final invalidation
-multicast.
+retransmission timeouts, write-backs and the final invalidations.
 
 Run::
 
@@ -16,6 +16,7 @@ from repro.namesvc import TypeNameServer, TypeResolver
 from repro.simnet import Network, StatsCollector
 from repro.simnet.tracefmt import format_timeline, summarize_trace
 from repro.smartrpc import SmartRpcRuntime, make_policy
+from repro.transport import FaultInjector
 from repro.workloads.traversal import bind_tree_server, tree_client
 from repro.workloads.trees import (
     TREE_NODE_TYPE_ID,
@@ -27,14 +28,11 @@ from repro.xdr.registry import TypeRegistry
 
 
 def main() -> None:
-    network = Network(
-        stats=StatsCollector(trace=True),
-        loss_rate=0.10,
-        loss_seed=2026,
-    )
+    network = Network(stats=StatsCollector(trace=True))
     name_server = TypeNameServer(network.add_site("NS"), TypeRegistry())
     name_server.publish(TREE_NODE_TYPE_ID, tree_node_spec())
-    site_a, site_b = network.add_site("A"), network.add_site("B")
+    site_a = network.add_site("A", FaultInjector.parse("drop-request=3"))
+    site_b = network.add_site("B", FaultInjector.parse("drop-reply=2"))
     policy = make_policy("fixed", closure_size=256)
     machine_a = SmartRpcRuntime(
         network, site_a, SPARC32, resolver=TypeResolver(site_a, "NS"),
@@ -55,6 +53,11 @@ def main() -> None:
     print(format_timeline(network.stats.events, limit=60))
     print()
     print(summarize_trace(network.stats))
+    # Both losses cost a timeout; the lost reply is replayed from B's
+    # reply cache instead of running the handler again.
+    categories = {event.category for event in network.stats.events}
+    assert "timeout" in categories and network.retransmissions == 2
+    assert site_b.reply_cache.retransmission_hits >= 1
 
 
 if __name__ == "__main__":

@@ -11,12 +11,14 @@ has exactly one active thread, so the sender is always blocked while
 the receiver works.
 
 The network is reliable by default (the paper's evaluation assumes a
-quiet Ethernet).  Constructing it with a nonzero ``loss_rate`` makes
-delivery lossy and deterministic (seeded): exchanges then run the
-classic Birrell-Nelson machinery — timeout, retransmission, and
-at-most-once execution via a per-site duplicate cache keyed by
-exchange id, so a handler's side effects happen exactly once per
-logical send however many retransmissions it takes.
+quiet Ethernet).  A site added with a
+:class:`~repro.transport.base.FaultInjector` — the one a tcp or shm
+transport takes for its process — drops, duplicates and crash-kills at
+the ordinals it counts on those carriers.  Exchanges then run the
+classic Birrell-Nelson machinery: timeout, retransmission, and
+at-most-once execution via the receiver's reply cache keyed by exchange
+id, whose entry leaves the cache when the exchange finishes (the
+synchronous twin of the real carriers' implicit acknowledgement).
 
 :class:`Network` and :class:`Site` implement the pluggable transport
 contract in :mod:`repro.transport.base` (which was extracted from this
@@ -27,7 +29,6 @@ inter-process implementation of the same contract.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Dict, Optional
 
 from repro.simnet.clock import CostModel, SimClock
@@ -35,21 +36,17 @@ from repro.simnet.message import Message, MessageKind
 from repro.simnet.stats import StatsCollector
 from repro.transport.base import (
     Endpoint,
+    FaultInjector,
     Handler,
     Transport,
     TransportError as _BaseTransportError,
 )
 
-__all__ = [
-    "Handler",
-    "Network",
-    "NetworkError",
-    "Site",
-    "TransportError",
-]
+__all__ = ["Handler", "Network", "NetworkError", "Site", "TransportError"]
 
 _MAX_ATTEMPTS = 24
-_REPLY_CACHE_LIMIT = 4096
+#: Simulated seconds a sender waits for a reply before retransmitting.
+_RETRANSMIT_TIMEOUT = 2e-3
 _exchange_ids = itertools.count(1)
 
 
@@ -67,6 +64,7 @@ class Site(Endpoint):
     A site is identified by its ``site_id`` string — the paper's
     "address space identifier (typically a pair consisting of a site ID
     and a process ID)".  Runtimes register one handler per message kind.
+    ``faults`` is the site's :class:`FaultInjector`, if any.
     """
 
     no_handler_error = NetworkError
@@ -75,10 +73,11 @@ class Site(Endpoint):
         self,
         site_id: str,
         network: "Network",
-        reply_cache_limit: int = _REPLY_CACHE_LIMIT,
+        faults: Optional[FaultInjector] = None,
     ) -> None:
-        super().__init__(site_id, reply_cache_limit=reply_cache_limit)
+        super().__init__(site_id)
         self.network = network
+        self.faults = faults
 
     def send(
         self,
@@ -96,8 +95,12 @@ class Site(Endpoint):
         """
         return self.network.send(self.site_id, dst, kind, payload, reply_kind)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Site({self.site_id!r})"
+
+def _failed(message: Message, why: str) -> TransportError:
+    return TransportError(
+        f"{message.kind} exchange {message.src!r}->{message.dst!r} "
+        f"failed: {why}"
+    )
 
 
 class Network(Transport):
@@ -108,32 +111,20 @@ class Network(Transport):
         clock: Optional[SimClock] = None,
         cost_model: Optional[CostModel] = None,
         stats: Optional[StatsCollector] = None,
-        loss_rate: float = 0.0,
-        loss_seed: int = 0,
-        retransmit_timeout: float = 2e-3,
-        reply_cache_limit: int = _REPLY_CACHE_LIMIT,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"bad loss rate {loss_rate!r}")
         super().__init__(clock=clock, cost_model=cost_model, stats=stats)
-        self.loss_rate = loss_rate
-        self.retransmit_timeout = retransmit_timeout
-        self.reply_cache_limit = reply_cache_limit
-        self._rng = random.Random(loss_seed)
+        self.retransmissions = 0  # sender timeouts, as on a real carrier
         self._sites: Dict[str, Site] = {}
-        # Deterministic crash injection (the crash-matrix tests): a
-        # crashed site neither sends nor receives, and a crash plan
-        # kills a site at the Nth frame of a given kind it sends or
-        # receives.
+        # A crashed site neither sends nor receives.
         self._crashed: set = set()
-        self._crash_plans: Dict[tuple, int] = {}
-        self._frame_counts: Dict[tuple, int] = {}
 
-    def add_site(self, site_id: str) -> Site:
-        """Create and register a new endpoint."""
+    def add_site(
+        self, site_id: str, faults: Optional[FaultInjector] = None
+    ) -> Site:
+        """Create and register a new endpoint, faulted by ``faults``."""
         if site_id in self._sites:
             raise NetworkError(f"duplicate site id {site_id!r}")
-        site = Site(site_id, self, reply_cache_limit=self.reply_cache_limit)
+        site = Site(site_id, self, faults)
         self._sites[site_id] = site
         return site
 
@@ -144,13 +135,6 @@ class Network(Transport):
         except KeyError:
             raise NetworkError(f"unknown site {site_id!r}") from None
 
-    @property
-    def site_ids(self) -> list:
-        """All registered site ids, in registration order."""
-        return list(self._sites)
-
-    # -- deterministic crash injection ------------------------------------
-
     def crash(self, site_id: str) -> None:
         """Mark a site dead: it neither sends nor receives from now on."""
         if site_id not in self._sites:
@@ -160,33 +144,6 @@ class Network(Transport):
     def is_crashed(self, site_id: str) -> bool:
         """Whether ``site_id`` has crashed."""
         return site_id in self._crashed
-
-    def plan_crash(
-        self, site_id: str, on: str, kind: MessageKind, nth: int
-    ) -> None:
-        """Kill ``site_id`` at its ``nth`` frame of ``kind``.
-
-        ``on`` is ``"send"`` (the site dies right after transmitting
-        the frame — delivered, but the reply is lost with the sender)
-        or ``"recv"`` (the site dies before processing the frame).
-        Mirrors the TCP transport's ``crash-send=KIND:N`` /
-        ``crash-recv=KIND:N`` fault clauses so the crash matrix runs
-        identically on both transports.
-        """
-        if on not in ("send", "recv"):
-            raise NetworkError(f"bad crash plan side {on!r}")
-        if nth < 1:
-            raise NetworkError(f"bad crash plan ordinal {nth!r}")
-        self._crash_plans[(site_id, on, kind)] = nth
-
-    def _count_frame(self, site_id: str, on: str, kind: MessageKind) -> bool:
-        """Count one frame against the crash plan; True when it fires."""
-        planned = self._crash_plans.get((site_id, on, kind))
-        if planned is None:
-            return False
-        key = (site_id, on, kind)
-        self._frame_counts[key] = self._frame_counts.get(key, 0) + 1
-        return self._frame_counts[key] == planned
 
     def send(
         self,
@@ -203,121 +160,93 @@ class Network(Transport):
         charged to the network as its own message; otherwise the handler
         must return ``b""`` and no reply is charged (one-way message).
 
-        Under a lossy network the exchange retries with timeouts until
-        it completes; the handler's effects happen at most once.
+        The sender's injector decides each request transmission and the
+        receiver's each reply; a lost frame costs a timeout and a
+        retransmission, and the handler's effects happen at most once.
         """
-        if src not in self._sites:
+        source = self._sites.get(src)
+        if source is None:
             raise NetworkError(f"unknown source site {src!r}")
         destination = self.site(dst)
+        message = Message(src=src, dst=dst, kind=kind, payload=payload)
         if src in self._crashed:
-            raise TransportError(
-                f"{kind} exchange {src!r}->{dst!r} failed: "
-                f"source site {src!r} has crashed"
-            )
+            raise _failed(message, f"source site {src!r} has crashed")
         if dst in self._crashed:
-            # The peer is dead: every retransmission times out and the
-            # exchange fails, exactly like the TCP transport's
-            # exhausted retry schedule.
+            # Every retransmission to a dead peer times out, exactly
+            # like a real carrier's exhausted retry schedule.
             self._timeout(src)
-            raise TransportError(
-                f"{kind} exchange {src!r}->{dst!r} failed: "
-                f"destination site {dst!r} has crashed"
-            )
-        source = self._sites[src]
-        if self._count_frame(dst, "recv", kind):
-            # The receiver dies before processing this frame — its
-            # clock never observes the sender's (no delivery merge).
-            message = Message(src=src, dst=dst, kind=kind, payload=payload)
-            self._charge(message)
-            self.crash(dst)
-            raise TransportError(
-                f"{kind} exchange {src!r}->{dst!r} failed: "
-                f"destination site {dst!r} crashed on receive"
-            )
-        if self._count_frame(src, "send", kind):
-            # The sender dies right after the frame leaves: the
-            # receiver processes it, but the reply is lost with the
-            # sender (one legal interleaving of a mid-exchange crash).
-            message = Message(src=src, dst=dst, kind=kind, payload=payload)
-            self._charge(message)
-            destination.vclock.merge(source.vclock.snapshot())
-            destination.handle(message)
-            self.crash(src)
-            raise TransportError(
-                f"{kind} exchange {src!r}->{dst!r} failed: "
-                f"source site {src!r} crashed after send"
-            )
-        if self.loss_rate == 0.0:
-            # Reliable fast path: no exchange ids, no reply caching.
-            message = Message(src=src, dst=dst, kind=kind, payload=payload)
-            self._charge(message)
-            # Piggybacked vector clock: the receiver observes the
-            # sender's clock before handling, and the reply carries the
-            # receiver's clock back (synchronous delivery is the ack).
-            destination.vclock.merge(source.vclock.snapshot())
-            response = destination.handle(message)
-            if reply_kind is None:
-                if response:
-                    raise NetworkError(
-                        f"one-way {kind} message to {dst!r} produced "
-                        "a reply"
+            raise _failed(message, f"destination site {dst!r} has crashed")
+        sender, receiver = source.faults, destination.faults
+        # Without an injector at either end nothing is retransmitted,
+        # so the exchange needs no id and its reply no caching.
+        key = (src, next(_exchange_ids)) if sender or receiver else None
+        try:
+            for _ in range(_MAX_ATTEMPTS):
+                action = sender.request_action() if sender else None
+                self._charge(message)
+                if action == FaultInjector.DROP:
+                    self._timeout(src)
+                    continue
+                # A crash-send kills the sender once the frame is out:
+                # the receiver processes it, the reply finds nobody.
+                dies = sender is not None and sender.crash_after_send(kind)
+                response = self._deliver(source, destination, message, key)
+                if dies:
+                    self.crash(src)
+                    raise _failed(
+                        message, f"source site {src!r} crashed after send"
                     )
-                source.vclock.merge(destination.vclock.snapshot())
-                return b""
-            reply = Message(
-                src=dst, dst=src, kind=reply_kind, payload=response
-            )
-            self._charge(reply)
-            source.vclock.merge(destination.vclock.snapshot())
-            return response
-        exchange_id = next(_exchange_ids)
-        for _ in range(_MAX_ATTEMPTS):
-            message = Message(src=src, dst=dst, kind=kind, payload=payload)
-            self._charge(message)
-            if self._lost():
-                self._timeout(src)
-                continue
-            destination.vclock.merge(source.vclock.snapshot())
-            response = destination.handle_at_most_once(
-                exchange_id, message
-            )
-            if reply_kind is None:
-                if response:
+                answered = receiver is None or not receiver.reply_action()
+                if action == FaultInjector.DUPLICATE:
+                    # The copy replays the cached reply, answered again.
+                    self._charge(message)
+                    self._deliver(source, destination, message, key)
+                    if receiver is None or not receiver.reply_action():
+                        answered = True
+                if not answered:
+                    self._timeout(src)
+                    continue
+                if reply_kind is not None:
+                    self._charge(Message(dst, src, reply_kind, response))
+                elif response:
                     raise NetworkError(
-                        f"one-way {kind} message to {dst!r} produced "
-                        "a reply"
+                        f"one-way {kind} message to {dst!r} produced a reply"
                     )
+                # The reply carries the receiver's clock back
+                # (synchronous delivery is the acknowledgement).
                 source.vclock.merge(destination.vclock.snapshot())
-                return b""
-            reply = Message(
-                src=dst, dst=src, kind=reply_kind, payload=response
+                return response if reply_kind is not None else b""
+            raise _failed(message, f"after {_MAX_ATTEMPTS} attempts")
+        finally:
+            if key is not None:
+                destination.reply_cache.discard(key)
+
+    def _deliver(
+        self, source: Site, destination: Site, message: Message, key
+    ) -> bytes:
+        """Run (or replay) one delivered request at ``destination``."""
+        faults = destination.faults
+        if (
+            faults is not None
+            and key not in destination.reply_cache
+            and faults.crash_on_receive(message.kind)
+        ):
+            # The receiver dies before processing the frame — its clock
+            # never observes the sender's.
+            self.crash(message.dst)
+            raise _failed(
+                message, f"destination site {message.dst!r} crashed on receive"
             )
-            self._charge(reply)
-            if self._lost():
-                self._timeout(src)
-                continue
-            source.vclock.merge(destination.vclock.snapshot())
-            return response
-        raise TransportError(
-            f"{kind} exchange {src!r}->{dst!r} failed after "
-            f"{_MAX_ATTEMPTS} attempts"
-        )
+        # Piggybacked vector clock: the receiver observes the sender's
+        # clock before handling.
+        destination.vclock.merge(source.vclock.snapshot())
+        if key is None:
+            return destination.handle(message)
+        return destination.handle_at_most_once(key, message)
 
-    def multicast(self, src: str, kind: MessageKind, payload: bytes) -> None:
-        """Send a one-way message to every other site.
-
-        Used by the session-end invalidation step ("multicast a message
-        to the address spaces concerning the RPC session").
-        """
-        for site_id in self._sites:
-            if site_id != src:
-                self.send(src, site_id, kind, payload)
-
-    def _lost(self) -> bool:
-        return self.loss_rate > 0.0 and self._rng.random() < self.loss_rate
-
-    def _timeout(self, src: Optional[str] = None) -> None:
-        self.clock.advance(self.retransmit_timeout)
+    def _timeout(self, src: str) -> None:
+        self.clock.advance(_RETRANSMIT_TIMEOUT)
+        self.retransmissions += 1
         self.note_timeout(site=src)
 
     def _charge(self, message: Message) -> None:

@@ -143,9 +143,9 @@ class FaultInjector:
     """Deterministic wire faults for exercising the retry machinery.
 
     ``drop_requests`` / ``duplicate_requests`` / ``drop_replies`` are
-    1-based indices into this transport's sequence of outgoing request
-    (resp. reply) transmissions; ``loss_rate`` adds seeded random
-    request drops on top for chaos-style tests.
+    1-based indices into this site's sequence of outgoing request
+    (resp. reply) transmissions; ``loss_rate`` adds seeded random drops
+    of both on top for chaos-style tests.
 
     ``crash_sends`` / ``crash_recvs`` map a message-kind value to a
     1-based ordinal N: the *process* exits hard (``os._exit``) right
@@ -181,18 +181,27 @@ class FaultInjector:
         self.loss_rate = loss_rate
         self.crash_sends = dict(crash_sends or {})
         self.crash_recvs = dict(crash_recvs or {})
-        # An ordinal below 1 names no frame, so its fault would never
-        # fire and the run would pass without the fault it planned.
-        for clause, n in (
-            *((f"drop-request={n}", n) for n in self.drop_requests),
-            *((f"dup-request={n}", n) for n in self.duplicate_requests),
-            *((f"drop-reply={n}", n) for n in self.drop_replies),
-            *((f"crash-send={k}:{n}", n) for k, n in self.crash_sends.items()),
-            *((f"crash-recv={k}:{n}", n) for k, n in self.crash_recvs.items()),
+        from repro.simnet.message import MessageKind
+
+        # An ordinal below 1 names no frame and an unknown kind no
+        # message, so the fault would never fire and the run would pass
+        # without the fault it planned.
+        kinds = {kind.value for kind in MessageKind}
+        sends, recvs = self.crash_sends.items(), self.crash_recvs.items()
+        for clause, kind, n in (
+            *((f"drop-request={n}", None, n) for n in self.drop_requests),
+            *((f"dup-request={n}", None, n) for n in self.duplicate_requests),
+            *((f"drop-reply={n}", None, n) for n in self.drop_replies),
+            *((f"crash-send={k}:{n}", k, n) for k, n in sends),
+            *((f"crash-recv={k}:{n}", k, n) for k, n in recvs),
         ):
             if n < 1:
                 raise ValueError(
                     f"bad fault clause {clause!r}: ordinals count from 1"
+                )
+            if kind is not None and kind not in kinds:
+                raise ValueError(
+                    f"bad fault clause {clause!r}: no message kind {kind!r}"
                 )
         self._rng = random.Random(seed)
         self._requests_seen = 0
@@ -215,6 +224,8 @@ class FaultInjector:
         """Fault to apply to the next outgoing reply frame, if any."""
         self._replies_seen += 1
         if self._replies_seen in self.drop_replies:
+            return self.DROP
+        if self.loss_rate and self._rng.random() < self.loss_rate:
             return self.DROP
         return None
 
@@ -245,8 +256,6 @@ class FaultInjector:
         ``crash-send=KIND:N`` and ``crash-recv=KIND:N`` clauses, e.g.
         ``drop-request=1,crash-recv=writeback_prepare:1``.
         """
-        from repro.simnet.message import MessageKind
-
         drop_requests: Set[int] = set()
         duplicate_requests: Set[int] = set()
         drop_replies: Set[int] = set()
@@ -269,7 +278,6 @@ class FaultInjector:
                     seed = int(value)
                 elif name in ("crash-send", "crash-recv"):
                     kind, _, ordinal = value.partition(":")
-                    MessageKind(kind)  # reject unknown kinds early
                     target = (
                         crash_sends if name == "crash-send" else crash_recvs
                     )
@@ -306,12 +314,10 @@ class Endpoint(abc.ABC):
     #: implementations may narrow it to their own error hierarchy.
     no_handler_error = TransportError
 
-    def __init__(
-        self, site_id: str, reply_cache_limit: int = 4096
-    ) -> None:
+    def __init__(self, site_id: str) -> None:
         self.site_id = site_id
         self._handlers: Dict[MessageKind, Handler] = {}
-        self.reply_cache = ReplyCache(reply_cache_limit)
+        self.reply_cache = ReplyCache()
         self.vclock = VectorClock(site_id)
 
     def stamp(self, session: Optional[str] = None) -> Dict[str, object]:

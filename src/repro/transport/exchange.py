@@ -69,9 +69,10 @@ not EOF, not a failed attempt, not ``GOODBYE`` — the cache's LRU bound
 takes care of the rest.
 
 :class:`repro.simnet.network.Network` is deliberately not a link: it
-delivers synchronously, moves simulated time and no frames, and plans
-its drops from the cost model — sharing this loop with it would make
-the loop branch on which caller it serves.
+delivers synchronously and moves simulated time and no frames, so it
+shares only the fault model with this loop — a simnet site takes the
+same :class:`~repro.transport.base.FaultInjector`, counted at the same
+ordinals.
 """
 
 from __future__ import annotations
@@ -565,7 +566,7 @@ class ExchangeTransport(Transport):
                     action = faults.request_action()
                 if action == FaultInjector.DROP:
                     # Charged as sent, lost in transit — the
-                    # simulator's lossy path does exactly this.
+                    # simulator does exactly this.
                     copies = 0
                     self._note(message)
                     self._note_loss(f"{kind.value} {self.site_id}->{dst}")

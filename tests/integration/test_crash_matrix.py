@@ -12,10 +12,11 @@ kills exactly one participant at exactly one protocol step:
   the step's frame;
 * role ``third`` — the second home T dies the same way.
 
-Determinism comes from counting frames, not from timing: the simnet
-cells use :meth:`Network.plan_crash` and the real-process cells spawn
-victim processes with ``crash-send=KIND:N`` / ``crash-recv=KIND:N``
-fault clauses (the process ``os._exit``\\ s with code 86 at the
+Determinism comes from counting frames, not from timing: each cell is
+one ``crash-send=KIND:N`` / ``crash-recv=KIND:N`` fault clause
+(:func:`_cell_fault`), which the simnet cells give the victim site as
+its :class:`FaultInjector` and the real-process cells pass to the
+victim process as ``--fault`` (it ``os._exit``\\ s with code 86 at the
 planned frame).  The real-process half runs once per carrier — TCP
 sockets and shared-memory segments — because shm adds crash surface of
 its own: a victim dies holding ring slots and pinned segment extents,
@@ -50,7 +51,7 @@ from repro.smartrpc.errors import SessionAbortedError
 from repro.smartrpc.policy import make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 from repro.smartrpc.validate import validate_session
-from repro.transport.base import RetryPolicy, TransportError
+from repro.transport.base import FaultInjector, RetryPolicy, TransportError
 from repro.transport.host import (
     CRASH_SCENARIO_MARK,
     RUN_ABORTED,
@@ -147,14 +148,13 @@ NEED_REAP = {
 CELLS = [(role, step) for role in ROLE_SITE for step in STEPS]
 
 
-def _cell_plan(role, step):
-    """The victim site and its crash plan for one cell."""
-    victim = ROLE_SITE[role]
+def _cell_fault(role, step):
+    """The one fault clause that kills the cell's victim."""
     if role == "caller":
         kind, nth = GROUND_SEND[step]
-        return victim, "send", kind, nth
+        return f"crash-send={kind.value}:{nth}"
     kind, nth = VICTIM_RECV[step]
-    return victim, "recv", kind, nth
+    return f"crash-recv={kind.value}:{nth}"
 
 
 def _events_for_session(events, session_id):
@@ -192,9 +192,10 @@ def _gate_events(events):
 # -- the simulated half ------------------------------------------------------
 
 
-def make_crash_world():
+def make_crash_world(faults=None):
     """NS + ground G + two exposing homes H, T on one simnet network.
 
+    ``faults`` maps a site id to the fault spec its injector parses.
     The fully lazy policy (closure budget 0) makes the message
     sequence exactly the ten session frames the ordinal tables above
     count on: no eager closure means every dereference is one
@@ -205,7 +206,10 @@ def make_crash_world():
     TypeNameServer(network.add_site("NS"), TypeRegistry())
     runtimes = {}
     for site_id in (GROUND,) + HOMES:
-        site = network.add_site(site_id)
+        spec = (faults or {}).get(site_id)
+        site = network.add_site(
+            site_id, faults=FaultInjector.parse(spec) if spec else None
+        )
         runtime = SmartRpcRuntime(
             network,
             site,
@@ -228,9 +232,10 @@ def make_crash_world():
 
 @pytest.mark.parametrize("role,step", CELLS)
 def test_simnet_crash_cell(role, step):
-    network, stats, runtimes, roots = make_crash_world()
-    victim, side, kind, nth = _cell_plan(role, step)
-    network.plan_crash(victim, side, kind, nth)
+    victim = ROLE_SITE[role]
+    network, stats, runtimes, roots = make_crash_world(
+        {victim: _cell_fault(role, step)}
+    )
 
     with pytest.raises(SessionAbortedError) as aborted:
         run_crash_session(runtimes[GROUND], list(HOMES))
@@ -314,8 +319,9 @@ def test_simnet_session_deadline_aborts():
 
 def test_simnet_caller_survives_callee_crash_and_runs_again():
     """After a callee dies mid-session the ground retries elsewhere."""
-    network, stats, runtimes, roots = make_crash_world()
-    network.plan_crash("H", "recv", MessageKind.DATA_REQUEST, 1)
+    network, stats, runtimes, roots = make_crash_world(
+        {"H": "crash-recv=data_request:1"}
+    )
     with pytest.raises(SessionAbortedError):
         run_crash_session(runtimes[GROUND], list(HOMES))
     # A fresh session against the surviving home completes cleanly.
@@ -451,9 +457,8 @@ def test_process_crash_cell(role, step, registry, tmp_path):
     sites = {
         name: f"{name}{cell}" for name in (GROUND,) + HOMES
     }
-    victim, side, kind, nth = _cell_plan(role, step)
-    clause = ("crash-send" if side == "send" else "crash-recv")
-    fault = f"{clause}={kind.value}:{nth}"
+    victim = ROLE_SITE[role]
+    fault = _cell_fault(role, step)
 
     hosts = []
     stats = StatsCollector(trace=True)

@@ -4,7 +4,8 @@ Retransmission must never duplicate protocol side effects: a re-sent
 MEMORY_BATCH must not allocate twice, a re-sent WRITEBACK_PREPARE or
 WRITEBACK_COMMIT must not corrupt, a re-sent call must not re-run the
 procedure.  These tests
-drive the side-effecting paths end-to-end under seeded loss.
+drive the side-effecting paths end-to-end under seeded loss: each
+site, the name server included, loses frames by its own seed.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.namesvc.client import TypeResolver
 from repro.namesvc.server import TypeNameServer
 from repro.simnet.network import Network
 from repro.smartrpc.runtime import SmartRpcRuntime
+from repro.transport.base import FaultInjector
 from repro.workloads.linked_list import (
     LIST_OPS,
     bind_list_server,
@@ -26,11 +28,26 @@ from repro.xdr.registry import TypeRegistry
 
 
 def lossy_pair(loss_rate, seed):
-    network = Network(loss_rate=loss_rate, loss_seed=seed)
-    TypeNameServer(network.add_site("NS"), TypeRegistry())
+    """NS, caller A and callee B, each losing frames by its own seed.
+
+    B also drops its first reply, so however the seeds fall every
+    session re-sends at least one request the callee already ran.
+    """
+    network = Network()
+    sites = [
+        network.add_site(
+            site_id,
+            faults=FaultInjector(
+                drop_replies={1} if site_id == "B" else (),
+                loss_rate=loss_rate,
+                seed=10 * seed + index,
+            ),
+        )
+        for index, site_id in enumerate(("NS", "A", "B"))
+    ]
+    TypeNameServer(sites[0], TypeRegistry())
     runtimes = []
-    for site_id in ("A", "B"):
-        site = network.add_site(site_id)
+    for site in sites[1:]:
         runtime = SmartRpcRuntime(
             network, site, SPARC32, resolver=TypeResolver(site, "NS")
         )
@@ -58,6 +75,7 @@ def test_remote_allocation_exactly_once_under_loss(seed):
         if allocation.type_id == "list_node"
     ]
     assert len(live) == 6
+    assert network.retransmissions > 0
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14])
@@ -75,6 +93,7 @@ def test_mutation_and_free_exactly_once_under_loss(seed):
         if allocation.type_id == "list_node"
     ]
     assert len(live) == 2  # the two negatives were freed exactly once
+    assert network.retransmissions > 0
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
@@ -100,3 +119,4 @@ def test_procedure_side_effects_exactly_once_under_loss(seed):
         results = [stub.tick(session) for _ in range(10)]
     assert results == list(range(1, 11))
     assert len(executions) == 10
+    assert network.retransmissions > 0

@@ -32,11 +32,6 @@ class TestSiteRegistration:
         with pytest.raises(NetworkError):
             network.site("nope")
 
-    def test_site_ids_in_registration_order(self, network):
-        for site_id in ("C", "A", "B"):
-            network.add_site(site_id)
-        assert network.site_ids == ["C", "A", "B"]
-
 
 class TestSend:
     def test_round_trip_payload(self, network):
@@ -93,29 +88,6 @@ class TestSend:
         assert network.stats.total_bytes == 6
         assert network.stats.messages_by_kind[MessageKind.CALL] == 1
         assert network.stats.messages_by_kind[MessageKind.REPLY] == 1
-
-
-class TestMulticast:
-    def test_multicast_reaches_everyone_but_sender(self, network):
-        received = []
-        network.add_site("A")
-        for site_id in ("B", "C", "D"):
-            site = network.add_site(site_id)
-            site.register_handler(
-                MessageKind.INVALIDATE,
-                lambda m, sid=site_id: received.append(sid) or b"",
-            )
-        network.multicast("A", MessageKind.INVALIDATE, b"bye")
-        assert sorted(received) == ["B", "C", "D"]
-
-    def test_multicast_charges_per_destination(self, network):
-        network.add_site("A")
-        for site_id in ("B", "C"):
-            site = network.add_site(site_id)
-            site.register_handler(MessageKind.INVALIDATE, lambda m: b"")
-        before = network.clock.now
-        network.multicast("A", MessageKind.INVALIDATE, b"")
-        assert network.clock.now - before == pytest.approx(2e-3)
 
 
 class TestNestedDelivery:

@@ -134,3 +134,15 @@ def test_fault_ordinal_below_one_is_rejected():
             FaultInjector.parse(spec)
     with pytest.raises(ValueError, match="crash-send=call:0"):
         FaultInjector(crash_sends={"call": 0})
+
+
+def test_fault_unknown_kind_is_rejected():
+    # Crash clauses name a message kind by its value; a misspelt one
+    # (the crash matrix spells its steps with hyphens) would plan a
+    # crash that never fires.
+    with pytest.raises(ValueError, match="crash-recv=writeback-prepare:1"):
+        FaultInjector(crash_recvs={"writeback-prepare": 1})
+    with pytest.raises(ValueError, match="crash-send=CALL:1"):
+        FaultInjector(crash_sends={"CALL": 1})
+    with pytest.raises(ValueError, match="no message kind 'bogus'"):
+        FaultInjector.parse("crash-send=bogus:2")

@@ -51,8 +51,8 @@ def test_site_duplicate_suppression_is_lru(monkeypatch):
     """The simnet Site inherits the LRU cache: a hot retransmitted
     exchange keeps returning its cached reply (handler runs once) even
     after enough cold exchanges to overflow the cache."""
-    network = Network(reply_cache_limit=4)
-    site = network.add_site("B")
+    site = Network().add_site("B")
+    site.reply_cache = ReplyCache(limit=4)
     calls = []
     site.register_handler(
         MessageKind.CALL, lambda m: calls.append(m.payload) or b"r"

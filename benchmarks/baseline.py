@@ -75,7 +75,7 @@ from repro.bench.harness import (
     run_list_call,
     run_tree_call,
 )
-from repro.smartrpc.policy import PipelinedPolicy
+from repro.smartrpc.policy import TransferPolicy
 
 import bench_hotpath
 
@@ -107,16 +107,15 @@ WORKLOADS: List[Tuple[str, Callable[[World], object]]] = [
 FIG4_POLICIES = ("paper", "lazy", "adaptive", "pipelined")
 
 #: The knob ablation: each variant enables one pipeline mechanism.
-ABLATION_VARIANTS: Dict[str, Callable[[], PipelinedPolicy]] = {
-    "coalesce_only": lambda: PipelinedPolicy(
-        name="coalesce_only", batch_window=32,
-        max_inflight=0, prefetch_depth=0,
+ABLATION_VARIANTS: Dict[str, TransferPolicy] = {
+    "coalesce_only": TransferPolicy(name="coalesce_only", batch_window=32),
+    "prefetch_only": TransferPolicy(
+        name="prefetch_only", max_inflight=1, prefetch_depth=4
     ),
-    "prefetch_only": lambda: PipelinedPolicy(
-        name="prefetch_only", batch_window=0,
-        max_inflight=1, prefetch_depth=4,
+    "full_pipeline": TransferPolicy(
+        name="full_pipeline", batch_window=32, max_inflight=1,
+        prefetch_depth=4,
     ),
-    "full_pipeline": lambda: PipelinedPolicy(name="full_pipeline"),
 }
 
 #: Metrics gated by --compare (higher is worse for all three).
@@ -296,8 +295,8 @@ def record_ablation() -> Dict:
     runs: Dict[str, Dict[str, Dict]] = {}
     for name, workload in WORKLOADS:
         runs[name] = {
-            variant: measure(factory(), workload)
-            for variant, factory in ABLATION_VARIANTS.items()
+            variant: measure(policy, workload)
+            for variant, policy in ABLATION_VARIANTS.items()
         }
     return {
         "meta": {

@@ -110,7 +110,7 @@ _CATALOG: List[Rule] = [
     Rule("SRPC204", Severity.ERROR,
          "placeholders overlap within one cache page"),
     Rule("SRPC205", Severity.ERROR,
-         "page mixes home spaces under the single-home strategy"),
+         "cache page mixes home spaces"),
     Rule("SRPC206", Severity.ERROR,
          "relayed modified-data-set references dead or non-resident "
          "entries"),

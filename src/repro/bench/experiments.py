@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.smartrpc.cache import ISOLATED, PACKED, SINGLE_HOME
 from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST
-from repro.smartrpc.policy import make_policy
+from repro.smartrpc.policy import make_policy, pinned_fields
 from repro.workloads.hashtable import build_hash_table, hash_client
 from repro.workloads.linked_list import list_client
 from repro.xdr.types import Field as XField
@@ -48,11 +48,19 @@ def _world(method, policy=None, transport=SIMNET, **knobs):
     ``policy`` (``--policy``) substitutes any transfer policy for the
     proposed method's column while the baseline columns stay what the
     paper plots; the sweep knobs (closure size, ``--closure-order``)
-    ride along on every world whose policy has a data plane.
+    ride along on every column except where its preset pins them (the
+    lazy and eager budgets, all of graphcopy's data plane).  A knob
+    left ``None`` keeps the preset's value.
     """
     if method == PROPOSED and policy is not None:
         method = policy
-    return make_world(resolve_policy(method, **knobs), transport=transport)
+    pinned = pinned_fields(method)
+    fields = {
+        knob: value
+        for knob, value in knobs.items()
+        if value is not None and knob not in pinned
+    }
+    return make_world(resolve_policy(method, **fields), transport=transport)
 
 
 def _over(transport: str) -> str:

@@ -111,29 +111,24 @@ def standard_workload_hints() -> ClosureHints:
     return hints
 
 
-def resolve_policy(method, **knobs) -> TransferPolicy:
-    """Resolve a benchmark method plus sweep knobs into a policy.
+def resolve_policy(method, **fields) -> TransferPolicy:
+    """Resolve a benchmark method plus policy fields into a policy.
 
-    ``knobs`` are :func:`~repro.smartrpc.policy.make_policy`'s.
-    ``proposed`` is the ``paper`` policy; ``hinted`` gets
-    :func:`standard_workload_hints` unless ``closure_hints`` is given;
-    the pinned presets (``lazy``, ``eager``, ``graphcopy``) ignore the
-    closure-size sweep knob, which belongs to the proposed method's
-    ablations (``graphcopy`` ignores every knob).  A policy instance
-    passes through unchanged.
+    ``fields`` go to :func:`~repro.smartrpc.policy.make_policy`
+    unchanged, so a field the preset pins raises there.  This adds
+    only what smartrpc cannot know: ``proposed`` is the ``paper``
+    policy, and ``hinted`` gets :func:`standard_workload_hints` unless
+    ``closure_hints`` is given.  A policy value passes through
+    unchanged.
     """
     if isinstance(method, TransferPolicy):
         return method
     name = "paper" if method == PROPOSED else method
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown method {method!r}")
-    if name == "graphcopy":
-        return make_policy(name)
-    if name == "hinted" and knobs.get("closure_hints") is None:
-        knobs["closure_hints"] = standard_workload_hints()
-    if name in ("lazy", "eager"):
-        knobs.pop("closure_size", None)
-    return make_policy(name, **knobs)
+    if name == "hinted" and fields.get("closure_hints") is None:
+        fields["closure_hints"] = standard_workload_hints()
+    return make_policy(name, **fields)
 
 
 CALLER = "A"
@@ -276,8 +271,8 @@ def make_world(
     ``method`` is any transfer-policy name (``proposed``, ``lazy``,
     ``eager``, ``graphcopy``, ``paper``, ``hinted``, ``adaptive``,
     ``fixed``, ``pipelined``) or a
-    :class:`~repro.smartrpc.policy.TransferPolicy` instance; each
-    runtime gets its own fresh copy.  A sweep passes
+    :class:`~repro.smartrpc.policy.TransferPolicy` value, which both
+    runtimes share (it is frozen).  A sweep passes
     ``resolve_policy(PROPOSED, closure_size=...)``.
 
     Both sites default to the paper's SPARC architecture so node sizes

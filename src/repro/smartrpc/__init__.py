@@ -21,9 +21,10 @@ substrate (:mod:`repro.rpc`):
   / ``extended_free`` with batched remote operations;
 * :class:`~repro.smartrpc.runtime.SmartRpcRuntime` — the runtime tying
   everything together, including the session coherency protocol;
-* :mod:`repro.smartrpc.policy` — pluggable transfer policies: the
-  eagerness spectrum (lazy/eager/paper/hinted/graphcopy presets) plus
-  the adaptive closure budget tuned from shipped-vs-touched feedback;
+* :mod:`repro.smartrpc.policy` — the transfer policy, one frozen
+  value: the eagerness spectrum (lazy/eager/paper/hinted/graphcopy
+  presets) plus the adaptive closure budget tuned from
+  shipped-vs-touched feedback;
 * :mod:`repro.smartrpc.graphcopy` — rpcgen-style deep-copy marshalling
   (the ``graphcopy`` policy's encoder/decoder).
 """
@@ -37,21 +38,15 @@ from repro.smartrpc.errors import (
 from repro.smartrpc.long_pointer import NULL_POINTER, LongPointer
 from repro.smartrpc.policy import (
     POLICY_NAMES,
-    AdaptivePolicy,
-    FixedPolicy,
-    GraphcopyPolicy,
     TransferPolicy,
     make_policy,
 )
 from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 
 __all__ = [
-    "AdaptivePolicy",
     "AllocEntry",
     "DataAllocationTable",
     "DanglingPointerError",
-    "FixedPolicy",
-    "GraphcopyPolicy",
     "LongPointer",
     "NULL_POINTER",
     "POLICY_NAMES",

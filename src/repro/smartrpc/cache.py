@@ -16,7 +16,8 @@ This module implements the virtual-memory half of the method:
   page-grain modification detection (paper §3.4);
 * placeholder placement follows the paper's heuristic: all data in a
   page originates from a single address space (§6 discusses this
-  choice; the ``mixed`` strategy exists for the ablation benchmark).
+  choice); every strategy keeps it, ``packed`` and ``isolated`` only
+  change how many data share a page.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 
 SINGLE_HOME = "single_home"
-MIXED = "mixed"
 ISOLATED = "isolated"
 PACKED = "packed"
-STRATEGIES = (SINGLE_HOME, MIXED, ISOLATED, PACKED)
+STRATEGIES = (SINGLE_HOME, ISOLATED, PACKED)
 _FRESH = "fresh"
 _REMOTE = "remote"
 
@@ -59,7 +59,7 @@ class CachePage(list):
         "dirty", "version",
     )
 
-    def __init__(self, cache: "CacheManager", home: Optional[str]) -> None:
+    def __init__(self, cache: "CacheManager", home: str) -> None:
         #: The owning cache: faults and first touches route through it.
         self.cache = cache
         self.protection = Protection.NONE
@@ -107,7 +107,7 @@ class CacheManager:
         self.pages: Dict[int, CachePage] = {}
         self.table = DataAllocationTable(self.page_size, self.pages)
         # Open pages accepting new placeholders, keyed by
-        # (allocation class, home) — home collapses to "" under MIXED.
+        # (allocation class, home).
         self._open_pages: Dict[Tuple[str, str], CachePage] = {}
         self.dirty_pages: Set[int] = set()
         #: Shipped entries the program has not yet touched.  The access
@@ -193,13 +193,13 @@ class CacheManager:
         page_size = self.page_size
         if size > page_size:
             return self._place_span(pointer, size, resident)
+        home = pointer[0]
         if self.strategy == ISOLATED:
             # Fully lazy baseline: one datum per page, so every first
             # access to every datum faults individually (a callback
             # per dereferenced pointer, as in the paper's §2 baseline).
-            home, key, page = pointer[0], None, None
+            key, page = None, None
         else:
-            home = "" if self.strategy == MIXED else pointer[0]
             key = (allocation_class, home)
             page = self._open_pages.get(key)
             if page is not None:
@@ -207,7 +207,7 @@ class CacheManager:
                 if page.closed or offset + size > page_size:
                     page = None
         if page is None:
-            page = CachePage(self, home or None)
+            page = CachePage(self, home)
             number = self.space.map_page(page)
             self.pages[number] = page
             if key is None:

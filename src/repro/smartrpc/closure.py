@@ -71,7 +71,9 @@ class ClosureWalker:
         self.order = order
         # Default to the serving runtime's policy hints, so a walker
         # constructed bare behaves like the data plane's.
-        self.hints = hints if hints is not None else runtime.policy.hints
+        if hints is None:
+            hints = runtime.policy.closure_hints
+        self.hints = hints
         self.resolved: Dict[int, LongPointer] = {}
         # Per type id, resolved once per walk: the type's plan and
         # spec, and (worked out when the first datum of the type is

@@ -21,6 +21,9 @@ so prefetching the other 255 buckets' chains is pure waste::
     runtime = SmartRpcRuntime(
         network, site, arch, policy=make_policy("fixed", closure_hints=hints)
     )
+
+The hints are the policy's ``closure_hints`` field: the home space
+walks its closures with its own policy's hints.
 """
 
 from __future__ import annotations

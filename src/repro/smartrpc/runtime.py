@@ -104,8 +104,8 @@ class SmartRpcRuntime(RpcRuntime):
     """RPC runtime with transparent remote pointers.
 
     ``policy`` is a preset name (built by
-    :func:`~repro.smartrpc.policy.make_policy`) or a policy instance,
-    of which the runtime keeps its own copy.
+    :func:`~repro.smartrpc.policy.make_policy`) or a policy value,
+    which the runtime keeps as given (it is frozen).
     """
 
     def __init__(
@@ -119,11 +119,10 @@ class SmartRpcRuntime(RpcRuntime):
     ) -> None:
         super().__init__(network, site, arch, resolver=resolver, space=space)
         if isinstance(policy, str):
-            self.policy = make_policy(policy)
-        elif isinstance(policy, TransferPolicy):
-            self.policy = policy.fresh()
-        else:
+            policy = make_policy(policy)
+        elif not isinstance(policy, TransferPolicy):
             raise SmartRpcError(f"bad policy {policy!r}")
+        self.policy = policy
         self.space.set_fault_handler(self._handle_fault)
         self.mem.observer = self._note_program_access
         site.register_handler(

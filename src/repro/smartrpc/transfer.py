@@ -515,7 +515,11 @@ def handle_data_request(
         # Budget and order are the requester's; hints are served from
         # the home's own policy (it knows its data's traversal shape).
         walker = ClosureWalker(
-            runtime, state, budget, order=order, hints=runtime.policy.hints
+            runtime,
+            state,
+            budget,
+            order=order,
+            hints=runtime.policy.closure_hints,
         )
         items = walker.walk(roots)
         batch = encode_batch(runtime, state, items, walker.resolved)

@@ -22,8 +22,8 @@ The invariants, each traceable to the method's design:
    dirty page is read-write and fully resident (dirtiness is detected
    by a write fault, which can only follow a complete fill) (SRPC203);
 3. placeholders on one page never overlap (SRPC204);
-4. under the single-home strategy, all entries on a page share one
-   home space (SRPC205);
+4. all entries on a page share one home space (SRPC205) — every
+   placeholder strategy keeps the paper's single-home heuristic;
 5. the relayed modified-data-set only references live, resident
    entries (SRPC206).
 """
@@ -146,21 +146,19 @@ def session_diagnostics(
                     page=number,
                 )
 
-    # 4: single-home pages are homogeneous.
-    if cache.strategy == "single_home":
-        for number in table.pages():
-            homes = {
-                entry.pointer.space_id
-                for entry in table.entries_on_page(number)
-            }
-            if len(homes) > 1:
-                collector.emit(
-                    "SRPC205",
-                    f"page {number} mixes home spaces {sorted(homes)} "
-                    "under the single-home strategy",
-                    session=state.session_id,
-                    page=number,
-                )
+    # 4: pages are single-home.
+    for number in table.pages():
+        homes = {
+            entry.pointer.space_id
+            for entry in table.entries_on_page(number)
+        }
+        if len(homes) > 1:
+            collector.emit(
+                "SRPC205",
+                f"page {number} mixes home spaces {sorted(homes)}",
+                session=state.session_id,
+                page=number,
+            )
 
     # 5: relayed dirty entries are live and resident.
     for entry in state.relayed_dirty:
@@ -194,10 +192,9 @@ def validate_session(
         "rows-within-owned-pages",
         "protection-matches-residency",
         "no-placeholder-overlap",
+        "single-home-pages",
         "relayed-dirty-live",
     ]
-    if state.cache.strategy == "single_home":
-        checks.insert(3, "single-home-pages")
     if diagnostics:
         summary = "; ".join(
             f"{d.code}: {d.message}" for d in diagnostics

@@ -27,6 +27,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro.bench.harness import CARRIERS, POLICIES, PROPOSED, TCP
+from repro.smartrpc.errors import SmartRpcError
 from repro.transport.host import (
     REGISTRY_SITE,
     HEARTBEAT_INTERVAL,
@@ -213,7 +214,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.registry is None
     ):
         parser.error(f"{args.command} requires --registry HOST:PORT")
-    return args.run(args)
+    try:
+        return args.run(args)
+    except SmartRpcError as exc:  # a policy value out of range
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -45,6 +45,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.harness import (
@@ -273,6 +274,15 @@ def make_space(
     (spawned hosts register, in-process test transports often use
     static peers).
     """
+    # Fault-tolerance seconds (DESIGN.md §12); the zero defaults leave
+    # the policy exactly as its preset built it.  Built before the
+    # carrier, so a bad value leaves no started carrier behind.
+    policy = replace(
+        resolve_policy(method),
+        session_deadline=session_deadline,
+        exchange_timeout=exchange_timeout,
+        orphan_grace=orphan_grace,
+    )
     if transport == SHM and isinstance(registry, tuple):
         registry = registry[0]  # the directory's transport name
     directory_site = registry_site if registry is not None else None
@@ -288,12 +298,6 @@ def make_space(
         faults=faults,
         segment_size=segment_size,
     )
-    policy = resolve_policy(method).fresh()
-    # Fault-tolerance knobs (DESIGN.md §12); the zero defaults leave
-    # the policy exactly as its preset built it.
-    policy.session_deadline = session_deadline
-    policy.exchange_timeout = exchange_timeout
-    policy.orphan_grace = orphan_grace
     runtime = SmartRpcRuntime(
         built,
         built.endpoint,

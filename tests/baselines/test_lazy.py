@@ -6,10 +6,13 @@ placeholder pages), so these tests pin down that the degenerate policy
 point still behaves like the paper's §2 lazy system.
 """
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.namesvc.client import TypeResolver
 from repro.namesvc.server import TypeNameServer
+from repro.smartrpc.policy import make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.workloads.traversal import (
     bind_tree_server,
@@ -107,7 +110,9 @@ class TestCallbackPerDereference:
         from repro.smartrpc.errors import SmartRpcError
 
         with pytest.raises(SmartRpcError):
-            b.policy.set_budget(4096)
+            make_policy("lazy", closure_size=4096)
+        with pytest.raises(FrozenInstanceError):
+            b.policy.closure_size = 4096
 
     def test_updates_write_back_like_smart_runtime(self, pair):
         """Lazy is the smart machinery at a degenerate point, so the

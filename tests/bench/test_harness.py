@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.experiments import _world
 from repro.bench.harness import (
     FULLY_EAGER,
     FULLY_LAZY,
@@ -13,7 +14,8 @@ from repro.bench.harness import (
     run_hash_call,
     run_tree_call,
 )
-from repro.smartrpc.policy import GraphcopyPolicy, make_policy
+from repro.smartrpc.errors import SmartRpcError
+from repro.smartrpc.policy import GRAPHCOPY, make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.workloads.traversal import expected_search_checksum
 
@@ -27,7 +29,7 @@ class TestMakeWorld:
     def test_eager_world_runs_the_graphcopy_policy(self):
         world = make_world(FULLY_EAGER)
         assert isinstance(world.caller, SmartRpcRuntime)
-        assert isinstance(world.caller.policy, GraphcopyPolicy)
+        assert world.caller.policy.marshalling == GRAPHCOPY
         assert world.caller.policy.name == "graphcopy"
 
     def test_lazy_world_runs_the_lazy_policy(self):
@@ -55,9 +57,10 @@ class TestMakeWorld:
         assert world.caller.policy.declared_budget == 512
         assert world.method == "paper"
 
-    def test_runtimes_get_independent_policy_copies(self):
+    def test_runtimes_share_one_frozen_policy(self):
+        # Adaptive budgets live in each session, so sharing is safe.
         world = make_world("adaptive")
-        assert world.caller.policy is not world.callee.policy
+        assert world.caller.policy is world.callee.policy
 
     def test_default_architecture_is_sparc(self):
         world = make_world(PROPOSED)
@@ -71,12 +74,24 @@ class TestResolvePolicy:
         assert resolve_policy(PROPOSED).declared_budget == 8192
 
     def test_pinned_presets_ignore_the_closure_sweep_knob(self):
-        assert resolve_policy(FULLY_LAZY, closure_size=4096).declared_budget == 0
-        assert resolve_policy(FULLY_EAGER, closure_size=4096).name == "graphcopy"
+        # The figure runner sweeps every column and drops what a
+        # column's preset pins.
+        with _world(FULLY_LAZY, closure_size=4096) as world:
+            assert world.caller.policy.declared_budget == 0
+        with _world(FULLY_EAGER, closure_size=4096) as world:
+            assert world.caller.policy.name == "graphcopy"
+
+    def test_pinned_presets_reject_the_closure_sweep_knob(self):
+        # Dropping a pinned sweep knob is the figure runner's business
+        # (``experiments._world``), not a silent default here.
+        with pytest.raises(SmartRpcError):
+            resolve_policy(FULLY_LAZY, closure_size=4096)
+        with pytest.raises(SmartRpcError):
+            resolve_policy(FULLY_EAGER, allocation_strategy="packed")
 
     def test_hinted_gets_the_standard_workload_hints(self):
         policy = resolve_policy("hinted")
-        assert policy.hints is not None
+        assert policy.closure_hints is not None
 
     def test_policy_instance_passes_through(self):
         policy = make_policy("adaptive")
@@ -169,5 +184,5 @@ class TestEagerConstructorCompat:
             world.caller.arch,
             policy="graphcopy",
         )
-        assert isinstance(eager.policy, GraphcopyPolicy)
+        assert eager.policy.marshalling == GRAPHCOPY
         assert eager.policy.name == world.caller.policy.name == "graphcopy"

@@ -33,6 +33,7 @@ block on the hosts' STATUS readiness barrier instead.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -306,7 +307,7 @@ def test_simnet_session_deadline_aborts():
     """A session open past its deadline aborts on its next exchange."""
     network, stats, runtimes, roots = make_crash_world()
     ground = runtimes[GROUND]
-    ground.policy.session_deadline = 1e-9
+    ground.policy = replace(ground.policy, session_deadline=1e-9)
     with pytest.raises(SessionAbortedError) as aborted:
         run_crash_session(ground, list(HOMES))
     assert aborted.value.reason == "deadline"

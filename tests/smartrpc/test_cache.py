@@ -4,7 +4,7 @@ import pytest
 
 from repro.memory.faults import AccessViolation, FaultKind
 from repro.memory.page import Protection
-from repro.smartrpc.cache import ISOLATED, MIXED, PACKED
+from repro.smartrpc.cache import ISOLATED, PACKED
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
 from repro.smartrpc.policy import make_policy
@@ -108,15 +108,6 @@ class TestStrategies:
         state.cache.finish_batch()
         third = state.cache.ensure_entry(remote_pointer(0x3000))
         assert third.page_number != first.page_number
-
-    def test_mixed_shares_page_across_homes(self, smart_pair):
-        state = smart_pair.add_runtime("E").ensure_smart_session("s", "A")
-        state.cache.strategy = MIXED
-        first = state.cache.ensure_entry(remote_pointer(0x1000))
-        second = state.cache.ensure_entry(
-            LongPointer("Z", 0x1000, TREE_NODE_TYPE_ID)
-        )
-        assert first.page_number == second.page_number
 
     def test_single_home_separates_homes(self, callee_state):
         cache = callee_state.cache

@@ -7,8 +7,8 @@ message, a wire byte or a ledger entry, so these simnet sessions must
 reproduce ``fixtures/fill_identity.json`` exactly:
 
 * a cold 4 096-node list under ``paper`` and under ``paper`` with each
-  other placeholder strategy (``packed``, ``mixed``, ``isolated``, as
-  the ``ablation_alloc`` experiment builds them);
+  other placeholder strategy (``packed``, ``isolated``, as the
+  ``ablation_alloc`` experiment builds them);
 * a cold 2 047-node tree under ``paper`` (two pointer slots a datum);
 * a 256-node chase under ``lazy``.
 
@@ -38,7 +38,6 @@ FIXTURE = Path(__file__).with_name("fixtures") / "fill_identity.json"
 SESSIONS = {
     "list_cold_paper": ("paper", None, "list", 4096),
     "list_cold_packed": ("paper", "packed", "list", 4096),
-    "list_cold_mixed": ("paper", "mixed", "list", 4096),
     "list_cold_isolated": ("paper", "isolated", "list", 4096),
     "tree_cold_paper": ("paper", None, "tree", 2047),
     "chase_lazy": ("lazy", None, "list", 256),

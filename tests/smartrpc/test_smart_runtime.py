@@ -216,8 +216,8 @@ class TestConfiguration:
             stub.search(session, root, 63)
         assert network.stats.callbacks == 1
 
-    @pytest.mark.parametrize("strategy", ["single_home", "mixed",
-                                          "isolated", "packed"])
+    @pytest.mark.parametrize("strategy", ["single_home", "isolated",
+                                          "packed"])
     def test_all_strategies_produce_correct_results(self, network,
                                                     strategy):
         from tests.conftest import SmartPair

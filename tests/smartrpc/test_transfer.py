@@ -1,5 +1,7 @@
 """Tests for the data-plane batch protocol."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.smartrpc import transfer
@@ -217,7 +219,7 @@ class TestRequestProtocol:
 
     def test_request_with_closure_prefetches(self, worlds):
         pair, root, state_a, state_b = worlds
-        pair.b.policy.set_budget(16 * 7)  # whole 7-node tree
+        state_b.policy = replace(state_b.policy, closure_size=16 * 7)
         pointer = LongPointer("A", root, TREE_NODE_TYPE_ID)
         state_b.cache.ensure_entry(pointer)
         applied = transfer.request_data(pair.b, state_b, "A", [pointer])

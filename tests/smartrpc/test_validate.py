@@ -3,6 +3,8 @@
 import pytest
 
 from repro.memory.page import Protection
+from repro.smartrpc.alloc_table import AllocEntry
+from repro.smartrpc.cache import STRATEGIES
 from repro.smartrpc.long_pointer import LongPointer
 from repro.smartrpc.validate import (
     InvariantViolation,
@@ -47,53 +49,103 @@ class TestCleanStates:
         validate_session(smart_pair.b, state)
 
 
+def assert_violation(runtime, state, code):
+    """Validation raises, and the one rule that fired is ``code``."""
+    with pytest.raises(InvariantViolation) as excinfo:
+        validate_session(runtime, state)
+    assert [d.code for d in excinfo.value.diagnostics] == [code]
+
+
+def cold_entry(runtime):
+    """A fresh session on ``runtime`` holding one unfilled placeholder."""
+    state = runtime.ensure_smart_session("s", "A")
+    entry = state.cache.ensure_entry(
+        LongPointer("A", 0x1000, TREE_NODE_TYPE_ID)
+    )
+    return state, entry
+
+
+def forge_other_home(state, entry):
+    """Add a row homed at another space right after ``entry``."""
+    forged = AllocEntry(
+        pointer=LongPointer("Z", 0x2000, TREE_NODE_TYPE_ID),
+        local_address=entry.local_address + entry.size,
+        size=entry.size,
+        page_number=entry.page_number,
+        offset=entry.offset + entry.size,
+    )
+    state.cache.table.add(forged)
+    return forged
+
+
 class TestViolationsDetected:
+    def test_row_on_unowned_page_detected(self, smart_pair):
+        state, entry = cold_entry(smart_pair.b)
+        page_size = smart_pair.b.space.page_size
+        stray = max(state.cache.pages) + 100
+        forged = AllocEntry(
+            pointer=LongPointer("A", 0x2000, TREE_NODE_TYPE_ID),
+            local_address=stray * page_size,
+            size=entry.size,
+            page_number=stray,
+            offset=0,
+        )
+        # Behind the table's back: the row exists, no page was mapped.
+        state.cache.table._by_pointer[forged.pointer] = forged
+        assert_violation(smart_pair.b, state, "SRPC201")
+
+    def test_row_missing_from_its_page_detected(self, smart_pair):
+        state, entry = cold_entry(smart_pair.b)
+        state.cache.page_state(entry.page_number).remove(entry)
+        assert_violation(smart_pair.b, state, "SRPC202")
+
+    def test_overlapping_placeholders_detected(self, smart_pair):
+        state, entry = cold_entry(smart_pair.b)
+        forged = AllocEntry(
+            pointer=LongPointer("A", 0x2000, TREE_NODE_TYPE_ID),
+            local_address=entry.local_address + 1,
+            size=entry.size,
+            page_number=entry.page_number,
+            offset=entry.offset + 1,
+        )
+        state.cache.table.add(forged)
+        assert_violation(smart_pair.b, state, "SRPC204")
+
     def test_wrong_protection_detected(self, active):
         pair, state = active
         dirty_page = next(iter(state.cache.dirty_pages))
         pair.b.space.protect(dirty_page, Protection.READ)
-        with pytest.raises(InvariantViolation):
-            validate_session(pair.b, state)
+        assert_violation(pair.b, state, "SRPC203")
 
     def test_incomplete_page_unprotected_detected(self, smart_pair):
-        state = smart_pair.b.ensure_smart_session("s", "A")
-        entry = state.cache.ensure_entry(
-            LongPointer("A", 0x1000, TREE_NODE_TYPE_ID)
-        )
+        state, entry = cold_entry(smart_pair.b)
         smart_pair.b.space.protect(
             entry.page_number, Protection.READ_WRITE
         )
-        with pytest.raises(InvariantViolation):
-            validate_session(smart_pair.b, state)
+        assert_violation(smart_pair.b, state, "SRPC203")
 
     def test_mixed_home_page_detected(self, smart_pair):
-        state = smart_pair.b.ensure_smart_session("s", "A")
-        entry = state.cache.ensure_entry(
-            LongPointer("A", 0x1000, TREE_NODE_TYPE_ID)
-        )
-        # Forge a second-entry row on the same page with another home.
-        from repro.smartrpc.alloc_table import AllocEntry
-
-        forged = AllocEntry(
-            pointer=LongPointer("Z", 0x2000, TREE_NODE_TYPE_ID),
-            local_address=entry.local_address + entry.size,
-            size=entry.size,
-            page_number=entry.page_number,
-            offset=entry.offset + entry.size,
-        )
-        state.cache.table.add(forged)
+        state, entry = cold_entry(smart_pair.b)
+        forged = forge_other_home(state, entry)
         # One list: the table's row lands in the page's entries too.
         assert forged in state.cache.page_state(entry.page_number)
-        with pytest.raises(InvariantViolation):
-            validate_session(smart_pair.b, state)
+        assert_violation(smart_pair.b, state, "SRPC205")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_strategy_keeps_pages_single_home(
+        self, smart_pair, strategy
+    ):
+        state, entry = cold_entry(smart_pair.b)
+        state.cache.strategy = strategy
+        forge_other_home(state, entry)
+        assert_violation(smart_pair.b, state, "SRPC205")
 
     def test_dead_relayed_entry_detected(self, active):
         pair, state = active
         entry = next(iter(state.cache.table))
         state.relayed_dirty.add(entry)
         state.cache.table.remove(entry)
-        with pytest.raises(InvariantViolation):
-            validate_session(pair.b, state)
+        assert_violation(pair.b, state, "SRPC206")
 
 
 class TestStructuredDiagnostics:

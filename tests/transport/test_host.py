@@ -13,7 +13,7 @@ from repro.bench.harness import (
     standard_workload_hints,
 )
 from repro.namesvc.directory import DirectoryClient, SiteDirectory
-from repro.smartrpc.policy import make_policy
+from repro.smartrpc.policy import UNBOUNDED, make_policy
 from repro.transport.__main__ import _build_parser
 from repro.transport.base import FaultInjector
 from repro.transport.host import ProcessHost, make_space, query_status
@@ -36,12 +36,12 @@ def test_every_policy_builds_a_space(name):
         if name == "proposed":
             assert runtime.policy.name == "paper"
         if name == "hinted":
-            hints = runtime.policy.hints
+            hints = runtime.policy.closure_hints
             assert hints._follow == standard_workload_hints()._follow
         if name == "eager":
             # The unbounded-closure preset, not the deep-copy baseline.
             assert runtime.policy.name == "eager"
-            assert runtime.policy.budget == make_policy("eager").budget
+            assert runtime.policy.closure_size == UNBOUNDED
     finally:
         transport.close()
 

@@ -19,7 +19,10 @@ Extension hooks (overridden by
 * ``_make_piggyback`` / ``_apply_piggyback`` — opaque data attached to
   every activity transfer (call and reply); the coherency protocol's
   modified-data-set and the batched remote memory operations ride here;
-* ``_make_session_state`` / ``_teardown_session`` — session lifecycle.
+* ``_make_session_state`` / ``_teardown_session`` — session lifecycle;
+* ``session_send`` — every session-scoped exchange; the smart runtime
+  guards it with the session deadline, the exchange cap and a typed
+  abort.
 """
 
 from __future__ import annotations
@@ -346,7 +349,7 @@ class RpcRuntime:
         )
         payload = encoder.getvalue()
         self.clock.advance(self.cost_model.codec_cost(len(payload)))
-        reply = self._session_send(
+        reply = self.session_send(
             state, dst, MessageKind.CALL, payload,
             reply_kind=MessageKind.REPLY,
         )
@@ -464,7 +467,7 @@ class RpcRuntime:
     ) -> SessionState:
         return SessionState(session_id, ground_site)
 
-    def _session_send(
+    def session_send(
         self,
         state: SessionState,
         dst: str,

@@ -34,7 +34,6 @@ from repro.simnet.message import Message, MessageKind
 from repro.smartrpc import transfer
 from repro.smartrpc.closure import ClosureItem
 from repro.smartrpc.errors import SmartRpcError
-from repro.transport.base import TransportError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -127,27 +126,10 @@ def end_session(
         dirty_homes=dict(dirty_homes),
     )
     _write_back(runtime, state)
-    for participant in participants:
-        encoder = XdrEncoder()
-        encoder.pack_string(state.session_id)
-        try:
-            runtime.site.send(
-                participant, MessageKind.INVALIDATE, encoder.getvalue()
-            )
-        except TransportError:
-            # The write-back already committed; a dead participant
-            # cleans itself up when its orphan reaper fires.
-            continue
-        runtime.trace_event(
-            "invalidate",
-            f"{runtime.site_id}: session {state.session_id} "
-            f"invalidated at {participant}",
-            session=state.session_id,
-            space=runtime.site_id,
-            dst=participant,
-        )
-    state.cache.invalidate()
-    state.relayed_dirty.clear()
+    # The write-back already committed, so the multicast is best
+    # effort: a dead participant cleans up when its reaper fires.
+    runtime.invalidate_participants(state)
+    state.release()
 
 
 def _write_back(
@@ -247,7 +229,9 @@ def handle_writeback_prepare(
     batch = decoder.unpack_opaque_view()
     decoder.expect_done()
     state = runtime.ensure_smart_session(session_id, ground_site)
-    runtime._discard_staged(state)  # a re-prepare supersedes the old pin
+    _, superseded = state.take_staged()  # a re-prepare supersedes it
+    if superseded is not None:
+        superseded.release()
     lease = message.carrier_ref
     if lease is not None:
         lease.retain()
@@ -265,16 +249,14 @@ def handle_writeback_commit(
     session_id = decoder.unpack_string()
     decoder.expect_done()
     state = runtime._sessions.get(session_id)
-    staged = getattr(state, "staged_writeback", None)
+    staged, lease = (
+        state.take_staged() if state is not None else (None, None)
+    )
     if staged is None:
         raise SmartRpcError(
             f"{runtime.site_id}: writeback-commit for session "
             f"{session_id!r} without a staged prepare"
         )
-    assert state is not None
-    lease = getattr(state, "staged_writeback_lease", None)
-    state.staged_writeback = None
-    state.staged_writeback_lease = None
     try:
         if lease is not None:
             # The commit "flips the word": re-check the extent's stamp

@@ -344,20 +344,20 @@ class FetchPipeline:
             fetch.ready_at = clock.now
             clock.rewind(mark)
         else:
-            # The exchange runs on a worker thread, so the guarded
-            # send's abort path (which mutates session state) stays on
-            # the ground thread: the raw send gets only the timeout
-            # cap, and :meth:`_collect` converts its failure.
-            kwargs = {}
-            if self.state.policy.exchange_timeout > 0:
-                kwargs["timeout"] = self.state.policy.exchange_timeout
+            # The one data-path exchange not sent through
+            # ``session_send``: it runs on a worker thread, and the
+            # guarded send's abort path (which mutates session state)
+            # must stay on the ground thread.  The raw send gets only
+            # the timeout cap, and :meth:`_collect` converts its
+            # failure into the abort.
+            cap = self.runtime._exchange_cap(self.state)
             fetch.future = self._ensure_executor().submit(
                 lambda: self.runtime.site.send(
                     home,
                     MessageKind.DATA_REQUEST,
                     payload,
                     reply_kind=MessageKind.DATA_REPLY,
-                    **kwargs,
+                    **cap,
                 )
             )
         self._pending.append(fetch)

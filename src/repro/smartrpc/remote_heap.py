@@ -17,6 +17,11 @@ Until the batch flushes, the new datum's long pointer carries a
 the data allocation table is repointed in place (local placeholders do
 not move, so ordinary pointers already handed to the program stay
 valid).
+
+The flush is a session exchange like any other: it goes through
+:meth:`~repro.smartrpc.runtime.SmartRpcRuntime.session_send`, so a dead
+home aborts the session with a typed ``SessionAbortedError``
+(``peer-unreachable:<home>``) and rolls back what it held.
 """
 
 from __future__ import annotations
@@ -144,7 +149,8 @@ def _flush_one_home(
         encoder.pack_uint64(pointer.address)
     payload = encoder.getvalue()
     runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
-    reply = runtime.site.send(
+    reply = runtime.session_send(
+        state,
         home,
         MessageKind.MEMORY_BATCH,
         payload,

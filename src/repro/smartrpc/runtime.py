@@ -25,7 +25,7 @@ is configured with; the paper's baselines are just the ``lazy`` and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.faults import AccessViolation
@@ -98,6 +98,35 @@ class SmartSessionState(SessionState):
             ground=ground_site,
             **self.policy.describe(),
         )
+
+    def take_staged(self) -> Tuple[Optional[bytes], Optional[object]]:
+        """Unstage the write-back batch: ``(batch, lease)``, both cleared."""
+        staged = self.staged_writeback, self.staged_writeback_lease
+        self.staged_writeback = None
+        self.staged_writeback_lease = None
+        return staged
+
+    def release(self) -> Tuple[int, int]:
+        """Give up everything this session holds in this space.
+
+        The one rollback: a normal end (after the pipeline drained and
+        the write-back committed), an invalidation and an abort all
+        finish here.  In-flight prefetches are dropped, the cache area
+        unmapped, the dirty relay and the memory batch cleared, and an
+        uncommitted staged batch discarded with its carrier pin, so an
+        aborted two-phase session leaves this space's originals
+        untouched.  Returns the ``(pages, entries)`` footprint dropped.
+        """
+        self.pipeline.abandon()
+        footprint = self.cache.footprint()
+        self.cache.invalidate()
+        self.relayed_dirty.clear()
+        self.pending_allocs.clear()
+        self.pending_frees.clear()
+        _, lease = self.take_staged()
+        if lease is not None:
+            lease.release()
+        return footprint
 
 
 class SmartRpcRuntime(RpcRuntime):
@@ -204,15 +233,9 @@ class SmartRpcRuntime(RpcRuntime):
         self, session_id: str, ground_site: str
     ) -> SmartSessionState:
         """Typed access to (or lazy creation of) a session's state."""
-        state = self._ensure_session(session_id, ground_site)
-        if not isinstance(state, SmartSessionState):
-            raise SessionError(
-                f"session {session_id!r} is not a smart-RPC session"
-            )
-        return state
+        return self._ensure_session(session_id, ground_site)
 
-    def _teardown_session(self, state: SessionState) -> None:
-        assert isinstance(state, SmartSessionState)
+    def _teardown_session(self, state: SmartSessionState) -> None:
         state.pipeline.drain()
         if self.policy.coherency:
             coherency.end_session(self, state)
@@ -220,45 +243,22 @@ class SmartRpcRuntime(RpcRuntime):
     def invalidate_session(self, session_id: str) -> None:
         """Drop a session on the invalidation multicast.
 
-        Also the presumed-abort path: a staged-but-uncommitted
-        write-back batch is discarded here, so an aborted two-phase
-        session leaves this space's originals untouched.
+        Also the presumed-abort path: :meth:`SmartSessionState.release`
+        discards a staged-but-uncommitted write-back batch.
         """
         state = self._sessions.pop(session_id, None)
         if state is None:
             return
         state.closed = True
-        if isinstance(state, SmartSessionState):
-            state.pipeline.abandon()
-            state.cache.invalidate()
-            state.relayed_dirty.clear()
-            state.pending_allocs.clear()
-            state.pending_frees.clear()
-            self._discard_staged(state)
-
-    @staticmethod
-    def _discard_staged(state: "SmartSessionState") -> None:
-        """Drop an uncommitted staged batch, releasing its carrier pin."""
-        state.staged_writeback = None
-        lease = getattr(state, "staged_writeback_lease", None)
-        state.staged_writeback_lease = None
-        if lease is not None:
-            lease.release()
+        state.release()
 
     # -- fault tolerance (DESIGN.md §12) --------------------------------------
 
-    def _session_send(
-        self,
-        state: SessionState,
-        dst: str,
-        kind: MessageKind,
-        payload: bytes,
-        reply_kind: Optional[MessageKind] = None,
-    ) -> bytes:
-        assert isinstance(state, SmartSessionState)
-        return self.session_send(
-            state, dst, kind, payload, reply_kind=reply_kind
-        )
+    def _exchange_cap(self, state: SmartSessionState) -> Dict[str, float]:
+        """The per-exchange timeout, as ``send`` keywords."""
+        if state.policy.exchange_timeout > 0:
+            return {"timeout": state.policy.exchange_timeout}
+        return {}
 
     def session_send(
         self,
@@ -286,12 +286,10 @@ class SmartRpcRuntime(RpcRuntime):
                 session_id=state.session_id,
                 reason="deadline",
             )
-        kwargs = {}
-        if state.policy.exchange_timeout > 0:
-            kwargs["timeout"] = state.policy.exchange_timeout
         try:
             return self.site.send(
-                dst, kind, payload, reply_kind=reply_kind, **kwargs
+                dst, kind, payload, reply_kind=reply_kind,
+                **self._exchange_cap(state),
             )
         except TransportError as exc:
             reason = f"peer-unreachable:{dst}"
@@ -303,18 +301,40 @@ class SmartRpcRuntime(RpcRuntime):
                 reason=reason,
             ) from exc
 
-    def abort_session(
-        self,
-        state: SmartSessionState,
-        reason: str,
-        notify: bool = True,
-    ) -> None:
+    def invalidate_participants(self, state: SmartSessionState) -> None:
+        """Multicast INVALIDATE to every other participant, best effort.
+
+        Sent in sorted order, each send capped by the exchange timeout
+        so a dead peer's full retry schedule never stalls the ground; a
+        peer that cannot be reached cleans up via its own orphan reaper.
+        """
+        encoder = XdrEncoder()
+        encoder.pack_string(state.session_id)
+        payload = encoder.getvalue()
+        cap = self._exchange_cap(state)
+        for participant in sorted(state.participants - {self.site_id}):
+            try:
+                self.site.send(
+                    participant, MessageKind.INVALIDATE, payload, **cap
+                )
+            except TransportError:
+                continue
+            self.trace_event(
+                "invalidate",
+                f"{self.site_id}: session {state.session_id} "
+                f"invalidated at {participant}",
+                session=state.session_id,
+                space=self.site_id,
+                dst=participant,
+            )
+
+    def abort_session(self, state: SmartSessionState, reason: str) -> None:
         """Tear a session down early, rolling its cached state back.
 
         Idempotent — a session aborts at most once.  When this space
-        grounds the session (and ``notify`` is set) the surviving
-        participants get a best-effort INVALIDATE so they roll back
-        now instead of waiting for their orphan reapers.
+        grounds the session the surviving participants get a
+        best-effort INVALIDATE so they roll back now instead of
+        waiting for their orphan reapers.
         """
         if state.abort_reason is not None:
             return
@@ -331,47 +351,9 @@ class SmartRpcRuntime(RpcRuntime):
             ground=state.ground_site,
             reason=reason,
         )
-        if notify and state.ground_site == self.site_id:
-            # The notify is best-effort, so don't let a dead peer's
-            # full retry schedule stall the abort: the exchange cap
-            # (when configured) bounds each attempt too.
-            kwargs = {}
-            if state.policy.exchange_timeout > 0:
-                kwargs["timeout"] = state.policy.exchange_timeout
-            for participant in sorted(
-                state.participants - {self.site_id}
-            ):
-                encoder = XdrEncoder()
-                encoder.pack_string(state.session_id)
-                try:
-                    self.site.send(
-                        participant,
-                        MessageKind.INVALIDATE,
-                        encoder.getvalue(),
-                        **kwargs,
-                    )
-                except TransportError:
-                    # Dead peers clean up via their own reapers.
-                    continue
-                self.trace_event(
-                    "invalidate",
-                    f"{self.site_id}: session {state.session_id} "
-                    f"invalidated at {participant}",
-                    session=state.session_id,
-                    space=self.site_id,
-                    dst=participant,
-                )
-        self._reap_state(state, reason)
-
-    def _reap_state(self, state: SmartSessionState, reason: str) -> None:
-        """Roll back everything a dead session pinned in this space."""
-        state.pipeline.abandon()
-        pages, entries = state.cache.footprint()
-        state.cache.invalidate()
-        state.relayed_dirty.clear()
-        state.pending_allocs.clear()
-        state.pending_frees.clear()
-        self._discard_staged(state)
+        if state.ground_site == self.site_id:
+            self.invalidate_participants(state)
+        pages, entries = state.release()
         self.stats.orphans_reaped += 1
         self.trace_event(
             "orphan-reaped",
@@ -406,8 +388,6 @@ class SmartRpcRuntime(RpcRuntime):
             return []
         reaped: List[str] = []
         for state in list(self._sessions.values()):
-            if not isinstance(state, SmartSessionState):
-                continue
             if state.ground_site == self.site_id:
                 watched = sorted(state.participants - {self.site_id})
             else:
@@ -423,8 +403,7 @@ class SmartRpcRuntime(RpcRuntime):
 
     # -- coherency / memory-batch piggyback -----------------------------------
 
-    def _make_piggyback(self, state: SessionState, dst: str) -> bytes:
-        assert isinstance(state, SmartSessionState)
+    def _make_piggyback(self, state: SmartSessionState, dst: str) -> bytes:
         # Activity is about to transfer: while another space runs it
         # may mutate its home data, so unabsorbed prefetched replies
         # would go stale — drop them before control leaves.
@@ -435,9 +414,8 @@ class SmartRpcRuntime(RpcRuntime):
         return coherency.encode_piggyback(self, state)
 
     def _apply_piggyback(
-        self, state: SessionState, src: str, data: bytes
+        self, state: SmartSessionState, src: str, data: bytes
     ) -> None:
-        assert isinstance(state, SmartSessionState)
         if not self.policy.coherency:
             if data:
                 raise SmartRpcError(
@@ -456,8 +434,9 @@ class SmartRpcRuntime(RpcRuntime):
 
     # -- pointer marshalling hooks --------------------------------------------
 
-    def _bind_pointer_out(self, state: SessionState) -> marshal.PointerOut:
-        assert isinstance(state, SmartSessionState)
+    def _bind_pointer_out(
+        self, state: SmartSessionState
+    ) -> marshal.PointerOut:
         if self.policy.marshalling == GRAPHCOPY:
 
             def copy_out(
@@ -480,8 +459,7 @@ class SmartRpcRuntime(RpcRuntime):
 
         return pointer_out
 
-    def _bind_pointer_in(self, state: SessionState) -> marshal.PointerIn:
-        assert isinstance(state, SmartSessionState)
+    def _bind_pointer_in(self, state: SmartSessionState) -> marshal.PointerIn:
         if self.policy.marshalling == GRAPHCOPY:
 
             def copy_in(decoder: XdrDecoder, target_type_id: str) -> int:

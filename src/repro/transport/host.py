@@ -63,7 +63,7 @@ from repro.simnet.message import Message, MessageKind
 from repro.simnet.stats import StatsCollector
 from repro.simnet.tracefmt import save_trace
 from repro.smartrpc.errors import SessionAbortedError
-from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
+from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.smartrpc.validate import session_diagnostics
 from repro.transport.base import (
     Endpoint,
@@ -387,8 +387,6 @@ class ProcessHost:
         invariant_errors = 0
         if self.runtime is not None:
             for state in list(self.runtime._sessions.values()):
-                if not isinstance(state, SmartSessionState):
-                    continue
                 open_sessions += 1
                 invariant_errors += sum(
                     1

@@ -3,9 +3,8 @@
 The simulator's :class:`~repro.simnet.clock.SimClock` advances only
 when a runtime charges it.  Under a real transport time passes by
 itself, so :class:`WallClock` reads the operating system clock and
-turns ``advance`` into pure cost *accounting*: the modelled charges
-still accumulate (in :attr:`charged`) for anyone comparing modelled
-against measured time, but they no longer move ``now``.
+``advance`` / ``bill`` only validate their arguments: the modelled
+charges no longer move ``now``.
 
 ``now`` is epoch-based (``time.time``) rather than per-process
 monotonic so that trace events recorded by different OS processes on
@@ -21,36 +20,19 @@ import time
 class WallClock:
     """Drop-in for :class:`~repro.simnet.clock.SimClock` on real time."""
 
-    def __init__(self) -> None:
-        self.charged = 0.0
-
     @property
     def now(self) -> float:
         """Current wall time in epoch seconds."""
         return time.time()
 
     def advance(self, seconds: float) -> None:
-        """Account a modelled charge; real time advances on its own."""
+        """Accept a modelled charge; real time advances on its own."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds!r} seconds")
-        self.charged += seconds
 
     def bill(self, seconds: float, count: int) -> None:
-        """Account ``count`` equal modelled charges.
-
-        Mirrors :meth:`repro.simnet.clock.SimClock.bill`: the float
-        accumulation order matches ``count`` separate :meth:`advance`
-        calls so modelled-charge totals stay comparable.
-        """
+        """Accept ``count`` equal modelled charges (see :meth:`advance`)."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by {seconds!r} seconds")
         if count < 0:
             raise ValueError(f"cannot bill {count!r} charges")
-        charged = self.charged
-        for _ in range(count):
-            charged += seconds
-        self.charged = charged
-
-    def reset(self) -> None:
-        """Zero the accumulated modelled charges."""
-        self.charged = 0.0

@@ -50,7 +50,7 @@ from repro.simnet.stats import StatsCollector
 from repro.simnet.tracefmt import save_trace
 from repro.smartrpc.errors import SessionAbortedError
 from repro.smartrpc.policy import make_policy
-from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
+from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.smartrpc.validate import validate_session
 from repro.transport.base import FaultInjector, RetryPolicy, TransportError
 from repro.transport.host import (
@@ -254,8 +254,7 @@ def test_simnet_crash_cell(role, step):
     for site_id in survivors:
         runtime = runtimes[site_id]
         for state in list(runtime._sessions.values()):
-            if isinstance(state, SmartSessionState):
-                validate_session(runtime, state)
+            validate_session(runtime, state)
 
     # The failure detector's view: the victim stopped heartbeating.
     ages = {
@@ -273,12 +272,7 @@ def test_simnet_crash_cell(role, step):
     # Convergence: no survivor keeps any session state, cache pages
     # or allocation-table entries for the dead session.
     for site_id in survivors:
-        open_sessions = [
-            state
-            for state in runtimes[site_id]._sessions.values()
-            if isinstance(state, SmartSessionState)
-        ]
-        assert open_sessions == [], site_id
+        assert runtimes[site_id]._sessions == {}, site_id
 
     # Atomicity: every surviving home heap is fully original or fully
     # updated — a crash at any step never leaves it in between.
@@ -311,10 +305,7 @@ def test_simnet_session_deadline_aborts():
     with pytest.raises(SessionAbortedError) as aborted:
         run_crash_session(ground, list(HOMES))
     assert aborted.value.reason == "deadline"
-    assert not any(
-        isinstance(state, SmartSessionState)
-        for state in ground._sessions.values()
-    )
+    assert ground._sessions == {}
     _gate_events(stats.events)
 
 
@@ -545,10 +536,7 @@ def test_process_crash_cell(role, step, registry, tmp_path):
                 h for h in hosts if h.site_id == sites[victim]
             )
             victim_host.wait_crashed()
-            assert not any(
-                isinstance(state, SmartSessionState)
-                for state in runtime._sessions.values()
-            )
+            assert runtime._sessions == {}
             survivor = "T" if victim == "H" else "H"
             status = _barrier(transport.endpoint, sites[survivor])
             assert status["open_sessions"] == 0, status

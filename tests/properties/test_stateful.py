@@ -28,7 +28,7 @@ from repro.namesvc.server import TypeNameServer
 from repro.simnet.network import Network
 from repro.smartrpc.errors import SessionAbortedError
 from repro.smartrpc.policy import make_policy
-from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
+from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.smartrpc.validate import validate_session
 from repro.workloads.linked_list import (
     LIST_OPS,
@@ -156,8 +156,7 @@ class ListRpcMachine(RuleBasedStateMachine):
             return
         for runtime in self.runtimes.values():
             for state in runtime._sessions.values():
-                if isinstance(state, SmartSessionState):
-                    validate_session(runtime, state)
+                validate_session(runtime, state)
 
     def teardown(self):
         if getattr(self, "session", None) is not None:
@@ -220,7 +219,7 @@ class OrphanReaperMachine(RuleBasedStateMachine):
         )
         self.crashed = set()
         self.session = None
-        # Every SmartSessionState ever observed, so departed states
+        # Every session state ever observed, so departed states
         # can still be checked for leaks after their runtime forgot
         # them: id(state) -> (runtime, state).
         self.seen = {}
@@ -230,8 +229,7 @@ class OrphanReaperMachine(RuleBasedStateMachine):
     def _track(self):
         for runtime in self.runtimes.values():
             for state in runtime._sessions.values():
-                if isinstance(state, SmartSessionState):
-                    self.seen[id(state)] = (runtime, state)
+                self.seen[id(state)] = (runtime, state)
 
     def _ages(self):
         # The failure detector's view: crashed sites stopped
@@ -290,6 +288,16 @@ class OrphanReaperMachine(RuleBasedStateMachine):
         self._track()
 
     @precondition(lambda self: self.session is not None)
+    @rule(peer=st.sampled_from(REAPER_HOMES))
+    def allocate_in_peer(self, peer):
+        # extended_malloc only batches: the MEMORY_BATCH to the peer
+        # flushes at the next activity transfer or at close, and a dead
+        # peer there must abort the session like any other exchange.
+        ground = self.runtimes[REAPER_GROUND]
+        ground.extended_malloc(self.session, peer, TREE_NODE_TYPE_ID)
+        self._track()
+
+    @precondition(lambda self: self.session is not None)
     @rule()
     def close_session(self):
         # Clean close — or an abort mid two-phase write-back when a
@@ -342,12 +350,11 @@ class OrphanReaperMachine(RuleBasedStateMachine):
             if site_id in self.crashed:
                 continue
             for state in self.runtimes[site_id]._sessions.values():
-                if isinstance(state, SmartSessionState):
-                    assert not (state.participants & self.crashed), (
-                        site_id,
-                        state.session_id,
-                        state.participants,
-                    )
+                assert not (state.participants & self.crashed), (
+                    site_id,
+                    state.session_id,
+                    state.participants,
+                )
         # ... and never touches a session whose peers are all alive.
         if self.session is not None:
             ground = self.runtimes[REAPER_GROUND]
@@ -378,8 +385,7 @@ class OrphanReaperMachine(RuleBasedStateMachine):
             if site_id in self.crashed:
                 continue
             for state in runtime._sessions.values():
-                if isinstance(state, SmartSessionState):
-                    validate_session(runtime, state)
+                validate_session(runtime, state)
 
     def teardown(self):
         if (

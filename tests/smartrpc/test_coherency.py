@@ -1,13 +1,18 @@
 """Tests for the coherency protocol: piggybacks, write-back, invalidate."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.rpc.stubgen import ClientStub, bind_server
 from repro.rpc.interface import InterfaceDef, Param, ProcedureDef
+from repro.simnet.message import MessageKind
 from repro.smartrpc.long_pointer import LongPointer
+from repro.smartrpc.policy import make_policy
 from repro.workloads.trees import TREE_NODE_TYPE_ID, build_complete_tree
 from repro.workloads.traversal import bind_tree_server, tree_client
 from repro.xdr.types import PointerType, int32
+from tests.conftest import SmartPair
 
 
 def data_of(runtime, address):
@@ -201,3 +206,48 @@ class TestSessionEnd:
         assert counts[MessageKind.WRITEBACK_PREPARE] == 1
         assert counts[MessageKind.WRITEBACK_COMMIT] == 1
         assert data_of(runtime_c, root) == 555
+
+
+class TestInvalidateTakesTheExchangeCap:
+    """Both INVALIDATE multicasts cap each send at ``exchange_timeout``."""
+
+    @pytest.fixture
+    def capped(self, network):
+        pair = SmartPair(
+            network, replace(make_policy("paper"), exchange_timeout=0.5)
+        )
+        bind_tree_server(pair.b)
+        sent = []
+        send = pair.a.site.send
+
+        def spy(dst, kind, payload, **kwargs):
+            sent.append((kind, kwargs))
+            return send(dst, kind, payload, **kwargs)
+
+        pair.a.site.send = spy
+        return pair, sent
+
+    @staticmethod
+    def _invalidate_caps(sent):
+        caps = [k.get("timeout") for kind, k in sent
+                if kind is MessageKind.INVALIDATE]
+        assert caps, "no INVALIDATE was sent"
+        return caps
+
+    def test_normal_end(self, capped):
+        pair, sent = capped
+        root = build_complete_tree(pair.a, 7)
+        with pair.a.session() as session:
+            tree_client(pair.a, "B").search(session, root, 7)
+        assert self._invalidate_caps(sent) == [0.5]
+
+    def test_abort(self, capped):
+        pair, sent = capped
+        root = build_complete_tree(pair.a, 7)
+        with pair.a.session() as session:
+            tree_client(pair.a, "B").search(session, root, 7)
+            # B stopped heartbeating: the ground aborts and notifies it.
+            reaped = pair.a.reap_orphans({"A": 0.0}, grace=1.0)
+            assert reaped == [session.session_id]
+        assert pair.network.stats.sessions_aborted == 1
+        assert self._invalidate_caps(sent) == [0.5]

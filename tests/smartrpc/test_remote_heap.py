@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.bench.harness import make_world
 from repro.rpc.errors import SessionError
 from repro.rpc.interface import InterfaceDef, Param, ProcedureDef
 from repro.rpc.stubgen import ClientStub, bind_server
 from repro.simnet.message import MessageKind
 from repro.smartrpc import remote_heap
-from repro.smartrpc.errors import SwizzleError
+from repro.smartrpc.errors import SessionAbortedError, SwizzleError
 from repro.smartrpc.policy import make_policy
 from repro.workloads.linked_list import (
     LIST_NODE_TYPE_ID,
@@ -17,6 +18,7 @@ from repro.workloads.linked_list import (
     list_client,
     read_list,
 )
+from tests.integration.test_crash_matrix import _gate_events
 
 
 class _GroundSession:
@@ -175,3 +177,28 @@ class TestEndToEndListExtension:
             client.append_range(session, head, 10, 5)
         batches = network.stats.messages_by_kind[MessageKind.MEMORY_BATCH]
         assert batches >= 5  # one per allocation, none coalesced
+
+
+class TestDeadHome:
+    @pytest.mark.parametrize("flush_at", ["flush_memory_batch", "end"])
+    def test_dead_home_aborts_the_session(self, flush_at):
+        """A memory batch to a crashed home aborts like any exchange.
+
+        Whether the batch flushes explicitly or at session end, the
+        ground gets a typed abort naming the home, keeps no session,
+        cache page or table row, and the trace passes both gates.
+        """
+        world = make_world("paper", trace=True)
+        ground = world.caller
+        with pytest.raises(SessionAbortedError) as aborted:
+            with ground.session() as session:
+                state = session.state
+                ground.extended_malloc(session, "B", LIST_NODE_TYPE_ID)
+                world.network.crash("B")
+                if flush_at == "flush_memory_batch":
+                    ground.flush_memory_batch(state)
+        assert aborted.value.reason == "peer-unreachable:B"
+        assert ground._sessions == {}
+        assert state.cache.footprint() == (0, 0)
+        assert world.stats.sessions_aborted == 1
+        _gate_events(world.stats.events)

@@ -90,8 +90,8 @@ _CATALOG: List[Rule] = [
          "cross-space activity transfer without the modified-data-set "
          "piggyback"),
     Rule("SRPC102", Severity.ERROR,
-         "session ended with dirty remote data but no write-back to "
-         "its home space"),
+         "session ended owing dirty remote data to its home space but "
+         "never wrote it back"),
     Rule("SRPC103", Severity.ERROR,
          "session ended without an invalidation multicast covering "
          "every participant"),
@@ -158,7 +158,7 @@ _CATALOG: List[Rule] = [
          "causally after its session's invalidation"),
     Rule("SRPC404", Severity.ERROR,
          "lost update: a write is not happens-before any write-back "
-         "commit at the written datum's home space"),
+         "commit or piggyback apply at the written datum's home space"),
     Rule("SRPC405", Severity.ERROR,
          "distributed deadlock: waits-for cycle of dangling exchanges "
          "(requests whose reply never appears)"),

@@ -36,8 +36,9 @@ The rules:
   *follows* the invalidation of its session: use-after-invalidate
   (remote pointers have no meaning after the session).
 * **SRPC404** — a write whose clock is not ordered before any
-  write-back commit at the written datum's home space: the committed
-  batch cannot have contained the write, so the update is lost.
+  write-back commit or data-carrying piggyback apply at the written
+  datum's home space: neither can have contained the write, so the
+  update is lost.
 * **SRPC405** — a cycle in the waits-for graph of dangling exchanges
   (request kinds whose reply never appears): distributed deadlock.
   Skipped for crash traces (aborts and orphan reaps legitimately
@@ -90,7 +91,7 @@ EXCHANGE_PAIRS: Dict[str, str] = {
 }
 
 #: Data-plane activity at a participant, for the invalidation rules.
-_ACTIVITY_CATEGORIES = ("fault", "write", "data-batch")
+_ACTIVITY_CATEGORIES = ("fault", "write", "data-batch", "piggyback-apply")
 
 
 # -- causal order -------------------------------------------------------------
@@ -145,8 +146,10 @@ def check_events(
     faults: List[Tuple[int, dict, ClockMap]] = []
     invalidates: List[Tuple[int, dict, ClockMap]] = []
     activity: List[Tuple[int, str, dict, ClockMap]] = []
-    commits: Dict[Tuple[Optional[str], Optional[str]],
-                  List[Tuple[int, ClockMap]]] = {}
+    # Per (session, home): the commits and data-carrying piggyback
+    # applies that update the home's originals.
+    arrivals: Dict[Tuple[Optional[str], Optional[str]],
+                   List[Tuple[int, ClockMap]]] = {}
 
     for index, event in enumerate(events):
         data = event.data or {}
@@ -167,10 +170,12 @@ def check_events(
             faults.append((index, data, vc))
         elif event.category == "invalidate":
             invalidates.append((index, data, vc))
-        elif event.category == "writeback-phase":
-            if data.get("phase") == "commit":
-                key = (data.get("session"), data.get("space"))
-                commits.setdefault(key, []).append((index, vc))
+        elif (
+            event.category == "writeback-phase"
+            and data.get("phase") == "commit"
+        ) or (event.category == "piggyback-apply" and data.get("items")):
+            key = (data.get("session"), data.get("space"))
+            arrivals.setdefault(key, []).append((index, vc))
         if event.category in _ACTIVITY_CATEGORIES:
             activity.append((index, event.category, data, vc))
 
@@ -181,7 +186,7 @@ def check_events(
     _check_invalidations(
         invalidates, activity, clean, collector, loc
     )
-    _check_lost_updates(writes, commits, clean, grounds, collector, loc)
+    _check_lost_updates(writes, arrivals, clean, grounds, collector, loc)
     if not aborted and not reaped:
         _check_waits_for_cycles(events, collector, loc)
 
@@ -324,22 +329,23 @@ def _check_invalidations(
 
 def _check_lost_updates(
     writes: Sequence[Tuple[int, dict, ClockMap]],
-    commits: Dict[Tuple[Optional[str], Optional[str]],
-                  List[Tuple[int, ClockMap]]],
+    arrivals: Dict[Tuple[Optional[str], Optional[str]],
+                   List[Tuple[int, ClockMap]]],
     clean: Set[Optional[str]],
     grounds: Dict[Optional[str], str],
     collector: DiagnosticCollector,
     loc,
 ) -> None:
-    """SRPC404: every write must be ordered before its home's commit.
+    """SRPC404: every write must reach its home's originals.
 
-    A write-back commit at the home space applies the staged batch; a
-    write that is not happens-before any commit at its datum's home
-    cannot have been in that batch, so the modification never reached
-    the original data — and a cleanly ended session whose home never
-    recorded a commit at all lost every write homed there.  Data homed
-    at the session's ground space is exempt: the piggyback applies it
-    to the originals directly, with no write-back leg.
+    Two events update a home's originals: a write-back commit applies
+    the staged batch, and a piggyback carrying modified data applies
+    it on arrival.  The active space holds every current version, so a
+    write ordered before either at its datum's home has reached the
+    originals; one ordered before neither never did — and a cleanly
+    ended session whose home recorded neither lost every write homed
+    there.  Data homed at the session's ground space is exempt: the
+    piggyback that returns activity to the ground applies it.
     """
     for index, data, vc in writes:
         session = data.get("session")
@@ -348,36 +354,36 @@ def _check_lost_updates(
             continue
         if home == grounds.get(session):
             continue
-        home_commits = commits.get((session, home))
-        if not home_commits:
+        home_arrivals = arrivals.get((session, home))
+        if not home_arrivals:
             collector.emit(
                 "SRPC404",
                 f"write at space {data.get('space')!r} (page "
-                f"{data.get('page')}, session {session!r}) was never "
-                f"committed at its home {home!r}: the session ended "
+                f"{data.get('page')}, session {session!r}) never "
+                f"reached its home {home!r}: the session ended "
                 "cleanly but the update is lost",
                 loc(index),
-                hint="a cleanly ended session must run the two-phase "
-                "write-back at every home its writes dirtied",
+                hint="a cleanly ended session must deliver every write "
+                "to its home, by piggyback or by the two-phase "
+                "write-back",
                 session=session,
                 home=home,
             )
             continue
         if any(
-            happens_before(vc, commit_vc)
-            for _, commit_vc in home_commits
+            happens_before(vc, arrival_vc)
+            for _, arrival_vc in home_arrivals
         ):
             continue
         collector.emit(
             "SRPC404",
             f"write at space {data.get('space')!r} (page "
             f"{data.get('page')}, session {session!r}) is not "
-            f"happens-before any write-back commit at its home "
-            f"{home!r}: the committed batch lost the update",
+            f"happens-before any write-back commit or piggyback "
+            f"apply at its home {home!r}: the update is lost",
             loc(index),
-            hint="the two-phase write-back commits only what was "
-            "staged; a write concurrent with the commit at its home "
-            "never made it into the batch",
+            hint="a write after the last transfer to its home must be "
+            "written back; the commit applies only what was staged",
             session=session,
             home=home,
         )

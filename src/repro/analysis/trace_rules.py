@@ -105,6 +105,7 @@ PROTOCOL_CATEGORIES = (
     "session-abort",
     "orphan-reaped",
     "writeback-phase",
+    "piggyback-apply",
     "segment-handover",
 )
 

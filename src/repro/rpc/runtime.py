@@ -19,6 +19,8 @@ Extension hooks (overridden by
 * ``_make_piggyback`` / ``_apply_piggyback`` — opaque data attached to
   every activity transfer (call and reply); the coherency protocol's
   modified-data-set and the batched remote memory operations ride here;
+  ``_withhold_piggyback`` marks the one transfer without it, an error
+  reply;
 * ``_make_session_state`` / ``_teardown_session`` — session lifecycle;
 * ``session_send`` — every session-scoped exchange; the smart runtime
   guards it with the session deadline, the exchange cap and a typed
@@ -398,6 +400,7 @@ class RpcRuntime:
             context = CallContext(self, state, message.src)
             result = implementation(context, *args)
         except Exception as exc:  # noqa: BLE001 - ship remote errors
+            self._withhold_piggyback(state, message.src)
             encoder.pack_uint32(_STATUS_REMOTE_ERROR)
             encoder.pack_string(type(exc).__name__)
             encoder.pack_string(str(exc))
@@ -497,6 +500,9 @@ class RpcRuntime:
             raise RpcError(
                 "conventional RPC received unexpected piggyback data"
             )
+
+    def _withhold_piggyback(self, state: SessionState, dst: str) -> None:
+        """Activity returns to ``dst`` with an error, so no piggyback."""
 
     def _bind_pointer_out(self, state: SessionState) -> marshal.PointerOut:
         return marshal.refuse_pointer_out

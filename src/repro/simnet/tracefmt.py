@@ -83,6 +83,7 @@ SESSION_CATEGORIES = frozenset({
     "session-end", "write-back", "invalidate",
     "policy", "policy-decision", "data-batch",
     "session-abort", "orphan-reaped", "writeback-phase",
+    "piggyback-apply",
 })
 
 

@@ -13,7 +13,9 @@ This module implements the virtual-memory half of the method:
   longer be detected";
 * a fully resident page is remapped read-only, so the first *write*
   faults once more and marks the page dirty — the coherency protocol's
-  page-grain modification detection (paper §3.4);
+  page-grain modification detection (paper §3.4); each activity
+  crossing remaps dirty pages read-only again, so the next write
+  faults and restamps the page with the session's epoch;
 * placeholder placement follows the paper's heuristic: all data in a
   page originates from a single address space (§6 discusses this
   choice); every strategy keeps it, ``packed`` and ``isolated`` only
@@ -56,7 +58,7 @@ class CachePage(list):
 
     __slots__ = (
         "cache", "number", "protection", "data", "home", "bump", "closed",
-        "dirty", "version",
+        "dirty", "version", "stamp",
     )
 
     def __init__(self, cache: "CacheManager", home: str) -> None:
@@ -75,6 +77,9 @@ class CachePage(list):
         #: traced modification; faults record the version they observe
         #: so the offline sanitizer can detect stale reads (SRPC401).
         self.version = 0
+        #: The session epoch of the page's last write fault: the peers
+        #: that crossed with this space since then may lack its data.
+        self.stamp = 0
 
     @property
     def complete(self) -> bool:
@@ -110,6 +115,9 @@ class CacheManager:
         # (allocation class, home).
         self._open_pages: Dict[Tuple[str, str], CachePage] = {}
         self.dirty_pages: Set[int] = set()
+        # Dirty pages written since the last activity crossing: mapped
+        # READ_WRITE until the crossing re-protects them.
+        self._written: Set[int] = set()
         #: Shipped entries the program has not yet touched.  The access
         #: observer fires on every program access to a cache page; while
         #: this is zero it need not call :meth:`note_touch_range` — the
@@ -170,8 +178,11 @@ class CacheManager:
         """
         entry = self.place(pointer, size, 8, _FRESH, True)
         for number in self._entry_pages(entry):
-            self.pages[number].dirty = True
+            page = self.pages[number]
+            page.dirty = True
+            page.stamp = self.state.epoch
             self.dirty_pages.add(number)
+            self._written.add(number)
             self.space.protect(number, Protection.READ_WRITE)
         return entry
 
@@ -462,9 +473,16 @@ class CacheManager:
             self.space.protect_pages(held, Protection.READ)
 
     def mark_dirty_page(self, page_number: int) -> None:
-        """First write detected: remap writable, join the dirty set."""
+        """A write fault: stamp the page and remap it writable.
+
+        The first write joins the page to the modified data set.  An
+        activity crossing re-protects the page READ
+        (:meth:`protect_written`), so the first write after it faults
+        again and restamps the page with the current epoch: the page
+        then ships again to every peer that has not seen that epoch.
+        """
         page = self.page_state(page_number)
-        if page.dirty:
+        if page.protection is Protection.READ_WRITE:
             return
         if not page.complete:
             raise SmartRpcError(
@@ -473,7 +491,9 @@ class CacheManager:
         page.dirty = True
         page.closed = True
         page.version += 1
+        page.stamp = self.state.epoch
         self.dirty_pages.add(page_number)
+        self._written.add(page_number)
         self.space.protect(page_number, Protection.READ_WRITE)
         self.runtime.stats.write_faults += 1
         self.runtime.trace_event(
@@ -487,16 +507,26 @@ class CacheManager:
             version=page.version,
         )
 
-    def dirty_entries(self) -> List[AllocEntry]:
-        """Entries of the modified data set, deduplicated across spans."""
-        seen = set()
-        out: List[AllocEntry] = []
+    def protect_written(self) -> None:
+        """Remap READ, in one pass, every page written since the last
+        crossing; the pages stay in the modified data set."""
+        if self._written:
+            self.space.protect_pages(self._written, Protection.READ)
+            self._written.clear()
+
+    def dirty_entries(self) -> Dict[AllocEntry, int]:
+        """Entries of the modified data set, each with its page stamp.
+
+        Deduplicated across spans, where an entry takes the latest
+        stamp of its pages; in page order.
+        """
+        out: Dict[AllocEntry, int] = {}
         for page_number in sorted(self.dirty_pages):
-            for entry in self.pages[page_number]:
-                key = id(entry)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(entry)
+            page = self.pages[page_number]
+            stamp = page.stamp
+            for entry in page:
+                if out.get(entry, -1) < stamp:
+                    out[entry] = stamp
         return out
 
     # -- extended_free support ------------------------------------------------
@@ -526,6 +556,7 @@ class CacheManager:
         self.pages.clear()
         self._open_pages.clear()
         self.dirty_pages.clear()
+        self._written.clear()
         self.untouched_shipped = 0
         self.table = DataAllocationTable(self.page_size, self.pages)
         self.runtime.stats.invalidations += 1

@@ -7,17 +7,26 @@ data on dirty cache pages, plus dirty data relayed from other spaces)
 whenever thread activity crosses address spaces: piggybacked on every
 call's arguments and every reply's results.
 
+Each peer gets only the part it may lack (DESIGN.md §12, delivery).
+The active space holds every current version, so after a crossing
+both sides do; a space stamps each dirty page with the epoch of its
+last write fault and each relayed entry with the epoch it arrived in,
+remembers per peer the epoch of the last crossing with it, and ships a
+peer only entries stamped after that.  Each crossing re-protects the
+pages written since the last one, so the next write faults and
+restamps.
+
 At the end of the session the ground runtime
 
-1. writes every modified datum back to its original address space, and
+1. writes every modified datum a home may lack back to it, and
 2. multicasts an invalidation so every participant drops its cached
    data — remote pointers have no meaning after the session.
 
 No concurrency control appears anywhere, which is the paper's point of
 contrast with DSM systems.
 
-The write-back itself runs in two phases (DESIGN.md §12): every dirty
-home first *stages* its batch (``WRITEBACK_PREPARE``), and only when
+The write-back itself runs in two phases (DESIGN.md §12): every home
+owed data first *stages* its batch (``WRITEBACK_PREPARE``), and only when
 every stage is acknowledged does the ground *commit* them
 (``WRITEBACK_COMMIT``), at which point each home applies its staged
 batch to the originals.  A crash anywhere in between therefore never
@@ -32,6 +41,7 @@ from typing import TYPE_CHECKING, Dict, List
 
 from repro.simnet.message import Message, MessageKind
 from repro.smartrpc import transfer
+from repro.smartrpc.alloc_table import AllocEntry
 from repro.smartrpc.closure import ClosureItem
 from repro.smartrpc.errors import SmartRpcError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
@@ -41,36 +51,44 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def modified_items(
-    runtime: "SmartRpcRuntime", state: "SmartSessionState"
+    runtime: "SmartRpcRuntime", state: "SmartSessionState", peer: str
 ) -> List[ClosureItem]:
-    """The modified data set as transferable items."""
-    entries = []
-    seen = set()
-    for entry in state.cache.dirty_entries():
-        seen.add(entry)
-        entries.append(entry)
-    for entry in state.relayed_dirty:
-        if entry not in seen:
-            entries.append(entry)
-    items = []
-    for entry in entries:
-        if not entry.resident:
-            continue
-        spec = runtime.resolver.resolve(entry.pointer.type_id)
-        items.append(
-            ClosureItem(entry.pointer, spec, entry.local_address)
-        )
-    return items
+    """The modified data ``peer`` may lack, as transferable items.
+
+    That is every entry of the modified data set stamped after the
+    last crossing with ``peer`` (:meth:`SmartSessionState.since`).  An
+    entry's stamp is the later of its page's (the epoch of the page's
+    last write fault) and the epoch its relayed copy arrived in.
+    """
+    since = state.since(peer)
+    return [
+        _item(runtime, entry)
+        for entry, stamp in _stamped_entries(state).items()
+        if stamp > since and entry.resident
+    ]
+
+
+def _stamped_entries(state: "SmartSessionState") -> Dict[AllocEntry, int]:
+    stamps = state.cache.dirty_entries()
+    for entry, stamp in state.relayed_dirty.items():
+        if stamps.get(entry, -1) < stamp:
+            stamps[entry] = stamp
+    return stamps
+
+
+def _item(runtime: "SmartRpcRuntime", entry: AllocEntry) -> ClosureItem:
+    spec = runtime.resolver.resolve(entry.pointer.type_id)
+    return ClosureItem(entry.pointer, spec, entry.local_address)
 
 
 def encode_piggyback(
-    runtime: "SmartRpcRuntime", state: "SmartSessionState"
+    runtime: "SmartRpcRuntime", state: "SmartSessionState", peer: str
 ) -> bytes:
-    """Build the per-activity-transfer piggyback.
+    """Build the piggyback of one activity transfer to ``peer``.
 
     Carries the sender's participant set (so the ground space ends the
     session knowing *every* involved space, even ones it never called
-    directly) and the modified data set.
+    directly) and the modified data ``peer`` may lack.
     """
     encoder = XdrEncoder()
     participants = sorted(state.participants | {runtime.site_id})
@@ -78,7 +96,9 @@ def encode_piggyback(
     for participant in participants:
         encoder.pack_string(participant)
     encoder.pack_opaque(
-        transfer.encode_batch(runtime, state, modified_items(runtime, state))
+        transfer.encode_batch(
+            runtime, state, modified_items(runtime, state, peer)
+        )
     )
     return encoder.getvalue()
 
@@ -86,9 +106,15 @@ def encode_piggyback(
 def apply_piggyback(
     runtime: "SmartRpcRuntime",
     state: "SmartSessionState",
+    peer: str,
     payload: bytes,
 ) -> None:
-    """Apply an incoming piggyback (participants + modified data)."""
+    """Apply a piggyback from ``peer`` (participants + modified data).
+
+    Records a ``piggyback-apply`` event when the batch carried data:
+    the sanitizer's evidence that data homed here reached the
+    originals without a write-back (SRPC404).
+    """
     if not payload:
         return
     decoder = XdrDecoder(payload)
@@ -97,7 +123,17 @@ def apply_piggyback(
         state.note_participant(decoder.unpack_string())
     batch = decoder.unpack_opaque()
     decoder.expect_done()
-    transfer.apply_batch(runtime, state, batch, overwrite=True)
+    applied = transfer.apply_batch(runtime, state, batch, overwrite=True)
+    if applied:
+        runtime.trace_event(
+            "piggyback-apply",
+            f"{runtime.site_id}: session {state.session_id} applied "
+            f"{applied} modified item(s) from {peer}",
+            session=state.session_id,
+            space=runtime.site_id,
+            src=peer,
+            items=applied,
+        )
 
 
 # -- session end --------------------------------------------------------------
@@ -111,11 +147,8 @@ def end_session(
     participants = sorted(
         p for p in state.participants if p != runtime.site_id
     )
-    dirty_homes: Dict[str, int] = {}
-    for item in modified_items(runtime, state):
-        home = item.pointer.space_id
-        if home != runtime.site_id:
-            dirty_homes[home] = dirty_homes.get(home, 0) + 1
+    owed = _owed_by_home(runtime, state)
+    dirty_homes = {home: len(items) for home, items in owed.items()}
     runtime.trace_event(
         "session-end",
         f"{runtime.site_id}: session {state.session_id} ends "
@@ -123,19 +156,37 @@ def end_session(
         session=state.session_id,
         space=runtime.site_id,
         participants=participants,
-        dirty_homes=dict(dirty_homes),
+        dirty_homes=dirty_homes,
     )
-    _write_back(runtime, state)
+    _write_back(runtime, state, owed)
     # The write-back already committed, so the multicast is best
     # effort: a dead participant cleans up when its reaper fires.
     runtime.invalidate_participants(state)
     state.release()
 
 
-def _write_back(
+def _owed_by_home(
     runtime: "SmartRpcRuntime", state: "SmartSessionState"
+) -> Dict[str, List[ClosureItem]]:
+    """Per remote home, the modified data homed there it may lack."""
+    owed: Dict[str, List[ClosureItem]] = {}
+    for entry, stamp in _stamped_entries(state).items():
+        home = entry.pointer.space_id
+        if (
+            home != runtime.site_id
+            and stamp > state.since(home)
+            and entry.resident
+        ):
+            owed.setdefault(home, []).append(_item(runtime, entry))
+    return owed
+
+
+def _write_back(
+    runtime: "SmartRpcRuntime",
+    state: "SmartSessionState",
+    by_home: Dict[str, List[ClosureItem]],
 ) -> None:
-    """Two-phase write-back: stage at every dirty home, then commit.
+    """Two-phase write-back: stage at every owed home, then commit.
 
     Phase ordering is the crash-safety argument: no home applies
     anything until *every* home has acknowledged holding its complete
@@ -144,10 +195,7 @@ def _write_back(
     updated (an uncommitted staged batch is discarded by the abort
     INVALIDATE or the home's own orphan reaper).
     """
-    by_home: Dict[str, List[ClosureItem]] = {}
-    for item in modified_items(runtime, state):
-        by_home.setdefault(item.pointer.space_id, []).append(item)
-    homes = sorted(h for h in by_home if h != runtime.site_id)
+    homes = sorted(by_home)
     for home in homes:
         encoder = XdrEncoder()
         encoder.pack_string(state.session_id)

@@ -90,7 +90,7 @@ def extended_free(
         else:
             state.pending_frees.append(entry.pointer)
         state.cache.release_entry(entry)
-        state.relayed_dirty.discard(entry)
+        state.relayed_dirty.pop(entry, None)
         runtime.stats.remote_frees += 1
         return
     allocation = runtime.heap.allocation_at(pointer)

@@ -25,7 +25,7 @@ is configured with; the paper's baselines are just the ``lazy`` and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.faults import AccessViolation
@@ -73,7 +73,15 @@ class SmartSessionState(SessionState):
         self.cache = CacheManager(runtime, self)
         self.swizzler = Swizzler(runtime, self)
         self.pipeline = FetchPipeline(runtime, self)
-        self.relayed_dirty: Set[AllocEntry] = set()
+        # Delivery bookkeeping (DESIGN.md §12): ``epoch`` counts this
+        # space's activity crossings, ``delivered`` maps a peer to the
+        # epoch of the last crossing with it, and each relayed entry
+        # maps to the epoch it arrived in.  ``withheld`` is the lowest
+        # delivery an error reply left unsent (``None`` if none did).
+        self.epoch = 0
+        self.delivered: Dict[str, int] = {}
+        self.withheld: Optional[int] = None
+        self.relayed_dirty: Dict[AllocEntry, int] = {}
         self.pending_allocs: List[AllocEntry] = []
         self.pending_frees: List[LongPointer] = []
         self.transfer_stats = TransferLedger()
@@ -98,6 +106,34 @@ class SmartSessionState(SessionState):
             ground=ground_site,
             **self.policy.describe(),
         )
+
+    def cross(self, peer: str) -> None:
+        """Record one activity crossing with ``peer``, in or out.
+
+        The active space holds every current version, so once activity
+        has crossed both sides do, and ``peer`` can lack only what is
+        written or relayed here from now on.  Pages written since the
+        last crossing turn READ again, so the next write faults and
+        restamps its page with the new epoch.
+        """
+        self.cache.protect_written()
+        self.delivered[peer] = self.epoch
+        self.epoch += 1
+
+    def since(self, peer: str) -> int:
+        """The stamp up to which ``peer`` holds this space's data."""
+        since = self.delivered.get(peer, -1)
+        if self.withheld is not None and self.withheld < since:
+            return self.withheld
+        return since
+
+    def withhold(self, peer: str) -> None:
+        """Activity left for ``peer`` without a piggyback (an error reply).
+
+        What ``peer`` lacked then may now be missing anywhere, so it is
+        owed to every peer, and at session end to its home, from now on.
+        """
+        self.withheld = self.since(peer)
 
     def take_staged(self) -> Tuple[Optional[bytes], Optional[object]]:
         """Unstage the write-back batch: ``(batch, lease)``, both cleared."""
@@ -411,7 +447,9 @@ class SmartRpcRuntime(RpcRuntime):
         if not self.policy.coherency:
             return b""
         remote_heap.flush(self, state)
-        return coherency.encode_piggyback(self, state)
+        piggyback = coherency.encode_piggyback(self, state, dst)
+        state.cross(dst)
+        return piggyback
 
     def _apply_piggyback(
         self, state: SmartSessionState, src: str, data: bytes
@@ -423,7 +461,12 @@ class SmartRpcRuntime(RpcRuntime):
                     "protocol but received piggyback data"
                 )
             return
-        coherency.apply_piggyback(self, state, data)
+        coherency.apply_piggyback(self, state, src, data)
+        state.cross(src)
+
+    def _withhold_piggyback(self, state: SmartSessionState, dst: str) -> None:
+        if self.policy.coherency:
+            state.withhold(dst)
 
     def flush_memory_batch(self, state: SmartSessionState) -> None:
         """Flush pending extended_malloc/free operations now."""

@@ -310,8 +310,9 @@ def apply_batch(
                 shipped[prefetched] += entry.size
             if overwrite:
                 # Dirty data stays part of the modified data set here
-                # too, so it keeps travelling with the thread of control.
-                state.relayed_dirty.add(entry)
+                # too, so it keeps travelling with the thread of control,
+                # stamped with the epoch it arrived in.
+                state.relayed_dirty[entry] = state.epoch
             # One datum's frontier children share placeholder pages; the
             # next datum's children start fresh ones (locality grouping).
             if seal is not None:

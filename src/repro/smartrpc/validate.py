@@ -19,8 +19,10 @@ The invariants, each traceable to the method's design:
    and that page lists it (SRPC201, SRPC202);
 2. protection matches residency: a page with any non-resident entry is
    inaccessible (``NONE``); a complete clean page is read-only; a
-   dirty page is read-write and fully resident (dirtiness is detected
-   by a write fault, which can only follow a complete fill) (SRPC203);
+   dirty page is fully resident (dirtiness is detected by a write
+   fault, which can only follow a complete fill), read-write while
+   written since the session's last activity crossing and read-only
+   after it (SRPC203);
 3. placeholders on one page never overlap (SRPC204);
 4. all entries on a page share one home space (SRPC205) — every
    placeholder strategy keeps the paper's single-home heuristic;
@@ -98,11 +100,16 @@ def session_diagnostics(
     for number, page in cache.pages.items():
         protection = space.protection_of(number)
         if page.dirty:
-            if protection is not Protection.READ_WRITE:
+            # Writable exactly while written since the last crossing.
+            if page.stamp == state.epoch:
+                want = Protection.READ_WRITE
+            else:
+                want = Protection.READ
+            if protection is not want:
                 collector.emit(
                     "SRPC203",
-                    f"dirty page {number} is {protection}, not "
-                    "READ_WRITE",
+                    f"dirty page {number} stamped {page.stamp} at epoch "
+                    f"{state.epoch} is {protection}, not {want}",
                     session=state.session_id,
                     page=number,
                 )

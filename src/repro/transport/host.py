@@ -125,10 +125,13 @@ RUN_COMPLETED = 0
 RUN_ABORTED = 1
 RUN_ERROR = 2
 
-#: The value :func:`run_crash_session` writes into every peer's exposed
-#: root node — survivors check for it to prove the write-back landed
-#: (commit crossed) or did not (crash before commit rolled back).
+#: The values :func:`run_crash_session` writes into every peer's exposed
+#: root node: the first reaches each home on the checksum CALL's
+#: piggyback, the second only through the session-end write-back, so
+#: survivors holding it prove the commit landed, and survivors still
+#: holding the first prove an uncommitted batch rolled back.
 CRASH_SCENARIO_MARK = 555
+CRASH_SCENARIO_REMARK = 556
 
 
 def encode_status_request(
@@ -214,8 +217,9 @@ def run_crash_session(runtime: SmartRpcRuntime, peers: List[str]) -> Dict[str, i
        pulls the node (DATA_REQUEST), then the write dirties it;
     3. *activity-transfer* — a ``tree_checksum`` CALL to each peer,
        carrying the modified-data-set piggyback;
-    4. *writeback-prepare* / *writeback-commit* — the two-phase
-       session end, one prepare+commit pair per dirty home.
+    4. *writeback-prepare* / *writeback-commit* — each root is written
+       once more, which no peer has seen, so the two-phase session end
+       owes every home one prepare+commit pair.
 
     The test process and the RUN_SESSION handler both run exactly this
     function, so caller-crash and callee-crash cells exercise the same
@@ -240,6 +244,10 @@ def run_crash_session(runtime: SmartRpcRuntime, peers: List[str]) -> Dict[str, i
             checksums[peer] = tree_expose_client(
                 runtime, peer
             ).tree_checksum(session)
+        for peer in peers:
+            views[peer].set(
+                "data", CRASH_SCENARIO_REMARK.to_bytes(8, "big")
+            )
     return checksums
 
 

@@ -3,7 +3,8 @@
 One scenario (:func:`repro.transport.host.run_crash_session`) runs a
 ground session from G against two exposing homes H and T — calls,
 fault-driven fills, writes, activity transfers with the modified-data
-piggyback, and the two-phase session-end write-back.  Each matrix cell
+piggyback, a second write each home has not seen, and the two-phase
+session-end write-back that ships it.  Each matrix cell
 kills exactly one participant at exactly one protocol step:
 
 * role ``caller`` — the ground G dies right after *sending* the step's
@@ -55,6 +56,7 @@ from repro.smartrpc.validate import validate_session
 from repro.transport.base import FaultInjector, RetryPolicy, TransportError
 from repro.transport.host import (
     CRASH_SCENARIO_MARK,
+    CRASH_SCENARIO_REMARK,
     RUN_ABORTED,
     decode_run_reply,
     encode_run_session,
@@ -83,8 +85,10 @@ GROUND = "G"
 HOMES = ("H", "T")
 EXPOSED_NODES = 7
 ORIGINAL_SUM = sum(range(EXPOSED_NODES))
-#: The scenario overwrites each root's datum 0 with the mark.
+#: The scenario overwrites each root's datum 0 (originally 0) with the
+#: mark, then with the remark.
 MARKED_SUM = ORIGINAL_SUM + CRASH_SCENARIO_MARK
+REMARKED_SUM = ORIGINAL_SUM + CRASH_SCENARIO_REMARK
 
 ROLE_SITE = {"caller": GROUND, "callee": "H", "third": "T"}
 STEPS = (
@@ -118,20 +122,22 @@ VICTIM_RECV = {
     "writeback-commit": (MessageKind.WRITEBACK_COMMIT, 1),
 }
 
-#: Surviving homes whose heap must show the mark after the cell.  A
-#: home's heap updates when *it* receives the activity transfer (the
-#: overwrite piggyback applies home-bound dirty data at the home) or a
-#: write-back commit; every other surviving heap must be untouched —
-#: fully original or fully updated, never in between.
+#: What each surviving home's heap must sum to after the cell, when not
+#: ORIGINAL_SUM.  A home's heap takes the mark when *it* receives the
+#: checksum activity transfer (the overwrite piggyback applies
+#: home-bound dirty data at the home), and the remark only when its
+#: write-back commit lands; a staged batch that is never committed is
+#: discarded — each home fully original or fully at one of the
+#: session's versions, never in between.
 MARKED = {
-    ("caller", "activity-transfer"): {"H"},
-    ("caller", "writeback-prepare"): {"H", "T"},
-    ("caller", "writeback-commit"): {"H", "T"},
-    ("callee", "writeback-prepare"): {"T"},
-    ("callee", "writeback-commit"): {"T"},
-    ("third", "activity-transfer"): {"H"},
-    ("third", "writeback-prepare"): {"H"},
-    ("third", "writeback-commit"): {"H"},
+    ("caller", "activity-transfer"): {"H": MARKED_SUM},
+    ("caller", "writeback-prepare"): {"H": MARKED_SUM, "T": MARKED_SUM},
+    ("caller", "writeback-commit"): {"H": REMARKED_SUM, "T": MARKED_SUM},
+    ("callee", "writeback-prepare"): {"T": MARKED_SUM},
+    ("callee", "writeback-commit"): {"T": MARKED_SUM},
+    ("third", "activity-transfer"): {"H": MARKED_SUM},
+    ("third", "writeback-prepare"): {"H": MARKED_SUM},
+    ("third", "writeback-commit"): {"H": REMARKED_SUM},
 }
 
 #: Survivors left holding orphaned session state that only the
@@ -156,6 +162,16 @@ def _cell_fault(role, step):
         return f"crash-send={kind.value}:{nth}"
     kind, nth = VICTIM_RECV[step]
     return f"crash-recv={kind.value}:{nth}"
+
+
+def _assert_reached(aborted, role, step):
+    """The ground aborted on the exchange of the cell's planned frame.
+
+    A scenario change that stops sending that frame would otherwise
+    abort elsewhere, or not at all, and test nothing it names.
+    """
+    kind = (GROUND_SEND if role == "caller" else VICTIM_RECV)[step][0]
+    assert f"aborted: {kind.value} exchange" in str(aborted), str(aborted)
 
 
 def _events_for_session(events, session_id):
@@ -246,6 +262,7 @@ def test_simnet_crash_cell(role, step):
     assert aborted.value.reason.startswith(
         "peer-unreachable:"
     ), aborted.value.reason
+    _assert_reached(aborted.value, role, step)
     assert network.is_crashed(victim)
 
     survivors = [s for s in (GROUND,) + HOMES if s != victim]
@@ -280,10 +297,8 @@ def test_simnet_crash_cell(role, step):
         if site_id == victim:
             continue
         checksum = local_tree_checksum(runtimes[site_id], roots[site_id])
-        if site_id in MARKED.get((role, step), set()):
-            assert checksum == MARKED_SUM, (site_id, checksum)
-        else:
-            assert checksum == ORIGINAL_SUM, (site_id, checksum)
+        expected = MARKED.get((role, step), {}).get(site_id, ORIGINAL_SUM)
+        assert checksum == expected, (site_id, checksum)
 
     assert stats.sessions_aborted >= 1
     assert stats.orphans_reaped >= 1
@@ -319,7 +334,7 @@ def test_simnet_caller_survives_callee_crash_and_runs_again():
     # A fresh session against the surviving home completes cleanly.
     checksums = run_crash_session(runtimes[GROUND], ["T"])
     assert checksums["T"] in (ORIGINAL_SUM, MARKED_SUM)
-    assert local_tree_checksum(runtimes["T"], roots["T"]) == MARKED_SUM
+    assert local_tree_checksum(runtimes["T"], roots["T"]) == REMARKED_SUM
     _gate_events(stats.events)
 
 
@@ -499,6 +514,8 @@ def test_process_crash_cell(role, step, registry, tmp_path):
                     reply_kind=MessageKind.RUN_REPLY,
                     timeout=10.0,
                 )
+            # Exit status 86 is the injector's: the ground reached its
+            # planned frame (a missed frame would end the run cleanly).
             ground_host.wait_crashed()
             # Survivors reap the dead ground on heartbeat age; the
             # STATUS barrier blocks until each reap actually happened.
@@ -532,6 +549,7 @@ def test_process_crash_cell(role, step, registry, tmp_path):
             assert aborted.value.reason.startswith(
                 "peer-unreachable:"
             ), aborted.value.reason
+            _assert_reached(aborted.value, role, step)
             victim_host = next(
                 h for h in hosts if h.site_id == sites[victim]
             )
@@ -548,10 +566,8 @@ def test_process_crash_cell(role, step, registry, tmp_path):
             if sites[name] == sites[victim]:
                 continue
             checksum = _checksum(runtime, sites[name])
-            if name in MARKED.get((role, step), set()):
-                assert checksum == MARKED_SUM, (name, checksum)
-            else:
-                assert checksum == ORIGINAL_SUM, (name, checksum)
+            expected = MARKED.get((role, step), {}).get(name, ORIGINAL_SUM)
+            assert checksum == expected, (name, checksum)
 
         save_trace(stats, tmp_path / "ground.jsonl")
         directory.deregister()

@@ -114,7 +114,7 @@ class TestViolationsDetected:
     def test_wrong_protection_detected(self, active):
         pair, state = active
         dirty_page = next(iter(state.cache.dirty_pages))
-        pair.b.space.protect(dirty_page, Protection.READ)
+        pair.b.space.protect(dirty_page, Protection.READ_WRITE)
         assert_violation(pair.b, state, "SRPC203")
 
     def test_incomplete_page_unprotected_detected(self, smart_pair):
@@ -143,7 +143,7 @@ class TestViolationsDetected:
     def test_dead_relayed_entry_detected(self, active):
         pair, state = active
         entry = next(iter(state.cache.table))
-        state.relayed_dirty.add(entry)
+        state.relayed_dirty[entry] = state.epoch
         state.cache.table.remove(entry)
         assert_violation(pair.b, state, "SRPC206")
 
@@ -156,7 +156,7 @@ class TestStructuredDiagnostics:
     def test_violation_reported_under_rule_code(self, active):
         pair, state = active
         dirty_page = next(iter(state.cache.dirty_pages))
-        pair.b.space.protect(dirty_page, Protection.READ)
+        pair.b.space.protect(dirty_page, Protection.READ_WRITE)
         findings = session_diagnostics(pair.b, state)
         assert [d.code for d in findings] == ["SRPC203"]
         assert findings[0].data["page"] == dirty_page
@@ -165,9 +165,9 @@ class TestStructuredDiagnostics:
         pair, state = active
         # Break two independent invariants at once.
         dirty_page = next(iter(state.cache.dirty_pages))
-        pair.b.space.protect(dirty_page, Protection.READ)
+        pair.b.space.protect(dirty_page, Protection.READ_WRITE)
         entry = next(iter(state.cache.table))
-        state.relayed_dirty.add(entry)
+        state.relayed_dirty[entry] = state.epoch
         state.cache.table.remove(entry)
         findings = session_diagnostics(pair.b, state)
         assert {d.code for d in findings} >= {"SRPC203", "SRPC206"}
@@ -175,7 +175,7 @@ class TestStructuredDiagnostics:
     def test_raised_violation_carries_diagnostics(self, active):
         pair, state = active
         dirty_page = next(iter(state.cache.dirty_pages))
-        pair.b.space.protect(dirty_page, Protection.READ)
+        pair.b.space.protect(dirty_page, Protection.READ_WRITE)
         with pytest.raises(InvariantViolation) as excinfo:
             validate_session(pair.b, state)
         assert excinfo.value.diagnostics
@@ -186,7 +186,7 @@ class TestStructuredDiagnostics:
 
         pair, state = active
         dirty_page = next(iter(state.cache.dirty_pages))
-        pair.b.space.protect(dirty_page, Protection.READ)
+        pair.b.space.protect(dirty_page, Protection.READ_WRITE)
         collector = DiagnosticCollector()
         returned = session_diagnostics(pair.b, state, collector)
         assert collector.diagnostics == returned
@@ -196,6 +196,6 @@ class TestStructuredDiagnostics:
 
         pair, state = active
         dirty_page = next(iter(state.cache.dirty_pages))
-        pair.b.space.protect(dirty_page, Protection.READ)
+        pair.b.space.protect(dirty_page, Protection.READ_WRITE)
         collector = DiagnosticCollector(suppress=["SRPC203"])
         assert session_diagnostics(pair.b, state, collector) == []

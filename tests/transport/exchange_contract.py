@@ -296,10 +296,11 @@ def test_connect_failure_backs_off_per_carrier(stacks):
     """A refused dial returns at once on either carrier, so each waits
     the attempt's timeout out.  Nothing was sent, so nothing counts as
     a retransmission."""
+    retry = RetryPolicy(timeout=0.1, backoff=2.0, max_attempts=3)
+    # A listens before B closes, so the port B frees can never be A's.
+    client = stacks("A", retry=retry)
     gone = stacks("B")
     gone.close()  # its address now refuses
-    retry = RetryPolicy(timeout=0.1, backoff=2.0, max_attempts=3)
-    client = stacks("A", retry=retry)
     expected = sum(retry.timeouts())
     started = time.monotonic()
     with pytest.raises(TransportError, match="failed after 3 attempts"):

@@ -338,7 +338,7 @@ def reference_apply_batch(
             else:
                 state.cache.post_shipped(entry.size, 0)
         if overwrite:
-            state.relayed_dirty.add(entry)
+            state.relayed_dirty[entry] = state.epoch
         applied += 1
         runtime.stats.entries_transferred += 1
         state.cache.finish_datum()

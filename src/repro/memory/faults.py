@@ -49,14 +49,20 @@ class AccessViolation(Exception):
         kind: FaultKind,
         page_number: int,
     ) -> None:
-        super().__init__(
-            f"access violation: {kind.value} of protected address "
-            f"{address:#x} (page {page_number}) in space {space_id!r}"
-        )
+        # The message is formatted only if shown: every lazy fault of a
+        # session raises one of these and a handler resolves it.
+        super().__init__(space_id, address, kind, page_number)
         self.space_id = space_id
         self.address = address
         self.kind = kind
         self.page_number = page_number
+
+    def __str__(self) -> str:
+        return (
+            f"access violation: {self.kind.value} of protected address "
+            f"{self.address:#x} (page {self.page_number}) in space "
+            f"{self.space_id!r}"
+        )
 
 
 class FaultLoopError(Exception):

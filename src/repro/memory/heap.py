@@ -100,7 +100,10 @@ class Heap:
         if index == 0:
             return None
         candidate = self._allocations[self._sorted_addresses[index - 1]]
-        return candidate if candidate.contains(address) else None
+        # ``candidate.contains(address)``, inline: every fault asks.
+        if address < candidate.address + candidate.size:
+            return candidate
+        return None
 
     def owns(self, address: int) -> bool:
         """Whether ``address`` points into any live allocation."""

@@ -113,6 +113,13 @@ class RpcRuntime:
         self.network = network
         self.site = site
         self.arch = arch
+        #: This runtime's address-space identifier.
+        self.site_id: str = site.site_id
+        # The network's shared clock, cost model and statistics
+        # collector, read on every fault and exchange: plain attributes.
+        self.clock = network.clock
+        self.cost_model = network.cost_model
+        self.stats = network.stats
         self.space = (
             space if space is not None else AddressSpace(site.site_id)
         )
@@ -148,28 +155,6 @@ class RpcRuntime:
                 self.resolver.resolve(type_id), self.arch
             )
         return plan
-
-    # -- identity ------------------------------------------------------------
-
-    @property
-    def site_id(self) -> str:
-        """This runtime's address-space identifier."""
-        return self.site.site_id
-
-    @property
-    def clock(self):
-        """The shared simulated clock."""
-        return self.network.clock
-
-    @property
-    def cost_model(self):
-        """The shared cost model."""
-        return self.network.cost_model
-
-    @property
-    def stats(self):
-        """The shared statistics collector."""
-        return self.network.stats
 
     def trace_event(
         self,

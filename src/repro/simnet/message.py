@@ -60,6 +60,11 @@ class MessageKind(enum.Enum):
     RUN_SESSION = "run_session"
     RUN_REPLY = "run_reply"
 
+    # Members are singletons, so identity hashing is exact — and every
+    # per-kind dict (handlers, counters) probes with one, where Enum's
+    # own name-based ``__hash__`` is a Python-level call per probe.
+    __hash__ = object.__hash__
+
 
 _message_ids = itertools.count(1)
 

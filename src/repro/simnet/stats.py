@@ -59,11 +59,11 @@ class TransferLedger:
     round_trips_saved: int = 0
     piggyback_hits: int = 0
 
-    def record_shipped(self, size: int, prefetched: bool) -> None:
-        """Count one entry's bytes arriving on the fill path."""
-        self.closure_bytes_shipped += size
-        if prefetched:
-            self.prefetch_bytes_shipped += size
+    def record_fill(self, demanded: int, prefetched: int) -> None:
+        """Count one batch's bytes arriving on the fill path: those of
+        demanded roots and those of prefetch."""
+        self.closure_bytes_shipped += demanded + prefetched
+        self.prefetch_bytes_shipped += prefetched
 
     def record_touched(self, size: int, prefetched: bool) -> None:
         """Count one shipped entry's first program access."""
@@ -100,7 +100,11 @@ class StatsCollector:
     """
 
     def __init__(self, trace: bool = False) -> None:
-        self._trace_enabled = trace
+        #: Whether events are being recorded.  Emitters that do
+        #: per-event work beyond building the event — vector-clock
+        #: stamping, say — check this first so benchmark runs (tracing
+        #: off) pay nothing; a plain attribute, as every fault reads it.
+        self.tracing = trace
         self.events: List[TraceEvent] = []
         self.messages_by_kind: Counter = Counter()
         self.bytes_by_kind: Counter = Counter()
@@ -122,8 +126,13 @@ class StatsCollector:
 
     def record_message(self, message: Message) -> None:
         """Count one sent message."""
-        self.messages_by_kind[message.kind] += 1
-        self.bytes_by_kind[message.kind] += message.size
+        self.count_message(message.kind, message.size)
+
+    def count_message(self, kind: MessageKind, size: int) -> None:
+        """Count one sent message of ``kind`` with ``size`` payload
+        bytes, without building it (a real carrier's untraced path)."""
+        self.messages_by_kind[kind] += 1
+        self.bytes_by_kind[kind] += size
 
     @property
     def total_messages(self) -> int:
@@ -147,16 +156,6 @@ class StatsCollector:
 
     # -- tracing ----------------------------------------------------------
 
-    @property
-    def tracing(self) -> bool:
-        """Whether events are being recorded.
-
-        Emitters that do per-event work beyond building the event —
-        vector-clock stamping, say — check this first so benchmark runs
-        (tracing off) pay nothing.
-        """
-        return self._trace_enabled
-
     def record_event(
         self,
         time: float,
@@ -165,7 +164,7 @@ class StatsCollector:
         data: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Append a trace event if tracing is enabled."""
-        if self._trace_enabled:
+        if self.tracing:
             self.events.append(TraceEvent(time, category, detail, data))
 
     def events_in(self, category: str) -> Iterator[TraceEvent]:

@@ -123,9 +123,11 @@ class CacheManager:
         #: this is zero it need not call :meth:`note_touch_range` — the
         #: steady-state fast path.
         self.untouched_shipped = 0
-        # Pages completed inside a batch, remapped READ in one pass when
-        # it ends (:meth:`hold_releases`); ``None`` outside a batch.
-        self._held: Optional[List[int]] = None
+        #: :meth:`finish_datum` as one bound call, for a batch loop to
+        #: read once per batch; ``None`` under ``packed``.
+        self.datum_seal: Optional[Callable[[], None]] = (
+            None if self.strategy == PACKED else self._open_pages.clear
+        )
 
     # -- small accessors ------------------------------------------------------
 
@@ -298,12 +300,6 @@ class CacheManager:
         if self.strategy != PACKED:
             self._open_pages.clear()
 
-    @property
-    def datum_seal(self) -> Optional[Callable[[], None]]:
-        """:meth:`finish_datum` as one bound call, for a batch loop to
-        read once per batch; ``None`` under ``packed``."""
-        return None if self.strategy == PACKED else self._open_pages.clear
-
     def finish_batch(self) -> None:
         """Seal open pages at the end of one whole transfer batch."""
         self._open_pages.clear()
@@ -314,22 +310,24 @@ class CacheManager:
         """The user-level access-violation handler for cache pages."""
         page = self.page_state(fault.page_number)
         protection = page.protection
-        kind = "write" if fault.kind is FaultKind.WRITE else "read"
-        self.runtime.trace_event(
-            "fault",
-            f"{self.runtime.site_id}: page {fault.page_number} "
-            f"{kind} fault (session {self.state.session_id})",
-            session=self.state.session_id,
-            space=self.runtime.site_id,
-            page=fault.page_number,
-            kind=kind,
-            version=page.version,
-        )
+        runtime = self.runtime
+        if runtime.stats.tracing:
+            kind = "write" if fault.kind is FaultKind.WRITE else "read"
+            runtime.trace_event(
+                "fault",
+                f"{runtime.site_id}: page {fault.page_number} "
+                f"{kind} fault (session {self.state.session_id})",
+                session=self.state.session_id,
+                space=runtime.site_id,
+                page=fault.page_number,
+                kind=kind,
+                version=page.version,
+            )
         if protection is Protection.NONE:
             self._fill(page)
         if fault.kind is FaultKind.WRITE:
             self.mark_dirty_page(fault.page_number)
-        self.runtime.clock.advance(self.runtime.cost_model.page_fault)
+        runtime.clock.advance(runtime.cost_model.page_fault)
 
     def _fill(self, page: CachePage) -> None:
         """Transfer every non-resident datum allocated to the page.
@@ -371,12 +369,8 @@ class CacheManager:
 
     def post_shipped(self, demanded: int, prefetched: int) -> None:
         """Count fill-path bytes: demanded roots and prefetch apart."""
-        for ledger in (
-            self.state.transfer_stats,
-            self.runtime.stats.transfer_ledger,
-        ):
-            ledger.record_shipped(demanded, False)
-            ledger.record_shipped(prefetched, True)
+        self.state.transfer_stats.record_fill(demanded, prefetched)
+        self.runtime.stats.transfer_ledger.record_fill(demanded, prefetched)
 
     def note_duplicate_shipment(self, size: int) -> None:
         """Count bytes re-shipped for an already-resident entry.
@@ -433,44 +427,36 @@ class CacheManager:
 
     # -- residency and dirtiness ----------------------------------------------
 
-    def mark_resident(self, entry: AllocEntry) -> None:
-        """Record arrival of an entry's data; release complete pages."""
+    def mark_resident(
+        self, entry: AllocEntry, held: Optional[List[int]] = None
+    ) -> None:
+        """Record arrival of an entry's data; release complete pages.
+
+        A transfer batch completes up to one page per item; instead of
+        one ``protect`` and one generation bump each, it passes
+        ``held``, collects the numbers of the pages to remap READ there
+        and remaps them all in one ``protect_pages`` pass, as
+        :meth:`invalidate` unmaps a whole cache area in one.
+        """
         if entry.resident:
             return
         entry.resident = True
         for number in self._entry_pages(entry):
-            self._maybe_release(number)
+            self._maybe_release(number, held)
 
-    def _maybe_release(self, page_number: int) -> None:
+    def _maybe_release(
+        self, page_number: int, held: Optional[List[int]] = None
+    ) -> None:
         page = self.pages[page_number]
         if not page.complete:
             return
         page.closed = True
         if page.dirty:
             return
-        if self._held is not None:
-            self._held.append(page_number)
+        if held is not None:
+            held.append(page_number)
         else:
             self.space.protect(page_number, Protection.READ)
-
-    def hold_releases(self) -> List[int]:
-        """Defer the READ remap of pages completed from now on.
-
-        A transfer batch completes up to one page per item; instead of
-        one ``protect`` and one generation bump each,
-        :meth:`release_held` remaps them all in one pass, as
-        :meth:`invalidate` unmaps a whole cache area in one.  Returns
-        the list of held page numbers: a batch that completes a page
-        itself appends the number there.
-        """
-        self._held = []
-        return self._held
-
-    def release_held(self) -> None:
-        """Remap READ every page completed since :meth:`hold_releases`."""
-        held, self._held = self._held, None
-        if held:
-            self.space.protect_pages(held, Protection.READ)
 
     def mark_dirty_page(self, page_number: int) -> None:
         """A write fault: stamp the page and remap it writable.

@@ -22,11 +22,12 @@ Two encodings exist:
 
 from __future__ import annotations
 
+import struct
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.xdr.errors import XdrError
-from repro.xdr.stream import XdrDecoder, XdrEncoder
+from repro.xdr.stream import XdrDecoder, XdrEncoder, string_image
 
 # Addresses at or above this value are *provisional*: handed out by
 # extended_malloc before the batched remote allocation has assigned the
@@ -121,49 +122,61 @@ class HandlePool:
     The original implementation likewise shipped compact identifiers,
     not strings; this is what keeps the proposed method's wire volume
     within a small factor of the raw data size.
+
+    ``handles`` (pair -> handle) and ``pairs`` (handle - 1 -> pair) are
+    read-only to callers: a hot loop probes ``handles`` and falls back
+    on :meth:`intern`.  The ids are strings every message repeats, so
+    each goes through the one intern table of :mod:`repro.xdr.stream`
+    both ways.
     """
 
-    def __init__(self) -> None:
-        self._indices: Dict[Tuple[str, str], int] = {}
-        self._pairs: List[Tuple[str, str]] = []
+    __slots__ = ("handles", "pairs")
+
+    def __init__(self, pairs: Sequence[Tuple[str, str]] = ()) -> None:
+        self.pairs: List[Tuple[str, str]] = list(pairs)
+        self.handles: Dict[Tuple[str, str], int] = dict(
+            zip(self.pairs, range(1, len(self.pairs) + 1))
+        )
 
     def intern(self, space_id: str, type_id: str) -> int:
         """Handle (index + 1) of the pair, assigning one if new."""
         key = (space_id, type_id)
-        index = self._indices.get(key)
-        if index is None:
-            index = len(self._pairs)
-            self._indices[key] = index
-            self._pairs.append(key)
-        return index + 1
+        handle = self.handles.get(key)
+        if handle is None:
+            self.pairs.append(key)
+            handle = self.handles[key] = len(self.pairs)
+        return handle
 
     def lookup(self, handle: int) -> Tuple[str, str]:
         """Pair named by a nonzero handle."""
-        index = handle - 1
-        if not 0 <= index < len(self._pairs):
+        if not 0 < handle <= len(self.pairs):
             raise XdrError(f"bad handle-pool handle {handle!r}")
-        return self._pairs[index]
+        return self.pairs[handle - 1]
+
+    def head(self) -> bytes:
+        """The pool table's wire image: pair count, then each pair's
+        two strings."""
+        return _U32.pack(len(self.pairs)) + b"".join(
+            [string_image(text) for pair in self.pairs for text in pair]
+        )
 
     def encode(self, encoder: XdrEncoder) -> None:
         """Append the pool table."""
-        encoder.pack_uint32(len(self._pairs))
-        for space_id, type_id in self._pairs:
-            encoder.pack_string(space_id)
-            encoder.pack_string(type_id)
+        encoder.pack_fixed_opaque(self.head())
 
     @classmethod
     def decode(cls, decoder: XdrDecoder) -> "HandlePool":
         """Read a pool table."""
-        pool = cls()
-        count = decoder.unpack_uint32()
-        for _ in range(count):
-            space_id = decoder.unpack_string()
-            type_id = decoder.unpack_string()
-            pool.intern(space_id, type_id)
-        return pool
+        unpack = decoder.unpack_string
+        return cls(
+            [(unpack(), unpack()) for _ in range(decoder.unpack_uint32())]
+        )
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self.pairs)
+
+
+_U32 = struct.Struct(">I")
 
 
 def encode_long_pointer_pooled(

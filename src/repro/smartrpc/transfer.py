@@ -23,9 +23,11 @@ area is transferred later when necessary".
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
+from repro.memory.page import Protection
 from repro.simnet.message import Message, MessageKind
 from repro.smartrpc.closure import (
     BREADTH_FIRST,
@@ -43,7 +45,7 @@ from repro.smartrpc.long_pointer import (
 )
 from repro.xdr.errors import XdrError
 from repro.xdr.raw import LONG_SLOT, WirePlan, wire_plan
-from repro.xdr.stream import XdrDecoder, XdrEncoder
+from repro.xdr.stream import IMAGES, XdrDecoder, XdrEncoder, string_image
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
@@ -58,6 +60,11 @@ _ORDER_NAMES = {code: name for name, code in _ORDER_CODES.items()}
 
 #: One non-NULL pooled long pointer: pool handle + home address.
 _LONG = struct.Struct(">" + LONG_SLOT)
+
+_U32 = struct.Struct(">I")
+#: A DATA_REPLY's head: status, then the batch's opaque length word.
+_REPLY_HEAD = struct.Struct(">II")
+_PADS = (b"", bytes(3), bytes(2), bytes(1))
 
 
 # -- batch encoding -----------------------------------------------------------
@@ -76,31 +83,20 @@ def encode_batch(
     resolved, and every pointer unswizzled here joins it, so no address
     is translated twice while one request is served.  It must not
     outlive the request — the heap and the allocation table move on.
+
+    A flat item is one precompiled ``Struct`` pack; the pool head and
+    the item count go in front, and the batch is joined once.
     """
     if resolved is None:
         resolved = {}
     pool = HandlePool()
+    handles = pool.handles
     intern = pool.intern
-    body = XdrEncoder()
-    pack = body.pack_struct
     arch = runtime.arch
     unpack_raw = runtime.space.unpack_raw
     unswizzle = state.swizzler.unswizzle
-
-    def translate(value: int) -> LongPointer:
-        pointer = unswizzle(value)
-        if pointer.is_provisional:
-            raise SmartRpcError(
-                f"provisional {pointer!r} leaked onto the wire; the "
-                "memory batch must flush before any transfer"
-            )
-        resolved[value] = pointer
-        return pointer
-
-    def pointer_out(value: int, _target: str) -> None:
-        pointer = (resolved.get(value) or translate(value)) if value else None
-        encode_long_pointer_pooled(body, pointer, pool)
-
+    chunks: List[bytes] = [b"", _U32.pack(len(items))]  # head goes first
+    append = chunks.append
     plans: Dict[str, WirePlan] = {}
     for item in items:
         space_id, address, type_id = item.pointer
@@ -109,15 +105,13 @@ def encode_batch(
             plan = plans[type_id] = wire_plan(item.spec, arch)
         flat = plan.flat
         if flat is None:
-            # A union inside: the hook-driven codec dispatches its arm.
-            encode_long_pointer_pooled(body, item.pointer, pool)
-            runtime.codec.encode(item.address, item.spec, body, pointer_out)
+            append(_encode_union(runtime, state, item, pool, resolved))
             continue
         if address >= PROVISIONAL_BASE:
             raise XdrError(
                 f"provisional {item.pointer!r} must never reach the wire"
             )
-        handle = intern(space_id, type_id)
+        handle = handles.get((space_id, type_id)) or intern(space_id, type_id)
         values = unpack_raw(flat.native, item.address + flat.offset)
         key = 1
         if flat.slot_bits:
@@ -125,17 +119,56 @@ def encode_batch(
             for bit, index in flat.slot_bits:
                 value = values[index]
                 if value:
-                    pointer = resolved.get(value) or translate(value)
-                    values[index] = intern(pointer[0], pointer[2])
+                    pointer = resolved.get(value) or _translate(
+                        unswizzle, resolved, value
+                    )
+                    pair = (pointer[0], pointer[2])
+                    values[index] = handles.get(pair) or intern(*pair)
                     values[index + 1] = pointer[1]
                     key |= bit
         if flat.enums:
             flat.check_enums(values)
-        pack(flat.codecs.get(key) or flat.wire(key), handle, address, *values)
-    head = XdrEncoder()
-    pool.encode(head)
-    head.pack_uint32(len(items))
-    return head.getvalue() + body.getvalue()
+        codec = flat.codecs.get(key) or flat.wire(key)
+        append(codec.pack(handle, address, *values))
+    chunks[0] = pool.head()
+    return b"".join(chunks)
+
+
+def _translate(unswizzle, resolved: Dict[int, LongPointer], value: int):
+    """Unswizzle one local pointer for the wire, into ``resolved``."""
+    pointer = unswizzle(value)
+    if pointer.is_provisional:
+        raise SmartRpcError(
+            f"provisional {pointer!r} leaked onto the wire; the "
+            "memory batch must flush before any transfer"
+        )
+    resolved[value] = pointer
+    return pointer
+
+
+def _encode_union(
+    runtime: "SmartRpcRuntime",
+    state: "SmartSessionState",
+    item: ClosureItem,
+    pool: HandlePool,
+    resolved: Dict[int, LongPointer],
+) -> bytes:
+    """One item whose type holds a union: the hook-driven codec
+    dispatches its arm."""
+    body = XdrEncoder()
+    unswizzle = state.swizzler.unswizzle
+
+    def pointer_out(value: int, _target: str) -> None:
+        pointer = None
+        if value:
+            pointer = resolved.get(value) or _translate(
+                unswizzle, resolved, value
+            )
+        encode_long_pointer_pooled(body, pointer, pool)
+
+    encode_long_pointer_pooled(body, item.pointer, pool)
+    runtime.codec.encode(item.address, item.spec, body, pointer_out)
+    return body.getvalue()
 
 
 def apply_batch(
@@ -169,13 +202,14 @@ def apply_batch(
     """
     decoder = XdrDecoder(payload)
     pool = HandlePool.decode(decoder)
+    pairs = pool.pairs
+    known = len(pairs)  # a handle above this names no pair
     count = decoder.unpack_uint32()
     peek = decoder.peek_uint32
     unpack = decoder.unpack_struct
-    lookup = pool.lookup
     # Per pool handle, filled at the handle's first item or first new
     # row so a cold resolver queries the name server where it always did.
-    plans: List[Optional[WirePlan]] = [None] * len(pool)
+    plans: List[Optional[WirePlan]] = [None] * known
     wire_plan_of = runtime.wire_plan
     site_id = runtime.site_id
     owns = runtime.heap.owns
@@ -197,14 +231,16 @@ def apply_batch(
     last = -1  # the previous item's handle: runs of one type are the rule
     # Pages the batch completes turn READ in one pass at its end —
     # should an item raise, those completed before it still do.
-    held = cache.hold_releases()
+    held: List[int] = []
     try:
         for _ in range(count):
             handle = peek()
             if handle != last:
                 if not handle:
                     raise SmartRpcError("batch item with NULL long pointer")
-                space_id, type_id = lookup(handle)
+                if handle > known:
+                    raise XdrError(f"bad handle-pool handle {handle!r}")
+                space_id, type_id = pairs[handle - 1]
                 plan = plans[handle - 1]
                 if plan is None:
                     plan = plans[handle - 1] = wire_plan_of(type_id)
@@ -258,7 +294,11 @@ def apply_batch(
                         slot = values[index]
                         if not slot:
                             continue
-                        slot_space, slot_type = lookup(slot)
+                        if slot > known:
+                            raise XdrError(
+                                f"bad handle-pool handle {slot!r}"
+                            )
+                        slot_space, slot_type = pairs[slot - 1]
                         slot_address = values[index + 1]
                         if slot_space == site_id:
                             values[index] = swizzle(LongPointer(
@@ -289,7 +329,7 @@ def apply_batch(
                 continue
             if not entry.resident:
                 if entry.offset + entry.size > page_size:
-                    cache.mark_resident(entry)  # a span: all its pages
+                    cache.mark_resident(entry, held)  # a span: its pages
                 else:
                     entry.resident = True
                     number = entry.page_number
@@ -320,7 +360,8 @@ def apply_batch(
         decoder.expect_done()
         cache.finish_batch()
     finally:
-        cache.release_held()
+        if held:
+            runtime.space.protect_pages(held, Protection.READ)
         # Sums are order-free, so the counters move once per batch —
         # by what did land, should an item have raised.
         runtime.stats.entries_transferred += applied
@@ -365,21 +406,30 @@ def encode_request_payload(
 
     The request names each datum by its bare home address: the home
     space is the message destination and the data type is recorded in
-    the home's own typed heap, so neither travels.
+    the home's own typed heap, so neither travels.  Layout: session
+    id, ground site, then budget, order code, root count and the roots'
+    addresses in one ``Struct``.
     """
-    encoder = XdrEncoder()
-    encoder.pack_string(state.session_id)
-    encoder.pack_string(state.ground_site)
-    encoder.pack_uint32(budget)
-    encoder.pack_uint32(_ORDER_CODES[order])
-    encoder.pack_uint32(len(pointers))
+    addresses = []
     for pointer in pointers:
-        if pointer.space_id != home:
+        if pointer[0] != home:
             raise SmartRpcError(
                 f"{pointer!r} requested from {home!r}, not its home"
             )
-        encoder.pack_uint64(pointer.address)
-    return encoder.getvalue()
+        addresses.append(pointer[1])
+    return b"".join((
+        IMAGES.get(state.session_id) or string_image(state.session_id),
+        IMAGES.get(state.ground_site) or string_image(state.ground_site),
+        _request_tail(len(addresses)).pack(
+            budget, _ORDER_CODES[order], len(addresses), *addresses
+        ),
+    ))
+
+
+@functools.lru_cache(maxsize=64)
+def _request_tail(count: int) -> struct.Struct:
+    """A DATA_REQUEST's fixed words for ``count`` roots."""
+    return struct.Struct(f">III{count}Q")
 
 
 def apply_reply(
@@ -400,42 +450,54 @@ def apply_reply(
     reply's codec cost to the clock — callers charge the request side.
     """
     runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
-    decoder = XdrDecoder(reply)
-    status = decoder.unpack_uint32()
+    # Status word, then the batch (or the error text) as one opaque.
+    view = memoryview(reply)
+    if len(view) < _REPLY_HEAD.size:
+        raise XdrError(f"DATA_REPLY of {len(view)} bytes has no head")
+    status, length = _REPLY_HEAD.unpack_from(view)
     if status == _STATUS_ERROR:
+        decoder = XdrDecoder(view)
+        decoder.unpack_uint32()
         raise SmartRpcError(
             f"data request to {home!r} failed: {decoder.unpack_string()}"
         )
+    end = _REPLY_HEAD.size + length
+    if len(view) != end + (-length & 3):
+        raise XdrError(
+            f"DATA_REPLY of {len(view)} bytes for a {length}-byte batch"
+        )
+    if end != len(view) and any(view[end:]):
+        raise XdrError(f"nonzero XDR padding {bytes(view[end:])!r}")
     # Zero-copy: the batch is decoded in place (apply_batch
     # materialises every item into the heap), so on carriers that
     # deliver payloads as shared-memory views the page bytes are
     # copied exactly once — segment straight into the local heap.
-    batch = decoder.unpack_opaque_view()
-    decoder.expect_done()
-    policy = state.policy
+    batch = view[_REPLY_HEAD.size : end]
     ledger = state.transfer_stats
     shipped_before = ledger.closure_bytes_shipped
     prefetch_before = ledger.prefetch_bytes_shipped
     applied = apply_batch(
         runtime, state, batch, overwrite=False, demanded=demanded
     )
-    shipped = ledger.closure_bytes_shipped - shipped_before
-    prefetched = ledger.prefetch_bytes_shipped - prefetch_before
-    runtime.trace_event(
-        "policy-decision",
-        f"{runtime.site_id}: request to {home} under policy "
-        f"{policy.name!r} (budget {budget}, {order}; shipped {shipped} B, "
-        f"prefetched {prefetched} B)",
-        session=state.session_id,
-        space=runtime.site_id,
-        policy=policy.name,
-        budget=budget,
-        order=order,
-        home=home,
-        roots=len(requested),
-        shipped_bytes=shipped,
-        prefetch_bytes=prefetched,
-    )
+    if runtime.stats.tracing:
+        shipped = ledger.closure_bytes_shipped - shipped_before
+        prefetched = ledger.prefetch_bytes_shipped - prefetch_before
+        policy = state.policy
+        runtime.trace_event(
+            "policy-decision",
+            f"{runtime.site_id}: request to {home} under policy "
+            f"{policy.name!r} (budget {budget}, {order}; shipped "
+            f"{shipped} B, prefetched {prefetched} B)",
+            session=state.session_id,
+            space=runtime.site_id,
+            policy=policy.name,
+            budget=budget,
+            order=order,
+            home=home,
+            roots=len(requested),
+            shipped_bytes=shipped,
+            prefetch_bytes=prefetched,
+        )
     return applied
 
 
@@ -483,20 +545,21 @@ def handle_data_request(
     runtime: "SmartRpcRuntime", message: Message
 ) -> bytes:
     """Home-space side: select the closure and ship it."""
-    runtime.clock.advance(
-        runtime.cost_model.codec_cost(len(message.payload))
-    )
-    decoder = XdrDecoder(message.payload)
+    payload = message.payload
+    runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
+    decoder = XdrDecoder(payload)
     session_id = decoder.unpack_string()
     ground_site = decoder.unpack_string()
-    budget = decoder.unpack_uint32()
-    order_code = decoder.unpack_uint32()
-    count = decoder.unpack_uint32()
-    addresses = [decoder.unpack_uint64() for _ in range(count)]
+    tail = _request_tail(max(decoder.remaining - 12, 0) // 8)
+    budget, order_code, count, *addresses = decoder.unpack_struct(tail)
     decoder.expect_done()
+    if count != len(addresses):
+        raise XdrError(
+            f"DATA_REQUEST names {count} roots and carries "
+            f"{len(addresses)}"
+        )
     state = runtime.ensure_smart_session(session_id, ground_site)
     state.note_participant(message.src)
-    encoder = XdrEncoder()
     try:
         order = _ORDER_NAMES.get(order_code)
         if order is None:
@@ -525,11 +588,12 @@ def handle_data_request(
         items = walker.walk(roots)
         batch = encode_batch(runtime, state, items, walker.resolved)
     except SmartRpcError as exc:
-        encoder.pack_uint32(_STATUS_ERROR)
-        encoder.pack_string(str(exc))
+        reply = _U32.pack(_STATUS_ERROR) + string_image(str(exc))
     else:
-        encoder.pack_uint32(_STATUS_OK)
-        encoder.pack_opaque(batch)
-    reply = encoder.getvalue()
+        reply = b"".join((
+            _REPLY_HEAD.pack(_STATUS_OK, len(batch)),
+            batch,
+            _PADS[len(batch) & 3],
+        ))
     runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
     return reply

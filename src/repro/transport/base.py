@@ -128,7 +128,14 @@ class RetryPolicy:
     max_attempts: int = 8
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0 or self.backoff < 1.0 or self.max_attempts < 1:
+        # Written so that NaN fails every comparison, and a ceiling of
+        # zero, which would time every attempt out at once, is refused.
+        if not (
+            self.timeout > 0
+            and self.backoff >= 1.0
+            and self.max_timeout > 0
+            and self.max_attempts >= 1
+        ):
             raise ValueError(f"bad retry policy {self!r}")
 
     def timeouts(self) -> Iterator[float]:

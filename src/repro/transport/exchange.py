@@ -49,15 +49,26 @@ timeout.
 Where the two carriers had once drifted apart, one behaviour was
 chosen (``tests/transport/exchange_contract.py`` pins each):
 
-* **The in-flight gate** is waited on once, without a timeout (the
-  running handler's ``finally`` always opens it); a retransmission that
-  then finds nothing cached gives up, and the peer retransmits again.
+* **The in-flight gate** is a set of ``(sender, exchange id)`` keys
+  whose handler runs now and one ``Condition`` on the transport lock.
+  A retransmission that finds its key there waits, without a timeout,
+  until the run's ``finally`` takes the key out; the run notifies the
+  condition only when somebody waits on it, so an exchange nobody
+  retransmits builds and signals nothing.  A waiter that then finds
+  nothing cached (the handler raised past the error envelope) gives
+  up, and the peer retransmits again.
 * **One lock** guards the reply cache and gate, the fault ordinals,
   ``retransmissions``, ``dials``, the statistics counters, the pool
   and the set of live connections: callers' threads and serving
   threads touch all of them.
 * **Handlers** are bounded by :data:`MAX_HANDLERS`, a constant no
-  caller ever chose otherwise: a semaphore the serving threads pass.
+  caller ever chose otherwise.  A run is admitted under the lock
+  acquisition that looks its request up in the reply cache: its key
+  joins the gate first, and a run over the bound waits on the same
+  condition until a slot frees.
+* **The idle check** of a pooled connection is one zero-timeout
+  ``poll``, registered once per :class:`Connection`; only a readable
+  socket (EOF, ``GOODBYE``, a late duplicate) is drained.
 * **The running check** is made before every attempt, so a closed
   transport fails at once on either carrier instead of dialling.
 
@@ -80,6 +91,7 @@ from __future__ import annotations
 import abc
 import itertools
 import os
+import select
 import socket
 import threading
 import time
@@ -117,6 +129,7 @@ from repro.transport.framing import (
     decode_frame,
     encode_frame,
     frame_length,
+    new_frame,
 )
 from repro.transport.wallclock import WallClock
 
@@ -137,6 +150,11 @@ BULK_KEEP = 8 * 1024 * 1024
 _REQUESTS = (Request, SegRequest)
 _REPLIES = (Reply, SegReply)
 
+# A kind and its wire word, both ways: one dict probe each, where the
+# enum's own lookup and ``.value`` are Python-level calls.
+_KINDS = {kind.value: kind for kind in MessageKind}
+_WORDS = {kind: word for word, kind in _KINDS.items()}
+
 
 class Connection:
     """One stream connection: a socket and the bytes read past a frame.
@@ -144,10 +162,12 @@ class Connection:
     One thread at a time uses it: the exchange that took it from the
     pool, or the thread serving it.  A ``deadline`` is a
     ``time.monotonic()`` instant, enforced with ``socket.timeout`` (an
-    ``OSError``); ``None`` leaves the socket in its own mode.
+    ``OSError``) set afresh before every ``sendall`` and ``recv``, so
+    time one of them used is never granted again; ``None`` leaves the
+    socket in its own mode.
     """
 
-    __slots__ = ("sock", "peer", "served", "_buffer", "_bulk")
+    __slots__ = ("sock", "peer", "served", "_buffer", "_bulk", "_poll")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -156,23 +176,27 @@ class Connection:
         self.served: Optional[Tuple[str, int]] = None
         self._buffer = b""
         self._bulk = bytearray()
+        # The idle check's zero-timeout poll, registered once.
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
 
-    def _arm(self, deadline: Optional[float]) -> None:
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise socket.timeout("timed out")
-            self.sock.settimeout(remaining)
+    def _arm(self, deadline: float) -> None:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise socket.timeout("timed out")
+        self.sock.settimeout(remaining)
 
     def send(self, data: bytes, deadline: Optional[float] = None) -> None:
-        self._arm(deadline)
+        if deadline is not None:
+            self._arm(deadline)
         self.sock.sendall(data)
 
     def read_frame(self, deadline: Optional[float] = None):
         """Read one frame; ``None`` on clean EOF."""
         start = LENGTH_PREFIX.size
         while len(self._buffer) < start:
-            self._arm(deadline)
+            if deadline is not None:
+                self._arm(deadline)
             chunk = self.sock.recv(RECV_BYTES)
             if not chunk:
                 if self._buffer:
@@ -195,7 +219,8 @@ class Connection:
         have = len(buffer) - start
         view[:have] = memoryview(buffer)[start:]
         while have < length:
-            self._arm(deadline)
+            if deadline is not None:
+                self._arm(deadline)
             count = self.sock.recv_into(view[have:])
             if not count:
                 raise FramingError("connection closed mid-frame")
@@ -208,9 +233,13 @@ class Connection:
 
         Nobody reads a pooled connection: a peer's EOF or GOODBYE and
         late duplicate replies wait in the kernel for the next taker.
-        ``settimeout(0)``, as ``MSG_DONTWAIT`` on a socket with a
-        Python timeout set still polls for that timeout first.
+        One zero-timeout ``poll`` says whether anything did; only then
+        is it drained, under ``settimeout(0)``, as ``MSG_DONTWAIT`` on a
+        socket with a Python timeout set still polls for that timeout
+        first.
         """
+        if not self._buffer and not self._poll.poll(0):
+            return True
         try:
             self.sock.settimeout(0)
             while True:
@@ -300,7 +329,11 @@ class ExchangeTransport(Transport):
         # place as each stack's listener comes up.
         self._peers = peers if peers is not None else {}
         self._directory_site = directory_site
-        self._retry = retry if retry is not None else RetryPolicy()
+        # The per-attempt timeouts: a policy is frozen, so its schedule
+        # is worked out once.
+        self._timeouts = tuple(
+            (retry if retry is not None else RetryPolicy()).timeouts()
+        )
         self._faults = faults
         self._protocol_version = protocol_version
         self.endpoint = self.endpoint_class(site_id, self)
@@ -310,12 +343,18 @@ class ExchangeTransport(Transport):
         incarnation = int.from_bytes(os.urandom(4), "big")
         self._exchange_ids = itertools.count((incarnation << 32) | 1)
         self._lock = threading.Lock()
-        self._inflight: Dict[Tuple[str, int], threading.Event] = {}
+        # The in-flight gate: the ``(sender, exchange id)`` keys whose
+        # handler runs now, how many handlers run, and the one condition
+        # (on ``_lock``) that retransmissions and handlers over the bound
+        # wait on — notified only when somebody does.
+        self._inflight: Set[Tuple[str, int]] = set()
+        self._handlers = 0
+        self._waiting = 0
+        self._gate = threading.Condition(self._lock)
         self._pool: Dict[str, List[Connection]] = {}
         # Every live connection (pooled, in an exchange, being served),
         # so that close() can wake whoever is blocked on one.
         self._conns: Set[Connection] = set()
-        self._handler_slots = threading.BoundedSemaphore(MAX_HANDLERS)
         self._listener: Optional[socket.socket] = None
         self._acceptor: Optional[threading.Thread] = None
         self._started = False
@@ -357,11 +396,12 @@ class ExchangeTransport(Transport):
         """The frame that carries ``payload``, and the payload as the
         statistics count it.  Piggybacks this site's vector clock; the
         responder merges it before running the handler."""
-        request = Request(
+        request = new_frame(
+            Request,
             exchange_id=exchange_id,
             src=self.site_id,
             dst=dst,
-            kind=kind.value,
+            kind=_WORDS[kind],
             expects_reply=expects_reply,
             payload=payload,
             clock=self.endpoint.vclock.tick_wire(),
@@ -382,8 +422,13 @@ class ExchangeTransport(Transport):
 
     def _reply_frame(self, request, body) -> Frame:
         """The frame that carries a successful handler's ``body``."""
-        clock = self.endpoint.vclock.tick_wire()
-        return Reply(request.exchange_id, STATUS_OK, body, clock=clock)
+        return new_frame(
+            Reply,
+            exchange_id=request.exchange_id,
+            status=STATUS_OK,
+            payload=body,
+            clock=self.endpoint.vclock.tick_wire(),
+        )
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -515,12 +560,11 @@ class ExchangeTransport(Transport):
         frame, logical = self._request_frame(
             exchange_id, dst, kind, reply_kind is not None, payload
         )
-        message = Message(self.site_id, dst, kind, logical)
         try:
             # Encoded once: every retransmission carries the same clock.
             conn, reply = self._run_attempts(
-                dst, address, exchange_id, encode_frame(frame), message,
-                timeout, deadline,
+                dst, address, exchange_id, encode_frame(frame), kind,
+                logical, timeout, deadline,
             )
         except BaseException:
             self._abandon(frame)
@@ -529,15 +573,16 @@ class ExchangeTransport(Transport):
 
     def _run_attempts(
         self, dst: str, address, exchange_id: int, encoded: bytes,
-        message: Message, cap: Optional[float], deadline: Optional[float],
+        kind: MessageKind, logical, cap: Optional[float],
+        deadline: Optional[float],
     ) -> tuple:
         """The retry loop: connect, transmit, wait, back off.  Returns
-        the reply and, first, the connection that brought it."""
-        kind = message.kind
+        the reply and, first, the connection that brought it.
+        ``logical`` is the payload as the statistics count it."""
         faults = self._faults
         attempts = 0
         last_error: Optional[BaseException] = None
-        for timeout in self._retry.timeouts():
+        for timeout in self._timeouts:
             if attempts:  # exchange() has just checked, before the first
                 self._check_running()
             attempts += 1
@@ -568,7 +613,7 @@ class ExchangeTransport(Transport):
                     # Charged as sent, lost in transit — the
                     # simulator does exactly this.
                     copies = 0
-                    self._note(message)
+                    self._note(self.site_id, dst, kind, logical)
                     self._note_loss(f"{kind.value} {self.site_id}->{dst}")
                 elif action == FaultInjector.DUPLICATE:
                     copies = 2
@@ -576,7 +621,7 @@ class ExchangeTransport(Transport):
             try:
                 for copy in range(copies):
                     conn.send(encoded, until)
-                    self._note(message)
+                    self._note(self.site_id, dst, kind, logical)
                     if faults is not None and not copy:
                         with self._lock:
                             if faults.crash_after_send(kind):
@@ -605,11 +650,17 @@ class ExchangeTransport(Transport):
             f"after {attempts} attempts ({last_error})"
         )
 
-    def _note(self, message: Message) -> None:
-        """Count one transmitted message; stamp it when tracing."""
+    def _note(self, src: str, dst: str, kind: MessageKind, payload) -> None:
+        """Count one transmitted message; stamp and trace it when
+        tracing (the only time it is built as a :class:`Message`)."""
         with self._lock:
-            stamp = self.endpoint.stamp() if self.stats.tracing else None
-            self.note_message(message, stamp=stamp)
+            if self.stats.tracing:
+                self.note_message(
+                    Message(src, dst, kind, payload),
+                    stamp=self.endpoint.stamp(),
+                )
+            else:
+                self.stats.count_message(kind, len(payload))
 
     def _note_loss(self, what: str) -> None:
         self.stats.record_event(
@@ -650,7 +701,7 @@ class ExchangeTransport(Transport):
                     f"one-way {kind} message to {dst!r} produced a reply"
                 )
             return b""
-        self._note(Message(dst, self.site_id, reply_kind, payload))
+        self._note(dst, self.site_id, reply_kind, payload)
         return payload
 
     def ping(self, dst: str, timeout: float = 2.0) -> float:
@@ -792,8 +843,7 @@ class ExchangeTransport(Transport):
                 if frame is None or isinstance(frame, Goodbye):
                     break
                 if isinstance(frame, _REQUESTS):
-                    with self._handler_slots:
-                        self._serve_request(conn, frame)
+                    self._serve_request(conn, frame)
                 elif isinstance(frame, Ping):
                     conn.send(encode_frame(Pong(frame.token)))
                 else:
@@ -814,26 +864,33 @@ class ExchangeTransport(Transport):
                 cache.discard(conn.served)
                 conn.served = key
             encoded = cache.get(key)
-            if encoded is None:
-                running = self._inflight.get(key)
-                if running is None:
-                    self._inflight[key] = threading.Event()
-        if encoded is None and running is None:
+            run = encoded is None and key not in self._inflight
+            if run:
+                # Gated first, so a retransmission waits for this run
+                # even while it waits for a handler slot itself.
+                self._inflight.add(key)
+                while self._handlers >= MAX_HANDLERS:
+                    self._wait_at_gate()
+                self._handlers += 1
+            elif encoded is None:
+                # A retransmission while the first transmission's
+                # handler still runs: wait for that one run.
+                while key in self._inflight:
+                    self._wait_at_gate()
+                encoded = cache.get(key)
+                if encoded is None:
+                    return  # that run died; the peer will retransmit
+        if run:
             try:
                 encoded = self._execute(conn, request)
             finally:
                 with self._lock:
                     if encoded is not None:
                         cache.put(key, encoded)
-                    self._inflight.pop(key).set()
-        elif encoded is None:
-            # A retransmission while the first transmission's handler
-            # still runs: wait for that one run.
-            running.wait()
-            with self._lock:
-                encoded = cache.get(key)
-            if encoded is None:
-                return  # that run died; the peer will retransmit
+                    self._inflight.discard(key)
+                    self._handlers -= 1
+                    if self._waiting:
+                        self._gate.notify_all()
         if self._faults is not None:
             with self._lock:
                 action = self._faults.reply_action()
@@ -845,10 +902,18 @@ class ExchangeTransport(Transport):
         except OSError:
             pass  # the peer will retransmit and hit the reply cache
 
+    def _wait_at_gate(self) -> None:
+        """Wait, holding ``_lock``, until a handler finishes."""
+        self._waiting += 1
+        try:
+            self._gate.wait()
+        finally:
+            self._waiting -= 1
+
     def _execute(self, conn: Connection, request) -> bytes:
         """Dispatch one request to its handler, on this thread."""
         try:
-            kind = MessageKind(request.kind)
+            kind = _KINDS.get(request.kind) or MessageKind(request.kind)
             if self._faults is not None:
                 with self._lock:
                     if self._faults.crash_on_receive(kind):

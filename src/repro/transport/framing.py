@@ -39,23 +39,30 @@ The codec is *compiled* (DESIGN.md §9): ``_FRAME_TABLE`` declares each
 frame's fields in wire order and ``_compile`` generates one encoder
 and one decoder per type from it on first use, as :mod:`repro.xdr.raw`
 does per datum — fixed-width words through one ``struct.Struct`` per
-run, site ids / kinds / segment names spliced from bounded intern
-tables, clock and payload by offset off the one ``memoryview``.  The
-byte image and every check are those of the per-field ladder it
-replaced (``tests/transport/frame_ladder.py``, the differential
-oracle); every failure is a :class:`FramingError`, bad UTF-8 included.
+run, site ids / kinds / segment names spliced from the bounded intern
+table :mod:`repro.xdr.stream` keeps for every codec, clock and payload
+by offset off the one ``memoryview``.  The byte image and every check
+are those of the per-field ladder it replaced
+(``tests/transport/frame_ladder.py``, the differential oracle); every
+failure is a :class:`FramingError`, bad UTF-8 included.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple, Union
 
 from repro.transport.base import TransportError
-from repro.xdr.stream import XdrEncoder
+from repro.xdr.errors import XdrError
+from repro.xdr.stream import (
+    IMAGES,
+    TEXTS,
+    XdrEncoder,
+    image_text,
+    string_image,
+)
 
 #: Current wire protocol version, sent in every HELLO/WELCOME.
 #: Version 2 added the piggybacked vector clock on REQUEST/REPLY.
@@ -214,6 +221,16 @@ Frame = Union[
 ]
 
 
+def new_frame(cls, **fields) -> Frame:
+    """``cls(**fields)`` with *every* field given, built as the compiled
+    decoders build theirs: one ``__dict__`` update instead of the
+    frozen dataclass's ``__setattr__`` per field.  For the frames an
+    exchange builds every time; anywhere else, call the class."""
+    frame = object.__new__(cls)
+    frame.__dict__.update(fields)
+    return frame
+
+
 # -- the frame table and the codec compiled from it -------------------------
 #
 # One row per frame type: class, type word, and the body's fields in
@@ -243,50 +260,19 @@ _U64 = struct.Struct("!Q")
 _NO_CLOCK = bytes(4)
 _PADS = (b"", bytes(3), bytes(2), bytes(1))
 
-#: The intern tables: a string (site id, kind, segment name) <-> its
-#: whole XDR image (length word, UTF-8 bytes, zero padding), checked
-#: once on the way in.  The decode side is keyed by bytes a peer chose,
-#: so both are cleared at ``INTERN_CAP`` entries rather than left to grow.
-INTERN_CAP = 1024
-_IMAGES: Dict[str, bytes] = {}
-_TEXTS: Dict[bytes, str] = {}
-_INTERN_LOCK = threading.Lock()
 
-
-def _intern(text: str, image: bytes) -> None:
-    with _INTERN_LOCK:
-        if len(_IMAGES) >= INTERN_CAP:
-            _IMAGES.clear()
-            _TEXTS.clear()
-        _IMAGES[text] = image
-        _TEXTS[image] = text
-
-
-def _intern_text(text: str) -> bytes:
-    """The XDR image of ``text`` (encode-side intern miss)."""
-    raw = text.encode("utf-8")
-    image = _U32.pack(len(raw)) + raw + _PADS[len(raw) & 3]
-    _intern(text, image)
-    return image
-
-
-def _intern_image(image: bytes) -> str:
-    """Check and decode one string image (decode-side intern miss)."""
-    end = 4 + _U32.unpack_from(image)[0]
-    if len(image) != end + (-end & 3) or any(image[end:]):
-        raise FramingError("malformed frame body: bad string extent")
+def _text(image: bytes) -> str:
+    """Check and decode one string image (an intern-table miss)."""
     try:
-        text = str(image[4:end], "utf-8")
-    except UnicodeDecodeError as exc:
+        return image_text(image)
+    except XdrError as exc:
         raise FramingError(f"malformed frame body: {exc}") from None
-    _intern(text, image)
-    return text
 
 
 def _clock_image(clock: Tuple[Tuple[str, int], ...]) -> bytes:
     parts = [_U32.pack(len(clock))]
     for site, count in clock:
-        parts += _IMAGES.get(site) or _intern_text(site), _U64.pack(count)
+        parts += IMAGES.get(site) or string_image(site), _U64.pack(count)
     return b"".join(parts)
 
 
@@ -296,9 +282,9 @@ def _decode_clock(view: memoryview, offset: int, count: int):
     for _ in range(count):
         end = offset + 4 + (_U32.unpack_from(view, offset)[0] + 3 & -4)
         image = view[offset:end].tobytes()
-        site = _TEXTS.get(image)
+        site = TEXTS.get(image)
         if site is None:
-            site = _intern_image(image)
+            site = _text(image)
         clock.append((site, _U64.unpack_from(view, end)[0]))
         offset = end + 8
     return tuple(clock), offset
@@ -342,7 +328,7 @@ def _compile(cls, type_word: int, layout: str) -> None:
             sizes.append(f"{name}_n + (-{name}_n & 3)")
         elif kind:
             encode.append(
-                f"{name} = _IMAGES.get(f.{name}) or _intern_text(f.{name})"
+                f"{name} = IMAGES.get(f.{name}) or string_image(f.{name})"
                 if kind == "s" else
                 f"{name} = _clock_image(f.{name}) if f.{name} else _NO_CLOCK"
             )
@@ -384,8 +370,8 @@ def _compile(cls, type_word: int, layout: str) -> None:
             decode += [
                 f"_at = {pos(-4)}",
                 f"_off = {pos()} + (_len + 3 & -4)",
-                f"{name} = _TEXTS.get(_image := _view[_at:_off].tobytes())",
-                f"if {name} is None: {name} = _intern_image(_image)",
+                f"{name} = TEXTS.get(_image := _view[_at:_off].tobytes())",
+                f"if {name} is None: {name} = _text(_image)",
             ]
         elif kind == "c":
             decode += [

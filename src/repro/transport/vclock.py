@@ -68,7 +68,7 @@ class VectorClock:
             order = self._order
             if len(order) != len(clock):  # sites are only ever added
                 order = self._order = sorted(clock)
-            return tuple([(site, clock[site]) for site in order])
+            return tuple(zip(order, map(clock.__getitem__, order)))
 
     def merge_wire(self, pairs: WireClock) -> None:
         """:meth:`merge` for a snapshot in wire form."""

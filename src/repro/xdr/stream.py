@@ -19,12 +19,19 @@ The streams are built for a zero-copy wire path:
   ``bytes``, ``bytearray`` or ``memoryview`` input, so nested decoders
   (frame -> batch -> item) can share one buffer.  The ``*_view``
   readers hand back sub-views without copying.
+* Strings travel as whole interned images: :data:`IMAGES` maps a
+  string to its XDR image (length word, UTF-8 bytes, zero padding) and
+  :data:`TEXTS` maps an image back, so the site ids, session ids, type
+  ids and kinds every message repeats cost one dict probe each way.
+  One capped table serves the frame codec
+  (:mod:`repro.transport.framing`) and every payload codec.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Union
+import threading
+from typing import Dict, Union
 
 from repro.xdr.errors import XdrError
 
@@ -39,8 +46,69 @@ _F32 = struct.Struct(">f")
 _F64 = struct.Struct(">d")
 
 _ZEROS = bytes(4)
+_PADS = (b"", bytes(3), bytes(2), bytes(1))
 
 Readable = Union[bytes, bytearray, memoryview]
+
+#: Entries the intern table holds before it is cleared.  The decode
+#: side is keyed by bytes a peer chose, so both directions are cleared
+#: at the cap rather than left to grow.
+INTERN_CAP = 1024
+
+#: The longest image the table takes: ids recur, data strings (RPC
+#: arguments, error texts) need not, and must not be kept alive.
+INTERN_MAX_BYTES = 256
+
+#: The intern table: string -> whole XDR image, and image -> string.
+#: Read them with ``.get``; a miss goes through :func:`string_image` /
+#: :func:`image_text`, which check and insert.
+IMAGES: Dict[str, bytes] = {}
+TEXTS: Dict[bytes, str] = {}
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(text: str, image: bytes) -> None:
+    if len(image) > INTERN_MAX_BYTES:
+        return
+    with _INTERN_LOCK:
+        if len(IMAGES) >= INTERN_CAP or len(TEXTS) >= INTERN_CAP:
+            IMAGES.clear()
+            TEXTS.clear()
+        IMAGES[text] = image
+        TEXTS[image] = text
+
+
+def string_image(text: str) -> bytes:
+    """The XDR image of ``text``: length word, UTF-8 bytes, padding."""
+    image = IMAGES.get(text)
+    if image is None:
+        raw = text.encode("utf-8")
+        image = _U32.pack(len(raw)) + raw + _PADS[len(raw) & 3]
+        _intern(text, image)
+    return image
+
+
+def image_text(image: bytes) -> str:
+    """The string one whole XDR image stands for.
+
+    A miss is checked before it enters the table: the length word must
+    account for every byte, the padding must be zero and the bytes
+    UTF-8, or it is an :class:`XdrError`.
+    """
+    text = TEXTS.get(image)
+    if text is not None:
+        return text
+    end = 4 + _U32.unpack_from(image)[0]
+    if len(image) != end + (-end & 3):
+        raise XdrError("bad XDR string extent")
+    if any(image[end:]):
+        raise XdrError(f"nonzero XDR padding {image[end:]!r}")
+    try:
+        text = str(image[4:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise XdrError(f"bad XDR string: {exc}") from None
+    _intern(text, image)
+    return text
 
 
 class XdrEncoder:
@@ -113,7 +181,7 @@ class XdrEncoder:
 
     def pack_string(self, text: str) -> None:
         """Append a UTF-8 string as variable-length opaque."""
-        self.pack_opaque(text.encode("utf-8"))
+        self._buf += IMAGES.get(text) or string_image(text)
 
     def pack_struct(self, codec: struct.Struct, *values) -> None:
         """Append ``values`` through a precompiled canonical ``Struct``.
@@ -221,8 +289,15 @@ class XdrDecoder:
         return self.unpack_fixed_view(self.unpack_uint32())
 
     def unpack_string(self) -> str:
-        """Read a UTF-8 string."""
-        return str(self.unpack_fixed_view(self.unpack_uint32()), "utf-8")
+        """Read a UTF-8 string (one :data:`TEXTS` probe when interned)."""
+        view, offset = self._view, self._cursor
+        end = offset + 4
+        if end <= self._len:
+            end += _U32.unpack_from(view, offset)[0] + 3 & -4
+        self._advance(end - offset)  # the whole image, or the underflow
+        image = view[offset:end].tobytes()
+        text = TEXTS.get(image)
+        return text if text is not None else image_text(image)
 
     def unpack_struct(self, codec: struct.Struct) -> tuple:
         """Read ``codec.size`` bytes through a precompiled ``Struct``."""

@@ -170,15 +170,16 @@ class TestResidencyAndRelease:
         for address in (0x1000, 0x2000, 0x3000):
             entries.append(cache.ensure_entry(remote_pointer(address)))
             cache.finish_datum()
-        cache.hold_releases()
+        held = []
         for entry in entries:
-            cache.mark_resident(entry)
+            cache.mark_resident(entry, held)
+        assert held == [entry.page_number for entry in entries]
         assert all(
             space.protection_of(entry.page_number) is Protection.NONE
             for entry in entries
         )
         before = space.generation
-        cache.release_held()
+        space.protect_pages(held, Protection.READ)
         assert space.generation == before + 1
         assert all(
             space.protection_of(entry.page_number) is Protection.READ

@@ -125,6 +125,26 @@ class TestHandlePool:
         assert decoded.lookup(2) == ("B", "t2")
 
 
+    def test_a_decoded_pool_is_its_own(self):
+        """Interning into one decoded pool leaves the next one decoded
+        from the same head alone."""
+        pool = HandlePool()
+        pool.intern("A", "t1")
+        head = pool.head()
+        first = HandlePool.decode(XdrDecoder(head))
+        first.intern("C", "t3")
+        second = HandlePool.decode(XdrDecoder(head))
+        assert second.pairs == [("A", "t1")] and len(first) == 2
+
+    def test_a_bad_pool_table_is_rejected(self):
+        image = bytearray(HandlePool([("A", "t9")]).head())
+        image[-1] = 1  # padding after "t9"
+        with pytest.raises(XdrError):
+            HandlePool.decode(XdrDecoder(bytes(image)))
+        with pytest.raises(XdrError):  # two pairs announced, one present
+            HandlePool.decode(XdrDecoder(b"\x00\x00\x00\x02" + image[4:]))
+
+
 class TestPooledEncoding:
     def test_round_trip(self):
         pool = HandlePool()

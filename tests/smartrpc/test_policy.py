@@ -46,7 +46,7 @@ class FakeState:
         self.transfer_stats = TransferLedger()
 
     def prefetch(self, shipped, touched):
-        self.transfer_stats.record_shipped(shipped, prefetched=True)
+        self.transfer_stats.record_fill(0, shipped)
         if touched:
             self.transfer_stats.record_touched(touched, prefetched=True)
 

@@ -15,6 +15,8 @@ as separate processes would.
 import glob
 import os
 import re
+import select
+import socket
 import sys
 import threading
 import time
@@ -30,6 +32,19 @@ from repro.transport.base import (
     TransportError,
 )
 from repro.transport.exchange import Connection
+from repro.transport.framing import (
+    LENGTH_PREFIX,
+    PROTOCOL_VERSION,
+    Goodbye,
+    Hello,
+    Ping,
+    Pong,
+    Request,
+    Welcome,
+    decode_frame,
+    encode_frame,
+    frame_length,
+)
 from repro.transport.shm import (
     NAME_PREFIX,
     SHM_DIR,
@@ -133,6 +148,63 @@ def _counting_server(stacks, **kwargs):
     return server, calls
 
 
+def _raw(server):
+    """A bare socket connected where ``server`` listens."""
+    if isinstance(server.address, tuple):
+        return socket.create_connection(server.address, 2.0)
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(2.0)
+    raw.connect("\0" + server.address)
+    return raw
+
+
+def split_buffer(buffer):
+    """Parse one frame off the front of ``buffer`` if complete.
+
+    Returns ``(frame, rest)``; ``frame`` is ``None`` while the buffer
+    holds less than one whole frame.  The carriers read frames straight
+    off their sockets; a test reading a raw socket buffers with this.
+    """
+    if len(buffer) < LENGTH_PREFIX.size:
+        return None, buffer
+    end = LENGTH_PREFIX.size + frame_length(buffer[: LENGTH_PREFIX.size])
+    if len(buffer) < end:
+        return None, buffer
+    body = memoryview(buffer)[LENGTH_PREFIX.size : end]
+    return decode_frame(body), buffer[end:]
+
+
+def _handshake(raw, site_id="X"):
+    raw.sendall(encode_frame(Hello(PROTOCOL_VERSION, site_id)))
+    buffer = b""
+    frame = None
+    while frame is None:
+        buffer += raw.recv(4096)
+        frame, buffer = split_buffer(buffer)
+    assert isinstance(frame, Welcome)
+    return buffer
+
+
+def _read_frame(raw):
+    """The next whole frame off a raw socket (``None`` at EOF)."""
+    buffer = b""
+    frame = None
+    while frame is None:
+        chunk = raw.recv(4096)
+        if not chunk:
+            return None
+        buffer += chunk
+        frame, buffer = split_buffer(buffer)
+    return frame
+
+
+def _until(condition, within=5.0):
+    deadline = time.monotonic() + within
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
 def test_one_skeleton_under_both_carriers():
     """The fork cannot quietly come back: exchanging, awaiting, pooling,
     dialling, accepting and serving are the same function objects on
@@ -170,6 +242,26 @@ def test_connection_pool_reuses_one_dial(stacks):
     for index in range(10):
         _call(client, str(index).encode())
     assert client.dials["B"] == 1
+
+
+@pytest.mark.parametrize("ending", ["close", "goodbye"])
+def test_pooled_connection_the_peer_ended_is_redialled(stacks, ending):
+    """A pooled connection whose peer closed it, or sent GOODBYE on it,
+    while it sat idle is found dead when next taken: dialled afresh,
+    and nothing counts as a retransmission, as nothing was sent."""
+    server = _echo_server(stacks)
+    client = stacks("A")
+    assert _call(client) == b"echo:hi"
+    (served,) = [conn for conn in server._conns if conn.peer == "A"]
+    if ending == "goodbye":
+        served.send(encode_frame(Goodbye("B", "going away")))
+    else:
+        served.shutdown()
+    (pooled,) = client._pool["B"]
+    assert select.select([pooled.sock], [], [], 5.0)[0]
+    assert _call(client, b"again") == b"echo:again"
+    assert client.dials == {"B": 2}
+    assert client.retransmissions == 0
 
 
 def test_handshake_version_mismatch_refused(stacks):
@@ -267,6 +359,50 @@ def test_retransmission_waits_for_the_running_handler(stacks):
     assert server.endpoint.reply_cache.retransmission_hits >= 1
 
 
+@pytest.mark.filterwarnings(
+    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+)
+def test_a_dead_run_wakes_every_retransmission_at_the_gate(stacks):
+    """The first run's handler raises past the handler-error envelope
+    (``SystemExit`` ends its serving thread), so no reply is cached:
+    every retransmission waiting at the in-flight gate wakes, sends no
+    reply, and the handler ran once."""
+    server = stacks("B")
+    runs = []
+    release = threading.Event()
+
+    def dying(message):
+        runs.append(bytes(message.payload))
+        assert release.wait(10)
+        raise SystemExit
+
+    server.endpoint.register_handler(MessageKind.CALL, dying)
+    request = encode_frame(
+        Request(7, "X", "B", MessageKind.CALL.value, True, b"once")
+    )
+    first, *copies = raws = [_raw(server) for _ in range(3)]
+    try:
+        for raw in raws:
+            assert _handshake(raw) == b""
+        first.sendall(request)
+        _until(lambda: runs)
+        for raw in copies:  # retransmissions of exchange 7
+            raw.sendall(request)
+        _until(lambda: server._waiting == len(copies))
+        release.set()
+        _until(lambda: not server._waiting)
+        # Each copy's connection answers a PING next: no REPLY first.
+        for token, raw in enumerate(copies):
+            raw.sendall(encode_frame(Ping(token)))
+            assert _read_frame(raw) == Pong(token)
+        assert _read_frame(first) is None  # the dead run's connection
+        assert runs == [b"once"]
+        assert not server._inflight
+    finally:
+        for raw in raws:
+            raw.close()
+
+
 def test_retry_exhaustion_raises(stacks):
     _echo_server(stacks)
     client = stacks(
@@ -290,6 +426,41 @@ def test_whole_exchange_cap(stacks):
         r"2 attempt\(s\) \(.+\)",
         str(excinfo.value),
     )
+
+
+def test_a_slow_send_does_not_stretch_the_attempt(stacks, monkeypatch):
+    """The reply is awaited only until the attempt's deadline: time the
+    request took to leave is not granted to the reply again."""
+    stalled = threading.Event()
+    release = threading.Event()
+    server = stacks("B")
+
+    def handler(message):
+        if stalled.is_set():
+            release.wait(5)
+        return b"ok"
+
+    server.endpoint.register_handler(MessageKind.CALL, handler)
+    timeout = 0.4
+    client = stacks("A", retry=RetryPolicy(timeout=timeout, max_attempts=1))
+    assert _call(client) == b"ok"  # dialled and pooled at full speed
+    caller = threading.current_thread()
+    send = Connection.send
+
+    def slow_send(self, data, deadline=None):
+        send(self, data, deadline)
+        if threading.current_thread() is caller:
+            time.sleep(0.3)  # a sendall that used most of the attempt
+
+    monkeypatch.setattr(Connection, "send", slow_send)
+    stalled.set()
+    started = time.monotonic()
+    try:
+        with pytest.raises(TransportError, match="failed after 1 attempts"):
+            _call(client)
+        assert time.monotonic() - started < timeout + 0.2
+    finally:
+        release.set()
 
 
 def test_connect_failure_backs_off_per_carrier(stacks):

@@ -34,17 +34,17 @@ from repro.transport.framing import (
     PROTOCOL_VERSION,
     Hello,
     Request,
-    Welcome,
-    decode_frame,
     encode_frame,
-    frame_length,
 )
 from repro.transport.shm import purge_stale_segments
 from tests.transport.exchange_contract import _call as _echo
-from tests.transport.exchange_contract import (
+from tests.transport.exchange_contract import (  # noqa: F401 - re-exported
     _echo_server,
+    _handshake,
+    _raw,
     hammer,
     opened_stacks,
+    split_buffer,
 )
 
 #: No timeout fires unless a test wants one to.
@@ -145,16 +145,6 @@ def test_slow_handler_runs_once_across_a_retransmission(stacks):
     assert client.dials == {"B": 2}
 
 
-def _raw(server):
-    """A bare socket connected where ``server`` listens."""
-    if isinstance(server.address, tuple):
-        return socket.create_connection(server.address, 2.0)
-    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    raw.settimeout(2.0)
-    raw.connect("\0" + server.address)
-    return raw
-
-
 def _closed_by_peer(raw):
     """Whether the peer closes ``raw`` (EOF or reset) within its
     timeout, whatever it sends first."""
@@ -166,33 +156,6 @@ def _closed_by_peer(raw):
     except OSError:
         pass
     return True
-
-
-def split_buffer(buffer):
-    """Parse one frame off the front of ``buffer`` if complete.
-
-    Returns ``(frame, rest)``; ``frame`` is ``None`` while the buffer
-    holds less than one whole frame.  The carriers read frames straight
-    off their sockets; a test reading a raw socket buffers with this.
-    """
-    if len(buffer) < LENGTH_PREFIX.size:
-        return None, buffer
-    end = LENGTH_PREFIX.size + frame_length(buffer[: LENGTH_PREFIX.size])
-    if len(buffer) < end:
-        return None, buffer
-    body = memoryview(buffer)[LENGTH_PREFIX.size : end]
-    return decode_frame(body), buffer[end:]
-
-
-def _handshake(raw, site_id="X"):
-    raw.sendall(encode_frame(Hello(PROTOCOL_VERSION, site_id)))
-    buffer = b""
-    frame = None
-    while frame is None:
-        buffer += raw.recv(4096)
-        frame, buffer = split_buffer(buffer)
-    assert isinstance(frame, Welcome)
-    return buffer
 
 
 def test_hostile_peer_is_local_damage(stacks, monkeypatch):

@@ -36,6 +36,7 @@ from repro.transport.framing import (
     encode_frame,
     encode_frame_into,
 )
+from repro.xdr import stream
 from repro.xdr.stream import XdrEncoder
 from tests.transport import frame_ladder
 
@@ -289,7 +290,7 @@ def test_mutation_fuzz_accepts_and_rejects_like_the_ladder():
 
 
 def test_intern_tables_stay_bounded_under_distinct_ids():
-    cap = framing.INTERN_CAP
+    cap = stream.INTERN_CAP
     for index in range(10_000):
         frame = Request(
             index, f"site-{index}", f"peer-{index}", f"kind-{index}",
@@ -299,15 +300,15 @@ def test_intern_tables_stay_bounded_under_distinct_ids():
         # interning of ids it has never seen.
         body = frame_ladder.encode_frame(frame)[LENGTH_PREFIX.size :]
         assert decode_frame(body) == frame
-        assert len(framing._TEXTS) <= cap and len(framing._IMAGES) <= cap
+        assert len(stream.TEXTS) <= cap and len(stream.IMAGES) <= cap
     assert encode_frame(frame) == frame_ladder.encode_frame(frame)
     # Hostile ids never entered the tables at all.
     poisoned = bytearray(encode_frame(Hello(2, "never-seen-before")))
     poisoned[-3] = 0xFF
-    before = len(framing._TEXTS)
+    before = len(stream.TEXTS)
     with pytest.raises(FramingError):
         decode_frame(bytes(poisoned[LENGTH_PREFIX.size :]))
-    assert len(framing._TEXTS) == before
+    assert len(stream.TEXTS) == before
 
 
 def test_concurrent_codec_calls_share_no_buffer():

@@ -32,12 +32,9 @@ a real carrier instead and records ``BENCH_tcp.json`` /
 metrics (results, round trips, bytes shipped — identical to simnet by
 the transport-equivalence property); seconds over a real carrier are
 wall time and are recorded for reference only.  The shm file also
-records the raw carrier page-fill slopes (shared memory collapses the
-per-byte cost of bulk shipping to the plain-memcpy floor; see
-``repro.bench.carrier``) and the Figure 4 eager/lazy crossover sweep
-over both real carriers — cheap bulk bytes are the force pushing the
-crossover toward eager, and the shm crossover is never later than
-tcp's — and ``carrier_rtt_us``, the 16-byte echo and PING round trips
+records the raw carrier page-fill slopes of both carriers next to a
+plain memcpy (see ``repro.bench.carrier``), the Figure 4 eager/lazy
+crossover sweep over both real carriers, and ``carrier_rtt_us``, the 16-byte echo and PING round trips
 over both carriers next to the same ping-pong over a bare blocking
 socket and one ``Request`` through the frame codec and back, all
 pinned to one CPU, with two shape gates on ``--compare``: each
@@ -264,14 +261,10 @@ def record_carrier(transport: str) -> Dict:
         "round_trip_reduction_vs_paper": _round_trip_reductions(runs),
     }
     if transport == SHM:
-        # The headline claim: the shm carrier collapses the per-byte
-        # cost of bulk shipping to the shared memcpy floor, the force
-        # that pushes the Figure 4 crossover toward eager.  Both the
-        # raw slopes and both carriers' crossover sweeps land in the
-        # file so the effect is visible in one place.  (At the paper's
-        # 16-byte tree nodes the sweep itself is marshalling-bound, so
-        # the recorded invariant is that the shm crossover is never
-        # later than tcp's; the collapse shows in the slopes.)
+        # The per-byte cost of bulk shipping over each carrier, and
+        # the Figure 4 crossover over each: both land in one file so a
+        # carrier difference is visible in one place.  (At the paper's
+        # 16-byte tree nodes the sweep is marshalling-bound.)
         record["carrier_page_fill_ns_per_byte"] = {
             "memcpy": round(memcpy_per_byte() * 1e9, 4),
             TCP: round(carrier_per_byte(TCP) * 1e9, 4),

@@ -138,11 +138,6 @@ _CATALOG: List[Rule] = [
     Rule("SRPC322", Severity.ERROR,
          "space kept using a session's data plane after reaping it "
          "(fault, write or data-batch activity after orphan-reaped)"),
-    # -- shared-memory carrier rules (SRPC330) -----------------------------
-    Rule("SRPC330", Severity.ERROR,
-         "segment-handover record breaks a shm carrier promise "
-         "(missing handover field, stale or regressed segment epoch, "
-         "torn extent shape, or a non-monotonic causal stamp)"),
     # -- happens-before race rules (SRPC4xx, the coherency sanitizer) -----
     Rule("SRPC400", Severity.ERROR,
          "data race: two writes in one session with concurrent vector "

@@ -1,4 +1,4 @@
-"""Trace conformance checker (SRPC1xx, SRPC30x–SRPC330).
+"""Trace conformance checker (SRPC1xx, SRPC30x–SRPC32x).
 
 :func:`analyze_trace_file` is the one way a trace log is loaded and
 checked: it parses the log once and runs these rules and the coherency
@@ -58,23 +58,6 @@ A session that aborted is excused from the clean-shutdown rules: its
 ``session-end`` obligations (SRPC102/SRPC103) and the open-session
 warning (SRPC105) do not apply.
 
-Shared-memory traces record a ``segment-handover`` event for every
-zero-copy extent mapping (the shm carrier ships offsets, not bytes),
-and each one is checked against the carrier's promises (SRPC330):
-
-* the record must carry the full handover tuple — src, dst, kind,
-  segment, offset, length, extent, epoch, segment_epoch — plus the
-  site/seq/vc causal stamp every protocol event carries;
-* the frame's epoch must equal the segment's live epoch word at
-  mapping time: a mismatch means the reader mapped memory whose owner
-  had already restarted or shut down;
-* a segment's observed epoch never regresses — epochs only bump;
-* every handover of one (segment, extent) stamp agrees on its offset
-  and length — disagreement is a torn or recycled extent;
-* the receiver's vector clock must dominate the sender (the handover
-  happens strictly after the extent was published) and must never
-  step backwards between handovers recorded at one site.
-
 Diagnostics point at ``tracefile:line`` where the line number is the
 offending record's position in the log.
 """
@@ -106,23 +89,6 @@ PROTOCOL_CATEGORIES = (
     "orphan-reaped",
     "writeback-phase",
     "piggyback-apply",
-    "segment-handover",
-)
-
-#: Everything one segment-handover record must carry (SRPC330).
-HANDOVER_FIELDS = (
-    "src",
-    "dst",
-    "kind",
-    "segment",
-    "offset",
-    "length",
-    "extent",
-    "epoch",
-    "segment_epoch",
-    "site",
-    "seq",
-    "vc",
 )
 
 
@@ -143,9 +109,6 @@ def check_events(
     ended = set()  # sessions with a session-end record
     prepared = set()  # (space, session) with a staged writeback-prepare
     reaped_so_far = set()  # (space, session) reaped, in event order
-    segment_epochs = {}  # segment name -> highest epoch observed
-    extent_shapes = {}  # (segment, extent) -> (offset, length)
-    handover_clocks = {}  # recording site -> merged handover vc
 
     # Policy declarations, gathered up front so a decision is checked
     # against its space's declaration regardless of record order.
@@ -263,15 +226,6 @@ def check_events(
                     session=session,
                     space=space,
                 )
-        elif event.category == "segment-handover":
-            _check_segment_handover(
-                data,
-                segment_epochs,
-                extent_shapes,
-                handover_clocks,
-                collector,
-                loc(index),
-            )
         elif event.category == "policy-decision":
             declaration = declared.get((data.get("space"), session))
             if declaration is None:
@@ -441,109 +395,6 @@ def _check_data_batch(
         )
     if kind == "prefetch":
         inflight[(space, session, fetch_id)] = set(pages)
-
-
-def _check_segment_handover(
-    data: dict,
-    segment_epochs: dict,
-    extent_shapes: dict,
-    handover_clocks: dict,
-    collector: DiagnosticCollector,
-    location: SourceLocation,
-) -> None:
-    """SRPC330: one zero-copy handover against the carrier's promises.
-
-    The shm carrier ships segment offsets instead of bytes, so the
-    trace is the only place the safety argument is visible offline:
-    every mapping must reference the segment's *current* epoch (no
-    reads of freed memory), extents must be immutable once published,
-    and the receiver's clock must prove it mapped the extent after the
-    sender published it.
-    """
-    missing = [f for f in HANDOVER_FIELDS if f not in data]
-    if missing:
-        collector.emit(
-            "SRPC330",
-            "segment-handover record lacks field(s) "
-            f"{', '.join(missing)}",
-            location,
-            hint="every zero-copy mapping must record the full "
-            "handover tuple (src, dst, kind, segment, offset, length, "
-            "extent, epoch, segment_epoch) plus its site/seq/vc stamp",
-            missing=missing,
-        )
-        return
-    segment = data["segment"]
-    epoch = data["epoch"]
-    seg_epoch = data["segment_epoch"]
-    if epoch != seg_epoch:
-        collector.emit(
-            "SRPC330",
-            f"space {data['dst']!r} mapped extent {data['extent']} of "
-            f"{segment!r} under frame epoch {epoch} while the segment "
-            f"was at epoch {seg_epoch}",
-            location,
-            hint="a handover is only safe against the segment's "
-            "current epoch; a stale-epoch mapping reads memory whose "
-            "owner restarted or shut down",
-            segment=segment,
-        )
-    highest = segment_epochs.get(segment)
-    if highest is not None and seg_epoch < highest:
-        collector.emit(
-            "SRPC330",
-            f"segment {segment!r} regressed from epoch {highest} to "
-            f"{seg_epoch}",
-            location,
-            hint="segment epochs only bump (restart, shutdown, "
-            "crash-invalidation); a regression means the segment name "
-            "was recycled or the trace is corrupt",
-            segment=segment,
-        )
-    segment_epochs[segment] = max(seg_epoch, highest or 0)
-    shape = (data["offset"], data["length"])
-    prior = extent_shapes.setdefault((segment, data["extent"]), shape)
-    if prior != shape:
-        collector.emit(
-            "SRPC330",
-            f"extent {data['extent']} of {segment!r} was handed over "
-            f"as (offset {shape[0]}, {shape[1]}B) after an earlier "
-            f"handover saw (offset {prior[0]}, {prior[1]}B)",
-            location,
-            hint="an extent stamp names one immutable reservation; "
-            "two shapes under one stamp is a torn or recycled extent",
-            segment=segment,
-        )
-    site = data["site"]
-    vc = dict(data["vc"] or {})
-    if not vc.get(data["src"]):
-        collector.emit(
-            "SRPC330",
-            f"space {data['dst']!r} mapped an extent from "
-            f"{data['src']!r} whose vector clock has no "
-            f"{data['src']!r} component: the handover does not "
-            "happen-after the extent was published",
-            location,
-            segment=segment,
-        )
-    previous = handover_clocks.get(site)
-    if previous is not None and any(
-        vc.get(peer, 0) < count for peer, count in previous.items()
-    ):
-        collector.emit(
-            "SRPC330",
-            f"site {site!r} recorded a handover whose vector clock "
-            "steps backwards from its previous handover",
-            location,
-            hint="one site's clock only moves forward; a reordered "
-            "or rewound stamp breaks the happens-before argument the "
-            "sanitizer replays",
-            site=site,
-        )
-    merged = dict(previous or {})
-    for peer, count in vc.items():
-        merged[peer] = max(merged.get(peer, 0), count)
-    handover_clocks[site] = merged
 
 
 def _check_policy_decision(

@@ -1,11 +1,9 @@
 """Raw carrier microbenchmarks: the per-byte cost of a bulk reply.
 
 The smart-pointer runtime's dominant bulk operation is filling pages
-on the caller's side of an exchange.  The marginal per-byte cost of
-that fill is what the shm carrier is built to collapse: the server
-pays one production copy into its data segment and the client maps
-the extent in place, where TCP re-copies the body through framing,
-two socket buffers and a reassembled ``bytes``.  Everything here
+on the caller's side of an exchange.  Both carriers copy a reply body
+through framing, two socket buffers and a reassembled ``bytes``; they
+differ only in the socket's address family.  Everything here
 measures the *slope* between a small and a large reply, so every
 fixed per-exchange cost (frames, wakeups, dials) cancels out.
 :func:`carrier_rtt_us` measures exactly what the slopes cancel: the
@@ -37,7 +35,7 @@ from repro.transport.base import Transport
 from repro.transport.framing import Request, decode_frame, encode_frame_into
 from repro.xdr.stream import XdrEncoder
 
-from .harness import PATIENT_RETRY, SHM, make_carrier
+from .harness import PATIENT_RETRY, make_carrier
 
 #: The two reply sizes whose timing difference isolates per-byte cost.
 BULK_SMALL = 64 * 1024
@@ -68,7 +66,7 @@ def seconds_per_call(fn: Callable[[], None]) -> float:
     small host inflates an exchange by two orders of magnitude, and
     what is being measured here is the carrier, not the collector.
     """
-    fn()  # warm up (dial, segment map, allocator)
+    fn()  # warm up (dial, first buffers)
     gc.collect()
     gc.disable()
     try:
@@ -106,12 +104,10 @@ def memcpy_per_byte() -> float:
 
 
 @contextlib.contextmanager
-def _deployment(
-    carrier: str, **server_options
-) -> Iterator[Tuple[Transport, Transport]]:
+def _deployment(carrier: str) -> Iterator[Tuple[Transport, Transport]]:
     """A started, mutually introduced ``(server B, client A)`` pair."""
     with contextlib.closing(
-        make_carrier(carrier, "B", retry=PATIENT_RETRY, **server_options)
+        make_carrier(carrier, "B", retry=PATIENT_RETRY)
     ) as server, contextlib.closing(
         make_carrier(carrier, "A", retry=PATIENT_RETRY)
     ) as client:
@@ -126,7 +122,7 @@ def _percentiles_us(
     """``(p50, p99)`` microseconds of ``calls`` individually timed calls,
     under :func:`seconds_per_call`'s discipline: warmed up, collector
     off."""
-    for _ in range(20):  # dial, map segments, wake every service thread
+    for _ in range(20):  # dial, wake every service thread
         fn()
     gc.collect()
     gc.disable()
@@ -265,28 +261,17 @@ def carrier_per_byte(
 ) -> float:
     """Marginal per-byte seconds of a bulk reply over one carrier.
 
-    The server's handler performs exactly one production copy on both
-    carriers — ``bytes`` slicing for tcp, a ``reserve_payload`` fill
-    for shm — so the difference in slope is pure carrier overhead.
-    ``measured_hook`` (e.g. ``pytest-benchmark``'s pedantic runner)
-    receives the big-fetch closure while the deployment is still up.
+    The server's handler performs exactly one production copy (a
+    ``bytes`` slice), so the difference in slope between carriers is
+    carrier overhead.  ``measured_hook`` (e.g. ``pytest-benchmark``'s
+    pedantic runner) receives the big-fetch closure while the
+    deployment is still up.
     """
-    # The shm segment holds many big extents so the bump allocator
-    # never waits on the one-behind deferred reply acks.
-    options = {"segment_size": 64 * 1024 * 1024} if carrier == SHM else {}
-    with _deployment(carrier, **options) as (server, client):
-        source = memoryview(_SOURCE)
+    with _deployment(carrier) as (server, client):
 
-        if carrier == SHM:
-            def handler(message):
-                n = _SIZE_REQ.unpack(bytes(message.payload))[0]
-                payload = server.reserve_payload(n)
-                payload.view[:] = source[:n]
-                return payload
-        else:
-            def handler(message):
-                n = _SIZE_REQ.unpack(bytes(message.payload))[0]
-                return _SOURCE[:n]
+        def handler(message):
+            n = _SIZE_REQ.unpack(bytes(message.payload))[0]
+            return _SOURCE[:n]
 
         server.endpoint.register_handler(MessageKind.CALL, handler)
 

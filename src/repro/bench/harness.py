@@ -15,12 +15,11 @@ Worlds come in three transports (``transport=`` of :func:`make_world`):
   are genuine wall time.  Message/byte/fault counters are identical
   to simnet's, which the equivalence property test pins down.
 * ``shm`` — three :class:`~repro.transport.shm.ShmTransport` stacks
-  exchanging the same frames over local sockets, with bulk payloads
-  handed over as shared-memory segment offsets instead of copies;
+  exchanging the same frames over abstract ``AF_UNIX`` sockets;
   ``seconds`` are wall time, counters again identical.
 
-TCP and shm worlds own OS resources (ports, threads, shared-memory
-segments); use them as context managers or call :meth:`World.close`.
+TCP and shm worlds own OS resources (sockets, threads); use them as
+context managers or call :meth:`World.close`.
 
 A world's sites are built from three pieces the process host
 (:func:`repro.transport.host.make_space`) builds its one site from:
@@ -54,7 +53,7 @@ from repro.transport.base import (
     Transport,
     TransportError,
 )
-from repro.transport.shm import DEFAULT_SEGMENT_SIZE, ShmTransport
+from repro.transport.shm import ShmTransport
 from repro.transport.tcp import TcpTransport
 from repro.workloads.hashtable import (
     HASH_NODE_TYPE_ID,
@@ -139,8 +138,8 @@ SIMNET = "simnet"
 TCP = "tcp"
 SHM = "shm"
 #: The real carriers: ``tcp`` listens on a TCP socket; ``shm``
-#: (same-machine deployments) on a local socket beside its shared data
-#: segment, and its address is the transport's name.
+#: (same-machine deployments) on an abstract ``AF_UNIX`` socket, and
+#: its address is the transport's name.
 CARRIERS = (TCP, SHM)
 TRANSPORTS = (SIMNET,) + CARRIERS
 
@@ -166,18 +165,16 @@ def make_carrier(
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
     listen: bool = True,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ) -> Transport:
     """Build and start one real carrier stack for ``site_id``.
 
-    ``host`` and ``port`` are tcp's listening address, ``segment_size``
-    shm's data segment; the rest are
+    ``host`` and ``port`` are tcp's listening address; the rest are
     :class:`~repro.transport.exchange.ExchangeTransport`'s.
     """
     if transport == TCP:
         carrier, extras = TcpTransport, {"host": host, "port": port}
     elif transport == SHM:
-        carrier, extras = ShmTransport, {"segment_size": segment_size}
+        carrier, extras = ShmTransport, {}
     else:
         raise TransportError(
             f"unknown transport {transport!r} (expected one of "

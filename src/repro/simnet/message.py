@@ -79,13 +79,6 @@ class Message:
         kind: protocol role of the message.
         payload: encoded body.
         msg_id: unique id for tracing.
-        carrier_ref: carrier-owned resource backing ``payload``, if the
-            payload is a zero-copy view instead of an owned ``bytes``
-            (the shared-memory transport attaches a segment lease here;
-            a handler that must keep the payload alive past its own
-            return calls ``carrier_ref.retain()`` and later
-            ``release()``).  ``None`` on owned payloads and on every
-            simulated delivery.
     """
 
     src: str
@@ -93,7 +86,6 @@ class Message:
     kind: MessageKind
     payload: bytes
     msg_id: int = field(default_factory=lambda: next(_message_ids))
-    carrier_ref: object = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:

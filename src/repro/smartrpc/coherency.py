@@ -269,22 +269,13 @@ def handle_writeback_prepare(
     decoder = XdrDecoder(message.payload)
     session_id = decoder.unpack_string()
     ground_site = decoder.unpack_string()
-    # Staged as a view, not a copy.  On an owned payload the view just
-    # pins the ``bytes``; on a shared-memory delivery it aliases the
-    # ground's data segment, and retaining the carrier lease keeps the
-    # extent pinned there — the batch is never shipped twice, commit
-    # applies it straight out of the segment.
+    # Staged as a view, not a copy: every carrier hands a handler a
+    # payload that owns its bytes, so the view keeps them alive until
+    # commit.  A re-prepare supersedes what was staged.
     batch = decoder.unpack_opaque_view()
     decoder.expect_done()
     state = runtime.ensure_smart_session(session_id, ground_site)
-    _, superseded = state.take_staged()  # a re-prepare supersedes it
-    if superseded is not None:
-        superseded.release()
-    lease = message.carrier_ref
-    if lease is not None:
-        lease.retain()
     state.staged_writeback = batch
-    state.staged_writeback_lease = lease
     _record_phase(runtime, state, "prepare", len(batch))
     return b""
 
@@ -297,25 +288,13 @@ def handle_writeback_commit(
     session_id = decoder.unpack_string()
     decoder.expect_done()
     state = runtime._sessions.get(session_id)
-    staged, lease = (
-        state.take_staged() if state is not None else (None, None)
-    )
+    staged = state.take_staged() if state is not None else None
     if staged is None:
         raise SmartRpcError(
             f"{runtime.site_id}: writeback-commit for session "
             f"{session_id!r} without a staged prepare"
         )
-    try:
-        if lease is not None:
-            # The commit "flips the word": re-check the extent's stamp
-            # and epoch, then apply in place.  A ground that died and
-            # restarted bumped its segment epoch, so a stale staged
-            # batch fails loudly here instead of half-applying.
-            lease.validate()
-        transfer.apply_batch(runtime, state, staged, overwrite=True)
-    finally:
-        if lease is not None:
-            lease.release()
+    transfer.apply_batch(runtime, state, staged, overwrite=True)
     _record_phase(runtime, state, "commit", len(staged))
     return b""
 

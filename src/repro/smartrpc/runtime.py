@@ -90,11 +90,7 @@ class SmartSessionState(SessionState):
         # home space has staged but not yet committed, why this session
         # was torn down early (``None`` while healthy), and when it
         # opened (the session-deadline anchor).
-        self.staged_writeback: Optional[bytes] = None
-        # The carrier lease pinning a zero-copy staged batch in the
-        # ground's shared-memory segment (None on owned payloads);
-        # released whenever the staged batch is applied or discarded.
-        self.staged_writeback_lease: Optional[object] = None
+        self.staged_writeback: Optional[memoryview] = None
         self.abort_reason: Optional[str] = None
         self.opened_at = runtime.clock.now
         runtime.trace_event(
@@ -135,11 +131,9 @@ class SmartSessionState(SessionState):
         """
         self.withheld = self.since(peer)
 
-    def take_staged(self) -> Tuple[Optional[bytes], Optional[object]]:
-        """Unstage the write-back batch: ``(batch, lease)``, both cleared."""
-        staged = self.staged_writeback, self.staged_writeback_lease
-        self.staged_writeback = None
-        self.staged_writeback_lease = None
+    def take_staged(self) -> Optional[memoryview]:
+        """Unstage the write-back batch and return it."""
+        staged, self.staged_writeback = self.staged_writeback, None
         return staged
 
     def release(self) -> Tuple[int, int]:
@@ -149,9 +143,9 @@ class SmartSessionState(SessionState):
         the write-back committed), an invalidation and an abort all
         finish here.  In-flight prefetches are dropped, the cache area
         unmapped, the dirty relay and the memory batch cleared, and an
-        uncommitted staged batch discarded with its carrier pin, so an
-        aborted two-phase session leaves this space's originals
-        untouched.  Returns the ``(pages, entries)`` footprint dropped.
+        uncommitted staged batch discarded, so an aborted two-phase
+        session leaves this space's originals untouched.  Returns the
+        ``(pages, entries)`` footprint dropped.
         """
         self.pipeline.abandon()
         footprint = self.cache.footprint()
@@ -159,9 +153,7 @@ class SmartSessionState(SessionState):
         self.relayed_dirty.clear()
         self.pending_allocs.clear()
         self.pending_frees.clear()
-        _, lease = self.take_staged()
-        if lease is not None:
-            lease.release()
+        self.take_staged()
         return footprint
 
 

@@ -468,10 +468,8 @@ def apply_reply(
         )
     if end != len(view) and any(view[end:]):
         raise XdrError(f"nonzero XDR padding {bytes(view[end:])!r}")
-    # Zero-copy: the batch is decoded in place (apply_batch
-    # materialises every item into the heap), so on carriers that
-    # deliver payloads as shared-memory views the page bytes are
-    # copied exactly once — segment straight into the local heap.
+    # The batch is decoded in place (apply_batch materialises every
+    # item into the heap): no copy of the reply body first.
     batch = view[_REPLY_HEAD.size : end]
     ledger = state.transfer_stats
     shipped_before = ledger.closure_bytes_shipped

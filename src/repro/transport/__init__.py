@@ -14,10 +14,8 @@ implementations exist:
   connection pooling, timeout/backoff retransmission, at-most-once
   duplicate suppression) so the same sessions run across genuine OS
   processes;
-* :class:`repro.transport.shm.ShmTransport` — a zero-copy
-  shared-memory carrier: control frames over tcp's link on a local
-  socket, bulk payloads handed over as epoch-stamped offsets
-  into a shared data segment (no per-byte wire cost at all).
+* :class:`repro.transport.shm.ShmTransport` — the same link over an
+  abstract ``AF_UNIX`` socket, for peers on one machine.
 
 ``python -m repro.transport serve`` hosts one address space per OS
 process; see :mod:`repro.transport.host`.
@@ -34,14 +32,7 @@ from repro.transport.base import (
     TransportError,
 )
 from repro.transport.framing import PROTOCOL_VERSION
-from repro.transport.shm import (
-    SegmentAllocator,
-    SegmentLease,
-    SegmentPayload,
-    ShmEndpoint,
-    ShmTransport,
-    purge_stale_segments,
-)
+from repro.transport.shm import ShmEndpoint, ShmTransport
 from repro.transport.tcp import TcpEndpoint, TcpTransport
 from repro.transport.wallclock import WallClock
 
@@ -53,9 +44,6 @@ __all__ = [
     "RemoteHandlerError",
     "ReplyCache",
     "RetryPolicy",
-    "SegmentAllocator",
-    "SegmentLease",
-    "SegmentPayload",
     "ShmEndpoint",
     "ShmTransport",
     "TcpEndpoint",
@@ -63,5 +51,4 @@ __all__ = [
     "Transport",
     "TransportError",
     "WallClock",
-    "purge_stale_segments",
 ]

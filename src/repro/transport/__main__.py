@@ -36,7 +36,6 @@ from repro.transport.host import (
     run_shutdown,
     run_status,
 )
-from repro.transport.shm import DEFAULT_SEGMENT_SIZE
 from repro.transport.tracemerge import run_merge
 
 
@@ -58,8 +57,7 @@ def _add_registry_options(parser: argparse.ArgumentParser) -> None:
         choices=CARRIERS,
         default=TCP,
         help="carrier to serve or dial on: tcp sockets, or shm "
-        "(same machine: a local socket for the frames, a shared-memory "
-        "segment for bulk bodies; default tcp)",
+        "(same machine: an abstract AF_UNIX socket; default tcp)",
     )
 
 
@@ -67,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.transport",
         description="Real inter-process smart-RPC transport over TCP "
-        "sockets or shared memory (--transport shm).",
+        "sockets or same-machine AF_UNIX sockets (--transport shm).",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -147,14 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="reap sessions whose peer's directory heartbeat is older "
         "than this (0: never reap)",
-    )
-    serve.add_argument(
-        "--segment-size",
-        type=int,
-        default=DEFAULT_SEGMENT_SIZE,
-        metavar="BYTES",
-        help="shm only: data segment size for bulk payload handover "
-        f"(default {DEFAULT_SEGMENT_SIZE})",
     )
     serve.set_defaults(run=run_serve)
 

@@ -24,17 +24,13 @@ socket.  Connections are pooled and reused, and a versioned handshake
 (:mod:`repro.transport.framing`) rejects incompatible peers at connect
 time; :meth:`ExchangeTransport._answer_hello` and
 :meth:`ExchangeTransport._judge_welcome` are its two judges.  A carrier
-says how to listen and how to connect (``_bind``, ``_connect``,
-``_address_of``, ``add_peer``), what a socket becomes (``_adopt``),
-what a frame nobody waits for means (``_stray``) and what a connection
-its peer ended means (``_hung_up``):
+says only how to listen and how to connect (``_bind``, ``_connect``,
+``_address_of``, ``add_peer``):
 :class:`~repro.transport.tcp.TcpTransport` on ``AF_INET``,
-:class:`~repro.transport.shm.ShmTransport` on ``AF_UNIX`` beside the
-data segment its bulk bodies travel through.  Five payload hooks let
-the latter ship a body by reference: ``_request_frame`` /
-``_reply_frame`` choose the frame (inline, by default), ``_abandon``
-takes back the body of a request nobody will answer, ``_deliver`` /
-``_reply_payload`` open what is not a plain ``Request`` / ``Reply``.
+:class:`~repro.transport.shm.ShmTransport` on an abstract ``AF_UNIX``
+socket.  Every body travels inline in a ``REQUEST`` or ``REPLY``
+frame; a frame nobody waits for (the late duplicate of a reply already
+taken, a stray ``PONG``) is dropped.
 
 Threads (DESIGN.md §9): a listening transport adds one daemon thread
 in ``accept`` and one per accepted connection, which runs handlers
@@ -95,7 +91,7 @@ import select
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.simnet.clock import CostModel
 from repro.simnet.message import Message, MessageKind
@@ -115,7 +111,6 @@ from repro.transport.framing import (
     PROTOCOL_VERSION,
     STATUS_HANDLER_ERROR,
     STATUS_OK,
-    Frame,
     FramingError,
     Goodbye,
     Hello,
@@ -123,8 +118,6 @@ from repro.transport.framing import (
     Pong,
     Reply,
     Request,
-    SegReply,
-    SegRequest,
     Welcome,
     decode_frame,
     encode_frame,
@@ -146,10 +139,6 @@ RECV_BYTES = 64 * 1024
 #: fresh pages cost several times the copy (2.3 vs 0.33 ms per 4 MB).
 BULK_KEEP = 8 * 1024 * 1024
 
-# A body shipped by reference is the same exchange as one shipped inline.
-_REQUESTS = (Request, SegRequest)
-_REPLIES = (Reply, SegReply)
-
 # A kind and its wire word, both ways: one dict probe each, where the
 # enum's own lookup and ``.value`` are Python-level calls.
 _KINDS = {kind.value: kind for kind in MessageKind}
@@ -170,6 +159,10 @@ class Connection:
     __slots__ = ("sock", "peer", "served", "_buffer", "_bulk", "_poll")
 
     def __init__(self, sock: socket.socket) -> None:
+        if sock.family != socket.AF_UNIX:
+            # A duplicated request or a GOODBYE behind a reply is
+            # write-write-read: Nagle plus delayed ACK stalls that 40 ms.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.peer: Optional[str] = None  # known once hands were shaken
         # ``(src, exchange id)`` of the last request served here.
@@ -228,11 +221,12 @@ class Connection:
         self._buffer = b""
         return decode_frame(view)
 
-    def idle_alive(self, stray: Callable[[Frame], None]) -> bool:
+    def idle_alive(self) -> bool:
         """Drain what arrived while pooled; False if the peer is gone.
 
         Nobody reads a pooled connection: a peer's EOF or GOODBYE and
-        late duplicate replies wait in the kernel for the next taker.
+        late duplicate replies wait in the kernel for the next taker,
+        which drops the latter.
         One zero-timeout ``poll`` says whether anything did; only then
         is it drained, under ``settimeout(0)``, as ``MSG_DONTWAIT`` on a
         socket with a Python timeout set still polls for that timeout
@@ -246,7 +240,6 @@ class Connection:
                 frame = self.read_frame()
                 if frame is None or isinstance(frame, Goodbye):
                     return False
-                stray(frame)  # a stale REPLY or PONG, say
         except BlockingIOError:
             # Drained.  Mid-frame (a bulk duplicate still arriving) a
             # fresh dial is cheaper than waiting the rest out.
@@ -375,61 +368,6 @@ class ExchangeTransport(Transport):
         """A socket connected to ``address`` within
         ``HANDSHAKE_TIMEOUT``; ``OSError`` if nobody listens there."""
 
-    def _adopt(self, sock: socket.socket) -> Connection:
-        """The connection a dialled or accepted ``sock`` becomes."""
-        return Connection(sock)
-
-    def _stray(self, frame: Frame) -> None:
-        """A frame its reader was not waiting for: the late duplicate
-        of a reply already taken, dropped."""
-
-    def _hung_up(self, conn: Connection) -> None:
-        """The peer ended ``conn``: EOF, a reset, GOODBYE or garbage —
-        not this side's own pool eviction or failed attempt."""
-
-    # -- payload hooks --------------------------------------------------------
-
-    def _request_frame(
-        self, exchange_id: int, dst: str, kind: MessageKind,
-        expects_reply: bool, payload,
-    ):
-        """The frame that carries ``payload``, and the payload as the
-        statistics count it.  Piggybacks this site's vector clock; the
-        responder merges it before running the handler."""
-        request = new_frame(
-            Request,
-            exchange_id=exchange_id,
-            src=self.site_id,
-            dst=dst,
-            kind=_WORDS[kind],
-            expects_reply=expects_reply,
-            payload=payload,
-            clock=self.endpoint.vclock.tick_wire(),
-        )
-        return request, payload
-
-    def _abandon(self, frame: Frame) -> None:
-        """The exchange ``frame`` opened has failed for good."""
-
-    def _reply_payload(self, conn: Connection, dst: str, reply):
-        """The body of a reply, not a plain ``Reply``, that ``conn``
-        brought."""
-        raise NotImplementedError
-
-    def _deliver(self, conn: Connection, request, kind: MessageKind) -> bytes:
-        """Run the handler for a request that is not a plain ``Request``."""
-        raise NotImplementedError
-
-    def _reply_frame(self, request, body) -> Frame:
-        """The frame that carries a successful handler's ``body``."""
-        return new_frame(
-            Reply,
-            exchange_id=request.exchange_id,
-            status=STATUS_OK,
-            payload=body,
-            clock=self.endpoint.vclock.tick_wire(),
-        )
-
     # -- lifecycle ------------------------------------------------------------
 
     def start(self):
@@ -557,28 +495,32 @@ class ExchangeTransport(Transport):
         deadline = time.monotonic() + timeout if timeout is not None else None
         address = self._resolve(dst)
         exchange_id = next(self._exchange_ids)
-        frame, logical = self._request_frame(
-            exchange_id, dst, kind, reply_kind is not None, payload
+        # Piggybacks this site's vector clock; the responder merges it
+        # before running the handler.  Encoded once: every
+        # retransmission carries the same clock.
+        request = new_frame(
+            Request,
+            exchange_id=exchange_id,
+            src=self.site_id,
+            dst=dst,
+            kind=_WORDS[kind],
+            expects_reply=reply_kind is not None,
+            payload=payload,
+            clock=self.endpoint.vclock.tick_wire(),
         )
-        try:
-            # Encoded once: every retransmission carries the same clock.
-            conn, reply = self._run_attempts(
-                dst, address, exchange_id, encode_frame(frame), kind,
-                logical, timeout, deadline,
-            )
-        except BaseException:
-            self._abandon(frame)
-            raise
-        return self._finish(conn, dst, kind, reply_kind, reply)
+        reply = self._run_attempts(
+            dst, address, exchange_id, encode_frame(request), kind,
+            payload, timeout, deadline,
+        )
+        return self._finish(dst, kind, reply_kind, reply)
 
     def _run_attempts(
         self, dst: str, address, exchange_id: int, encoded: bytes,
-        kind: MessageKind, logical, cap: Optional[float],
+        kind: MessageKind, payload, cap: Optional[float],
         deadline: Optional[float],
-    ) -> tuple:
+    ) -> Reply:
         """The retry loop: connect, transmit, wait, back off.  Returns
-        the reply and, first, the connection that brought it.
-        ``logical`` is the payload as the statistics count it."""
+        the reply; ``encoded`` is the request carrying ``payload``."""
         faults = self._faults
         attempts = 0
         last_error: Optional[BaseException] = None
@@ -613,7 +555,7 @@ class ExchangeTransport(Transport):
                     # Charged as sent, lost in transit — the
                     # simulator does exactly this.
                     copies = 0
-                    self._note(self.site_id, dst, kind, logical)
+                    self._note(self.site_id, dst, kind, payload)
                     self._note_loss(f"{kind.value} {self.site_id}->{dst}")
                 elif action == FaultInjector.DUPLICATE:
                     copies = 2
@@ -621,7 +563,7 @@ class ExchangeTransport(Transport):
             try:
                 for copy in range(copies):
                     conn.send(encoded, until)
-                    self._note(self.site_id, dst, kind, logical)
+                    self._note(self.site_id, dst, kind, payload)
                     if faults is not None and not copy:
                         with self._lock:
                             if faults.crash_after_send(kind):
@@ -631,7 +573,7 @@ class ExchangeTransport(Transport):
                 reply = self._await(conn, exchange_id, until)
             except OSError as exc:
                 last_error = exc
-                self._discard(conn, hung_up=isinstance(exc, ConnectionError))
+                self._discard(conn)
                 with self._lock:
                     self.retransmissions += 1
                     self.note_timeout(
@@ -644,7 +586,7 @@ class ExchangeTransport(Transport):
                 self._discard(conn)
                 raise
             self._release(dst, conn)
-            return conn, reply
+            return reply
         raise TransportError(
             f"{kind.value} exchange {self.site_id!r}->{dst!r} failed "
             f"after {attempts} attempts ({last_error})"
@@ -672,20 +614,16 @@ class ExchangeTransport(Transport):
 
     def _finish(
         self,
-        conn: Connection,
         dst: str,
         kind: MessageKind,
         reply_kind: Optional[MessageKind],
-        reply,
+        reply: Reply,
     ) -> bytes:
         # The reply piggybacks the responder's clock: merging it makes
         # everything the handler did happen-before this site's next
         # traced event.
         self.endpoint.vclock.merge_wire(reply.clock)
-        if reply.__class__ is Reply:
-            payload = reply.payload
-        else:
-            payload = self._reply_payload(conn, dst, reply)
+        payload = reply.payload
         if reply.status == STATUS_HANDLER_ERROR:
             raise RemoteHandlerError(
                 f"{kind.value} handler at {dst!r} failed: "
@@ -716,8 +654,8 @@ class ExchangeTransport(Transport):
             try:
                 conn.send(ping, started + timeout)
                 self._await(conn, token, started + timeout)
-            except BaseException as exc:
-                self._discard(conn, hung_up=isinstance(exc, ConnectionError))
+            except BaseException:
+                self._discard(conn)
                 raise
         except OSError as exc:
             raise TransportError(
@@ -729,10 +667,10 @@ class ExchangeTransport(Transport):
 
     def _await(
         self, conn: Connection, ident: int, deadline: float
-    ) -> Union[Reply, SegReply, Pong]:
+    ) -> Union[Reply, Pong]:
         """Read up to the REPLY or PONG answering ``ident`` (ids and
         tokens share one counter); any other REPLY is the late
-        duplicate of an exchange already completed."""
+        duplicate of an exchange already completed, and dropped."""
         while True:
             try:
                 frame = conn.read_frame(deadline)
@@ -744,11 +682,10 @@ class ExchangeTransport(Transport):
                 ) from None
             if frame is None or isinstance(frame, Goodbye):
                 raise ConnectionResetError("connection lost")
-            if isinstance(frame, _REPLIES) and frame.exchange_id == ident:
+            if isinstance(frame, Reply) and frame.exchange_id == ident:
                 return frame
             if isinstance(frame, Pong) and frame.token == ident:
                 return frame
-            self._stray(frame)
 
     def _acquire(self, dst: str, address) -> Connection:
         """A connection to ``dst`` for this thread's exclusive use;
@@ -759,11 +696,11 @@ class ExchangeTransport(Transport):
                 if not pool:
                     break
                 conn = pool.pop()
-            if conn.idle_alive(self._stray):
+            if conn.idle_alive():
                 return conn
             # The peer went away (restarted, say) while this sat idle:
             # nothing was lost, so dial afresh, not a retransmission.
-            self._discard(conn, hung_up=True)
+            self._discard(conn)
         return self._dial(dst, address)
 
     def _release(self, dst: str, conn: Connection) -> None:
@@ -775,18 +712,15 @@ class ExchangeTransport(Transport):
                 return
         self._discard(conn)
 
-    def _discard(self, conn: Connection, hung_up: bool = False) -> None:
-        """Close ``conn``, which may hold half a frame; ``hung_up`` if
-        its peer ended it."""
+    def _discard(self, conn: Connection) -> None:
+        """Close ``conn``, which may hold half a frame."""
         with self._lock:
             self._conns.discard(conn)
         conn.close()
-        if hung_up:
-            self._hung_up(conn)
 
     def _dial(self, dst: str, address) -> Connection:
         deadline = time.monotonic() + HANDSHAKE_TIMEOUT
-        conn = self._adopt(self._connect(address))
+        conn = Connection(self._connect(address))
         try:
             conn.send(
                 encode_frame(Hello(self._protocol_version, self.site_id)),
@@ -815,7 +749,7 @@ class ExchangeTransport(Transport):
                 # one accept failed; out of descriptors would spin.
                 self._closed.wait(0.05)
                 continue
-            conn = self._adopt(sock)
+            conn = Connection(sock)
             with self._lock:
                 if self._closed.is_set():
                     conn.close()
@@ -842,18 +776,16 @@ class ExchangeTransport(Transport):
                 frame = conn.read_frame()
                 if frame is None or isinstance(frame, Goodbye):
                     break
-                if isinstance(frame, _REQUESTS):
+                if isinstance(frame, Request):
                     self._serve_request(conn, frame)
                 elif isinstance(frame, Ping):
                     conn.send(encode_frame(Pong(frame.token)))
-                else:
-                    self._stray(frame)
         except (OSError, FramingError):
             pass  # a broken or hostile peer costs its own connection
         finally:
-            self._discard(conn, hung_up=True)
+            self._discard(conn)
 
-    def _serve_request(self, conn: Connection, request) -> None:
+    def _serve_request(self, conn: Connection, request: Request) -> None:
         """Run (or replay) one exchange and push its reply."""
         key = (request.src, request.exchange_id)
         cache = self.endpoint.reply_cache
@@ -882,7 +814,7 @@ class ExchangeTransport(Transport):
                     return  # that run died; the peer will retransmit
         if run:
             try:
-                encoded = self._execute(conn, request)
+                encoded = self._execute(request)
             finally:
                 with self._lock:
                     if encoded is not None:
@@ -910,7 +842,7 @@ class ExchangeTransport(Transport):
         finally:
             self._waiting -= 1
 
-    def _execute(self, conn: Connection, request) -> bytes:
+    def _execute(self, request: Request) -> bytes:
         """Dispatch one request to its handler, on this thread."""
         try:
             kind = _KINDS.get(request.kind) or MessageKind(request.kind)
@@ -923,17 +855,20 @@ class ExchangeTransport(Transport):
             # runs, so every event the handler records happens-after
             # everything the sender did up to this exchange.
             self.endpoint.vclock.merge_wire(request.clock)
-            if request.__class__ is Request:
-                body = self.endpoint.handle(
-                    Message(request.src, request.dst, kind, request.payload)
-                )
-            else:
-                body = self._deliver(conn, request, kind)
+            body = self.endpoint.handle(
+                Message(request.src, request.dst, kind, request.payload)
+            )
             if not request.expects_reply and body:
                 raise TransportError(
                     f"one-way {kind} message produced a reply"
                 )
-            reply = self._reply_frame(request, body)
+            reply = new_frame(
+                Reply,
+                exchange_id=request.exchange_id,
+                status=STATUS_OK,
+                payload=body,
+                clock=self.endpoint.vclock.tick_wire(),
+            )
         except Exception as exc:  # noqa: BLE001 - ship transport errors
             reply = Reply(
                 request.exchange_id,

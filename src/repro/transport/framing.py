@@ -4,7 +4,7 @@ Every frame on the wire is a 4-byte big-endian body length followed by
 the body; the body is a frame-type word followed by XDR-encoded fields
 (the encoding discipline of the :mod:`repro.xdr` streams the RPC
 payloads use, so the whole wire format has one).  The TCP transport
-and the shared-memory transport (:mod:`repro.transport.shm`) write the
+and the ``AF_UNIX`` transport (:mod:`repro.transport.shm`) write the
 *same* frames onto their sockets, through one link
 (:mod:`repro.transport.exchange`), one codec and one handshake.
 
@@ -17,18 +17,9 @@ Frame vocabulary::
     REPLY        server -> client  exchange id, status, body
     PING         client -> server  liveness probe (token)
     PONG         server -> client  liveness echo (token)
-    SEG_REQUEST  client -> server  a REQUEST whose payload lives in a
-                                   shared data segment (name, offset,
-                                   length, extent stamp, epoch)
-    SEG_REPLY    server -> client  a REPLY shipped the same way
-    SEG_ACK      either direction  the receiver is done reading one
-                                   segment extent; the owner may reuse it
 
-The ``SEG_*`` frames are the shared-memory carrier's zero-copy path:
-instead of copying a large payload through the socket they hand over an
-*offset* into the sender's data segment (see
-:class:`repro.transport.shm.SegmentAllocator`), which the receiver maps
-as a ``memoryview`` and decodes in place.  TCP never emits them.
+Every body travels inline: a decoded ``REQUEST`` or ``REPLY`` owns its
+payload bytes.
 
 The handshake is versioned: a connection opens with ``HELLO``; the
 server answers ``WELCOME`` when it speaks that version and ``GOODBYE``
@@ -39,7 +30,7 @@ The codec is *compiled* (DESIGN.md §9): ``_FRAME_TABLE`` declares each
 frame's fields in wire order and ``_compile`` generates one encoder
 and one decoder per type from it on first use, as :mod:`repro.xdr.raw`
 does per datum — fixed-width words through one ``struct.Struct`` per
-run, site ids / kinds / segment names spliced from the bounded intern
+run, site ids and kinds spliced from the bounded intern
 table :mod:`repro.xdr.stream` keeps for every codec, clock and payload
 by offset off the one ``memoryview``.  The byte image and every check
 are those of the per-field ladder it replaced
@@ -65,8 +56,10 @@ from repro.xdr.stream import (
 )
 
 #: Current wire protocol version, sent in every HELLO/WELCOME.
-#: Version 2 added the piggybacked vector clock on REQUEST/REPLY.
-PROTOCOL_VERSION = 2
+#: Version 2 added the piggybacked vector clock on REQUEST/REPLY;
+#: version 3 dropped the shared-segment frames (type words 8-10), so a
+#: peer that still sends them fails the handshake, not an exchange.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame body; guards against garbage length words.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -93,9 +86,6 @@ class FrameType(enum.IntEnum):
     REPLY = 5
     PING = 6
     PONG = 7
-    SEG_REQUEST = 8
-    SEG_REPLY = 9
-    SEG_ACK = 10
 
 
 @dataclass(frozen=True)
@@ -167,58 +157,7 @@ class Pong:
     token: int
 
 
-@dataclass(frozen=True)
-class SegRequest:
-    """A :class:`Request` whose payload is handed over by reference.
-
-    ``segment`` names the sender's shared data segment; the payload is
-    the ``length`` bytes at ``offset``.  ``extent`` is the extent's
-    publication stamp and ``epoch`` the segment epoch at allocation
-    time: the receiver validates both before and after reading, so a
-    recycled or invalidated extent is detected instead of silently
-    yielding a torn payload.
-    """
-
-    exchange_id: int
-    src: str
-    dst: str
-    kind: str
-    expects_reply: bool
-    segment: str
-    offset: int
-    length: int
-    extent: int
-    epoch: int
-    clock: Tuple[Tuple[str, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class SegReply:
-    """A :class:`Reply` shipped by segment reference (see above)."""
-
-    exchange_id: int
-    status: int
-    segment: str
-    offset: int
-    length: int
-    extent: int
-    epoch: int
-    clock: Tuple[Tuple[str, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class SegAck:
-    """The receiver finished reading one extent; the owner may reuse it."""
-
-    segment: str
-    offset: int
-    extent: int
-
-
-Frame = Union[
-    Hello, Welcome, Goodbye, Request, Reply, Ping, Pong,
-    SegRequest, SegReply, SegAck,
-]
+Frame = Union[Hello, Welcome, Goodbye, Request, Reply, Ping, Pong]
 
 
 def new_frame(cls, **fields) -> Frame:
@@ -246,13 +185,6 @@ _FRAME_TABLE = (
     (Reply, FrameType.REPLY, "exchange_id:Q status:I clock:c payload:o"),
     (Ping, FrameType.PING, "token:Q"),
     (Pong, FrameType.PONG, "token:Q"),
-    (SegRequest, FrameType.SEG_REQUEST,
-     "exchange_id:Q src:s dst:s kind:s expects_reply:? clock:c "
-     "segment:s offset:Q length:I extent:Q epoch:Q"),
-    (SegReply, FrameType.SEG_REPLY,
-     "exchange_id:Q status:I clock:c "
-     "segment:s offset:Q length:I extent:Q epoch:Q"),
-    (SegAck, FrameType.SEG_ACK, "segment:s offset:Q extent:Q"),
 )
 
 _U32 = struct.Struct("!I")

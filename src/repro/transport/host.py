@@ -72,7 +72,6 @@ from repro.transport.base import (
     Transport,
     TransportError,
 )
-from repro.transport.shm import DEFAULT_SEGMENT_SIZE, purge_stale_segments
 from repro.workloads.traversal import bind_tree_expose, tree_expose_client
 from repro.workloads.trees import (
     TREE_NODE_TYPE_ID,
@@ -93,15 +92,6 @@ HEARTBEAT_INTERVAL = 2.0
 #: Grace period after a shutdown trigger so in-flight replies (the
 #: SHUTDOWN_ACK itself) drain before the transport closes.
 _DRAIN_SECONDS = 0.2
-
-
-def _host_carrier(transport: str, site_id: str, **options) -> Transport:
-    """:func:`make_carrier` for a host process or control command."""
-    if transport == SHM:
-        # Reap segments abandoned by crashed hosts (``os._exit`` never
-        # runs ``close()``) before creating fresh ones.
-        purge_stale_segments()
-    return make_carrier(transport, site_id, **options)
 
 
 def published_address(transport: Transport) -> Tuple[str, int]:
@@ -267,7 +257,6 @@ def make_space(
     exchange_timeout: float = 0.0,
     orphan_grace: float = 0.0,
     transport: str = TCP,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
 ):
     """Build one carrier-attached address space: transport plus runtime.
 
@@ -294,7 +283,7 @@ def make_space(
     if transport == SHM and isinstance(registry, tuple):
         registry = registry[0]  # the directory's transport name
     directory_site = registry_site if registry is not None else None
-    built = _host_carrier(
+    built = make_carrier(
         transport,
         site_id,
         host=host,
@@ -304,7 +293,6 @@ def make_space(
         directory_site=directory_site,
         retry=retry,
         faults=faults,
-        segment_size=segment_size,
     )
     runtime = SmartRpcRuntime(
         built,
@@ -516,7 +504,7 @@ def _registry_argument(args):
 
 def _control_transport(args, role: str) -> Transport:
     """A non-listening transport for ping/status/shutdown commands."""
-    return _host_carrier(
+    return make_carrier(
         args.transport,
         f"_{role}-{os.getpid()}",
         listen=False,
@@ -535,13 +523,12 @@ def run_serve(args) -> int:
     stats = StatsCollector(trace=args.trace is not None)
     runtime = None
     if args.serve_registry:
-        transport = _host_carrier(
+        transport = make_carrier(
             args.transport,
             args.site,
             host=args.host,
             port=args.port,
             stats=stats,
-            segment_size=args.segment_size,
         )
         SiteDirectory(transport.endpoint)
         # Publish the standard workload types so spaces may resolve
@@ -569,7 +556,6 @@ def run_serve(args) -> int:
             exchange_timeout=args.exchange_timeout,
             orphan_grace=args.orphan_grace,
             transport=args.transport,
-            segment_size=args.segment_size,
         )
     host = ProcessHost(
         transport,

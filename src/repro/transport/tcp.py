@@ -16,11 +16,7 @@ import socket
 from typing import Tuple
 
 from repro.transport.base import HANDSHAKE_TIMEOUT
-from repro.transport.exchange import (
-    Connection,
-    ExchangeEndpoint,
-    ExchangeTransport,
-)
+from repro.transport.exchange import ExchangeEndpoint, ExchangeTransport
 
 
 class TcpEndpoint(ExchangeEndpoint):
@@ -63,9 +59,3 @@ class TcpTransport(ExchangeTransport):
 
     def _connect(self, address: Tuple[str, int]) -> socket.socket:
         return socket.create_connection(address, HANDSHAKE_TIMEOUT)
-
-    def _adopt(self, sock: socket.socket) -> Connection:
-        # A duplicated request or a GOODBYE behind a reply is
-        # write-write-read: Nagle plus delayed ACK stalls that 40 ms.
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return Connection(sock)

@@ -27,10 +27,6 @@ BAD_TRACE_CODES = {
     "budget_mismatch.trace": {"SRPC300"},
     "commit_without_prepare.trace": {"SRPC321"},
     "empty_piggyback.trace": {"SRPC101"},
-    "handover_epoch_regress.trace": {"SRPC330"},
-    "handover_missing_field.trace": {"SRPC330"},
-    "handover_stale_epoch.trace": {"SRPC330"},
-    "handover_vc_reorder.trace": {"SRPC330"},
     "malformed.trace": {"SRPC100"},
     "mislabelled_graphcopy.trace": {"SRPC302"},
     "mislabelled_lazy.trace": {"SRPC301"},

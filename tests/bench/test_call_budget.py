@@ -13,6 +13,8 @@ plus 5 % headroom; lower it when a change makes the path cheaper.
 import sys
 import threading
 
+import pytest
+
 from repro.bench.harness import CALLEE, make_carrier, make_world
 from repro.simnet.message import MessageKind
 from repro.workloads.linked_list import build_list, list_client
@@ -23,9 +25,10 @@ from repro.workloads.linked_list import build_list, list_client
 #: exchange and data-request paths were trimmed).
 FAULT_BUDGET = 300
 
-#: Calls per 16-byte echo over tcp, client and serving thread together:
-#: 194 when set (263 before).
-ECHO_BUDGET = 204
+#: Calls per 16-byte echo, client and serving thread together, on
+#: either carrier: 192 on both when set (194 on tcp and 206 on shm
+#: while the shm carrier had a data segment, 263 before that).
+ECHO_BUDGET = 202
 
 
 class _Counter:
@@ -59,11 +62,12 @@ def test_one_lazy_fault_stays_within_its_call_budget():
     assert counter.calls / faults <= FAULT_BUDGET, counter.calls / faults
 
 
-def test_one_echo_stays_within_its_call_budget():
+@pytest.mark.parametrize("carrier", ["tcp", "shm"])
+def test_one_echo_stays_within_its_call_budget(carrier):
     echoes = 100
     counter = _Counter()
-    server = make_carrier("tcp", "B")
-    client = make_carrier("tcp", "A")
+    server = make_carrier(carrier, "B")
+    client = make_carrier(carrier, "A")
     try:
         client.add_peer("B", server.address)
         server.endpoint.register_handler(

@@ -19,10 +19,8 @@ one ``crash-send=KIND:N`` / ``crash-recv=KIND:N`` fault clause
 its :class:`FaultInjector` and the real-process cells pass to the
 victim process as ``--fault`` (it ``os._exit``\\ s with code 86 at the
 planned frame).  The real-process half runs once per carrier — TCP
-sockets and shared-memory segments — because shm adds crash surface of
-its own: a victim dies holding ring slots and pinned segment extents,
-and the survivors must reap those (stale-owner purge, extent pin
-expiry, epoch validation) as well as the sessions.  After every cell
+sockets and abstract ``AF_UNIX`` sockets, whose listeners go with a
+dead process.  After every cell
 the survivors must converge: the aborting ground reaps its own state,
 peers of a dead ground reap on heartbeat age, peers of a live aborting
 ground are invalidated — no session stays open, no cache page stays
@@ -31,6 +29,7 @@ fully updated.  There are no wall-clock sleeps anywhere: process cells
 block on the hosts' STATUS readiness barrier instead.
 """
 
+import glob
 import os
 import subprocess
 import sys
@@ -65,7 +64,6 @@ from repro.transport.host import (
     query_status,
     run_crash_session,
 )
-from repro.transport.shm import purge_stale_segments
 from repro.transport.tracemerge import export_trace, merge_trace_files
 from repro.workloads.traversal import (
     TREE_EXPOSE,
@@ -419,9 +417,12 @@ def registry(request):
     yield host
     host.kill()
     if request.param == "shm":
-        # The registry dies by SIGKILL and the final cell's victim by
-        # os._exit: neither unlinks, so sweep their segments here.
-        purge_stale_segments()
+        # The registry died by SIGKILL, closing nothing: its listening
+        # socket went with the process, and it made no /dev/shm file.
+        name = host.addr.rsplit(":", 1)[0]
+        with open("/proc/net/unix") as table:
+            assert "@" + name not in table.read()
+        assert not glob.glob(f"/dev/shm/{name}*")
 
 
 def _spawn_home(site_id, registry_addr, trace_path, carrier, fault=None):

@@ -6,8 +6,7 @@ Two independent invariances meet here:
   participant: for any seeded session the smart-RPC layer must produce
   byte-identical results and identical protocol counters whether the
   frames cross a simulated network, real localhost sockets, or
-  shared-memory segments (where bulk payloads never touch a wire at
-  all — the counters still charge the logical bytes).
+  abstract ``AF_UNIX`` sockets.
 * **Policy equivalence** — a transfer policy decides *how much* moves
   *when*, never *what the procedure computes*: every preset must
   produce the identical procedure result on every workload, over both

@@ -7,13 +7,11 @@ fixture (the transport class), so every test below runs, under its own
 name, once per carrier.
 
 All tests run several transports inside one interpreter over real
-sockets / real shared memory: each transport still has its own service
+sockets: each transport still has its own service
 threads, and callers run their exchanges on their own threads, exactly
 as separate processes would.
 """
 
-import glob
-import os
 import re
 import select
 import socket
@@ -24,6 +22,7 @@ import time
 import pytest
 
 from repro.simnet.message import MessageKind
+from repro.simnet.stats import StatsCollector
 from repro.transport.base import (
     FaultInjector,
     HandshakeError,
@@ -31,7 +30,7 @@ from repro.transport.base import (
     RetryPolicy,
     TransportError,
 )
-from repro.transport.exchange import Connection
+from repro.transport.exchange import Connection, ExchangeTransport
 from repro.transport.framing import (
     LENGTH_PREFIX,
     PROTOCOL_VERSION,
@@ -45,12 +44,7 @@ from repro.transport.framing import (
     encode_frame,
     frame_length,
 )
-from repro.transport.shm import (
-    NAME_PREFIX,
-    SHM_DIR,
-    ShmTransport,
-    _AckedConnection,
-)
+from repro.transport.shm import NAME_PREFIX, ShmTransport
 from repro.transport.tcp import TcpTransport
 
 FAST_RETRY = RetryPolicy(
@@ -205,19 +199,41 @@ def _until(condition, within=5.0):
         time.sleep(0.005)
 
 
+def _srpc_listeners():
+    """The names of the listening ``@srpc-`` sockets in the abstract
+    namespace (``/proc/net/unix`` flag ``00010000``: accepting)."""
+    with open("/proc/net/unix") as table:
+        rows = [line.split() for line in table.readlines()[1:]]
+    return {
+        row[7][1:] for row in rows
+        if len(row) > 7 and row[3] == "00010000"
+        and row[7].startswith("@" + NAME_PREFIX)
+    }
+
+
 def test_one_skeleton_under_both_carriers():
-    """The fork cannot quietly come back: exchanging, awaiting, pooling,
-    dialling, accepting and serving are the same function objects on
-    either carrier, and there is one frame reader whatever a carrier
-    wraps a socket in."""
+    """The fork cannot quietly come back: a carrier says where to
+    listen and how to connect, and nothing else — exchanging, awaiting,
+    pooling, dialling, accepting and serving are the same function
+    objects on either carrier."""
+    supplied = {
+        "__init__", "add_peer", "_address_of", "_bind", "_connect",
+        "endpoint_class",
+    }
+    for carrier in (TcpTransport, ShmTransport):
+        own = {
+            name for name in vars(carrier)
+            if name == "__init__"
+            or not (name.startswith("__") or name == "_abc_impl")
+        }
+        assert own == supplied, carrier
     for name in (
         "exchange", "ping", "_run_attempts", "_finish", "_resolve",
         "_await", "_acquire", "_release", "_discard", "_dial",
         "_accept_loop", "_serve", "_serve_request", "_execute",
     ):
-        assert getattr(TcpTransport, name) is getattr(ShmTransport, name)
-    assert _AckedConnection.read_frame is Connection.read_frame
-    assert _AckedConnection.idle_alive is Connection.idle_alive
+        assert getattr(TcpTransport, name) is getattr(ExchangeTransport, name)
+        assert getattr(ShmTransport, name) is getattr(ExchangeTransport, name)
 
 
 def test_basic_exchange(stacks):
@@ -265,11 +281,14 @@ def test_pooled_connection_the_peer_ended_is_redialled(stacks, ending):
 
 
 def test_handshake_version_mismatch_refused(stacks):
+    """A peer of another protocol version fails at HELLO — a version 2
+    peer, which could still send the shared-segment frames, included."""
     _echo_server(stacks)
-    rogue = stacks("R", protocol_version=99)
-    with pytest.raises(HandshakeError) as excinfo:
-        _call(rogue)
-    assert "version" in str(excinfo.value)
+    for site, version in (("R", 99), ("O", 2)):
+        rogue = stacks(site, protocol_version=version)
+        with pytest.raises(HandshakeError) as excinfo:
+            _call(rogue)
+        assert "version" in str(excinfo.value)
 
 
 def test_dropped_request_is_retransmitted(stacks):
@@ -577,14 +596,29 @@ def test_closed_transport_fails_at_once(stacks):
     client.close()
     time.sleep(0.1)  # the server has seen the goodbye
     connections = len(server._conns)
-    segments = set(glob.glob(os.path.join(SHM_DIR, NAME_PREFIX + "*")))
+    listeners = _srpc_listeners()
+    assert client.address not in listeners
     for use in (_call, lambda transport: transport.ping("B")):
         started = time.monotonic()
         with pytest.raises(TransportError, match="is closed"):
             use(client)
         assert time.monotonic() - started < 0.05
     assert len(server._conns) <= connections
-    assert set(glob.glob(os.path.join(SHM_DIR, NAME_PREFIX + "*"))) <= segments
+    assert _srpc_listeners() <= listeners
+
+
+def test_bulk_counters_charge_logical_bytes(stacks):
+    """Stats count the payload the runtime sent and received, not the
+    frame around it — counter parity with simnet."""
+    stats = StatsCollector()
+    _echo_server(stacks, stats=stats)
+    client = stacks("A", stats=stats)
+    body = b"q" * 100_000
+    client.endpoint.send(
+        "B", MessageKind.CALL, body, reply_kind=MessageKind.REPLY
+    )
+    assert stats.bytes_by_kind[MessageKind.CALL] == len(body)
+    assert stats.bytes_by_kind[MessageKind.REPLY] == len(body) + len(b"echo:")
 
 
 def test_handler_bound_is_not_an_argument(carrier):

@@ -30,9 +30,6 @@ from repro.transport.framing import (
     Pong,
     Reply,
     Request,
-    SegAck,
-    SegReply,
-    SegRequest,
     Welcome,
 )
 from repro.xdr.errors import XdrError
@@ -110,34 +107,6 @@ def encode_frame_into(frame: Frame, encoder: XdrEncoder) -> memoryview:
     elif isinstance(frame, Pong):
         encoder.pack_uint32(FrameType.PONG)
         encoder.pack_uint64(frame.token)
-    elif isinstance(frame, SegRequest):
-        encoder.pack_uint32(FrameType.SEG_REQUEST)
-        encoder.pack_uint64(frame.exchange_id)
-        encoder.pack_string(frame.src)
-        encoder.pack_string(frame.dst)
-        encoder.pack_string(frame.kind)
-        encoder.pack_bool(frame.expects_reply)
-        _encode_clock(encoder, frame.clock)
-        encoder.pack_string(frame.segment)
-        encoder.pack_uint64(frame.offset)
-        encoder.pack_uint32(frame.length)
-        encoder.pack_uint64(frame.extent)
-        encoder.pack_uint64(frame.epoch)
-    elif isinstance(frame, SegReply):
-        encoder.pack_uint32(FrameType.SEG_REPLY)
-        encoder.pack_uint64(frame.exchange_id)
-        encoder.pack_uint32(frame.status)
-        _encode_clock(encoder, frame.clock)
-        encoder.pack_string(frame.segment)
-        encoder.pack_uint64(frame.offset)
-        encoder.pack_uint32(frame.length)
-        encoder.pack_uint64(frame.extent)
-        encoder.pack_uint64(frame.epoch)
-    elif isinstance(frame, SegAck):
-        encoder.pack_uint32(FrameType.SEG_ACK)
-        encoder.pack_string(frame.segment)
-        encoder.pack_uint64(frame.offset)
-        encoder.pack_uint64(frame.extent)
     else:
         raise FramingError(f"cannot encode frame {frame!r}")
     body_length = encoder.size - start - LENGTH_PREFIX.size
@@ -194,39 +163,8 @@ def decode_frame(body) -> Frame:
             )
         elif frame_type is FrameType.PING:
             frame = Ping(token=decoder.unpack_uint64())
-        elif frame_type is FrameType.PONG:
-            frame = Pong(token=decoder.unpack_uint64())
-        elif frame_type is FrameType.SEG_REQUEST:
-            frame = SegRequest(
-                exchange_id=decoder.unpack_uint64(),
-                src=decoder.unpack_string(),
-                dst=decoder.unpack_string(),
-                kind=decoder.unpack_string(),
-                expects_reply=decoder.unpack_bool(),
-                clock=_decode_clock(decoder),
-                segment=decoder.unpack_string(),
-                offset=decoder.unpack_uint64(),
-                length=decoder.unpack_uint32(),
-                extent=decoder.unpack_uint64(),
-                epoch=decoder.unpack_uint64(),
-            )
-        elif frame_type is FrameType.SEG_REPLY:
-            frame = SegReply(
-                exchange_id=decoder.unpack_uint64(),
-                status=decoder.unpack_uint32(),
-                clock=_decode_clock(decoder),
-                segment=decoder.unpack_string(),
-                offset=decoder.unpack_uint64(),
-                length=decoder.unpack_uint32(),
-                extent=decoder.unpack_uint64(),
-                epoch=decoder.unpack_uint64(),
-            )
         else:
-            frame = SegAck(
-                segment=decoder.unpack_string(),
-                offset=decoder.unpack_uint64(),
-                extent=decoder.unpack_uint64(),
-            )
+            frame = Pong(token=decoder.unpack_uint64())
         decoder.expect_done()
     except XdrError as exc:
         raise FramingError(f"malformed frame body: {exc}") from None

@@ -7,9 +7,10 @@ its own, handlers inline.  What that has to keep true: a pooled
 connection whose peer went away is noticed without a lost
 transmission, late duplicates never reach the wrong exchange,
 concurrent callers keep at-most-once, a slow handler still runs once,
-a hostile peer damages only its own connection, a peer that dies fails
-whoever is blocked on it at once, and ``close()`` gives every thread
-and descriptor back — also to a caller blocked mid-call.
+a hostile peer or a stranger's junk damages only its own connection,
+idle is idle, a peer that dies fails whoever is blocked on it at once,
+a writer blocked on a full socket loses nothing, and ``close()`` gives
+every thread and descriptor back — also to a caller blocked mid-call.
 ``test_tcp_link.py`` and ``test_shm_link.py`` ``import *`` this
 module and supply the ``carrier`` fixture, as ``test_tcp.py`` and
 ``test_shm.py`` do with ``exchange_contract.py``.
@@ -36,12 +37,12 @@ from repro.transport.framing import (
     Request,
     encode_frame,
 )
-from repro.transport.shm import purge_stale_segments
 from tests.transport.exchange_contract import _call as _echo
 from tests.transport.exchange_contract import (  # noqa: F401 - re-exported
     _echo_server,
     _handshake,
     _raw,
+    _until,
     hammer,
     opened_stacks,
     split_buffer,
@@ -51,6 +52,9 @@ from tests.transport.exchange_contract import (  # noqa: F401 - re-exported
 PATIENT = RetryPolicy(
     timeout=5.0, backoff=2.0, max_timeout=5.0, max_attempts=3
 )
+
+#: One attempt: a retransmission would only hide what a test looks for.
+ONCE = RetryPolicy(timeout=5.0, max_attempts=1)
 
 SRC = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
@@ -65,6 +69,17 @@ def stacks(carrier):
 
 def _client(stacks, site_id="A", **kwargs):
     return stacks(site_id, listen=False, **kwargs)
+
+
+@pytest.fixture
+def pair(stacks):
+    """A started echo server ``B`` and its one-attempt client ``A``."""
+
+    def make(**client_kwargs):
+        server = _echo_server(stacks)
+        return server, _client(stacks, retry=ONCE, **client_kwargs)
+
+    return make
 
 
 def test_restarted_peer_costs_a_dial_not_a_retransmission(stacks):
@@ -261,7 +276,80 @@ def test_killed_peer_fails_the_blocked_caller_at_once(stacks, carrier):
             assert peer.wait(5) == 3
         finally:
             peer.kill()
-            purge_stale_segments()  # the dead peer never unlinked its own
+
+
+def test_strangers_datagrams_are_harmless(pair):
+    """A stranger that connects and writes junk costs its own
+    connection: no serving thread dies, nobody else's connection is
+    dropped, echoes are unchanged."""
+    server, client = pair()
+    assert _echo(client) == b"echo:hi"
+    for junk in (b"\xff" * 64, bytes(range(64)), b"s"):
+        with _raw(server) as stranger:
+            stranger.sendall(junk)
+            stranger.shutdown(socket.SHUT_WR)
+            assert _closed_by_peer(stranger)
+        assert _echo(client, junk) == b"echo:" + junk
+    _until(lambda: len(server._conns) == 1, within=2.0)
+    assert (client.dials, client.retransmissions) == ({"B": 1}, 0)
+
+
+def test_idle_is_idle(pair):
+    """Two started, connected transports with nothing to say stay off
+    the CPU: every thread is blocked in ``accept`` or ``recv``."""
+    _server, client = pair()
+    assert _echo(client) == b"echo:hi"
+    time.sleep(0.1)
+    cpu = time.process_time()
+    started = time.monotonic()
+    time.sleep(1.0)
+    share = (time.process_time() - cpu) / (time.monotonic() - started)
+    assert share < 0.02, f"idle transports used {share:.1%} of a CPU"
+
+
+def test_dead_peer_is_still_detected(pair):
+    """A caller blocked in an exchange whose own timeout is seconds
+    away gets its typed error as soon as the peer's end goes away."""
+    server, client = pair()
+    gone = []
+    server.endpoint.register_handler(
+        MessageKind.CALL,
+        lambda m: gone.append(time.monotonic()) or server.close() or b"",
+    )
+    with pytest.raises(TransportError, match="connection lost"):
+        _echo(client)
+    assert time.monotonic() - gone[0] < 0.5
+
+
+def test_blocked_writer_loses_nothing(pair, carrier, monkeypatch):
+    """Eight threads hammering through writers that block — every
+    request is written twice into a send buffer smaller than the two,
+    so the second ``sendall`` sleeps until the peer has read the first
+    — lose nothing and retransmit nothing."""
+    connect = carrier._connect
+
+    def cramped(self, address):
+        sock = connect(self, address)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)  # the floor
+        return sock
+
+    monkeypatch.setattr(carrier, "_connect", cramped)
+    server, client = pair(
+        faults=FaultInjector(duplicate_requests=range(1, 999))
+    )
+    padding = b"p" * 3500
+    assert _echo(client, padding)[5:] == padding
+    [conn] = client._conns
+    assert conn.sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF) < (
+        2 * len(padding)
+    ), "the link never fills: the test has no teeth"
+
+    def turn(worker, index):
+        body = b"%d:%d:" % (worker, index) + padding
+        assert _echo(client, body) == b"echo:" + body
+
+    hammer(8, 25, turn)
+    assert client.retransmissions == 0
 
 
 def _open_fds():
@@ -286,11 +374,9 @@ def _back_to_floor(threads_before, fds_before, within=1.0):
 
 @pytest.fixture
 def floor(carrier):
-    """The threads and descriptors open before a test's transports.
-
-    The first shared-memory use starts the resource tracker, which
-    keeps a pipe for the life of the process: get that out of the way.
-    """
+    """The threads and descriptors open before a test's transports,
+    counted after one transport has come and gone, so that nothing a
+    first use sets up for good is charged to the test."""
     warm = carrier("warm")
     warm.start()
     warm.close()

@@ -16,6 +16,7 @@ exactly once, and the merged four-process trace passes every
 conformance rule.
 """
 
+import glob
 import os
 import subprocess
 import sys
@@ -35,7 +36,6 @@ from repro.transport.host import (
     published_address,
     query_status,
 )
-from repro.transport.shm import purge_stale_segments
 from repro.transport.tracemerge import export_trace, merge_trace_files
 from repro.workloads.traversal import (
     expected_search_checksum,
@@ -110,7 +110,7 @@ def deployment(request, tmp_path):
     """Registry + two space hosts, each writing a trace log.
 
     Runs once per carrier: the same four-process scenario must hold
-    over localhost sockets and over shared-memory segments.
+    over localhost sockets and over abstract ``AF_UNIX`` sockets.
     """
     transport = request.param
     hosts = []
@@ -148,8 +148,15 @@ def deployment(request, tmp_path):
         for host in hosts:
             host.kill()
         if transport == "shm":
-            # A host still up here dies by SIGKILL and unlinks nothing.
-            purge_stale_segments()
+            # A host still up here died by SIGKILL, closing nothing:
+            # its listening socket went with the process, and it made
+            # no /dev/shm file.
+            names = [host.addr.rsplit(":", 1)[0] for host in hosts]
+            with open("/proc/net/unix") as table:
+                sockets = table.read()
+            for name in names:
+                assert "@" + name not in sockets
+                assert not glob.glob(f"/dev/shm/{name}*")
 
 
 def test_session_across_processes_with_faults(deployment, tmp_path):

@@ -15,9 +15,6 @@ from repro.transport.framing import (
     Pong,
     Reply,
     Request,
-    SegAck,
-    SegReply,
-    SegRequest,
     Welcome,
     decode_frame,
     encode_frame,
@@ -64,29 +61,6 @@ FRAMES = [
         payload=b"\x00" * 5,
         clock=(("A", 5), ("B", 3), ("C", 2**40)),
     ),
-    SegRequest(
-        exchange_id=5,
-        src="A",
-        dst="B",
-        kind="call",
-        expects_reply=True,
-        segment="srpc-1234-abcd",
-        offset=4096,
-        length=70000,
-        extent=17,
-        epoch=3,
-        clock=(("A", 6),),
-    ),
-    SegReply(
-        exchange_id=5,
-        status=STATUS_OK,
-        segment="srpc-5678-ef01",
-        offset=2**33,
-        length=2**32 - 1,
-        extent=18,
-        epoch=4,
-    ),
-    SegAck(segment="srpc-1234-abcd", offset=4096, extent=17),
 ]
 
 
@@ -132,8 +106,10 @@ def test_trailing_garbage_rejected():
 
 
 def test_unknown_frame_type_rejected():
-    with pytest.raises(FramingError):
-        decode_frame(b"\x00\x00\x00\x63")
+    # 8-10 were the shared-segment frames of protocol version 2.
+    for word in (8, 9, 10, 0x63):
+        with pytest.raises(FramingError, match="unknown frame type"):
+            decode_frame(word.to_bytes(4, "big") + bytes(64))
 
 
 def test_non_utf8_string_is_a_framing_error():
@@ -176,7 +152,6 @@ def test_nonzero_padding_and_bad_boolean_rejected():
         Hello(version=2**32, site_id="A"),
         Reply(exchange_id=1, status=-1, payload=b""),
         Request(2**64, "A", "B", "call", True, b""),
-        SegReply(1, STATUS_OK, "seg", 0, 2**32, 0, 0),
         Ping(token="41"),
     ],
     ids=repr,

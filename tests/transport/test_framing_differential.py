@@ -28,9 +28,6 @@ from repro.transport.framing import (
     Pong,
     Reply,
     Request,
-    SegAck,
-    SegReply,
-    SegRequest,
     Welcome,
     decode_frame,
     encode_frame,
@@ -82,45 +79,6 @@ GOLDEN = [
     ),
     (Ping(token=41), "0000000c000000060000000000000029"),
     (Pong(token=2**64 - 1), "0000000c00000007ffffffffffffffff"),
-    (
-        SegRequest(
-            exchange_id=3,
-            src="A",
-            dst="B",
-            kind="call",
-            expects_reply=False,
-            segment="srpc-1234-abcd",
-            offset=4096,
-            length=70000,
-            extent=17,
-            epoch=3,
-            clock=(("A", 1),),
-        ),
-        "0000006c00000008000000000000000300000001410000000000000142000000"
-        "0000000463616c6c000000000000000100000001410000000000000000000001"
-        "0000000e737270632d313233342d616263640000000000000000100000011170"
-        "00000000000000110000000000000003",
-    ),
-    (
-        SegReply(
-            exchange_id=3,
-            status=STATUS_OK,
-            segment="srpc-1234-abcd",
-            offset=2**33,
-            length=2**32 - 1,
-            extent=18,
-            epoch=4,
-            clock=(),
-        ),
-        "0000004400000009000000000000000300000000000000000000000e73727063"
-        "2d313233342d6162636400000000000200000000ffffffff0000000000000012"
-        "0000000000000004",
-    ),
-    (
-        SegAck(segment="srpc-1234-abcd", offset=4096, extent=17),
-        "000000280000000a0000000e737270632d313233342d61626364000000000000"
-        "000010000000000000000011",
-    ),
 ]
 
 
@@ -138,7 +96,7 @@ def test_golden_vectors_cover_every_frame_type():
     table = framing._FRAME_TABLE
     assert {type(frame) for frame, _ in GOLDEN} == {row[0] for row in table}
     assert [row[1] for row in table] == list(framing.FrameType)
-    assert len(table) == 10 and PROTOCOL_VERSION == 2
+    assert len(table) == 7 and PROTOCOL_VERSION == 3
 
 
 def test_a_frame_type_is_compiled_on_its_first_use(monkeypatch):
@@ -157,8 +115,8 @@ def test_a_frame_type_is_compiled_on_its_first_use(monkeypatch):
     ping = framing._ENCODERS[Ping]
     assert decode_frame(wire[LENGTH_PREFIX.size :]) == Ping(41)
     assert decode_frame(bytes.fromhex(GOLDEN[-1][1])[4:]) == GOLDEN[-1][0]
-    assert set(framing._ENCODERS) == {Ping, SegAck}
-    assert set(framing._DECODERS) == {6, 10}
+    assert set(framing._ENCODERS) == {Ping, Pong}
+    assert set(framing._DECODERS) == {6, 7}
     assert framing._ENCODERS[Ping] is ping
 
 
@@ -170,7 +128,7 @@ uint32s = st.one_of(
 uint64s = st.one_of(
     st.integers(0, 2**64 - 1), st.sampled_from([0, 2**32, 2**64 - 1])
 )
-#: Site ids, kinds and segment names: mostly a small recurring pool (so
+#: Site ids and kinds: mostly a small recurring pool (so
 #: the intern tables are hit as well as filled), otherwise arbitrary
 #: text — empty, non-ASCII, astral — of every length mod 4.
 names = st.one_of(
@@ -195,15 +153,6 @@ frames = st.one_of(
     st.builds(Reply, uint64s, uint32s, payloads, clocks),
     st.builds(Ping, uint64s),
     st.builds(Pong, uint64s),
-    st.builds(
-        SegRequest, uint64s, names, names, names, st.booleans(), names,
-        uint64s, uint32s, uint64s, uint64s, clocks,
-    ),
-    st.builds(
-        SegReply, uint64s, uint32s, names, uint64s, uint32s, uint64s,
-        uint64s, clocks,
-    ),
-    st.builds(SegAck, names, uint64s, uint64s),
 )
 
 
@@ -264,14 +213,13 @@ SEED_FRAMES = [frame for frame, _ in GOLDEN] + [
     Request(1, "", "B", "call", False, b""),
     Request(2, "A", "B", "call", True, b"abc", (("A", 1), ("B", 2), ("β", 3))),
     Reply(2, STATUS_OK, b"\x01" * 6, (("A", 1), ("B", 3))),
-    SegReply(4, STATUS_OK, "s", 1, 2, 3, 4, (("A", 1), ("B", 2))),
 ]
 
 
 def test_mutation_fuzz_accepts_and_rejects_like_the_ladder():
     rng = random.Random(18)
     mutants = accepted = 0
-    for round_ in range(50):
+    for round_ in range(60):  # 10 seed frames, 35 mutants each
         for frame in SEED_FRAMES:
             body = encode_frame(frame)[LENGTH_PREFIX.size :]
             for mutant in _mutants(rng, body):

@@ -1,20 +1,28 @@
-"""Smart RPC sessions over shared memory, in-process.
+"""Smart RPC sessions over the shm carrier, in-process.
 
 The same suite shape as ``test_tcp_smartrpc.py``: three transport
 stacks (name server, caller, callee) while the smart runtime above
 them swizzles long pointers, pulls faulted pages, piggybacks modified
-data, writes back and invalidates at session end.  What shm adds is
-checked on top: bulk transfers arrive as ``segment-handover`` events
-(pages mapped in place, not streamed), and a write-back big enough to
-spill stays pinned in the ground's segment until the commit applies it
-straight out of shared memory.
+data, writes back and invalidates at session end — over abstract
+``AF_UNIX`` sockets, with results and counters equal to simnet's.
 """
+
+import itertools
 
 import pytest
 
+import repro.rpc.session as rpc_session
+
 from repro.analysis import trace_rules
 from repro.analysis.diagnostics import DiagnosticCollector
-from repro.bench.harness import CALLEE, PROPOSED, make_world, run_tree_call
+from repro.bench.harness import (
+    CALLEE,
+    PROPOSED,
+    SHM,
+    SIMNET,
+    make_world,
+    run_tree_call,
+)
 from repro.simnet.tracefmt import save_trace
 from repro.workloads.traversal import (
     bind_tree_expose,
@@ -31,7 +39,7 @@ from repro.xdr.view import StructView
 
 NODES = 63
 EXPOSED_NODES = 7
-BULK_NODES = 255  # write-back batch well past the ring spill threshold
+BULK_NODES = 255  # a write-back batch of many pages
 
 
 def _modify_remote_root(world, session, stub):
@@ -95,26 +103,35 @@ def test_ground_modification_written_back_over_shm(shm_world):
     assert checksum == sum(range(EXPOSED_NODES)) + 555
 
 
-def test_bulk_writeback_commits_out_of_shared_segment(shm_world):
-    """A write-back batch past the spill threshold ships as a segment
-    extent: prepare retains the carrier lease, commit applies straight
-    out of the ground's data segment — the batch bytes cross exactly
-    once, as a handover, never as a stream."""
-    remote_root = build_complete_tree(shm_world.callee, BULK_NODES)
-    bind_tree_expose(shm_world.callee, remote_root)
-    stub = tree_expose_client(shm_world.caller, CALLEE)
-    with shm_world.caller.session() as session:
-        touched = _modify_whole_remote_tree(shm_world, session, stub)
-    assert touched == BULK_NODES
-    assert shm_world.stats.write_backs > 0
-    handovers = list(shm_world.stats.events_in("segment-handover"))
-    assert any(
-        event.data["kind"] == "writeback_prepare" for event in handovers
-    )
-    # The staged batch landed exactly once.
-    with shm_world.caller.session() as session:
-        checksum = stub.tree_checksum(session)
-    assert checksum == sum(range(BULK_NODES)) + 1000 * BULK_NODES
+def _bulk_writeback(transport):
+    """Dirty every node of a callee-homed tree on the ground, end the
+    session, read the tree back: ``(touched, checksum, counters)``."""
+    rpc_session._session_numbers = itertools.count(100)  # equal ids
+    with make_world(PROPOSED, transport=transport) as world:
+        remote_root = build_complete_tree(world.callee, BULK_NODES)
+        bind_tree_expose(world.callee, remote_root)
+        stub = tree_expose_client(world.caller, CALLEE)
+        with world.caller.session() as session:
+            touched = _modify_whole_remote_tree(world, session, stub)
+        write_backs = world.stats.write_backs
+        with world.caller.session() as session:
+            checksum = stub.tree_checksum(session)
+        counters = (
+            write_backs,
+            dict(world.stats.messages_by_kind),
+            dict(world.stats.bytes_by_kind),
+        )
+    return touched, checksum, counters
+
+
+def test_bulk_writeback_matches_simnet():
+    """A write-back batch of many pages commits over shm as over
+    simnet: every node updated once, and the same write-backs,
+    messages and bytes per kind."""
+    shm = _bulk_writeback(SHM)
+    assert shm[:2] == (BULK_NODES, sum(range(BULK_NODES)) + 1000 * BULK_NODES)
+    assert shm[2][0] > 0
+    assert shm == _bulk_writeback(SIMNET)
 
 
 def test_shm_trace_passes_conformance_rules(shm_world, tmp_path):

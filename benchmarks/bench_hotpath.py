@@ -72,9 +72,14 @@ WALK_FLOOR = 1.65
 #: batch encode, batch apply) may cost next to the resident walk it
 #: precedes.  30x before the compiled wire plans, 14x with them, 11.4x
 #: since placeholder pages are backed lazily and released per batch,
-#: 8.8x since a batch builds its placeholders in one pass; the ceiling
-#: is the measured ratio plus a quarter.
-FIRST_CALL_CEILING = 11.0
+#: 8.8x since a batch builds its placeholders in one pass, under a
+#: ceiling of 11.0 (the ratio plus a quarter).  Settled pages then made
+#: the resident walk 1.37x faster (median of 22 alternating record
+#: pairs) without touching the cold path, so the ratio read 11.7x.  The
+#: ceiling is 11.0 rescaled by that speedup and rounded down: 14.9
+#: times the new walk allows no more first-call milliseconds than 11.0
+#: times the old one did.
+FIRST_CALL_CEILING = 14.9
 
 #: The pre-change reference: the same resident walk, same timing
 #: discipline, at the commit before the token/bulk work, on the host

@@ -18,12 +18,13 @@ on another machine.  Once a page is resident, the only cost is
 costs exactly as much as local data.
 
 :meth:`Mem.load` and :meth:`Mem.store` are the whole access plane.
-Two mechanisms keep the *Python-level* cost of that claim honest:
+Three mechanisms keep the *Python-level* cost of that claim honest:
 
 * **Page access tokens.**  On the first touch of a page, ``Mem``
-  caches ``(read limit, write limit, page buffer)`` for it: how far
-  into the page a load and a store may reach on the fast path (the
-  buffer's length, or -1 when the protection denies the access);
+  caches ``(read limit, write limit, page buffer, observe)`` for it:
+  how far into the page a load and a store may reach on the fast path
+  (the buffer's length, or -1 when the protection denies the access),
+  and whether an access to it still reports to the observer;
   subsequent accesses on the page skip the checked
   ``AddressSpace.read``/``write`` path entirely and slice the page
   buffer directly.  Tokens are discarded wholesale whenever the
@@ -38,9 +39,19 @@ Two mechanisms keep the *Python-level* cost of that claim honest:
   past the buffer and grows it on a write.
 * **Access runs.**  ``accesses=n`` makes one load or store stand for
   ``n`` modelled accesses: one protection check for the whole span,
-  the clock charged ``n`` times (in the same float-accumulation order
-  as ``n`` single accesses) and a single coalesced observer callback
-  covering the span's byte range.
+  the clock charged ``n`` times in one ``bill`` call (in the same
+  float-accumulation order as ``n`` single accesses) and at most one
+  coalesced observer callback covering the span's byte range.
+* **Settled pages.**  The observer's return value says whether
+  accesses to the page can still matter to it: a truthy answer
+  ("settled") rewrites the page's token with ``observe`` false, so
+  later token accesses to that page make no callback at all until the
+  next generation bump drops the token table.  ``None`` (or any falsy
+  answer) keeps the callbacks coming.  The checked path reports every
+  access and ignores the answer, and installing an observer re-arms
+  every page.  The smart runtime settles a page once its cache holds
+  no untouched shipped data, which is what makes a warm resident
+  access cost only the access.
 """
 
 from __future__ import annotations
@@ -55,12 +66,18 @@ from repro.simnet.stats import StatsCollector
 
 _MAX_FAULT_RETRIES = 8
 
-#: token = (read limit, write limit, page buffer); a limit is the
-#: buffer's length, or -1 when the page's protection denies the access.
-#: The buffer itself, not a view of it: a cold walk takes one token per
-#: page, and a tuple of ints and a bytearray is one object the cyclic
-#: collector can stop tracking, where a memoryview is a second one.
-_Token = Tuple[int, int, bytearray]
+#: ``observer(address, size, is_write)``; a truthy return settles the
+#: page (see :attr:`Mem.observer`).
+_Observer = Callable[[int, int, bool], Optional[bool]]
+
+#: token = (read limit, write limit, page buffer, observe); a limit is
+#: the buffer's length, or -1 when the page's protection denies the
+#: access; ``observe`` is whether a fast-path access still calls the
+#: observer.  The buffer itself, not a view of it: a cold walk takes
+#: one token per page, and a tuple of ints, a bool and a bytearray is
+#: one object the cyclic collector can stop tracking, where a
+#: memoryview is a second one.
+_Token = Tuple[int, int, bytearray, bool]
 
 
 class Mem:
@@ -77,18 +94,33 @@ class Mem:
         self.clock = clock
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.stats = stats
-        #: Called as ``observer(address, size, is_write)`` after each
-        #: successful access.  Only the program plane goes through
-        #: :class:`Mem`, so this sees exactly what the procedure body
-        #: touches — the smart runtime hooks it for shipped-vs-touched
-        #: accounting — and never the codec's raw-plane traffic.  A
-        #: run of accesses reports once for its whole byte range.
-        self.observer: Optional[Callable[[int, int, bool], None]] = None
         self._tokens: Dict[int, _Token] = {}
+        self._observer: Optional[_Observer] = None
         self._token_gen = -1
         # CostModel is a frozen dataclass, so the per-access charge can
         # be snapshotted once instead of read on every fast-path access.
         self._local_access = self.cost_model.local_access
+
+    @property
+    def observer(self) -> Optional[_Observer]:
+        """Called as ``observer(address, size, is_write)`` after an access.
+
+        Only the program plane goes through :class:`Mem`, so this sees
+        exactly what the procedure body touches — the smart runtime
+        hooks it for shipped-vs-touched accounting — and never the
+        codec's raw-plane traffic.  A run of accesses reports once for
+        its whole byte range.  A truthy return settles the page: token
+        accesses to it stop reporting until the space's generation
+        moves.  The checked path (a cross-page span, a fault, a token
+        miss) reports every access.  Installing or replacing the
+        observer re-arms every page.
+        """
+        return self._observer
+
+    @observer.setter
+    def observer(self, observer: Optional[_Observer]) -> None:
+        self._observer = observer
+        self._tokens.clear()
 
     # -- page access tokens ----------------------------------------------------
 
@@ -109,6 +141,7 @@ class Mem:
             len(data) if protection.readable else -1,
             len(data) if protection.writable else -1,
             data,
+            self._observer is not None,
         )
         self._tokens[page_number] = token
         return token
@@ -120,9 +153,10 @@ class Mem:
 
         A run (``accesses`` other than 1) pays the protection check
         once for its whole span; the clock is still charged
-        ``accesses`` times and one observer callback covers the span.
-        A span touching protected pages faults and retries like any
-        access — each page it covers may fault once.
+        ``accesses`` times and one observer callback, unless the page
+        is settled, covers the span.  A span touching protected pages
+        faults and retries like any access — each page it covers may
+        fault once.
         """
         space = self.space
         if self._token_gen != space.generation:
@@ -139,11 +173,17 @@ class Mem:
             if end <= token[0]:
                 data = bytes(token[2][offset:end])
                 if accesses != 1:
-                    self._charge(accesses)
+                    if accesses < 0:
+                        raise ValueError(f"negative access count {accesses!r}")
+                    if self.clock is not None:
+                        self.clock.bill(self._local_access, accesses)
                 elif self.clock is not None:
                     self.clock.advance(self._local_access)
-                if self.observer is not None:
-                    self.observer(address, size, False)
+                if token[3] and self._observer(address, size, False):
+                    # Settled until the generation moves; should the
+                    # observer itself have moved it, the next access
+                    # drops this token with the rest.
+                    self._tokens[page_number] = token[:3] + (False,)
                 return data
         return self._checked(address, size, None, accesses)
 
@@ -164,12 +204,15 @@ class Mem:
             end = offset + size
             if end <= token[1]:
                 if accesses != 1:
-                    self._charge(accesses)
+                    if accesses < 0:
+                        raise ValueError(f"negative access count {accesses!r}")
+                    if self.clock is not None:
+                        self.clock.bill(self._local_access, accesses)
                 elif self.clock is not None:
                     self.clock.advance(self._local_access)
                 token[2][offset:end] = data
-                if self.observer is not None:
-                    self.observer(address, size, True)
+                if token[3] and self._observer(address, size, True):
+                    self._tokens[page_number] = token[:3] + (False,)
                 return
         self._checked(address, len(data), data, accesses)
 
@@ -197,8 +240,8 @@ class Mem:
                 self._deliver(fault)
                 continue
             self._charge(accesses)
-            if self.observer is not None:
-                self.observer(address, size, data is not None)
+            if self._observer is not None:
+                self._observer(address, size, data is not None)
             return result
         raise FaultLoopError(
             f"{'load of' if data is None else 'store to'} {address:#x} in "

@@ -118,10 +118,12 @@ class CacheManager:
         # Dirty pages written since the last activity crossing: mapped
         # READ_WRITE until the crossing re-protects them.
         self._written: Set[int] = set()
-        #: Shipped entries the program has not yet touched.  The access
-        #: observer fires on every program access to a cache page; while
-        #: this is zero it need not call :meth:`note_touch_range` — the
-        #: steady-state fast path.
+        #: Shipped entries the program has not yet touched.  While it is
+        #: non-zero the access observer scores program accesses to this
+        #: cache's pages through :meth:`note_touch_range`; once it is
+        #: zero a page's accesses can score nothing, and the observer
+        #: settles the page: ``Mem`` stops reporting it until the next
+        #: generation bump — the steady-state fast path.
         self.untouched_shipped = 0
         #: :meth:`finish_datum` as one bound call, for a batch loop to
         #: read once per batch; ``None`` under ``packed``.
@@ -358,8 +360,8 @@ class CacheManager:
 
         ``prefetched`` marks data shipped beyond the demanded roots —
         the eager-closure gamble the adaptive policy's feedback loop
-        scores against :meth:`note_touch`.  The bytes are posted to the
-        ledgers once per batch, through :meth:`post_shipped`.
+        scores against :meth:`note_touch_range`.  The bytes are posted
+        to the ledgers once per batch, through :meth:`post_shipped`.
         (``transfer.apply_batch`` does the same inline, per item.)
         """
         if not entry.shipped and not entry.touched:
@@ -381,10 +383,6 @@ class CacheManager:
         """
         self.post_shipped(0, size)
 
-    def note_touch(self, address: int) -> None:
-        """Record the program's first access to a shipped entry."""
-        self.note_touch_range(address, 1)
-
     def note_touch_range(self, address: int, size: int) -> None:
         """Score a program access run touching ``size`` bytes at ``address``.
 
@@ -392,8 +390,9 @@ class CacheManager:
         shipped entry the run overlaps is scored touched, exactly as
         the per-access loop would have scored them one by one.  Once
         nothing shipped remains untouched this is a constant-time
-        no-op, which is what keeps the steady-state access fast path
-        cheap.
+        no-op, and the observer no longer calls it: it answers that
+        the page is settled, and ``Mem`` stops reporting the page's
+        accesses until the next generation bump.
         """
         if not self.untouched_shipped:
             return

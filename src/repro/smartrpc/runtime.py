@@ -225,21 +225,36 @@ class SmartRpcRuntime(RpcRuntime):
 
     def _note_program_access(
         self, address: int, size: int, _write: bool
-    ) -> None:
+    ) -> bool:
         # The Mem observer: the program plane touched local memory.
         # Only cache pages holding untouched shipped data matter for
         # shipped-vs-touched accounting.  Bulk runs arrive as one
         # coalesced callback covering the whole byte range; every
         # overlapping entry is scored.
+        #
+        # The answer for a one-page access is "settled": no later
+        # access to this page can score, so Mem stops reporting it
+        # until the space's generation moves.  That holds for a page
+        # of no cache, and for one whose cache has nothing shipped left
+        # untouched: a row is flagged shipped only on the fill path,
+        # for a row not yet resident, and such a row's page is mapped
+        # NONE (a page is released only once every row on it is
+        # resident, and a released page takes no new rows).  A page
+        # leaves NONE only through ``protect`` / ``protect_pages``,
+        # which bump the generation, so while a page is readable — the
+        # only pages whose tokens settle — none of its rows can become
+        # untouched shipped data.  A span's answer is never asked.
         page_of = self.space.page_if_mapped
         page_size = self.space.page_size
         first = address // page_size
         last = (address + size - 1) // page_size if size > 1 else first
         if first == last:
             cache = getattr(page_of(first), "cache", None)
-            if cache is not None and cache.untouched_shipped:
+            if cache is None:
+                return True
+            if cache.untouched_shipped:
                 cache.note_touch_range(address, size)
-            return
+            return not cache.untouched_shipped
         cursor = address
         remaining = size
         for number in range(first, last + 1):
@@ -249,6 +264,7 @@ class SmartRpcRuntime(RpcRuntime):
                 cache.note_touch_range(cursor, chunk)
             cursor += chunk
             remaining -= chunk
+        return False
 
     # -- session plumbing -----------------------------------------------------
 

@@ -251,6 +251,119 @@ class TestAccessRuns:
         assert clock.now == 2e-6
 
 
+class TestSettledPages:
+    """A truthy observer answer silences that page until the next bump."""
+
+    @staticmethod
+    def settling(seen, answer=True):
+        def observer(address, size, is_write):
+            seen.append((address, size, is_write))
+            return answer
+
+        return observer
+
+    def test_truthy_answer_silences_only_that_page(self, space, mem):
+        base = space.map_region(2)
+        other = base + space.page_size
+        seen = []
+        mem.observer = self.settling(seen)
+        mem.load(base, 4)
+        mem.load(base + 8, 4, accesses=2)
+        mem.store(base, b"ab")
+        mem.store(other, b"cd")
+        mem.load(other, 2)
+        assert seen == [(base, 4, False), (other, 2, True)]
+        assert mem.load(base, 2) == b"ab"  # the access itself still works
+
+    def test_settled_page_is_rearmed_by_the_next_bump(self, space, mem):
+        base = space.map_region(1)
+        seen = []
+        mem.observer = self.settling(seen)
+        mem.load(base, 4)
+        mem.load(base, 4)
+        space.protect(space.page_number(base), Protection.READ)
+        mem.load(base, 4)
+        mem.load(base, 4)
+        assert seen == [(base, 4, False)] * 2
+
+    @pytest.mark.parametrize("answer", [None, False, 0])
+    def test_falsy_answer_keeps_the_callbacks(self, space, mem, answer):
+        base = space.map_region(1)
+        seen = []
+        mem.observer = self.settling(seen, answer)
+        for _ in range(3):
+            mem.load(base, 4)
+        mem.store(base, b"x", accesses=2)
+        assert seen == [(base, 4, False)] * 3 + [(base, 1, True)]
+
+    def test_installing_an_observer_rearms_every_page(self, space, mem):
+        base = space.map_region(2)
+        other = base + space.page_size
+        first, second = [], []
+        mem.observer = self.settling(first)
+        mem.load(base, 1)
+        mem.load(other, 1)
+        mem.observer = self.settling(second)
+        mem.load(base, 1)
+        mem.load(other, 1)
+        mem.load(base, 1)
+        assert first == [(base, 1, False), (other, 1, False)]
+        assert second == first
+
+    def test_checked_path_always_reports(self, space):
+        mem = checked_mem(space)
+        base = space.map_region(1)
+        seen = []
+        mem.observer = self.settling(seen)
+        mem.load(base, 4)
+        mem.store(base, b"ab")
+        mem.load(base, 4, accesses=2)
+        assert seen == [(base, 4, False), (base, 2, True), (base, 4, False)]
+
+    def test_cross_page_span_always_reports(self, space, mem):
+        base = space.map_region(2)
+        boundary = base + space.page_size - 2
+        seen = []
+        mem.observer = self.settling(seen)
+        mem.load(base, 1)  # settles the first page
+        mem.load(boundary, 4)
+        mem.store(boundary, b"abcd", accesses=2)
+        assert seen == [
+            (base, 1, False), (boundary, 4, False), (boundary, 4, True),
+        ]
+
+    def test_fault_retry_reports_though_page_settled(self, space, mem):
+        base = space.map_region(1, Protection.NONE)
+        number = space.page_number(base)
+
+        def handler(fault):
+            space.write_raw(base, b"ok")  # back the bytes the load reads
+            space.protect(number, Protection.READ)
+
+        space.set_fault_handler(handler)
+        seen = []
+        mem.observer = self.settling(seen)
+        mem.load(base, 2)  # faults, then reports from the checked path
+        mem.load(base, 2)  # token path: reports, answers settled
+        mem.load(base, 2)
+        assert seen == [(base, 2, False)] * 2
+
+    def test_observer_that_bumps_leaves_the_page_armed(self, space, mem):
+        base = space.map_region(1)
+        number = space.page_number(base)
+        seen = []
+
+        def bumping(address, size, is_write):
+            seen.append(address)
+            space.protect(number, Protection.READ_WRITE)
+            return True
+
+        mem.observer = bumping
+        mem.load(base, 1)
+        mem.load(base, 1)
+        assert seen == [base, base]
+
+
 class TestNegativeAccessCount:
     """``accesses < 0`` is a ``ValueError`` on every path, clock or not."""
 

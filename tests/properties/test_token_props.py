@@ -1,6 +1,6 @@
 """Properties of the page-access-token fast path.
 
-Two obligations:
+Three obligations:
 
 * **Freshness.** A cached token must never let the program observe
   pre-invalidation protection or post-invalidation bytes: any
@@ -13,6 +13,14 @@ Two obligations:
   must stay free of coherency-sanitizer diagnostics and return the
   same values the checked path returns — the token path cannot hide
   an invalidation from the protocol.
+* **Touch accounting.**  A page whose cache has nothing left to score
+  goes quiet: token accesses to it stop calling the touch observer
+  until the next generation bump.  Over generated sessions — repeated
+  walks, a second fill after everything was touched, ``pipelined``
+  prefetch, ``lazy``, ``packed`` pages of many rows,
+  ``extended_malloc`` / ``extended_free`` — the shipped-vs-touched
+  ledgers must come out exactly as on the checked oracle, whose every
+  access reports.
 """
 
 import pytest
@@ -21,12 +29,13 @@ from hypothesis import strategies as st
 
 from repro.analysis.diagnostics import DiagnosticCollector
 from repro.analysis.sanitizer import check_events
-from repro.bench.harness import CALLEE, SIMNET, make_world
+from repro.bench.harness import CALLEE, SIMNET, make_world, resolve_policy
 from repro.memory.accessor import Mem
 from repro.memory.address_space import AddressSpace
 from repro.memory.faults import AccessViolation
 from repro.memory.page import PAGE_SIZE_DEFAULT, Protection
 from repro.workloads.linked_list import build_list, list_client
+from tests.memory.checked import checked_mem
 
 NUM_PAGES = 3
 PAGE = PAGE_SIZE_DEFAULT
@@ -187,3 +196,89 @@ class TestBulkReadersStayCoherent:
             events = list(world.stats.events)
         assert events, "tracing was enabled but recorded nothing"
         assert sanitize(events) == []
+
+
+#: One call of a generated session.  ``other`` walks a second list, a
+#: fill that lands after the first list may all have been touched;
+#: ``append`` allocates with ``extended_malloc`` and ``drop`` frees the
+#: negative nodes with ``extended_free``.
+list_calls = st.sampled_from(["total", "other", "scale", "append", "drop"])
+
+#: Label -> (preset, field overrides).  ``packed`` puts many rows on
+#: one page, so a page is touched before all of its rows are.
+touch_policies = {
+    "paper": ("paper", {}),
+    "paper-packed": ("paper", {"allocation_strategy": "packed"}),
+    "pipelined": ("pipelined", {}),
+    "lazy": ("lazy", {}),
+}
+
+
+def _touch_accounting(method, values, other_values, sessions, checked):
+    """Per call: (call, result, session ledger, untouched shipped rows),
+    then the world's ledger, for one run of the generated sessions."""
+    preset, fields = touch_policies[method]
+    with make_world(resolve_policy(preset, **fields),
+                    transport=SIMNET) as world:
+        if checked:
+            for runtime in (world.caller, world.callee):
+                # The oracle: every access takes the checked path,
+                # which reports it to the observer.
+                mem = runtime.mem
+                runtime.mem = checked_mem(
+                    runtime.space, clock=mem.clock,
+                    cost_model=mem.cost_model, stats=mem.stats,
+                )
+                runtime.mem.observer = mem.observer
+        head = build_list(world.caller, values)
+        other = build_list(world.caller, other_values)
+        stub = list_client(world.caller, CALLEE)
+        seen = []
+        for calls in sessions:
+            with world.caller.session() as session:
+                for call in calls:
+                    if call == "total":
+                        result = stub.total(session, head)
+                    elif call == "other":
+                        result = stub.total(session, other)
+                    elif call == "scale":
+                        result = stub.scale(session, head, 3)
+                    elif call == "append" and head:
+                        result = stub.append_range(session, head, -2, 3)
+                    elif call == "drop":
+                        result = head = stub.drop_negatives(session, head)
+                    else:
+                        continue
+                    state = world.callee.session_state(session.session_id)
+                    seen.append((
+                        call,
+                        result,
+                        state.transfer_stats.as_dict(),
+                        state.cache.untouched_shipped,
+                    ))
+        return seen, world.stats.transfer_ledger.as_dict()
+
+
+class TestTouchAccounting:
+    @pytest.mark.parametrize("method", sorted(touch_policies))
+    @settings(max_examples=6, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-4, max_value=9),
+                 min_size=1, max_size=24),
+        st.lists(st.integers(min_value=0, max_value=9),
+                 min_size=1, max_size=12),
+        st.lists(st.lists(list_calls, max_size=4), min_size=1, max_size=2),
+    )
+    def test_quiet_pages_score_as_the_checked_oracle(
+        self, method, values, other_values, tails
+    ):
+        # Every session opens with two walks of the same list, so its
+        # pages settle, and a session after the first reuses the page
+        # numbers the one before it settled.
+        sessions = [["total", "total"] + tail for tail in tails]
+        sessions.insert(0, ["total"])
+        fast = _touch_accounting(method, values, other_values, sessions,
+                                 checked=False)
+        oracle = _touch_accounting(method, values, other_values, sessions,
+                                   checked=True)
+        assert fast == oracle

@@ -61,6 +61,14 @@ LIST_NODES = 4096
 #: page's worth of consecutive 4-byte slots.
 MICRO_ACCESSES = 256
 
+#: Fresh worlds whose walks are timed, and fresh worlds whose cold
+#: first call is timed (the first :data:`WALK_WORLDS` of them time
+#: both).  The first call took the best of three worlds too, until a
+#: slow spell on a shared host read it up to 1.85x its median and
+#: failed the ceiling with no code change.
+WALK_WORLDS = 3
+FIRST_CALL_WORLDS = 7
+
 #: Host-independent gate floors (see :func:`compare`).
 BULK_VS_CHECKED = 0.5
 #: ``checked_ms / hotpath_ms``.  1.5 while the checked walk ran on a
@@ -78,8 +86,12 @@ WALK_FLOOR = 1.65
 #: pairs) without touching the cold path, so the ratio read 11.7x.  The
 #: ceiling is 11.0 rescaled by that speedup and rounded down: 14.9
 #: times the new walk allows no more first-call milliseconds than 11.0
-#: times the old one did.
-FIRST_CALL_CEILING = 14.9
+#: times the old one did.  Reading each datum once, a cursor apply and
+#: page-grain settling then made the cold session 1.106x faster
+#: (srpcbench ``list_cold_simnet``, median of ten alternating pairs
+#: pinned to one CPU) without touching the walk, so the ceiling is
+#: 14.9 divided by that speedup, rounded down.
+FIRST_CALL_CEILING = 13.4
 
 #: The pre-change reference: the same resident walk, same timing
 #: discipline, at the commit before the token/bulk work, on the host
@@ -148,8 +160,12 @@ def per_access_ns() -> Dict[str, float]:
     return {label: round(value, 2) for label, value in results.items()}
 
 
-def _one_walk_world():
-    """(first call s, hot walk s, checked walk s) from one world."""
+def _one_walk_world(walks: bool = True):
+    """(first call s, hot walk s, checked walk s) from one world.
+
+    With ``walks`` false only the first call is timed (the walks are
+    ``None``).
+    """
     with make_world("paper", transport="simnet") as world:
         head = build_list(world.caller, list(range(LIST_NODES)))
         stub = list_client(world.caller, CALLEE)
@@ -158,6 +174,8 @@ def _one_walk_world():
             result = stub.total(session, head)
             first = time.perf_counter() - started
             assert result == sum(range(LIST_NODES))
+            if not walks:
+                return first, None, None
             hot = seconds_per_call(lambda: stub.total(session, head))
             for runtime in (world.caller, world.callee):
                 # Every token acquisition misses from here on, so each
@@ -171,14 +189,20 @@ def _one_walk_world():
 def resident_walk_ms() -> Dict[str, float]:
     """Wall ms of ``total`` over the 4096-node list, warm session.
 
-    Best of three fresh worlds per figure: host noise (scheduler,
-    collector, neighbours) spans whole batches, so the minimum is the
-    least-contaminated estimate of each path's cost.
+    Best of :data:`WALK_WORLDS` fresh worlds per walk figure and of
+    :data:`FIRST_CALL_WORLDS` for the first call: host noise
+    (scheduler, collector, neighbours) spans whole batches, so the
+    minimum is the least-contaminated estimate of each path's cost,
+    and a first call is one unbatched sample per world, so it needs
+    more worlds to meet a quiet spell.
     """
-    rounds = [_one_walk_world() for _ in range(3)]
+    rounds = [
+        _one_walk_world(walks=index < WALK_WORLDS)
+        for index in range(FIRST_CALL_WORLDS)
+    ]
     first = min(r[0] for r in rounds)
-    hot = min(r[1] for r in rounds)
-    checked = min(r[2] for r in rounds)
+    hot = min(r[1] for r in rounds[:WALK_WORLDS])
+    checked = min(r[2] for r in rounds[:WALK_WORLDS])
     return {
         "first_call_ms": round(first * 1e3, 3),
         "hotpath_ms": round(hot * 1e3, 3),

@@ -193,37 +193,6 @@ class DataAllocationTable:
                     return entry
         return None
 
-    def entries_overlapping(self, address: int, size: int) -> List[AllocEntry]:
-        """Rows whose placeholders intersect ``[address, address+size)``.
-
-        The bulk access path's lookup: one coalesced observer callback
-        covers a whole run, and every entry the run crossed must be
-        scored touched.  ``size <= 0`` degrades to the single-address
-        :meth:`entry_containing` semantics.
-        """
-        if size <= 0:
-            entry = self.entry_containing(address)
-            return [entry] if entry is not None else []
-        end = address + size
-        out: List[AllocEntry] = []
-        page_size = self.page_size
-        by_page = self._by_page
-        for number in range(address // page_size, (end - 1) // page_size + 1):
-            rows = by_page.get(number)
-            if not rows:
-                continue
-            index = _last_at_or_before(rows, address)
-            for entry in rows[index if index > 0 else 0 :]:
-                start = entry.local_address
-                if start >= end:
-                    break
-                # A row crossing into this page was the last one seen.
-                if start + entry.size > address and (
-                    not out or out[-1] is not entry
-                ):
-                    out.append(entry)
-        return out
-
     def entries_on_page(self, page_number: int) -> List[AllocEntry]:
         """All rows on one cache page."""
         return list(self._by_page.get(page_number, ()))

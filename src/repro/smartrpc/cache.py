@@ -120,10 +120,11 @@ class CacheManager:
         self._written: Set[int] = set()
         #: Shipped entries the program has not yet touched.  While it is
         #: non-zero the access observer scores program accesses to this
-        #: cache's pages through :meth:`note_touch_range`; once it is
-        #: zero a page's accesses can score nothing, and the observer
-        #: settles the page: ``Mem`` stops reporting it until the next
-        #: generation bump — the steady-state fast path.
+        #: cache's pages through :meth:`note_touch_range`, which settles
+        #: each page as soon as that page holds no such entry: ``Mem``
+        #: stops reporting it until the next generation bump — the
+        #: steady-state fast path.  Once it is zero every page settles
+        #: at its next access without a scoring pass.
         self.untouched_shipped = 0
         #: :meth:`finish_datum` as one bound call, for a batch loop to
         #: read once per batch; ``None`` under ``packed``.
@@ -383,46 +384,45 @@ class CacheManager:
         """
         self.post_shipped(0, size)
 
-    def note_touch_range(self, address: int, size: int) -> None:
-        """Score a program access run touching ``size`` bytes at ``address``.
+    def note_touch_range(self, address: int, size: int) -> bool:
+        """Score a program access run of ``size`` bytes at ``address``,
+        which lies within one page of this cache; whether that page is
+        now settled.
 
         The bulk access path's coalesced observer callback: every
-        shipped entry the run overlaps is scored touched, exactly as
-        the per-access loop would have scored them one by one.  Once
-        nothing shipped remains untouched this is a constant-time
-        no-op, and the observer no longer calls it: it answers that
-        the page is settled, and ``Mem`` stops reporting the page's
-        accesses until the next generation bump.
+        shipped row of the page that the run overlaps is scored
+        touched, exactly as the per-access loop would have scored them
+        one by one, and their bytes are posted to both ledgers at once.
+        The page is settled when none of its rows is shipped and still
+        untouched: a page mapped readable never gains such a row (see
+        :meth:`SmartRpcRuntime._note_program_access`), so no later
+        access to it can score, and the observer tells ``Mem`` to stop
+        reporting it until the next generation bump.
         """
-        if not self.untouched_shipped:
-            return
-        page = self.pages.get(address // self.page_size)
-        if (
-            page is not None
-            and len(page) == 1
-            and address % self.page_size + size <= self.page_size
-        ):
-            # A run on a page holding one row — a cold walk's first
-            # touch of each datum — overlaps that row or nothing.
-            entry = page[0]
-            start = entry.local_address
-            reach = address + size if size > 0 else address + 1
-            found = (
-                (entry,)
-                if start < reach and address < start + entry.size
-                else ()
-            )
-        else:
-            found = self.table.entries_overlapping(address, size)
-        transfer_stats = self.state.transfer_stats
-        ledger = self.runtime.stats.transfer_ledger
-        for entry in found:
-            if not entry.shipped or entry.touched:
+        reach = address + size if size > 0 else address + 1
+        settled = True
+        rows = touched = prefetched = 0
+        for entry in self.pages[address // self.page_size]:
+            if entry.touched or not entry.shipped:
                 continue
-            entry.touched = True
-            self.untouched_shipped -= 1
-            transfer_stats.record_touched(entry.size, entry.prefetched)
-            ledger.record_touched(entry.size, entry.prefetched)
+            start = entry.local_address
+            if start < reach and address < start + entry.size:
+                entry.touched = True
+                rows += 1
+                touched += entry.size
+                if entry.prefetched:
+                    prefetched += entry.size
+            else:
+                settled = False
+        if rows:
+            self.untouched_shipped -= rows
+            for ledger in (
+                self.state.transfer_stats,
+                self.runtime.stats.transfer_ledger,
+            ):
+                ledger.closure_bytes_touched += touched
+                ledger.prefetch_bytes_touched += prefetched
+        return settled
 
     # -- residency and dirtiness ----------------------------------------------
 
@@ -480,17 +480,19 @@ class CacheManager:
         self.dirty_pages.add(page_number)
         self._written.add(page_number)
         self.space.protect(page_number, Protection.READ_WRITE)
-        self.runtime.stats.write_faults += 1
-        self.runtime.trace_event(
-            "write",
-            f"{self.runtime.site_id}: page {page_number} marked dirty "
-            f"(session {self.state.session_id})",
-            session=self.state.session_id,
-            space=self.runtime.site_id,
-            page=page_number,
-            home=page.home,
-            version=page.version,
-        )
+        runtime = self.runtime
+        runtime.stats.write_faults += 1
+        if runtime.stats.tracing:
+            runtime.trace_event(
+                "write",
+                f"{runtime.site_id}: page {page_number} marked dirty "
+                f"(session {self.state.session_id})",
+                session=self.state.session_id,
+                space=runtime.site_id,
+                page=page_number,
+                home=page.home,
+                version=page.version,
+            )
 
     def protect_written(self) -> None:
         """Remap READ, in one pass, every page written since the last

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.smartrpc.errors import DanglingPointerError, SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
-from repro.xdr.raw import RunPlan, WirePlan, wire_plan
+from repro.xdr.raw import Follow, WirePlan, wire_plan
 from repro.xdr.types import TypeSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -32,16 +32,26 @@ DEPTH_FIRST = "dfs"
 
 
 class ClosureItem:
-    """One datum selected for transfer."""
+    """One datum selected for transfer.
 
-    __slots__ = ("pointer", "spec", "address")
+    ``values`` is the datum's ``flat.native`` image once a walk has
+    read it, so the encoder packs from it instead of reading the heap
+    a second time; ``None`` until then (and for a type with a union).
+    """
+
+    __slots__ = ("pointer", "spec", "address", "values")
 
     def __init__(
-        self, pointer: LongPointer, spec: TypeSpec, address: int
+        self,
+        pointer: LongPointer,
+        spec: TypeSpec,
+        address: int,
+        values: Optional[tuple] = None,
     ) -> None:
         self.pointer = pointer
         self.spec = spec
         self.address = address
+        self.values = values
 
 
 class ClosureWalker:
@@ -51,6 +61,8 @@ class ClosureWalker:
     address the walk resolved through the heap to its long pointer;
     :func:`repro.smartrpc.transfer.encode_batch` takes it over so the
     same pointers are not unswizzled a second time while encoding.
+    Likewise each datum the walk expands is read once, whole, and its
+    values stay on its item for the encoder.
     """
 
     def __init__(
@@ -77,9 +89,9 @@ class ClosureWalker:
         self.resolved: Dict[int, LongPointer] = {}
         # Per type id, resolved once per walk: the type's plan and
         # spec, and (worked out when the first datum of the type is
-        # expanded) the read of the pointer words to follow.
+        # expanded) how to read the pointer words to follow.
         self._shapes: Dict[str, Tuple[WirePlan, TypeSpec]] = {}
-        self._follow: Dict[str, Optional[RunPlan]] = {}
+        self._follow: Dict[str, Tuple[Optional[Follow], bool]] = {}
 
     def walk(self, roots: Sequence[LongPointer]) -> List[ClosureItem]:
         """Select data to transfer: all roots, then closure to budget.
@@ -103,39 +115,57 @@ class ClosureWalker:
         budget = self.budget_bytes
         budget_left = total < budget
         take = queue.popleft if self.order == BREADTH_FIRST else queue.pop
-        space = self.runtime.space
+        unpack_raw = self.runtime.space.unpack_raw
         site_id = self.runtime.site_id
         allocation_at = self.runtime.heap.allocation_at
         resolved = self.resolved
         shapes = self._shapes
         follow = self._follow
+        new_pointer = tuple.__new__
         while queue:
             item = take()
             items.append(item)
             if not budget_left:
                 continue
             type_id = item.pointer[2]
-            run = follow.get(type_id, _UNSET)
-            if run is _UNSET:
-                run = follow[type_id] = self._pointers_to_follow(type_id)
-            if run is None:
+            if type_id in follow:
+                read, whole = follow[type_id]
+            else:
+                read, whole = follow[type_id] = self._pointers_to_follow(
+                    type_id
+                )
+            if read is None:
                 continue
-            for value in run.read(space, item.address):
+            codec, start, slots = read
+            values = unpack_raw(codec, item.address + start)
+            if whole:
+                item.values = values
+            for index in slots:
+                value = values[index]
                 if not value:
                     continue
-                child = resolved.get(value)
-                if child is None:
+                if value in resolved:
+                    child = resolved[value]
+                else:
                     allocation = allocation_at(value)
                     if allocation is None or allocation.address != value:
                         # A pointer into this space's *cache* of a
                         # third space: the requester must fetch it from
                         # that space; do not traverse.
                         continue
-                    child = LongPointer(site_id, value, allocation.type_id)
-                    resolved[value] = child
+                    # A live allocation's base is a positive address,
+                    # so the pointer is built without LongPointer's
+                    # own check.
+                    child = resolved[value] = new_pointer(
+                        LongPointer, (site_id, value, allocation.type_id)
+                    )
                 if child in seen:
                     continue
-                plan, spec = shapes.get(child[2]) or self._shape(child[2])
+                child_type = child[2]
+                if child_type in shapes:
+                    plan, spec = shapes[child_type]
+                else:
+                    plan, spec = self._shape(child_type)
                 if total + plan.size > budget:
                     budget_left = False
                     break
@@ -171,8 +201,11 @@ class ClosureWalker:
             pointer, self._shape(pointer.type_id)[1], pointer.address
         )
 
-    def _pointers_to_follow(self, type_id: str) -> Optional[RunPlan]:
-        """The pointer words to follow out of a datum of ``type_id``.
+    def _pointers_to_follow(
+        self, type_id: str
+    ) -> Tuple[Optional[Follow], bool]:
+        """How to read the pointer words to follow out of a datum of
+        ``type_id``, and whether that read is the datum's whole image.
 
         Programmer hints (paper §6: "suggestions provided by the
         programmer") can restrict and order which pointer fields are
@@ -186,7 +219,4 @@ class ClosureWalker:
             )
         if offsets is None:
             offsets = plan.pointer_offsets
-        return plan.pointer_run(tuple(offsets))
-
-
-_UNSET = object()
+        return plan.follow(tuple(offsets)), plan.flat is not None

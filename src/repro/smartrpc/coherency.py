@@ -45,6 +45,7 @@ from repro.smartrpc.alloc_table import AllocEntry
 from repro.smartrpc.closure import ClosureItem
 from repro.smartrpc.errors import SmartRpcError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
+from repro.xdr.types import TypeSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
@@ -61,11 +62,11 @@ def modified_items(
     last write fault) and the epoch its relayed copy arrived in.
     """
     since = state.since(peer)
-    return [
-        _item(runtime, entry)
+    return _items(runtime, [
+        entry
         for entry, stamp in _stamped_entries(state).items()
         if stamp > since and entry.resident
-    ]
+    ])
 
 
 def _stamped_entries(state: "SmartSessionState") -> Dict[AllocEntry, int]:
@@ -76,9 +77,22 @@ def _stamped_entries(state: "SmartSessionState") -> Dict[AllocEntry, int]:
     return stamps
 
 
-def _item(runtime: "SmartRpcRuntime", entry: AllocEntry) -> ClosureItem:
-    spec = runtime.resolver.resolve(entry.pointer.type_id)
-    return ClosureItem(entry.pointer, spec, entry.local_address)
+def _items(
+    runtime: "SmartRpcRuntime", entries: List[AllocEntry]
+) -> List[ClosureItem]:
+    """One batch's entries as transferable items, each type id
+    resolved once."""
+    specs: Dict[str, TypeSpec] = {}
+    items = []
+    for entry in entries:
+        pointer = entry.pointer
+        type_id = pointer[2]
+        if type_id in specs:
+            spec = specs[type_id]
+        else:
+            spec = specs[type_id] = runtime.resolver.resolve(type_id)
+        items.append(ClosureItem(pointer, spec, entry.local_address))
+    return items
 
 
 def encode_piggyback(
@@ -169,16 +183,17 @@ def _owed_by_home(
     runtime: "SmartRpcRuntime", state: "SmartSessionState"
 ) -> Dict[str, List[ClosureItem]]:
     """Per remote home, the modified data homed there it may lack."""
-    owed: Dict[str, List[ClosureItem]] = {}
+    owed: Dict[str, List[AllocEntry]] = {}
+    since: Dict[str, int] = {}
     for entry, stamp in _stamped_entries(state).items():
-        home = entry.pointer.space_id
-        if (
-            home != runtime.site_id
-            and stamp > state.since(home)
-            and entry.resident
-        ):
-            owed.setdefault(home, []).append(_item(runtime, entry))
-    return owed
+        home = entry.pointer[0]
+        if home == runtime.site_id or not entry.resident:
+            continue
+        if home not in since:
+            since[home] = state.since(home)
+        if stamp > since[home]:
+            owed.setdefault(home, []).append(entry)
+    return {home: _items(runtime, entries) for home, entries in owed.items()}
 
 
 def _write_back(

@@ -38,10 +38,14 @@ PROVISIONAL_BASE = 1 << 62
 class LongPointer(tuple):
     """One long pointer (paper §3.2): ``(space_id, address, type_id)``.
 
-    A tuple underneath — immutable, no per-instance ``__dict__``, built,
+    A tuple underneath — immutable, no per-instance ``__dict__``,
     hashed and compared in C — because every ``seen``-set and
     allocation-table probe of the fill path keys on one.  (A plain
     3-tuple of the same values therefore compares equal to it.)
+    Calling the class runs :meth:`__new__`'s address check in Python;
+    the fill path, which has checked the address already, builds one
+    in C with ``tuple.__new__(LongPointer, (space_id, address,
+    type_id))``.
     """
 
     __slots__ = ()

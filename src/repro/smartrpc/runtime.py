@@ -232,29 +232,28 @@ class SmartRpcRuntime(RpcRuntime):
         # coalesced callback covering the whole byte range; every
         # overlapping entry is scored.
         #
-        # The answer for a one-page access is "settled": no later
+        # The answer for a one-page access is "settled" once no later
         # access to this page can score, so Mem stops reporting it
-        # until the space's generation moves.  That holds for a page
-        # of no cache, and for one whose cache has nothing shipped left
-        # untouched: a row is flagged shipped only on the fill path,
-        # for a row not yet resident, and such a row's page is mapped
-        # NONE (a page is released only once every row on it is
-        # resident, and a released page takes no new rows).  A page
-        # leaves NONE only through ``protect`` / ``protect_pages``,
-        # which bump the generation, so while a page is readable — the
-        # only pages whose tokens settle — none of its rows can become
-        # untouched shipped data.  A span's answer is never asked.
+        # until the space's generation moves.  That holds for a page of
+        # no cache, and for a cache page none of whose rows is shipped
+        # and still untouched (DESIGN.md §15): a row is flagged shipped
+        # only on the fill path, for a row not yet resident, and such a
+        # row's page is mapped NONE (a page is released only once every
+        # row on it is resident, and a released page takes no new
+        # rows).  A page leaves NONE only through ``protect`` /
+        # ``protect_pages``, which bump the generation, so while a page
+        # is readable — the only pages whose tokens settle — none of
+        # its rows can become untouched shipped data.  A span's answer
+        # is never asked.
         page_of = self.space.page_if_mapped
         page_size = self.space.page_size
         first = address // page_size
         last = (address + size - 1) // page_size if size > 1 else first
         if first == last:
             cache = getattr(page_of(first), "cache", None)
-            if cache is None:
+            if cache is None or not cache.untouched_shipped:
                 return True
-            if cache.untouched_shipped:
-                cache.note_touch_range(address, size)
-            return not cache.untouched_shipped
+            return cache.note_touch_range(address, size)
         cursor = address
         remaining = size
         for number in range(first, last + 1):

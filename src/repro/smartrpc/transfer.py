@@ -45,7 +45,13 @@ from repro.smartrpc.long_pointer import (
 )
 from repro.xdr.errors import XdrError
 from repro.xdr.raw import LONG_SLOT, WirePlan, wire_plan
-from repro.xdr.stream import IMAGES, XdrDecoder, XdrEncoder, string_image
+from repro.xdr.stream import (
+    IMAGES,
+    XdrDecoder,
+    XdrEncoder,
+    string_image,
+    underflow,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
@@ -84,8 +90,9 @@ def encode_batch(
     is translated twice while one request is served.  It must not
     outlive the request — the heap and the allocation table move on.
 
-    A flat item is one precompiled ``Struct`` pack; the pool head and
-    the item count go in front, and the batch is joined once.
+    A flat item is one precompiled ``Struct`` pack, of the values the
+    walk left on the item when it has them (else read here); the pool
+    head and the item count go in front, and the batch is joined once.
     """
     if resolved is None:
         resolved = {}
@@ -100,8 +107,9 @@ def encode_batch(
     plans: Dict[str, WirePlan] = {}
     for item in items:
         space_id, address, type_id = item.pointer
-        plan = plans.get(type_id)
-        if plan is None:
+        if type_id in plans:
+            plan = plans[type_id]
+        else:
             plan = plans[type_id] = wire_plan(item.spec, arch)
         flat = plan.flat
         if flat is None:
@@ -111,24 +119,31 @@ def encode_batch(
             raise XdrError(
                 f"provisional {item.pointer!r} must never reach the wire"
             )
-        handle = handles.get((space_id, type_id)) or intern(space_id, type_id)
-        values = unpack_raw(flat.native, item.address + flat.offset)
+        pair = (space_id, type_id)
+        handle = handles[pair] if pair in handles else intern(*pair)
+        values = item.values
+        if values is None:
+            values = unpack_raw(flat.native, item.address + flat.offset)
         key = 1
         if flat.slot_bits:
             values = list(values)
             for bit, index in flat.slot_bits:
                 value = values[index]
                 if value:
-                    pointer = resolved.get(value) or _translate(
-                        unswizzle, resolved, value
-                    )
+                    if value in resolved:
+                        pointer = resolved[value]
+                    else:
+                        pointer = _translate(unswizzle, resolved, value)
                     pair = (pointer[0], pointer[2])
-                    values[index] = handles.get(pair) or intern(*pair)
+                    values[index] = (
+                        handles[pair] if pair in handles else intern(*pair)
+                    )
                     values[index + 1] = pointer[1]
                     key |= bit
         if flat.enums:
             flat.check_enums(values)
-        codec = flat.codecs.get(key) or flat.wire(key)
+        codecs = flat.codecs
+        codec = codecs[key] if key in codecs else flat.wire(key)
         append(codec.pack(handle, address, *values))
     chunks[0] = pool.head()
     return b"".join(chunks)
@@ -191,28 +206,41 @@ def apply_batch(
     pointers; items outside it were *prefetched* by the eager closure,
     and the split feeds the shipped-vs-touched ledgers.
 
-    One pass per item does all of a datum's work: its own row (a
-    lookup in the table's long-pointer dict, keyed by a plain tuple —
-    a :class:`LongPointer` is built only for a row that is new), the
-    swizzle of each pointer slot (the same lookup; a miss is one
+    One cursor reads the batch: a flat item is one ``Struct`` unpack,
+    chosen by peeking at its slot handles, and every read is bounds
+    checked first, so a cut batch raises the decoder's underflow error.
+    Every long pointer of an item is checked (handle known, address
+    nonzero) before any row is placed; the pointers are then built
+    without :class:`LongPointer`'s own check.  One pass per item does
+    all of a datum's work: its own row (a lookup in the table's
+    long-pointer dict, keyed by a plain tuple — a :class:`LongPointer`
+    is built only for a row that is new), the swizzle of each pointer
+    slot (the same lookup; a miss is one
     :meth:`~repro.smartrpc.cache.CacheManager.place`, which builds the
-    row and any fresh page), residency and the page release it may
-    complete, the shipped flags and the per-datum seal.  The union
-    path swizzles through the session's swizzler instead.
+    row and any fresh page), the pack straight into the placeholder
+    page's buffer, residency and the page release it may complete, the
+    shipped flags and the per-datum seal.  A union item goes through
+    the decoder and the hook-driven codec, and swizzles through the
+    session's swizzler.
     """
     decoder = XdrDecoder(payload)
     pool = HandlePool.decode(decoder)
     pairs = pool.pairs
     known = len(pairs)  # a handle above this names no pair
     count = decoder.unpack_uint32()
-    peek = decoder.peek_uint32
-    unpack = decoder.unpack_struct
+    view = decoder.view
+    pos = decoder.tell()
+    end = len(view)
+    peek = _U32.unpack_from
     # Per pool handle, filled at the handle's first item or first new
-    # row so a cold resolver queries the name server where it always did.
+    # row so a cold resolver queries the name server where it always
+    # did: the type's plan, and the alignment of a placeholder for it.
     plans: List[Optional[WirePlan]] = [None] * known
+    aligns: List[int] = [0] * known
     wire_plan_of = runtime.wire_plan
     site_id = runtime.site_id
     owns = runtime.heap.owns
+    space = runtime.space
     store = runtime.codec.store
     cache = state.cache
     entry_for = cache.table.entry_for
@@ -221,6 +249,7 @@ def apply_batch(
     page_size = cache.page_size
     seal = cache.datum_seal
     swizzle = state.swizzler.swizzle
+    new_pointer = tuple.__new__
 
     def pointer_in(_target: str) -> int:
         return swizzle(decode_long_pointer_pooled(decoder, pool))
@@ -234,7 +263,9 @@ def apply_batch(
     held: List[int] = []
     try:
         for _ in range(count):
-            handle = peek()
+            if pos + 4 > end:
+                raise underflow(4, end - pos)
+            handle = peek(view, pos)[0]
             if handle != last:
                 if not handle:
                     raise SmartRpcError("batch item with NULL long pointer")
@@ -244,17 +275,47 @@ def apply_batch(
                 plan = plans[handle - 1]
                 if plan is None:
                     plan = plans[handle - 1] = wire_plan_of(type_id)
+                    aligns[handle - 1] = min(plan.alignment, 8)
                 flat = plan.flat
                 home = space_id == site_id
                 last = handle
-            values = unpack(_LONG if flat is None else flat.sniff(peek, 1))
+            if flat is None:
+                codec = _LONG  # the header; the decoder reads the rest
+            else:
+                # The handle words ahead say which slots carry a long
+                # pointer; each one pushes the next 8 bytes further.
+                shape = 1
+                ahead = pos + _LONG.size
+                for bit, offset in flat.slot_wire:
+                    at = ahead + offset
+                    if at + 4 > end:
+                        raise underflow(at + 4 - pos, end - pos)
+                    if peek(view, at)[0]:
+                        shape |= bit
+                        ahead += 8
+                codecs = flat.codecs
+                codec = codecs[shape] if shape in codecs else flat.wire(shape)
+            if pos + codec.size > end:
+                raise underflow(codec.size, end - pos)
+            values = codec.unpack_from(view, pos)
+            pos += codec.size
             address = values[1]
+            if not address:
+                raise _zero_address()
+            if flat is not None:
+                for _bit, index in flat.slot_bits:
+                    slot = values[index + 2]
+                    if slot:
+                        if slot > known:
+                            raise XdrError(f"bad handle-pool handle {slot!r}")
+                        if not values[index + 3]:
+                            raise _zero_address()
             if home:
                 # We are the home: the batch updates original data.
-                pointer = LongPointer(space_id, address, type_id)
                 if not owns(address):
                     raise SmartRpcError(
-                        f"batch updates dead home data {pointer!r}"
+                        "batch updates dead home data "
+                        f"{LongPointer(space_id, address, type_id)!r}"
                     )
                 entry = None
                 target = address
@@ -263,27 +324,29 @@ def apply_batch(
                 entry = entry_for(key)
                 if entry is None:
                     entry = place(
-                        LongPointer(space_id, address, type_id),
+                        new_pointer(LongPointer, key),
                         plan.size,
-                        min(plan.alignment, 8),
+                        aligns[handle - 1],
                     )
                 elif entry.resident and not overwrite:
                     if flat is None:
+                        decoder.seek(pos)
                         _skip(decoder, plan.steps, pool)
-                    else:
-                        _check_handles(flat, values, 2, pool)
+                        pos = decoder.tell()
                     runtime.stats.duplicate_entries += 1
                     if demanded is not None:
                         cache.note_duplicate_shipment(entry.size)
                     continue
                 target = entry.local_address
             if flat is None:
+                decoder.seek(pos)
                 runtime.codec.decode(
                     decoder,
                     target,
                     runtime.resolver.resolve(type_id),
                     pointer_in,
                 )
+                pos = decoder.tell()
             else:
                 if flat.checked:
                     flat.check_decoded(values, 2)
@@ -294,36 +357,51 @@ def apply_batch(
                         slot = values[index]
                         if not slot:
                             continue
-                        if slot > known:
-                            raise XdrError(
-                                f"bad handle-pool handle {slot!r}"
-                            )
                         slot_space, slot_type = pairs[slot - 1]
-                        slot_address = values[index + 1]
+                        slot_key = (slot_space, values[index + 1], slot_type)
                         if slot_space == site_id:
-                            values[index] = swizzle(LongPointer(
-                                slot_space, slot_address, slot_type
-                            ))
-                        else:
-                            row = entry_for(
-                                (slot_space, slot_address, slot_type)
+                            values[index] = swizzle(
+                                new_pointer(LongPointer, slot_key)
                             )
+                        else:
+                            row = entry_for(slot_key)
                             if row is None:
                                 slot_plan = plans[slot - 1]
                                 if slot_plan is None:
                                     slot_plan = plans[slot - 1] = (
                                         wire_plan_of(slot_type)
                                     )
+                                    aligns[slot - 1] = min(
+                                        slot_plan.alignment, 8
+                                    )
                                 row = place(
-                                    LongPointer(
-                                        slot_space, slot_address, slot_type
-                                    ),
+                                    new_pointer(LongPointer, slot_key),
                                     slot_plan.size,
-                                    min(slot_plan.alignment, 8),
+                                    aligns[slot - 1],
                                 )
                             values[index] = row.local_address
                         values[index + 1] = b""
-                store(flat, target, values[2:])
+                native = values[2:]
+                if entry is None or entry.offset + entry.size > page_size:
+                    store(flat, target, native)  # original data, or a span
+                else:
+                    # Straight into the placeholder's page buffer, backed
+                    # only as far as written: growing rebinds it, which
+                    # moves the space's generation (AddressSpace._grow).
+                    buffer = pages[entry.page_number].data
+                    at = entry.offset + flat.offset
+                    stop = at + flat.native.size
+                    backed = len(buffer)
+                    if stop > backed:
+                        grown = bytearray(stop)
+                        if backed:
+                            grown[:backed] = buffer
+                        pages[entry.page_number].data = buffer = grown
+                        space.generation += 1
+                    try:
+                        flat.native.pack_into(buffer, at, *native)
+                    except struct.error:
+                        store(flat, target, native)  # names the misfit
             applied += 1
             if entry is None:
                 continue
@@ -357,6 +435,7 @@ def apply_batch(
             # next datum's children start fresh ones (locality grouping).
             if seal is not None:
                 seal()
+        decoder.seek(pos)
         decoder.expect_done()
         cache.finish_batch()
     finally:
@@ -371,25 +450,22 @@ def apply_batch(
     return applied
 
 
+def _zero_address() -> XdrError:
+    return XdrError("long pointer address must be positive, got 0")
+
+
 def _skip(decoder: XdrDecoder, steps: Sequence, pool: HandlePool) -> None:
+    """Read past a resident union item's value, checking that every
+    long pointer in it is well formed."""
     for step in steps:
         if step.arms is not None:
             _skip(decoder, step.arm(decoder.unpack_int32()).steps, pool)
-        else:
-            values = decoder.unpack_struct(
-                step.sniff(decoder.peek_uint32, 0)
-            )
-            _check_handles(step, values, 0, pool)
-
-
-def _check_handles(
-    flat, values: Sequence, lead: int, pool: HandlePool
-) -> None:
-    """Raise unless every long pointer among ``values`` is well formed."""
-    for _bit, index in flat.slot_bits:
-        if values[index + lead]:
-            space_id, type_id = pool.lookup(values[index + lead])
-            LongPointer(space_id, values[index + lead + 1], type_id)
+            continue
+        values = decoder.unpack_struct(step.sniff(decoder.peek_uint32, 0))
+        for _bit, index in step.slot_bits:
+            if values[index]:
+                space_id, type_id = pool.lookup(values[index])
+                LongPointer(space_id, values[index + 1], type_id)
 
 
 # -- the data-request protocol ------------------------------------------------

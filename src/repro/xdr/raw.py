@@ -377,6 +377,10 @@ class UnionStep:
             raise
 
 
+#: A walk's read of one datum: codec, start offset, value indices.
+Follow = Tuple[struct.Struct, int, Tuple[int, ...]]
+
+
 class WirePlan:
     """Everything the data plane needs to know about one type's layout.
 
@@ -386,7 +390,7 @@ class WirePlan:
     """
 
     __slots__ = (
-        "size", "alignment", "steps", "flat", "pointer_offsets", "_runs",
+        "size", "alignment", "steps", "flat", "pointer_offsets", "_follows",
         "_arch",
     )
 
@@ -404,21 +408,36 @@ class WirePlan:
         self.flat = first if len(steps) == 1 and first.arms is None else None
         #: Byte offset of every pointer word inside the datum.
         self.pointer_offsets = tuple(pointer_offsets)
-        self._runs: Dict[Tuple[int, ...], Optional[RunPlan]] = {}
+        self._follows: Dict[Tuple[int, ...], Optional[Follow]] = {}
         self._arch = arch
 
-    def pointer_run(self, offsets: Tuple[int, ...]) -> Optional[RunPlan]:
-        """A (memoised) read of the pointer words at ``offsets``.
+    def follow(self, offsets: Tuple[int, ...]) -> Optional[Follow]:
+        """How a walk reads a datum to follow its pointer words at
+        ``offsets`` (memoised).
 
-        ``None`` when there is nothing to read.
+        ``(codec, start, indices)``: unpack ``codec`` at the datum's
+        base plus ``start``; the words to follow are the values at
+        ``indices``, in the order ``offsets`` gives (hints may name the
+        words in any order, even twice).  On a flat plan ``codec`` is
+        ``flat.native``, so the one read is the datum's whole image,
+        which the encoder then packs without reading the heap again;
+        otherwise it reads just the words.  ``None`` when there is
+        nothing to read.
         """
         try:
-            return self._runs[offsets]
+            return self._follows[offsets]
         except KeyError:
             pass
-        run = None
-        if offsets:
-            # Hints may name the words in any order, even twice.
+        found = None
+        flat = self.flat
+        if flat is not None:
+            # A flat plan's pointer words are its one step's slots.
+            slot_of = dict(zip(self.pointer_offsets, flat.slots))
+            found = (
+                flat.native, flat.offset,
+                tuple(slot_of[offset] for offset in offsets),
+            )
+        elif offsets:
             arch = self._arch
             code = pointer_code(arch)
             words = sorted(set(offsets))
@@ -427,12 +446,12 @@ class WirePlan:
                 [(word, arch.pointer_size, code, 1, 1) for word in words],
                 "a pointer run",
             )
-            run = RunPlan(
-                read.start, read.span, len(offsets), read.codec,
+            found = (
+                read.codec, read.start,
                 tuple(words.index(offset) for offset in offsets),
             )
-        self._runs[offsets] = run
-        return run
+        self._follows[offsets] = found
+        return found
 
 
 def wire_plan(spec: TypeSpec, arch: Architecture) -> WirePlan:

@@ -215,6 +215,12 @@ class XdrEncoder:
         del self._buf[:]
 
 
+def underflow(need: int, have: int) -> XdrError:
+    """The error of a read that needs ``need`` bytes where ``have``
+    remain."""
+    return XdrError(f"XDR underflow: need {need} bytes, have {have}")
+
+
 class XdrDecoder:
     """Sequential canonical stream reader over a ``memoryview``."""
 
@@ -307,13 +313,27 @@ class XdrDecoder:
         """The unsigned 32-bit integer ``ahead`` bytes on, not consumed."""
         offset = self._cursor + ahead
         if offset + 4 > self._len:
-            raise XdrError(
-                f"XDR underflow: need {ahead + 4} bytes, "
-                f"have {self._len - self._cursor}"
-            )
+            raise underflow(ahead + 4, self._len - self._cursor)
         return _U32.unpack_from(self._view, offset)[0]
 
     # -- cursor ---------------------------------------------------------------
+
+    @property
+    def view(self) -> memoryview:
+        """The whole stream: a reader running its own cursor over it
+        (a batch apply) unpacks from here, then hands the position back
+        through :meth:`seek`."""
+        return self._view
+
+    def tell(self) -> int:
+        """Bytes consumed so far."""
+        return self._cursor
+
+    def seek(self, offset: int) -> None:
+        """Move the cursor to ``offset`` (within the stream)."""
+        if not 0 <= offset <= self._len:
+            raise underflow(offset, self._len)
+        self._cursor = offset
 
     @property
     def remaining(self) -> int:
@@ -333,10 +353,7 @@ class XdrDecoder:
         """Consume ``size`` bytes; return their offset (no slicing)."""
         offset = self._cursor
         if offset + size > self._len:
-            raise XdrError(
-                f"XDR underflow: need {size} bytes, "
-                f"have {self._len - offset}"
-            )
+            raise underflow(size, self._len - offset)
         self._cursor = offset + size
         return offset
 

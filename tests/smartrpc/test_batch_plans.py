@@ -13,19 +13,29 @@ from repro.memory.page import Protection
 from repro.namesvc.client import TypeResolver
 from repro.simnet.network import Network
 from repro.smartrpc import transfer
-from repro.smartrpc.closure import ClosureItem, ClosureWalker
+from repro.smartrpc.closure import (
+    BREADTH_FIRST,
+    DEPTH_FIRST,
+    ClosureItem,
+    ClosureWalker,
+)
 from repro.smartrpc.errors import (
     DanglingPointerError,
     SmartRpcError,
     SwizzleError,
 )
+from repro.smartrpc.hints import ClosureHints
 from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.smartrpc.long_pointer import (
     PROVISIONAL_BASE,
     HandlePool,
     LongPointer,
 )
-from repro.workloads.hashtable import HASH_TABLE_TYPE_ID, build_hash_table
+from repro.workloads.hashtable import (
+    HASH_NODE_TYPE_ID,
+    HASH_TABLE_TYPE_ID,
+    build_hash_table,
+)
 from repro.workloads.linked_list import LIST_NODE_TYPE_ID, build_list
 from repro.workloads.trees import TREE_NODE_TYPE_ID, build_complete_tree
 from repro.xdr.arch import SPARC32
@@ -41,8 +51,22 @@ from tests.xdr.reference_codec import (
 SESSION = "sess"
 
 
-def build_slice(pair: SmartPair, kind: str):
-    """Workload data at A and the closure slice a request would ship."""
+#: Hints that name every pointer field, some out of declaration order:
+#: the walk reads through the hint path and must ship the same bytes
+#: the reference encoder produces for its items.
+HINTS = {
+    "list": {LIST_NODE_TYPE_ID: ["next"]},
+    "tree": {TREE_NODE_TYPE_ID: ["right", "left"]},
+    "hash": {HASH_TABLE_TYPE_ID: ["buckets"], HASH_NODE_TYPE_ID: ["next"]},
+}
+
+
+def build_slice(pair: SmartPair, kind: str, walk: str = "bfs"):
+    """Workload data at A and the closure slice a request would ship.
+
+    ``walk`` is ``bfs`` (the default walk), ``dfs`` or ``hinted`` (a
+    breadth-first walk under :data:`HINTS`).
+    """
     home = pair.a
     if kind == "list":
         root, type_id = build_list(home, list(range(-20, 20))), LIST_NODE_TYPE_ID
@@ -55,7 +79,18 @@ def build_slice(pair: SmartPair, kind: str):
         type_id = HASH_TABLE_TYPE_ID
         budget = 1024 + 10 * 32  # the bucket array and ten chain nodes
     state = home.ensure_smart_session(SESSION, "A")
-    walker = ClosureWalker(home, state, budget)
+    hints = None
+    if walk == "hinted":
+        hints = ClosureHints()
+        for hinted, fields in HINTS[kind].items():
+            hints.follow(hinted, fields)
+    walker = ClosureWalker(
+        home,
+        state,
+        budget,
+        order=DEPTH_FIRST if walk == "dfs" else BREADTH_FIRST,
+        hints=hints,
+    )
     items = walker.walk([LongPointer("A", root, type_id)])
     assert len(items) > 5
     return state, walker, items
@@ -97,11 +132,23 @@ def cache_image(runtime, state):
 KINDS = ("list", "tree", "hash")
 
 
-@pytest.mark.parametrize("kind", KINDS)
+#: Every kind under the default walk (ids ``list`` ...), then under a
+#: depth-first and a hinted one (ids ``list-dfs``, ``list-hinted`` ...).
+WALKS = [
+    pytest.param(kind, walk, id=kind if walk == "bfs" else f"{kind}-{walk}")
+    for walk in ("bfs", "dfs", "hinted")
+    for kind in KINDS
+]
+
+
+@pytest.mark.parametrize("kind, walk", WALKS)
 class TestEncodeMatchesReference:
-    def test_home_slice(self, kind):
+    def test_home_slice(self, kind, walk):
+        # The walk leaves each expanded datum's values on its item; the
+        # reference encoder reads every datum from the heap instead.
         pair = SmartPair(Network())
-        state, walker, items = build_slice(pair, kind)
+        state, walker, items = build_slice(pair, kind, walk)
+        assert any(item.values is not None for item in items)
         want = reference_encode_batch(pair.a, state, items)
         assert transfer.encode_batch(pair.a, state, items) == want
         # With the walker's memo handed over, as a data request does.
@@ -110,11 +157,11 @@ class TestEncodeMatchesReference:
             == want
         )
 
-    def test_cached_slice_ships_back(self, kind):
+    def test_cached_slice_ships_back(self, kind, walk):
         # The callee's cached copies unswizzle through its allocation
         # table, frontier placeholders included (piggyback, write-back).
         pair = SmartPair(Network())
-        state_a, _, items = build_slice(pair, kind)
+        state_a, _, items = build_slice(pair, kind, walk)
         state_b = pair.b.ensure_smart_session(SESSION, "A")
         transfer.apply_batch(
             pair.b, state_b, transfer.encode_batch(pair.a, state_a, items), False
@@ -312,6 +359,20 @@ class TestEveryCheckStays:
         with pytest.raises(XdrError, match="bad handle-pool handle"):
             transfer.apply_batch(pair.b, state_b, batch, False)
 
+    @pytest.mark.parametrize("where", ["item", "slot"])
+    def test_zero_address_places_no_row(self, worlds, where):
+        pair, _, _, state_b = worlds
+        body = XdrEncoder()
+        body.pack_uint32(1)
+        body.pack_uint64(0 if where == "item" else 64)
+        body.pack_uint32(1)  # next: a long pointer
+        body.pack_uint64(0 if where == "slot" else 128)
+        body.pack_int32(5)  # value
+        batch = batch_of([("A", LIST_NODE_TYPE_ID)], 1, body.getvalue())
+        with pytest.raises(XdrError, match="address must be positive"):
+            transfer.apply_batch(pair.b, state_b, batch, False)
+        assert len(state_b.cache.table) == 0
+
     def test_bad_pool_handle_in_a_skipped_item(self, worlds):
         pair, _, _, state_b = worlds
         body = XdrEncoder()
@@ -452,3 +513,42 @@ class TestEveryCheckStays:
         assert transfer.apply_batch(cold, state_c, batch, False) == 1
         assert cold.resolver.queries_sent == 1
         assert len(state_c.cache.table) == 3
+
+
+# -- a cut batch ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS + ("union",))
+def test_every_truncation_point_raises_xdr_error(kind):
+    """Cut anywhere, a batch fails with the decoder's underflow error —
+    never a ``struct.error`` or an ``IndexError`` — and the pages the
+    items before the cut completed are released all the same."""
+    pair = SmartPair(Network())
+    if kind == "union":
+        # Union items (the decoder's path) between flat ones (the
+        # cursor's): the read position passes back and forth.
+        for runtime in (pair.a, pair.b):
+            runtime.resolver.register("painted", PAINTED)
+            runtime.resolver.register("shape", SHAPE)
+        state_a = pair.a.ensure_smart_session(SESSION, "A")
+        items = [
+            typed_datum(pair.a, type_id, [k % 2, k, k])
+            for k in range(4)
+            for type_id in ("shape", "painted")
+        ]
+    else:
+        state_a, _, items = build_slice(pair, kind)
+    batch = transfer.encode_batch(pair.a, state_a, items)
+    released = 0
+    for cut in range(len(batch)):
+        state_b = pair.b.ensure_smart_session(f"cut-{cut}", "A")
+        with pytest.raises(XdrError, match="underflow"):
+            transfer.apply_batch(pair.b, state_b, batch[:cut], False)
+        for number, page in state_b.cache.pages.items():
+            want = Protection.READ if page.complete else Protection.NONE
+            assert pair.b.space.protection_of(number) is want, cut
+            released += page.complete
+        state_b.release()
+    # The hash slice leaves every page short of a chain node it did not
+    # ship; the others complete pages well before their last item.
+    assert released or kind == "hash"

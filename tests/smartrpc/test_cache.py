@@ -208,9 +208,6 @@ class TestOnePageIndex:
             assert cache.page_state(number) == [entry]
         last = entry.local_address + entry.size - 1
         assert cache.table.entry_containing(last) is entry
-        assert cache.table.entries_overlapping(
-            entry.local_address + page_size - 4, page_size
-        ) == [entry]
 
 
 class TestDirtiness:

@@ -11,7 +11,7 @@ written next to this script:
   table, search tree) under the ``paper``, ``lazy``, ``adaptive`` and
   ``pipelined`` presets, with the pipeline's round-trip reduction
   versus ``paper`` precomputed per workload;
-* ``BENCH_ablation.json`` — the fetch-pipeline knob ablation
+* ``BENCH_ablation.json`` — the fetch-pipeline switch ablation
   (coalescing only, prefetch only, both) on the same workloads.
 
 Usage (from the repository root)::
@@ -103,15 +103,12 @@ WORKLOADS: List[Tuple[str, Callable[[World], object]]] = [
 
 FIG4_POLICIES = ("paper", "lazy", "adaptive", "pipelined")
 
-#: The knob ablation: each variant enables one pipeline mechanism.
+#: The switch ablation: each variant enables one pipeline mechanism.
 ABLATION_VARIANTS: Dict[str, TransferPolicy] = {
-    "coalesce_only": TransferPolicy(name="coalesce_only", batch_window=32),
-    "prefetch_only": TransferPolicy(
-        name="prefetch_only", max_inflight=1, prefetch_depth=4
-    ),
+    "coalesce_only": TransferPolicy(name="coalesce_only", coalesce=True),
+    "prefetch_only": TransferPolicy(name="prefetch_only", prefetch=True),
     "full_pipeline": TransferPolicy(
-        name="full_pipeline", batch_window=32, max_inflight=1,
-        prefetch_depth=4,
+        name="full_pipeline", coalesce=True, prefetch=True
     ),
 }
 

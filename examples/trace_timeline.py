@@ -33,7 +33,7 @@ def main() -> None:
     name_server.publish(TREE_NODE_TYPE_ID, tree_node_spec())
     site_a = network.add_site("A", FaultInjector.parse("drop-request=3"))
     site_b = network.add_site("B", FaultInjector.parse("drop-reply=2"))
-    policy = make_policy("fixed", closure_size=256)
+    policy = make_policy("paper", closure_size=256)
     machine_a = SmartRpcRuntime(
         network, site_a, SPARC32, resolver=TypeResolver(site_a, "NS"),
         policy=policy,

@@ -545,7 +545,7 @@ def ablation_closure_hints(
     """
     def run(hints):
         policy = make_policy(
-            "fixed", allocation_strategy=ISOLATED, closure_hints=hints
+            "paper", allocation_strategy=ISOLATED, closure_hints=hints
         )
         with make_world(policy) as world:
             table, _ = build_hash_table(world.caller, list(range(num_keys)))

@@ -267,7 +267,7 @@ def make_world(
 
     ``method`` is any transfer-policy name (``proposed``, ``lazy``,
     ``eager``, ``graphcopy``, ``paper``, ``hinted``, ``adaptive``,
-    ``fixed``, ``pipelined``) or a
+    ``pipelined``) or a
     :class:`~repro.smartrpc.policy.TransferPolicy` value, which both
     runtimes share (it is frozen).  A sweep passes
     ``resolve_policy(PROPOSED, closure_size=...)``.

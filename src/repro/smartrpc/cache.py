@@ -341,8 +341,8 @@ class CacheManager:
 
         The actual requesting is the session's
         :class:`~repro.smartrpc.pipeline.FetchPipeline`: a pass-through
-        to the classic one-request-per-home fill when every pipeline
-        knob is zero, and the coalescing/piggyback/prefetch data plane
+        to the classic one-request-per-home fill when both pipeline
+        switches are off, and the coalescing/piggyback/prefetch data plane
         under the ``pipelined`` policy.
         """
         self.state.pipeline.fill_page(self, page)

@@ -19,7 +19,7 @@ so prefetching the other 255 buckets' chains is pure waste::
     hints.follow("hash_table", [])          # never fan out of the header
     hints.follow("hash_node", ["next"])     # do run down the chain
     runtime = SmartRpcRuntime(
-        network, site, arch, policy=make_policy("fixed", closure_hints=hints)
+        network, site, arch, policy=make_policy("paper", closure_hints=hints)
     )
 
 The hints are the policy's ``closure_hints`` field: the home space

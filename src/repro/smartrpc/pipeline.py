@@ -1,39 +1,35 @@
 """The fault-coalescing fetch pipeline (demand batching + prefetch).
 
 One :class:`FetchPipeline` lives on each smart session and owns the
-fault-driven fill path.  With every pipeline knob at zero (the
-``paper`` / ``lazy`` presets) it is a byte-identical pass-through to
-the classic one-request-per-home fill of
+fault-driven fill path.  With both pipeline switches off (every preset
+but ``pipelined``) it is a byte-identical pass-through to the classic
+one-request-per-home fill of
 :meth:`repro.smartrpc.cache.CacheManager._fill`.  The ``pipelined``
-policy preset turns on three independent mechanisms governed by the
-:class:`~repro.smartrpc.policy.TransferPolicy` hooks:
+policy preset turns on both switches of the
+:class:`~repro.smartrpc.policy.TransferPolicy`:
 
-* **coalescing** (``batch_window``) — a demand request carries, beyond
-  the faulted page's pointers, up to ``batch_window`` other
+* **coalescing** (``coalesce``) — a demand request carries, beyond the
+  faulted page's pointers, up to :data:`BATCH_WINDOW` other
   non-resident same-home table entries (allocation-table discovery
   order).  The home walks the closure from all of them, so one round
   trip fills several placeholder pages.
-* **duplicate suppression / piggyback** (the pending table) — an
-  asynchronous fetch already in flight for a page absorbs a later
-  fault on that page instead of issuing a second exchange; the fault
-  simply joins the outstanding reply.  No page is ever covered by two
-  in-flight fetches.
-* **async prefetch** (``max_inflight`` × ``prefetch_depth``) — after a
-  fill, the pipeline issues up to ``max_inflight`` asynchronous
-  requests for frontier entries with ``prefetch_depth`` times the
-  policy's closure budget, overlapping the exchange with ground-thread
-  execution.  On the simulated transport the overlap is modelled with
+* **async prefetch** (``prefetch``) — after a fill, while no fetch is
+  in flight, the pipeline issues one asynchronous request for frontier
+  entries with :data:`PREFETCH_DEPTH` times the policy's closure
+  budget, overlapping the exchange with ground-thread execution.  A
+  later fault on a page that fetch covers absorbs its reply instead of
+  issuing a second exchange (the piggyback), and a demand never
+  coalesces a page it covers, so no page is ever covered by two
+  fetches.  On the simulated transport the overlap is modelled with
   :meth:`~repro.simnet.clock.SimClock.mark` /
   :meth:`~repro.simnet.clock.SimClock.rewind` /
   :meth:`~repro.simnet.clock.SimClock.join`; on a real transport the
-  exchange runs on an executor thread and the fault blocks on its
-  future.
+  exchange runs on a worker thread and the fault blocks on its future.
 
-Prefetched replies are held *unapplied* in the pending table until a
-fault absorbs them, and the table is discarded on every activity
-transfer (the only instants another space can run and mutate home
-data), so results and final heap state are identical with the pipeline
-on or off — the property suite in
+A prefetched reply is held *unapplied* until a fault absorbs it, and
+it is discarded on every activity transfer (the only instants another
+space can run and mutate home data), so results and final heap state
+are identical with the pipeline on or off — the property suite in
 ``tests/properties/test_pipeline_equivalence.py`` checks exactly that.
 
 Every issue/absorb is recorded as a ``data-batch`` trace event for the
@@ -46,11 +42,13 @@ from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
+    Collection,
     Dict,
     List,
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro.simnet.message import MessageKind
@@ -64,9 +62,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.cache import CacheManager, CachePage
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 
+#: Frontier entries one coalesced demand request may add, and the
+#: roots of one prefetch while coalescing is on (one while it is off).
+BATCH_WINDOW = 32
+#: A prefetch's closure budget, in multiples of the policy's.
+PREFETCH_DEPTH = 4
+
 
 class PendingFetch:
-    """One in-flight asynchronous data exchange."""
+    """One data exchange the pipeline issued (held while in flight)."""
 
     __slots__ = (
         "fetch_id",
@@ -111,28 +115,11 @@ class FetchPipeline:
     ) -> None:
         self.runtime = runtime
         self.state = state
-        self._pending: List[PendingFetch] = []
+        #: Whether either switch is on; the policy is frozen.
+        self.active = state.policy.coalesce or state.policy.prefetch
+        self._pending: Optional[PendingFetch] = None
         self._next_fetch_id = 0
         self._executor: Optional["ThreadPoolExecutor"] = None
-
-    # -- configuration ---------------------------------------------------------
-
-    @property
-    def active(self) -> bool:
-        """Whether any pipeline mechanism is enabled by the policy."""
-        policy = self.state.policy
-        return (
-            policy.batch_window > 0
-            or policy.max_inflight > 0
-            or policy.prefetch_depth > 0
-        )
-
-    @property
-    def _overlap_simulated(self) -> bool:
-        # The simulated clock can rewind, so the exchange runs inline
-        # and is re-timed; a wall clock cannot, so the exchange runs on
-        # a real thread instead.
-        return hasattr(self.runtime.clock, "rewind")
 
     # -- the fill path ---------------------------------------------------------
 
@@ -148,21 +135,20 @@ class FetchPipeline:
         if not self.active:
             # Pass-through: exactly the classic fill — one request per
             # home space, demanded roots only, nothing asynchronous.
-            wanted = self._group_by_home(page)
-            for home, pointers in wanted.items():
-                self.runtime.request_data(self.state, home, pointers)
+            for home, pointers in self._group_by_home(page).items():
+                transfer.request_data(self.runtime, self.state, home, pointers)
             return
         fault_pages = {page.number}
         for entry in page:
             fault_pages.update(cache.pages_of(entry))
         incomplete_before = cache.incomplete_pages() - fault_pages
-        # 1. A fetch already in flight for this page absorbs the fault.
-        for fetch in list(self._pending):
-            if fetch.pages & fault_pages:
-                self._absorb(fetch, page.number)
+        # 1. The fetch in flight absorbs the fault if it covers the page.
+        fetch = self._pending
+        if fetch is not None and not fetch.pages.isdisjoint(fault_pages):
+            self._pending = None
+            self._absorb(fetch, page.number)
         # 2. Demand the remainder, coalescing same-home frontier entries.
-        wanted = self._group_by_home(page)
-        for home, pointers in wanted.items():
+        for home, pointers in self._group_by_home(page).items():
             self._demand(cache, page, home, pointers)
         # 3. Score pages this fault completed beyond its own: each is a
         #    demand round trip that will now never happen.
@@ -173,7 +159,8 @@ class FetchPipeline:
                 len(saved)
             )
         # 4. Overlap the next fetch with the resuming ground thread.
-        self._maybe_prefetch(cache)
+        if self.state.policy.prefetch and self._pending is None:
+            self._prefetch(cache)
 
     @staticmethod
     def _group_by_home(
@@ -187,6 +174,68 @@ class FetchPipeline:
                 )
         return wanted
 
+    def _frontier(
+        self,
+        cache: "CacheManager",
+        home: Optional[str],
+        window: int,
+        skip: Collection[LongPointer] = (),
+    ) -> Tuple[Optional[str], List[LongPointer], Set[int]]:
+        """Up to ``window`` non-resident entries homed at ``home``.
+
+        Discovery (allocation-table) order, skipping ``skip`` and every
+        entry on a page the fetch in flight covers; ``home`` ``None``
+        takes the first eligible entry's home.  Returns the home, the
+        entries' pointers and the pages they occupy.
+        """
+        covered = self._pending.pages if self._pending is not None else set()
+        pointers: List[LongPointer] = []
+        pages: Set[int] = set()
+        for entry in cache.table:
+            pointer = entry.pointer
+            if entry.resident or pointer in skip:
+                continue
+            if home is not None and pointer.space_id != home:
+                continue
+            entry_pages = cache.pages_of(entry)
+            if not covered.isdisjoint(entry_pages):
+                continue
+            home = pointer.space_id
+            pointers.append(pointer)
+            pages.update(entry_pages)
+            if len(pointers) >= window:
+                break
+        return home, pointers, pages
+
+    def _issue(
+        self,
+        kind: str,
+        home: str,
+        pointers: List[LongPointer],
+        pages: Set[int],
+        faults: List[int],
+        coalesced: int,
+        depth: int,
+    ) -> Tuple[PendingFetch, bytes]:
+        """Budget, encode and record one fetch; returns it and its
+        request payload.  Encoding is ground-thread work, charged here;
+        the exchange is the caller's."""
+        policy = self.state.policy
+        budget = policy.request_budget(self.state) * depth
+        order = policy.closure_order
+        payload = transfer.encode_request_payload(
+            self.state, home, pointers, budget, order
+        )
+        clock = self.runtime.clock
+        clock.advance(self.runtime.cost_model.codec_cost(len(payload)))
+        self._next_fetch_id += 1
+        fetch = PendingFetch(
+            self._next_fetch_id, home, pointers, pages, budget, order,
+            issued_at=clock.now,
+        )
+        self._record_batch_event(kind, fetch, faults, coalesced)
+        return fetch, payload
+
     def _demand(
         self,
         cache: "CacheManager",
@@ -194,32 +243,19 @@ class FetchPipeline:
         home: str,
         pointers: List[LongPointer],
     ) -> None:
-        extras = self._coalesce_extras(cache, home, set(pointers))
-        requested = pointers + extras
-        policy = self.state.policy
-        budget = policy.request_budget(self.state)
-        order = policy.closure_order
+        extras: List[LongPointer] = []
         pages: Set[int] = set()
-        for pointer in requested:
+        if self.state.policy.coalesce:
+            _, extras, pages = self._frontier(
+                cache, home, BATCH_WINDOW, set(pointers)
+            )
+        for pointer in pointers:
             entry = cache.table.entry_for(pointer)
             if entry is not None:
                 pages.update(cache.pages_of(entry))
-        payload = transfer.encode_request_payload(
-            self.state, home, requested, budget, order
-        )
-        self.runtime.clock.advance(
-            self.runtime.cost_model.codec_cost(len(payload))
-        )
-        fetch_id = self._allocate_fetch_id()
-        self._record_batch_event(
-            "demand",
-            fetch_id,
-            home,
-            pages=pages,
-            faults=[page.number],
-            roots=len(pointers),
-            coalesced=len(extras),
-            issued_at=self.runtime.clock.now,
+        requested = pointers + extras
+        fetch, payload = self._issue(
+            "demand", home, requested, pages, [page.number], len(extras), 1
         )
         reply = self.runtime.session_send(
             self.state,
@@ -235,103 +271,25 @@ class FetchPipeline:
             reply,
             requested,
             set(pointers),
-            budget,
-            order,
+            fetch.budget,
+            fetch.order,
         )
-
-    def _coalesce_extras(
-        self,
-        cache: "CacheManager",
-        home: str,
-        demanded: Set[LongPointer],
-    ) -> List[LongPointer]:
-        """Non-resident same-home entries to ride the demand request.
-
-        Discovery (allocation-table) order, skipping anything already
-        demanded or covered by an in-flight fetch, bounded by the
-        policy's ``batch_window``.
-        """
-        window = self.state.policy.batch_window
-        if window <= 0:
-            return []
-        covered = self._pending_pages()
-        extras: List[LongPointer] = []
-        for entry in cache.table:
-            if entry.resident or entry.pointer in demanded:
-                continue
-            if entry.pointer.space_id != home:
-                continue
-            if covered & set(cache.pages_of(entry)):
-                continue
-            extras.append(entry.pointer)
-            if len(extras) >= window:
-                break
-        return extras
 
     # -- async prefetch --------------------------------------------------------
 
-    def _maybe_prefetch(self, cache: "CacheManager") -> None:
-        policy = self.state.policy
-        if policy.prefetch_depth <= 0 or policy.max_inflight <= 0:
-            return
-        while len(self._pending) < policy.max_inflight:
-            if not self._issue_prefetch(cache):
-                return
-
-    def _issue_prefetch(self, cache: "CacheManager") -> bool:
-        """Issue one asynchronous frontier fetch; False when idle."""
-        policy = self.state.policy
-        covered = self._pending_pages()
-        window = max(1, policy.batch_window)
-        home: Optional[str] = None
-        roots: List[LongPointer] = []
-        pages: Set[int] = set()
-        for entry in cache.table:
-            if entry.resident:
-                continue
-            entry_pages = set(cache.pages_of(entry))
-            if covered & entry_pages:
-                continue
-            if home is None:
-                home = entry.pointer.space_id
-            elif entry.pointer.space_id != home:
-                continue
-            roots.append(entry.pointer)
-            pages.update(entry_pages)
-            if len(roots) >= window:
-                break
+    def _prefetch(self, cache: "CacheManager") -> None:
+        """Issue one asynchronous frontier fetch, if any entry waits."""
+        window = BATCH_WINDOW if self.state.policy.coalesce else 1
+        home, roots, pages = self._frontier(cache, None, window)
         if home is None:
-            return False
-        budget = policy.request_budget(self.state) * policy.prefetch_depth
-        order = policy.closure_order
-        payload = transfer.encode_request_payload(
-            self.state, home, roots, budget, order
+            return
+        fetch, payload = self._issue(
+            "prefetch", home, roots, pages, [], 0, PREFETCH_DEPTH
         )
-        # Encoding the request is ground-thread work; the exchange
-        # itself overlaps execution.
-        self.runtime.clock.advance(
-            self.runtime.cost_model.codec_cost(len(payload))
-        )
-        fetch = PendingFetch(
-            self._allocate_fetch_id(),
-            home,
-            roots,
-            pages,
-            budget,
-            order,
-            issued_at=self.runtime.clock.now,
-        )
-        self._record_batch_event(
-            "prefetch",
-            fetch.fetch_id,
-            home,
-            pages=pages,
-            faults=[],
-            roots=len(roots),
-            coalesced=0,
-            issued_at=fetch.issued_at,
-        )
-        if self._overlap_simulated:
+        if hasattr(self.runtime.clock, "rewind"):
+            # The simulated clock can rewind, so the exchange runs
+            # inline and is re-timed; a wall clock cannot, so there it
+            # runs on a worker thread instead.
             clock = self.runtime.clock
             mark = clock.mark()
             fetch.reply = self.runtime.session_send(
@@ -350,8 +308,15 @@ class FetchPipeline:
             # must stay on the ground thread.  The raw send gets only
             # the timeout cap, and :meth:`_collect` converts its
             # failure into the abort.
+            if self._executor is None:
+                from concurrent.futures import ThreadPoolExecutor
+
+                self._executor = ThreadPoolExecutor(
+                    max_workers=1,
+                    thread_name_prefix=f"prefetch-{self.runtime.site_id}",
+                )
             cap = self.runtime._exchange_cap(self.state)
-            fetch.future = self._ensure_executor().submit(
+            fetch.future = self._executor.submit(
                 lambda: self.runtime.site.send(
                     home,
                     MessageKind.DATA_REQUEST,
@@ -360,25 +325,14 @@ class FetchPipeline:
                     **cap,
                 )
             )
-        self._pending.append(fetch)
-        return True
+        self._pending = fetch
 
     def _absorb(self, fetch: PendingFetch, fault_page: int) -> None:
         """A fault joins an outstanding exchange instead of issuing one."""
-        self._pending.remove(fetch)
         reply = self._collect(fetch)
         self.state.transfer_stats.record_piggyback_hit()
         self.runtime.stats.transfer_ledger.record_piggyback_hit()
-        self._record_batch_event(
-            "absorb",
-            fetch.fetch_id,
-            fetch.home,
-            pages=fetch.pages,
-            faults=[fault_page],
-            roots=len(fetch.pointers),
-            coalesced=0,
-            issued_at=fetch.issued_at,
-        )
+        self._record_batch_event("absorb", fetch, [fault_page], 0)
         transfer.apply_reply(
             self.runtime,
             self.state,
@@ -412,24 +366,23 @@ class FetchPipeline:
     # -- lifecycle -------------------------------------------------------------
 
     def discard_pending(self) -> None:
-        """Drop unabsorbed prefetches (activity is about to transfer).
+        """Drop an unabsorbed prefetch (activity is about to transfer).
 
         While another space holds the thread of control it may mutate
         its home data, so a reply fetched before the transfer could be
-        stale by the time a fault would absorb it.  The exchanges are
-        reaped (their wire and message costs already counted — honest
-        prefetch waste) and the replies discarded.
+        stale by the time a fault would absorb it.  The exchange is
+        reaped (its wire and message costs already counted — honest
+        prefetch waste) and the reply discarded.
         """
-        for fetch in self._pending:
-            if fetch.future is not None:
-                try:
-                    fetch.future.result()
-                except TransportError:
-                    # Speculative traffic: a failed prefetch is waste,
-                    # not a session error.  If the home really is dead
-                    # the next demanded exchange aborts the session.
-                    pass
-        self._pending.clear()
+        fetch, self._pending = self._pending, None
+        if fetch is not None and fetch.future is not None:
+            try:
+                fetch.future.result()
+            except TransportError:
+                # Speculative traffic: a failed prefetch is waste, not
+                # a session error.  If the home really is dead the
+                # next demanded exchange aborts the session.
+                pass
 
     def drain(self) -> None:
         """Settle all in-flight work; the session is going away."""
@@ -441,66 +394,42 @@ class FetchPipeline:
     def abandon(self) -> None:
         """Drop everything without waiting; the session is dead.
 
-        Unlike :meth:`drain` this never blocks on (or raises from)
-        exchanges to peers that may themselves be dead: unstarted
-        futures are cancelled and the eventual failures of running
-        ones are consumed off-thread.
+        Unlike :meth:`drain` this never blocks on (or raises from) an
+        exchange with a peer that may itself be dead: an unstarted
+        future is cancelled and the eventual failure of a running one
+        is consumed off-thread.
         """
-        for fetch in self._pending:
-            future = fetch.future
-            if future is not None and not future.cancel():
-                future.add_done_callback(lambda f: f.exception())
-        self._pending.clear()
+        fetch, self._pending = self._pending, None
+        future = fetch.future if fetch is not None else None
+        if future is not None and not future.cancel():
+            future.add_done_callback(lambda f: f.exception())
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
 
     # -- internals -------------------------------------------------------------
 
-    def _pending_pages(self) -> Set[int]:
-        pages: Set[int] = set()
-        for fetch in self._pending:
-            pages.update(fetch.pages)
-        return pages
-
-    def _allocate_fetch_id(self) -> int:
-        self._next_fetch_id += 1
-        return self._next_fetch_id
-
-    def _ensure_executor(self) -> "ThreadPoolExecutor":
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=max(1, self.state.policy.max_inflight),
-                thread_name_prefix=f"prefetch-{self.runtime.site_id}",
-            )
-        return self._executor
-
     def _record_batch_event(
         self,
         kind: str,
-        fetch_id: int,
-        home: str,
-        pages: Set[int],
+        fetch: PendingFetch,
         faults: List[int],
-        roots: int,
         coalesced: int,
-        issued_at: float,
     ) -> None:
+        roots = len(fetch.pointers) - coalesced
         self.runtime.trace_event(
             "data-batch",
-            f"{self.runtime.site_id}: {kind} fetch #{fetch_id} from "
-            f"{home} covering {len(pages)} page(s) "
+            f"{self.runtime.site_id}: {kind} fetch #{fetch.fetch_id} from "
+            f"{fetch.home} covering {len(fetch.pages)} page(s) "
             f"({roots} root(s), {coalesced} coalesced)",
             session=self.state.session_id,
             space=self.runtime.site_id,
-            home=home,
+            home=fetch.home,
             kind=kind,
-            fetch_id=fetch_id,
-            pages=sorted(pages),
-            faults=list(faults),
+            fetch_id=fetch.fetch_id,
+            pages=sorted(fetch.pages),
+            faults=faults,
             roots=roots,
             coalesced=coalesced,
-            issued_at=issued_at,
+            issued_at=fetch.issued_at,
         )

@@ -17,7 +17,6 @@ onto the paper's systems:
 ``hinted``    fixed closure restricted by programmer hints (§6)
 ``adaptive``  per-session budget tuned from live waste feedback
 ``pipelined`` fixed closure + fault-coalescing/prefetching pipeline
-``fixed``     the bare default value, for sweeps
 ============= ===================================================
 
 The ``adaptive`` policy closes the loop the paper leaves open in §6
@@ -59,7 +58,6 @@ ADAPTIVE_HIGH_WATER = 0.75
 ADAPTIVE_MIN_BUDGET = 256
 ADAPTIVE_MAX_BUDGET = 1 << 20
 
-_PIPELINE_COUNTS = ("batch_window", "max_inflight", "prefetch_depth")
 _SECONDS = ("session_deadline", "exchange_timeout", "orphan_grace")
 
 
@@ -84,13 +82,11 @@ class TransferPolicy:
     closure_order: str = BREADTH_FIRST
     closure_hints: Optional["ClosureHints"] = None
     batch_memory_ops: bool = True
-    #: Fetch-pipeline counts (:mod:`repro.smartrpc.pipeline`; all zero
-    #: is a pass-through): extra pending roots one demand request may
-    #: coalesce, asynchronous prefetch exchanges in flight, and budgets
-    #: per prefetch exchange.
-    batch_window: int = 0
-    max_inflight: int = 0
-    prefetch_depth: int = 0
+    #: Fetch-pipeline switches (:mod:`repro.smartrpc.pipeline`; both
+    #: off is a pass-through): a demand request coalesces same-home
+    #: frontier entries, and one asynchronous prefetch stays in flight.
+    coalesce: bool = False
+    prefetch: bool = False
     #: Fault-tolerance seconds (DESIGN.md §12; zero disables each): a
     #: session's lifetime before its next exchange aborts it, one
     #: exchange's retry cap, and the heartbeat age past which a peer
@@ -115,7 +111,7 @@ class TransferPolicy:
             raise SmartRpcError(
                 f"unknown closure order {self.closure_order!r}"
             )
-        for knob in _PIPELINE_COUNTS + _SECONDS:
+        for knob in _SECONDS:
             value = getattr(self, knob)
             if not value >= 0:
                 raise SmartRpcError(f"bad {knob} {value!r}")
@@ -138,9 +134,8 @@ class TransferPolicy:
         if (
             self.adaptive
             or self.marshalling == GRAPHCOPY
-            or self.batch_window
-            or self.max_inflight
-            or self.prefetch_depth
+            or self.coalesce
+            or self.prefetch
         ):
             return None
         return self.closure_size
@@ -180,9 +175,8 @@ class TransferPolicy:
             "coherency": self.coherency,
             "order": self.closure_order,
             "strategy": self.allocation_strategy,
-            "batch_window": self.batch_window,
-            "max_inflight": self.max_inflight,
-            "prefetch_depth": self.prefetch_depth,
+            "coalesce": self.coalesce,
+            "prefetch": self.prefetch,
             "session_deadline": self.session_deadline,
             "exchange_timeout": self.exchange_timeout,
             "orphan_grace": self.orphan_grace,
@@ -192,7 +186,8 @@ class TransferPolicy:
 _CLOSURE_SIZE = frozenset({"closure_size"})
 _DATA_PLANE = frozenset({
     "closure_size", "adaptive", "marshalling", "allocation_strategy",
-    "closure_order", "closure_hints", "batch_memory_ops", *_PIPELINE_COUNTS,
+    "closure_order", "closure_hints", "batch_memory_ops", "coalesce",
+    "prefetch",
 })
 
 #: Preset name -> (its field values, the fields it pins).  A preset
@@ -201,17 +196,13 @@ _DATA_PLANE = frozenset({
 #: no data plane, so it pins every data-plane field.
 _PRESETS: Dict[str, Tuple[Dict[str, object], FrozenSet[str]]] = {
     "paper": ({}, frozenset()),
-    "fixed": ({}, frozenset()),
     "hinted": ({}, frozenset()),
     "lazy": ({"closure_size": 0, "allocation_strategy": ISOLATED},
              _CLOSURE_SIZE),
     "eager": ({"closure_size": UNBOUNDED}, _CLOSURE_SIZE),
     "graphcopy": ({"marshalling": GRAPHCOPY}, _DATA_PLANE),
     "adaptive": ({"adaptive": True}, frozenset()),
-    "pipelined": (
-        {"batch_window": 32, "max_inflight": 1, "prefetch_depth": 4},
-        frozenset(),
-    ),
+    "pipelined": ({"coalesce": True, "prefetch": True}, frozenset()),
 }
 
 POLICY_NAMES = tuple(sorted(_PRESETS))

@@ -522,17 +522,6 @@ class SmartRpcRuntime(RpcRuntime):
 
         return pointer_in
 
-    # -- data plane -----------------------------------------------------------
-
-    def request_data(
-        self,
-        state: SmartSessionState,
-        home: str,
-        pointers: List[LongPointer],
-    ) -> int:
-        """Fetch data (plus closure) from its home space."""
-        return transfer.request_data(self, state, home, pointers)
-
     # -- the §3.5 primitives --------------------------------------------------
 
     def extended_malloc(

@@ -9,10 +9,6 @@ It is pure inspection — no simulated time is charged and nothing is
 modified — so tests (including the stateful property tests) can call
 it after every operation.
 
-:func:`validate_session` keeps the historical raising contract: it
-runs all the checks and raises :class:`InvariantViolation` (carrying
-the full diagnostic list) if anything failed.
-
 The invariants, each traceable to the method's design:
 
 1. every table row lies inside a cache page owned by this session,
@@ -36,25 +32,9 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticCollector
 from repro.memory.page import Protection
-from repro.smartrpc.errors import SmartRpcError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
-
-
-class InvariantViolation(SmartRpcError):
-    """An internal-consistency invariant does not hold.
-
-    ``diagnostics`` holds every violation found (not just the first).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        diagnostics: Optional[List[Diagnostic]] = None,
-    ) -> None:
-        super().__init__(message)
-        self.diagnostics: List[Diagnostic] = list(diagnostics or ())
 
 
 def session_diagnostics(
@@ -185,29 +165,3 @@ def session_diagnostics(
 
     return collector.diagnostics[before:]
 
-
-def validate_session(
-    runtime: "SmartRpcRuntime", state: "SmartSessionState"
-) -> List[str]:
-    """Check every invariant; returns the list of checks performed.
-
-    Raises :class:`InvariantViolation` carrying all collected
-    diagnostics when any invariant fails.
-    """
-    diagnostics = session_diagnostics(runtime, state)
-    checks = [
-        "rows-within-owned-pages",
-        "protection-matches-residency",
-        "no-placeholder-overlap",
-        "single-home-pages",
-        "relayed-dirty-live",
-    ]
-    if diagnostics:
-        summary = "; ".join(
-            f"{d.code}: {d.message}" for d in diagnostics
-        )
-        raise InvariantViolation(
-            f"{len(diagnostics)} invariant violation(s): {summary}",
-            diagnostics,
-        )
-    return checks

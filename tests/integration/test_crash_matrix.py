@@ -51,7 +51,7 @@ from repro.simnet.tracefmt import save_trace
 from repro.smartrpc.errors import SessionAbortedError
 from repro.smartrpc.policy import make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime
-from repro.smartrpc.validate import validate_session
+from repro.smartrpc.validate import session_diagnostics
 from repro.transport.base import FaultInjector, RetryPolicy, TransportError
 from repro.transport.host import (
     CRASH_SCENARIO_MARK,
@@ -269,7 +269,7 @@ def test_simnet_crash_cell(role, step):
     for site_id in survivors:
         runtime = runtimes[site_id]
         for state in list(runtime._sessions.values()):
-            validate_session(runtime, state)
+            assert session_diagnostics(runtime, state) == []
 
     # The failure detector's view: the victim stopped heartbeating.
     ages = {

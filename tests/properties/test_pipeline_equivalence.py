@@ -4,7 +4,7 @@ The pipeline is an optimisation, not a semantics change: coalescing,
 duplicate suppression and async prefetch may only alter *when* data
 moves, never what a procedure computes or what the heaps hold when the
 session is over.  Every example here runs one workload twice — once
-under the classic ``paper`` policy (every pipeline knob zero, the
+under the classic ``paper`` policy (both pipeline switches off, the
 byte-identical pass-through) and once under ``pipelined`` — and
 requires:
 

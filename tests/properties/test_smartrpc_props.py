@@ -43,7 +43,7 @@ def make_pair(closure_size=8192):
             site,
             arch,
             resolver=TypeResolver(site, "NS"),
-            policy=make_policy("fixed", closure_size=closure_size),
+            policy=make_policy("paper", closure_size=closure_size),
         )
         register_tree_types(runtime)
         register_list_types(runtime)

@@ -29,7 +29,7 @@ from repro.simnet.network import Network
 from repro.smartrpc.errors import SessionAbortedError
 from repro.smartrpc.policy import make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime
-from repro.smartrpc.validate import validate_session
+from repro.smartrpc.validate import session_diagnostics
 from repro.workloads.linked_list import (
     LIST_OPS,
     bind_list_server,
@@ -156,7 +156,7 @@ class ListRpcMachine(RuleBasedStateMachine):
             return
         for runtime in self.runtimes.values():
             for state in runtime._sessions.values():
-                validate_session(runtime, state)
+                assert session_diagnostics(runtime, state) == []
 
     def teardown(self):
         if getattr(self, "session", None) is not None:
@@ -385,7 +385,7 @@ class OrphanReaperMachine(RuleBasedStateMachine):
             if site_id in self.crashed:
                 continue
             for state in runtime._sessions.values():
-                validate_session(runtime, state)
+                assert session_diagnostics(runtime, state) == []
 
     def teardown(self):
         if (

@@ -80,7 +80,7 @@ class TestHintedTransfers:
         pair = SmartPair(
             network,
             make_policy(
-                "fixed", closure_hints=hints, allocation_strategy="isolated"
+                "paper", closure_hints=hints, allocation_strategy="isolated"
             ),
         )
         table, _ = build_hash_table(pair.a, list(range(600)))
@@ -119,7 +119,7 @@ class TestHintedTransfers:
         hints.follow(TREE_NODE_TYPE_ID, ["right"])  # search goes left!
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, make_policy("fixed", closure_hints=hints))
+        pair = SmartPair(network, make_policy("paper", closure_hints=hints))
         root = build_complete_tree(pair.a, 31)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")
@@ -131,7 +131,7 @@ class TestHintedTransfers:
         hints.follow(TREE_NODE_TYPE_ID, [])
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, make_policy("fixed", closure_hints=hints))
+        pair = SmartPair(network, make_policy("paper", closure_hints=hints))
         root = build_complete_tree(pair.a, 15)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")

@@ -58,63 +58,56 @@ DESCRIBED = {
     "adaptive": {
         "policy": "adaptive", "budget": None, "marshalling": "swizzle",
         "coherency": True, "order": "bfs", "strategy": "single_home",
-        "batch_window": 0, "max_inflight": 0, "prefetch_depth": 0,
+        "coalesce": False, "prefetch": False,
         "session_deadline": 0.0, "exchange_timeout": 0.0,
         "orphan_grace": 0.0,
     },
     "eager": {
         "policy": "eager", "budget": 4294967295, "marshalling": "swizzle",
         "coherency": True, "order": "bfs", "strategy": "single_home",
-        "batch_window": 0, "max_inflight": 0, "prefetch_depth": 0,
-        "session_deadline": 0.0, "exchange_timeout": 0.0,
-        "orphan_grace": 0.0,
-    },
-    "fixed": {
-        "policy": "fixed", "budget": 8192, "marshalling": "swizzle",
-        "coherency": True, "order": "bfs", "strategy": "single_home",
-        "batch_window": 0, "max_inflight": 0, "prefetch_depth": 0,
+        "coalesce": False, "prefetch": False,
         "session_deadline": 0.0, "exchange_timeout": 0.0,
         "orphan_grace": 0.0,
     },
     "graphcopy": {
         "policy": "graphcopy", "budget": None,
         "marshalling": "graphcopy", "coherency": False, "order": "bfs",
-        "strategy": "single_home", "batch_window": 0, "max_inflight": 0,
-        "prefetch_depth": 0, "session_deadline": 0.0,
-        "exchange_timeout": 0.0, "orphan_grace": 0.0,
+        "strategy": "single_home", "coalesce": False, "prefetch": False,
+        "session_deadline": 0.0, "exchange_timeout": 0.0,
+        "orphan_grace": 0.0,
     },
     "hinted": {
         "policy": "hinted", "budget": 8192, "marshalling": "swizzle",
         "coherency": True, "order": "bfs", "strategy": "single_home",
-        "batch_window": 0, "max_inflight": 0, "prefetch_depth": 0,
+        "coalesce": False, "prefetch": False,
         "session_deadline": 0.0, "exchange_timeout": 0.0,
         "orphan_grace": 0.0,
     },
     "lazy": {
         "policy": "lazy", "budget": 0, "marshalling": "swizzle",
         "coherency": True, "order": "bfs", "strategy": "isolated",
-        "batch_window": 0, "max_inflight": 0, "prefetch_depth": 0,
+        "coalesce": False, "prefetch": False,
         "session_deadline": 0.0, "exchange_timeout": 0.0,
         "orphan_grace": 0.0,
     },
     "paper": {
         "policy": "paper", "budget": 8192, "marshalling": "swizzle",
         "coherency": True, "order": "bfs", "strategy": "single_home",
-        "batch_window": 0, "max_inflight": 0, "prefetch_depth": 0,
+        "coalesce": False, "prefetch": False,
         "session_deadline": 0.0, "exchange_timeout": 0.0,
         "orphan_grace": 0.0,
     },
     "pipelined": {
         "policy": "pipelined", "budget": None, "marshalling": "swizzle",
         "coherency": True, "order": "bfs", "strategy": "single_home",
-        "batch_window": 32, "max_inflight": 1, "prefetch_depth": 4,
+        "coalesce": True, "prefetch": True,
         "session_deadline": 0.0, "exchange_timeout": 0.0,
         "orphan_grace": 0.0,
     },
     "proposed": {
         "policy": "paper", "budget": 8192, "marshalling": "swizzle",
         "coherency": True, "order": "bfs", "strategy": "single_home",
-        "batch_window": 0, "max_inflight": 0, "prefetch_depth": 0,
+        "coalesce": False, "prefetch": False,
         "session_deadline": 0.0, "exchange_timeout": 0.0,
         "orphan_grace": 0.0,
     },
@@ -126,7 +119,6 @@ class TestPresets:
         assert POLICY_NAMES == (
             "adaptive",
             "eager",
-            "fixed",
             "graphcopy",
             "hinted",
             "lazy",
@@ -175,13 +167,13 @@ class TestPresets:
         assert policy.declared_budget is None
         assert policy.marshalling == SWIZZLE
 
-    def test_fixed_takes_an_arbitrary_budget(self):
-        policy = make_policy("fixed", closure_size=123)
+    def test_paper_takes_an_arbitrary_budget(self):
+        policy = make_policy("paper", closure_size=123)
         assert policy.declared_budget == 123
 
-    def test_any_pipeline_count_makes_the_budget_vary(self):
-        for count in ("batch_window", "max_inflight", "prefetch_depth"):
-            policy = TransferPolicy(**{count: 1})
+    def test_either_pipeline_switch_makes_the_budget_vary(self):
+        for switch in ("coalesce", "prefetch"):
+            policy = TransferPolicy(**{switch: True})
             assert policy.declared_budget is None
 
     def test_describe_is_the_trace_declaration(self):
@@ -193,9 +185,8 @@ class TestPresets:
             "coherency": True,
             "order": BREADTH_FIRST,
             "strategy": SINGLE_HOME,
-            "batch_window": 0,
-            "max_inflight": 0,
-            "prefetch_depth": 0,
+            "coalesce": False,
+            "prefetch": False,
             "session_deadline": 0.0,
             "exchange_timeout": 0.0,
             "orphan_grace": 0.0,
@@ -231,7 +222,8 @@ class TestMakePolicyErrors:
             ("closure_hints", ClosureHints()),
             ("batch_memory_ops", False),
             ("adaptive", True),
-            ("batch_window", 4),
+            ("coalesce", True),
+            ("prefetch", True),
         ):
             with pytest.raises(SmartRpcError):
                 make_policy("graphcopy", **{knob: value})
@@ -281,9 +273,9 @@ class TestOutOfRangeFailsAtConstruction:
     @pytest.mark.parametrize("fields", [
         {"closure_size": 2**33},
         {"closure_size": -1},
-        {"batch_window": -1},
-        {"max_inflight": -1},
-        {"prefetch_depth": -1},
+        {"closure_size": UNBOUNDED + 1},
+        {"exchange_timeout": float("nan")},
+        {"orphan_grace": float("-inf")},
         {"session_deadline": -1.0},
         {"exchange_timeout": -0.5},
         {"orphan_grace": -10.0},

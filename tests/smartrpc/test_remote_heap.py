@@ -167,7 +167,7 @@ class TestEndToEndListExtension:
         from tests.conftest import SmartPair
 
         pair = SmartPair(
-            network, make_policy("fixed", batch_memory_ops=False)
+            network, make_policy("paper", batch_memory_ops=False)
         )
         bind_list_server(pair.b)
         pair.a.import_interface(LIST_OPS)

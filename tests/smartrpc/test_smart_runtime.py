@@ -179,7 +179,7 @@ class TestFigureOneModel:
 class TestConfiguration:
     def test_negative_closure_size_rejected(self):
         with pytest.raises(SmartRpcError):
-            make_policy("fixed", closure_size=-1)
+            make_policy("paper", closure_size=-1)
 
     def test_runtime_takes_only_a_policy(self, network):
         from repro.bench.harness import PROPOSED, make_world
@@ -196,7 +196,7 @@ class TestConfiguration:
     def test_closure_size_zero_still_correct(self, network):
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, make_policy("fixed", closure_size=0))
+        pair = SmartPair(network, make_policy("paper", closure_size=0))
         root = build_complete_tree(pair.a, 15)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")
@@ -208,7 +208,7 @@ class TestConfiguration:
     def test_large_closure_single_request(self, network):
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, make_policy("fixed", closure_size=10**6))
+        pair = SmartPair(network, make_policy("paper", closure_size=10**6))
         root = build_complete_tree(pair.a, 63)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")
@@ -223,7 +223,7 @@ class TestConfiguration:
         from tests.conftest import SmartPair
 
         pair = SmartPair(
-            network, make_policy("fixed", allocation_strategy=strategy)
+            network, make_policy("paper", allocation_strategy=strategy)
         )
         root = build_complete_tree(pair.a, 31)
         bind_tree_server(pair.b)
@@ -237,7 +237,7 @@ class TestConfiguration:
     def test_both_closure_orders_correct(self, network, order):
         from tests.conftest import SmartPair
 
-        pair = SmartPair(network, make_policy("fixed", closure_order=order))
+        pair = SmartPair(network, make_policy("paper", closure_order=order))
         root = build_complete_tree(pair.a, 31)
         bind_tree_server(pair.b)
         stub = tree_client(pair.a, "B")

@@ -213,8 +213,10 @@ class Network(Transport):
                         f"one-way {kind} message to {dst!r} produced a reply"
                     )
                 # The reply carries the receiver's clock back
-                # (synchronous delivery is the acknowledgement).
-                source.vclock.merge(destination.vclock.snapshot())
+                # (synchronous delivery is the acknowledgement), once
+                # it has one: an untraced run never builds a snapshot.
+                if destination.vclock.entries:
+                    source.vclock.merge(destination.vclock.snapshot())
                 return response if reply_kind is not None else b""
             raise _failed(message, f"after {_MAX_ATTEMPTS} attempts")
         finally:
@@ -238,8 +240,10 @@ class Network(Transport):
                 message, f"destination site {message.dst!r} crashed on receive"
             )
         # Piggybacked vector clock: the receiver observes the sender's
-        # clock before handling.
-        destination.vclock.merge(source.vclock.snapshot())
+        # clock before handling, when the sender has one (the real
+        # carriers' rule: an empty clock is neither sent nor merged).
+        if source.vclock.entries:
+            destination.vclock.merge(source.vclock.snapshot())
         if key is None:
             return destination.handle(message)
         return destination.handle_at_most_once(key, message)

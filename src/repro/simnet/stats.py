@@ -128,11 +128,14 @@ class StatsCollector:
         """Count one sent message."""
         self.count_message(message.kind, message.size)
 
-    def count_message(self, kind: MessageKind, size: int) -> None:
-        """Count one sent message of ``kind`` with ``size`` payload
-        bytes, without building it (a real carrier's untraced path)."""
-        self.messages_by_kind[kind] += 1
-        self.bytes_by_kind[kind] += size
+    def count_message(
+        self, kind: MessageKind, size: int, copies: int = 1
+    ) -> None:
+        """Count ``copies`` sent messages of ``kind`` with ``size``
+        payload bytes each, without building them (a real carrier's
+        untraced path)."""
+        self.messages_by_kind[kind] += copies
+        self.bytes_by_kind[kind] += size * copies
 
     @property
     def total_messages(self) -> int:

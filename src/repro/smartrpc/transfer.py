@@ -47,8 +47,10 @@ from repro.xdr.errors import XdrError
 from repro.xdr.raw import LONG_SLOT, WirePlan, wire_plan
 from repro.xdr.stream import (
     IMAGES,
+    TEXTS,
     XdrDecoder,
     XdrEncoder,
+    image_text,
     string_image,
     underflow,
 )
@@ -508,6 +510,47 @@ def _request_tail(count: int) -> struct.Struct:
     return struct.Struct(f">III{count}Q")
 
 
+def decode_request_payload(payload: bytes) -> tuple:
+    """``(session id, ground site, budget, order code, addresses)`` of
+    one DATA_REQUEST payload.
+
+    One cursor pass, as :func:`apply_batch` reads a batch: each string
+    image is sliced whole and probed in the intern table (a miss is
+    checked by :func:`~repro.xdr.stream.image_text`), and the tail is
+    one ``Struct``.  A cut payload is the decoder's underflow error,
+    and bytes past the tail are an :class:`XdrError`.
+    """
+    if type(payload) is not bytes:
+        payload = bytes(payload)
+    size = len(payload)
+    texts = []
+    pos = 0
+    for _ in range(2):  # session id, ground site
+        if pos + 4 > size:
+            raise underflow(4, size - pos)
+        end = pos + 4 + (_U32.unpack_from(payload, pos)[0] + 3 & -4)
+        if end > size:
+            raise underflow(end - pos, size - pos)
+        image = payload[pos:end]
+        text = TEXTS.get(image)
+        texts.append(text if text is not None else image_text(image))
+        pos = end
+    tail = _request_tail(max(size - pos - 12, 0) // 8)
+    if pos + tail.size > size:
+        raise underflow(tail.size, size - pos)
+    if pos + tail.size < size:
+        raise XdrError(
+            f"{size - pos - tail.size} trailing bytes in XDR stream"
+        )
+    budget, order_code, count, *addresses = tail.unpack_from(payload, pos)
+    if count != len(addresses):
+        raise XdrError(
+            f"DATA_REQUEST names {count} roots and carries "
+            f"{len(addresses)}"
+        )
+    return texts[0], texts[1], budget, order_code, addresses
+
+
 def apply_reply(
     runtime: "SmartRpcRuntime",
     state: "SmartSessionState",
@@ -621,17 +664,9 @@ def handle_data_request(
     """Home-space side: select the closure and ship it."""
     payload = message.payload
     runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
-    decoder = XdrDecoder(payload)
-    session_id = decoder.unpack_string()
-    ground_site = decoder.unpack_string()
-    tail = _request_tail(max(decoder.remaining - 12, 0) // 8)
-    budget, order_code, count, *addresses = decoder.unpack_struct(tail)
-    decoder.expect_done()
-    if count != len(addresses):
-        raise XdrError(
-            f"DATA_REQUEST names {count} roots and carries "
-            f"{len(addresses)}"
-        )
+    session_id, ground_site, budget, order_code, addresses = (
+        decode_request_payload(payload)
+    )
     state = runtime.ensure_smart_session(session_id, ground_site)
     state.note_participant(message.src)
     try:

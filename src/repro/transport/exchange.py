@@ -14,8 +14,12 @@ once-encoded request on timeout, backing off exponentially
 ``(sender, exchange id)``: a handler runs at most once per logical send
 however many retransmissions or duplicated frames arrive, and each of
 them gets the one reply.  Both frames piggyback their sender's vector
-clock, and a :class:`~repro.transport.base.FaultInjector` drops,
-duplicates and crash-kills at the same ordinals on either carrier.
+clock once somebody traces: ticked when the sender traces, relayed as
+heard when it does not but has merged one, and empty otherwise, so an
+untraced run ticks, encodes and merges no clock
+(:mod:`repro.transport.vclock`).  A
+:class:`~repro.transport.base.FaultInjector` drops, duplicates and
+crash-kills at the same ordinals on either carrier.
 
 The link is any ``SOCK_STREAM`` socket.  ``endpoint.send`` blocks the
 calling thread as a simulated delivery does, because that thread
@@ -108,6 +112,7 @@ from repro.transport.base import (
 )
 from repro.transport.framing import (
     LENGTH_PREFIX,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     STATUS_HANDLER_ERROR,
     STATUS_OK,
@@ -121,8 +126,7 @@ from repro.transport.framing import (
     Welcome,
     decode_frame,
     encode_frame,
-    frame_length,
-    new_frame,
+    fields_encoder,
 )
 from repro.transport.wallclock import WallClock
 
@@ -197,12 +201,17 @@ class Connection:
                 return None
             self._buffer += chunk
         buffer = self._buffer
-        end = start + frame_length(buffer[:start])
+        (length,) = LENGTH_PREFIX.unpack_from(buffer)
+        if length > MAX_FRAME_BYTES:
+            raise FramingError(
+                f"frame length {length} exceeds the "
+                f"{MAX_FRAME_BYTES}-byte limit"
+            )
+        end = start + length
         if len(buffer) >= end:
             self._buffer = buffer[end:]
             return decode_frame(memoryview(buffer)[start:end])
         # Receive the rest into a buffer sized from the prefix.
-        length = end - start
         body = self._bulk
         if len(body) < length:
             body = bytearray(length)
@@ -351,7 +360,13 @@ class ExchangeTransport(Transport):
         self._listener: Optional[socket.socket] = None
         self._acceptor: Optional[threading.Thread] = None
         self._started = False
+        # Between start() and close(): read by every exchange, where
+        # the event's ``is_set`` would be a call.
+        self._running = False
         self._closed = threading.Event()
+        # The REQUEST and REPLY encoders, fed the fields themselves.
+        self._encode_request = fields_encoder(Request)
+        self._encode_reply = fields_encoder(Reply)
 
     # -- what a carrier supplies ----------------------------------------------
 
@@ -378,6 +393,7 @@ class ExchangeTransport(Transport):
                 f"transport for {self.site_id!r} already started"
             )
         self._started = True
+        self._running = True
         if self._listen:
             self._listener, self.address = self._bind()
             self._acceptor = threading.Thread(
@@ -390,8 +406,9 @@ class ExchangeTransport(Transport):
 
     def close(self) -> None:
         """Close listener and connections; the threads exit once woken."""
-        if not self._started or self._closed.is_set():
+        if not self._running:
             return
+        self._running = False
         self._closed.set()
         if self._listener is not None:
             try:
@@ -416,7 +433,7 @@ class ExchangeTransport(Transport):
             conn.shutdown()  # its thread drops and closes it
 
     def _check_running(self) -> None:
-        if not self._started or self._closed.is_set():
+        if not self._running:
             state = "closed" if self._started else "not started"
             raise TransportError(
                 f"transport for {self.site_id!r} is {state}"
@@ -491,37 +508,82 @@ class ExchangeTransport(Transport):
         and all — with a :class:`TransportError` instead of the full
         retry schedule (the session layer's per-exchange guard).
         """
-        self._check_running()
+        if not self._running:
+            self._check_running()
         deadline = time.monotonic() + timeout if timeout is not None else None
-        address = self._resolve(dst)
+        address = self._peers.get(dst) or self._resolve(dst)
         exchange_id = next(self._exchange_ids)
-        # Piggybacks this site's vector clock; the responder merges it
-        # before running the handler.  Encoded once: every
+        # The request carries this site's vector clock once somebody
+        # traces (ticked here, or relayed as heard), and the responder
+        # merges it before running the handler.  Encoded once: every
         # retransmission carries the same clock.
-        request = new_frame(
-            Request,
-            exchange_id=exchange_id,
-            src=self.site_id,
-            dst=dst,
-            kind=_WORDS[kind],
-            expects_reply=reply_kind is not None,
-            payload=payload,
-            clock=self.endpoint.vclock.tick_wire(),
+        vclock = self.endpoint.vclock
+        if self.stats.tracing:
+            clock = vclock.tick_wire()
+        else:
+            clock = vclock.relay_wire() if vclock.entries else ()
+        reply, unnoted = self._run_attempts(
+            dst,
+            address,
+            exchange_id,
+            self._encode_request(
+                exchange_id, self.site_id, dst, _WORDS[kind],
+                reply_kind is not None, clock, payload,
+            ),
+            kind,
+            payload,
+            timeout,
+            deadline,
         )
-        reply = self._run_attempts(
-            dst, address, exchange_id, encode_frame(request), kind,
-            payload, timeout, deadline,
+        # The reply carries the responder's clock on the same rule:
+        # merging it makes everything the handler did happen-before
+        # this site's next traced event.
+        if reply.clock:
+            vclock.merge_wire(reply.clock)
+        body = reply.payload
+        ok = reply.status == STATUS_OK and (reply_kind is not None or not body)
+        # One acquisition counts the untraced request transmissions and
+        # the reply (traced, it is stamped after the merge above).
+        with self._lock:
+            stats = self.stats
+            if unnoted:
+                stats.count_message(kind, len(payload), unnoted)
+            if ok and reply_kind is not None:
+                if stats.tracing:
+                    self.note_message(
+                        Message(dst, self.site_id, reply_kind, body),
+                        stamp=self.endpoint.stamp(),
+                    )
+                else:
+                    stats.count_message(reply_kind, len(body))
+        if ok:
+            return body if reply_kind is not None else b""
+        if reply.status == STATUS_HANDLER_ERROR:
+            raise RemoteHandlerError(
+                f"{kind.value} handler at {dst!r} failed: "
+                f"{bytes(body).decode('utf-8', 'replace')}"
+            )
+        if reply.status != STATUS_OK:
+            raise TransportError(
+                f"bad reply status {reply.status!r} from {dst!r}"
+            )
+        raise TransportError(
+            f"one-way {kind} message to {dst!r} produced a reply"
         )
-        return self._finish(dst, kind, reply_kind, reply)
 
     def _run_attempts(
         self, dst: str, address, exchange_id: int, encoded: bytes,
         kind: MessageKind, payload, cap: Optional[float],
         deadline: Optional[float],
-    ) -> Reply:
+    ) -> Tuple[Reply, int]:
         """The retry loop: connect, transmit, wait, back off.  Returns
-        the reply; ``encoded`` is the request carrying ``payload``."""
+        the reply and how many transmissions of the attempt that got it
+        are still to be counted; ``encoded`` is the request carrying
+        ``payload``.  A traced transmission is stamped as it leaves;
+        an untraced one is counted when its attempt ends, the last
+        attempt's by the caller, with the reply."""
         faults = self._faults
+        tracing = self.stats.tracing
         attempts = 0
         last_error: Optional[BaseException] = None
         for timeout in self._timeouts:
@@ -560,10 +622,14 @@ class ExchangeTransport(Transport):
                 elif action == FaultInjector.DUPLICATE:
                     copies = 2
             until = time.monotonic() + timeout
+            unnoted = 0
             try:
                 for copy in range(copies):
                     conn.send(encoded, until)
-                    self._note(self.site_id, dst, kind, payload)
+                    if tracing:
+                        self._note(self.site_id, dst, kind, payload)
+                    else:
+                        unnoted += 1
                     if faults is not None and not copy:
                         with self._lock:
                             if faults.crash_after_send(kind):
@@ -575,6 +641,8 @@ class ExchangeTransport(Transport):
                 last_error = exc
                 self._discard(conn)
                 with self._lock:
+                    if unnoted:
+                        self.stats.count_message(kind, len(payload), unnoted)
                     self.retransmissions += 1
                     self.note_timeout(
                         f"{kind.value} exchange {self.site_id}->{dst} "
@@ -584,9 +652,12 @@ class ExchangeTransport(Transport):
                 continue
             except BaseException:
                 self._discard(conn)
+                if unnoted:
+                    with self._lock:
+                        self.stats.count_message(kind, len(payload), unnoted)
                 raise
             self._release(dst, conn)
-            return reply
+            return reply, unnoted
         raise TransportError(
             f"{kind.value} exchange {self.site_id!r}->{dst!r} failed "
             f"after {attempts} attempts ({last_error})"
@@ -611,36 +682,6 @@ class ExchangeTransport(Transport):
             f"injected drop of {what}",
             data={"site": self.site_id},
         )
-
-    def _finish(
-        self,
-        dst: str,
-        kind: MessageKind,
-        reply_kind: Optional[MessageKind],
-        reply: Reply,
-    ) -> bytes:
-        # The reply piggybacks the responder's clock: merging it makes
-        # everything the handler did happen-before this site's next
-        # traced event.
-        self.endpoint.vclock.merge_wire(reply.clock)
-        payload = reply.payload
-        if reply.status == STATUS_HANDLER_ERROR:
-            raise RemoteHandlerError(
-                f"{kind.value} handler at {dst!r} failed: "
-                f"{bytes(payload).decode('utf-8', 'replace')}"
-            )
-        if reply.status != STATUS_OK:
-            raise TransportError(
-                f"bad reply status {reply.status!r} from {dst!r}"
-            )
-        if reply_kind is None:
-            if payload:
-                raise TransportError(
-                    f"one-way {kind} message to {dst!r} produced a reply"
-                )
-            return b""
-        self._note(dst, self.site_id, reply_kind, payload)
-        return payload
 
     def ping(self, dst: str, timeout: float = 2.0) -> float:
         """Round-trip a transport-level PING; returns the RTT seconds."""
@@ -707,7 +748,7 @@ class ExchangeTransport(Transport):
         """Give ``conn`` back after a completed exchange."""
         with self._lock:
             pool = self._pool.setdefault(dst, [])
-            if len(pool) < POOL_SIZE and not self._closed.is_set():
+            if len(pool) < POOL_SIZE and self._running:
                 pool.append(conn)
                 return
         self._discard(conn)
@@ -844,6 +885,7 @@ class ExchangeTransport(Transport):
 
     def _execute(self, request: Request) -> bytes:
         """Dispatch one request to its handler, on this thread."""
+        vclock = self.endpoint.vclock
         try:
             kind = _KINDS.get(request.kind) or MessageKind(request.kind)
             if self._faults is not None:
@@ -851,10 +893,12 @@ class ExchangeTransport(Transport):
                     if self._faults.crash_on_receive(kind):
                         # Planned death before the handler can run.
                         os._exit(FaultInjector.CRASH_EXIT_CODE)
-            # Observe the sender's piggybacked clock before the handler
-            # runs, so every event the handler records happens-after
-            # everything the sender did up to this exchange.
-            self.endpoint.vclock.merge_wire(request.clock)
+            # Observe the sender's piggybacked clock, if it sent one,
+            # before the handler runs, so every event the handler
+            # records happens-after everything the sender did up to
+            # this exchange.
+            if request.clock:
+                vclock.merge_wire(request.clock)
             body = self.endpoint.handle(
                 Message(request.src, request.dst, kind, request.payload)
             )
@@ -862,21 +906,15 @@ class ExchangeTransport(Transport):
                 raise TransportError(
                     f"one-way {kind} message produced a reply"
                 )
-            reply = new_frame(
-                Reply,
-                exchange_id=request.exchange_id,
-                status=STATUS_OK,
-                payload=body,
-                clock=self.endpoint.vclock.tick_wire(),
-            )
+            status = STATUS_OK
         except Exception as exc:  # noqa: BLE001 - ship transport errors
-            reply = Reply(
-                request.exchange_id,
-                STATUS_HANDLER_ERROR,
-                f"{type(exc).__name__}: {exc}".encode("utf-8"),
-                clock=self.endpoint.vclock.tick_wire(),
-            )
-        return encode_frame(reply)
+            status = STATUS_HANDLER_ERROR
+            body = f"{type(exc).__name__}: {exc}".encode("utf-8")
+        if self.stats.tracing:
+            clock = vclock.tick_wire()
+        else:
+            clock = vclock.relay_wire() if vclock.entries else ()
+        return self._encode_reply(request.exchange_id, status, clock, body)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -29,7 +29,10 @@ connect time instead of corrupting exchanges.
 The codec is *compiled* (DESIGN.md §9): ``_FRAME_TABLE`` declares each
 frame's fields in wire order and ``_compile`` generates one encoder
 and one decoder per type from it on first use, as :mod:`repro.xdr.raw`
-does per datum — fixed-width words through one ``struct.Struct`` per
+does per datum.  The encoder takes the fields themselves
+(:func:`fields_encoder`), so the exchange encodes its ``REQUEST`` and
+``REPLY`` frames without building them; :func:`encode_frame` passes it
+a frame's fields — fixed-width words through one ``struct.Struct`` per
 run, site ids and kinds spliced from the bounded intern
 table :mod:`repro.xdr.stream` keeps for every codec, clock and payload
 by offset off the one ``memoryview``.  The byte image and every check
@@ -160,16 +163,6 @@ class Pong:
 Frame = Union[Hello, Welcome, Goodbye, Request, Reply, Ping, Pong]
 
 
-def new_frame(cls, **fields) -> Frame:
-    """``cls(**fields)`` with *every* field given, built as the compiled
-    decoders build theirs: one ``__dict__`` update instead of the
-    frozen dataclass's ``__setattr__`` per field.  For the frames an
-    exchange builds every time; anywhere else, call the class."""
-    frame = object.__new__(cls)
-    frame.__dict__.update(fields)
-    return frame
-
-
 # -- the frame table and the codec compiled from it -------------------------
 #
 # One row per frame type: class, type word, and the body's fields in
@@ -238,19 +231,19 @@ def _compile(cls, type_word: int, layout: str) -> None:
         env[f"_{method}_{fmt}"] = getattr(codec, method)  # shared by types
         return codec.size
 
-    # Encoder: intern-table splices and packed runs, joined once.
-    encode, parts, sizes = [f"def _encode_{cls.__name__}(f):"], [], []
+    # Encoder: intern-table splices and packed runs, joined once, from
+    # the fields themselves; the frame encoder passes a frame's fields.
+    params = ", ".join(name for name, _kind in fields)
+    encode, parts, sizes = [f"def _fields_{cls.__name__}({params}):"], [], []
     fmt, args = "II", ["_size", str(int(type_word))]
     fixed = -LENGTH_PREFIX.size  # the body length leaves the prefix out
     for name, kind in fields + [("", "")]:
         if kind and kind in "IQ?":
             fmt += kind.replace("?", "I")
-            args.append(
-                f"1 if f.{name} else 0" if kind == "?" else f"f.{name}"
-            )
+            args.append(f"1 if {name} else 0" if kind == "?" else name)
             continue
         if kind == "o":
-            encode += [f"{name} = f.{name}", f"{name}_n = len({name})"]
+            encode.append(f"{name}_n = len({name})")
             fmt, args = fmt + "I", args + [f"{name}_n"]
         if fmt:  # a run ends here
             parts.append(f"_pack_{fmt}({', '.join(args)})")
@@ -260,9 +253,9 @@ def _compile(cls, type_word: int, layout: str) -> None:
             sizes.append(f"{name}_n + (-{name}_n & 3)")
         elif kind:
             encode.append(
-                f"{name} = IMAGES.get(f.{name}) or string_image(f.{name})"
+                f"{name} = IMAGES.get({name}) or string_image({name})"
                 if kind == "s" else
-                f"{name} = _clock_image(f.{name}) if f.{name} else _NO_CLOCK"
+                f"{name} = _clock_image({name}) if {name} else _NO_CLOCK"
             )
             parts.append(name)
             sizes.append(f"len({name})")
@@ -271,6 +264,11 @@ def _compile(cls, type_word: int, layout: str) -> None:
         "if _size > MAX_FRAME_BYTES: raise FramingError(f'frame body of "
         "{_size} bytes exceeds the {MAX_FRAME_BYTES}-byte limit')",
         f"return b''.join(({', '.join(parts)},))",
+    ]
+    frame_fields = ", ".join(f"f.{name}" for name, _kind in fields)
+    wrap = [
+        f"def _encode_{cls.__name__}(f):",
+        f"return _fields_{cls.__name__}({frame_fields})",
     ]
 
     # Decoder: the same runs read back.  The read position is tracked
@@ -335,8 +333,10 @@ def _compile(cls, type_word: int, layout: str) -> None:
         decode.append(
             f"_fill['{name}'] = {name}" + (" == 1" if kind == "?" else "")
         )
-    source = "\n ".join(encode) + "\n" + "\n ".join(decode + ["return _frame"])
+    decode.append("return _frame")
+    source = "\n".join("\n ".join(lines) for lines in (encode, wrap, decode))
     exec(compile(source, f"<{cls.__name__} frame codec>", "exec"), env)
+    _FIELDS[cls] = env["_fields_" + cls.__name__]
     _ENCODERS[cls] = env["_encode_" + cls.__name__]
     _DECODERS[int(type_word)] = env["_decode_" + cls.__name__]
 
@@ -344,6 +344,7 @@ def _compile(cls, type_word: int, layout: str) -> None:
 #: The compiled codecs, by frame class and by type word; a row is
 #: compiled on first use, so simnet-only processes never pay for one.
 _ENCODERS: Dict[type, Callable[[Frame], bytes]] = {}
+_FIELDS: Dict[type, Callable[..., bytes]] = {}
 _DECODERS: Dict[int, Callable[[memoryview, int], Frame]] = {}
 
 
@@ -367,6 +368,14 @@ def encode_frame(frame: Frame) -> bytes:
         return encode(frame)
     except struct.error as exc:
         raise FramingError(f"cannot encode {frame!r}: {exc}") from None
+
+
+def fields_encoder(cls) -> Callable[..., bytes]:
+    """The compiled encoder of ``cls`` frames that takes the frame's
+    fields themselves, in table order, and builds no frame: the hot
+    path's ``REQUEST`` and ``REPLY``.  Its bytes are
+    :func:`encode_frame`'s; an out-of-range word is ``struct.error``."""
+    return _FIELDS.get(cls) or _compiled(_FIELDS, cls)
 
 
 def encode_frame_into(frame: Frame, encoder: XdrEncoder) -> memoryview:

@@ -2,7 +2,7 @@
 
 Every :class:`~repro.transport.base.Endpoint` owns one
 :class:`VectorClock`.  Each traced protocol event *ticks* the owning
-site's component and records the resulting snapshot; each exchange
+site's component and records the resulting snapshot; an exchange
 piggybacks the sender's snapshot on the frame and the receiver *merges*
 it before the handler runs (and the sender merges the receiver's
 snapshot back off the reply).  The recorded stamps therefore encode the
@@ -11,6 +11,16 @@ event ``b`` iff ``a``'s clock is pointwise ≤ ``b``'s and the two
 differ.  The offline sanitizer (:mod:`repro.analysis.sanitizer`)
 rebuilds the causal order from the stamps alone, so merged multi-process
 traces need no synchronized wall clocks.
+
+A clock travels only once somebody traces.  A frame carries a ticked
+clock when its sender traces, and the clock the sender has heard
+(:meth:`VectorClock.relay_wire`, unticked) when it does not but has
+merged one; a site that has neither ticked nor heard a clock
+(:attr:`VectorClock.entries` empty) sends the empty clock, and an
+empty clock is never merged.  In an untraced run no clock is ever
+ticked, encoded or merged, and a traced → untraced → traced chain
+still orders the first site's events before the last one's: the
+untraced hop passes on what it heard.
 
 Clocks are thread-safe: the TCP transport dispatches handlers on worker
 threads, and the pipeline touches the trace from its prefetch executor.
@@ -47,7 +57,10 @@ class VectorClock:
 
     def __init__(self, site_id: str) -> None:
         self.site_id = site_id
-        self._clock: ClockMap = {}
+        #: Site id -> ticks observed; empty until this site ticks or
+        #: merges a non-empty clock.  Read it, never write it: a
+        #: carrier tests it to decide whether a frame needs a clock.
+        self.entries: ClockMap = {}
         #: The clock's site ids, sorted; stale (shorter than the clock)
         #: after a merge added a site, and re-sorted on the next use.
         self._order: List[str] = []
@@ -57,25 +70,35 @@ class VectorClock:
     def tick(self) -> ClockMap:
         """Advance this site's component; return the new snapshot."""
         with self._lock:
-            self._clock[self.site_id] = self._clock.get(self.site_id, 0) + 1
-            return dict(self._clock)
+            self.entries[self.site_id] = self.entries.get(self.site_id, 0) + 1
+            return dict(self.entries)
 
     def tick_wire(self) -> WireClock:
         """:meth:`tick`, returning the snapshot in wire form."""
         with self._lock:
-            clock = self._clock
+            clock = self.entries
             clock[self.site_id] = clock.get(self.site_id, 0) + 1
-            order = self._order
-            if len(order) != len(clock):  # sites are only ever added
-                order = self._order = sorted(clock)
-            return tuple(zip(order, map(clock.__getitem__, order)))
+            return self._wire()
+
+    def relay_wire(self) -> WireClock:
+        """The snapshot in wire form, unticked: what a site that does
+        not trace passes on of the clocks it has heard."""
+        with self._lock:
+            return self._wire()
+
+    def _wire(self) -> WireClock:
+        clock = self.entries
+        order = self._order
+        if len(order) != len(clock):  # sites are only ever added
+            order = self._order = sorted(clock)
+        return tuple(zip(order, map(clock.__getitem__, order)))
 
     def merge_wire(self, pairs: WireClock) -> None:
         """:meth:`merge` for a snapshot in wire form."""
         if not pairs:
             return
         with self._lock:
-            clock = self._clock
+            clock = self.entries
             for site, count in pairs:
                 if count > clock.get(site, 0):
                     clock[site] = count
@@ -86,13 +109,13 @@ class VectorClock:
             return
         with self._lock:
             for site, count in other.items():
-                if count > self._clock.get(site, 0):
-                    self._clock[site] = int(count)
+                if count > self.entries.get(site, 0):
+                    self.entries[site] = int(count)
 
     def snapshot(self) -> ClockMap:
         """The current clock, as a plain dict (safe to piggyback)."""
         with self._lock:
-            return dict(self._clock)
+            return dict(self.entries)
 
     def next_seq(self, session: Optional[str] = None) -> int:
         """The next per-(site, session) monotonic event sequence."""

@@ -28,15 +28,19 @@ from repro.simnet.message import MessageKind
 from repro.workloads.linked_list import build_list, list_client
 
 #: Calls per lazy fault on simnet: a 256-node ``total`` under ``lazy``,
-#: all of it (stub, faults, program) divided by its 256 faults.  268
-#: on CPython 3.11 since a fill calls ``transfer.request_data``
-#: directly and reads the pipeline's switch as an attribute (270, under
-#: a budget of 283, while the runtime forwarded the call and
-#: ``active`` was a property; 270 since a batch is read by one cursor
-#: and a first touch scores its page's own rows; 286 on 3.9 and 3.11
-#: and 283 on 3.12 before that, under a budget of 300; 427 before the
-#: exchange and data-request paths were trimmed).
-FAULT_BUDGET = 281
+#: all of it (stub, faults, program) divided by its 256 faults.  251.7
+#: on CPython 3.11 since a delivery snapshots and merges a vector clock
+#: only when its sender has one and the home decodes a DATA_REQUEST's
+#: head in one cursor pass (268, under a budget of 281, while every
+#: delivery merged a snapshot both ways and the head went through the
+#: stream decoder).  Before that, 268 since a fill calls
+#: ``transfer.request_data`` directly and reads the pipeline's switch
+#: as an attribute (270, under a budget of 283, while the runtime
+#: forwarded the call and ``active`` was a property; 270 since a batch
+#: is read by one cursor and a first touch scores its page's own rows;
+#: 286 on 3.9 and 3.11 and 283 on 3.12 before that, under a budget of
+#: 300; 427 before the exchange and data-request paths were trimmed).
+FAULT_BUDGET = 264
 
 #: Calls per node of a cold 4096-node ``total`` under ``paper`` on
 #: simnet (after two warm sessions): the whole session — stub, four
@@ -49,9 +53,12 @@ FAULT_BUDGET = 281
 COLD_FILL_BUDGET = 46.6
 
 #: Calls per 16-byte echo, client and serving thread together, on
-#: either carrier: 192 on both when set (194 on tcp and 206 on shm
-#: while the shm carrier had a data segment, 263 before that).
-ECHO_BUDGET = 202
+#: either carrier: 116.3 on both when set, since an untraced exchange
+#: carries no vector clock and its frames are encoded from their fields
+#: (192 on both under a budget of 202 while every frame ticked, encoded,
+#: decoded and merged a clock; 194 on tcp and 206 on shm while the shm
+#: carrier had a data segment, 263 before that).
+ECHO_BUDGET = 122
 
 #: Calls per node of a warm ``total`` over a 4096-node list in one
 #: ``paper`` session (after two warm calls): the stub and marshal

@@ -228,7 +228,7 @@ def test_one_skeleton_under_both_carriers():
         }
         assert own == supplied, carrier
     for name in (
-        "exchange", "ping", "_run_attempts", "_finish", "_resolve",
+        "exchange", "ping", "_run_attempts", "_resolve",
         "_await", "_acquire", "_release", "_discard", "_dial",
         "_accept_loop", "_serve", "_serve_request", "_execute",
     ):

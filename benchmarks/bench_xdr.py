@@ -9,11 +9,6 @@ current growable-buffer/``memoryview``/bulk-copy path on a page-sized
 payload (one 4096-byte cache page of uint32s), asserting the rework is
 at least 2x faster on both encode and decode.
 
-``--transport shm`` additionally runs the carrier page-fill benchmark:
-the marginal per-byte cost of a bulk reply over the shm carrier (an
-abstract ``AF_UNIX`` socket) and over localhost TCP, recorded next to
-a plain ``memcpy``.
-
 Run with ``pytest benchmarks/bench_xdr.py`` — the reproduced
 throughput ratios are printed in the terminal summary.
 """
@@ -24,12 +19,8 @@ import struct
 import time
 from typing import List
 
-import pytest
-
 from conftest import record_sim_result
 
-from repro.bench.carrier import carrier_per_byte, memcpy_per_byte
-from repro.bench.harness import SHM, SIMNET, TCP
 from repro.memory.address_space import AddressSpace
 from repro.xdr.arch import SPARC32
 from repro.xdr.raw import RawCodec
@@ -274,46 +265,4 @@ def test_xdr_scalar_stream_throughput(benchmark):
     benchmark.extra_info["speedup"] = round(ratio, 2)
     record_sim_result(
         f"xdr scalar stream (512 fields): {ratio:.2f}x over seed codec"
-    )
-
-
-# -- carrier page fill: per-byte cost of a bulk reply -------------------------
-#
-# ``repro.bench.carrier`` measures the marginal per-byte cost of a
-# bulk reply as the timing slope between a small and a large fetch:
-# both carriers copy the body through framing, two socket buffers and
-# a reassembled ``bytes``.  This test records the slopes;
-# ``baseline.py`` records the same slopes into ``BENCH_shm.json``.
-
-
-def test_carrier_page_fill_per_byte(benchmark, transport_mode):
-    """The per-byte cost of filling a page over each real carrier, next
-    to the ``memcpy`` floor (recorded, not gated)."""
-    if transport_mode == SIMNET:
-        pytest.skip("per-byte carrier cost needs a real carrier")
-    memcpy = memcpy_per_byte()
-    carriers = (TCP, SHM) if transport_mode == SHM else (transport_mode,)
-    slopes = {
-        carrier: carrier_per_byte(
-            carrier,
-            measured_hook=(
-                (lambda fn: benchmark.pedantic(fn, rounds=10, iterations=1))
-                if carrier == transport_mode
-                else None
-            ),
-        )
-        for carrier in carriers
-    }
-    for carrier, slope in slopes.items():
-        benchmark.extra_info[f"{carrier}_ns_per_byte"] = round(
-            slope * 1e9, 4
-        )
-    benchmark.extra_info["memcpy_ns_per_byte"] = round(memcpy * 1e9, 4)
-    line = ", ".join(
-        f"{carrier} {slope * 1e9:.3f} ns/B"
-        for carrier, slope in slopes.items()
-    )
-    record_sim_result(
-        f"carrier page fill slope: {line}, memcpy floor "
-        f"{memcpy * 1e9:.3f} ns/B"
     )

@@ -16,8 +16,9 @@ import inspect
 import sys
 
 from repro.bench.experiments import ALL_EXPERIMENTS
-from repro.bench.harness import POLICIES, TRANSPORTS
+from repro.bench.harness import TRANSPORTS
 from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST
+from repro.smartrpc.policy import POLICY_NAMES
 
 _QUICK_OVERRIDES = {
     "fig4": dict(num_nodes=8191, ratios=[0.0, 0.25, 0.5, 0.75, 1.0]),
@@ -51,7 +52,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--policy",
-        choices=POLICIES,
+        choices=POLICY_NAMES,
         help="transfer policy for the proposed-method column",
     )
     parser.add_argument(

@@ -2,7 +2,8 @@
 
 The testbed was a pair of Sun SPARCstations (28.5 MIPS) on 10 Mbps
 Ethernet, SunOS 4.1.1, TCP with ``TCP_NODELAY``, Sun XDR.  The
-constants below translate that hardware into the simulator's charges:
+:class:`~repro.simnet.clock.CostModel` defaults translate that hardware
+into the simulator's charges:
 
 * ``byte_wire`` — 10 Mbps is 0.8 us per byte;
 * ``byte_codec`` — the fully eager run is flat at ~2.1 s while moving
@@ -24,16 +25,9 @@ from __future__ import annotations
 
 from repro.simnet.clock import CostModel
 
-PAPER_COST_MODEL = CostModel(
-    message_latency=50e-6,
-    byte_wire=0.8e-6,
-    byte_codec=0.9e-6,
-    page_fault=40e-6,
-    local_access=0.35e-6,
-    visit_compute=1.2e-6,
-    malloc_op=6e-6,
-)
-"""The calibration every figure-regenerating benchmark uses."""
+PAPER_COST_MODEL = CostModel()
+"""The calibration every figure-regenerating benchmark uses (the
+derivation above)."""
 
 ACCESS_RATIOS = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 """X axis of Figures 4, 5 and 7."""

@@ -28,7 +28,7 @@ import statistics
 import struct
 import threading
 import time
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 from repro.simnet.message import MessageKind
 from repro.transport.base import Transport
@@ -255,17 +255,12 @@ def carrier_rtt_us(
     }
 
 
-def carrier_per_byte(
-    carrier: str,
-    measured_hook: Optional[Callable[[Callable[[], None]], None]] = None,
-) -> float:
+def carrier_per_byte(carrier: str) -> float:
     """Marginal per-byte seconds of a bulk reply over one carrier.
 
     The server's handler performs exactly one production copy (a
     ``bytes`` slice), so the difference in slope between carriers is
-    carrier overhead.  ``measured_hook`` (e.g. ``pytest-benchmark``'s
-    pedantic runner) receives the big-fetch closure while the
-    deployment is still up.
+    carrier overhead.
     """
     with _deployment(carrier) as (server, client):
 
@@ -286,6 +281,4 @@ def carrier_per_byte(
 
         small = seconds_per_call(lambda: fetch(BULK_SMALL))
         big = seconds_per_call(lambda: fetch(BULK_BIG))
-        if measured_hook is not None:
-            measured_hook(lambda: fetch(BULK_BIG))
         return (big - small) / (BULK_BIG - BULK_SMALL)

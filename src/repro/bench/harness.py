@@ -82,18 +82,15 @@ from repro.xdr.registry import TypeRegistry
 
 from repro.bench.calibration import PAPER_COST_MODEL
 
-#: The paper's three systems, as transfer-policy names.  ``proposed``
-#: is an alias for the ``paper`` policy, which the benchmark sweeps
-#: (closure size etc.) vary through :func:`resolve_policy`; the fully
-#: eager method is the ``graphcopy`` policy and the fully lazy one the
+#: The paper's three systems, as transfer-policy names.  The proposed
+#: method is the ``paper`` policy, which the benchmark sweeps (closure
+#: size etc.) vary through :func:`resolve_policy`; the fully eager
+#: method is the ``graphcopy`` policy and the fully lazy one the
 #: ``lazy`` policy, so every baseline runs through the one smart runtime.
-PROPOSED = "proposed"
+PROPOSED = "paper"
 FULLY_EAGER = "graphcopy"
 FULLY_LAZY = "lazy"
 METHODS = (FULLY_EAGER, FULLY_LAZY, PROPOSED)
-
-#: Everything ``make_world`` (and the ``--policy`` CLI flag) accepts.
-POLICIES = tuple(sorted(set(POLICY_NAMES) | {PROPOSED}))
 
 
 def standard_workload_hints() -> ClosureHints:
@@ -115,19 +112,17 @@ def resolve_policy(method, **fields) -> TransferPolicy:
 
     ``fields`` go to :func:`~repro.smartrpc.policy.make_policy`
     unchanged, so a field the preset pins raises there.  This adds
-    only what smartrpc cannot know: ``proposed`` is the ``paper``
-    policy, and ``hinted`` gets :func:`standard_workload_hints` unless
-    ``closure_hints`` is given.  A policy value passes through
-    unchanged.
+    only what smartrpc cannot know: ``hinted`` gets
+    :func:`standard_workload_hints` unless ``closure_hints`` is given.
+    A policy value passes through unchanged.
     """
     if isinstance(method, TransferPolicy):
         return method
-    name = "paper" if method == PROPOSED else method
-    if name not in POLICY_NAMES:
+    if method not in POLICY_NAMES:
         raise ValueError(f"unknown method {method!r}")
-    if name == "hinted" and fields.get("closure_hints") is None:
+    if method == "hinted" and fields.get("closure_hints") is None:
         fields["closure_hints"] = standard_workload_hints()
-    return make_policy(name, **fields)
+    return make_policy(method, **fields)
 
 
 CALLER = "A"
@@ -265,11 +260,10 @@ def make_world(
 ) -> World:
     """Build a fresh deployment running ``method`` over ``transport``.
 
-    ``method`` is any transfer-policy name (``proposed``, ``lazy``,
-    ``eager``, ``graphcopy``, ``paper``, ``hinted``, ``adaptive``,
-    ``pipelined``) or a
-    :class:`~repro.smartrpc.policy.TransferPolicy` value, which both
-    runtimes share (it is frozen).  A sweep passes
+    ``method`` is any transfer-policy name (``lazy``, ``eager``,
+    ``graphcopy``, ``paper``, ``hinted``, ``adaptive``, ``pipelined``)
+    or a :class:`~repro.smartrpc.policy.TransferPolicy` value, which
+    both runtimes share (it is frozen).  A sweep passes
     ``resolve_policy(PROPOSED, closure_size=...)``.
 
     Both sites default to the paper's SPARC architecture so node sizes

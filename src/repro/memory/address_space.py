@@ -61,7 +61,6 @@ class AddressSpace:
         #: coherency-driven protection flip nor a rebound buffer is
         #: missed by the token fast path.  Read-only to callers.
         self.generation = 0
-        self._mapped_cache: Optional[List[int]] = None
         #: ``page_if_mapped(number)``: the page, or ``None`` when
         #: unmapped (no fault raised).  The page dict's own ``get``:
         #: the access plane and the fault router ask on every miss.
@@ -83,7 +82,6 @@ class AddressSpace:
             self._pages[number] = Page(number, self.page_size, protection)
         self._next_page += num_pages
         self.generation += 1
-        self._mapped_cache = None
         return base_page * self.page_size
 
     def map_page(self, page) -> int:
@@ -103,7 +101,6 @@ class AddressSpace:
         number = page.number = self._next_page
         self._pages[number] = page
         self._next_page = number + 1
-        self._mapped_cache = None
         return number
 
     def unmap_page(self, page_number: int) -> None:
@@ -135,7 +132,6 @@ class AddressSpace:
                 top -= 1
             self._next_page = top
             self.generation += 1
-            self._mapped_cache = None
 
     @property
     def high_water_page(self) -> int:
@@ -161,17 +157,12 @@ class AddressSpace:
 
     @property
     def mapped_pages(self) -> List[int]:
-        """Sorted numbers of all mapped pages.
+        """Sorted numbers of all mapped pages, as a fresh list.
 
-        The sorted list is cached and invalidated on map/unmap, so
-        per-sweep callers (``validate.py``, write-back) do not re-sort
-        the whole page dict on every call.  A fresh copy is returned
-        each time; callers may mutate it freely.
+        An inspection view sorted afresh on each read: no runtime path
+        reads it, so map and unmap keep no cache for it.
         """
-        cached = self._mapped_cache
-        if cached is None:
-            cached = self._mapped_cache = sorted(self._pages)
-        return list(cached)
+        return sorted(self._pages)
 
     # -- protection (the mprotect interface) --------------------------------
 

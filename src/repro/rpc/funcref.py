@@ -39,14 +39,14 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
 from repro.rpc.errors import MarshalError
 from repro.rpc.interface import ProcedureDef
 from repro.xdr.arch import Architecture
 from repro.xdr.errors import XdrError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
-from repro.xdr.types import PointerType, TypeSpec
+from repro.xdr.types import TypeSpec
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,6 @@ class FuncRefType(TypeSpec):
             "function references are call-level values and have no "
             "memory layout"
         )
-
-    def canonical_size(self) -> int:
-        return 8  # two length-prefixed strings, lower bound
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, PointerType]]:
-        return iter(())
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -216,7 +216,7 @@ class Network(Transport):
                 # (synchronous delivery is the acknowledgement), once
                 # it has one: an untraced run never builds a snapshot.
                 if destination.vclock.entries:
-                    source.vclock.merge(destination.vclock.snapshot())
+                    source.vclock.merge_wire(destination.vclock.relay_wire())
                 return response if reply_kind is not None else b""
             raise _failed(message, f"after {_MAX_ATTEMPTS} attempts")
         finally:
@@ -243,7 +243,7 @@ class Network(Transport):
         # clock before handling, when the sender has one (the real
         # carriers' rule: an empty clock is neither sent nor merged).
         if source.vclock.entries:
-            destination.vclock.merge(source.vclock.snapshot())
+            destination.vclock.merge_wire(source.vclock.relay_wire())
         if key is None:
             return destination.handle(message)
         return destination.handle_at_most_once(key, message)

@@ -65,12 +65,6 @@ class TransferLedger:
         self.closure_bytes_shipped += demanded + prefetched
         self.prefetch_bytes_shipped += prefetched
 
-    def record_touched(self, size: int, prefetched: bool) -> None:
-        """Count one shipped entry's first program access."""
-        self.closure_bytes_touched += size
-        if prefetched:
-            self.prefetch_bytes_touched += size
-
     def record_saved_round_trips(self, pages: int) -> None:
         """Count demand exchanges the pipeline made unnecessary."""
         self.round_trips_saved += pages

@@ -17,8 +17,8 @@ substrate (:mod:`repro.rpc`):
   transitive closure for eager transfer;
 * :mod:`repro.smartrpc.transfer` — the data-plane wire protocol
   (requests, batches, write-back);
-* :class:`~repro.smartrpc.remote_heap.RemoteHeap` — ``extended_malloc``
-  / ``extended_free`` with batched remote operations;
+* :mod:`repro.smartrpc.remote_heap` — ``extended_malloc`` /
+  ``extended_free`` with batched remote operations;
 * :class:`~repro.smartrpc.runtime.SmartRpcRuntime` — the runtime tying
   everything together, including the session coherency protocol;
 * :mod:`repro.smartrpc.policy` — the transfer policy, one frozen

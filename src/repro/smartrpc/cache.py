@@ -126,8 +126,25 @@ class CacheManager:
         #: steady-state fast path.  Once it is zero every page settles
         #: at its next access without a scoring pass.
         self.untouched_shipped = 0
-        #: :meth:`finish_datum` as one bound call, for a batch loop to
-        #: read once per batch; ``None`` under ``packed``.
+        #: Seals the open pages after one datum's pointers were
+        #: swizzled; a batch loop reads it once per batch and calls it
+        #: per datum.  The paper's Figure 2 shows pointers arriving
+        #: *together* sharing a protected page; the default strategies
+        #: group per arriving datum — the frontier children swizzled
+        #: out of one transferred value share placeholder pages, and
+        #: the next value's children start fresh ones.  The grouping is
+        #: a locality heuristic: data co-allocated on a page is data
+        #: discovered together, so a fault on the page requests
+        #: siblings that the program is likely to touch together.  It
+        #: is also what makes the closure-size-0 configuration degrade
+        #: toward the fully lazy behaviour (a fault fetches one sibling
+        #: group, not an accidentally-batched whole BFS level).
+        #:
+        #: ``None`` under ``packed``, which packs a whole transfer
+        #: batch's frontier onto shared pages instead — fewer, fuller
+        #: pages at the price of coarser fills (the working-set-versus-
+        #: communication-count tradeoff of the paper's §6) — and seals
+        #: only at :meth:`finish_batch`.
         self.datum_seal: Optional[Callable[[], None]] = (
             None if self.strategy == PACKED else self._open_pages.clear
         )
@@ -279,30 +296,6 @@ class CacheManager:
             if page and not page.complete
         }
 
-    def finish_datum(self) -> None:
-        """Seal open pages after one datum's pointers were swizzled.
-
-        The paper's Figure 2 shows pointers arriving *together* sharing
-        a protected page; the default strategies group per arriving
-        datum — the frontier children swizzled out of one transferred
-        value share placeholder pages, and the next value's children
-        start fresh ones.  The grouping is a locality heuristic: data
-        co-allocated on a page is data discovered together, so a fault
-        on the page requests siblings that the program is likely to
-        touch together.  It is also what makes the closure-size-0
-        configuration degrade toward the fully lazy behaviour (a fault
-        fetches one sibling group, not an accidentally-batched whole
-        BFS level).
-
-        The ``packed`` strategy skips this and packs a whole transfer
-        batch's frontier onto shared pages instead — fewer, fuller
-        pages at the price of coarser fills (the working-set-versus-
-        communication-count tradeoff of the paper's §6); it seals at
-        :meth:`finish_batch`.
-        """
-        if self.strategy != PACKED:
-            self._open_pages.clear()
-
     def finish_batch(self) -> None:
         """Seal open pages at the end of one whole transfer batch."""
         self._open_pages.clear()
@@ -355,20 +348,6 @@ class CacheManager:
         self.runtime.stats.pages_filled += 1
 
     # -- shipped-vs-touched accounting ----------------------------------------
-
-    def note_shipped(self, entry: AllocEntry, prefetched: bool) -> None:
-        """Flag an entry as having arrived on the fill path.
-
-        ``prefetched`` marks data shipped beyond the demanded roots —
-        the eager-closure gamble the adaptive policy's feedback loop
-        scores against :meth:`note_touch_range`.  The bytes are posted
-        to the ledgers once per batch, through :meth:`post_shipped`.
-        (``transfer.apply_batch`` does the same inline, per item.)
-        """
-        if not entry.shipped and not entry.touched:
-            self.untouched_shipped += 1
-        entry.shipped = True
-        entry.prefetched = prefetched
 
     def post_shipped(self, demanded: int, prefetched: int) -> None:
         """Count fill-path bytes: demanded roots and prefetch apart."""

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.smartrpc.errors import SmartRpcError
 from repro.xdr.arch import Architecture
+from repro.xdr.raw import wire_plan
 from repro.xdr.types import StructType, TypeSpec
 
 
@@ -73,15 +74,16 @@ class ClosureHints:
                 f"closure hint for {type_id!r} names fields, but the "
                 "type is not a struct"
             )
+        # The pointer words the wire plan lists (in address order) that
+        # lie inside each named field's byte span.
+        words = wire_plan(spec, arch).pointer_offsets
         layout = spec.layout(arch)
         offsets: List[int] = []
         for name in fields:
             field = spec.field(name)  # raises on unknown names
-            base = layout.offsets[name]
-            member_offsets = [
-                base + offset
-                for offset, _ in field.spec.pointer_fields(arch)
-            ]
+            start = layout.offsets[name]
+            end = start + field.spec.sizeof(arch)
+            member_offsets = [word for word in words if start <= word < end]
             if not member_offsets:
                 raise SmartRpcError(
                     f"closure hint field {type_id}.{name} contains "

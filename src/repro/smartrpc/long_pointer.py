@@ -164,10 +164,6 @@ class HandlePool:
             [string_image(text) for pair in self.pairs for text in pair]
         )
 
-    def encode(self, encoder: XdrEncoder) -> None:
-        """Append the pool table."""
-        encoder.pack_fixed_opaque(self.head())
-
     @classmethod
     def decode(cls, decoder: XdrDecoder) -> "HandlePool":
         """Read a pool table."""

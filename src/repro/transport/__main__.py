@@ -26,8 +26,9 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.bench.harness import CARRIERS, POLICIES, PROPOSED, TCP
+from repro.bench.harness import CARRIERS, PROPOSED, TCP
 from repro.smartrpc.errors import SmartRpcError
+from repro.smartrpc.policy import POLICY_NAMES
 from repro.transport.host import (
     REGISTRY_SITE,
     HEARTBEAT_INTERVAL,
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--method",
-        choices=POLICIES,
+        choices=POLICY_NAMES,
         default=PROPOSED,
         help="transfer policy this address space's runtime runs "
         f"(default {PROPOSED}, the paper's method)",

@@ -310,7 +310,6 @@ class ExchangeTransport(Transport):
         self,
         site_id: str,
         *,
-        clock=None,
         cost_model: Optional[CostModel] = None,
         stats: Optional[StatsCollector] = None,
         peers: Optional[dict] = None,
@@ -321,7 +320,7 @@ class ExchangeTransport(Transport):
         protocol_version: int = PROTOCOL_VERSION,
     ) -> None:
         super().__init__(
-            clock=clock if clock is not None else WallClock(),
+            clock=WallClock(),
             cost_model=cost_model,
             stats=stats,
         )
@@ -579,9 +578,13 @@ class ExchangeTransport(Transport):
         """The retry loop: connect, transmit, wait, back off.  Returns
         the reply and how many transmissions of the attempt that got it
         are still to be counted; ``encoded`` is the request carrying
-        ``payload``.  A traced transmission is stamped as it leaves;
-        an untraced one is counted when its attempt ends, the last
-        attempt's by the caller, with the reply."""
+        ``payload``.  A transmission counts once it is attempted, so a
+        send that raises counts too.  A traced one is stamped just
+        before it leaves: the peer may ask this site for data before
+        ``send`` returns, and what this site does serving that request
+        must happen-after the send.  An untraced one is counted when
+        its attempt ends, the last attempt's by the caller, with the
+        reply."""
         faults = self._faults
         tracing = self.stats.tracing
         attempts = 0
@@ -625,11 +628,11 @@ class ExchangeTransport(Transport):
             unnoted = 0
             try:
                 for copy in range(copies):
-                    conn.send(encoded, until)
                     if tracing:
                         self._note(self.site_id, dst, kind, payload)
                     else:
                         unnoted += 1
+                    conn.send(encoded, until)
                     if faults is not None and not copy:
                         with self._lock:
                             if faults.crash_after_send(kind):

@@ -399,13 +399,3 @@ def decode_frame(body) -> Frame:
         return decode(view, len(view))
     except struct.error as exc:
         raise FramingError(f"malformed frame body: {exc}") from None
-
-
-def frame_length(prefix: bytes) -> int:
-    """Decode and bounds-check one 4-byte length prefix."""
-    (length,) = LENGTH_PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    return length

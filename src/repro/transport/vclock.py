@@ -25,11 +25,10 @@ untraced hop passes on what it heard.
 Clocks are thread-safe: the TCP transport dispatches handlers on worker
 threads, and the pipeline touches the trace from its prefetch executor.
 
-The real carriers piggyback the clock in its *wire form* — the sorted
-``(site id, tick count)`` pairs a frame carries — and use
-:meth:`VectorClock.tick_wire` / :meth:`VectorClock.merge_wire`, which
-produce and consume that form directly instead of copying the clock
-into a dict, sorting it and copying it back on every exchange.
+Every carrier (simnet, tcp, shm) passes the clock in its *wire form* —
+the sorted ``(site id, tick count)`` pairs a frame carries — made by
+:meth:`VectorClock.tick_wire` / :meth:`VectorClock.relay_wire` and
+folded in by :meth:`VectorClock.merge_wire`.
 """
 
 from __future__ import annotations
@@ -94,7 +93,8 @@ class VectorClock:
         return tuple(zip(order, map(clock.__getitem__, order)))
 
     def merge_wire(self, pairs: WireClock) -> None:
-        """:meth:`merge` for a snapshot in wire form."""
+        """Fold a received snapshot in wire form in (pointwise
+        maximum); the empty clock is a no-op."""
         if not pairs:
             return
         with self._lock:
@@ -102,20 +102,6 @@ class VectorClock:
             for site, count in pairs:
                 if count > clock.get(site, 0):
                     clock[site] = count
-
-    def merge(self, other: Optional[Mapping[str, int]]) -> None:
-        """Fold a received snapshot in (pointwise maximum)."""
-        if not other:
-            return
-        with self._lock:
-            for site, count in other.items():
-                if count > self.entries.get(site, 0):
-                    self.entries[site] = int(count)
-
-    def snapshot(self) -> ClockMap:
-        """The current clock, as a plain dict (safe to piggyback)."""
-        with self._lock:
-            return dict(self.entries)
 
     def next_seq(self, session: Optional[str] = None) -> int:
         """The next per-(site, session) monotonic event sequence."""
@@ -125,7 +111,7 @@ class VectorClock:
             return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VectorClock({self.site_id!r}, {self.snapshot()!r})"
+        return f"VectorClock({self.site_id!r}, {self.entries!r})"
 
 
 def dominates(a: Mapping[str, int], b: Mapping[str, int]) -> bool:

@@ -151,13 +151,6 @@ class RunPlan:
             return values
         return self._order(values)
 
-    def read(self, space: AddressSpace, base: int) -> tuple:
-        """The run's values of the datum at ``base`` (raw plane)."""
-        values = space.unpack_raw(self.codec, base + self.start)
-        if self._order is None:
-            return values
-        return self._order(values)
-
 
 #: One member of a run: byte offset, in-memory size, struct codes,
 #: value count, modelled access count.

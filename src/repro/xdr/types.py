@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.xdr.arch import Architecture
 from repro.xdr.errors import XdrError
@@ -66,21 +66,6 @@ class TypeSpec:
         """In-memory alignment requirement on ``arch``."""
         raise NotImplementedError
 
-    def canonical_size(self) -> int:
-        """Size of the XDR canonical form, excluding pointer fields.
-
-        Pointer fields have a variable canonical form (long pointers),
-        so this reports them at their 4-byte NULL-marker minimum; the
-        transfer layer accounts the actual long-pointer bytes.
-        """
-        raise NotImplementedError
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, "PointerType"]]:
-        """Yield ``(byte offset, pointer spec)`` for every pointer inside."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ScalarType(TypeSpec):
@@ -93,16 +78,6 @@ class ScalarType(TypeSpec):
 
     def alignment(self, arch: Architecture) -> int:
         return arch.align_of(self.kind.size)
-
-    def canonical_size(self) -> int:
-        # XDR encodes every scalar in 4-byte units; 8-byte scalars
-        # ("hyper", double) take two units.
-        return max(4, self.kind.size)
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, "PointerType"]]:
-        return iter(())
 
     def pack_raw(self, value: Union[int, float], arch: Architecture) -> bytes:
         """Native in-memory bytes of ``value`` on ``arch``."""
@@ -139,14 +114,6 @@ class OpaqueType(TypeSpec):
     def alignment(self, arch: Architecture) -> int:
         return 1
 
-    def canonical_size(self) -> int:
-        return _pad4(self.length)
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, "PointerType"]]:
-        return iter(())
-
 
 @dataclass(frozen=True)
 class PointerType(TypeSpec):
@@ -164,14 +131,6 @@ class PointerType(TypeSpec):
 
     def alignment(self, arch: Architecture) -> int:
         return arch.align_of(arch.pointer_size)
-
-    def canonical_size(self) -> int:
-        return 4  # the NULL/present discriminant; long-pointer body varies
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, "PointerType"]]:
-        yield (0, self)
 
 
 @dataclass(frozen=True)
@@ -195,17 +154,6 @@ class ArrayType(TypeSpec):
 
     def alignment(self, arch: Architecture) -> int:
         return self.element.alignment(arch)
-
-    def canonical_size(self) -> int:
-        return self.element.canonical_size() * self.count
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, "PointerType"]]:
-        stride = self.stride(arch)
-        for index in range(self.count):
-            for offset, spec in self.element.pointer_fields(arch):
-                yield (index * stride + offset, spec)
 
 
 @dataclass(frozen=True)
@@ -261,14 +209,6 @@ class EnumType(TypeSpec):
 
     def alignment(self, arch: Architecture) -> int:
         return arch.align_of(4)
-
-    def canonical_size(self) -> int:
-        return 4
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, "PointerType"]]:
-        return iter(())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -343,17 +283,6 @@ class UnionType(TypeSpec):
             max(spec.alignment(arch) for spec in self.arms.values()),
         )
 
-    def canonical_size(self) -> int:
-        # Variable: 4 for the discriminant plus the active arm.
-        return 4 + min(
-            spec.canonical_size() for spec in self.arms.values()
-        )
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, "PointerType"]]:
-        return iter(())  # arms are pointer-free by construction
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, UnionType)
@@ -415,18 +344,6 @@ class StructType(TypeSpec):
     def alignment(self, arch: Architecture) -> int:
         return self.layout(arch).alignment
 
-    def canonical_size(self) -> int:
-        return sum(field.spec.canonical_size() for field in self.fields)
-
-    def pointer_fields(
-        self, arch: Architecture
-    ) -> Iterator[Tuple[int, PointerType]]:
-        layout = self.layout(arch)
-        for field in self.fields:
-            base = layout.offsets[field.name]
-            for offset, spec in field.spec.pointer_fields(arch):
-                yield (base + offset, spec)
-
     def field(self, name: str) -> Field:
         """Look up a member by name."""
         found = self._fields_by_name.get(name)
@@ -478,10 +395,6 @@ class StructLayout:
 
 def _round_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
-
-
-def _pad4(value: int) -> int:
-    return _round_up(value, 4)
 
 
 # Convenience singletons mirroring <stdint.h>.

@@ -7,7 +7,6 @@ from repro.bench.harness import (
     FULLY_EAGER,
     FULLY_LAZY,
     METHODS,
-    POLICIES,
     PROPOSED,
     make_world,
     resolve_policy,
@@ -15,7 +14,7 @@ from repro.bench.harness import (
     run_tree_call,
 )
 from repro.smartrpc.errors import SmartRpcError
-from repro.smartrpc.policy import GRAPHCOPY, make_policy
+from repro.smartrpc.policy import GRAPHCOPY, POLICY_NAMES, make_policy
 from repro.smartrpc.runtime import SmartRpcRuntime
 from repro.workloads.traversal import expected_search_checksum
 
@@ -40,7 +39,7 @@ class TestMakeWorld:
         assert world.caller.policy.allocation_strategy == "isolated"
 
     def test_every_policy_name_builds_a_world(self):
-        for name in POLICIES:
+        for name in POLICY_NAMES:
             world = make_world(name)
             assert isinstance(world.caller, SmartRpcRuntime)
 

@@ -46,11 +46,14 @@ class SmartPair:
         register_hash_types(runtime)
         return runtime
 
-    def add_runtime(self, site_id: str, arch=SPARC32) -> SmartRpcRuntime:
+    def add_runtime(
+        self, site_id: str, arch=SPARC32, policy="paper"
+    ) -> SmartRpcRuntime:
         """Attach one more smart runtime to the same network."""
         site = self.network.add_site(site_id)
         runtime = SmartRpcRuntime(
-            self.network, site, arch, resolver=TypeResolver(site, "NS")
+            self.network, site, arch, resolver=TypeResolver(site, "NS"),
+            policy=policy,
         )
         register_tree_types(runtime)
         register_list_types(runtime)

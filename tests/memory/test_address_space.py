@@ -218,7 +218,7 @@ class TestGenerationAndPageCache:
         base = space.map_region(2)
         first = space.page_number(base)
         assert space.mapped_pages == [first, first + 1]
-        assert space.mapped_pages == [first, first + 1]  # cached hit
+        assert space.mapped_pages == [first, first + 1]  # a second read agrees
         space.unmap_page(first)
         assert space.mapped_pages == [first + 1]
         space.map_region(1)
@@ -227,7 +227,7 @@ class TestGenerationAndPageCache:
     def test_mapped_pages_returns_fresh_list(self, space):
         space.map_region(1)
         pages = space.mapped_pages
-        pages.append(-1)  # caller mutation must not poison the cache
+        pages.append(-1)  # a caller's edit does not reach the space
         assert -1 not in space.mapped_pages
 
     def test_page_if_mapped(self, space):

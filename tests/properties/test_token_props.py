@@ -175,7 +175,7 @@ class TestBulkReadersStayCoherent:
         st.integers(min_value=1, max_value=48),
         st.lists(st.sampled_from(["total", "scale"]),
                  min_size=2, max_size=5),
-        st.sampled_from(["proposed", "lazy", "adaptive"]),
+        st.sampled_from(["paper", "lazy", "adaptive"]),
     )
     def test_interleaved_bulk_reads_and_writes(
         self, nodes, calls, method

@@ -28,7 +28,6 @@ import repro.rpc.session as rpc_session
 from repro.bench.harness import (
     CALLEE,
     METHODS,
-    POLICIES,
     PROPOSED,
     SHM,
     SIMNET,
@@ -37,6 +36,7 @@ from repro.bench.harness import (
     run_hash_call,
     run_tree_call,
 )
+from repro.smartrpc.policy import POLICY_NAMES
 from repro.workloads.linked_list import (
     LIST_OPS,
     build_list,
@@ -129,7 +129,7 @@ class TestPolicyEquivalence:
     ):
         nodes = 2 ** (depth + 1) - 1
         results = {}
-        for policy in POLICIES:
+        for policy in POLICY_NAMES:
             world = make_world(policy)
             run = run_tree_call(world, nodes, procedure, ratio=ratio)
             results[policy] = run.result
@@ -142,13 +142,13 @@ class TestPolicyEquivalence:
     )
     def test_hash_result_identical_across_policies(self, keys, lookups):
         results = {}
-        for policy in POLICIES:
+        for policy in POLICY_NAMES:
             world = make_world(policy)
             run = run_hash_call(world, keys, lookups)
             results[policy] = run.result
         assert len(set(results.values())) == 1, results
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_policy_counters_match_across_transports(self, policy):
         runs = []
         _align_session_ids()
@@ -161,7 +161,7 @@ class TestPolicyEquivalence:
             for name in COMPARED_FIELDS:
                 assert getattr(runs[0], name) == getattr(run, name), name
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_hash_counters_match_across_transports(self, policy):
         runs = []
         _align_session_ids()

@@ -170,7 +170,14 @@ def interleave(spec, scalars: bytes, words):
             out.pack_int32(value)
             emit(spec.arm_for(value))
         else:
-            size = spec.canonical_size()
+            # A leaf in XDR's 4-byte units: an 8-byte scalar takes two,
+            # an opaque pads to a multiple of 4, an enum takes one.
+            if isinstance(spec, ScalarType):
+                size = max(4, spec.kind.size)
+            elif isinstance(spec, OpaqueType):
+                size = -(-spec.length // 4) * 4
+            else:
+                size = 4
             out.pack_fixed_opaque(decoder.unpack_fixed_view(size))
 
     emit(spec)

@@ -311,7 +311,7 @@ def batch_of(pool_pairs, count, body: bytes) -> bytes:
     for space_id, type_id in pool_pairs:
         pool.intern(space_id, type_id)
     encoder = XdrEncoder()
-    pool.encode(encoder)
+    encoder.pack_fixed_opaque(pool.head())
     encoder.pack_uint32(count)
     return encoder.getvalue() + body
 
@@ -391,7 +391,7 @@ class TestEveryCheckStays:
         pair, root, state_a, state_b = worlds
         item = tree_item(pair.a, root)
         entry = state_b.cache.ensure_entry(item.pointer)
-        state_b.cache.finish_datum()  # as the call's argument swizzle does
+        state_b.cache.datum_seal()  # sealed, as after one applied datum
         batch = transfer.encode_batch(pair.a, state_a, [item])
         with pytest.raises(XdrError, match="trailing"):
             transfer.apply_batch(pair.b, state_b, batch + bytes(4), False)

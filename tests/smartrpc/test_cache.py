@@ -51,7 +51,7 @@ class TestPlaceholderAllocation:
     def test_new_page_after_episode_finished(self, callee_state):
         cache = callee_state.cache
         first = cache.ensure_entry(remote_pointer(0x1000))
-        cache.finish_datum()
+        cache.datum_seal()
         second = cache.ensure_entry(remote_pointer(0x2000))
         assert first.page_number != second.page_number
 
@@ -92,17 +92,22 @@ class TestPlaceholderAllocation:
 
 class TestStrategies:
     def test_isolated_puts_each_entry_alone(self, smart_pair):
-        state = smart_pair.add_runtime("C").ensure_smart_session("s", "A")
-        state.cache.strategy = ISOLATED
+        runtime = smart_pair.add_runtime(
+            "C", policy=make_policy("paper", allocation_strategy=ISOLATED)
+        )
+        state = runtime.ensure_smart_session("s", "A")
         first = state.cache.ensure_entry(remote_pointer(0x1000))
         second = state.cache.ensure_entry(remote_pointer(0x2000))
         assert first.page_number != second.page_number
 
     def test_packed_keeps_page_open_across_datums(self, smart_pair):
-        state = smart_pair.add_runtime("D").ensure_smart_session("s", "A")
-        state.cache.strategy = PACKED
+        runtime = smart_pair.add_runtime(
+            "D", policy=make_policy("paper", allocation_strategy=PACKED)
+        )
+        state = runtime.ensure_smart_session("s", "A")
+        # The batch loop's per-datum seal: none under ``packed``.
+        assert state.cache.datum_seal is None
         first = state.cache.ensure_entry(remote_pointer(0x1000))
-        state.cache.finish_datum()
         second = state.cache.ensure_entry(remote_pointer(0x2000))
         assert first.page_number == second.page_number
         state.cache.finish_batch()
@@ -169,7 +174,7 @@ class TestResidencyAndRelease:
         entries = []
         for address in (0x1000, 0x2000, 0x3000):
             entries.append(cache.ensure_entry(remote_pointer(address)))
-            cache.finish_datum()
+            cache.datum_seal()
         held = []
         for entry in entries:
             cache.mark_resident(entry, held)

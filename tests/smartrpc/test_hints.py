@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.harness import standard_workload_hints
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.hints import ClosureHints
 from repro.smartrpc.policy import make_policy
@@ -9,9 +10,12 @@ from repro.workloads.hashtable import (
     HASH_NODE_TYPE_ID,
     HASH_OPS,
     HASH_TABLE_TYPE_ID,
+    NUM_BUCKETS,
     bind_hash_server,
     build_hash_table,
     hash_client,
+    hash_node_spec,
+    hash_table_spec,
     value_for,
 )
 from repro.workloads.traversal import bind_tree_server, tree_client
@@ -20,7 +24,17 @@ from repro.workloads.trees import (
     build_complete_tree,
     tree_node_spec,
 )
-from repro.xdr.arch import SPARC32
+from repro.xdr.arch import ALPHA64, SPARC32, X86_64
+from repro.xdr.types import (
+    ArrayType,
+    Field,
+    OpaqueType,
+    PointerType,
+    StructType,
+    int8,
+    int16,
+    int64,
+)
 
 
 class TestHintResolution:
@@ -68,6 +82,66 @@ class TestHintResolution:
             hints.pointer_offsets(
                 TREE_NODE_TYPE_ID, tree_node_spec(), SPARC32
             )
+
+
+#: Two pointers around a scalar, held by value in ``MIXED``.
+PAIR = StructType("pair", [
+    Field("tag", int8),
+    Field("first", PointerType("leaf")),
+    Field("weight", int64),
+    Field("second", PointerType("leaf")),
+])
+#: Each pointer-bearing field ends where the next pointer starts, so an
+#: offset taken one past a field's span shows.
+MIXED = StructType("mixed", [
+    Field("flags", int16),
+    Field("pair", PAIR),
+    Field("slots", ArrayType(PointerType("leaf"), 3)),
+    Field("next", PointerType("mixed")),
+    Field("name", OpaqueType(3)),
+    Field("count", int8),
+])
+
+
+class TestHintOffsetsThroughThePlan:
+    """The offsets a hint resolves to, written out per architecture:
+    hint order across fields, address order within one."""
+
+    @pytest.mark.parametrize("arch, fields, expected", [
+        (SPARC32, ["next", "slots", "pair"], [44, 32, 36, 40, 12, 24]),
+        (X86_64, ["next", "slots", "pair"], [64, 40, 48, 56, 16, 32]),
+        (ALPHA64, ["next", "slots", "pair"], [64, 40, 48, 56, 16, 32]),
+        (SPARC32, ["slots"], [32, 36, 40]),
+        (X86_64, ["pair", "next"], [16, 32, 64]),
+        (ALPHA64, ["slots", "next"], [40, 48, 56, 64]),
+    ], ids=lambda value: getattr(value, "name", None))
+    def test_by_value_struct_array_and_plain_pointer(
+        self, arch, fields, expected
+    ):
+        hints = ClosureHints()
+        hints.follow("mixed", fields)
+        assert hints.pointer_offsets("mixed", MIXED, arch) == expected
+
+    @pytest.mark.parametrize(
+        "arch", [SPARC32, X86_64, ALPHA64], ids=lambda arch: arch.name
+    )
+    def test_workload_hints(self, arch):
+        width = arch.pointer_size
+        hints = standard_workload_hints()
+        assert hints.pointer_offsets(
+            HASH_TABLE_TYPE_ID, hash_table_spec(), arch
+        ) == []
+        assert hints.pointer_offsets(
+            HASH_NODE_TYPE_ID, hash_node_spec(), arch
+        ) == [0]
+        hints.follow(HASH_TABLE_TYPE_ID, ["buckets"])
+        hints.follow(TREE_NODE_TYPE_ID, ["right", "left"])
+        assert hints.pointer_offsets(
+            HASH_TABLE_TYPE_ID, hash_table_spec(), arch
+        ) == list(range(0, NUM_BUCKETS * width, width))
+        assert hints.pointer_offsets(
+            TREE_NODE_TYPE_ID, tree_node_spec(), arch
+        ) == [width, 0]
 
 
 class TestHintedTransfers:

@@ -117,9 +117,7 @@ class TestHandlePool:
         pool = HandlePool()
         pool.intern("A", "t1")
         pool.intern("B", "t2")
-        encoder = XdrEncoder()
-        pool.encode(encoder)
-        decoded = HandlePool.decode(XdrDecoder(encoder.getvalue()))
+        decoded = HandlePool.decode(XdrDecoder(pool.head()))
         assert len(decoded) == 2
         assert decoded.lookup(1) == ("A", "t1")
         assert decoded.lookup(2) == ("B", "t2")

@@ -47,13 +47,13 @@ class FakeState:
 
     def prefetch(self, shipped, touched):
         self.transfer_stats.record_fill(0, shipped)
-        if touched:
-            self.transfer_stats.record_touched(touched, prefetched=True)
+        self.transfer_stats.closure_bytes_touched += touched
+        self.transfer_stats.prefetch_bytes_touched += touched
 
 
 #: Every preset's trace declaration (SRPC3xx reads this payload),
 #: recorded from the class-per-preset implementation this value
-#: replaced.  ``proposed`` is the benchmark alias of ``paper``.
+#: replaced.
 DESCRIBED = {
     "adaptive": {
         "policy": "adaptive", "budget": None, "marshalling": "swizzle",
@@ -101,13 +101,6 @@ DESCRIBED = {
         "policy": "pipelined", "budget": None, "marshalling": "swizzle",
         "coherency": True, "order": "bfs", "strategy": "single_home",
         "coalesce": True, "prefetch": True,
-        "session_deadline": 0.0, "exchange_timeout": 0.0,
-        "orphan_grace": 0.0,
-    },
-    "proposed": {
-        "policy": "paper", "budget": 8192, "marshalling": "swizzle",
-        "coherency": True, "order": "bfs", "strategy": "single_home",
-        "coalesce": False, "prefetch": False,
         "session_deadline": 0.0, "exchange_timeout": 0.0,
         "orphan_grace": 0.0,
     },
@@ -372,9 +365,8 @@ class TestAdaptiveDynamics:
         assert policy.request_budget(state) == 4096
         # Touching the *old* waste later must not double the budget:
         # only a fresh window's worth of new traffic reopens the case.
-        state.transfer_stats.record_touched(
-            ADAPTIVE_WINDOW, prefetched=True
-        )
+        state.transfer_stats.closure_bytes_touched += ADAPTIVE_WINDOW
+        state.transfer_stats.prefetch_bytes_touched += ADAPTIVE_WINDOW
         assert policy.request_budget(state) == 4096
 
     def test_sessions_tune_independently(self):

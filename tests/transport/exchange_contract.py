@@ -42,7 +42,6 @@ from repro.transport.framing import (
     Welcome,
     decode_frame,
     encode_frame,
-    frame_length,
 )
 from repro.transport.shm import NAME_PREFIX, ShmTransport
 from repro.transport.tcp import TcpTransport
@@ -161,7 +160,8 @@ def split_buffer(buffer):
     """
     if len(buffer) < LENGTH_PREFIX.size:
         return None, buffer
-    end = LENGTH_PREFIX.size + frame_length(buffer[: LENGTH_PREFIX.size])
+    (length,) = LENGTH_PREFIX.unpack_from(buffer)
+    end = LENGTH_PREFIX.size + length
     if len(buffer) < end:
         return None, buffer
     body = memoryview(buffer)[LENGTH_PREFIX.size : end]

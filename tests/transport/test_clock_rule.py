@@ -10,6 +10,7 @@ ordered before the last one's.
 
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -24,7 +25,8 @@ from repro.simnet.network import Network
 from repro.simnet.stats import StatsCollector
 from repro.simnet.tracefmt import save_trace
 from repro.smartrpc import SmartRpcRuntime
-from repro.transport.exchange import ExchangeTransport
+from repro.transport.exchange import Connection, ExchangeTransport
+from repro.transport.framing import LENGTH_PREFIX, Request, decode_frame
 from repro.transport.tracemerge import merge_trace_files
 from repro.transport.vclock import happens_before
 from repro.workloads.trees import TREE_NODE_TYPE_ID, build_complete_tree
@@ -128,6 +130,64 @@ def test_an_untraced_simnet_delivery_leaves_every_clock_empty():
     b.register_handler(MessageKind.CALL, lambda message: b"ok")
     network.send("A", "B", MessageKind.CALL, b"x", MessageKind.REPLY)
     assert a.vclock.entries == {} and b.vclock.entries == {}
+
+
+# -- a traced send is stamped before it leaves -------------------------------
+
+
+def test_a_traced_send_happens_before_the_nested_request_it_causes(
+    carriers, monkeypatch
+):
+    """A's CALL makes B ask A for data before B replies.  The CALL's
+    ``message`` event must happen-before every event A records while
+    serving that DATA_REQUEST, however late ``send`` returns: here A's
+    send of the CALL returns only once A has served it."""
+    a = carriers.add("A", trace=True)
+    b = carriers.add("B", trace=True)
+    served = threading.Event()
+
+    def at_a(message):
+        for what in ("enter", "leave"):
+            a.stats.record_event(
+                a.clock.now, "serving", what, data=a.endpoint.stamp()
+            )
+        served.set()
+        return b"data"
+
+    a.endpoint.register_handler(MessageKind.DATA_REQUEST, at_a)
+    b.endpoint.register_handler(
+        MessageKind.CALL,
+        lambda message: b.endpoint.send(
+            "A", MessageKind.DATA_REQUEST, b"which",
+            reply_kind=MessageKind.DATA_REPLY,
+        ),
+    )
+    real_send = Connection.send
+
+    def send(conn, data, deadline=None):
+        real_send(conn, data, deadline)
+        frame = decode_frame(memoryview(data)[LENGTH_PREFIX.size:])
+        if (
+            isinstance(frame, Request)
+            and frame.src == "A"
+            and frame.kind == MessageKind.CALL.value
+        ):
+            assert served.wait(10)
+
+    monkeypatch.setattr(Connection, "send", send)
+    assert a.endpoint.send(
+        "B", MessageKind.CALL, b"go", reply_kind=MessageKind.REPLY
+    ) == b"data"
+    (call,) = [
+        event.data["vc"] for event in a.stats.events
+        if event.category == "message" and event.data["kind"] == "call"
+    ]
+    serving = [
+        event.data["vc"] for event in a.stats.events
+        if event.category == "serving"
+    ]
+    assert len(serving) == 2
+    assert all(happens_before(call, stamp) for stamp in serving)
 
 
 # -- traced -> untraced -> traced ------------------------------------------
@@ -276,7 +336,7 @@ def test_a_site_that_starts_tracing_mid_run_stamps_in_order(carriers):
     call()
     # Untraced, A ticked nothing, but it heard B and passes B on.
     assert "A" not in a.endpoint.vclock.entries
-    assert a.endpoint.vclock.snapshot() == {"B": seen[0]["B"] + 1}
+    assert a.endpoint.vclock.entries == {"B": seen[0]["B"] + 1}
     a.stats.tracing = True
     first = a.endpoint.stamp()["vc"]
     assert first["A"] == 1  # its own count starts at its first stamp

@@ -1,7 +1,10 @@
 """Wire format: length-prefixed XDR frames round-trip exactly."""
 
+import socket
+
 import pytest
 
+from repro.transport.exchange import Connection
 from repro.transport.framing import (
     LENGTH_PREFIX,
     MAX_FRAME_BYTES,
@@ -18,7 +21,6 @@ from repro.transport.framing import (
     Welcome,
     decode_frame,
     encode_frame,
-    frame_length,
 )
 from tests.transport.stream_contract import split_buffer
 
@@ -67,7 +69,7 @@ FRAMES = [
 @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: type(f).__name__)
 def test_round_trip(frame):
     encoded = encode_frame(frame)
-    body_len = frame_length(encoded[: LENGTH_PREFIX.size])
+    (body_len,) = LENGTH_PREFIX.unpack_from(encoded)
     assert len(encoded) == LENGTH_PREFIX.size + body_len
     assert decode_frame(encoded[LENGTH_PREFIX.size :]) == frame
 
@@ -88,9 +90,12 @@ def test_split_buffer_reassembles_partial_frames():
 
 
 def test_oversized_length_prefix_rejected():
-    prefix = LENGTH_PREFIX.pack(MAX_FRAME_BYTES + 1)
-    with pytest.raises(FramingError):
-        frame_length(prefix)
+    # The one check is the link's, made before a byte of body is read.
+    near, far = socket.socketpair()
+    with near, far:
+        near.sendall(LENGTH_PREFIX.pack(MAX_FRAME_BYTES + 1))
+        with pytest.raises(FramingError):
+            Connection(far).read_frame()
 
 
 def test_truncated_body_rejected():

@@ -6,14 +6,13 @@ import threading
 import pytest
 
 from repro.bench.harness import (
-    POLICIES,
     make_carrier,
     make_world,
     resolve_policy,
     standard_workload_hints,
 )
 from repro.namesvc.directory import DirectoryClient, SiteDirectory
-from repro.smartrpc.policy import UNBOUNDED, make_policy
+from repro.smartrpc.policy import POLICY_NAMES, UNBOUNDED, make_policy
 from repro.transport.__main__ import _build_parser
 from repro.transport.base import FaultInjector
 from repro.transport.host import ProcessHost, make_space, query_status
@@ -28,13 +27,11 @@ def _installed(runtime):
     )
 
 
-@pytest.mark.parametrize("name", POLICIES)
+@pytest.mark.parametrize("name", POLICY_NAMES)
 def test_every_policy_builds_a_space(name):
     transport, runtime = make_space(f"S-{name}", method=name, transport="tcp")
     try:
         assert runtime.policy.name == resolve_policy(name).name
-        if name == "proposed":
-            assert runtime.policy.name == "paper"
         if name == "hinted":
             hints = runtime.policy.closure_hints
             assert hints._follow == standard_workload_hints()._follow
@@ -67,7 +64,7 @@ def test_serve_method_choices_are_the_policies():
     method = next(
         action for action in serve._actions if action.dest == "method"
     )
-    assert tuple(method.choices) == POLICIES
+    assert tuple(method.choices) == POLICY_NAMES
     assert len(set(method.choices)) == len(method.choices)
 
 

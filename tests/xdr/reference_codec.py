@@ -241,7 +241,8 @@ def _unpack_scalar(decoder: XdrDecoder, kind: ScalarKind) -> Union[int, float]:
 def skip_value(decoder: XdrDecoder, spec: TypeSpec, pool: HandlePool) -> None:
     """Consume one canonical value without materialising it."""
     if isinstance(spec, ScalarType):
-        decoder.unpack_fixed_opaque(spec.canonical_size())
+        # XDR packs a scalar in 4-byte units (8-byte ones take two).
+        decoder.unpack_fixed_opaque(max(4, spec.kind.size))
     elif isinstance(spec, OpaqueType):
         decoder.unpack_fixed_opaque(spec.length)
     elif isinstance(spec, PointerType):
@@ -283,7 +284,7 @@ def reference_encode_batch(runtime, state, items: Sequence[ClosureItem]) -> byte
         encode_long_pointer_pooled(body, item.pointer, pool)
         codec.encode(item.address, item.spec, body, pointer_out)
     head = XdrEncoder()
-    pool.encode(head)
+    head.pack_fixed_opaque(pool.head())
     head.pack_uint32(len(items))
     return head.getvalue() + body.getvalue()
 
@@ -332,7 +333,10 @@ def reference_apply_batch(
         state.cache.mark_resident(entry)
         if demanded is not None:
             prefetched = pointer not in demanded
-            state.cache.note_shipped(entry, prefetched)
+            if not entry.shipped and not entry.touched:
+                state.cache.untouched_shipped += 1
+            entry.shipped = True
+            entry.prefetched = prefetched
             if prefetched:
                 state.cache.post_shipped(0, entry.size)
             else:
@@ -341,7 +345,8 @@ def reference_apply_batch(
             state.relayed_dirty[entry] = state.epoch
         applied += 1
         runtime.stats.entries_transferred += 1
-        state.cache.finish_datum()
+        if state.cache.datum_seal is not None:
+            state.cache.datum_seal()
     decoder.expect_done()
     state.cache.finish_batch()
     return applied

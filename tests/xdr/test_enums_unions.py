@@ -7,7 +7,7 @@ from repro.rpc import marshal
 from repro.rpc.errors import MarshalError
 from repro.xdr.arch import SPARC32, X86_64
 from repro.xdr.errors import XdrError
-from repro.xdr.raw import RawCodec
+from repro.xdr.raw import RawCodec, wire_plan
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.types import (
     EnumType,
@@ -44,7 +44,7 @@ class TestEnumType:
     def test_layout(self):
         assert COLOR.sizeof(SPARC32) == 4
         assert COLOR.alignment(X86_64) == 4
-        assert COLOR.canonical_size() == 4
+        assert wire_plan(COLOR, X86_64).flat.wire(0).size == 4
 
     def test_empty_enum_rejected(self):
         with pytest.raises(XdrError):
@@ -94,7 +94,7 @@ class TestUnionType:
             })
 
     def test_no_pointer_fields_reported(self):
-        assert list(SHAPE.pointer_fields(SPARC32)) == []
+        assert wire_plan(SHAPE, SPARC32).pointer_offsets == ()
 
 
 class TestWireForm:

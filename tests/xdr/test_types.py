@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.memory.address_space import AddressSpace
 from repro.xdr.arch import ALPHA64, SPARC32, X86_64, Architecture
 from repro.xdr.errors import XdrError
+from repro.xdr.raw import RawCodec, wire_plan
+from repro.xdr.stream import XdrEncoder
 from repro.xdr.types import (
     ArrayType,
     Field,
@@ -19,6 +22,18 @@ from repro.xdr.types import (
     int64,
     uint32,
 )
+
+
+def wire_size(spec, arch=SPARC32):
+    """Bytes of the canonical form the wire plan packs for a zeroed
+    datum of ``spec``, each pointer as its 4-byte NULL marker."""
+    space = AddressSpace("s")
+    base = space.map_region(-(-spec.sizeof(arch) // space.page_size))
+    encoder = XdrEncoder()
+    RawCodec(space, arch).encode(
+        base, spec, encoder, lambda value, target: encoder.pack_uint32(0)
+    )
+    return len(encoder.getvalue())
 
 
 class TestArchitecture:
@@ -64,11 +79,11 @@ class TestScalars:
             int8.pack_raw(1000, SPARC32)
 
     def test_canonical_size_minimum_four(self):
-        assert int8.canonical_size() == 4
-        assert int64.canonical_size() == 8
+        assert wire_size(int8) == 4
+        assert wire_size(int64) == 8
 
     def test_no_pointer_fields(self):
-        assert list(int32.pointer_fields(SPARC32)) == []
+        assert wire_plan(int32, SPARC32).pointer_offsets == ()
 
 
 class TestOpaque:
@@ -78,7 +93,7 @@ class TestOpaque:
         assert spec.alignment(SPARC32) == 1
 
     def test_canonical_padded(self):
-        assert OpaqueType(5).canonical_size() == 8
+        assert wire_size(OpaqueType(5)) == 8
 
     def test_zero_length_rejected(self):
         with pytest.raises(XdrError):
@@ -93,7 +108,7 @@ class TestPointer:
 
     def test_reports_itself_as_pointer_field(self):
         spec = PointerType("t")
-        assert list(spec.pointer_fields(SPARC32)) == [(0, spec)]
+        assert wire_plan(spec, SPARC32).pointer_offsets == (0,)
 
 
 class TestArray:
@@ -104,15 +119,14 @@ class TestArray:
 
     def test_pointer_fields_per_element(self):
         spec = ArrayType(PointerType("t"), 3)
-        offsets = [offset for offset, _ in spec.pointer_fields(X86_64)]
-        assert offsets == [0, 8, 16]
+        assert wire_plan(spec, X86_64).pointer_offsets == (0, 8, 16)
 
     def test_bad_count_rejected(self):
         with pytest.raises(XdrError):
             ArrayType(int32, 0)
 
     def test_canonical_size(self):
-        assert ArrayType(int16, 4).canonical_size() == 16
+        assert wire_size(ArrayType(int16, 4)) == 16
 
 
 class TestStruct:
@@ -153,8 +167,7 @@ class TestStruct:
             Field("p", PointerType("s")),
             Field("q", PointerType("s")),
         ])
-        offsets = [offset for offset, _ in spec.pointer_fields(SPARC32)]
-        assert offsets == [8, 12]
+        assert wire_plan(spec, SPARC32).pointer_offsets == (8, 12)
 
     def test_nested_struct_pointer_fields(self):
         inner = StructType("inner", [Field("p", PointerType("x"))])
@@ -162,8 +175,7 @@ class TestStruct:
             Field("v", int32),
             Field("i", inner),
         ])
-        offsets = [offset for offset, _ in outer.pointer_fields(SPARC32)]
-        assert offsets == [4]
+        assert wire_plan(outer, SPARC32).pointer_offsets == (4,)
 
     def test_field_lookup(self):
         spec = StructType("s", [Field("v", int32)])

@@ -120,6 +120,11 @@ class RpcRuntime:
         self.clock = network.clock
         self.cost_model = network.cost_model
         self.stats = network.stats
+        #: Whether the clock models time (the simulator's) or reads it
+        #: (a real carrier's wall clock).  Decided once, from the
+        #: clock: every modelled charge is computed only when it can
+        #: move the clock, so a real carrier pays for none.
+        self.models_time: bool = network.clock.models_time
         self.space = (
             space if space is not None else AddressSpace(site.site_id)
         )
@@ -131,7 +136,7 @@ class RpcRuntime:
         self.heap = Heap(self.space)
         self.mem = Mem(
             self.space,
-            clock=network.clock,
+            clock=network.clock if self.models_time else None,
             cost_model=network.cost_model,
             stats=network.stats,
         )
@@ -187,7 +192,8 @@ class RpcRuntime:
     def malloc(self, type_id: str) -> int:
         """Allocate one value of ``type_id`` on the local typed heap."""
         spec = self.resolver.resolve(type_id)
-        self.clock.advance(self.cost_model.malloc_op)
+        if self.models_time:
+            self.clock.advance(self.cost_model.malloc_op)
         return self.heap.malloc(spec.sizeof(self.arch), type_id)
 
     def struct_view(self, address: int, spec: StructType) -> StructView:
@@ -335,12 +341,14 @@ class RpcRuntime:
             pointer_out=self._bind_pointer_out(state),
         )
         payload = encoder.getvalue()
-        self.clock.advance(self.cost_model.codec_cost(len(payload)))
+        if self.models_time:
+            self.clock.advance(self.cost_model.codec_cost(len(payload)))
         reply = self.session_send(
             state, dst, MessageKind.CALL, payload,
             reply_kind=MessageKind.REPLY,
         )
-        self.clock.advance(self.cost_model.codec_cost(len(reply)))
+        if self.models_time:
+            self.clock.advance(self.cost_model.codec_cost(len(reply)))
         decoder = XdrDecoder(reply)
         status = decoder.unpack_uint32()
         if status == _STATUS_REMOTE_ERROR:
@@ -364,7 +372,10 @@ class RpcRuntime:
         return result
 
     def _handle_call(self, message: Message) -> bytes:
-        self.clock.advance(self.cost_model.codec_cost(len(message.payload)))
+        if self.models_time:
+            self.clock.advance(
+                self.cost_model.codec_cost(len(message.payload))
+            )
         decoder = XdrDecoder(message.payload)
         session_id = decoder.unpack_string()
         ground_site = decoder.unpack_string()
@@ -402,7 +413,8 @@ class RpcRuntime:
         finally:
             state.call_depth -= 1
         reply = encoder.getvalue()
-        self.clock.advance(self.cost_model.codec_cost(len(reply)))
+        if self.models_time:
+            self.clock.advance(self.cost_model.codec_cost(len(reply)))
         return reply
 
     def _lookup(self, qualified: str) -> Tuple[ProcedureDef, Implementation]:

@@ -12,7 +12,8 @@ that library users get paper-scale numbers out of the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from math import inf
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,18 @@ class CostModel:
     visit_compute: float = 1.2e-6
     malloc_op: float = 6e-6
 
+    def __post_init__(self) -> None:
+        # Checked once here, not at every charge: a real carrier's
+        # runtime computes no charge at all, so a bad field would
+        # otherwise surface only mid-session on the simulator.
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not (isinstance(value, (int, float)) and 0 <= value < inf):
+                raise ValueError(
+                    f"CostModel.{item.name} must be a finite, "
+                    f"non-negative number of seconds, got {value!r}"
+                )
+
     def message_cost(self, payload_bytes: int) -> float:
         """Wire time for one message carrying ``payload_bytes``."""
         return self.message_latency + payload_bytes * self.byte_wire
@@ -64,6 +77,9 @@ class SimClock:
     so global time is just the sum of everything that thread did.
     """
 
+    #: Charges move this clock: a runtime over it computes every one.
+    models_time = True
+
     def __init__(self) -> None:
         self._now = 0.0
 
@@ -73,8 +89,9 @@ class SimClock:
         return self._now
 
     def advance(self, seconds: float) -> None:
-        """Advance the clock; ``seconds`` must be non-negative."""
-        if seconds < 0:
+        """Advance the clock; ``seconds`` must be non-negative (a NaN
+        is refused: it would poison every later reading)."""
+        if not seconds >= 0:
             raise ValueError(f"cannot advance clock by {seconds!r} seconds")
         self._now += seconds
 
@@ -87,7 +104,7 @@ class SimClock:
         loop it replaces (``count * seconds`` in one add would round
         differently).
         """
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError(f"cannot advance clock by {seconds!r} seconds")
         if count < 0:
             raise ValueError(f"cannot bill {count!r} charges")

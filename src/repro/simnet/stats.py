@@ -59,12 +59,6 @@ class TransferLedger:
     round_trips_saved: int = 0
     piggyback_hits: int = 0
 
-    def record_fill(self, demanded: int, prefetched: int) -> None:
-        """Count one batch's bytes arriving on the fill path: those of
-        demanded roots and those of prefetch."""
-        self.closure_bytes_shipped += demanded + prefetched
-        self.prefetch_bytes_shipped += prefetched
-
     def record_saved_round_trips(self, pages: int) -> None:
         """Count demand exchanges the pipeline made unnecessary."""
         self.round_trips_saved += pages

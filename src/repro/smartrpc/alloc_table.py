@@ -15,10 +15,11 @@ residency, and provides the three lookups the method needs constantly:
   pointer; answered from the rows of the page the address lies on.
 
 So there are two indexes: the long-pointer dict and one address-ordered
-row list per page.  A cache hands the table its own page dict, whose
+row list per page.  A cache hands the table both dicts: the page dict's
 values are its :class:`~repro.smartrpc.cache.CachePage` objects — each
 *is* its page's row list — so the table and the page bookkeeping
-cannot disagree.
+cannot disagree, and the cache files a fresh placeholder's row in both
+itself.
 """
 
 from __future__ import annotations
@@ -91,9 +92,16 @@ class DataAllocationTable:
         self,
         page_size: int = PAGE_SIZE_DEFAULT,
         pages: Optional[Dict[int, List[AllocEntry]]] = None,
+        rows: Optional[Dict[LongPointer, AllocEntry]] = None,
     ) -> None:
         self.page_size = page_size
-        self._by_pointer: Dict[LongPointer, AllocEntry] = {}
+        #: Long pointer -> its row.  A cache passes its own dict, as it
+        #: passes its page dict, and files a placeholder row in both
+        #: itself when the row lands past every row of its page (see
+        #: :meth:`~repro.smartrpc.cache.CacheManager.place`).
+        self._by_pointer: Dict[LongPointer, AllocEntry] = (
+            {} if rows is None else rows
+        )
         #: Page number -> the rows on that page in address order.  A row
         #: spanning several pages is listed on each.  Lists stay even
         #: when emptied: a page's bookkeeping may be its list.  A cache

@@ -110,7 +110,12 @@ class CacheManager:
         #: The table indexes its rows through this very dict (each page
         #: is its own row list).  Read-only to callers.
         self.pages: Dict[int, CachePage] = {}
-        self.table = DataAllocationTable(self.page_size, self.pages)
+        # Long pointer -> row: the table's own index, filed into
+        # directly by :meth:`place`.
+        self._rows: Dict[LongPointer, AllocEntry] = {}
+        self.table = DataAllocationTable(
+            self.page_size, self.pages, self._rows
+        )
         # Open pages accepting new placeholders, keyed by
         # (allocation class, home).
         self._open_pages: Dict[Tuple[str, str], CachePage] = {}
@@ -218,24 +223,32 @@ class CacheManager:
     ) -> AllocEntry:
         """The new row for ``pointer``, on an open page or a fresh one.
 
-        The one allocator: a batch's swizzle miss calls it directly
-        with the target type's size and alignment (at most 8).  A
-        fresh page is built and mapped right here, without a
-        generation bump (see ``AddressSpace.map_page``).
+        The one allocator, in one step: a batch's swizzle miss calls it
+        directly with the target type's size and alignment (at most 8).
+        It builds the row (and a fresh page, mapped by the space, which
+        numbers it, without a generation bump: see
+        ``AddressSpace.map_page``) and files it in the table's two
+        indexes itself — a placeholder lands past every row of its
+        page, so the row list is appended to.  A span goes through the
+        table's general :meth:`~DataAllocationTable.add`.
         """
         page_size = self.page_size
         if size > page_size:
             return self._place_span(pointer, size, resident)
+        rows = self._rows
+        if pointer in rows:
+            raise SmartRpcError(f"allocation table already has {pointer!r}")
         home = pointer[0]
-        if self.strategy == ISOLATED:
-            # Fully lazy baseline: one datum per page, so every first
-            # access to every datum faults individually (a callback
-            # per dereferenced pointer, as in the paper's §2 baseline).
-            key, page = None, None
-        else:
+        key = page = None
+        if self.strategy != ISOLATED:
+            # ISOLATED is the fully lazy baseline: one datum per page,
+            # so every first access to every datum faults individually
+            # (a callback per dereferenced pointer, as in the paper's
+            # §2 baseline).
             key = (allocation_class, home)
-            page = self._open_pages.get(key)
-            if page is not None:
+            open_pages = self._open_pages
+            if key in open_pages:
+                page = open_pages[key]
                 offset = (page.bump + alignment - 1) & -alignment
                 if page.closed or offset + size > page_size:
                     page = None
@@ -246,7 +259,7 @@ class CacheManager:
             if key is None:
                 page.closed = True
             else:
-                self._open_pages[key] = page
+                open_pages[key] = page
             offset = 0
         else:
             number = page.number
@@ -255,7 +268,8 @@ class CacheManager:
             resident,
         )
         page.bump = offset + size
-        self.table.add(entry)
+        page.append(entry)
+        rows[pointer] = entry
         return entry
 
     def _place_span(
@@ -304,7 +318,9 @@ class CacheManager:
 
     def handle_fault(self, fault: AccessViolation) -> None:
         """The user-level access-violation handler for cache pages."""
-        page = self.page_state(fault.page_number)
+        pages = self.pages
+        number = fault.page_number
+        page = pages[number] if number in pages else self.page_state(number)
         protection = page.protection
         runtime = self.runtime
         if runtime.stats.tracing:
@@ -323,45 +339,33 @@ class CacheManager:
             self._fill(page)
         if fault.kind is FaultKind.WRITE:
             self.mark_dirty_page(fault.page_number)
-        runtime.clock.advance(runtime.cost_model.page_fault)
+        if runtime.models_time:
+            runtime.clock.advance(runtime.cost_model.page_fault)
 
     def _fill(self, page: CachePage) -> None:
         """Transfer every non-resident datum allocated to the page.
 
         "All of the other data allocated to the page must be
-        transferred at this time" — grouped by home space; under the
-        single-home heuristic that is one request message.
+        transferred at this time" — from the page's home space: under
+        the single-home heuristic that is one request message.
 
         The actual requesting is the session's
         :class:`~repro.smartrpc.pipeline.FetchPipeline`: a pass-through
-        to the classic one-request-per-home fill when both pipeline
-        switches are off, and the coalescing/piggyback/prefetch data plane
-        under the ``pipelined`` policy.
+        to the classic one-request fill when both pipeline switches are
+        off, and the coalescing/piggyback/prefetch data plane under the
+        ``pipelined`` policy.
         """
         self.state.pipeline.fill_page(self, page)
-        missing = [e.pointer for e in page if not e.resident]
-        if missing:
-            raise SmartRpcError(
-                f"home space failed to supply {missing!r} for page "
-                f"{page.number}"
-            )
+        for entry in page:
+            if not entry.resident:
+                missing = [e.pointer for e in page if not e.resident]
+                raise SmartRpcError(
+                    f"home space failed to supply {missing!r} for page "
+                    f"{page.number}"
+                )
         self.runtime.stats.pages_filled += 1
 
     # -- shipped-vs-touched accounting ----------------------------------------
-
-    def post_shipped(self, demanded: int, prefetched: int) -> None:
-        """Count fill-path bytes: demanded roots and prefetch apart."""
-        self.state.transfer_stats.record_fill(demanded, prefetched)
-        self.runtime.stats.transfer_ledger.record_fill(demanded, prefetched)
-
-    def note_duplicate_shipment(self, size: int) -> None:
-        """Count bytes re-shipped for an already-resident entry.
-
-        The closure overshot into data this space already holds: the
-        bytes crossed the wire and bought nothing, so they score as
-        untouchable prefetch waste.
-        """
-        self.post_shipped(0, size)
 
     def note_touch_range(self, address: int, size: int) -> bool:
         """Score a program access run of ``size`` bytes at ``address``,
@@ -524,5 +528,8 @@ class CacheManager:
         self.dirty_pages.clear()
         self._written.clear()
         self.untouched_shipped = 0
-        self.table = DataAllocationTable(self.page_size, self.pages)
+        self._rows = {}
+        self.table = DataAllocationTable(
+            self.page_size, self.pages, self._rows
+        )
         self.runtime.stats.invalidations += 1

@@ -15,7 +15,6 @@ that third space, but its data cannot be served from here.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.smartrpc.errors import DanglingPointerError, SmartRpcError
@@ -103,18 +102,25 @@ class ClosureWalker:
         by level for BFS, branch by branch for DFS).
         """
         items: List[ClosureItem] = []
+        if self.order == BREADTH_FIRST:
+            # Emission order is admission order: the item list is its
+            # own queue, read by one iterator while it grows.
+            pending = items
+            admit = items.append
+        else:
+            stack: List[ClosureItem] = []
+            pending = _popping(stack, items)
+            admit = stack.append
         seen: Set[LongPointer] = set()
-        queue: deque = deque()
         total = 0
         for root in roots:
             if root in seen:
                 continue
             seen.add(root)
-            queue.append(self._materialise(root))
+            admit(self._materialise(root))
             total += self._shape(root.type_id)[0].size
         budget = self.budget_bytes
         budget_left = total < budget
-        take = queue.popleft if self.order == BREADTH_FIRST else queue.pop
         unpack_raw = self.runtime.space.unpack_raw
         site_id = self.runtime.site_id
         allocation_at = self.runtime.heap.allocation_at
@@ -122,9 +128,7 @@ class ClosureWalker:
         shapes = self._shapes
         follow = self._follow
         new_pointer = tuple.__new__
-        while queue:
-            item = take()
-            items.append(item)
+        for item in pending:
             if not budget_left:
                 continue
             type_id = item.pointer[2]
@@ -171,7 +175,7 @@ class ClosureWalker:
                     break
                 seen.add(child)
                 total += plan.size
-                queue.append(ClosureItem(child, spec, value))
+                admit(ClosureItem(child, spec, value))
         return items
 
     # -- internals -----------------------------------------------------------
@@ -220,3 +224,11 @@ class ClosureWalker:
         if offsets is None:
             offsets = plan.pointer_offsets
         return plan.follow(tuple(offsets)), plan.flat is not None
+
+
+def _popping(stack: List[ClosureItem], items: List[ClosureItem]):
+    """Depth-first emission: each item as it leaves the stack."""
+    while stack:
+        item = stack.pop()
+        items.append(item)
+        yield item

@@ -219,7 +219,8 @@ def _write_back(
             transfer.encode_batch(runtime, state, by_home[home])
         )
         payload = encoder.getvalue()
-        runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
+        if runtime.models_time:
+            runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
         runtime.session_send(
             state,
             home,
@@ -278,9 +279,10 @@ def handle_writeback_prepare(
     runtime: "SmartRpcRuntime", message: Message
 ) -> bytes:
     """Home-space phase 1: hold the batch without applying it."""
-    runtime.clock.advance(
-        runtime.cost_model.codec_cost(len(message.payload))
-    )
+    if runtime.models_time:
+        runtime.clock.advance(
+            runtime.cost_model.codec_cost(len(message.payload))
+        )
     decoder = XdrDecoder(message.payload)
     session_id = decoder.unpack_string()
     ground_site = decoder.unpack_string()

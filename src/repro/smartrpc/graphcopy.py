@@ -114,7 +114,8 @@ def decode_graph(
         if addresses[index] is None:
             types[index] = type_id
             spec = runtime.resolver.resolve(type_id)
-            runtime.clock.advance(runtime.cost_model.malloc_op)
+            if runtime.models_time:
+                runtime.clock.advance(runtime.cost_model.malloc_op)
             addresses[index] = runtime.heap.malloc(
                 spec.sizeof(runtime.arch), type_id
             )

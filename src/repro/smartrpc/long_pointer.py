@@ -23,11 +23,19 @@ Two encodings exist:
 from __future__ import annotations
 
 import struct
+from itertools import count
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.xdr.errors import XdrError
-from repro.xdr.stream import XdrDecoder, XdrEncoder, string_image
+from repro.xdr.stream import (
+    INTERN_MAX_BYTES,
+    XdrDecoder,
+    XdrEncoder,
+    read_string,
+    string_image,
+    underflow,
+)
 
 # Addresses at or above this value are *provisional*: handed out by
 # extended_malloc before the batched remote allocation has assigned the
@@ -139,7 +147,7 @@ class HandlePool:
     def __init__(self, pairs: Sequence[Tuple[str, str]] = ()) -> None:
         self.pairs: List[Tuple[str, str]] = list(pairs)
         self.handles: Dict[Tuple[str, str], int] = dict(
-            zip(self.pairs, range(1, len(self.pairs) + 1))
+            zip(self.pairs, count(1))
         )
 
     def intern(self, space_id: str, type_id: str) -> int:
@@ -159,24 +167,55 @@ class HandlePool:
 
     def head(self) -> bytes:
         """The pool table's wire image: pair count, then each pair's
-        two strings."""
-        return _U32.pack(len(self.pairs)) + b"".join(
-            [string_image(text) for pair in self.pairs for text in pair]
-        )
+        two strings.
 
-    @classmethod
-    def decode(cls, decoder: XdrDecoder) -> "HandlePool":
-        """Read a pool table."""
-        unpack = decoder.unpack_string
-        return cls(
-            [(unpack(), unpack()) for _ in range(decoder.unpack_uint32())]
-        )
+        Memoised per pair tuple: a batch stream repeats a handful of
+        pools (a lazy fill ships one pair per batch), so most heads are
+        one probe (2 calls in place of 9).  Like the string intern
+        table, the memo keeps no image over ``INTERN_MAX_BYTES``.
+        """
+        pairs = tuple(self.pairs)
+        image = _HEADS.get(pairs)
+        if image is None:
+            image = _U32.pack(len(pairs)) + b"".join(
+                [string_image(text) for pair in pairs for text in pair]
+            )
+            if len(image) <= INTERN_MAX_BYTES:
+                if len(_HEADS) >= _HEADS_CAP:
+                    _HEADS.clear()
+                _HEADS[pairs] = image
+        return image
 
     def __len__(self) -> int:
         return len(self.pairs)
 
 
 _U32 = struct.Struct(">I")
+
+#: Pool-head images by pair tuple, cleared at the cap as the string
+#: intern table is.
+_HEADS: Dict[Tuple[Tuple[str, str], ...], bytes] = {}
+_HEADS_CAP = 256
+
+
+def read_pool_head(data, size: int) -> Tuple[List[Tuple[str, str]], int]:
+    """The pairs of the pool table heading ``data`` (``size`` bytes
+    long), and the offset just past the table.
+
+    One cursor pass, as a batch's items are read: every word is bound
+    checked before it is read, so a cut table is the decoder's
+    underflow error, and each string image is probed once in the
+    intern table (:func:`~repro.xdr.stream.read_string`).
+    """
+    if size < 4:
+        raise underflow(4, size)
+    pos = 4
+    pairs = []
+    for _ in range(_U32.unpack_from(data)[0]):
+        space_id, pos = read_string(data, pos, size)
+        type_id, pos = read_string(data, pos, size)
+        pairs.append((space_id, type_id))
+    return pairs, pos
 
 
 def encode_long_pointer_pooled(

@@ -43,10 +43,8 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Collection,
-    Dict,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -132,11 +130,17 @@ class FetchPipeline:
         would keep it incomplete forever.
         """
         page.closed = True
+        # Every strategy places a datum only on a page of its own home,
+        # so the page's non-resident data are one request to
+        # ``page.home`` on either path.
         if not self.active:
-            # Pass-through: exactly the classic fill — one request per
-            # home space, demanded roots only, nothing asynchronous.
-            for home, pointers in self._group_by_home(page).items():
-                transfer.request_data(self.runtime, self.state, home, pointers)
+            # Pass-through: exactly the classic fill — demanded roots
+            # only, nothing asynchronous.
+            pointers = [entry.pointer for entry in page if not entry.resident]
+            if pointers:
+                transfer.request_data(
+                    self.runtime, self.state, page.home, pointers
+                )
             return
         fault_pages = {page.number}
         for entry in page:
@@ -148,8 +152,9 @@ class FetchPipeline:
             self._pending = None
             self._absorb(fetch, page.number)
         # 2. Demand the remainder, coalescing same-home frontier entries.
-        for home, pointers in self._group_by_home(page).items():
-            self._demand(cache, page, home, pointers)
+        pointers = [entry.pointer for entry in page if not entry.resident]
+        if pointers:
+            self._demand(cache, page, page.home, pointers)
         # 3. Score pages this fault completed beyond its own: each is a
         #    demand round trip that will now never happen.
         saved = incomplete_before - cache.incomplete_pages()
@@ -161,18 +166,6 @@ class FetchPipeline:
         # 4. Overlap the next fetch with the resuming ground thread.
         if self.state.policy.prefetch and self._pending is None:
             self._prefetch(cache)
-
-    @staticmethod
-    def _group_by_home(
-        entries: Sequence,
-    ) -> Dict[str, List[LongPointer]]:
-        wanted: Dict[str, List[LongPointer]] = {}
-        for entry in entries:
-            if not entry.resident:
-                wanted.setdefault(entry.pointer.space_id, []).append(
-                    entry.pointer
-                )
-        return wanted
 
     def _frontier(
         self,
@@ -226,12 +219,15 @@ class FetchPipeline:
         payload = transfer.encode_request_payload(
             self.state, home, pointers, budget, order
         )
-        clock = self.runtime.clock
-        clock.advance(self.runtime.cost_model.codec_cost(len(payload)))
+        runtime = self.runtime
+        if runtime.models_time:
+            runtime.clock.advance(
+                runtime.cost_model.codec_cost(len(payload))
+            )
         self._next_fetch_id += 1
         fetch = PendingFetch(
             self._next_fetch_id, home, pointers, pages, budget, order,
-            issued_at=clock.now,
+            issued_at=runtime.clock.now,
         )
         self._record_batch_event(kind, fetch, faults, coalesced)
         return fetch, payload
@@ -286,7 +282,7 @@ class FetchPipeline:
         fetch, payload = self._issue(
             "prefetch", home, roots, pages, [], 0, PREFETCH_DEPTH
         )
-        if hasattr(self.runtime.clock, "rewind"):
+        if self.runtime.models_time:
             # The simulated clock can rewind, so the exchange runs
             # inline and is re-timed; a wall clock cannot, so there it
             # runs on a worker thread instead.

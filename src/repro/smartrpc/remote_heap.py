@@ -55,7 +55,8 @@ def extended_malloc(
 ) -> int:
     """Allocate one ``type_id`` datum in ``space_id``; return a local
     (already swizzled) pointer to it."""
-    runtime.clock.advance(runtime.cost_model.malloc_op)
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.malloc_op)
     if space_id == runtime.site_id:
         return runtime.heap.malloc(
             runtime.resolver.resolve(type_id).sizeof(runtime.arch), type_id
@@ -77,7 +78,8 @@ def extended_free(
     pointer: int,
 ) -> None:
     """Release the data referenced by ``pointer`` (local or remote)."""
-    runtime.clock.advance(runtime.cost_model.malloc_op)
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.malloc_op)
     entry = state.cache.table.entry_containing(pointer)
     if entry is not None:
         if pointer != entry.local_address:
@@ -148,7 +150,8 @@ def _flush_one_home(
     for pointer in frees:
         encoder.pack_uint64(pointer.address)
     payload = encoder.getvalue()
-    runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
     reply = runtime.session_send(
         state,
         home,
@@ -156,7 +159,8 @@ def _flush_one_home(
         payload,
         reply_kind=MessageKind.MEMORY_BATCH_REPLY,
     )
-    runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
     decoder = XdrDecoder(reply)
     status = decoder.unpack_uint32()
     if status == _STATUS_ERROR:
@@ -188,9 +192,10 @@ def handle_memory_batch(
     runtime: "SmartRpcRuntime", message: Message
 ) -> bytes:
     """Home-space side: perform the batched allocations and releases."""
-    runtime.clock.advance(
-        runtime.cost_model.codec_cost(len(message.payload))
-    )
+    if runtime.models_time:
+        runtime.clock.advance(
+            runtime.cost_model.codec_cost(len(message.payload))
+        )
     decoder = XdrDecoder(message.payload)
     session_id = decoder.unpack_string()
     ground_site = decoder.unpack_string()
@@ -211,13 +216,15 @@ def handle_memory_batch(
         pairs: List[Tuple[int, int]] = []
         for provisional, type_id in requests:
             spec = runtime.resolver.resolve(type_id)
-            runtime.clock.advance(runtime.cost_model.malloc_op)
+            if runtime.models_time:
+                runtime.clock.advance(runtime.cost_model.malloc_op)
             address = runtime.heap.malloc(
                 spec.sizeof(runtime.arch), type_id
             )
             pairs.append((provisional, address))
         for address in free_addresses:
-            runtime.clock.advance(runtime.cost_model.malloc_op)
+            if runtime.models_time:
+                runtime.clock.advance(runtime.cost_model.malloc_op)
             runtime.heap.free(address)
     except (HeapError, SmartRpcError) as exc:
         encoder.pack_uint32(_STATUS_ERROR)
@@ -229,5 +236,6 @@ def handle_memory_batch(
             encoder.pack_uint64(provisional)
             encoder.pack_uint64(address)
     reply = encoder.getvalue()
-    runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
     return reply

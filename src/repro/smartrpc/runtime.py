@@ -250,8 +250,11 @@ class SmartRpcRuntime(RpcRuntime):
         first = address // page_size
         last = (address + size - 1) // page_size if size > 1 else first
         if first == last:
-            cache = getattr(page_of(first), "cache", None)
-            if cache is None or not cache.untouched_shipped:
+            page = page_of(first)
+            if type(page) is not CachePage:  # no cache's page
+                return True
+            cache = page.cache
+            if not cache.untouched_shipped:
                 return True
             return cache.note_touch_range(address, size)
         cursor = address

@@ -42,15 +42,15 @@ from repro.smartrpc.long_pointer import (
     LongPointer,
     decode_long_pointer_pooled,
     encode_long_pointer_pooled,
+    read_pool_head,
 )
 from repro.xdr.errors import XdrError
 from repro.xdr.raw import LONG_SLOT, WirePlan, wire_plan
 from repro.xdr.stream import (
     IMAGES,
-    TEXTS,
     XdrDecoder,
     XdrEncoder,
-    image_text,
+    read_string,
     string_image,
     underflow,
 )
@@ -94,7 +94,8 @@ def encode_batch(
 
     A flat item is one precompiled ``Struct`` pack, of the values the
     walk left on the item when it has them (else read here); the pool
-    head and the item count go in front, and the batch is joined once.
+    head (:meth:`HandlePool.head`, memoised per pair tuple) and the
+    item count go in front, and the batch is joined once.
     """
     if resolved is None:
         resolved = {}
@@ -208,9 +209,13 @@ def apply_batch(
     pointers; items outside it were *prefetched* by the eager closure,
     and the split feeds the shipped-vs-touched ledgers.
 
-    One cursor reads the batch: a flat item is one ``Struct`` unpack,
-    chosen by peeking at its slot handles, and every read is bounds
-    checked first, so a cut batch raises the decoder's underflow error.
+    One cursor reads the batch, its head included: the pool table
+    (:func:`~repro.smartrpc.long_pointer.read_pool_head`, each string
+    probed once in the intern table), the item count, then each flat
+    item as one ``Struct`` unpack, chosen by peeking at its slot
+    handles.  Every read is bounds checked first, so a cut batch raises
+    the decoder's underflow error, and bytes past the last item are an
+    :class:`XdrError`.
     Every long pointer of an item is checked (handle known, address
     nonzero) before any row is placed; the pointers are then built
     without :class:`LongPointer`'s own check.  One pass per item does
@@ -222,18 +227,20 @@ def apply_batch(
     row and any fresh page), the pack straight into the placeholder
     page's buffer, residency and the page release it may complete, the
     shipped flags and the per-datum seal.  A union item goes through
-    the decoder and the hook-driven codec, and swizzles through the
-    session's swizzler.
+    a stream decoder and a handle pool, built at the batch's first
+    union item, the hook-driven codec, and swizzles through the
+    session's swizzler.  The counters and both ledgers move once, at
+    the end.
     """
-    decoder = XdrDecoder(payload)
-    pool = HandlePool.decode(decoder)
-    pairs = pool.pairs
-    known = len(pairs)  # a handle above this names no pair
-    count = decoder.unpack_uint32()
-    view = decoder.view
-    pos = decoder.tell()
+    view = payload
     end = len(view)
+    pairs, pos = read_pool_head(view, end)
+    known = len(pairs)  # a handle above this names no pair
+    if pos + 4 > end:
+        raise underflow(4, end - pos)
     peek = _U32.unpack_from
+    count = peek(view, pos)[0]
+    pos += 4
     # Per pool handle, filled at the handle's first item or first new
     # row so a cold resolver queries the name server where it always
     # did: the type's plan, and the alignment of a placeholder for it.
@@ -252,6 +259,8 @@ def apply_batch(
     seal = cache.datum_seal
     swizzle = state.swizzler.swizzle
     new_pointer = tuple.__new__
+    # A stream decoder and a handle pool only for a union item.
+    decoder = pool = None
 
     def pointer_in(_target: str) -> int:
         return swizzle(decode_long_pointer_pooled(decoder, pool))
@@ -277,7 +286,8 @@ def apply_batch(
                 plan = plans[handle - 1]
                 if plan is None:
                     plan = plans[handle - 1] = wire_plan_of(type_id)
-                    aligns[handle - 1] = min(plan.alignment, 8)
+                    align = plan.alignment
+                    aligns[handle - 1] = align if align < 8 else 8
                 flat = plan.flat
                 home = space_id == site_id
                 last = handle
@@ -332,15 +342,24 @@ def apply_batch(
                     )
                 elif entry.resident and not overwrite:
                     if flat is None:
+                        if decoder is None:
+                            decoder = XdrDecoder(view)
+                            pool = HandlePool(pairs)
                         decoder.seek(pos)
                         _skip(decoder, plan.steps, pool)
                         pos = decoder.tell()
                     runtime.stats.duplicate_entries += 1
                     if demanded is not None:
-                        cache.note_duplicate_shipment(entry.size)
+                        # The closure overshot into data this space
+                        # holds: bytes that bought nothing score as
+                        # untouchable prefetch.
+                        shipped[1] += entry.size
                     continue
                 target = entry.local_address
             if flat is None:
+                if decoder is None:
+                    decoder = XdrDecoder(view)
+                    pool = HandlePool(pairs)
                 decoder.seek(pos)
                 runtime.codec.decode(
                     decoder,
@@ -373,8 +392,9 @@ def apply_batch(
                                     slot_plan = plans[slot - 1] = (
                                         wire_plan_of(slot_type)
                                     )
-                                    aligns[slot - 1] = min(
-                                        slot_plan.alignment, 8
+                                    align = slot_plan.alignment
+                                    aligns[slot - 1] = (
+                                        align if align < 8 else 8
                                     )
                                 row = place(
                                     new_pointer(LongPointer, slot_key),
@@ -390,15 +410,17 @@ def apply_batch(
                     # Straight into the placeholder's page buffer, backed
                     # only as far as written: growing rebinds it, which
                     # moves the space's generation (AddressSpace._grow).
-                    buffer = pages[entry.page_number].data
+                    page = pages[entry.page_number]
+                    buffer = page.data
                     at = entry.offset + flat.offset
                     stop = at + flat.native.size
-                    backed = len(buffer)
-                    if stop > backed:
+                    if not buffer:  # a fresh placeholder page
+                        page.data = buffer = bytearray(stop)
+                        space.generation += 1
+                    elif stop > len(buffer):
                         grown = bytearray(stop)
-                        if backed:
-                            grown[:backed] = buffer
-                        pages[entry.page_number].data = buffer = grown
+                        grown[: len(buffer)] = buffer
+                        page.data = buffer = grown
                         space.generation += 1
                     try:
                         flat.native.pack_into(buffer, at, *native)
@@ -437,18 +459,23 @@ def apply_batch(
             # next datum's children start fresh ones (locality grouping).
             if seal is not None:
                 seal()
-        decoder.seek(pos)
-        decoder.expect_done()
-        cache.finish_batch()
+        if pos != end:
+            raise XdrError(f"{end - pos} trailing bytes in XDR stream")
+        # Seal the batch: the datum seal does it, where there is one.
+        (seal or cache.finish_batch)()
     finally:
         if held:
             runtime.space.protect_pages(held, Protection.READ)
         # Sums are order-free, so the counters move once per batch —
         # by what did land, should an item have raised.
-        runtime.stats.entries_transferred += applied
+        stats = runtime.stats
+        stats.entries_transferred += applied
         cache.untouched_shipped += untouched
         if demanded is not None:
-            cache.post_shipped(*shipped)
+            demanded_bytes, prefetched = shipped
+            for ledger in (state.transfer_stats, stats.transfer_ledger):
+                ledger.closure_bytes_shipped += demanded_bytes + prefetched
+                ledger.prefetch_bytes_shipped += prefetched
     return applied
 
 
@@ -515,26 +542,14 @@ def decode_request_payload(payload: bytes) -> tuple:
     one DATA_REQUEST payload.
 
     One cursor pass, as :func:`apply_batch` reads a batch: each string
-    image is sliced whole and probed in the intern table (a miss is
-    checked by :func:`~repro.xdr.stream.image_text`), and the tail is
+    goes through :func:`~repro.xdr.stream.read_string` (its image
+    sliced whole and probed once in the intern table), and the tail is
     one ``Struct``.  A cut payload is the decoder's underflow error,
     and bytes past the tail are an :class:`XdrError`.
     """
-    if type(payload) is not bytes:
-        payload = bytes(payload)
     size = len(payload)
-    texts = []
-    pos = 0
-    for _ in range(2):  # session id, ground site
-        if pos + 4 > size:
-            raise underflow(4, size - pos)
-        end = pos + 4 + (_U32.unpack_from(payload, pos)[0] + 3 & -4)
-        if end > size:
-            raise underflow(end - pos, size - pos)
-        image = payload[pos:end]
-        text = TEXTS.get(image)
-        texts.append(text if text is not None else image_text(image))
-        pos = end
+    session_id, pos = read_string(payload, 0, size)
+    ground_site, pos = read_string(payload, pos, size)
     tail = _request_tail(max(size - pos - 12, 0) // 8)
     if pos + tail.size > size:
         raise underflow(tail.size, size - pos)
@@ -548,7 +563,7 @@ def decode_request_payload(payload: bytes) -> tuple:
             f"DATA_REQUEST names {count} roots and carries "
             f"{len(addresses)}"
         )
-    return texts[0], texts[1], budget, order_code, addresses
+    return session_id, ground_site, budget, order_code, addresses
 
 
 def apply_reply(
@@ -568,11 +583,13 @@ def apply_reply(
     roots outside it score as prefetch in the ledgers).  Charges the
     reply's codec cost to the clock — callers charge the request side.
     """
-    runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
+    size = len(reply)
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.codec_cost(size))
     # Status word, then the batch (or the error text) as one opaque.
     view = memoryview(reply)
-    if len(view) < _REPLY_HEAD.size:
-        raise XdrError(f"DATA_REPLY of {len(view)} bytes has no head")
+    if size < _REPLY_HEAD.size:
+        raise XdrError(f"DATA_REPLY of {size} bytes has no head")
     status, length = _REPLY_HEAD.unpack_from(view)
     if status == _STATUS_ERROR:
         decoder = XdrDecoder(view)
@@ -581,11 +598,11 @@ def apply_reply(
             f"data request to {home!r} failed: {decoder.unpack_string()}"
         )
     end = _REPLY_HEAD.size + length
-    if len(view) != end + (-length & 3):
+    if size != end + (-length & 3):
         raise XdrError(
-            f"DATA_REPLY of {len(view)} bytes for a {length}-byte batch"
+            f"DATA_REPLY of {size} bytes for a {length}-byte batch"
         )
-    if end != len(view) and any(view[end:]):
+    if end != size and any(view[end:]):
         raise XdrError(f"nonzero XDR padding {bytes(view[end:])!r}")
     # The batch is decoded in place (apply_batch materialises every
     # item into the heap): no copy of the reply body first.
@@ -638,7 +655,8 @@ def request_data(
     budget = policy.request_budget(state)
     order = policy.closure_order
     payload = encode_request_payload(state, home, pointers, budget, order)
-    runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
     reply = runtime.session_send(
         state,
         home,
@@ -663,7 +681,8 @@ def handle_data_request(
 ) -> bytes:
     """Home-space side: select the closure and ship it."""
     payload = message.payload
-    runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
     session_id, ground_site, budget, order_code, addresses = (
         decode_request_payload(payload)
     )
@@ -676,15 +695,19 @@ def handle_data_request(
                 f"unknown closure order code {order_code!r}"
             )
         roots = []
+        site_id = runtime.site_id
+        allocation_at = runtime.heap.allocation_at
         for address in addresses:
-            allocation = runtime.heap.allocation_at(address)
+            allocation = allocation_at(address)
             if allocation is None or allocation.address != address:
                 raise SmartRpcError(
                     f"request for dead home data at {address:#x}"
                 )
-            roots.append(
-                LongPointer(runtime.site_id, address, allocation.type_id)
-            )
+            # Built in C, as the walk builds its pointers: the heap has
+            # just vouched for the address.
+            roots.append(tuple.__new__(
+                LongPointer, (site_id, address, allocation.type_id)
+            ))
         # Budget and order are the requester's; hints are served from
         # the home's own policy (it knows its data's traversal shape).
         walker = ClosureWalker(
@@ -699,10 +722,10 @@ def handle_data_request(
     except SmartRpcError as exc:
         reply = _U32.pack(_STATUS_ERROR) + string_image(str(exc))
     else:
-        reply = b"".join((
-            _REPLY_HEAD.pack(_STATUS_OK, len(batch)),
-            batch,
-            _PADS[len(batch) & 3],
-        ))
-    runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
+        length = len(batch)
+        reply = b"".join(
+            (_REPLY_HEAD.pack(_STATUS_OK, length), batch, _PADS[length & 3])
+        )
+    if runtime.models_time:
+        runtime.clock.advance(runtime.cost_model.codec_cost(len(reply)))
     return reply

@@ -413,8 +413,9 @@ class Transport(abc.ABC):
         from repro.simnet.clock import SimClock as _SimClock
         from repro.simnet.stats import StatsCollector as _StatsCollector
 
-        # ``clock`` is anything clock-shaped (``now`` + ``advance``):
-        # the simulator's SimClock or a transport's WallClock.
+        # ``clock`` is anything clock-shaped (``now`` and
+        # ``models_time``): the simulator's SimClock, which runtimes
+        # charge, or a transport's WallClock, which they never charge.
         self.clock = clock if clock is not None else _SimClock()
         self.cost_model = (
             cost_model if cost_model is not None else _CostModel()

@@ -3,8 +3,13 @@
 The simulator's :class:`~repro.simnet.clock.SimClock` advances only
 when a runtime charges it.  Under a real transport time passes by
 itself, so :class:`WallClock` reads the operating system clock and
-``advance`` / ``bill`` only validate their arguments: the modelled
-charges no longer move ``now``.
+says so with ``models_time = False``.  A runtime reads that once
+(``RpcRuntime.models_time``) and then computes no modelled charge at
+all: no charge from the fill path (data request, reply, fault,
+prefetch issue), the stub's codec or a resident access reaches this
+clock.  It therefore has no ``advance`` / ``bill``: a charge that
+escaped a ``models_time`` guard is an ``AttributeError`` on the
+first real-carrier run that reaches it.
 
 ``now`` is epoch-based (``time.time``) rather than per-process
 monotonic so that trace events recorded by different OS processes on
@@ -18,21 +23,13 @@ import time
 
 
 class WallClock:
-    """Drop-in for :class:`~repro.simnet.clock.SimClock` on real time."""
+    """A clock that only tells the time: ``now`` is the operating system's."""
+
+    #: Real time passes by itself: a runtime over this clock charges
+    #: nothing.
+    models_time = False
 
     @property
     def now(self) -> float:
         """Current wall time in epoch seconds."""
         return time.time()
-
-    def advance(self, seconds: float) -> None:
-        """Accept a modelled charge; real time advances on its own."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by {seconds!r} seconds")
-
-    def bill(self, seconds: float, count: int) -> None:
-        """Accept ``count`` equal modelled charges (see :meth:`advance`)."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance clock by {seconds!r} seconds")
-        if count < 0:
-            raise ValueError(f"cannot bill {count!r} charges")

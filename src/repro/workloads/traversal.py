@@ -86,7 +86,8 @@ def _visit(
             value = int.from_bytes(data, "big") + 1
             view.set("data", value.to_bytes(8, "big"))
         visited += 1
-        ctx.runtime.clock.advance(ctx.runtime.cost_model.visit_compute)
+        if ctx.runtime.models_time:
+            ctx.runtime.clock.advance(ctx.runtime.cost_model.visit_compute)
         # Visit left before right: push right first.  Both child
         # pointers come back in one bulk access run — the page is
         # already resident after the ``data`` read above, so the run
@@ -134,7 +135,8 @@ def path_search(ctx: CallContext, root: int, repeats: int, seed: int) -> int:
         while address != 0:
             view = ctx.struct_view(address, spec)
             checksum += int.from_bytes(view.get("data"), "big")
-            ctx.runtime.clock.advance(ctx.runtime.cost_model.visit_compute)
+            if ctx.runtime.models_time:
+                ctx.runtime.clock.advance(ctx.runtime.cost_model.visit_compute)
             left, right = view.get_run("left", "right")
             address = left if rng.random() < 0.5 else right
     return checksum

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 from repro.xdr.errors import XdrError
 
@@ -109,6 +109,24 @@ def image_text(image: bytes) -> str:
         raise XdrError(f"bad XDR string: {exc}") from None
     _intern(text, image)
     return text
+
+
+def read_string(data: Readable, pos: int, size: int) -> Tuple[str, int]:
+    """The string whose image starts at ``pos`` of ``data`` (``size``
+    bytes long), and the offset just past that image.
+
+    A cursor reader's string: the image is sliced whole and probed once
+    in :data:`TEXTS`; a miss goes through :func:`image_text`'s checks.
+    A cut image is the underflow error :class:`XdrDecoder` raises.
+    """
+    if pos + 4 > size:
+        raise underflow(4, size - pos)
+    end = pos + 4 + (_U32.unpack_from(data, pos)[0] + 3 & -4)
+    if end > size:
+        raise underflow(end - pos, size - pos)
+    image = bytes(data[pos:end])
+    text = TEXTS.get(image)
+    return (text if text is not None else image_text(image)), end
 
 
 class XdrEncoder:
@@ -296,14 +314,8 @@ class XdrDecoder:
 
     def unpack_string(self) -> str:
         """Read a UTF-8 string (one :data:`TEXTS` probe when interned)."""
-        view, offset = self._view, self._cursor
-        end = offset + 4
-        if end <= self._len:
-            end += _U32.unpack_from(view, offset)[0] + 3 & -4
-        self._advance(end - offset)  # the whole image, or the underflow
-        image = view[offset:end].tobytes()
-        text = TEXTS.get(image)
-        return text if text is not None else image_text(image)
+        text, self._cursor = read_string(self._view, self._cursor, self._len)
+        return text
 
     def unpack_struct(self, codec: struct.Struct) -> tuple:
         """Read ``codec.size`` bytes through a precompiled ``Struct``."""
@@ -317,13 +329,6 @@ class XdrDecoder:
         return _U32.unpack_from(self._view, offset)[0]
 
     # -- cursor ---------------------------------------------------------------
-
-    @property
-    def view(self) -> memoryview:
-        """The whole stream: a reader running its own cursor over it
-        (a batch apply) unpacks from here, then hands the position back
-        through :meth:`seek`."""
-        return self._view
 
     def tell(self) -> int:
         """Bytes consumed so far."""

@@ -1,8 +1,13 @@
 """Tests for the simulated clock and cost model."""
 
+import dataclasses
+
 import pytest
 
 from repro.simnet.clock import CostModel, SimClock, Stopwatch
+from repro.transport.wallclock import WallClock
+
+NAN = float("nan")
 
 
 class TestSimClock:
@@ -30,6 +35,33 @@ class TestSimClock:
         clock.advance(3.0)
         clock.reset()
         assert clock.now == 0.0
+
+    def test_nan_advance_rejected_and_time_kept(self):
+        clock = SimClock()
+        clock.advance(1.0)
+        with pytest.raises(ValueError):
+            clock.advance(NAN)
+        assert clock.now == 1.0
+
+    def test_nan_or_negative_bill_rejected_and_time_kept(self):
+        clock = SimClock()
+        clock.bill(0.5, 2)
+        for seconds, count in ((NAN, 1), (NAN, 0), (-1.0, 1), (0.5, -1)):
+            with pytest.raises(ValueError):
+                clock.bill(seconds, count)
+        assert clock.now == 1.0
+
+    def test_it_models_time(self):
+        assert SimClock.models_time
+
+
+class TestWallClock:
+    def test_it_models_no_time(self):
+        assert not WallClock.models_time
+
+    def test_it_takes_no_charge(self):
+        assert not hasattr(WallClock(), "advance")
+        assert not hasattr(WallClock(), "bill")
 
 
 class TestStopwatch:
@@ -69,3 +101,17 @@ class TestCostModel:
         model = CostModel()
         with pytest.raises(AttributeError):
             model.message_latency = 1.0
+
+    @pytest.mark.parametrize(
+        "name", [field.name for field in dataclasses.fields(CostModel)]
+    )
+    @pytest.mark.parametrize(
+        "value", [-1.0, -1e-12, NAN, float("inf"), "1e-6", None]
+    )
+    def test_a_bad_field_is_refused_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            CostModel(**{name: value})
+
+    def test_zero_fields_are_allowed(self):
+        model = CostModel(page_fault=0.0, byte_codec=0)
+        assert model.codec_cost(100) == 0

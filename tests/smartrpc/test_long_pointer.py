@@ -10,6 +10,7 @@ from repro.smartrpc.long_pointer import (
     decode_long_pointer_pooled,
     encode_long_pointer,
     encode_long_pointer_pooled,
+    read_pool_head,
 )
 from repro.xdr.errors import XdrError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
@@ -117,11 +118,13 @@ class TestHandlePool:
         pool = HandlePool()
         pool.intern("A", "t1")
         pool.intern("B", "t2")
-        decoded = HandlePool.decode(XdrDecoder(pool.head()))
+        head = pool.head()
+        pairs, end = read_pool_head(head, len(head))
+        assert end == len(head)
+        decoded = HandlePool(pairs)
         assert len(decoded) == 2
         assert decoded.lookup(1) == ("A", "t1")
         assert decoded.lookup(2) == ("B", "t2")
-
 
     def test_a_decoded_pool_is_its_own(self):
         """Interning into one decoded pool leaves the next one decoded
@@ -129,18 +132,18 @@ class TestHandlePool:
         pool = HandlePool()
         pool.intern("A", "t1")
         head = pool.head()
-        first = HandlePool.decode(XdrDecoder(head))
+        first = HandlePool(read_pool_head(head, len(head))[0])
         first.intern("C", "t3")
-        second = HandlePool.decode(XdrDecoder(head))
+        second = HandlePool(read_pool_head(head, len(head))[0])
         assert second.pairs == [("A", "t1")] and len(first) == 2
 
     def test_a_bad_pool_table_is_rejected(self):
         image = bytearray(HandlePool([("A", "t9")]).head())
         image[-1] = 1  # padding after "t9"
         with pytest.raises(XdrError):
-            HandlePool.decode(XdrDecoder(bytes(image)))
+            read_pool_head(bytes(image), len(image))
         with pytest.raises(XdrError):  # two pairs announced, one present
-            HandlePool.decode(XdrDecoder(b"\x00\x00\x00\x02" + image[4:]))
+            read_pool_head(b"\x00\x00\x00\x02" + image[4:], len(image))
 
 
 class TestPooledEncoding:

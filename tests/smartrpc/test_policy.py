@@ -46,7 +46,8 @@ class FakeState:
         self.transfer_stats = TransferLedger()
 
     def prefetch(self, shipped, touched):
-        self.transfer_stats.record_fill(0, shipped)
+        self.transfer_stats.closure_bytes_shipped += shipped
+        self.transfer_stats.prefetch_bytes_shipped += shipped
         self.transfer_stats.closure_bytes_touched += touched
         self.transfer_stats.prefetch_bytes_touched += touched
 

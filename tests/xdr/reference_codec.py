@@ -265,6 +265,22 @@ def skip_value(decoder: XdrDecoder, spec: TypeSpec, pool: HandlePool) -> None:
 # -- the per-field batch functions --------------------------------------------
 
 
+def reference_decode_pool(decoder: XdrDecoder) -> HandlePool:
+    """Read a pool table through the stream decoder, one string at a
+    time (the oracle for ``read_pool_head``)."""
+    unpack = decoder.unpack_string
+    return HandlePool(
+        [(unpack(), unpack()) for _ in range(decoder.unpack_uint32())]
+    )
+
+
+def _post_shipped(runtime, state, demanded: int, prefetched: int) -> None:
+    """Count fill-path bytes in both ledgers, one datum at a time."""
+    for ledger in (state.transfer_stats, runtime.stats.transfer_ledger):
+        ledger.closure_bytes_shipped += demanded + prefetched
+        ledger.prefetch_bytes_shipped += prefetched
+
+
 def reference_encode_batch(runtime, state, items: Sequence[ClosureItem]) -> bytes:
     """``transfer.encode_batch`` as it was: one hook call per pointer."""
     codec = ReferenceCodec(runtime.space, runtime.arch)
@@ -299,7 +315,7 @@ def reference_apply_batch(
     """``transfer.apply_batch`` as it was: ledgers posted per item."""
     codec = ReferenceCodec(runtime.space, runtime.arch)
     decoder = XdrDecoder(payload)
-    pool = HandlePool.decode(decoder)
+    pool = reference_decode_pool(decoder)
     count = decoder.unpack_uint32()
 
     def pointer_in(_target: str) -> int:
@@ -327,7 +343,7 @@ def reference_apply_batch(
             skip_value(decoder, spec, pool)
             runtime.stats.duplicate_entries += 1
             if demanded is not None:
-                state.cache.note_duplicate_shipment(entry.size)
+                _post_shipped(runtime, state, 0, entry.size)
             continue
         codec.decode(decoder, entry.local_address, spec, pointer_in)
         state.cache.mark_resident(entry)
@@ -338,9 +354,9 @@ def reference_apply_batch(
             entry.shipped = True
             entry.prefetched = prefetched
             if prefetched:
-                state.cache.post_shipped(0, entry.size)
+                _post_shipped(runtime, state, 0, entry.size)
             else:
-                state.cache.post_shipped(entry.size, 0)
+                _post_shipped(runtime, state, entry.size, 0)
         if overwrite:
             state.relayed_dirty[entry] = state.epoch
         applied += 1

@@ -18,7 +18,7 @@ on another machine.  Once a page is resident, the only cost is
 costs exactly as much as local data.
 
 :meth:`Mem.load` and :meth:`Mem.store` are the whole access plane.
-Three mechanisms keep the *Python-level* cost of that claim honest:
+Four mechanisms keep the *Python-level* cost of that claim honest:
 
 * **Page access tokens.**  On the first touch of a page, ``Mem``
   caches ``(read limit, write limit, page buffer, observe)`` for it:
@@ -33,10 +33,17 @@ Three mechanisms keep the *Python-level* cost of that claim honest:
   is never missed.  A page buffer is mutated in place, so a live token
   always sees current contents, with one exception: a write past the
   bytes a buffer backs rebinds it to a longer one, and that bumps the
-  generation too.  Any access a token does not cover — a cross-page
-  span, an unmapped page, a denied protection, bytes past the buffer —
-  takes the checked path and its fault-retry loop, which reads zeros
-  past the buffer and grows it on a write.
+  generation too.
+* **Direct fault delivery.**  A one-page access whose token shows the
+  page mapped but its protection denying the access is a fault with
+  nothing left to check: ``Mem`` builds the :class:`AccessViolation`
+  itself, hands it to the space's handler and retries through a fresh
+  token — no raise and catch through ``AddressSpace.read``/``write``.
+  Any other access a token does not cover — a cross-page span, an
+  unmapped page, bytes past the buffer — takes the checked path and
+  its fault-retry loop, which reads zeros past the buffer and grows it
+  on a write.  Both count a fault only after its handler returns, and
+  give up after the same number of handler invocations.
 * **Access runs.**  ``accesses=n`` makes one load or store stand for
   ``n`` modelled accesses: one protection check for the whole span,
   the clock charged ``n`` times in one ``bill`` call (in the same
@@ -60,7 +67,7 @@ import struct
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.memory.address_space import AddressSpace
-from repro.memory.faults import AccessViolation, FaultLoopError
+from repro.memory.faults import AccessViolation, FaultKind, FaultLoopError
 from repro.simnet.clock import CostModel, SimClock
 from repro.simnet.stats import StatsCollector
 
@@ -185,6 +192,8 @@ class Mem:
                     # drops this token with the rest.
                     self._tokens[page_number] = token[:3] + (False,)
                 return data
+            if token[0] < 0 and end <= page_size:
+                return self._fault(address, size, None, accesses)
         return self._checked(address, size, None, accesses)
 
     def store(self, address: int, data: bytes, accesses: int = 1) -> None:
@@ -214,7 +223,60 @@ class Mem:
                 if token[3] and self._observer(address, size, True):
                     self._tokens[page_number] = token[:3] + (False,)
                 return
+            if token[1] < 0 and end <= page_size:
+                self._fault(address, size, data, accesses)
+                return
         self._checked(address, len(data), data, accesses)
+
+    def _fault(
+        self, address: int, size: int, data: Optional[bytes], accesses: int
+    ) -> Optional[bytes]:
+        """A one-page access its page's protection denies.
+
+        A load when ``data`` is None, else a store of ``data``.  The
+        :class:`AccessViolation` goes straight to the space's handler
+        (no raise and catch through ``AddressSpace.read``/``write``),
+        and the access is retried through a fresh token, within the
+        same budget of handler invocations as :meth:`_checked`.  What
+        a token cannot serve after the handler ran (the page unmapped,
+        or bytes past its buffer) finishes on the checked plane.  The
+        retried access reports to the observer whatever its page's
+        state, as a checked access does.
+        """
+        if accesses < 0:
+            raise ValueError(f"negative access count {accesses!r}")
+        space = self.space
+        page_number = address // space.page_size
+        end = address - page_number * space.page_size + size
+        write = data is not None
+        kind = FaultKind.WRITE if write else FaultKind.READ
+        budget = _MAX_FAULT_RETRIES
+        while True:
+            self._deliver(
+                AccessViolation(space.space_id, address, kind, page_number)
+            )
+            budget -= 1
+            if not budget:
+                raise self._gave_up(address, write, _MAX_FAULT_RETRIES)
+            if self._token_gen != space.generation:
+                self._tokens.clear()
+                self._token_gen = space.generation
+            token = self._token(page_number)
+            if token is None:
+                break
+            limit = token[1] if write else token[0]
+            if end <= limit:
+                offset = end - size
+                if write:
+                    token[2][offset:end] = data
+                    result = None
+                else:
+                    result = bytes(token[2][offset:end])
+                self._done(address, size, write, accesses)
+                return result
+            if limit >= 0:
+                break
+        return self._checked(address, size, data, accesses)
 
     def _checked(
         self, address: int, size: int, data: Optional[bytes], accesses: int
@@ -239,15 +301,9 @@ class Mem:
             except AccessViolation as fault:
                 self._deliver(fault)
                 continue
-            self._charge(accesses)
-            if self._observer is not None:
-                self._observer(address, size, data is not None)
+            self._done(address, size, data is not None, accesses)
             return result
-        raise FaultLoopError(
-            f"{'load of' if data is None else 'store to'} {address:#x} in "
-            f"{space.space_id!r} still faults after {budget} handler "
-            f"invocations"
-        )
+        raise self._gave_up(address, data is not None, budget)
 
     # -- bulk typed access -----------------------------------------------------
     #
@@ -295,6 +351,26 @@ class Mem:
         # did not resolve anything, so it must not score a fault.
         if self.stats is not None:
             self.stats.page_faults += 1
+
+    def _done(
+        self, address: int, size: int, write: bool, accesses: int
+    ) -> None:
+        """Charge a completed faulting-plane access and report it to
+        the observer (whatever its page's state)."""
+        self._charge(accesses)
+        if self._observer is not None:
+            self._observer(address, size, write)
+
+    def _gave_up(
+        self, address: int, write: bool, budget: int
+    ) -> FaultLoopError:
+        """The error for an access still faulting after ``budget``
+        handler invocations."""
+        return FaultLoopError(
+            f"{'store to' if write else 'load of'} {address:#x} in "
+            f"{self.space.space_id!r} still faults after {budget} handler "
+            f"invocations"
+        )
 
     def _charge(self, accesses: int) -> None:
         """Charge ``accesses`` local accesses, in per-access order."""

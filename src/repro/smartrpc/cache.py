@@ -338,7 +338,7 @@ class CacheManager:
         if protection is Protection.NONE:
             self._fill(page)
         if fault.kind is FaultKind.WRITE:
-            self.mark_dirty_page(fault.page_number)
+            self.mark_dirty_page(page)
         if runtime.models_time:
             runtime.clock.advance(runtime.cost_model.page_fault)
 
@@ -440,8 +440,8 @@ class CacheManager:
         else:
             self.space.protect(page_number, Protection.READ)
 
-    def mark_dirty_page(self, page_number: int) -> None:
-        """A write fault: stamp the page and remap it writable.
+    def mark_dirty_page(self, page: CachePage) -> None:
+        """A write fault on ``page``: stamp it and remap it writable.
 
         The first write joins the page to the modified data set.  An
         activity crossing re-protects the page READ
@@ -449,7 +449,7 @@ class CacheManager:
         again and restamps the page with the current epoch: the page
         then ships again to every peer that has not seen that epoch.
         """
-        page = self.page_state(page_number)
+        page_number = page.number
         if page.protection is Protection.READ_WRITE:
             return
         if not page.complete:
@@ -462,7 +462,7 @@ class CacheManager:
         page.stamp = self.state.epoch
         self.dirty_pages.add(page_number)
         self._written.add(page_number)
-        self.space.protect(page_number, Protection.READ_WRITE)
+        self.space.protect_pages((page_number,), Protection.READ_WRITE)
         runtime = self.runtime
         runtime.stats.write_faults += 1
         if runtime.stats.tracing:

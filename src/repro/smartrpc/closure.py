@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.smartrpc.errors import DanglingPointerError, SmartRpcError
+from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
-from repro.xdr.raw import Follow, WirePlan, wire_plan
+from repro.xdr.raw import Follow, WirePlan
 from repro.xdr.types import TypeSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,15 +92,44 @@ class ClosureWalker:
         self._shapes: Dict[str, Tuple[WirePlan, TypeSpec]] = {}
         self._follow: Dict[str, Tuple[Optional[Follow], bool]] = {}
 
-    def walk(self, roots: Sequence[LongPointer]) -> List[ClosureItem]:
+    def walk(self, addresses: Sequence[int]) -> List[ClosureItem]:
         """Select data to transfer: all roots, then closure to budget.
 
-        Requested roots are always included (the requester faulted on
-        them); traversal beyond the roots stops once the total size of
-        selected data exceeds the budget.  Admission happens when a
-        child is discovered; emission order is traversal order (level
-        by level for BFS, branch by branch for DFS).
+        The roots are a DATA_REQUEST's, named by address.  Each is
+        looked up in the heap once, which both vouches for it and gives
+        its type; an address that is not the base of a live allocation
+        fails the request (a ``SmartRpcError``).  Requested roots are
+        always included (the requester faulted on them); traversal
+        beyond the roots stops once the total size of selected data
+        exceeds the budget.  Admission happens when a child is
+        discovered; emission order is traversal order (level by level
+        for BFS, branch by branch for DFS).
         """
+        site_id = self.runtime.site_id
+        allocation_at = self.runtime.heap.allocation_at
+        shapes = self._shapes
+        roots = []
+        for address in addresses:
+            allocation = allocation_at(address)
+            if allocation is None or allocation.address != address:
+                raise SmartRpcError(
+                    f"request for dead home data at {address:#x}"
+                )
+            type_id = allocation.type_id
+            shape = shapes[type_id] if type_id in shapes else (
+                self._shape(type_id)
+            )
+            # Built in C, as the walk builds its pointers: the heap has
+            # just vouched for the address.
+            roots.append(ClosureItem(
+                tuple.__new__(LongPointer, (site_id, address, type_id)),
+                shape[1],
+                address,
+            ))
+        return self._expand(roots)
+
+    def _expand(self, roots: List[ClosureItem]) -> List[ClosureItem]:
+        """The walk itself, from root items whose shapes are known."""
         items: List[ClosureItem] = []
         if self.order == BREADTH_FIRST:
             # Emission order is admission order: the item list is its
@@ -112,20 +141,21 @@ class ClosureWalker:
             pending = _popping(stack, items)
             admit = stack.append
         seen: Set[LongPointer] = set()
+        shapes = self._shapes
         total = 0
         for root in roots:
-            if root in seen:
+            pointer = root.pointer
+            if pointer in seen:
                 continue
-            seen.add(root)
-            admit(self._materialise(root))
-            total += self._shape(root.type_id)[0].size
+            seen.add(pointer)
+            admit(root)
+            total += shapes[pointer[2]][0].size
         budget = self.budget_bytes
         budget_left = total < budget
         unpack_raw = self.runtime.space.unpack_raw
         site_id = self.runtime.site_id
         allocation_at = self.runtime.heap.allocation_at
         resolved = self.resolved
-        shapes = self._shapes
         follow = self._follow
         new_pointer = tuple.__new__
         for item in pending:
@@ -184,26 +214,9 @@ class ClosureWalker:
         """The plan and spec of one type id (resolved at first use)."""
         shape = self._shapes.get(type_id)
         if shape is None:
-            spec = self.runtime.resolver.resolve(type_id)
-            shape = self._shapes[type_id] = (
-                wire_plan(spec, self.runtime.arch), spec,
-            )
+            plan = self.runtime.wire_plan(type_id)
+            shape = self._shapes[type_id] = (plan, plan.spec)
         return shape
-
-    def _materialise(self, pointer: LongPointer) -> ClosureItem:
-        if pointer.space_id != self.runtime.site_id:
-            raise SmartRpcError(
-                f"{pointer!r} requested from non-home space "
-                f"{self.runtime.site_id!r}"
-            )
-        allocation = self.runtime.heap.allocation_at(pointer.address)
-        if allocation is None or allocation.address != pointer.address:
-            raise DanglingPointerError(
-                f"{pointer!r} does not reference a live allocation"
-            )
-        return ClosureItem(
-            pointer, self._shape(pointer.type_id)[1], pointer.address
-        )
 
     def _pointers_to_follow(
         self, type_id: str

@@ -694,20 +694,6 @@ def handle_data_request(
             raise SmartRpcError(
                 f"unknown closure order code {order_code!r}"
             )
-        roots = []
-        site_id = runtime.site_id
-        allocation_at = runtime.heap.allocation_at
-        for address in addresses:
-            allocation = allocation_at(address)
-            if allocation is None or allocation.address != address:
-                raise SmartRpcError(
-                    f"request for dead home data at {address:#x}"
-                )
-            # Built in C, as the walk builds its pointers: the heap has
-            # just vouched for the address.
-            roots.append(tuple.__new__(
-                LongPointer, (site_id, address, allocation.type_id)
-            ))
         # Budget and order are the requester's; hints are served from
         # the home's own policy (it knows its data's traversal shape).
         walker = ClosureWalker(
@@ -717,7 +703,7 @@ def handle_data_request(
             order=order,
             hints=runtime.policy.closure_hints,
         )
-        items = walker.walk(roots)
+        items = walker.walk(addresses)
         batch = encode_batch(runtime, state, items, walker.resolved)
     except SmartRpcError as exc:
         reply = _U32.pack(_STATUS_ERROR) + string_image(str(exc))

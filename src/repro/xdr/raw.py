@@ -383,8 +383,8 @@ class WirePlan:
     """
 
     __slots__ = (
-        "size", "alignment", "steps", "flat", "pointer_offsets", "_follows",
-        "_arch",
+        "spec", "size", "alignment", "steps", "flat", "pointer_offsets",
+        "_follows", "_arch",
     )
 
     def __init__(
@@ -394,6 +394,8 @@ class WirePlan:
         steps: Sequence,
         pointer_offsets: Sequence[int],
     ) -> None:
+        #: The type the plan lays out.
+        self.spec = spec
         self.size = spec.sizeof(arch)
         self.alignment = spec.alignment(arch)
         self.steps = tuple(steps)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.xdr.arch import Architecture
 from repro.xdr.errors import XdrError
@@ -329,6 +329,9 @@ class StructType(TypeSpec):
         self.fields: Tuple[Field, ...] = tuple(fields)
         self._fields_by_name = {field.name: field for field in fields}
         self._layouts: Dict[str, "StructLayout"] = {}
+        #: Architecture name -> compiled field accessors
+        #: (:func:`repro.xdr.view.accessor_table`).
+        self._accessors: Dict[str, Any] = {}
 
     def layout(self, arch: Architecture) -> "StructLayout":
         """Field offsets, size and alignment on ``arch`` (memoised)."""

@@ -6,11 +6,25 @@ Workload code reads and writes struct fields through
 for compiled field accesses: a protected page faults exactly once, the
 fault handler fills it, and the access then completes — transparently
 to the workload, which is the paper's headline property.
+
+The field accesses are compiled as well.  A struct's
+:class:`AccessorTable` is built once per architecture and memoised on
+the spec (as ``StructType.layout`` is): each loadable member maps to
+``(offset, size, decode, encode)``, where ``decode`` turns the member's
+native bytes into its value (a C-level ``int.from_bytes`` for a
+pointer, an enum or an integer scalar) and ``encode`` checks a value
+and turns it into those bytes.  So a :meth:`StructView.get` is one
+table lookup, one ``Mem.load`` and one decode; a
+:meth:`StructView.set` is one lookup, one encode and one ``Mem.store``.
+The same table holds each array member's element accessor and the
+memoised :class:`~repro.xdr.raw.RunPlan` of every access run asked for.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+import struct
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.memory.accessor import Mem
 from repro.xdr.arch import Architecture
@@ -28,17 +42,152 @@ from repro.xdr.types import (
 
 FieldValue = Union[int, float, bytes]
 
+#: ``(size, decode, encode, struct code)`` of a member loaded in one access.
+_Access = Tuple[
+    int, Callable[[bytes], FieldValue], Callable[[FieldValue], bytes], str
+]
+
+
+def _access(spec: TypeSpec, arch: Architecture) -> Optional[_Access]:
+    """How one member of type ``spec`` is loaded and stored on ``arch``.
+
+    ``None`` for an aggregate (array, struct, union), which no single
+    access loads.  Every value check and ``XdrError`` text of a store
+    lives in the ``encode`` built here.
+    """
+    byteorder = arch.byteorder
+    if isinstance(spec, ScalarType):
+        kind = spec.kind
+        prefix = ">" if byteorder == "big" else "<"
+        codec = struct.Struct(prefix + kind.struct_code)
+        pack = codec.pack
+        if kind.is_float:
+            unpack = codec.unpack
+
+            def decode(raw: bytes) -> float:
+                return unpack(raw)[0]
+
+        else:
+            decode = partial(
+                int.from_bytes, byteorder=byteorder, signed=kind.value[2]
+            )
+
+        def encode(value: FieldValue) -> bytes:
+            if isinstance(value, bytes):
+                raise XdrError(f"scalar field given bytes value {value!r}")
+            try:
+                return pack(value)
+            except struct.error as exc:
+                raise XdrError(f"cannot pack {value!r} as {kind}") from exc
+
+        return kind.size, decode, encode, kind.struct_code
+    if isinstance(spec, PointerType):
+        width = arch.pointer_size
+
+        def encode(value: FieldValue) -> bytes:
+            if not isinstance(value, int):
+                raise XdrError(f"pointer field given {value!r}")
+            return value.to_bytes(width, byteorder)
+
+        return (
+            width, partial(int.from_bytes, byteorder=byteorder), encode,
+            pointer_code(arch),
+        )
+    if isinstance(spec, OpaqueType):
+        length = spec.length
+
+        def encode(value: FieldValue) -> bytes:
+            if not isinstance(value, bytes) or len(value) != length:
+                raise XdrError(
+                    f"opaque field of {length} bytes given {value!r}"
+                )
+            return value
+
+        # ``Mem.load`` already returns ``bytes``, which ``bytes`` hands
+        # back as it is.
+        return length, bytes, encode, f"{length}s"
+    if isinstance(spec, EnumType):
+        value_of = spec.value_of
+        valid = spec.is_valid
+
+        def encode(value: FieldValue) -> bytes:
+            if isinstance(value, str):
+                value = value_of(value)
+            if not isinstance(value, int) or not valid(value):
+                raise XdrError(f"enum field {spec.name!r} given {value!r}")
+            return value.to_bytes(4, byteorder, signed=True)
+
+        return (
+            4, partial(int.from_bytes, byteorder=byteorder, signed=True),
+            encode, "i",
+        )
+    return None
+
+
+class AccessorTable:
+    """The compiled field accessors of one struct on one architecture.
+
+    * ``fields``: member name → ``(offset, size, decode, encode)``, for
+      every member one access loads (aggregates are absent);
+    * ``elements``: array member name → ``(offset, stride, count,
+      size, decode, element spec)``, ``decode`` being ``None`` for an
+      array of aggregates;
+    * ``runs``: name tuple → :class:`~repro.xdr.raw.RunPlan`, each
+      compiled the first time its run is asked for.
+    """
+
+    __slots__ = ("fields", "elements", "runs")
+
+    def __init__(self, spec: StructType, arch: Architecture) -> None:
+        offsets = spec.layout(arch).offsets
+        self.fields: Dict[str, Tuple[int, int, Callable, Callable]] = {}
+        self.elements: Dict[str, tuple] = {}
+        self.runs = _RunPlans(spec, arch)
+        for field in spec.fields:
+            offset = offsets[field.name]
+            access = _access(field.spec, arch)
+            if access is not None:
+                size, decode, encode, _ = access
+                self.fields[field.name] = (offset, size, decode, encode)
+            elif isinstance(field.spec, ArrayType):
+                element = field.spec.element
+                access = _access(element, arch)
+                size, decode = (None, None) if access is None else access[:2]
+                self.elements[field.name] = (
+                    offset, field.spec.stride(arch), field.spec.count,
+                    size, decode, element,
+                )
+
+
+class _RunPlans(dict):
+    """One struct's run plans on one architecture, compiled on first
+    lookup: a hit is a plain subscript, with no call at all."""
+
+    __slots__ = ("spec", "arch")
+
+    def __init__(self, spec: StructType, arch: Architecture) -> None:
+        super().__init__()
+        self.spec = spec
+        self.arch = arch
+
+    def __missing__(self, names: Tuple[str, ...]) -> RunPlan:
+        plan = self[names] = _compile_run_plan(self.spec, self.arch, names)
+        return plan
+
+
+def accessor_table(spec: StructType, arch: Architecture) -> AccessorTable:
+    """The (memoised) accessor table of ``spec`` on ``arch``."""
+    table = spec._accessors.get(arch.name)
+    if table is None:
+        table = spec._accessors[arch.name] = AccessorTable(spec, arch)
+    return table
+
 
 def _field_codes(spec: TypeSpec, arch: Architecture) -> Tuple[str, int, int, int]:
     """(struct codes, in-memory size, value count, access count)."""
-    if isinstance(spec, ScalarType):
-        return spec.kind.struct_code, spec.kind.size, 1, 1
-    if isinstance(spec, PointerType):
-        return pointer_code(arch), arch.pointer_size, 1, 1
-    if isinstance(spec, OpaqueType):
-        return f"{spec.length}s", spec.length, 1, 1
-    if isinstance(spec, EnumType):
-        return "i", 4, 1, 1
+    access = _access(spec, arch)
+    if access is not None:
+        return access[3], access[0], 1, 1
     if isinstance(spec, ArrayType):
         codes, size, nvalues, accesses = _field_codes(spec.element, arch)
         if nvalues != 1 or size != spec.stride(arch):
@@ -54,20 +203,10 @@ def compile_run_plan(
 ) -> RunPlan:
     """The (memoised) bulk-read plan for ``names`` of ``spec``.
 
-    Plans are cached on the struct spec itself, keyed by architecture
-    and name tuple, so hot traversal loops compile each run once.
+    Plans are kept in the struct's accessor table for ``arch``, keyed
+    by name tuple, so hot traversal loops compile each run once.
     """
-    cache: Dict[Tuple[str, Tuple[str, ...]], RunPlan]
-    cache = getattr(spec, "_run_plans", None)
-    if cache is None:
-        cache = {}
-        spec._run_plans = cache  # type: ignore[attr-defined]
-    key = (arch.name, names)
-    plan = cache.get(key)
-    if plan is None:
-        plan = _compile_run_plan(spec, arch, names)
-        cache[key] = plan
-    return plan
+    return accessor_table(spec, arch).runs[names]
 
 
 def _compile_run_plan(
@@ -90,6 +229,8 @@ def _compile_run_plan(
 class StructView:
     """One struct instance at a fixed address, seen through ``Mem``."""
 
+    __slots__ = ("mem", "address", "spec", "arch", "_table", "_fields")
+
     def __init__(
         self,
         mem: Mem,
@@ -101,32 +242,42 @@ class StructView:
         self.address = address
         self.spec = spec
         self.arch = arch
-        self._layout = spec.layout(arch)
+        table = self._table = accessor_table(spec, arch)
+        self._fields = table.fields
 
     def field_address(self, name: str) -> int:
         """Absolute address of a member."""
-        return self.address + self._layout.offsets[name]
+        return self.address + self.spec.layout(self.arch).offsets[name]
 
     def get(self, name: str) -> FieldValue:
         """Load a member (pointer members load as integer addresses)."""
-        field = self.spec.field(name)
-        return self._load(self.field_address(name), field.spec)
+        try:
+            offset, size, decode, _ = self._fields[name]
+        except KeyError:
+            raise self._not_loadable(name, "load") from None
+        return decode(self.mem.load(self.address + offset, size))
 
     def set(self, name: str, value: FieldValue) -> None:
         """Store a member."""
-        field = self.spec.field(name)
-        self._store(self.field_address(name), field.spec, value)
+        try:
+            offset, _, _, encode = self._fields[name]
+        except KeyError:
+            raise self._not_loadable(name, "store") from None
+        self.mem.store(self.address + offset, encode(value))
 
     def element(self, name: str, index: int) -> FieldValue:
         """Load one element of an array member."""
-        field = self.spec.field(name)
-        if not isinstance(field.spec, ArrayType):
+        entry = self._table.elements.get(name)
+        if entry is None:
+            self.spec.field(name)  # an unknown member raises here
             raise XdrError(f"field {name!r} is not an array")
-        if not 0 <= index < field.spec.count:
+        offset, stride, count, size, decode, element = entry
+        if not 0 <= index < count:
             raise XdrError(f"array index {index!r} out of range")
-        stride = field.spec.stride(self.arch)
-        return self._load(
-            self.field_address(name) + index * stride, field.spec.element
+        if decode is None:
+            raise XdrError(f"cannot load aggregate field of type {element!r}")
+        return decode(
+            self.mem.load(self.address + offset + index * stride, size)
         )
 
     def get_run(self, *names: str) -> tuple:
@@ -140,7 +291,7 @@ class StructView:
         callback.  Values come back in argument order, array members
         flattened into individual elements.
         """
-        plan = compile_run_plan(self.spec, self.arch, names)
+        plan = self._table.runs[names]
         blob = self.mem.load(
             self.address + plan.start, plan.span, plan.accesses
         )
@@ -155,48 +306,7 @@ class StructView:
 
     # -- internals ----------------------------------------------------------
 
-    def _load(self, address: int, spec: TypeSpec) -> FieldValue:
-        if isinstance(spec, ScalarType):
-            raw = self.mem.load(address, spec.kind.size)
-            return spec.unpack_raw(raw, self.arch)
-        if isinstance(spec, PointerType):
-            raw = self.mem.load(address, self.arch.pointer_size)
-            return int.from_bytes(raw, self.arch.byteorder)
-        if isinstance(spec, OpaqueType):
-            return self.mem.load(address, spec.length)
-        if isinstance(spec, EnumType):
-            raw = self.mem.load(address, 4)
-            return int.from_bytes(raw, self.arch.byteorder, signed=True)
-        raise XdrError(f"cannot load aggregate field of type {spec!r}")
-
-    def _store(self, address: int, spec: TypeSpec, value: FieldValue) -> None:
-        if isinstance(spec, ScalarType):
-            if isinstance(value, bytes):
-                raise XdrError(f"scalar field given bytes value {value!r}")
-            self.mem.store(address, spec.pack_raw(value, self.arch))
-        elif isinstance(spec, PointerType):
-            if not isinstance(value, int):
-                raise XdrError(f"pointer field given {value!r}")
-            self.mem.store(
-                address,
-                value.to_bytes(self.arch.pointer_size, self.arch.byteorder),
-            )
-        elif isinstance(spec, OpaqueType):
-            if not isinstance(value, bytes) or len(value) != spec.length:
-                raise XdrError(
-                    f"opaque field of {spec.length} bytes given {value!r}"
-                )
-            self.mem.store(address, value)
-        elif isinstance(spec, EnumType):
-            if isinstance(value, str):
-                value = spec.value_of(value)
-            if not isinstance(value, int) or not spec.is_valid(value):
-                raise XdrError(
-                    f"enum field {spec.name!r} given {value!r}"
-                )
-            self.mem.store(
-                address,
-                value.to_bytes(4, self.arch.byteorder, signed=True),
-            )
-        else:
-            raise XdrError(f"cannot store aggregate field of type {spec!r}")
+    def _not_loadable(self, name: str, verb: str) -> XdrError:
+        """The error for a member missing from the accessor table."""
+        spec = self.spec.field(name).spec  # an unknown member raises here
+        return XdrError(f"cannot {verb} aggregate field of type {spec!r}")

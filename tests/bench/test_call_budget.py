@@ -14,9 +14,14 @@ encode, the batch apply and its first touch, so a change that puts
 per-datum Python back on the fill path fails.  The fourth is the other
 end of the paper's claim: once data is resident, an access costs what
 a local one does, so a change that puts per-access Python back fails
-too.  Each budget
+too.  The fifth is the program plane under writes: a visited tree node
+costs its struct-field accesses, its share of the read and write
+faults and the write-back, so a change that puts per-field or
+per-fault Python back fails.  Each budget
 is the count measured when it was set, plus 5 % headroom; lower it
-when a change makes the path cheaper.
+when a change makes the path cheaper.  Each test records its measured
+count as a junit property, so a CI run keeps the figure of every
+interpreter it ran on.
 """
 
 import sys
@@ -27,9 +32,15 @@ import pytest
 from repro.bench.harness import CALLEE, make_carrier, make_world
 from repro.simnet.message import MessageKind
 from repro.workloads.linked_list import build_list, list_client
+from repro.workloads.traversal import tree_client
+from repro.workloads.trees import build_complete_tree
 
 #: Calls per lazy fault on simnet: a 256-node ``total`` under ``lazy``,
-#: all of it (stub, faults, program) divided by its 256 faults.  204.6
+#: all of it (stub, faults, program) divided by its 256 faults.  186.6
+#: on CPython 3.11 since a protection fault goes from the token miss
+#: straight to its handler, and the home looks each requested root up
+#: in its heap once and takes its type's plan from the runtime's memo
+#: (204.6, under a budget of 214.8, before that).  204.6
 #: on CPython 3.11 since a batch's pool head is one cursor pass both
 #: ways, a placeholder is placed in one step, the batch's tail posts
 #: its ledgers itself and a BFS walk is its own queue (251.7, under a
@@ -45,14 +56,16 @@ from repro.workloads.linked_list import build_list, list_client
 #: is read by one cursor and a first touch scores its page's own rows;
 #: 286 on 3.9 and 3.11 and 283 on 3.12 before that, under a budget of
 #: 300; 427 before the exchange and data-request paths were trimmed).
-FAULT_BUDGET = 214.8
+FAULT_BUDGET = 194.8
 
 #: Calls per lazy fault on shm, as above, counted on the client thread
 #: and the home's serving thread as the echo budget counts them.
-#: 271.2 on CPython 3.11 when set, since a real carrier's runtime
-#: computes no modelled charge at all (332 before this and the
-#: simnet fault's cuts).
-SHM_FAULT_BUDGET = 284.7
+#: 253.1 on CPython 3.11 since a protection fault goes straight to its
+#: handler and the home looks each requested root up once (271.2,
+#: under a budget of 284.7, before that).  271.2 on CPython 3.11 when
+#: set, since a real carrier's runtime computes no modelled charge at
+#: all (332 before this and the simnet fault's cuts).
+SHM_FAULT_BUDGET = 264.7
 
 #: Calls per node of a cold 4096-node ``total`` under ``paper`` on
 #: simnet (after two warm sessions): the whole session — stub, four
@@ -84,6 +97,17 @@ ECHO_BUDGET = 122
 #: and a run charged the clock through ``Mem._charge``).
 RESIDENT_BUDGET = 5.36
 
+#: Calls per visited node of a ``search_update`` of 1024 nodes of a
+#: 2047-node tree under ``paper`` on simnet (after two warm sessions):
+#: the whole session — stub, 643 faults (513 of them write faults), the
+#: fills, the piggyback and write-back, and per node a ``StructView``,
+#: a ``get``, a ``set`` and a two-field run — divided by its visits.
+#: 139.3 on CPython 3.11 when set, since a struct field is a compiled
+#: accessor, a protection fault goes straight from the token miss to
+#: its handler and a write fault hands its page to ``mark_dirty_page``
+#: (167.8 before).
+WRITEBACK_VISIT_BUDGET = 145.6
+
 
 class _Counter:
     """A profile function counting Python and builtin calls."""
@@ -96,7 +120,7 @@ class _Counter:
             self.calls += 1
 
 
-def test_one_lazy_fault_stays_within_its_call_budget():
+def test_one_lazy_fault_stays_within_its_call_budget(record_property):
     world = make_world("lazy")
     head = build_list(world.caller, list(range(256)))
     stub = list_client(world.caller, CALLEE)
@@ -113,10 +137,12 @@ def test_one_lazy_fault_stays_within_its_call_budget():
             sys.setprofile(None)
     faults = world.stats.callbacks - before
     assert total == sum(range(256)) and faults == 256
-    assert counter.calls / faults <= FAULT_BUDGET, counter.calls / faults
+    per_fault = counter.calls / faults
+    record_property("calls_per_fault", round(per_fault, 2))
+    assert per_fault <= FAULT_BUDGET, per_fault
 
 
-def test_one_shm_lazy_fault_stays_within_its_call_budget():
+def test_one_shm_lazy_fault_stays_within_its_call_budget(record_property):
     counter = _Counter()
     with make_world("lazy", transport="shm") as world:
         head = build_list(world.caller, list(range(256)))
@@ -141,10 +167,11 @@ def test_one_shm_lazy_fault_stays_within_its_call_budget():
         faults = world.stats.callbacks - before
         per_fault = counter.calls / faults  # before the world closes
     assert total == sum(range(256)) and faults == 256
+    record_property("calls_per_fault", round(per_fault, 2))
     assert per_fault <= SHM_FAULT_BUDGET, per_fault
 
 
-def test_one_cold_node_stays_within_its_call_budget():
+def test_one_cold_node_stays_within_its_call_budget(record_property):
     nodes = 4096
     world = make_world("paper")
     head = build_list(world.caller, list(range(nodes)))
@@ -162,10 +189,12 @@ def test_one_cold_node_stays_within_its_call_budget():
         sys.setprofile(None)
     assert total == sum(range(nodes))
     assert world.stats.page_faults - faults == 4  # four eager fills
-    assert counter.calls / nodes <= COLD_FILL_BUDGET, counter.calls / nodes
+    per_node = counter.calls / nodes
+    record_property("calls_per_node", round(per_node, 2))
+    assert per_node <= COLD_FILL_BUDGET, per_node
 
 
-def test_one_resident_node_stays_within_its_call_budget():
+def test_one_resident_node_stays_within_its_call_budget(record_property):
     nodes = 4096
     world = make_world("paper")
     head = build_list(world.caller, list(range(nodes)))
@@ -182,11 +211,13 @@ def test_one_resident_node_stays_within_its_call_budget():
             sys.setprofile(None)
         assert world.stats.page_faults == faults  # resident throughout
     assert total == sum(range(nodes))
-    assert counter.calls / nodes <= RESIDENT_BUDGET, counter.calls / nodes
+    per_node = counter.calls / nodes
+    record_property("calls_per_node", round(per_node, 2))
+    assert per_node <= RESIDENT_BUDGET, per_node
 
 
 @pytest.mark.parametrize("carrier", ["tcp", "shm"])
-def test_one_echo_stays_within_its_call_budget(carrier):
+def test_one_echo_stays_within_its_call_budget(carrier, record_property):
     echoes = 100
     counter = _Counter()
     server = make_carrier(carrier, "B")
@@ -222,4 +253,33 @@ def test_one_echo_stays_within_its_call_budget(carrier):
     finally:
         client.close()
         server.close()
+    record_property("calls_per_echo", round(per_echo, 2))
     assert per_echo <= ECHO_BUDGET, per_echo
+
+
+def test_one_written_tree_node_stays_within_its_call_budget(record_property):
+    visits = 1024
+    world = make_world("paper")
+    root = build_complete_tree(world.caller, 2047)
+    stub = tree_client(world.caller, CALLEE)
+    checksums = []
+    for _ in range(2):  # resolve types, warm every memo
+        with world.caller.session() as session:
+            checksums.append(stub.search_update(session, root, visits))
+    faults = world.stats.page_faults
+    write_faults = world.stats.write_faults
+    counter = _Counter()
+    sys.setprofile(counter)
+    try:
+        with world.caller.session() as session:
+            checksum = stub.search_update(session, root, visits)
+    finally:
+        sys.setprofile(None)
+    # Every visited node's data went up by one per session, and came home.
+    assert checksums[1] == checksums[0] + visits
+    assert checksum == checksums[0] + 2 * visits
+    assert world.stats.page_faults - faults == 643
+    assert world.stats.write_faults - write_faults == 513
+    per_node = counter.calls / visits
+    record_property("calls_per_visited_node", round(per_node, 2))
+    assert per_node <= WRITEBACK_VISIT_BUDGET, per_node

@@ -69,14 +69,13 @@ def build_slice(pair: SmartPair, kind: str, walk: str = "bfs"):
     """
     home = pair.a
     if kind == "list":
-        root, type_id = build_list(home, list(range(-20, 20))), LIST_NODE_TYPE_ID
+        root = build_list(home, list(range(-20, 20)))
         budget = 25 * 8
     elif kind == "tree":
-        root, type_id = build_complete_tree(home, 31), TREE_NODE_TYPE_ID
+        root = build_complete_tree(home, 31)
         budget = 12 * 16
     else:
         root, _ = build_hash_table(home, [3 * k + 1 for k in range(40)])
-        type_id = HASH_TABLE_TYPE_ID
         budget = 1024 + 10 * 32  # the bucket array and ten chain nodes
     state = home.ensure_smart_session(SESSION, "A")
     hints = None
@@ -91,7 +90,7 @@ def build_slice(pair: SmartPair, kind: str, walk: str = "bfs"):
         order=DEPTH_FIRST if walk == "dfs" else BREADTH_FIRST,
         hints=hints,
     )
-    items = walker.walk([LongPointer("A", root, type_id)])
+    items = walker.walk([root])
     assert len(items) > 5
     return state, walker, items
 

@@ -220,7 +220,7 @@ class TestDirtiness:
         cache = callee_state.cache
         entry = cache.ensure_entry(remote_pointer())
         cache.mark_resident(entry)
-        cache.mark_dirty_page(entry.page_number)
+        cache.mark_dirty_page(cache.pages[entry.page_number])
         assert entry.page_number in cache.dirty_pages
         space = smart_pair.b.space
         assert (
@@ -232,15 +232,15 @@ class TestDirtiness:
         cache = callee_state.cache
         entry = cache.ensure_entry(remote_pointer())
         cache.mark_resident(entry)
-        cache.mark_dirty_page(entry.page_number)
-        cache.mark_dirty_page(entry.page_number)
+        cache.mark_dirty_page(cache.pages[entry.page_number])
+        cache.mark_dirty_page(cache.pages[entry.page_number])
         assert len(cache.dirty_pages) == 1
 
     def test_dirty_before_fill_rejected(self, callee_state):
         cache = callee_state.cache
         entry = cache.ensure_entry(remote_pointer())
         with pytest.raises(SmartRpcError):
-            cache.mark_dirty_page(entry.page_number)
+            cache.mark_dirty_page(cache.pages[entry.page_number])
 
     def test_dirty_entries_lists_page_contents(self, callee_state):
         cache = callee_state.cache
@@ -248,7 +248,7 @@ class TestDirtiness:
         second = cache.ensure_entry(remote_pointer(0x2000))
         for entry in (first, second):
             cache.mark_resident(entry)
-        cache.mark_dirty_page(first.page_number)
+        cache.mark_dirty_page(cache.pages[first.page_number])
         dirty = cache.dirty_entries()
         assert set(id(e) for e in dirty) == {id(first), id(second)}
 

@@ -7,7 +7,7 @@ from repro.smartrpc.closure import (
     DEPTH_FIRST,
     ClosureWalker,
 )
-from repro.smartrpc.errors import DanglingPointerError, SmartRpcError
+from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
 from repro.workloads.trees import TREE_NODE_TYPE_ID, build_complete_tree
 
@@ -24,45 +24,32 @@ def walker(runtime, state, budget, order=BREADTH_FIRST):
     return ClosureWalker(runtime, state, budget, order=order)
 
 
-def root_pointer(runtime, root):
-    return LongPointer(runtime.site_id, root, TREE_NODE_TYPE_ID)
-
-
 NODE = 16  # bytes per node on the SPARC home
 
 
 class TestBudget:
     def test_zero_budget_sends_roots_only(self, home):
         runtime, state, root = home
-        items = walker(runtime, state, 0).walk([root_pointer(runtime, root)])
+        items = walker(runtime, state, 0).walk([root])
         assert len(items) == 1
         assert items[0].pointer.address == root
 
     def test_budget_counts_bytes(self, home):
         runtime, state, root = home
-        items = walker(runtime, state, 5 * NODE).walk(
-            [root_pointer(runtime, root)]
-        )
+        items = walker(runtime, state, 5 * NODE).walk([root])
         assert len(items) == 5
 
     def test_budget_larger_than_graph_sends_everything(self, home):
         runtime, state, root = home
-        items = walker(runtime, state, 10**6).walk(
-            [root_pointer(runtime, root)]
-        )
+        items = walker(runtime, state, 10**6).walk([root])
         assert len(items) == 15
 
     def test_roots_always_included_even_over_budget(self, home):
         runtime, state, root = home
-        pointers = [root_pointer(runtime, root)]
-        # add the two children as roots as well
+        # the two children are roots as well
         left = runtime.codec.read_pointer(root)
         right = runtime.codec.read_pointer(root + 4)
-        pointers += [
-            LongPointer("A", left, TREE_NODE_TYPE_ID),
-            LongPointer("A", right, TREE_NODE_TYPE_ID),
-        ]
-        items = walker(runtime, state, 0).walk(pointers)
+        items = walker(runtime, state, 0).walk([root, left, right])
         assert len(items) == 3
 
     def test_negative_budget_rejected(self, home):
@@ -74,9 +61,7 @@ class TestBudget:
 class TestTraversalOrder:
     def test_bfs_visits_level_by_level(self, home):
         runtime, state, root = home
-        items = walker(runtime, state, 7 * NODE).walk(
-            [root_pointer(runtime, root)]
-        )
+        items = walker(runtime, state, 7 * NODE).walk([root])
         data = [
             runtime.space.read_raw(item.address + 8, 8) for item in items
         ]
@@ -85,9 +70,7 @@ class TestTraversalOrder:
 
     def test_dfs_dives_deep_first(self, home):
         runtime, state, root = home
-        items = walker(runtime, state, 4 * NODE, DEPTH_FIRST).walk(
-            [root_pointer(runtime, root)]
-        )
+        items = walker(runtime, state, 4 * NODE, DEPTH_FIRST).walk([root])
         indices = [
             int.from_bytes(
                 runtime.space.read_raw(item.address + 8, 8), "big"
@@ -118,9 +101,7 @@ class TestSharingAndCycles:
         runtime.codec.write_pointer(parent + 4, shared)  # right
         runtime.codec.write_pointer(shared, 0)
         runtime.codec.write_pointer(shared + 4, 0)
-        items = walker(runtime, state, 10**6).walk(
-            [LongPointer("A", parent, TREE_NODE_TYPE_ID)]
-        )
+        items = walker(runtime, state, 10**6).walk([parent])
         assert len(items) == 2
 
     def test_cycle_terminates(self, smart_pair):
@@ -132,33 +113,30 @@ class TestSharingAndCycles:
         second = runtime.heap.malloc(size, TREE_NODE_TYPE_ID)
         runtime.codec.write_pointer(first, second)
         runtime.codec.write_pointer(second, first)  # cycle
-        items = walker(runtime, state, 10**6).walk(
-            [LongPointer("A", first, TREE_NODE_TYPE_ID)]
-        )
+        items = walker(runtime, state, 10**6).walk([first])
         assert len(items) == 2
 
 
 class TestErrors:
     def test_dangling_root_rejected(self, home):
         runtime, state, root = home
-        with pytest.raises(DanglingPointerError):
-            walker(runtime, state, 0).walk(
-                [LongPointer("A", 0x99999, TREE_NODE_TYPE_ID)]
-            )
+        with pytest.raises(SmartRpcError, match="dead home data at 0x99999"):
+            walker(runtime, state, 0).walk([0x99999])
 
     def test_non_home_root_rejected(self, home):
+        """An address of this space's cache of another space's data is
+        not home data: the request for it fails."""
         runtime, state, root = home
-        with pytest.raises(SmartRpcError):
-            walker(runtime, state, 0).walk(
-                [LongPointer("Z", 0x1000, TREE_NODE_TYPE_ID)]
-            )
+        entry = state.cache.ensure_entry(
+            LongPointer("Z", 0x1000, TREE_NODE_TYPE_ID)
+        )
+        with pytest.raises(SmartRpcError, match="dead home data"):
+            walker(runtime, state, 0).walk([entry.local_address])
 
     def test_interior_root_rejected(self, home):
         runtime, state, root = home
-        with pytest.raises(DanglingPointerError):
-            walker(runtime, state, 0).walk(
-                [LongPointer("A", root + 4, TREE_NODE_TYPE_ID)]
-            )
+        with pytest.raises(SmartRpcError, match="dead home data"):
+            walker(runtime, state, 0).walk([root + 4])
 
     def test_pointer_into_foreign_cache_not_traversed(self, smart_pair):
         """A home serves only its own heap; pointers into its cache of a
@@ -173,7 +151,5 @@ class TestErrors:
         entry = state.cache.ensure_entry(foreign)
         runtime.codec.write_pointer(parent, entry.local_address)
         runtime.codec.write_pointer(parent + 4, 0)
-        items = walker(runtime, state, 10**6).walk(
-            [LongPointer("A", parent, TREE_NODE_TYPE_ID)]
-        )
+        items = walker(runtime, state, 10**6).walk([parent])
         assert len(items) == 1  # only the parent is served

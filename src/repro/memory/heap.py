@@ -8,9 +8,11 @@ jobs and this class implements both:
   runtime can walk the transitive closure of a pointer (it knows where
   the pointer fields are) and can encode the data canonically for a
   heterogeneous peer;
-* an arbitrary interior address can be resolved back to the allocation
-  containing it, which is how *unswizzling* turns an ordinary local
-  pointer into a long pointer.
+* an address can be resolved back to its allocation: a long pointer
+  names an allocation base, so the runtime resolves one by a single
+  probe of the base-address dict (:attr:`Heap.allocation_based_at`);
+  an arbitrary interior address resolves by a bisect
+  (:meth:`Heap.allocation_at`).
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ class Heap:
     def __init__(self, space: AddressSpace) -> None:
         self.space = space
         self._allocations: Dict[int, Allocation] = {}
+        #: The live allocation starting exactly at an address, or
+        #: ``None`` — the base-address dict's own ``get``: a long
+        #: pointer always names a base, and the home resolves one per
+        #: datum it walks, encodes or applies.
+        self.allocation_based_at = self._allocations.get
         self._sorted_addresses: List[int] = []
         self._free_lists: Dict[int, List[int]] = {}
         self._bump = 0
@@ -104,10 +111,6 @@ class Heap:
         if address < candidate.address + candidate.size:
             return candidate
         return None
-
-    def owns(self, address: int) -> bool:
-        """Whether ``address`` points into any live allocation."""
-        return self.allocation_at(address) is not None
 
     @property
     def live_allocations(self) -> List[Allocation]:

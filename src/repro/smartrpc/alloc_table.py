@@ -38,36 +38,21 @@ class AllocEntry:
     same object, which lets sets of entries (the relayed
     modified-data-set) survive provisional-pointer repointing.  Slots
     written out by hand (``dataclass(slots=True)`` needs Python 3.10):
-    a cold session holds one row per placeholder.
+    a cold session holds one row per placeholder, each built by
+    :func:`alloc_entry` — no ``__init__`` frame per row.
+
+    Beside the paper's three columns a row carries its local size and
+    residency, and the shipped-vs-touched accounting (the adaptive
+    policy's signal): ``shipped`` marks data that arrived on the
+    fault-driven fill path, ``prefetched`` the subset shipped beyond
+    the demanded roots, ``touched`` whether the program ever accessed
+    it.
     """
 
     __slots__ = (
         "pointer", "local_address", "size", "page_number", "offset",
         "resident", "shipped", "prefetched", "touched",
     )
-
-    def __init__(
-        self,
-        pointer: LongPointer,
-        local_address: int,
-        size: int,
-        page_number: int,
-        offset: int,
-        resident: bool = False,
-    ) -> None:
-        self.pointer = pointer
-        self.local_address = local_address
-        self.size = size
-        self.page_number = page_number
-        self.offset = offset
-        self.resident = resident
-        #: Shipped-vs-touched accounting (the adaptive policy's signal):
-        #: ``shipped`` marks data that arrived on the fault-driven fill
-        #: path, ``prefetched`` the subset shipped beyond the demanded
-        #: roots, ``touched`` whether the program ever accessed it.
-        self.shipped = False
-        self.prefetched = False
-        self.touched = False
 
     @property
     def end(self) -> int:
@@ -83,6 +68,26 @@ class AllocEntry:
             f"AllocEntry({self.pointer!r} at {self.local_address:#x}, "
             f"{self.size} B{', resident' if self.resident else ''})"
         )
+
+
+def alloc_entry(
+    pointer: LongPointer,
+    local_address: int,
+    size: int,
+    page_number: int,
+    offset: int,
+    resident: bool = False,
+) -> AllocEntry:
+    """A new table row, not yet shipped or touched."""
+    entry = AllocEntry()
+    entry.pointer = pointer
+    entry.local_address = local_address
+    entry.size = size
+    entry.page_number = page_number
+    entry.offset = offset
+    entry.resident = resident
+    entry.shipped = entry.prefetched = entry.touched = False
+    return entry
 
 
 class DataAllocationTable:

@@ -28,7 +28,11 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.memory.faults import AccessViolation, FaultKind
 from repro.memory.page import Protection
-from repro.smartrpc.alloc_table import AllocEntry, DataAllocationTable
+from repro.smartrpc.alloc_table import (
+    AllocEntry,
+    DataAllocationTable,
+    alloc_entry,
+)
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
 
@@ -41,6 +45,9 @@ PACKED = "packed"
 STRATEGIES = (SINGLE_HOME, ISOLATED, PACKED)
 _FRESH = "fresh"
 _REMOTE = "remote"
+#: Read once per placeholder page: an enum member is a descriptor
+#: lookup on the class, a module global is not.
+_PROTECTED = Protection.NONE
 
 
 class CachePage(list):
@@ -53,33 +60,26 @@ class CachePage(list):
     ``number``, ``protection``, ``data``) and the cache's bookkeeping
     for it.  A cold session maps a placeholder page per datum, so one
     object per page, not four, is what keeps the cyclic collector's
-    work down.  Slots are written out by hand for Python 3.9.
+    work down, and each is built by :func:`cache_page`, with no
+    ``__init__`` frame.  Slots are written out by hand for Python 3.9:
+
+    * ``cache`` — the owning cache: faults and first touches route
+      through it;
+    * ``number`` — set by the space when it maps the page;
+    * ``data`` — backed only as far as written (see
+      :class:`~repro.memory.page.Page`): a protected page area
+      "contains no data at this time";
+    * ``version`` — write generation of the page's contents, bumped on
+      each traced modification; faults record the version they observe
+      so the offline sanitizer can detect stale reads (SRPC401);
+    * ``stamp`` — the session epoch of the page's last write fault: the
+      peers that crossed with this space since then may lack its data.
     """
 
     __slots__ = (
         "cache", "number", "protection", "data", "home", "bump", "closed",
         "dirty", "version", "stamp",
     )
-
-    def __init__(self, cache: "CacheManager", home: str) -> None:
-        #: The owning cache: faults and first touches route through it.
-        self.cache = cache
-        self.protection = Protection.NONE
-        #: Backed only as far as written (see
-        #: :class:`~repro.memory.page.Page`): a protected page area
-        #: "contains no data at this time".
-        self.data = bytearray()
-        self.home = home
-        self.bump = 0
-        self.closed = False
-        self.dirty = False
-        #: Write generation of the page's contents, bumped on each
-        #: traced modification; faults record the version they observe
-        #: so the offline sanitizer can detect stale reads (SRPC401).
-        self.version = 0
-        #: The session epoch of the page's last write fault: the peers
-        #: that crossed with this space since then may lack its data.
-        self.stamp = 0
 
     @property
     def complete(self) -> bool:
@@ -88,6 +88,18 @@ class CachePage(list):
             if not entry.resident:
                 return False
         return True
+
+
+def cache_page(cache: "CacheManager", home: str) -> CachePage:
+    """A new, empty, protected page of ``cache`` holding ``home``'s data."""
+    page = CachePage()
+    page.cache = cache
+    page.protection = _PROTECTED
+    page.data = bytearray()
+    page.home = home
+    page.bump = page.version = page.stamp = 0
+    page.closed = page.dirty = False
+    return page
 
 
 class CacheManager:
@@ -124,9 +136,10 @@ class CacheManager:
         # READ_WRITE until the crossing re-protects them.
         self._written: Set[int] = set()
         #: Shipped entries the program has not yet touched.  While it is
-        #: non-zero the access observer scores program accesses to this
-        #: cache's pages through :meth:`note_touch_range`, which settles
-        #: each page as soon as that page holds no such entry: ``Mem``
+        #: non-zero the access observer
+        #: (:meth:`SmartRpcRuntime._note_program_access`) scores program
+        #: accesses to this cache's pages, and settles each page as soon
+        #: as that page holds no such entry: ``Mem``
         #: stops reporting it until the next generation bump — the
         #: steady-state fast path.  Once it is zero every page settles
         #: at its next access without a scoring pass.
@@ -253,7 +266,7 @@ class CacheManager:
                 if page.closed or offset + size > page_size:
                     page = None
         if page is None:
-            page = CachePage(self, home)
+            page = cache_page(self, home)
             number = self.space.map_page(page)
             self.pages[number] = page
             if key is None:
@@ -263,7 +276,7 @@ class CacheManager:
             offset = 0
         else:
             number = page.number
-        entry = AllocEntry(
+        entry = alloc_entry(
             pointer, number * page_size + offset, size, number, offset,
             resident,
         )
@@ -277,11 +290,11 @@ class CacheManager:
     ) -> AllocEntry:
         pages = -(-size // self.page_size)
         for _ in range(pages):
-            page = CachePage(self, pointer.space_id)
+            page = cache_page(self, pointer.space_id)
             page.closed = True
             self.pages[self.space.map_page(page)] = page
         first = page.number - pages + 1  # map_page numbers consecutively
-        entry = AllocEntry(
+        entry = alloc_entry(
             pointer, first * self.page_size, size, first, 0, resident
         )
         self.table.add(entry)
@@ -364,48 +377,6 @@ class CacheManager:
                     f"{page.number}"
                 )
         self.runtime.stats.pages_filled += 1
-
-    # -- shipped-vs-touched accounting ----------------------------------------
-
-    def note_touch_range(self, address: int, size: int) -> bool:
-        """Score a program access run of ``size`` bytes at ``address``,
-        which lies within one page of this cache; whether that page is
-        now settled.
-
-        The bulk access path's coalesced observer callback: every
-        shipped row of the page that the run overlaps is scored
-        touched, exactly as the per-access loop would have scored them
-        one by one, and their bytes are posted to both ledgers at once.
-        The page is settled when none of its rows is shipped and still
-        untouched: a page mapped readable never gains such a row (see
-        :meth:`SmartRpcRuntime._note_program_access`), so no later
-        access to it can score, and the observer tells ``Mem`` to stop
-        reporting it until the next generation bump.
-        """
-        reach = address + size if size > 0 else address + 1
-        settled = True
-        rows = touched = prefetched = 0
-        for entry in self.pages[address // self.page_size]:
-            if entry.touched or not entry.shipped:
-                continue
-            start = entry.local_address
-            if start < reach and address < start + entry.size:
-                entry.touched = True
-                rows += 1
-                touched += entry.size
-                if entry.prefetched:
-                    prefetched += entry.size
-            else:
-                settled = False
-        if rows:
-            self.untouched_shipped -= rows
-            for ledger in (
-                self.state.transfer_stats,
-                self.runtime.stats.transfer_ledger,
-            ):
-                ledger.closure_bytes_touched += touched
-                ledger.prefetch_bytes_touched += prefetched
-        return settled
 
     # -- residency and dirtiness ----------------------------------------------
 

@@ -36,21 +36,24 @@ class ClosureItem:
     ``values`` is the datum's ``flat.native`` image once a walk has
     read it, so the encoder packs from it instead of reading the heap
     a second time; ``None`` until then (and for a type with a union).
+    Built only by :func:`closure_item`: a walk makes one per datum, and
+    the class has no ``__init__``, whose frame CPython 3.11 does not
+    inline.
     """
 
     __slots__ = ("pointer", "spec", "address", "values")
 
-    def __init__(
-        self,
-        pointer: LongPointer,
-        spec: TypeSpec,
-        address: int,
-        values: Optional[tuple] = None,
-    ) -> None:
-        self.pointer = pointer
-        self.spec = spec
-        self.address = address
-        self.values = values
+
+def closure_item(
+    pointer: LongPointer, spec: TypeSpec, address: int
+) -> ClosureItem:
+    """A new :class:`ClosureItem` whose values are not yet read."""
+    item = ClosureItem()
+    item.pointer = pointer
+    item.spec = spec
+    item.address = address
+    item.values = None
+    return item
 
 
 class ClosureWalker:
@@ -106,12 +109,12 @@ class ClosureWalker:
         for BFS, branch by branch for DFS).
         """
         site_id = self.runtime.site_id
-        allocation_at = self.runtime.heap.allocation_at
+        allocation_based_at = self.runtime.heap.allocation_based_at
         shapes = self._shapes
         roots = []
         for address in addresses:
-            allocation = allocation_at(address)
-            if allocation is None or allocation.address != address:
+            allocation = allocation_based_at(address)
+            if allocation is None:
                 raise SmartRpcError(
                     f"request for dead home data at {address:#x}"
                 )
@@ -121,7 +124,7 @@ class ClosureWalker:
             )
             # Built in C, as the walk builds its pointers: the heap has
             # just vouched for the address.
-            roots.append(ClosureItem(
+            roots.append(closure_item(
                 tuple.__new__(LongPointer, (site_id, address, type_id)),
                 shape[1],
                 address,
@@ -154,7 +157,7 @@ class ClosureWalker:
         budget_left = total < budget
         unpack_raw = self.runtime.space.unpack_raw
         site_id = self.runtime.site_id
-        allocation_at = self.runtime.heap.allocation_at
+        allocation_based_at = self.runtime.heap.allocation_based_at
         resolved = self.resolved
         follow = self._follow
         new_pointer = tuple.__new__
@@ -181,8 +184,8 @@ class ClosureWalker:
                 if value in resolved:
                     child = resolved[value]
                 else:
-                    allocation = allocation_at(value)
-                    if allocation is None or allocation.address != value:
+                    allocation = allocation_based_at(value)
+                    if allocation is None:
                         # A pointer into this space's *cache* of a
                         # third space: the requester must fetch it from
                         # that space; do not traverse.
@@ -205,7 +208,7 @@ class ClosureWalker:
                     break
                 seen.add(child)
                 total += plan.size
-                admit(ClosureItem(child, spec, value))
+                admit(closure_item(child, spec, value))
         return items
 
     # -- internals -----------------------------------------------------------

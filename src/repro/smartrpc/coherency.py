@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Dict, List
 from repro.simnet.message import Message, MessageKind
 from repro.smartrpc import transfer
 from repro.smartrpc.alloc_table import AllocEntry
-from repro.smartrpc.closure import ClosureItem
+from repro.smartrpc.closure import ClosureItem, closure_item
 from repro.smartrpc.errors import SmartRpcError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.types import TypeSpec
@@ -91,7 +91,7 @@ def _items(
             spec = specs[type_id]
         else:
             spec = specs[type_id] = runtime.resolver.resolve(type_id)
-        items.append(ClosureItem(pointer, spec, entry.local_address))
+        items.append(closure_item(pointer, spec, entry.local_address))
     return items
 
 

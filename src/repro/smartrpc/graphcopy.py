@@ -51,8 +51,8 @@ def encode_graph(
             return None
         index = indices.get(pointer)
         if index is None:
-            allocation = runtime.heap.allocation_at(pointer)
-            if allocation is None or allocation.address != pointer:
+            allocation = runtime.heap.allocation_based_at(pointer)
+            if allocation is None:
                 raise MarshalError(
                     f"eager RPC cannot copy {pointer:#x}: not a live "
                     "allocation base in the caller's heap"

@@ -95,8 +95,7 @@ def extended_free(
         state.relayed_dirty.pop(entry, None)
         runtime.stats.remote_frees += 1
         return
-    allocation = runtime.heap.allocation_at(pointer)
-    if allocation is None or allocation.address != pointer:
+    if runtime.heap.allocation_based_at(pointer) is None:
         raise SwizzleError(
             f"extended_free of {pointer:#x}: not a live allocation or "
             "cache entry"

@@ -224,49 +224,71 @@ class SmartRpcRuntime(RpcRuntime):
         page.cache.handle_fault(fault)
 
     def _note_program_access(
-        self, address: int, size: int, _write: bool
+        self, address: int, size: int, write: bool
     ) -> bool:
-        # The Mem observer: the program plane touched local memory.
-        # Only cache pages holding untouched shipped data matter for
-        # shipped-vs-touched accounting.  Bulk runs arrive as one
-        # coalesced callback covering the whole byte range; every
-        # overlapping entry is scored.
-        #
-        # The answer for a one-page access is "settled" once no later
-        # access to this page can score, so Mem stops reporting it
-        # until the space's generation moves.  That holds for a page of
-        # no cache, and for a cache page none of whose rows is shipped
-        # and still untouched (DESIGN.md §15): a row is flagged shipped
-        # only on the fill path, for a row not yet resident, and such a
-        # row's page is mapped NONE (a page is released only once every
-        # row on it is resident, and a released page takes no new
-        # rows).  A page leaves NONE only through ``protect`` /
-        # ``protect_pages``, which bump the generation, so while a page
-        # is readable — the only pages whose tokens settle — none of
-        # its rows can become untouched shipped data.  A span's answer
-        # is never asked.
-        page_of = self.space.page_if_mapped
+        """The ``Mem`` observer, and the one scorer of a first touch.
+
+        The program plane touched ``size`` bytes at ``address``.  Only
+        cache pages holding untouched shipped data matter for
+        shipped-vs-touched accounting: every shipped row of the page
+        that the access overlaps is scored touched, and the bytes are
+        posted to the session's and the runtime's ledgers at once.  A
+        bulk run arrives as one callback over its whole byte range; one
+        that crosses pages is scored page by page through this same
+        method, and its answer is never asked.
+
+        The answer for a one-page access is "settled" once no later
+        access to this page can score, so ``Mem`` stops reporting it
+        until the space's generation moves.  That holds for a page of
+        no cache, and for a cache page none of whose rows is shipped
+        and still untouched (DESIGN.md §15): a row is flagged shipped
+        only on the fill path, for a row not yet resident, and such a
+        row's page is mapped NONE (a page is released only once every
+        row on it is resident, and a released page takes no new rows).
+        A page leaves NONE only through ``protect`` /
+        ``protect_pages``, which bump the generation, so while a page
+        is readable — the only pages whose tokens settle — none of its
+        rows can become untouched shipped data.
+        """
         page_size = self.space.page_size
         first = address // page_size
-        last = (address + size - 1) // page_size if size > 1 else first
-        if first == last:
-            page = page_of(first)
-            if type(page) is not CachePage:  # no cache's page
-                return True
-            cache = page.cache
-            if not cache.untouched_shipped:
-                return True
-            return cache.note_touch_range(address, size)
-        cursor = address
-        remaining = size
-        for number in range(first, last + 1):
-            chunk = min(remaining, (number + 1) * page_size - cursor)
-            cache = getattr(page_of(number), "cache", None)
-            if cache is not None and cache.untouched_shipped:
-                cache.note_touch_range(cursor, chunk)
-            cursor += chunk
-            remaining -= chunk
-        return False
+        if size > 1 and (address + size - 1) // page_size != first:
+            end = address + size
+            while address < end:
+                stop = min(end, (address // page_size + 1) * page_size)
+                self._note_program_access(address, stop - address, write)
+                address = stop
+            return False
+        page = self.space.page_if_mapped(first)
+        if type(page) is not CachePage:  # no cache's page
+            return True
+        cache = page.cache
+        if not cache.untouched_shipped:
+            return True
+        reach = address + size if size > 0 else address + 1
+        settled = True
+        rows = touched = prefetched = 0
+        for entry in page:
+            if entry.touched or not entry.shipped:
+                continue
+            start = entry.local_address
+            if start < reach and address < start + entry.size:
+                entry.touched = True
+                rows += 1
+                touched += entry.size
+                if entry.prefetched:
+                    prefetched += entry.size
+            else:
+                settled = False
+        if rows:
+            cache.untouched_shipped -= rows
+            ledger = cache.state.transfer_stats
+            ledger.closure_bytes_touched += touched
+            ledger.prefetch_bytes_touched += prefetched
+            ledger = self.stats.transfer_ledger
+            ledger.closure_bytes_touched += touched
+            ledger.prefetch_bytes_touched += prefetched
+        return settled
 
     # -- session plumbing -----------------------------------------------------
 

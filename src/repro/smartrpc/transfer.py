@@ -248,7 +248,7 @@ def apply_batch(
     aligns: List[int] = [0] * known
     wire_plan_of = runtime.wire_plan
     site_id = runtime.site_id
-    owns = runtime.heap.owns
+    allocation_based_at = runtime.heap.allocation_based_at
     space = runtime.space
     store = runtime.codec.store
     cache = state.cache
@@ -323,8 +323,9 @@ def apply_batch(
                         if not values[index + 3]:
                             raise _zero_address()
             if home:
-                # We are the home: the batch updates original data.
-                if not owns(address):
+                # We are the home: the batch updates original data,
+                # named by its allocation's base.
+                if allocation_based_at(address) is None:
                     raise SmartRpcError(
                         "batch updates dead home data "
                         f"{LongPointer(space_id, address, type_id)!r}"

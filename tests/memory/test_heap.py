@@ -91,11 +91,11 @@ class TestLookup:
         hit = heap.allocation_at(a + 16)
         assert hit is None or hit.address == b
 
-    def test_owns(self, heap):
+    def test_base_probe_names_only_a_base(self, heap):
         a = heap.malloc(16, "t")
-        assert heap.owns(a)
-        assert heap.owns(a + 15)
-        assert not heap.owns(0)
+        assert heap.allocation_based_at(a) is heap.allocation_at(a)
+        assert heap.allocation_based_at(a + 15) is None
+        assert heap.allocation_based_at(0) is None
 
     def test_live_allocations_sorted_by_address(self, heap):
         addresses = [heap.malloc(16, "t") for _ in range(10)]
@@ -113,7 +113,7 @@ class TestGrowth:
         addresses = [heap.malloc(1000, "t") for _ in range(200)]
         assert len(set(addresses)) == 200
         for address in addresses:
-            assert heap.owns(address)
+            assert heap.allocation_based_at(address) is not None
 
     def test_allocations_never_overlap(self, heap):
         import random

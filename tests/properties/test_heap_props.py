@@ -5,12 +5,23 @@ from hypothesis import strategies as st
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.heap import Heap
-from repro.smartrpc.alloc_table import AllocEntry, DataAllocationTable
+from repro.smartrpc.alloc_table import DataAllocationTable, alloc_entry
 from repro.smartrpc.long_pointer import LongPointer
 
 # A step is (op, size) where op True = malloc, False = free-oldest.
 steps = st.lists(
     st.tuples(st.booleans(), st.integers(min_value=1, max_value=500)),
+    max_size=120,
+)
+
+# (op, size, pick): malloc one of a few sizes, or free the live block
+# ``pick`` names — so the per-size free lists are reused.
+reuse_steps = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from([8, 16, 24, 40]),
+        st.integers(min_value=0, max_value=1000),
+    ),
     max_size=120,
 )
 
@@ -55,6 +66,35 @@ class TestHeapInvariants:
             )
             assert heap.allocation_at(probe) is expected
 
+    @settings(max_examples=50)
+    @given(reuse_steps)
+    def test_base_probe_is_the_lookup_at_a_base(self, operations):
+        # Few sizes, frees anywhere: freed blocks are handed out again.
+        heap = Heap(AddressSpace("T"))
+        live, freed = [], set()
+        for is_malloc, size, pick in operations:
+            if is_malloc or not live:
+                address = heap.malloc(size, "t")
+                live.append(address)
+                freed.discard(address)
+            else:
+                address = live.pop(pick % len(live))
+                heap.free(address)
+                freed.add(address)
+        assert len(live) == len(set(live))
+        probes = {0, 1, 1 << 40}
+        for address in live + sorted(freed):
+            probes.update((address, address + 1, address + 7, address - 8))
+        for probe in probes:
+            allocation = heap.allocation_at(probe)
+            if allocation is not None and allocation.address != probe:
+                allocation = None
+            assert heap.allocation_based_at(probe) is allocation
+        for address in live:
+            assert heap.allocation_based_at(address).address == address
+        for address in freed:
+            assert heap.allocation_based_at(address) is None
+
 
 entry_plans = st.lists(
     st.tuples(
@@ -74,7 +114,7 @@ class TestAllocationTableInvariants:
         local = 0x10000
         entries = []
         for home_address, size in plans:
-            entry = AllocEntry(
+            entry = alloc_entry(
                 pointer=LongPointer("A", home_address, "t"),
                 local_address=local,
                 size=size,
@@ -100,7 +140,7 @@ class TestAllocationTableInvariants:
         local = 0x10000
         entries = []
         for home_address, size in plans:
-            entry = AllocEntry(
+            entry = alloc_entry(
                 pointer=LongPointer("A", home_address, "t"),
                 local_address=local,
                 size=size,

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.smartrpc.alloc_table import AllocEntry, DataAllocationTable
+from repro.smartrpc.alloc_table import DataAllocationTable, alloc_entry
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import PROVISIONAL_BASE, LongPointer
 
 
 def entry(space="A", address=0x1000, local=0x5000, size=16, page=5,
           offset=0):
-    return AllocEntry(
+    return alloc_entry(
         pointer=LongPointer(space, address, "t"),
         local_address=local,
         size=size,

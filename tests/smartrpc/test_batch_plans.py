@@ -16,8 +16,8 @@ from repro.smartrpc import transfer
 from repro.smartrpc.closure import (
     BREADTH_FIRST,
     DEPTH_FIRST,
-    ClosureItem,
     ClosureWalker,
+    closure_item,
 )
 from repro.smartrpc.errors import (
     DanglingPointerError,
@@ -166,7 +166,7 @@ class TestEncodeMatchesReference:
             pair.b, state_b, transfer.encode_batch(pair.a, state_a, items), False
         )
         cached = [
-            ClosureItem(
+            closure_item(
                 entry.pointer,
                 pair.b.resolver.resolve(entry.pointer.type_id),
                 entry.local_address,
@@ -260,7 +260,7 @@ class TestApplyMatchesReference:
                     flipped = pair.b.space.read_raw(last, 1)[0] ^ 0x55
                     pair.b.space.write_raw(last, bytes([flipped]))
                 cached.append(
-                    ClosureItem(entry.pointer, spec, entry.local_address)
+                    closure_item(entry.pointer, spec, entry.local_address)
                 )
             back = transfer.encode_batch(pair.b, state_b, cached)
             before = pair.a.stats.entries_transferred
@@ -300,7 +300,7 @@ def worlds(smart_pair):
 
 def tree_item(runtime, address):
     spec = runtime.resolver.resolve(TREE_NODE_TYPE_ID)
-    return ClosureItem(
+    return closure_item(
         LongPointer("A", address, TREE_NODE_TYPE_ID), spec, address
     )
 
@@ -324,7 +324,7 @@ def typed_datum(runtime, type_id, words):
             address + 4 * index,
             word.to_bytes(4, runtime.arch.byteorder, signed=True),
         )
-    return ClosureItem(LongPointer("A", address, type_id), spec, address)
+    return closure_item(LongPointer("A", address, type_id), spec, address)
 
 
 class TestEveryCheckStays:
@@ -434,7 +434,7 @@ class TestEveryCheckStays:
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         pair.b.codec.write_pointer(entry.local_address, fresh.local_address)
-        item = ClosureItem(
+        item = closure_item(
             entry.pointer,
             pair.b.resolver.resolve(TREE_NODE_TYPE_ID),
             entry.local_address,

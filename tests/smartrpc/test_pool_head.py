@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smartrpc import transfer
-from repro.smartrpc.closure import ClosureItem
+from repro.smartrpc.closure import closure_item
 from repro.smartrpc.long_pointer import HandlePool, LongPointer, read_pool_head
 from repro.workloads.linked_list import LIST_NODE_TYPE_ID, build_list
 from repro.xdr.errors import XdrError
@@ -131,7 +131,7 @@ def one_item(smart_pair):
     head = build_list(pair.a, [7])
     state_a = pair.a.ensure_smart_session("enc", "A")
     spec = pair.a.resolver.resolve(LIST_NODE_TYPE_ID)
-    item = ClosureItem(LongPointer("A", head, LIST_NODE_TYPE_ID), spec, head)
+    item = closure_item(LongPointer("A", head, LIST_NODE_TYPE_ID), spec, head)
     batch = transfer.encode_batch(pair.a, state_a, [item])
     sessions = iter(range(1 << 30))
 

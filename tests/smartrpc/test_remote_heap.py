@@ -40,7 +40,7 @@ class TestExtendedMalloc:
         address = pair.b.extended_malloc(
             _GroundSession(state), "B", LIST_NODE_TYPE_ID
         )
-        assert pair.b.heap.owns(address)
+        assert pair.b.heap.allocation_based_at(address) is not None
 
     def test_remote_malloc_returns_usable_local_pointer(self, ground):
         pair, state = ground
@@ -61,7 +61,8 @@ class TestExtendedMalloc:
         remote_heap.flush(pair.b, state)
         entry = state.cache.table.entry_containing(address)
         assert not entry.pointer.is_provisional
-        assert pair.a.heap.owns(entry.pointer.address)
+        home = pair.a.heap
+        assert home.allocation_based_at(entry.pointer.address) is not None
 
     def test_flush_batches_into_one_message(self, ground):
         pair, state = ground
@@ -105,7 +106,7 @@ class TestExtendedFree:
         session = _GroundSession(state)
         address = pair.b.extended_malloc(session, "B", LIST_NODE_TYPE_ID)
         pair.b.extended_free(session, address)
-        assert not pair.b.heap.owns(address)
+        assert pair.b.heap.allocation_based_at(address) is None
 
     def test_free_provisional_cancels_pending_alloc(self, ground):
         pair, state = ground
@@ -127,7 +128,7 @@ class TestExtendedFree:
         home_address = entry.pointer.address
         pair.b.extended_free(session, address)
         remote_heap.flush(pair.b, state)
-        assert not pair.a.heap.owns(home_address)
+        assert pair.a.heap.allocation_based_at(home_address) is None
 
     def test_free_wild_pointer_rejected(self, ground):
         pair, state = ground

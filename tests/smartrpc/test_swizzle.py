@@ -78,6 +78,16 @@ class TestSwizzle:
         with pytest.raises(DanglingPointerError):
             state_a.swizzler.swizzle(pointer)
 
+    def test_interior_home_pointer_rejected(self, smart_pair):
+        # A long pointer names an allocation base: one into the middle
+        # of a home node must not swizzle to an address inside it.
+        state_a = smart_pair.a.ensure_smart_session("sess", "A")
+        address = smart_pair.a.malloc(TREE_NODE_TYPE_ID)
+        smart_pair.a.malloc(TREE_NODE_TYPE_ID)
+        pointer = LongPointer("A", address + 8, TREE_NODE_TYPE_ID)
+        with pytest.raises(SwizzleError, match="interior"):
+            state_a.swizzler.swizzle(pointer)
+
     def test_round_trip_remote(self, state):
         remote = LongPointer("A", 0x1000, TREE_NODE_TYPE_ID)
         local = state.swizzler.swizzle(remote)

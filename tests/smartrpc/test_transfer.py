@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.smartrpc import transfer
-from repro.smartrpc.closure import ClosureItem
+from repro.smartrpc.closure import closure_item
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
 from repro.workloads.trees import TREE_NODE_TYPE_ID, build_complete_tree
@@ -33,7 +33,7 @@ def worlds(smart_pair):
 def home_items(runtime, state, addresses):
     spec = runtime.resolver.resolve(TREE_NODE_TYPE_ID)
     return [
-        ClosureItem(
+        closure_item(
             LongPointer("A", address, TREE_NODE_TYPE_ID), spec, address
         )
         for address in addresses
@@ -134,7 +134,7 @@ class TestBatchRoundTrip:
             entry.local_address + layout_b.offsets["data"],
             (1234).to_bytes(8, "big"),
         )
-        item = ClosureItem(entry.pointer, spec_b, entry.local_address)
+        item = closure_item(entry.pointer, spec_b, entry.local_address)
         back = transfer.encode_batch(pair.b, state_b, [item])
         transfer.apply_batch(pair.a, state_a, back, True)
         spec_a = pair.a.resolver.resolve(TREE_NODE_TYPE_ID)
@@ -146,13 +146,34 @@ class TestBatchRoundTrip:
         pair, root, state_a, state_b = worlds
         address = pair.a.malloc(TREE_NODE_TYPE_ID)
         spec = pair.a.resolver.resolve(TREE_NODE_TYPE_ID)
-        item = ClosureItem(
+        item = closure_item(
             LongPointer("A", address, TREE_NODE_TYPE_ID), spec, address
         )
         batch = transfer.encode_batch(pair.a, state_a, [item])
         pair.a.heap.free(address)
         with pytest.raises(SmartRpcError):
             transfer.apply_batch(pair.a, state_a, batch, True)
+
+    def test_batch_naming_an_interior_home_address_rejected(self, worlds):
+        # An item at n0 + 8 would write n0's tail and the head of the
+        # adjacent n1: the home must refuse it and leave both intact.
+        pair, root, state_a, state_b = worlds
+        n0 = pair.a.malloc(TREE_NODE_TYPE_ID)
+        n1 = pair.a.malloc(TREE_NODE_TYPE_ID)
+        assert n1 == n0 + 16
+        pair.a.space.write_raw(n1, bytes(range(1, 9)))
+        before = pair.a.space.read_raw(n0, 32)
+        spec_b = pair.b.resolver.resolve(TREE_NODE_TYPE_ID)
+        local = pair.b.malloc(TREE_NODE_TYPE_ID)
+        data = spec_b.layout(pair.b.arch).offsets["data"]
+        pair.b.space.write_raw(local + data, b"\xff" * 8)
+        item = closure_item(
+            LongPointer("A", n0 + 8, TREE_NODE_TYPE_ID), spec_b, local
+        )
+        batch = transfer.encode_batch(pair.b, state_b, [item])
+        with pytest.raises(SmartRpcError, match="batch updates dead home"):
+            transfer.apply_batch(pair.a, state_a, batch, True)
+        assert pair.a.space.read_raw(n0, 32) == before
 
 
 #: A union inside makes a datum take the hook-driven codec, so a
@@ -175,7 +196,7 @@ class TestSkipValue:
         address = pair.a.heap.malloc(SKIPPED.sizeof(pair.a.arch), "skipped")
         layout = SKIPPED.layout(pair.a.arch)
         pair.a.codec.write_pointer(address + layout.offsets["p"], root)
-        datum = ClosureItem(
+        datum = closure_item(
             LongPointer("A", address, "skipped"), SKIPPED, address
         )
         first = transfer.encode_batch(pair.a, state_a, [datum])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memory.page import Protection
-from repro.smartrpc.alloc_table import AllocEntry
+from repro.smartrpc.alloc_table import alloc_entry
 from repro.smartrpc.cache import STRATEGIES
 from repro.smartrpc.long_pointer import LongPointer
 from repro.smartrpc.validate import session_diagnostics
@@ -59,7 +59,7 @@ def cold_entry(runtime):
 
 def forge_other_home(state, entry):
     """Add a row homed at another space right after ``entry``."""
-    forged = AllocEntry(
+    forged = alloc_entry(
         pointer=LongPointer("Z", 0x2000, TREE_NODE_TYPE_ID),
         local_address=entry.local_address + entry.size,
         size=entry.size,
@@ -75,7 +75,7 @@ class TestViolationsDetected:
         state, entry = cold_entry(smart_pair.b)
         page_size = smart_pair.b.space.page_size
         stray = max(state.cache.pages) + 100
-        forged = AllocEntry(
+        forged = alloc_entry(
             pointer=LongPointer("A", 0x2000, TREE_NODE_TYPE_ID),
             local_address=stray * page_size,
             size=entry.size,
@@ -93,7 +93,7 @@ class TestViolationsDetected:
 
     def test_overlapping_placeholders_detected(self, smart_pair):
         state, entry = cold_entry(smart_pair.b)
-        forged = AllocEntry(
+        forged = alloc_entry(
             pointer=LongPointer("A", 0x2000, TREE_NODE_TYPE_ID),
             local_address=entry.local_address + 1,
             size=entry.size,

@@ -330,7 +330,7 @@ def reference_apply_batch(
             raise SmartRpcError("batch item with NULL long pointer")
         spec = runtime.resolver.resolve(pointer.type_id)
         if pointer.space_id == runtime.site_id:
-            if not runtime.heap.owns(pointer.address):
+            if runtime.heap.allocation_based_at(pointer.address) is None:
                 raise SmartRpcError(
                     f"batch updates dead home data {pointer!r}"
                 )

@@ -14,9 +14,10 @@ substrate (:mod:`repro.rpc`):
 * :class:`~repro.smartrpc.swizzle.Swizzler` — long pointer <-> ordinary
   pointer translation;
 * :class:`~repro.smartrpc.closure.ClosureWalker` — bounded breadth-first
-  transitive closure for eager transfer;
+  transitive closure for eager transfer, packed into a batch in the
+  same pass (and the one packer of every batch);
 * :mod:`repro.smartrpc.transfer` — the data-plane wire protocol
-  (requests, batches, write-back);
+  (requests, batch layout and apply, write-back);
 * :mod:`repro.smartrpc.remote_heap` — ``extended_malloc`` /
   ``extended_free`` with batched remote operations;
 * :class:`~repro.smartrpc.runtime.SmartRpcRuntime` — the runtime tying

@@ -42,19 +42,15 @@ from typing import TYPE_CHECKING, Dict, List
 from repro.simnet.message import Message, MessageKind
 from repro.smartrpc import transfer
 from repro.smartrpc.alloc_table import AllocEntry
-from repro.smartrpc.closure import ClosureItem, closure_item
 from repro.smartrpc.errors import SmartRpcError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
-from repro.xdr.types import TypeSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 
 
-def modified_items(
-    runtime: "SmartRpcRuntime", state: "SmartSessionState", peer: str
-) -> List[ClosureItem]:
-    """The modified data ``peer`` may lack, as transferable items.
+def modified_rows(state: "SmartSessionState", peer: str) -> List[AllocEntry]:
+    """The modified data ``peer`` may lack, as table rows.
 
     That is every entry of the modified data set stamped after the
     last crossing with ``peer`` (:meth:`SmartSessionState.since`).  An
@@ -62,11 +58,11 @@ def modified_items(
     last write fault) and the epoch its relayed copy arrived in.
     """
     since = state.since(peer)
-    return _items(runtime, [
+    return [
         entry
         for entry, stamp in _stamped_entries(state).items()
         if stamp > since and entry.resident
-    ])
+    ]
 
 
 def _stamped_entries(state: "SmartSessionState") -> Dict[AllocEntry, int]:
@@ -75,24 +71,6 @@ def _stamped_entries(state: "SmartSessionState") -> Dict[AllocEntry, int]:
         if stamps.get(entry, -1) < stamp:
             stamps[entry] = stamp
     return stamps
-
-
-def _items(
-    runtime: "SmartRpcRuntime", entries: List[AllocEntry]
-) -> List[ClosureItem]:
-    """One batch's entries as transferable items, each type id
-    resolved once."""
-    specs: Dict[str, TypeSpec] = {}
-    items = []
-    for entry in entries:
-        pointer = entry.pointer
-        type_id = pointer[2]
-        if type_id in specs:
-            spec = specs[type_id]
-        else:
-            spec = specs[type_id] = runtime.resolver.resolve(type_id)
-        items.append(closure_item(pointer, spec, entry.local_address))
-    return items
 
 
 def encode_piggyback(
@@ -110,9 +88,7 @@ def encode_piggyback(
     for participant in participants:
         encoder.pack_string(participant)
     encoder.pack_opaque(
-        transfer.encode_batch(
-            runtime, state, modified_items(runtime, state, peer)
-        )
+        transfer.encode_batch(runtime, state, modified_rows(state, peer))
     )
     return encoder.getvalue()
 
@@ -181,7 +157,7 @@ def end_session(
 
 def _owed_by_home(
     runtime: "SmartRpcRuntime", state: "SmartSessionState"
-) -> Dict[str, List[ClosureItem]]:
+) -> Dict[str, List[AllocEntry]]:
     """Per remote home, the modified data homed there it may lack."""
     owed: Dict[str, List[AllocEntry]] = {}
     since: Dict[str, int] = {}
@@ -193,13 +169,13 @@ def _owed_by_home(
             since[home] = state.since(home)
         if stamp > since[home]:
             owed.setdefault(home, []).append(entry)
-    return {home: _items(runtime, entries) for home, entries in owed.items()}
+    return owed
 
 
 def _write_back(
     runtime: "SmartRpcRuntime",
     state: "SmartSessionState",
-    by_home: Dict[str, List[ClosureItem]],
+    by_home: Dict[str, List[AllocEntry]],
 ) -> None:
     """Two-phase write-back: stage at every owed home, then commit.
 

@@ -25,37 +25,30 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set
 
 from repro.memory.page import Protection
 from repro.simnet.message import Message, MessageKind
-from repro.smartrpc.closure import (
-    BREADTH_FIRST,
-    DEPTH_FIRST,
-    ClosureItem,
-    ClosureWalker,
-)
+from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST, ClosureWalker
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import (
-    PROVISIONAL_BASE,
     HandlePool,
     LongPointer,
     decode_long_pointer_pooled,
-    encode_long_pointer_pooled,
     read_pool_head,
 )
 from repro.xdr.errors import XdrError
-from repro.xdr.raw import LONG_SLOT, WirePlan, wire_plan
+from repro.xdr.raw import LONG_SLOT, WirePlan
 from repro.xdr.stream import (
     IMAGES,
     XdrDecoder,
-    XdrEncoder,
     read_string,
     string_image,
     underflow,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.smartrpc.alloc_table import AllocEntry
     from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 
 _STATUS_OK = 0
@@ -81,112 +74,17 @@ _PADS = (b"", bytes(3), bytes(2), bytes(1))
 def encode_batch(
     runtime: "SmartRpcRuntime",
     state: "SmartSessionState",
-    items: Sequence[ClosureItem],
-    resolved: Optional[Dict[int, LongPointer]] = None,
+    rows: Sequence["AllocEntry"],
 ) -> bytes:
-    """Encode data items into one batch (no time charged here).
+    """Encode table rows into one batch (no time charged here).
 
-    ``resolved`` is the request's ``local address -> long pointer``
-    memo: a :class:`ClosureWalker` hands over what its walk already
-    resolved, and every pointer unswizzled here joins it, so no address
-    is translated twice while one request is served.  It must not
-    outlive the request — the heap and the allocation table move on.
-
-    A flat item is one precompiled ``Struct`` pack, of the values the
-    walk left on the item when it has them (else read here); the pool
-    head (:meth:`HandlePool.head`, memoised per pair tuple) and the
-    item count go in front, and the batch is joined once.
+    The coherency protocol's batches — a piggyback, a write-back — are
+    the rows of the modified data set as they are: the closure walk's
+    loop packs them (:meth:`ClosureWalker.pack`) following nothing, so
+    one packer serves every batch.  A row is anything with a
+    ``pointer`` and a ``local_address``.
     """
-    if resolved is None:
-        resolved = {}
-    pool = HandlePool()
-    handles = pool.handles
-    intern = pool.intern
-    arch = runtime.arch
-    unpack_raw = runtime.space.unpack_raw
-    unswizzle = state.swizzler.unswizzle
-    chunks: List[bytes] = [b"", _U32.pack(len(items))]  # head goes first
-    append = chunks.append
-    plans: Dict[str, WirePlan] = {}
-    for item in items:
-        space_id, address, type_id = item.pointer
-        if type_id in plans:
-            plan = plans[type_id]
-        else:
-            plan = plans[type_id] = wire_plan(item.spec, arch)
-        flat = plan.flat
-        if flat is None:
-            append(_encode_union(runtime, state, item, pool, resolved))
-            continue
-        if address >= PROVISIONAL_BASE:
-            raise XdrError(
-                f"provisional {item.pointer!r} must never reach the wire"
-            )
-        pair = (space_id, type_id)
-        handle = handles[pair] if pair in handles else intern(*pair)
-        values = item.values
-        if values is None:
-            values = unpack_raw(flat.native, item.address + flat.offset)
-        key = 1
-        if flat.slot_bits:
-            values = list(values)
-            for bit, index in flat.slot_bits:
-                value = values[index]
-                if value:
-                    if value in resolved:
-                        pointer = resolved[value]
-                    else:
-                        pointer = _translate(unswizzle, resolved, value)
-                    pair = (pointer[0], pointer[2])
-                    values[index] = (
-                        handles[pair] if pair in handles else intern(*pair)
-                    )
-                    values[index + 1] = pointer[1]
-                    key |= bit
-        if flat.enums:
-            flat.check_enums(values)
-        codecs = flat.codecs
-        codec = codecs[key] if key in codecs else flat.wire(key)
-        append(codec.pack(handle, address, *values))
-    chunks[0] = pool.head()
-    return b"".join(chunks)
-
-
-def _translate(unswizzle, resolved: Dict[int, LongPointer], value: int):
-    """Unswizzle one local pointer for the wire, into ``resolved``."""
-    pointer = unswizzle(value)
-    if pointer.is_provisional:
-        raise SmartRpcError(
-            f"provisional {pointer!r} leaked onto the wire; the "
-            "memory batch must flush before any transfer"
-        )
-    resolved[value] = pointer
-    return pointer
-
-
-def _encode_union(
-    runtime: "SmartRpcRuntime",
-    state: "SmartSessionState",
-    item: ClosureItem,
-    pool: HandlePool,
-    resolved: Dict[int, LongPointer],
-) -> bytes:
-    """One item whose type holds a union: the hook-driven codec
-    dispatches its arm."""
-    body = XdrEncoder()
-    unswizzle = state.swizzler.unswizzle
-
-    def pointer_out(value: int, _target: str) -> None:
-        pointer = None
-        if value:
-            pointer = resolved.get(value) or _translate(
-                unswizzle, resolved, value
-            )
-        encode_long_pointer_pooled(body, pointer, pool)
-
-    encode_long_pointer_pooled(body, item.pointer, pool)
-    runtime.codec.encode(item.address, item.spec, body, pointer_out)
-    return body.getvalue()
+    return ClosureWalker(runtime, state, 0).pack(rows)
 
 
 def apply_batch(
@@ -704,9 +602,11 @@ def handle_data_request(
             order=order,
             hints=runtime.policy.closure_hints,
         )
-        items = walker.walk(addresses)
-        batch = encode_batch(runtime, state, items, walker.resolved)
-    except SmartRpcError as exc:
+        walker.walk(addresses)
+        batch = walker.batch
+    except (SmartRpcError, XdrError) as exc:
+        # A datum the home cannot encode fails the request, not the
+        # session: the requester raises the text.
         reply = _U32.pack(_STATUS_ERROR) + string_image(str(exc))
     else:
         length = len(batch)

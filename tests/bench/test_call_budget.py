@@ -39,7 +39,9 @@ from repro.workloads.traversal import tree_client
 from repro.workloads.trees import build_complete_tree
 
 #: Calls per lazy fault on simnet: a 256-node ``total`` under ``lazy``,
-#: all of it (stub, faults, program) divided by its 256 faults.  180.5
+#: all of it (stub, faults, program) divided by its 256 faults.  170.6
+#: on CPython 3.11 since the home walks and packs a request in one pass
+#: (180.5, under a budget of 189.6, before that).  180.5
 #: on CPython 3.11 since the home finds a requested root's allocation by
 #: one probe of the heap's base-address dict, a table row and a page are
 #: built with no ``__init__`` frame and the touch observer scores a first
@@ -63,10 +65,12 @@ from repro.workloads.trees import build_complete_tree
 #: is read by one cursor and a first touch scores its page's own rows;
 #: 286 on 3.9 and 3.11 and 283 on 3.12 before that, under a budget of
 #: 300; 427 before the exchange and data-request paths were trimmed).
-FAULT_BUDGET = 189.6
+FAULT_BUDGET = 179.1
 
 #: Calls per lazy fault on shm, as above, counted on the client thread
 #: and the home's serving thread as the echo budget counts them.
+#: 237.2 on CPython 3.11 since the home walks and packs a request in
+#: one pass (247.1, under a budget of 259.5, before that).
 #: 247.1 on CPython 3.11 since the home probes its heap's base-address
 #: dict, a row and a page are built with no ``__init__`` frame and the
 #: observer scores a first touch itself (253.1, under a budget of 264.7,
@@ -76,12 +80,17 @@ FAULT_BUDGET = 189.6
 #: CPython 3.11 when set, since a real carrier's runtime computes no
 #: modelled charge at all (332 before this and the simnet fault's
 #: cuts).
-SHM_FAULT_BUDGET = 259.5
+SHM_FAULT_BUDGET = 249.0
 
 #: Calls per node of a cold 4096-node ``total`` under ``paper`` on
 #: simnet (after two warm sessions): the whole session — stub, four
 #: faults, the closure walk and batch encode at the home, the batch
 #: apply and every first touch at the callee — divided by its nodes.
+#: 32.3 on CPython 3.11 since the home walks and packs each datum in one
+#: pass, translating a pointer slot and admitting its target in one
+#: probe of the heap's base-address dict (35.3, under a budget of 37.1,
+#: before that; the wall time fell more than the count, which does not
+#: weigh the three objects per datum the walk no longer keeps).
 #: 35.3 on CPython 3.11 since the home resolves each pointer it walks by
 #: one probe of the heap's base-address dict (a bisect before), a
 #: ``ClosureItem``, ``AllocEntry`` and ``CachePage`` are each built by a
@@ -96,7 +105,7 @@ SHM_FAULT_BUDGET = 259.5
 #: again, the apply went through the decoder and the raw plane per
 #: item, and a first touch bisected the table and posted each row to
 #: the ledgers in two calls).
-COLD_FILL_BUDGET = 37.1
+COLD_FILL_BUDGET = 33.9
 
 #: Calls per 16-byte echo, client and serving thread together, on
 #: either carrier: 116.3 on both when set, since an untraced exchange
@@ -119,6 +128,9 @@ RESIDENT_BUDGET = 5.36
 #: the whole session — stub, 643 faults (513 of them write faults), the
 #: fills, the piggyback and write-back, and per node a ``StructView``,
 #: a ``get``, a ``set`` and a two-field run — divided by its visits.
+#: 124.5 on CPython 3.11 since the home walks and packs a request in one
+#: pass and a coherency batch is packed from its table rows (131.0,
+#: under a budget of 137.6, before that).
 #: 131.0 on CPython 3.11 since the home probes its heap's base-address
 #: dict, a row and a page are built with no ``__init__`` frame and the
 #: touch observer scores a first touch itself (139.3, under a budget of
@@ -126,7 +138,7 @@ RESIDENT_BUDGET = 5.36
 #: field is a compiled accessor, a protection fault goes straight from
 #: the token miss to its handler and a write fault hands its page to
 #: ``mark_dirty_page`` (167.8 before).
-WRITEBACK_VISIT_BUDGET = 137.6
+WRITEBACK_VISIT_BUDGET = 130.7
 
 
 class _Counter:

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.memory.address_space import AddressSpace
 from repro.simnet.network import Network
 from repro.smartrpc import transfer
-from repro.smartrpc.closure import closure_item
 from repro.smartrpc.long_pointer import LongPointer
 from repro.xdr.arch import SPARC32, X86_64
 from repro.xdr.errors import XdrError
@@ -44,6 +43,7 @@ from repro.xdr.types import (
 )
 from tests.conftest import SmartPair
 from tests.xdr.reference_codec import (
+    Item,
     ReferenceCodec,
     reference_apply_batch,
     reference_encode_batch,
@@ -314,7 +314,7 @@ def test_batches_match_per_field_batches(spec, data):
             decoder, address, spec, lambda _target: decoder.unpack_uint32()
         )
         state = home.ensure_smart_session("sess", "A")
-        item = closure_item(LongPointer("A", address, "datum"), spec, address)
+        item = Item(LongPointer("A", address, "datum"), address)
         batches.append(encode(home, state, [item, item]))
     assert batches[0] == batches[1]
 

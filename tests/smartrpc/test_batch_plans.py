@@ -17,7 +17,6 @@ from repro.smartrpc.closure import (
     BREADTH_FIRST,
     DEPTH_FIRST,
     ClosureWalker,
-    closure_item,
 )
 from repro.smartrpc.errors import (
     DanglingPointerError,
@@ -43,7 +42,9 @@ from repro.xdr.errors import XdrError
 from repro.xdr.stream import XdrDecoder, XdrEncoder
 from repro.xdr.types import EnumType, Field, StructType, UnionType, int32
 from tests.conftest import SmartPair
+from tests.smartrpc.reference_closure import two_pass_encode_batch
 from tests.xdr.reference_codec import (
+    Item,
     reference_apply_batch,
     reference_encode_batch,
 )
@@ -65,7 +66,8 @@ def build_slice(pair: SmartPair, kind: str, walk: str = "bfs"):
     """Workload data at A and the closure slice a request would ship.
 
     ``walk`` is ``bfs`` (the default walk), ``dfs`` or ``hinted`` (a
-    breadth-first walk under :data:`HINTS`).
+    breadth-first walk under :data:`HINTS`).  The slice comes back as
+    one :class:`Item` per datum the walk emitted, in batch order.
     """
     home = pair.a
     if kind == "list":
@@ -90,8 +92,17 @@ def build_slice(pair: SmartPair, kind: str, walk: str = "bfs"):
         order=DEPTH_FIRST if walk == "dfs" else BREADTH_FIRST,
         hints=hints,
     )
-    items = walker.walk([root])
-    assert len(items) > 5
+    addresses = walker.walk([root])
+    assert len(addresses) > 5
+    items = [
+        Item(
+            LongPointer(
+                "A", address, home.heap.allocation_based_at(address).type_id
+            ),
+            address,
+        )
+        for address in addresses
+    ]
     return state, walker, items
 
 
@@ -143,18 +154,15 @@ WALKS = [
 @pytest.mark.parametrize("kind, walk", WALKS)
 class TestEncodeMatchesReference:
     def test_home_slice(self, kind, walk):
-        # The walk leaves each expanded datum's values on its item; the
-        # reference encoder reads every datum from the heap instead.
+        # The walk packs each datum as it emits it; the reference
+        # encoder reads every datum from the heap again instead.
         pair = SmartPair(Network())
         state, walker, items = build_slice(pair, kind, walk)
-        assert any(item.values is not None for item in items)
+        assert two_pass_encode_batch(pair.a, state, items) == walker.batch
         want = reference_encode_batch(pair.a, state, items)
         assert transfer.encode_batch(pair.a, state, items) == want
-        # With the walker's memo handed over, as a data request does.
-        assert (
-            transfer.encode_batch(pair.a, state, items, walker.resolved)
-            == want
-        )
+        # The walk's own batch, as a data request ships it.
+        assert walker.batch == want
 
     def test_cached_slice_ships_back(self, kind, walk):
         # The callee's cached copies unswizzle through its allocation
@@ -165,15 +173,7 @@ class TestEncodeMatchesReference:
         transfer.apply_batch(
             pair.b, state_b, transfer.encode_batch(pair.a, state_a, items), False
         )
-        cached = [
-            closure_item(
-                entry.pointer,
-                pair.b.resolver.resolve(entry.pointer.type_id),
-                entry.local_address,
-            )
-            for entry in state_b.cache.table
-            if entry.resident
-        ]
+        cached = [entry for entry in state_b.cache.table if entry.resident]
         assert len(cached) == len(items)
         back = transfer.encode_batch(pair.b, state_b, cached)
         assert back == reference_encode_batch(pair.b, state_b, cached)
@@ -253,22 +253,22 @@ class TestApplyMatchesReference:
             for entry in state_b.cache.table:
                 if not entry.resident:
                     continue
-                spec = pair.b.resolver.resolve(entry.pointer.type_id)
                 if entry.pointer.type_id != HASH_TABLE_TYPE_ID:
                     # Every node type ends in a scalar: modify it.
                     last = entry.local_address + entry.size - 1
                     flipped = pair.b.space.read_raw(last, 1)[0] ^ 0x55
                     pair.b.space.write_raw(last, bytes([flipped]))
-                cached.append(
-                    closure_item(entry.pointer, spec, entry.local_address)
-                )
+                cached.append(entry)
             back = transfer.encode_batch(pair.b, state_b, cached)
             before = pair.a.stats.entries_transferred
             assert apply(pair.a, state_a, back, True) == len(cached)
             assert pair.a.stats.entries_transferred == before + len(cached)
             assert len(state_a.cache.table) == 0
             heaps.append([
-                pair.a.space.read_raw(item.address, item.spec.sizeof(pair.a.arch))
+                pair.a.space.read_raw(
+                    item.local_address,
+                    pair.a.wire_plan(item.pointer.type_id).size,
+                )
                 for item in items
             ])
         assert heaps[0] == heaps[1]
@@ -299,10 +299,7 @@ def worlds(smart_pair):
 
 
 def tree_item(runtime, address):
-    spec = runtime.resolver.resolve(TREE_NODE_TYPE_ID)
-    return closure_item(
-        LongPointer("A", address, TREE_NODE_TYPE_ID), spec, address
-    )
+    return Item(LongPointer("A", address, TREE_NODE_TYPE_ID), address)
 
 
 def batch_of(pool_pairs, count, body: bytes) -> bytes:
@@ -324,7 +321,7 @@ def typed_datum(runtime, type_id, words):
             address + 4 * index,
             word.to_bytes(4, runtime.arch.byteorder, signed=True),
         )
-    return closure_item(LongPointer("A", address, type_id), spec, address)
+    return Item(LongPointer("A", address, type_id), address)
 
 
 class TestEveryCheckStays:
@@ -413,7 +410,9 @@ class TestEveryCheckStays:
     def test_provisional_item_pointer(self, worlds):
         pair, root, state_a, _ = worlds
         item = tree_item(pair.a, root)
-        item.pointer = item.pointer.with_address(PROVISIONAL_BASE + 8)
+        item = item._replace(
+            pointer=item.pointer.with_address(PROVISIONAL_BASE + 8)
+        )
         with pytest.raises(XdrError, match="provisional"):
             transfer.encode_batch(pair.a, state_a, [item])
 
@@ -434,13 +433,8 @@ class TestEveryCheckStays:
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         pair.b.codec.write_pointer(entry.local_address, fresh.local_address)
-        item = closure_item(
-            entry.pointer,
-            pair.b.resolver.resolve(TREE_NODE_TYPE_ID),
-            entry.local_address,
-        )
         with pytest.raises(SmartRpcError, match="leaked onto the wire"):
-            transfer.encode_batch(pair.b, state_b, [item])
+            transfer.encode_batch(pair.b, state_b, [entry])
 
     def test_interior_pointer(self, worlds):
         pair, root, state_a, _ = worlds

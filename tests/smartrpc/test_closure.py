@@ -32,7 +32,7 @@ class TestBudget:
         runtime, state, root = home
         items = walker(runtime, state, 0).walk([root])
         assert len(items) == 1
-        assert items[0].pointer.address == root
+        assert items[0] == root
 
     def test_budget_counts_bytes(self, home):
         runtime, state, root = home
@@ -63,7 +63,7 @@ class TestTraversalOrder:
         runtime, state, root = home
         items = walker(runtime, state, 7 * NODE).walk([root])
         data = [
-            runtime.space.read_raw(item.address + 8, 8) for item in items
+            runtime.space.read_raw(address + 8, 8) for address in items
         ]
         indices = [int.from_bytes(d, "big") for d in data]
         assert indices == [0, 1, 2, 3, 4, 5, 6]  # heap order = BFS order
@@ -73,9 +73,9 @@ class TestTraversalOrder:
         items = walker(runtime, state, 4 * NODE, DEPTH_FIRST).walk([root])
         indices = [
             int.from_bytes(
-                runtime.space.read_raw(item.address + 8, 8), "big"
+                runtime.space.read_raw(address + 8, 8), "big"
             )
-            for item in items
+            for address in items
         ]
         assert indices[0] == 0
         # depth-first from the root follows one branch downward

@@ -18,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smartrpc import transfer
-from repro.smartrpc.closure import closure_item
 from repro.smartrpc.long_pointer import HandlePool, LongPointer, read_pool_head
 from repro.workloads.linked_list import LIST_NODE_TYPE_ID, build_list
 from repro.xdr.errors import XdrError
 from repro.xdr.stream import INTERN_MAX_BYTES, XdrDecoder, read_string
-from tests.xdr.reference_codec import reference_decode_pool
+from tests.xdr.reference_codec import Item, reference_decode_pool
 
 UNDERFLOW = "^XDR underflow"
 _U32 = struct.Struct(">I")
@@ -130,8 +129,7 @@ def one_item(smart_pair):
     pair = smart_pair
     head = build_list(pair.a, [7])
     state_a = pair.a.ensure_smart_session("enc", "A")
-    spec = pair.a.resolver.resolve(LIST_NODE_TYPE_ID)
-    item = closure_item(LongPointer("A", head, LIST_NODE_TYPE_ID), spec, head)
+    item = Item(LongPointer("A", head, LIST_NODE_TYPE_ID), head)
     batch = transfer.encode_batch(pair.a, state_a, [item])
     sessions = iter(range(1 << 30))
 

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from repro.smartrpc import transfer
-from repro.smartrpc.closure import closure_item
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import LongPointer
 from repro.workloads.trees import TREE_NODE_TYPE_ID, build_complete_tree
@@ -19,6 +18,7 @@ from repro.xdr.types import (
     UnionType,
     int32,
 )
+from tests.xdr.reference_codec import Item
 
 
 @pytest.fixture
@@ -31,11 +31,8 @@ def worlds(smart_pair):
 
 
 def home_items(runtime, state, addresses):
-    spec = runtime.resolver.resolve(TREE_NODE_TYPE_ID)
     return [
-        closure_item(
-            LongPointer("A", address, TREE_NODE_TYPE_ID), spec, address
-        )
+        Item(LongPointer("A", address, TREE_NODE_TYPE_ID), address)
         for address in addresses
     ]
 
@@ -134,8 +131,7 @@ class TestBatchRoundTrip:
             entry.local_address + layout_b.offsets["data"],
             (1234).to_bytes(8, "big"),
         )
-        item = closure_item(entry.pointer, spec_b, entry.local_address)
-        back = transfer.encode_batch(pair.b, state_b, [item])
+        back = transfer.encode_batch(pair.b, state_b, [entry])
         transfer.apply_batch(pair.a, state_a, back, True)
         spec_a = pair.a.resolver.resolve(TREE_NODE_TYPE_ID)
         layout_a = spec_a.layout(pair.a.arch)
@@ -145,10 +141,7 @@ class TestBatchRoundTrip:
     def test_batch_updating_dead_home_data_rejected(self, worlds):
         pair, root, state_a, state_b = worlds
         address = pair.a.malloc(TREE_NODE_TYPE_ID)
-        spec = pair.a.resolver.resolve(TREE_NODE_TYPE_ID)
-        item = closure_item(
-            LongPointer("A", address, TREE_NODE_TYPE_ID), spec, address
-        )
+        item = Item(LongPointer("A", address, TREE_NODE_TYPE_ID), address)
         batch = transfer.encode_batch(pair.a, state_a, [item])
         pair.a.heap.free(address)
         with pytest.raises(SmartRpcError):
@@ -167,9 +160,7 @@ class TestBatchRoundTrip:
         local = pair.b.malloc(TREE_NODE_TYPE_ID)
         data = spec_b.layout(pair.b.arch).offsets["data"]
         pair.b.space.write_raw(local + data, b"\xff" * 8)
-        item = closure_item(
-            LongPointer("A", n0 + 8, TREE_NODE_TYPE_ID), spec_b, local
-        )
+        item = Item(LongPointer("A", n0 + 8, TREE_NODE_TYPE_ID), local)
         batch = transfer.encode_batch(pair.b, state_b, [item])
         with pytest.raises(SmartRpcError, match="batch updates dead home"):
             transfer.apply_batch(pair.a, state_a, batch, True)
@@ -196,9 +187,7 @@ class TestSkipValue:
         address = pair.a.heap.malloc(SKIPPED.sizeof(pair.a.arch), "skipped")
         layout = SKIPPED.layout(pair.a.arch)
         pair.a.codec.write_pointer(address + layout.offsets["p"], root)
-        datum = closure_item(
-            LongPointer("A", address, "skipped"), SKIPPED, address
-        )
+        datum = Item(LongPointer("A", address, "skipped"), address)
         first = transfer.encode_batch(pair.a, state_a, [datum])
         assert transfer.apply_batch(pair.b, state_b, first, False) == 1
         rows = len(state_b.cache.table)  # the datum and the root it names

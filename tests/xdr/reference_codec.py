@@ -10,10 +10,9 @@ hook call for hook call.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Set, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Set, Union
 
 from repro.memory.address_space import AddressSpace
-from repro.smartrpc.closure import ClosureItem
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import (
     HandlePool,
@@ -39,6 +38,15 @@ from repro.xdr.types import (
 
 PointerOut = Callable[[int, str], None]
 PointerIn = Callable[[str], int]
+
+
+class Item(NamedTuple):
+    """One datum to encode: its long pointer and where it is held
+    here — the two attributes a table row carries, so an ``Item``
+    goes to ``transfer.encode_batch`` as well."""
+
+    pointer: LongPointer
+    local_address: int
 
 
 class ReferenceCodec:
@@ -281,7 +289,7 @@ def _post_shipped(runtime, state, demanded: int, prefetched: int) -> None:
         ledger.prefetch_bytes_shipped += prefetched
 
 
-def reference_encode_batch(runtime, state, items: Sequence[ClosureItem]) -> bytes:
+def reference_encode_batch(runtime, state, items: Sequence[Item]) -> bytes:
     """``transfer.encode_batch`` as it was: one hook call per pointer."""
     codec = ReferenceCodec(runtime.space, runtime.arch)
     pool = HandlePool()
@@ -298,7 +306,8 @@ def reference_encode_batch(runtime, state, items: Sequence[ClosureItem]) -> byte
 
     for item in items:
         encode_long_pointer_pooled(body, item.pointer, pool)
-        codec.encode(item.address, item.spec, body, pointer_out)
+        spec = runtime.resolver.resolve(item.pointer.type_id)
+        codec.encode(item.local_address, spec, body, pointer_out)
     head = XdrEncoder()
     head.pack_fixed_opaque(pool.head())
     head.pack_uint32(len(items))

@@ -46,9 +46,12 @@ Four mechanisms keep the *Python-level* cost of that claim honest:
   give up after the same number of handler invocations.
 * **Access runs.**  ``accesses=n`` makes one load or store stand for
   ``n`` modelled accesses: one protection check for the whole span,
-  the clock charged ``n`` times in one ``bill`` call (in the same
-  float-accumulation order as ``n`` single accesses) and at most one
-  coalesced observer callback covering the span's byte range.
+  the clock charged ``n`` times and at most one coalesced observer
+  callback covering the span's byte range.  ``Mem`` moves the clock
+  itself, with no call into it: one ``local_access`` added to
+  ``SimClock.now`` per modelled access, in order, so a run charges
+  byte-identical time to ``n`` single accesses (the access-plane
+  contract in ``SimClock``'s docstring).
 * **Settled pages.**  The observer's return value says whether
   accesses to the page can still matter to it: a truthy answer
   ("settled") rewrites the page's token with ``observe`` false, so
@@ -179,13 +182,22 @@ class Mem:
             end = offset + size
             if end <= token[0]:
                 data = bytes(token[2][offset:end])
-                if accesses != 1:
-                    if accesses < 0:
-                        raise ValueError(f"negative access count {accesses!r}")
-                    if self.clock is not None:
-                        self.clock.bill(self._local_access, accesses)
-                elif self.clock is not None:
-                    self.clock.advance(self._local_access)
+                # The clock is charged here, not through a call: one
+                # add per modelled access, in order (the access-plane
+                # contract of ``SimClock``).
+                clock = self.clock
+                if accesses == 1:
+                    if clock is not None:
+                        clock.now += self._local_access
+                elif accesses < 0:
+                    raise ValueError(f"negative access count {accesses!r}")
+                elif clock is not None:
+                    now = clock.now
+                    charge = self._local_access
+                    while accesses:
+                        now += charge
+                        accesses -= 1
+                    clock.now = now
                 if token[3] and self._observer(address, size, False):
                     # Settled until the generation moves; should the
                     # observer itself have moved it, the next access
@@ -212,13 +224,14 @@ class Mem:
             size = len(data)
             end = offset + size
             if end <= token[1]:
-                if accesses != 1:
-                    if accesses < 0:
-                        raise ValueError(f"negative access count {accesses!r}")
-                    if self.clock is not None:
-                        self.clock.bill(self._local_access, accesses)
-                elif self.clock is not None:
-                    self.clock.advance(self._local_access)
+                if accesses == 1:
+                    clock = self.clock  # charged as in ``load``
+                    if clock is not None:
+                        clock.now += self._local_access
+                else:
+                    # A run or a negative count.  No store run is on a
+                    # hot path, so it takes the call ``load`` avoids.
+                    self._charge(accesses)
                 token[2][offset:end] = data
                 if token[3] and self._observer(address, size, True):
                     self._tokens[page_number] = token[:3] + (False,)
@@ -373,14 +386,17 @@ class Mem:
         )
 
     def _charge(self, accesses: int) -> None:
-        """Charge ``accesses`` local accesses, in per-access order."""
+        """Charge ``accesses`` local accesses: one add of
+        ``local_access`` to the clock per access, in order (the
+        access-plane contract of ``SimClock``)."""
         if accesses < 0:
             raise ValueError(f"negative access count {accesses!r}")
         clock = self.clock
         if clock is None:
             return
-        if accesses == 1:
-            # ``bill``'s loop costs a single access more than it saves.
-            clock.advance(self._local_access)
-        else:
-            clock.bill(self._local_access, accesses)
+        now = clock.now
+        charge = self._local_access
+        while accesses:
+            now += charge
+            accesses -= 1
+        clock.now = now

@@ -75,47 +75,43 @@ class SimClock:
     consistent with the paper's single-active-thread execution model: at
     any instant exactly one thread is running somewhere in the session,
     so global time is just the sum of everything that thread did.
+
+    The time is :attr:`now`, a plain attribute, and there are two ways
+    to move it forward:
+
+    * :meth:`advance`, for every charge but one: it refuses a NaN or a
+      negative number of seconds, which would poison every later
+      reading;
+    * the access plane (:class:`repro.memory.accessor.Mem`) adds
+      ``CostModel.local_access`` to :attr:`now` itself, once per
+      modelled access.  A resident access is the hottest charge in the
+      simulator, and this one needs no guard:
+      ``CostModel.__post_init__`` refused a bad ``local_access`` when
+      the model was built.  A run of ``n`` accesses is ``n`` separate
+      adds in access order, so it charges byte-identical time to ``n``
+      single accesses.  ``n * local_access`` in one add would round
+      differently, and ``sum()`` compensates its additions from CPython
+      3.12 on.
     """
 
     #: Charges move this clock: a runtime over it computes every one.
     models_time = True
 
     def __init__(self) -> None:
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
+        #: Current simulated time in seconds; the class docstring says
+        #: who may move it and how.
+        self.now = 0.0
 
     def advance(self, seconds: float) -> None:
         """Advance the clock; ``seconds`` must be non-negative (a NaN
         is refused: it would poison every later reading)."""
         if not seconds >= 0:
             raise ValueError(f"cannot advance clock by {seconds!r} seconds")
-        self._now += seconds
-
-    def bill(self, seconds: float, count: int) -> None:
-        """Advance by ``seconds``, ``count`` times over.
-
-        Exactly equivalent to calling :meth:`advance` ``count`` times:
-        the float accumulation order is preserved, so a bulk access
-        run charges byte-identical simulated time to the per-access
-        loop it replaces (``count * seconds`` in one add would round
-        differently).
-        """
-        if not seconds >= 0:
-            raise ValueError(f"cannot advance clock by {seconds!r} seconds")
-        if count < 0:
-            raise ValueError(f"cannot bill {count!r} charges")
-        now = self._now
-        for _ in range(count):
-            now += seconds
-        self._now = now
+        self.now += seconds
 
     def reset(self) -> None:
         """Rewind to time zero (used between benchmark repetitions)."""
-        self._now = 0.0
+        self.now = 0.0
 
     # -- overlap modelling ----------------------------------------------------
     #
@@ -128,7 +124,7 @@ class SimClock:
 
     def mark(self) -> float:
         """The current instant, for a later :meth:`rewind`."""
-        return self._now
+        return self.now
 
     def rewind(self, instant: float) -> None:
         """Move the clock back to a previously marked instant.
@@ -137,16 +133,16 @@ class SimClock:
         in the interval that was simulated, but the foreground timeline
         resumes from the mark.
         """
-        if instant < 0 or instant > self._now:
+        if instant < 0 or instant > self.now:
             raise ValueError(
-                f"cannot rewind clock to {instant!r} (now {self._now!r})"
+                f"cannot rewind clock to {instant!r} (now {self.now!r})"
             )
-        self._now = instant
+        self.now = instant
 
     def join(self, instant: float) -> None:
         """Wait until ``instant``: advance if it is still in the future."""
-        if instant > self._now:
-            self._now = instant
+        if instant > self.now:
+            self.now = instant
 
 
 class Stopwatch:

@@ -7,9 +7,9 @@ says so with ``models_time = False``.  A runtime reads that once
 (``RpcRuntime.models_time``) and then computes no modelled charge at
 all: no charge from the fill path (data request, reply, fault,
 prefetch issue), the stub's codec or a resident access reaches this
-clock.  It therefore has no ``advance`` / ``bill``: a charge that
-escaped a ``models_time`` guard is an ``AttributeError`` on the
-first real-carrier run that reaches it.
+clock.  It therefore has no ``advance``: a charge that escaped a
+``models_time`` guard is an ``AttributeError`` on the first
+real-carrier run that reaches it.
 
 ``now`` is epoch-based (``time.time``) rather than per-process
 monotonic so that trace events recorded by different OS processes on

@@ -113,7 +113,7 @@ class RunPlan:
     """A compiled read of several members laid out in one byte span.
 
     One access covers the byte span ``[start, start + span)`` relative
-    to the datum's base; :meth:`unpack` decodes the members out of the
+    to the datum's base; :attr:`unpack` decodes the members out of the
     blob with one precompiled :class:`struct.Struct` call.
     ``accesses`` is the modelled access count the run replaces (one
     per member; one per element for array members), which the checked
@@ -121,7 +121,7 @@ class RunPlan:
     loop.
     """
 
-    __slots__ = ("start", "span", "accesses", "codec", "_order")
+    __slots__ = ("start", "span", "accesses", "codec", "unpack")
 
     def __init__(
         self,
@@ -135,21 +135,24 @@ class RunPlan:
         self.span = span
         self.accesses = accesses
         self.codec = codec
-        if order == tuple(range(len(order))):
-            self._order = None
-        elif len(order) == 1:
-            index = order[0]
-            self._order = lambda values: (values[index],)
-        else:
-            # itemgetter with several indices returns a tuple at C speed.
-            self._order = operator.itemgetter(*order)
+        #: ``unpack(blob)`` -> the run's values (member order, arrays
+        #: flattened): the codec's own C ``unpack`` when the members
+        #: were given in address order, else that composed with the
+        #: reorder.
+        self.unpack: Callable[[bytes], tuple] = (
+            codec.unpack if order == tuple(range(len(order)))
+            else _reordered(codec.unpack, order)
+        )
 
-    def unpack(self, blob: bytes) -> tuple:
-        """Decode the run's values (member order, arrays flattened)."""
-        values = self.codec.unpack(blob)
-        if self._order is None:
-            return values
-        return self._order(values)
+
+def _reordered(
+    unpack: Callable[[bytes], tuple], order: Tuple[int, ...]
+) -> Callable[[bytes], tuple]:
+    """``unpack`` followed by a reorder.  ``order`` is not the identity,
+    so it has at least two indices and ``itemgetter`` returns a tuple
+    (at C speed)."""
+    pick = operator.itemgetter(*order)
+    return lambda blob: pick(unpack(blob))
 
 
 #: One member of a run: byte offset, in-memory size, struct codes,

@@ -350,6 +350,14 @@ EXCHANGE_TIMEOUT = 1.0
 PATIENT_RETRY = RetryPolicy(
     timeout=0.25, backoff=2.0, max_timeout=2.0, max_attempts=6
 )
+#: The probe's cap on its one RUN_SESSION to a ground planned to
+#: crash.  The ground reaches its crash frame 2–6 ms after the request
+#: (every ``caller`` cell, tcp and shm, on a Xeon host), so the send
+#: fails on the dead ground's refused reconnects after about this long
+#: instead of backing off through all of ``PATIENT_RETRY`` (≈ 7.5 s).
+#: A host slow enough to outrun the cap changes nothing the cell
+#: checks: ``wait_crashed`` still blocks for exit status 86.
+RUN_SESSION_CAP = 1.0
 
 
 def _env():
@@ -513,7 +521,7 @@ def test_process_crash_cell(role, step, registry, tmp_path):
                     MessageKind.RUN_SESSION,
                     encode_run_session(peers),
                     reply_kind=MessageKind.RUN_REPLY,
-                    timeout=10.0,
+                    timeout=RUN_SESSION_CAP,
                 )
             # Exit status 86 is the injector's: the ground reached its
             # planned frame (a missed frame would end the run cleanly).

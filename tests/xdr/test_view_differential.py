@@ -5,7 +5,9 @@ its accessors were compiled into a table.  Every sequence of gets, sets
 and element loads, on a big-endian 32-bit and a little-endian 64-bit
 machine, must give the same values, raise the same ``XdrError`` texts,
 leave the same bytes in memory and charge the simulated clock the same
-after every access.
+after every access.  So must every ``get_run`` — in address order,
+reversed, one member alone or any order, array members among them —
+against the per-field loads it stands for.
 """
 
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from repro.xdr.types import (
     int32,
     uint8,
 )
-from repro.xdr.view import StructView
+from repro.xdr.view import StructView, compile_run_plan
 from tests.xdr.reference_view import (
     reference_element,
     reference_get,
@@ -83,6 +85,50 @@ OPS = st.lists(
 )
 
 
+#: Members an access run can load: all but the two holding structs.
+RUNNABLE = [
+    field.name for field in SPEC.fields if field.name not in ("pairs", "inner")
+]
+
+#: How a drawn set of run members is ordered.
+RUN_ORDERS = ["address", "reversed", "as drawn"]
+
+RUNS = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(RUNNABLE), unique=True, min_size=1),
+        st.sampled_from(RUN_ORDERS),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _ordered(arch, names, order):
+    """``names`` in address order, reversed, or as drawn."""
+    if order == "as drawn":
+        return tuple(names)
+    by_address = sorted(names, key=SPEC.layout(arch).offsets.__getitem__)
+    if order == "reversed":
+        by_address.reverse()
+    return tuple(by_address)
+
+
+def reference_run(mem, address, arch, names):
+    """``get_run(*names)`` as per-field loads: one ``get`` per member
+    and one element load per element of an array member."""
+    values = []
+    for name in names:
+        spec = SPEC.field(name).spec
+        if isinstance(spec, ArrayType):
+            values.extend(
+                reference_element(mem, address, SPEC, arch, name, index)
+                for index in range(spec.count)
+            )
+        else:
+            values.append(reference_get(mem, address, SPEC, arch, name))
+    return tuple(values)
+
+
 def _site(arch, image):
     space = AddressSpace("D")
     clock = SimClock()
@@ -133,6 +179,26 @@ def test_compiled_accessors_match_the_ladder(arch, image, ops):
         assert got == want, op
         assert clock.now == ref_clock.now, op
     assert space.read_raw(address, 256) == ref_space.read_raw(ref_address, 256)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arch=st.sampled_from([SPARC32, X86_64]),
+    image=st.binary(min_size=256, max_size=256),
+    runs=RUNS,
+)
+def test_runs_match_the_per_field_loads(arch, image, runs):
+    space, clock, mem, address = _site(arch, image)
+    _, ref_clock, ref_mem, ref_address = _site(arch, image)
+    view = StructView(mem, address, SPEC, arch)
+    for drawn, order in runs:
+        names = _ordered(arch, drawn, order)
+        got = _outcome(lambda: view.get_run(*names))
+        want = _outcome(
+            lambda: reference_run(ref_mem, ref_address, arch, names)
+        )
+        assert got == want, names
+        assert clock.now.hex() == ref_clock.now.hex(), names
 
 
 def _pair(arch):
@@ -229,3 +295,47 @@ class TestEveryErrorText:
                 for _ in range(2):  # one charge per access, nothing else
                     expected += CostModel().local_access
             assert clock.now == expected
+
+
+class TestRunOrders:
+    """Each shape of run, on both machines: the values of the per-field
+    loads, and a plan whose ``unpack`` is the codec's own C call exactly
+    when the members were given in address order."""
+
+    IMAGE = bytes(range(256))
+
+    def _check(self, arch, names):
+        _, clock, mem, address = _site(arch, self.IMAGE)
+        _, ref_clock, ref_mem, ref_address = _site(arch, self.IMAGE)
+        got = StructView(mem, address, SPEC, arch).get_run(*names)
+        assert repr(got) == repr(
+            reference_run(ref_mem, ref_address, arch, names)
+        )
+        assert clock.now.hex() == ref_clock.now.hex()
+        return compile_run_plan(SPEC, arch, names)
+
+    def test_address_order_decodes_in_the_codecs_own_call(self):
+        for arch in (SPARC32, X86_64):
+            names = _ordered(arch, ["float64", "int8", "shorts", "next"],
+                             "address")
+            plan = self._check(arch, names)
+            assert plan.unpack == plan.codec.unpack
+
+    def test_reversed_order_is_put_back(self):
+        for arch in (SPARC32, X86_64):
+            names = _ordered(arch, ["float64", "int8", "shorts", "next"],
+                             "reversed")
+            plan = self._check(arch, names)
+            assert plan.unpack != plan.codec.unpack
+
+    def test_a_single_member(self):
+        for arch in (SPARC32, X86_64):
+            for name in ("uint16", "blob", "state"):
+                plan = self._check(arch, (name,))
+                assert plan.unpack == plan.codec.unpack
+
+    def test_array_members(self):
+        for arch in (SPARC32, X86_64):
+            for names in (("octets",), ("links", "shorts"),
+                          ("shorts", "tags", "states")):
+                self._check(arch, names)

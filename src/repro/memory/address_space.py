@@ -51,7 +51,10 @@ class AddressSpace:
         self._pages: Dict[int, Page] = {}
         self._first_page = max(1, REGION_BASE // page_size)
         self._next_page = self._first_page
-        self._fault_handler: Optional[FaultHandler] = None
+        #: The registered access-violation handler, if any (set through
+        #: :meth:`set_fault_handler`; read as a plain attribute by
+        #: every fault ``Mem`` delivers).
+        self.fault_handler: Optional[FaultHandler] = None
         #: Mapping/protection generation.  Bumped whenever a page goes
         #: away (:meth:`unmap_pages`), changes protection
         #: (:meth:`protect_pages`) or has its buffer rebound, and by
@@ -203,12 +206,7 @@ class AddressSpace:
         (playing the role of the kernel's signal delivery), not by the
         address space itself.
         """
-        self._fault_handler = handler
-
-    @property
-    def fault_handler(self) -> Optional[FaultHandler]:
-        """The registered handler, if any."""
-        return self._fault_handler
+        self.fault_handler = handler
 
     # -- checked access (user mode) -----------------------------------------
 

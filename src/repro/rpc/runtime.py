@@ -141,7 +141,10 @@ class RpcRuntime:
             stats=network.stats,
         )
         self.codec = RawCodec(self.space, arch)
-        self._wire_plans: Dict[str, WirePlan] = {}
+        #: Type id -> its :meth:`wire_plan`, every id met so far.
+        #: Read-only to callers: a hot loop probes it and falls back on
+        #: :meth:`wire_plan`.
+        self.wire_plans: Dict[str, WirePlan] = {}
         self._procedures: Dict[str, Tuple[ProcedureDef, Implementation]] = {}
         self._imported: Dict[str, ProcedureDef] = {}
         self._sessions: Dict[str, SessionState] = {}
@@ -154,9 +157,9 @@ class RpcRuntime:
         resolver is cold); a published definition is immutable, so the
         memo never needs invalidating.
         """
-        plan = self._wire_plans.get(type_id)
+        plan = self.wire_plans.get(type_id)
         if plan is None:
-            plan = self._wire_plans[type_id] = wire_plan(
+            plan = self.wire_plans[type_id] = wire_plan(
                 self.resolver.resolve(type_id), self.arch
             )
         return plan

@@ -68,6 +68,11 @@ class MessageKind(enum.Enum):
 
 _message_ids = itertools.count(1)
 
+#: The next message id.  A C callable: a ``Message`` built by its
+#: ``__init__`` or field by field (as a carrier's serving loop does)
+#: takes its id with no Python frame.
+next_message_id = _message_ids.__next__
+
 
 @dataclass
 class Message:
@@ -85,7 +90,7 @@ class Message:
     dst: str
     kind: MessageKind
     payload: bytes
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=next_message_id)
 
     @property
     def size(self) -> int:

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.memory.faults import AccessViolation, FaultKind
 from repro.memory.page import Protection
+from repro.smartrpc import transfer
 from repro.smartrpc.alloc_table import (
     AllocEntry,
     DataAllocationTable,
@@ -45,9 +46,10 @@ PACKED = "packed"
 STRATEGIES = (SINGLE_HOME, ISOLATED, PACKED)
 _FRESH = "fresh"
 _REMOTE = "remote"
-#: Read once per placeholder page: an enum member is a descriptor
-#: lookup on the class, a module global is not.
+#: Read once per placeholder page and per fault: an enum member is a
+#: descriptor lookup on the class, a module global is not.
 _PROTECTED = Protection.NONE
+_WRITE = FaultKind.WRITE
 
 
 class CachePage(list):
@@ -336,8 +338,9 @@ class CacheManager:
         page = pages[number] if number in pages else self.page_state(number)
         protection = page.protection
         runtime = self.runtime
+        write = fault.kind is _WRITE
         if runtime.stats.tracing:
-            kind = "write" if fault.kind is FaultKind.WRITE else "read"
+            kind = "write" if write else "read"
             runtime.trace_event(
                 "fault",
                 f"{runtime.site_id}: page {fault.page_number} "
@@ -348,9 +351,9 @@ class CacheManager:
                 kind=kind,
                 version=page.version,
             )
-        if protection is Protection.NONE:
+        if protection is _PROTECTED:
             self._fill(page)
-        if fault.kind is FaultKind.WRITE:
+        if write:
             self.mark_dirty_page(page)
         if runtime.models_time:
             runtime.clock.advance(runtime.cost_model.page_fault)
@@ -362,13 +365,28 @@ class CacheManager:
         transferred at this time" — from the page's home space: under
         the single-home heuristic that is one request message.
 
-        The actual requesting is the session's
-        :class:`~repro.smartrpc.pipeline.FetchPipeline`: a pass-through
-        to the classic one-request fill when both pipeline switches are
-        off, and the coalescing/piggyback/prefetch data plane under the
-        ``pipelined`` policy.
+        With both pipeline switches off that is the whole fill: the
+        page's missing data, demanded roots only, in one
+        :func:`~repro.smartrpc.transfer.request_data`.  Under the
+        ``pipelined`` policy the session's
+        :class:`~repro.smartrpc.pipeline.FetchPipeline` (coalescing,
+        piggyback, prefetch) makes the requests instead.
         """
-        self.state.pipeline.fill_page(self, page)
+        state = self.state
+        pipeline = state.pipeline
+        if pipeline.active:
+            pipeline.fill_page(self, page)
+        else:
+            # Closed first: the arriving data's own pointer fields
+            # swizzle into new placeholders, which must not land on the
+            # page being filled.
+            page.closed = True
+            pointers = []
+            for entry in page:
+                if not entry.resident:
+                    pointers.append(entry.pointer)
+            if pointers:
+                transfer.request_data(self.runtime, state, page.home, pointers)
         for entry in page:
             if not entry.resident:
                 missing = [e.pointer for e in page if not e.resident]

@@ -85,11 +85,15 @@ class ClosureWalker:
         self.hints = hints
         #: The canonical batch of everything emitted.
         self.batch = b""
-        # Per type id, resolved once per walk: the type's plan, and
-        # (worked out when the first datum of the type is emitted)
-        # how its pointer words are followed.
-        self._plans: Dict[str, WirePlan] = {}
-        self._follow: Dict[str, Tuple[bool, Optional[Follow]]] = {}
+        # Per type id: the type's plan (the runtime's own memo), and
+        # (worked out when the first datum of the type is emitted) how
+        # its pointer words are followed.  Unhinted, that depends on
+        # the plan alone, so the runtime keeps it; hints can still
+        # change, so a hinted walk works it out afresh.
+        self._plans: Dict[str, WirePlan] = runtime.wire_plans
+        self._follow: Dict[str, Tuple[bool, Optional[Follow]]] = (
+            runtime.closure_follows if hints is None else {}
+        )
 
     def walk(self, addresses: Sequence[int]) -> List[int]:
         """Select data to transfer: all roots, then closure to budget.
@@ -305,9 +309,8 @@ class ClosureWalker:
     # -- internals -----------------------------------------------------------
 
     def _plan(self, type_id: str) -> WirePlan:
-        """The plan of one type id (resolved at first use)."""
-        plan = self._plans[type_id] = self.runtime.wire_plan(type_id)
-        return plan
+        """The plan of one type id (resolved at its first use here)."""
+        return self.runtime.wire_plan(type_id)
 
     def _pointers_to_follow(
         self, plan: WirePlan, type_id: str

@@ -1,12 +1,12 @@
 """The fault-coalescing fetch pipeline (demand batching + prefetch).
 
-One :class:`FetchPipeline` lives on each smart session and owns the
-fault-driven fill path.  With both pipeline switches off (every preset
-but ``pipelined``) it is a byte-identical pass-through to the classic
-one-request-per-home fill of
-:meth:`repro.smartrpc.cache.CacheManager._fill`.  The ``pipelined``
-policy preset turns on both switches of the
-:class:`~repro.smartrpc.policy.TransferPolicy`:
+One :class:`FetchPipeline` lives on each smart session.  With both
+pipeline switches off (every preset but ``pipelined``) it stays idle:
+:meth:`repro.smartrpc.cache.CacheManager._fill` makes the classic
+one-request-per-home fill itself.  The ``pipelined`` policy preset
+turns on both switches of the
+:class:`~repro.smartrpc.policy.TransferPolicy`, and then the pipeline
+owns the fault-driven fill path:
 
 * **coalescing** (``coalesce``) — a demand request carries, beyond the
   faulted page's pointers, up to :data:`BATCH_WINDOW` other
@@ -122,7 +122,8 @@ class FetchPipeline:
     # -- the fill path ---------------------------------------------------------
 
     def fill_page(self, cache: "CacheManager", page: "CachePage") -> None:
-        """Make every datum allocated to ``page`` resident.
+        """Make every datum allocated to ``page`` resident, while
+        :attr:`active` (the cache fills the page itself otherwise).
 
         The page is closed to further placeholder allocation first: the
         arriving data's own pointer fields swizzle into *new*
@@ -132,16 +133,7 @@ class FetchPipeline:
         page.closed = True
         # Every strategy places a datum only on a page of its own home,
         # so the page's non-resident data are one request to
-        # ``page.home`` on either path.
-        if not self.active:
-            # Pass-through: exactly the classic fill — demanded roots
-            # only, nothing asynchronous.
-            pointers = [entry.pointer for entry in page if not entry.resident]
-            if pointers:
-                transfer.request_data(
-                    self.runtime, self.state, page.home, pointers
-                )
-            return
+        # ``page.home``.
         fault_pages = {page.number}
         for entry in page:
             fault_pages.update(cache.pages_of(entry))
@@ -318,7 +310,7 @@ class FetchPipeline:
                     MessageKind.DATA_REQUEST,
                     payload,
                     reply_kind=MessageKind.DATA_REPLY,
-                    **cap,
+                    timeout=cap,
                 )
             )
         self._pending = fetch

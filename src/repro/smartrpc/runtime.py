@@ -180,6 +180,19 @@ class SmartRpcRuntime(RpcRuntime):
         elif not isinstance(policy, TransferPolicy):
             raise SmartRpcError(f"bad policy {policy!r}")
         self.policy = policy
+        #: The head of the last DATA_REQUEST served here, ``(image,
+        #: session id, ground site)``: a request that opens with the
+        #: same bytes names the same session, so its head is not
+        #: decoded again.  One tuple, swapped whole, so the serving
+        #: threads share it safely.
+        self.request_head = transfer.NO_HEAD
+        #: The pool table that opened the last batch applied here,
+        #: ``(image, pairs)``, on the same terms.
+        self.pool_head = transfer.NO_POOL_HEAD
+        #: Type id -> how an unhinted closure walk follows that type's
+        #: pointer words (it depends on the type's plan alone); filled
+        #: by the walks.
+        self.closure_follows: Dict[str, tuple] = {}
         self.space.set_fault_handler(self._handle_fault)
         self.mem.observer = self._note_program_access
         site.register_handler(
@@ -297,11 +310,10 @@ class SmartRpcRuntime(RpcRuntime):
     ) -> SmartSessionState:
         return SmartSessionState(session_id, ground_site, self)
 
-    def ensure_smart_session(
-        self, session_id: str, ground_site: str
-    ) -> SmartSessionState:
-        """Typed access to (or lazy creation of) a session's state."""
-        return self._ensure_session(session_id, ground_site)
+    #: ``(session_id, ground_site)`` -> the session's
+    #: :class:`SmartSessionState`, made here if new: the lookup itself,
+    #: with no forwarding frame (every DATA_REQUEST makes one).
+    ensure_smart_session = RpcRuntime._ensure_session
 
     def _teardown_session(self, state: SmartSessionState) -> None:
         state.pipeline.drain()
@@ -322,11 +334,9 @@ class SmartRpcRuntime(RpcRuntime):
 
     # -- fault tolerance (DESIGN.md §12) --------------------------------------
 
-    def _exchange_cap(self, state: SmartSessionState) -> Dict[str, float]:
-        """The per-exchange timeout, as ``send`` keywords."""
-        if state.policy.exchange_timeout > 0:
-            return {"timeout": state.policy.exchange_timeout}
-        return {}
+    def _exchange_cap(self, state: SmartSessionState) -> Optional[float]:
+        """The per-exchange timeout, ``None`` when uncapped (zero)."""
+        return state.policy.exchange_timeout or None
 
     def session_send(
         self,
@@ -357,7 +367,7 @@ class SmartRpcRuntime(RpcRuntime):
         try:
             return self.site.send(
                 dst, kind, payload, reply_kind=reply_kind,
-                **self._exchange_cap(state),
+                timeout=self._exchange_cap(state),
             )
         except TransportError as exc:
             reason = f"peer-unreachable:{dst}"
@@ -383,7 +393,8 @@ class SmartRpcRuntime(RpcRuntime):
         for participant in sorted(state.participants - {self.site_id}):
             try:
                 self.site.send(
-                    participant, MessageKind.INVALIDATE, payload, **cap
+                    participant, MessageKind.INVALIDATE, payload,
+                    timeout=cap,
                 )
             except TransportError:
                 continue

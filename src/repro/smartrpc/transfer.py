@@ -41,6 +41,7 @@ from repro.xdr.errors import XdrError
 from repro.xdr.raw import LONG_SLOT, WirePlan
 from repro.xdr.stream import (
     IMAGES,
+    INTERN_MAX_BYTES,
     XdrDecoder,
     read_string,
     string_image,
@@ -66,6 +67,11 @@ _U32 = struct.Struct(">I")
 #: A DATA_REPLY's head: status, then the batch's opaque length word.
 _REPLY_HEAD = struct.Struct(">II")
 _PADS = (b"", bytes(3), bytes(2), bytes(1))
+
+#: No DATA_REQUEST head decoded yet: an empty image, which no head is.
+NO_HEAD = (b"", "", "")
+#: No pool table read yet, on the same terms.
+NO_POOL_HEAD = (b"", ())
 
 
 # -- batch encoding -----------------------------------------------------------
@@ -109,8 +115,10 @@ def apply_batch(
 
     One cursor reads the batch, its head included: the pool table
     (:func:`~repro.smartrpc.long_pointer.read_pool_head`, each string
-    probed once in the intern table), the item count, then each flat
-    item as one ``Struct`` unpack, chosen by peeking at its slot
+    probed once in the intern table — or, when the batch opens with
+    the same table as the last one this runtime applied, that table's
+    pairs, ``SmartRpcRuntime.pool_head``), the item count, then each
+    flat item as one ``Struct`` unpack, chosen by peeking at its slot
     handles.  Every read is bounds checked first, so a cut batch raises
     the decoder's underflow error, and bytes past the last item are an
     :class:`XdrError`.
@@ -132,7 +140,14 @@ def apply_batch(
     """
     view = payload
     end = len(view)
-    pairs, pos = read_pool_head(view, end)
+    image, pairs = runtime.pool_head
+    pos = len(image)
+    if not pos or view[:pos] != image:
+        pairs, pos = read_pool_head(view, end)
+        pairs = tuple(pairs)
+        runtime.pool_head = (
+            bytes(view[:pos]) if pos <= INTERN_MAX_BYTES else b"", pairs
+        )
     known = len(pairs)  # a handle above this names no pair
     if pos + 4 > end:
         raise underflow(4, end - pos)
@@ -148,21 +163,15 @@ def apply_batch(
     site_id = runtime.site_id
     allocation_based_at = runtime.heap.allocation_based_at
     space = runtime.space
-    store = runtime.codec.store
     cache = state.cache
     entry_for = cache.table.entry_for
     place = cache.place
     pages = cache.pages
     page_size = cache.page_size
     seal = cache.datum_seal
-    swizzle = state.swizzler.swizzle
     new_pointer = tuple.__new__
     # A stream decoder and a handle pool only for a union item.
     decoder = pool = None
-
-    def pointer_in(_target: str) -> int:
-        return swizzle(decode_long_pointer_pooled(decoder, pool))
-
     applied = 0
     untouched = 0  # entries newly flagged shipped, none touched yet
     shipped = [0, 0]  # bytes of demanded roots, bytes of prefetch
@@ -260,12 +269,7 @@ def apply_batch(
                     decoder = XdrDecoder(view)
                     pool = HandlePool(pairs)
                 decoder.seek(pos)
-                runtime.codec.decode(
-                    decoder,
-                    target,
-                    runtime.resolver.resolve(type_id),
-                    pointer_in,
-                )
+                _decode_union(runtime, state, decoder, pool, target, type_id)
                 pos = decoder.tell()
             else:
                 if flat.checked:
@@ -280,7 +284,7 @@ def apply_batch(
                         slot_space, slot_type = pairs[slot - 1]
                         slot_key = (slot_space, values[index + 1], slot_type)
                         if slot_space == site_id:
-                            values[index] = swizzle(
+                            values[index] = state.swizzler.swizzle(
                                 new_pointer(LongPointer, slot_key)
                             )
                         else:
@@ -304,7 +308,8 @@ def apply_batch(
                         values[index + 1] = b""
                 native = values[2:]
                 if entry is None or entry.offset + entry.size > page_size:
-                    store(flat, target, native)  # original data, or a span
+                    # Original data, or a span.
+                    runtime.codec.store(flat, target, native)
                 else:
                     # Straight into the placeholder's page buffer, backed
                     # only as far as written: growing rebinds it, which
@@ -324,7 +329,8 @@ def apply_batch(
                     try:
                         flat.native.pack_into(buffer, at, *native)
                     except struct.error:
-                        store(flat, target, native)  # names the misfit
+                        # Names the misfit.
+                        runtime.codec.store(flat, target, native)
             applied += 1
             if entry is None:
                 continue
@@ -382,6 +388,27 @@ def _zero_address() -> XdrError:
     return XdrError("long pointer address must be positive, got 0")
 
 
+def _decode_union(
+    runtime: "SmartRpcRuntime",
+    state: "SmartSessionState",
+    decoder: XdrDecoder,
+    pool: HandlePool,
+    target: int,
+    type_id: str,
+) -> None:
+    """Decode one union item's value (at ``decoder``'s position) into
+    ``target``: the hook-driven codec dispatches its arm, and each long
+    pointer swizzles through the session's swizzler."""
+    swizzle = state.swizzler.swizzle
+
+    def pointer_in(_target: str) -> int:
+        return swizzle(decode_long_pointer_pooled(decoder, pool))
+
+    runtime.codec.decode(
+        decoder, target, runtime.resolver.resolve(type_id), pointer_in
+    )
+
+
 def _skip(decoder: XdrDecoder, steps: Sequence, pool: HandlePool) -> None:
     """Read past a resident union item's value, checking that every
     long pointer in it is well formed."""
@@ -436,20 +463,40 @@ def _request_tail(count: int) -> struct.Struct:
     return struct.Struct(f">III{count}Q")
 
 
-def decode_request_payload(payload: bytes) -> tuple:
-    """``(session id, ground site, budget, order code, addresses)`` of
-    one DATA_REQUEST payload.
+def read_request_head(payload: bytes, known: tuple = NO_HEAD) -> tuple:
+    """The head of one DATA_REQUEST payload, ``(image, session id,
+    ground site)``, and the offset just past it.
 
-    One cursor pass, as :func:`apply_batch` reads a batch: each string
-    goes through :func:`~repro.xdr.stream.read_string` (its image
-    sliced whole and probed once in the intern table), and the tail is
-    one ``Struct``.  A cut payload is the decoder's underflow error,
-    and bytes past the tail are an :class:`XdrError`.
+    ``known`` is a head read before.  A payload that opens with its
+    image names the same two strings — an XDR string is self-delimiting
+    — so ``known`` itself is the answer: a home keeps its last one
+    (``SmartRpcRuntime.request_head``), and every request of a session
+    opens with the same head.  Otherwise one cursor pass, as
+    :func:`apply_batch` reads a batch: each string goes through
+    :func:`~repro.xdr.stream.read_string` (its image sliced whole and
+    probed once in the intern table), and a cut head is the decoder's
+    underflow error.  A head image over ``INTERN_MAX_BYTES`` is not
+    kept: the head returned has an empty image, which matches nothing.
     """
+    image = known[0]
+    pos = len(image)
+    if pos and payload[:pos] == image:
+        return known, pos
     size = len(payload)
     session_id, pos = read_string(payload, 0, size)
     ground_site, pos = read_string(payload, pos, size)
-    tail = _request_tail(max(size - pos - 12, 0) // 8)
+    image = bytes(payload[:pos]) if pos <= INTERN_MAX_BYTES else b""
+    return (image, session_id, ground_site), pos
+
+
+def read_request_tail(payload: bytes, pos: int) -> tuple:
+    """``(budget, order code, addresses)`` of the DATA_REQUEST payload
+    whose head ends at ``pos``: one ``Struct``.  A cut tail is the
+    decoder's underflow error, and bytes past it are an
+    :class:`XdrError`."""
+    size = len(payload)
+    rest = size - pos - 12
+    tail = _request_tail(rest // 8 if rest > 0 else 0)
     if pos + tail.size > size:
         raise underflow(tail.size, size - pos)
     if pos + tail.size < size:
@@ -462,7 +509,16 @@ def decode_request_payload(payload: bytes) -> tuple:
             f"DATA_REQUEST names {count} roots and carries "
             f"{len(addresses)}"
         )
-    return session_id, ground_site, budget, order_code, addresses
+    return budget, order_code, addresses
+
+
+def decode_request_payload(payload: bytes) -> tuple:
+    """``(session id, ground site, budget, order code, addresses)`` of
+    one DATA_REQUEST payload: its head
+    (:func:`read_request_head`), then its tail
+    (:func:`read_request_tail`)."""
+    (_image, session_id, ground_site), pos = read_request_head(payload)
+    return (session_id, ground_site) + read_request_tail(payload, pos)
 
 
 def apply_reply(
@@ -582,10 +638,11 @@ def handle_data_request(
     payload = message.payload
     if runtime.models_time:
         runtime.clock.advance(runtime.cost_model.codec_cost(len(payload)))
-    session_id, ground_site, budget, order_code, addresses = (
-        decode_request_payload(payload)
-    )
-    state = runtime.ensure_smart_session(session_id, ground_site)
+    # The head as decode_request_payload reads it, through the memo.
+    head, pos = read_request_head(payload, runtime.request_head)
+    runtime.request_head = head
+    budget, order_code, addresses = read_request_tail(payload, pos)
+    state = runtime.ensure_smart_session(head[1], head[2])
     state.note_participant(message.src)
     try:
         order = _ORDER_NAMES.get(order_code)

@@ -76,39 +76,44 @@ class ReplyCache:
     (:meth:`discard`).  ``retransmission_hits`` counts duplicate
     *requests* answered from the cache instead of re-running the
     handler.
+
+    ``entries`` (key -> reply, least recently used first) is public
+    for a carrier that runs these operations on it directly, under a
+    lock it already holds: what it does to the dict must be what the
+    methods do.
     """
 
     def __init__(self, limit: int = 4096) -> None:
         if limit < 1:
             raise ValueError(f"bad reply cache limit {limit!r}")
         self.limit = limit
-        self._entries: "OrderedDict[Hashable, bytes]" = OrderedDict()
+        self.entries: "OrderedDict[Hashable, bytes]" = OrderedDict()
         self.retransmission_hits = 0
 
     def get(self, key: Hashable) -> Optional[bytes]:
         """The cached reply for ``key``, refreshing its recency."""
-        reply = self._entries.get(key)
+        reply = self.entries.get(key)
         if reply is not None:
-            self._entries.move_to_end(key)
+            self.entries.move_to_end(key)
             self.retransmission_hits += 1
         return reply
 
     def put(self, key: Hashable, reply: bytes) -> None:
         """Cache ``reply``, evicting the least recently used entries."""
-        self._entries[key] = reply
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.limit:
-            self._entries.popitem(last=False)
+        self.entries[key] = reply
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.limit:
+            self.entries.popitem(last=False)
 
     def discard(self, key: Hashable) -> None:
         """Retire the reply for ``key``, if cached: acknowledged."""
-        self._entries.pop(key, None)
+        self.entries.pop(key, None)
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
+        return key in self.entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ crash-kills at the same ordinals on either carrier.
 
 The link is any ``SOCK_STREAM`` socket.  ``endpoint.send`` blocks the
 calling thread as a simulated delivery does, because that thread
-itself writes the request and reads the reply off a plain blocking
-socket.  Connections are pooled and reused, and a versioned handshake
+itself writes the request and waits in ``poll`` for the reply on its
+own socket.  Connections are pooled and reused, and a versioned handshake
 (:mod:`repro.transport.framing`) rejects incompatible peers at connect
 time; :meth:`ExchangeTransport._answer_hello` and
 :meth:`ExchangeTransport._judge_welcome` are its two judges.  A carrier
@@ -69,6 +69,9 @@ chosen (``tests/transport/exchange_contract.py`` pins each):
 * **The idle check** of a pooled connection is one zero-timeout
   ``poll``, registered once per :class:`Connection`; only a readable
   socket (EOF, ``GOODBYE``, a late duplicate) is drained.
+* **A request names no site**: the serving loop takes the sender from
+  the connection's ``HELLO`` and runs the reply cache's operations on
+  its dict under the lock it holds for the gate anyway.
 * **The running check** is made before every attempt, so a closed
   transport fails at once on either carrier instead of dialling.
 
@@ -98,7 +101,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.simnet.clock import CostModel
-from repro.simnet.message import Message, MessageKind
+from repro.simnet.message import Message, MessageKind, next_message_id
 from repro.simnet.stats import StatsCollector
 from repro.transport.base import (
     HANDSHAKE_TIMEOUT,
@@ -147,17 +150,22 @@ BULK_KEEP = 8 * 1024 * 1024
 # enum's own lookup and ``.value`` are Python-level calls.
 _KINDS = {kind.value: kind for kind in MessageKind}
 _WORDS = {kind: word for word, kind in _KINDS.items()}
+_new = object.__new__
 
 
 class Connection:
     """One stream connection: a socket and the bytes read past a frame.
 
     One thread at a time uses it: the exchange that took it from the
-    pool, or the thread serving it.  A ``deadline`` is a
-    ``time.monotonic()`` instant, enforced with ``socket.timeout`` (an
-    ``OSError``) set afresh before every ``sendall`` and ``recv``, so
-    time one of them used is never granted again; ``None`` leaves the
-    socket in its own mode.
+    pool, or the thread serving it.  The socket is non-blocking until a
+    serving thread, past the handshake, makes it blocking.  A
+    ``deadline`` is a ``time.monotonic()`` instant: an operation given
+    one waits in ``poll`` for what is left of it before each ``send``
+    and ``recv`` that cannot go at once, so time one of them used is
+    never granted again, and running out is ``socket.timeout`` (an
+    ``OSError``).  ``None`` leaves the socket in its own mode.  A
+    client's exchange thus costs one ``send``, one ``poll`` and one
+    ``recv``, with no timeout to set on the socket.
     """
 
     __slots__ = ("sock", "peer", "served", "_buffer", "_bulk", "_poll")
@@ -167,33 +175,56 @@ class Connection:
             # A duplicated request or a GOODBYE behind a reply is
             # write-write-read: Nagle plus delayed ACK stalls that 40 ms.
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
         self.sock = sock
         self.peer: Optional[str] = None  # known once hands were shaken
-        # ``(src, exchange id)`` of the last request served here.
+        # ``(sender, exchange id)`` of the last request served here.
         self.served: Optional[Tuple[str, int]] = None
         self._buffer = b""
         self._bulk = bytearray()
-        # The idle check's zero-timeout poll, registered once.
+        # The readiness poll (the idle check's and every deadline's),
+        # registered once.
         self._poll = select.poll()
         self._poll.register(sock, select.POLLIN)
 
-    def _arm(self, deadline: float) -> None:
+    def _wait(self, deadline: float, poll=None) -> None:
+        """Wait, until ``deadline`` at most, for the socket to be
+        readable (or for ``poll``'s event)."""
         remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        # poll() counts whole milliseconds: round up, never down to 0.
+        if remaining <= 0 or not (poll or self._poll).poll(
+            int(remaining * 1000) + 1
+        ):
             raise socket.timeout("timed out")
-        self.sock.settimeout(remaining)
 
     def send(self, data: bytes, deadline: Optional[float] = None) -> None:
-        if deadline is not None:
-            self._arm(deadline)
-        self.sock.sendall(data)
+        if deadline is None:
+            self.sock.sendall(data)
+            return
+        try:
+            sent = self.sock.send(data)  # a frame the buffer takes whole
+        except BlockingIOError:
+            sent = 0
+        if sent < len(data):
+            self._send_rest(memoryview(data)[sent:], deadline)
+
+    def _send_rest(self, view: memoryview, deadline: float) -> None:
+        """Send what a full socket buffer did not take, by ``deadline``."""
+        writable = select.poll()
+        writable.register(self.sock, select.POLLOUT)
+        while view:
+            self._wait(deadline, writable)
+            try:
+                view = view[self.sock.send(view):]
+            except BlockingIOError:
+                pass
 
     def read_frame(self, deadline: Optional[float] = None):
         """Read one frame; ``None`` on clean EOF."""
         start = LENGTH_PREFIX.size
         while len(self._buffer) < start:
             if deadline is not None:
-                self._arm(deadline)
+                self._wait(deadline)
             chunk = self.sock.recv(RECV_BYTES)
             if not chunk:
                 if self._buffer:
@@ -222,7 +253,7 @@ class Connection:
         view[:have] = memoryview(buffer)[start:]
         while have < length:
             if deadline is not None:
-                self._arm(deadline)
+                self._wait(deadline)
             count = self.sock.recv_into(view[have:])
             if not count:
                 raise FramingError("connection closed mid-frame")
@@ -237,14 +268,11 @@ class Connection:
         late duplicate replies wait in the kernel for the next taker,
         which drops the latter.
         One zero-timeout ``poll`` says whether anything did; only then
-        is it drained, under ``settimeout(0)``, as ``MSG_DONTWAIT`` on a
-        socket with a Python timeout set still polls for that timeout
-        first.
+        is the (non-blocking) socket drained.
         """
         if not self._buffer and not self._poll.poll(0):
             return True
         try:
-            self.sock.settimeout(0)
             while True:
                 frame = self.read_frame()
                 if frame is None or isinstance(frame, Goodbye):
@@ -526,8 +554,8 @@ class ExchangeTransport(Transport):
             address,
             exchange_id,
             self._encode_request(
-                exchange_id, self.site_id, dst, _WORDS[kind],
-                reply_kind is not None, clock, payload,
+                exchange_id, _WORDS[kind], reply_kind is not None, clock,
+                payload,
             ),
             kind,
             payload,
@@ -809,19 +837,24 @@ class ExchangeTransport(Transport):
     def _serve(self, conn: Connection) -> None:
         """Handshake, then answer one connection until it ends."""
         try:
-            hello = conn.read_frame(time.monotonic() + HANDSHAKE_TIMEOUT)
+            deadline = time.monotonic() + HANDSHAKE_TIMEOUT
+            hello = conn.read_frame(deadline)
             answer = self._answer_hello(hello)
-            conn.send(encode_frame(answer))
+            conn.send(encode_frame(answer), deadline)
             if isinstance(answer, Goodbye):
                 return
-            conn.peer = hello.site_id
+            peer = conn.peer = hello.site_id
             conn.sock.settimeout(None)  # from here on, block
             while True:
                 frame = conn.read_frame()
-                if frame is None or isinstance(frame, Goodbye):
-                    break
-                if isinstance(frame, Request):
+                if frame.__class__ is Request:
+                    # The connection names both ends of its exchanges.
+                    fill = frame.__dict__
+                    fill["src"] = peer
+                    fill["dst"] = self.site_id
                     self._serve_request(conn, frame)
+                elif frame is None or isinstance(frame, Goodbye):
+                    break
                 elif isinstance(frame, Ping):
                     conn.send(encode_frame(Pong(frame.token)))
         except (OSError, FramingError):
@@ -830,16 +863,22 @@ class ExchangeTransport(Transport):
             self._discard(conn)
 
     def _serve_request(self, conn: Connection, request: Request) -> None:
-        """Run (or replay) one exchange and push its reply."""
+        """Run (or replay) one exchange and push its reply.
+
+        The reply cache's operations run on its dict, within the one
+        lock acquisition before the handler and the one after it that
+        the in-flight gate takes anyway.
+        """
         key = (request.src, request.exchange_id)
         cache = self.endpoint.reply_cache
+        entries = cache.entries
         with self._lock:
             if conn.served != key:
                 # The client has read the reply to the request served
                 # before this one here: nobody will ask for it again.
-                cache.discard(conn.served)
+                entries.pop(conn.served, None)
                 conn.served = key
-            encoded = cache.get(key)
+            encoded = entries.get(key) if entries else None
             run = encoded is None and key not in self._inflight
             if run:
                 # Gated first, so a retransmission waits for this run
@@ -848,21 +887,29 @@ class ExchangeTransport(Transport):
                 while self._handlers >= MAX_HANDLERS:
                     self._wait_at_gate()
                 self._handlers += 1
-            elif encoded is None:
-                # A retransmission while the first transmission's
-                # handler still runs: wait for that one run.
-                while key in self._inflight:
-                    self._wait_at_gate()
-                encoded = cache.get(key)
+            else:
                 if encoded is None:
-                    return  # that run died; the peer will retransmit
+                    # A retransmission while the first transmission's
+                    # handler still runs: wait for that one run.
+                    while key in self._inflight:
+                        self._wait_at_gate()
+                    encoded = entries.get(key)
+                    if encoded is None:
+                        return  # that run died; the peer will retransmit
+                # A hit: recency refreshed and counted, as ``get`` does.
+                entries.move_to_end(key)
+                cache.retransmission_hits += 1
         if run:
             try:
                 encoded = self._execute(request)
             finally:
                 with self._lock:
                     if encoded is not None:
-                        cache.put(key, encoded)
+                        # A new key, so it joins at the recent end, as
+                        # ``put`` leaves it.
+                        entries[key] = encoded
+                        if len(entries) > cache.limit:
+                            entries.popitem(last=False)
                     self._inflight.discard(key)
                     self._handlers -= 1
                     if self._waiting:
@@ -890,7 +937,7 @@ class ExchangeTransport(Transport):
         """Dispatch one request to its handler, on this thread."""
         vclock = self.endpoint.vclock
         try:
-            kind = _KINDS.get(request.kind) or MessageKind(request.kind)
+            kind = _KINDS[request.kind]
             if self._faults is not None:
                 with self._lock:
                     if self._faults.crash_on_receive(kind):
@@ -902,9 +949,15 @@ class ExchangeTransport(Transport):
             # this exchange.
             if request.clock:
                 vclock.merge_wire(request.clock)
-            body = self.endpoint.handle(
-                Message(request.src, request.dst, kind, request.payload)
-            )
+            # Built field by field: the dataclass ``__init__`` is a
+            # frame of its own.
+            message = _new(Message)
+            message.src = request.src
+            message.dst = request.dst
+            message.kind = kind
+            message.payload = request.payload
+            message.msg_id = next_message_id()
+            body = self.endpoint.handle(message)
             if not request.expects_reply and body:
                 raise TransportError(
                     f"one-way {kind} message produced a reply"

@@ -13,13 +13,16 @@ Frame vocabulary::
     HELLO        client -> server  protocol version + sender site id
     WELCOME      server -> client  accepted version + server site id
     GOODBYE      either direction  refusal / orderly close, with reason
-    REQUEST      client -> server  one exchange: id, src, dst, kind, body
+    REQUEST      client -> server  one exchange: id, kind word, body
     REPLY        server -> client  exchange id, status, body
     PING         client -> server  liveness probe (token)
     PONG         server -> client  liveness echo (token)
 
 Every body travels inline: a decoded ``REQUEST`` or ``REPLY`` owns its
-payload bytes.
+payload bytes.  A ``REQUEST`` names neither end of its exchange: the
+connection does (the sender is the site its ``HELLO`` named, the
+receiver the site that answered ``WELCOME``), and its message kind is
+one word from :data:`KIND_WORDS`.
 
 The handshake is versioned: a connection opens with ``HELLO``; the
 server answers ``WELCOME`` when it speaks that version and ``GOODBYE``
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple, Union
 
 from repro.transport.base import TransportError
@@ -61,8 +64,10 @@ from repro.xdr.stream import (
 #: Current wire protocol version, sent in every HELLO/WELCOME.
 #: Version 2 added the piggybacked vector clock on REQUEST/REPLY;
 #: version 3 dropped the shared-segment frames (type words 8-10), so a
-#: peer that still sends them fails the handshake, not an exchange.
-PROTOCOL_VERSION = 3
+#: peer that still sends them fails the handshake, not an exchange;
+#: version 4 dropped a REQUEST's site ids and carries its kind as a
+#: word, so a v3 peer fails the handshake instead of misreading one.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame body; guards against garbage length words.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -77,6 +82,41 @@ STATUS_HANDLER_ERROR = 1
 
 class FramingError(TransportError):
     """A frame could not be encoded or decoded."""
+
+
+#: A message kind's wire word, by the kind's value.  Written out, not
+#: derived from :class:`~repro.simnet.message.MessageKind`'s order, so
+#: adding or reordering kinds never renumbers the wire; a new kind
+#: takes a new word.
+KIND_WORDS: Dict[str, int] = {
+    "call": 1,
+    "reply": 2,
+    "data_request": 3,
+    "data_reply": 4,
+    "writeback_prepare": 5,
+    "writeback_prepare_ack": 6,
+    "writeback_commit": 7,
+    "writeback_commit_ack": 8,
+    "invalidate": 9,
+    "memory_batch": 10,
+    "memory_batch_reply": 11,
+    "type_query": 12,
+    "type_reply": 13,
+    "site_register": 14,
+    "site_deregister": 15,
+    "site_lookup": 16,
+    "site_heartbeat": 17,
+    "site_list": 18,
+    "dir_reply": 19,
+    "shutdown": 20,
+    "shutdown_ack": 21,
+    "status": 22,
+    "status_reply": 23,
+    "run_session": 24,
+    "run_reply": 25,
+}
+#: And back: a kind's value by its wire word.
+WORD_KINDS: Dict[int, str] = {word: kind for kind, word in KIND_WORDS.items()}
 
 
 class FrameType(enum.IntEnum):
@@ -122,17 +162,22 @@ class Request:
     ``exchange_id`` is unique per sending site; the receiver's
     duplicate suppression keys on ``(src, exchange_id)``, so a
     retransmitted request (same id) never re-runs the handler.
+    ``kind`` is a message kind's value (a key of :data:`KIND_WORDS`).
     """
 
     exchange_id: int
-    src: str
-    dst: str
     kind: str
     expects_reply: bool
     payload: bytes
     #: Sender's vector clock, piggybacked for causal trace stamping:
     #: sorted ``(site id, tick count)`` pairs.
     clock: Tuple[Tuple[str, int], ...] = ()
+    #: The exchange's two ends, which no frame carries: the connection
+    #: names them.  The serving side sets them on a request it decoded
+    #: (the site the connection's ``HELLO`` named, and itself), so
+    #: they are not part of a frame's value.
+    src: str = field(default="", compare=False, repr=False)
+    dst: str = field(default="", compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -167,14 +212,15 @@ Frame = Union[Hello, Welcome, Goodbye, Request, Reply, Ping, Pong]
 #
 # One row per frame type: class, type word, and the body's fields in
 # wire order as ``name:kind``.  Kinds: ``I`` uint32, ``Q`` uint64, ``?``
-# boolean (a 0/1 uint32), ``s`` string (spliced from the intern
-# tables), ``c`` vector clock, ``o`` opaque payload.
+# boolean (a 0/1 uint32), ``k`` message kind (its uint32 word from
+# ``KIND_WORDS``), ``s`` string (spliced from the intern tables), ``c``
+# vector clock, ``o`` opaque payload.
 _FRAME_TABLE = (
     (Hello, FrameType.HELLO, "version:I site_id:s"),
     (Welcome, FrameType.WELCOME, "version:I site_id:s"),
     (Goodbye, FrameType.GOODBYE, "site_id:s reason:s"),
     (Request, FrameType.REQUEST,
-     "exchange_id:Q src:s dst:s kind:s expects_reply:? clock:c payload:o"),
+     "exchange_id:Q kind:k expects_reply:? clock:c payload:o"),
     (Reply, FrameType.REPLY, "exchange_id:Q status:I clock:c payload:o"),
     (Ping, FrameType.PING, "token:Q"),
     (Pong, FrameType.PONG, "token:Q"),
@@ -182,6 +228,8 @@ _FRAME_TABLE = (
 
 _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
+#: The struct code a field kind that is a fixed-width word packs as.
+_WORD = {"?": "I", "k": "I"}
 _NO_CLOCK = bytes(4)
 _PADS = (b"", bytes(3), bytes(2), bytes(1))
 
@@ -238,9 +286,12 @@ def _compile(cls, type_word: int, layout: str) -> None:
     fmt, args = "II", ["_size", str(int(type_word))]
     fixed = -LENGTH_PREFIX.size  # the body length leaves the prefix out
     for name, kind in fields + [("", "")]:
-        if kind and kind in "IQ?":
-            fmt += kind.replace("?", "I")
-            args.append(f"1 if {name} else 0" if kind == "?" else name)
+        if kind and kind in "IQ?k":
+            fmt += _WORD.get(kind, kind)
+            args.append(
+                f"1 if {name} else 0" if kind == "?"
+                else f"KIND_WORDS[{name}]" if kind == "k" else name
+            )
             continue
         if kind == "o":
             encode.append(f"{name}_n = len({name})")
@@ -276,8 +327,8 @@ def _compile(cls, type_word: int, layout: str) -> None:
     # variable-length field has been passed) plus a constant ``delta``.
     words = [("I", "_")]
     for name, kind in fields:
-        if kind in "IQ?":
-            words.append((kind.replace("?", "I"), name))
+        if kind in "IQ?k":
+            words.append((_WORD.get(kind, kind), name))
         else:
             words += [("I", "_count" if kind == "c" else "_len"), (kind, name)]
     decode = [f"def _decode_{cls.__name__}(_view, _n):"]
@@ -330,6 +381,12 @@ def _compile(cls, type_word: int, layout: str) -> None:
         if kind == "?":
             decode.append(f"if {name} > 1: raise FramingError("
                           "'malformed frame body: bad boolean')")
+        elif kind == "k":
+            decode += [
+                f"{name} = WORD_KINDS.get({name})",
+                f"if {name} is None: raise FramingError("
+                "'malformed frame body: unknown message kind')",
+            ]
         decode.append(
             f"_fill['{name}'] = {name}" + (" == 1" if kind == "?" else "")
         )
@@ -368,13 +425,16 @@ def encode_frame(frame: Frame) -> bytes:
         return encode(frame)
     except struct.error as exc:
         raise FramingError(f"cannot encode {frame!r}: {exc}") from None
+    except KeyError:
+        raise FramingError(f"cannot encode {frame!r}: no such kind") from None
 
 
 def fields_encoder(cls) -> Callable[..., bytes]:
     """The compiled encoder of ``cls`` frames that takes the frame's
     fields themselves, in table order, and builds no frame: the hot
     path's ``REQUEST`` and ``REPLY``.  Its bytes are
-    :func:`encode_frame`'s; an out-of-range word is ``struct.error``."""
+    :func:`encode_frame`'s; an out-of-range word is ``struct.error``,
+    a kind with no word a ``KeyError``."""
     return _FIELDS.get(cls) or _compiled(_FIELDS, cls)
 
 

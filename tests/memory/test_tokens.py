@@ -238,17 +238,22 @@ class TestAccessRuns:
         assert mem.load(base, 6, accesses=3) == b"ready!"
 
 
-    def test_single_access_does_not_bill(self, space):
-        class AdvanceOnly(SimClock):
-            def bill(self, seconds, count):
-                raise AssertionError("a single access went through bill")
+    def test_a_resident_single_access_calls_no_clock_method(self, space):
+        class NoCalls(SimClock):
+            """Every method raises: ``Mem`` may only add to ``now``."""
 
-        clock = AdvanceOnly()
+            def _called(self, *_args):
+                raise AssertionError("a resident access called the clock")
+
+            advance = mark = rewind = join = reset = _called
+
+        clock = NoCalls()
         mem = Mem(space, clock=clock, cost_model=CostModel(local_access=1e-6))
         base = space.map_region(1)
         mem.store(base, b"ab")
         assert mem.load(base, 2) == b"ab"
-        assert clock.now == 2e-6
+        assert mem.load(base + 1, 1) == b"b"
+        assert clock.now == 3e-6
 
 
 class TestSettledPages:

@@ -291,6 +291,27 @@ def test_handshake_version_mismatch_refused(stacks):
         assert "version" in str(excinfo.value)
 
 
+def test_a_version_3_peer_fails_the_handshake_either_way(stacks):
+    """A version 3 peer still names both sites in a REQUEST and its kind
+    by a string: it is refused at HELLO as a client, and refuses a
+    current client as a server, before any request is misread."""
+    assert PROTOCOL_VERSION == 4
+    _echo_server(stacks)
+    old_client = stacks("T", protocol_version=3)
+    with pytest.raises(HandshakeError, match="version 3"):
+        _call(old_client)
+    old_server = stacks("V", protocol_version=3)
+    old_server.endpoint.register_handler(
+        MessageKind.CALL, lambda message: b"never"
+    )
+    client = stacks("A")
+    with pytest.raises(HandshakeError, match="version 4"):
+        client.endpoint.send(
+            "V", MessageKind.CALL, b"hi", reply_kind=MessageKind.REPLY
+        )
+    assert not client.dials and not old_client.dials
+
+
 def test_dropped_request_is_retransmitted(stacks):
     _echo_server(stacks)
     client = stacks("A", faults=FaultInjector(drop_requests={1}))
@@ -396,9 +417,7 @@ def test_a_dead_run_wakes_every_retransmission_at_the_gate(stacks):
         raise SystemExit
 
     server.endpoint.register_handler(MessageKind.CALL, dying)
-    request = encode_frame(
-        Request(7, "X", "B", MessageKind.CALL.value, True, b"once")
-    )
+    request = encode_frame(Request(7, MessageKind.CALL.value, True, b"once"))
     first, *copies = raws = [_raw(server) for _ in range(3)]
     try:
         for raw in raws:

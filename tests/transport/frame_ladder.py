@@ -10,6 +10,9 @@ reject and decode every body exactly as this one does
 (``test_framing_differential.py``); like
 ``tests/xdr/reference_codec.py`` it is slow and obviously right.
 
+A ``REQUEST`` follows protocol version 4: no site ids, and its kind
+as the word :data:`~repro.transport.framing.KIND_WORDS` gives it.
+
 One deliberate difference in what the two *raise*: this decoder lets
 ``UnicodeDecodeError`` escape for a string field that is not UTF-8
 (the bug the compiled decoder fixes by raising ``FramingError``), so
@@ -19,8 +22,10 @@ the differential tests count either as a rejection.
 from typing import Tuple
 
 from repro.transport.framing import (
+    KIND_WORDS,
     LENGTH_PREFIX,
     MAX_FRAME_BYTES,
+    WORD_KINDS,
     Frame,
     FrameType,
     FramingError,
@@ -58,6 +63,13 @@ def _decode_clock(decoder: XdrDecoder) -> Tuple[Tuple[str, int], ...]:
     )
 
 
+def _kind(word: int) -> str:
+    """The message kind a REQUEST's kind word names."""
+    if word not in WORD_KINDS:
+        raise FramingError(f"unknown message kind word {word!r}")
+    return WORD_KINDS[word]
+
+
 def encode_frame(frame: Frame) -> bytes:
     """Serialize ``frame`` as length prefix + body."""
     return bytes(encode_frame_into(frame, XdrEncoder()))
@@ -89,9 +101,7 @@ def encode_frame_into(frame: Frame, encoder: XdrEncoder) -> memoryview:
     elif isinstance(frame, Request):
         encoder.pack_uint32(FrameType.REQUEST)
         encoder.pack_uint64(frame.exchange_id)
-        encoder.pack_string(frame.src)
-        encoder.pack_string(frame.dst)
-        encoder.pack_string(frame.kind)
+        encoder.pack_uint32(KIND_WORDS[frame.kind])
         encoder.pack_bool(frame.expects_reply)
         _encode_clock(encoder, frame.clock)
         encoder.pack_opaque(frame.payload)
@@ -147,9 +157,7 @@ def decode_frame(body) -> Frame:
         elif frame_type is FrameType.REQUEST:
             frame = Request(
                 exchange_id=decoder.unpack_uint64(),
-                src=decoder.unpack_string(),
-                dst=decoder.unpack_string(),
-                kind=decoder.unpack_string(),
+                kind=_kind(decoder.unpack_uint32()),
                 expects_reply=decoder.unpack_bool(),
                 clock=_decode_clock(decoder),
                 payload=decoder.unpack_opaque(),

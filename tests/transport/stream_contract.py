@@ -203,10 +203,11 @@ def test_hostile_peer_is_local_damage(stacks, monkeypatch):
         assert _closed_by_peer(truncated)
     assert _echo(client, b"after-truncation") == b"echo:after-truncation"
 
-    # Well-formed frames whose site id is the byte 0xff: not UTF-8.
+    # A well-formed HELLO whose site id is the byte 0xff, not UTF-8,
+    # and a REQUEST whose clock names such a site.
     hello = encode_frame(Hello(PROTOCOL_VERSION, "X")).replace(b"X", b"\xff")
     request = encode_frame(
-        Request(1, "X", "B", MessageKind.CALL.value, True, b"hi")
+        Request(1, MessageKind.CALL.value, True, b"hi", (("X", 1),))
     ).replace(b"X", b"\xff")
     with _raw(server) as bad_hello:
         bad_hello.sendall(hello)

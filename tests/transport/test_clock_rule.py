@@ -169,7 +169,7 @@ def test_a_traced_send_happens_before_the_nested_request_it_causes(
         frame = decode_frame(memoryview(data)[LENGTH_PREFIX.size:])
         if (
             isinstance(frame, Request)
-            and frame.src == "A"
+            and conn.peer == "B"  # A's connection to B: A sends it
             and frame.kind == MessageKind.CALL.value
         ):
             assert served.wait(10)

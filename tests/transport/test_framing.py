@@ -4,13 +4,16 @@ import socket
 
 import pytest
 
+from repro.simnet.message import MessageKind
 from repro.transport.exchange import Connection
 from repro.transport.framing import (
+    KIND_WORDS,
     LENGTH_PREFIX,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     STATUS_HANDLER_ERROR,
     STATUS_OK,
+    WORD_KINDS,
     FramingError,
     Goodbye,
     Hello,
@@ -124,11 +127,37 @@ def test_non_utf8_string_is_a_framing_error():
     body[-4] = 0xFF
     with pytest.raises(FramingError):
         decode_frame(bytes(body[LENGTH_PREFIX.size :]))
-    request = encode_frame(FRAMES[3])
+    # A REQUEST names no site, but its clock does.
+    request = encode_frame(FRAMES[9])
     poisoned = request.replace(b"\x00\x00\x00\x01A\x00", b"\x00\x00\x00\x01\xff\x00")
     assert poisoned != request
     with pytest.raises(FramingError):
         decode_frame(poisoned[LENGTH_PREFIX.size :])
+
+
+def test_every_message_kind_has_its_own_wire_word():
+    # Written out, not numbered by the enum: a kind added or moved in
+    # MessageKind must not renumber the wire.
+    assert set(KIND_WORDS) == {kind.value for kind in MessageKind}
+    assert len(set(KIND_WORDS.values())) == len(KIND_WORDS)
+    assert 0 not in KIND_WORDS.values()
+    assert WORD_KINDS == {word: kind for kind, word in KIND_WORDS.items()}
+    assert KIND_WORDS["call"] == 1 and KIND_WORDS["data_request"] == 3
+
+
+def test_a_request_names_its_kind_by_a_word_and_no_site():
+    frame = FRAMES[3]
+    body = encode_frame(frame)[LENGTH_PREFIX.size :]
+    # Type word, exchange id, the kind's word, flag, clock count,
+    # payload length and payload: the connection names both ends.
+    assert body[:16] == bytes.fromhex("00000004" "0000000700000001" "00000001")
+    assert len(body) == 28 + 12  # six words, the padded payload
+    decoded = decode_frame(body)
+    assert decoded == frame and decoded.src == decoded.dst == ""
+    for word in (0, 26, 2**32 - 1):
+        unknown = body[:12] + word.to_bytes(4, "big") + body[16:]
+        with pytest.raises(FramingError, match="unknown message kind"):
+            decode_frame(unknown)
 
 
 def test_nonzero_padding_and_bad_boolean_rejected():
@@ -156,7 +185,8 @@ def test_nonzero_padding_and_bad_boolean_rejected():
         Ping(token=-1),
         Hello(version=2**32, site_id="A"),
         Reply(exchange_id=1, status=-1, payload=b""),
-        Request(2**64, "A", "B", "call", True, b""),
+        Request(2**64, "call", True, b""),
+        Request(1, "no_such_kind", True, b""),
         Ping(token="41"),
     ],
     ids=repr,

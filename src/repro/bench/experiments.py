@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.smartrpc.alloc_table import table_rows
 from repro.smartrpc.cache import ISOLATED, PACKED, SINGLE_HOME
 from repro.smartrpc.closure import BREADTH_FIRST, DEPTH_FIRST
 from repro.smartrpc.policy import make_policy, pinned_fields
@@ -355,8 +356,8 @@ def table1_allocation_table() -> ExperimentResult:
     def swizzle_only(ctx, a: int, b: int) -> int:
         # Both pointers are swizzled by now; capture the table before
         # any access transfers data.
-        captured.extend(ctx.state.cache.table.rows())
-        return len(ctx.state.cache.table)
+        captured.extend(table_rows(ctx.state.cache.rows.values()))
+        return len(ctx.state.cache.rows)
 
     with make_world(PROPOSED) as world:
         for runtime in (world.caller, world.callee):

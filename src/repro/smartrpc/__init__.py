@@ -6,11 +6,11 @@ substrate (:mod:`repro.rpc`):
 * :class:`~repro.smartrpc.long_pointer.LongPointer` — the
   ``(address-space id, address, data-type specifier)`` triple that
   extends pointers across the distributed system;
-* :class:`~repro.smartrpc.alloc_table.DataAllocationTable` — the paper's
-  Table 1: which long pointer each (page, offset) of the cache area
-  stands for;
 * :class:`~repro.smartrpc.cache.CacheManager` — protected page areas,
-  fill-on-fault, read-only remap and page-grain dirty detection;
+  fill-on-fault, read-only remap and page-grain dirty detection; its
+  pages and rows are the paper's Table 1, the data allocation table
+  (which long pointer each (page, offset) of the cache area stands
+  for), each row an :class:`~repro.smartrpc.alloc_table.AllocEntry`;
 * :class:`~repro.smartrpc.swizzle.Swizzler` — long pointer <-> ordinary
   pointer translation;
 * :class:`~repro.smartrpc.closure.ClosureWalker` — bounded breadth-first
@@ -30,7 +30,7 @@ substrate (:mod:`repro.rpc`):
   (the ``graphcopy`` policy's encoder/decoder).
 """
 
-from repro.smartrpc.alloc_table import AllocEntry, DataAllocationTable
+from repro.smartrpc.alloc_table import AllocEntry
 from repro.smartrpc.errors import (
     DanglingPointerError,
     SmartRpcError,
@@ -46,7 +46,6 @@ from repro.smartrpc.runtime import SmartRpcRuntime, SmartSessionState
 
 __all__ = [
     "AllocEntry",
-    "DataAllocationTable",
     "DanglingPointerError",
     "LongPointer",
     "NULL_POINTER",

@@ -20,6 +20,12 @@ This module implements the virtual-memory half of the method:
   page originates from a single address space (§6 discusses this
   choice); every strategy keeps it, ``packed`` and ``isolated`` only
   change how many data share a page.
+
+The cache area *is* the data allocation table (§3.2, Table 1): its
+page dict (each :class:`CachePage` is its page's address-ordered row
+list, a span listed on each of its pages) and its long-pointer dict
+are the table's two indexes, and the cache files, looks up, re-keys
+and drops every row itself.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from repro.memory.page import Protection
 from repro.smartrpc import transfer
 from repro.smartrpc.alloc_table import (
     AllocEntry,
-    DataAllocationTable,
+    _last_at_or_before,
     alloc_entry,
 )
 from repro.smartrpc.errors import SmartRpcError
@@ -56,7 +62,7 @@ class CachePage(list):
     """One mapped cache page, as one object.
 
     The list holds the allocation table's rows on the page, in address
-    order: the table inserts and removes, the cache reads.  The same
+    order; only the cache files and drops them.  The same
     object is the page the address space maps
     (:meth:`~repro.memory.address_space.AddressSpace.map_page`:
     ``number``, ``protection``, ``data``) and the cache's bookkeeping
@@ -120,16 +126,16 @@ class CacheManager:
         #: The owning address space and its (fixed) page size.
         self.space = runtime.space
         self.page_size = runtime.space.page_size
-        #: Page number -> :class:`CachePage`, every page of the area.
-        #: The table indexes its rows through this very dict (each page
-        #: is its own row list).  Read-only to callers.
+        #: Page number -> :class:`CachePage`, every page of the area;
+        #: each page is its own row list, kept even when emptied.
+        #: Read-only to callers.
         self.pages: Dict[int, CachePage] = {}
-        # Long pointer -> row: the table's own index, filed into
-        # directly by :meth:`place`.
-        self._rows: Dict[LongPointer, AllocEntry] = {}
-        self.table = DataAllocationTable(
-            self.page_size, self.pages, self._rows
-        )
+        #: Long pointer -> its row.  Read-only to callers.
+        self.rows: Dict[LongPointer, AllocEntry] = {}
+        #: The row for a long pointer, if already swizzled here — the
+        #: dict's own ``get``, since every swizzle of the fill path
+        #: asks.
+        self.entry_for = self.rows.get
         # Open pages accepting new placeholders, keyed by
         # (allocation class, home).
         self._open_pages: Dict[Tuple[str, str], CachePage] = {}
@@ -169,21 +175,18 @@ class CacheManager:
             None if self.strategy == PACKED else self._open_pages.clear
         )
 
-    # -- small accessors ------------------------------------------------------
+    # -- the table's lookups ---------------------------------------------------
 
-    def page_state(self, page_number: int) -> CachePage:
-        """Bookkeeping for one cache page."""
-        try:
-            return self.pages[page_number]
-        except KeyError:
-            raise SmartRpcError(
-                f"page {page_number} is not a cache page of session "
-                f"{self.state.session_id!r}"
-            ) from None
-
-    def owns_page(self, page_number: int) -> bool:
-        """Whether the page belongs to this session's cache area."""
-        return page_number in self.pages
+    def entry_containing(self, local_address: int) -> Optional[AllocEntry]:
+        """The row whose placeholder contains a local address."""
+        rows = self.pages.get(local_address // self.page_size)
+        if rows:
+            index = _last_at_or_before(rows, local_address)
+            if index >= 0:
+                entry = rows[index]
+                if local_address < entry.local_address + entry.size:
+                    return entry
+        return None
 
     def footprint(self) -> Tuple[int, int]:
         """(mapped protected pages, allocation-table rows) still held.
@@ -191,7 +194,7 @@ class CacheManager:
         The fault-tolerance layer's leak metric: after a clean close,
         an abort or a reap, both counts must be zero.
         """
-        return len(self.pages), len(self.table)
+        return len(self.pages), len(self.rows)
 
     # -- placeholder allocation -----------------------------------------------
 
@@ -202,7 +205,7 @@ class CacheManager:
         receives a long pointer from the caller, the callee allocates
         for the referenced data a protected page area."
         """
-        entry = self.table.entry_for(pointer)
+        entry = self.entry_for(pointer)
         if entry is not None:
             return entry
         # Size and alignment come precomputed with the type's wire
@@ -243,14 +246,13 @@ class CacheManager:
         It builds the row (and a fresh page, mapped by the space, which
         numbers it, without a generation bump: see
         ``AddressSpace.map_page``) and files it in the table's two
-        indexes itself — a placeholder lands past every row of its
-        page, so the row list is appended to.  A span goes through the
-        table's general :meth:`~DataAllocationTable.add`.
+        indexes — a placeholder lands past every row of its page, so
+        the row list is appended to.
         """
         page_size = self.page_size
         if size > page_size:
             return self._place_span(pointer, size, resident)
-        rows = self._rows
+        rows = self.rows
         if pointer in rows:
             raise SmartRpcError(f"allocation table already has {pointer!r}")
         home = pointer[0]
@@ -290,27 +292,30 @@ class CacheManager:
     def _place_span(
         self, pointer: LongPointer, size: int, resident: bool
     ) -> AllocEntry:
-        pages = -(-size // self.page_size)
-        for _ in range(pages):
+        """A row on fresh pages of its own, listed on each of them."""
+        if pointer in self.rows:
+            raise SmartRpcError(f"allocation table already has {pointer!r}")
+        spanned = []
+        for _ in range(-(-size // self.page_size)):
             page = cache_page(self, pointer.space_id)
             page.closed = True
             self.pages[self.space.map_page(page)] = page
-        first = page.number - pages + 1  # map_page numbers consecutively
+            spanned.append(page)
+        first = spanned[0].number  # map_page numbers consecutively
         entry = alloc_entry(
             pointer, first * self.page_size, size, first, 0, resident
         )
-        self.table.add(entry)
+        for page in spanned:
+            page.append(entry)
+        self.rows[pointer] = entry
         if resident:
             self._maybe_release(first)
         return entry
 
     def _entry_pages(self, entry: AllocEntry) -> range:
+        """Every cache page an entry occupies (spans cover several)."""
         last = (entry.local_address + entry.size - 1) // self.page_size
         return range(entry.page_number, last + 1)
-
-    def pages_of(self, entry: AllocEntry) -> List[int]:
-        """Every cache page an entry occupies (spans cover several)."""
-        return list(self._entry_pages(entry))
 
     def incomplete_pages(self) -> Set[int]:
         """Pages still holding non-resident placeholders.
@@ -333,9 +338,7 @@ class CacheManager:
 
     def handle_fault(self, fault: AccessViolation) -> None:
         """The user-level access-violation handler for cache pages."""
-        pages = self.pages
-        number = fault.page_number
-        page = pages[number] if number in pages else self.page_state(number)
+        page = self.pages[fault.page_number]
         protection = page.protection
         runtime = self.runtime
         write = fault.kind is _WRITE
@@ -499,13 +502,34 @@ class CacheManager:
         may be complete, and then it is released as if the row had
         arrived — else a fault on it would refetch nothing, forever.
         """
+        if self.rows.get(entry.pointer) is not entry:
+            raise SmartRpcError(
+                f"allocation table does not hold {entry.pointer!r}"
+            )
+        del self.rows[entry.pointer]
         if entry.shipped and not entry.touched:
             self.untouched_shipped -= 1
-        self.table.remove(entry)
-        if not entry.resident:
-            for number in self._entry_pages(entry):
-                if self.pages[number]:
-                    self._maybe_release(number)
+        for number in self._entry_pages(entry):
+            page = self.pages[number]
+            page.remove(entry)
+            if page and not entry.resident:
+                self._maybe_release(number)
+
+    def repoint(self, entry: AllocEntry, pointer: LongPointer) -> None:
+        """Replace an entry's long pointer (provisional -> real address).
+
+        The local placeholder does not move: ordinary pointers already
+        swizzled into memory stay valid, only the table row changes.
+        """
+        rows = self.rows
+        if pointer in rows:
+            raise SmartRpcError(f"allocation table already has {pointer!r}")
+        if rows.pop(entry.pointer, None) is not entry:
+            raise SmartRpcError(
+                f"allocation table does not hold {entry.pointer!r}"
+            )
+        entry.pointer = pointer
+        rows[pointer] = entry
 
     # -- teardown -------------------------------------------------------------
 
@@ -517,8 +541,6 @@ class CacheManager:
         self.dirty_pages.clear()
         self._written.clear()
         self.untouched_shipped = 0
-        self._rows = {}
-        self.table = DataAllocationTable(
-            self.page_size, self.pages, self._rows
-        )
+        self.rows = {}
+        self.entry_for = self.rows.get
         self.runtime.stats.invalidations += 1

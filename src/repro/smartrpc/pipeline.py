@@ -136,7 +136,7 @@ class FetchPipeline:
         # ``page.home``.
         fault_pages = {page.number}
         for entry in page:
-            fault_pages.update(cache.pages_of(entry))
+            fault_pages.update(cache._entry_pages(entry))
         incomplete_before = cache.incomplete_pages() - fault_pages
         # 1. The fetch in flight absorbs the fault if it covers the page.
         fetch = self._pending
@@ -176,13 +176,13 @@ class FetchPipeline:
         covered = self._pending.pages if self._pending is not None else set()
         pointers: List[LongPointer] = []
         pages: Set[int] = set()
-        for entry in cache.table:
+        for entry in cache.rows.values():
             pointer = entry.pointer
             if entry.resident or pointer in skip:
                 continue
             if home is not None and pointer.space_id != home:
                 continue
-            entry_pages = cache.pages_of(entry)
+            entry_pages = cache._entry_pages(entry)
             if not covered.isdisjoint(entry_pages):
                 continue
             home = pointer.space_id
@@ -238,9 +238,9 @@ class FetchPipeline:
                 cache, home, BATCH_WINDOW, set(pointers)
             )
         for pointer in pointers:
-            entry = cache.table.entry_for(pointer)
+            entry = cache.entry_for(pointer)
             if entry is not None:
-                pages.update(cache.pages_of(entry))
+                pages.update(cache._entry_pages(entry))
         requested = pointers + extras
         fetch, payload = self._issue(
             "demand", home, requested, pages, [page.number], len(extras), 1

@@ -80,7 +80,7 @@ def extended_free(
     """Release the data referenced by ``pointer`` (local or remote)."""
     if runtime.models_time:
         runtime.clock.advance(runtime.cost_model.malloc_op)
-    entry = state.cache.table.entry_containing(pointer)
+    entry = state.cache.entry_containing(pointer)
     if entry is not None:
         if pointer != entry.local_address:
             raise SwizzleError(
@@ -184,7 +184,7 @@ def _flush_one_home(
         assigned.append((entry, real))
     decoder.expect_done()
     for entry, real in assigned:
-        state.cache.table.repoint(entry, entry.pointer.with_address(real))
+        state.cache.repoint(entry, entry.pointer.with_address(real))
 
 
 def handle_memory_batch(

@@ -54,7 +54,7 @@ class Swizzler:
             return tuple.__new__(
                 LongPointer, (runtime.site_id, pointer, allocation.type_id)
             )
-        entry = self.state.cache.table.entry_containing(pointer)
+        entry = self.state.cache.entry_containing(pointer)
         if entry is not None:
             if pointer != entry.local_address:
                 raise SwizzleError(

@@ -164,7 +164,7 @@ def apply_batch(
     allocation_based_at = runtime.heap.allocation_based_at
     space = runtime.space
     cache = state.cache
-    entry_for = cache.table.entry_for
+    entry_for = cache.entry_for
     place = cache.place
     pages = cache.pages
     page_size = cache.page_size

@@ -52,15 +52,15 @@ def session_diagnostics(
         collector = DiagnosticCollector()
     before = len(collector)
     cache = state.cache
-    table = cache.table
+    pages = cache.pages
     space = runtime.space
 
     # 1: rows within owned pages.
-    for entry in table:
+    for entry in cache.rows.values():
         first = entry.local_address // space.page_size
         last = (entry.end - 1) // space.page_size
         for number in range(first, last + 1):
-            if not cache.owns_page(number):
+            if number not in pages:
                 collector.emit(
                     "SRPC201",
                     f"{entry.pointer!r} placed on page {number} which "
@@ -68,7 +68,7 @@ def session_diagnostics(
                     session=state.session_id,
                     page=number,
                 )
-            elif entry not in cache.page_state(number):
+            elif entry not in pages[number]:
                 collector.emit(
                     "SRPC202",
                     f"page {number} does not list {entry.pointer!r}",
@@ -77,7 +77,7 @@ def session_diagnostics(
                 )
 
     # 2: protection matches residency and dirtiness.
-    for number, page in cache.pages.items():
+    for number, page in pages.items():
         protection = space.protection_of(number)
         if page.dirty:
             # Writable exactly while written since the last crossing.
@@ -119,10 +119,10 @@ def session_diagnostics(
                 )
 
     # 3: no overlap within a page.
-    for number in table.pages():
+    listed = sorted(number for number, page in pages.items() if page)
+    for number in listed:
         spans = sorted(
-            (entry.local_address, entry.end)
-            for entry in table.entries_on_page(number)
+            (entry.local_address, entry.end) for entry in pages[number]
         )
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             if e1 > s2:
@@ -134,11 +134,8 @@ def session_diagnostics(
                 )
 
     # 4: pages are single-home.
-    for number in table.pages():
-        homes = {
-            entry.pointer.space_id
-            for entry in table.entries_on_page(number)
-        }
+    for number in listed:
+        homes = {entry.pointer.space_id for entry in pages[number]}
         if len(homes) > 1:
             collector.emit(
                 "SRPC205",
@@ -149,7 +146,7 @@ def session_diagnostics(
 
     # 5: relayed dirty entries are live and resident.
     for entry in state.relayed_dirty:
-        if table.entry_for(entry.pointer) is not entry:
+        if cache.entry_for(entry.pointer) is not entry:
             collector.emit(
                 "SRPC206",
                 f"relayed dirty set references dead {entry.pointer!r}",

@@ -61,11 +61,12 @@ chosen (``tests/transport/exchange_contract.py`` pins each):
   ``retransmissions``, ``dials``, the statistics counters, the pool
   and the set of live connections: callers' threads and serving
   threads touch all of them.
-* **Handlers** are bounded by :data:`MAX_HANDLERS`, a constant no
-  caller ever chose otherwise.  A run is admitted under the lock
-  acquisition that looks its request up in the reply cache: its key
-  joins the gate first, and a run over the bound waits on the same
-  condition until a slot frees.
+* **Handlers** are bounded by the live connections: each serves one
+  request at a time, so no other bound is kept — one would count the
+  handlers blocked in their own nested exchanges too, and a deep
+  callback chain would wait on itself.  A run is admitted under the
+  lock acquisition that looks its request up in the reply cache, and
+  its key joins the gate there.
 * **The idle check** of a pooled connection is one zero-timeout
   ``poll``, registered once per :class:`Connection`; only a readable
   socket (EOF, ``GOODBYE``, a late duplicate) is drained.
@@ -132,9 +133,6 @@ from repro.transport.framing import (
     fields_encoder,
 )
 from repro.transport.wallclock import WallClock
-
-#: Requests one transport serves at once.
-MAX_HANDLERS = 32
 
 #: Idle connections kept per peer for reuse.
 POOL_SIZE = 4
@@ -373,11 +371,9 @@ class ExchangeTransport(Transport):
         self._exchange_ids = itertools.count((incarnation << 32) | 1)
         self._lock = threading.Lock()
         # The in-flight gate: the ``(sender, exchange id)`` keys whose
-        # handler runs now, how many handlers run, and the one condition
-        # (on ``_lock``) that retransmissions and handlers over the bound
-        # wait on — notified only when somebody does.
+        # handler runs now, and the one condition (on ``_lock``) that
+        # retransmissions wait on — notified only when somebody does.
         self._inflight: Set[Tuple[str, int]] = set()
-        self._handlers = 0
         self._waiting = 0
         self._gate = threading.Condition(self._lock)
         self._pool: Dict[str, List[Connection]] = {}
@@ -881,18 +877,17 @@ class ExchangeTransport(Transport):
             encoded = entries.get(key) if entries else None
             run = encoded is None and key not in self._inflight
             if run:
-                # Gated first, so a retransmission waits for this run
-                # even while it waits for a handler slot itself.
                 self._inflight.add(key)
-                while self._handlers >= MAX_HANDLERS:
-                    self._wait_at_gate()
-                self._handlers += 1
             else:
                 if encoded is None:
                     # A retransmission while the first transmission's
                     # handler still runs: wait for that one run.
-                    while key in self._inflight:
-                        self._wait_at_gate()
+                    self._waiting += 1
+                    try:
+                        while key in self._inflight:
+                            self._gate.wait()
+                    finally:
+                        self._waiting -= 1
                     encoded = entries.get(key)
                     if encoded is None:
                         return  # that run died; the peer will retransmit
@@ -911,7 +906,6 @@ class ExchangeTransport(Transport):
                         if len(entries) > cache.limit:
                             entries.popitem(last=False)
                     self._inflight.discard(key)
-                    self._handlers -= 1
                     if self._waiting:
                         self._gate.notify_all()
         if self._faults is not None:
@@ -924,14 +918,6 @@ class ExchangeTransport(Transport):
             conn.send(encoded)
         except OSError:
             pass  # the peer will retransmit and hit the reply cache
-
-    def _wait_at_gate(self) -> None:
-        """Wait, holding ``_lock``, until a handler finishes."""
-        self._waiting += 1
-        try:
-            self._gate.wait()
-        finally:
-            self._waiting -= 1
 
     def _execute(self, request: Request) -> bytes:
         """Dispatch one request to its handler, on this thread."""

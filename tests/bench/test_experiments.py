@@ -117,6 +117,12 @@ class TestTable1:
         offsets = sorted(row[1] for row in result.rows)
         assert offsets[0] == 0 and offsets[1] > 0
 
+    def test_format_mirrors_paper_table1(self):
+        text = table1_allocation_table().render()
+        assert "page #" in text
+        assert "long pointer" in text
+        assert text.count("LongPointer") == 2
+
 
 class TestAblations:
     def test_alloc_strategy_rows_cover_strategies(self):

@@ -389,17 +389,15 @@ class HostProcess:
         assert line.startswith("READY "), f"bad READY line: {line!r}"
         self.addr = line.split("addr=")[1]
 
-    def shutdown(self, registry_addr):
-        subprocess.run(
-            [
-                sys.executable, "-m", "repro.transport", "shutdown",
-                "--site", self.site_id, "--registry", registry_addr,
-                "--transport", self.transport,
-            ],
-            env=_env(),
-            capture_output=True,
-            timeout=SPAWN_TIMEOUT,
-            check=True,
+    def shutdown(self, endpoint):
+        """Ask the host to stop, over an endpoint that can reach it —
+        what ``python -m repro.transport shutdown`` sends, without a
+        process of its own."""
+        endpoint.send(
+            self.site_id,
+            MessageKind.SHUTDOWN,
+            b"",
+            reply_kind=MessageKind.SHUTDOWN_ACK,
         )
 
     def wait_crashed(self):
@@ -581,16 +579,20 @@ def test_process_crash_cell(role, step, registry, tmp_path):
         save_trace(stats, tmp_path / "ground.jsonl")
         directory.deregister()
     finally:
-        if transport is not None:
-            transport.close()
-        for spawned in hosts:
-            if spawned.site_id == sites[victim]:
-                continue
-            if spawned.proc.poll() is None:
-                spawned.shutdown(registry.addr)
-                spawned.wait()
-        for spawned in hosts:
-            spawned.kill()
+        try:
+            # The survivors stop over the probe's own transport, before
+            # it closes.
+            for spawned in hosts:
+                if transport is None or spawned.site_id == sites[victim]:
+                    continue
+                if spawned.proc.poll() is None:
+                    spawned.shutdown(transport.endpoint)
+                    spawned.wait()
+        finally:
+            if transport is not None:
+                transport.close()
+            for spawned in hosts:
+                spawned.kill()
 
     # The merged survivor trace passes every conformance rule — the
     # victim's log died with it, like a real crashed process's would.

@@ -33,7 +33,7 @@ def test_cold_sessions_do_not_creep_up_the_address_space():
                 pages, _entries = cache.footprint()
                 assert pages >= NODES
                 resident = next(
-                    entry for entry in cache.table if entry.resident
+                    entry for entry in cache.rows.values() if entry.resident
                 )
                 assert bystander.load(
                     resident.local_address, resident.size

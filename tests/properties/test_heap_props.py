@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from repro.memory.address_space import AddressSpace
 from repro.memory.heap import Heap
-from repro.smartrpc.alloc_table import DataAllocationTable, alloc_entry
+from repro.simnet.network import Network
 from repro.smartrpc.long_pointer import LongPointer
+from tests.conftest import SmartPair
 
 # A step is (op, size) where op True = malloc, False = free-oldest.
 steps = st.lists(
@@ -106,58 +107,47 @@ entry_plans = st.lists(
 )
 
 
+def fresh_cache():
+    """An empty cache area on B of a new world, holding A's data."""
+    return SmartPair(Network()).b.ensure_smart_session("s", "A").cache
+
+
 class TestAllocationTableInvariants:
     @settings(max_examples=50)
     @given(entry_plans)
     def test_containing_lookup_matches_linear_scan(self, plans):
-        table = DataAllocationTable()
-        local = 0x10000
+        cache = fresh_cache()
         entries = []
         for home_address, size in plans:
-            entry = alloc_entry(
-                pointer=LongPointer("A", home_address, "t"),
-                local_address=local,
-                size=size,
-                page_number=local // 4096,
-                offset=local % 4096,
+            entries.append(
+                cache.place(LongPointer("A", home_address, "t"), size, 8)
             )
-            table.add(entry)
-            entries.append(entry)
-            local += size + 16  # leave gaps
         for entry in entries:
             for offset in (0, entry.size - 1):
-                assert table.entry_containing(
+                assert cache.entry_containing(
                     entry.local_address + offset
                 ) is entry
             gap = entry.local_address + entry.size + 4
-            hit = table.entry_containing(gap)
+            hit = cache.entry_containing(gap)
             assert hit is None or hit is not entry
 
     @settings(max_examples=50)
     @given(entry_plans, st.randoms())
     def test_remove_keeps_indices_consistent(self, plans, rng):
-        table = DataAllocationTable()
-        local = 0x10000
+        cache = fresh_cache()
         entries = []
         for home_address, size in plans:
-            entry = alloc_entry(
-                pointer=LongPointer("A", home_address, "t"),
-                local_address=local,
-                size=size,
-                page_number=local // 4096,
-                offset=local % 4096,
+            entries.append(
+                cache.place(LongPointer("A", home_address, "t"), size, 8)
             )
-            table.add(entry)
-            entries.append(entry)
-            local += size
         rng.shuffle(entries)
         removed = entries[: len(entries) // 2]
         kept = entries[len(entries) // 2:]
         for entry in removed:
-            table.remove(entry)
-        assert len(table) == len(kept)
+            cache.release_entry(entry)
+        assert len(cache.rows) == len(kept)
         for entry in removed:
-            assert table.entry_for(entry.pointer) is None
-            assert table.entry_containing(entry.local_address) is None
+            assert cache.entry_for(entry.pointer) is None
+            assert cache.entry_containing(entry.local_address) is None
         for entry in kept:
-            assert table.entry_for(entry.pointer) is entry
+            assert cache.entry_for(entry.pointer) is entry

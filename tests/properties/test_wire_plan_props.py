@@ -275,13 +275,14 @@ def cache_image(runtime, state):
             entry.shipped,
             entry.prefetched,
         )
-        for entry in state.cache.table
+        for entry in state.cache.rows.values()
     )
     pages = {
         number: runtime.space.read_raw(
             number * runtime.space.page_size, runtime.space.page_size
         )
-        for number in state.cache.table.pages()
+        for number, page in sorted(state.cache.pages.items())
+        if page
     }
     return table, pages, state.transfer_stats.as_dict()
 

@@ -1,10 +1,22 @@
-"""Tests for the data allocation table (the paper's Table 1)."""
+"""Tests for the data allocation table (the paper's Table 1): the cache
+area's long-pointer index and per-page row lists."""
 
 import pytest
 
-from repro.smartrpc.alloc_table import DataAllocationTable, alloc_entry
+from repro.smartrpc.alloc_table import alloc_entry, table_rows
 from repro.smartrpc.errors import SmartRpcError
 from repro.smartrpc.long_pointer import PROVISIONAL_BASE, LongPointer
+from repro.smartrpc.validate import session_diagnostics
+
+
+@pytest.fixture
+def cache(smart_pair):
+    """An empty cache area on B, holding A's data."""
+    return smart_pair.b.ensure_smart_session("s", "A").cache
+
+
+def place(cache, space="A", address=0x1000, size=16, alignment=8):
+    return cache.place(LongPointer(space, address, "t"), size, alignment)
 
 
 def entry(space="A", address=0x1000, local=0x5000, size=16, page=5,
@@ -18,134 +30,117 @@ def entry(space="A", address=0x1000, local=0x5000, size=16, page=5,
     )
 
 
+def listed_pages(cache):
+    """The cache pages holding at least one row, in order."""
+    return sorted(number for number, page in cache.pages.items() if page)
+
+
 class TestAddRemove:
-    def test_add_and_lookup_by_pointer(self):
-        table = DataAllocationTable()
-        row = entry()
-        table.add(row)
-        assert table.entry_for(row.pointer) is row
-        assert len(table) == 1
+    def test_add_and_lookup_by_pointer(self, cache):
+        row = place(cache)
+        assert cache.entry_for(row.pointer) is row
+        assert len(cache.rows) == 1
 
-    def test_duplicate_pointer_rejected(self):
-        table = DataAllocationTable()
-        table.add(entry())
+    def test_duplicate_pointer_rejected(self, cache):
+        place(cache)
         with pytest.raises(SmartRpcError):
-            table.add(entry(local=0x6000))
+            place(cache, size=24)
 
-    def test_duplicate_local_address_rejected(self):
-        table = DataAllocationTable()
-        table.add(entry())
+    def test_duplicate_local_address_rejected(self, smart_pair, cache):
+        # Placement hands out every local address, so only a row forged
+        # behind its back can repeat one; the validator rejects it.
+        row = place(cache)
+        assert place(cache, address=0x2000).local_address != row.local_address
+        forged = entry(
+            address=0x3000, local=row.local_address, size=row.size,
+            page=row.page_number, offset=row.offset,
+        )
+        cache.pages[row.page_number].append(forged)
+        cache.rows[forged.pointer] = forged
+        found = session_diagnostics(smart_pair.b, cache.state)
+        assert [d.code for d in found] == ["SRPC204"]
+
+    def test_remove(self, cache):
+        row = place(cache)
+        cache.release_entry(row)
+        assert cache.entry_for(row.pointer) is None
+        assert cache.entry_containing(row.local_address) is None
+        assert len(cache.rows) == 0
+
+    def test_remove_unknown_rejected(self, cache):
         with pytest.raises(SmartRpcError):
-            table.add(entry(address=0x2000))
+            cache.release_entry(entry())
 
-    def test_remove(self):
-        table = DataAllocationTable()
-        row = entry()
-        table.add(row)
-        table.remove(row)
-        assert table.entry_for(row.pointer) is None
-        assert table.entry_containing(row.local_address) is None
-        assert len(table) == 0
-
-    def test_remove_unknown_rejected(self):
-        table = DataAllocationTable()
-        with pytest.raises(SmartRpcError):
-            table.remove(entry())
-
-    def test_iteration(self):
-        table = DataAllocationTable()
-        rows = [entry(address=0x1000 + i, local=0x5000 + 16 * i, offset=16 * i)
-                for i in range(3)]
-        for row in rows:
-            table.add(row)
-        assert set(id(e) for e in table) == set(id(r) for r in rows)
+    def test_iteration(self, cache):
+        rows = [place(cache, address=0x1000 + i) for i in range(3)]
+        assert set(id(e) for e in cache.rows.values()) == set(
+            id(r) for r in rows
+        )
 
 
 class TestLocalAddressLookup:
-    def test_containing_lookup_hits_interior(self):
-        table = DataAllocationTable()
-        row = entry(local=0x5000, size=16)
-        table.add(row)
-        assert table.entry_containing(0x5000) is row
-        assert table.entry_containing(0x500F) is row
-        assert table.entry_containing(0x5010) is None
-        assert table.entry_containing(0x4FFF) is None
+    def test_containing_lookup_hits_interior(self, cache):
+        row = place(cache, size=16)
+        assert cache.entry_containing(row.local_address) is row
+        assert cache.entry_containing(row.local_address + 15) is row
+        assert cache.entry_containing(row.local_address + 16) is None
+        assert cache.entry_containing(row.local_address - 1) is None
 
-    def test_multiple_entries_bisected_correctly(self):
-        table = DataAllocationTable()
+    def test_multiple_entries_bisected_correctly(self, cache):
         rows = [
-            entry(address=0x1000 + i, local=0x5000 + 32 * i, size=16,
-                  offset=32 * i)
+            place(cache, address=0x1000 + i, size=16, alignment=32)
             for i in range(10)
         ]
+        assert len({row.page_number for row in rows}) == 1
         for row in rows:
-            table.add(row)
-        for index, row in enumerate(rows):
-            assert table.entry_containing(row.local_address + 8) is row
+            assert cache.entry_containing(row.local_address + 8) is row
             gap = row.local_address + 20  # between entries
-            assert table.entry_containing(gap) is None
+            assert cache.entry_containing(gap) is None
 
 
 class TestPageIndex:
-    def test_entries_on_page(self):
-        table = DataAllocationTable()
-        on_five = entry(page=5)
-        on_six = entry(address=0x2000, local=0x6000, page=6)
-        table.add(on_five)
-        table.add(on_six)
-        assert table.entries_on_page(5) == [on_five]
-        assert table.entries_on_page(6) == [on_six]
-        assert table.entries_on_page(7) == []
-        assert table.pages() == [5, 6]
+    def test_entries_on_page(self, cache):
+        on_first = place(cache)
+        cache.datum_seal()
+        on_second = place(cache, address=0x2000)
+        assert cache.pages[on_first.page_number] == [on_first]
+        assert cache.pages[on_second.page_number] == [on_second]
+        assert on_second.page_number + 1 not in cache.pages
+        assert listed_pages(cache) == [
+            on_first.page_number, on_second.page_number
+        ]
 
-    def test_remove_clears_page_index(self):
-        table = DataAllocationTable()
-        row = entry(page=5)
-        table.add(row)
-        table.remove(row)
-        assert table.pages() == []
+    def test_remove_clears_page_index(self, cache):
+        row = place(cache)
+        cache.release_entry(row)
+        assert listed_pages(cache) == []
 
 
 class TestRepoint:
-    def test_repoint_swaps_long_pointer_in_place(self):
-        table = DataAllocationTable()
-        row = entry(address=PROVISIONAL_BASE + 1)
-        table.add(row)
+    def test_repoint_swaps_long_pointer_in_place(self, cache):
+        row = place(cache, address=PROVISIONAL_BASE + 1)
         real = row.pointer.with_address(0x3000)
-        table.repoint(row, real)
-        assert table.entry_for(real) is row
+        cache.repoint(row, real)
+        assert cache.entry_for(real) is row
         assert row.pointer == real
-        assert table.entry_containing(row.local_address) is row
+        assert cache.entry_containing(row.local_address) is row
 
-    def test_repoint_to_existing_pointer_rejected(self):
-        table = DataAllocationTable()
-        first = entry(address=0x1000)
-        second = entry(address=0x2000, local=0x6000)
-        table.add(first)
-        table.add(second)
+    def test_repoint_to_existing_pointer_rejected(self, cache):
+        first = place(cache, address=0x1000)
+        second = place(cache, address=0x2000)
         with pytest.raises(SmartRpcError):
-            table.repoint(first, second.pointer)
+            cache.repoint(first, second.pointer)
 
-    def test_repoint_foreign_entry_rejected(self):
-        table = DataAllocationTable()
+    def test_repoint_foreign_entry_rejected(self, cache):
         with pytest.raises(SmartRpcError):
-            table.repoint(entry(), LongPointer("A", 0x9000, "t"))
+            cache.repoint(entry(), LongPointer("A", 0x9000, "t"))
 
 
 class TestPresentation:
     def test_rows_sorted_by_page_then_offset(self):
-        table = DataAllocationTable()
-        table.add(entry(address=0x1000, local=0x6010, page=6, offset=16))
-        table.add(entry(address=0x2000, local=0x5000, page=5, offset=0))
-        table.add(entry(address=0x3000, local=0x6000, page=6, offset=0))
-        rows = table.rows()
+        rows = table_rows([
+            entry(address=0x1000, local=0x6010, page=6, offset=16),
+            entry(address=0x2000, local=0x5000, page=5, offset=0),
+            entry(address=0x3000, local=0x6000, page=6, offset=0),
+        ])
         assert [(r[0], r[1]) for r in rows] == [(5, 0), (6, 0), (6, 16)]
-
-    def test_format_table_mirrors_paper_table1(self):
-        table = DataAllocationTable()
-        table.add(entry(address=0x1000, local=0x5000, page=5, offset=0))
-        table.add(entry(address=0x2000, local=0x5010, page=5, offset=16))
-        text = table.format_table()
-        assert "page #" in text
-        assert "long pointer" in text
-        assert text.count("LongPointer") == 2

@@ -109,6 +109,9 @@ def build_slice(pair: SmartPair, kind: str, walk: str = "bfs"):
 def cache_image(runtime, state):
     """What a batch leaves behind at a receiver, comparable."""
     page_size = runtime.space.page_size
+    listed = sorted(
+        number for number, page in state.cache.pages.items() if page
+    )
     return {
         "table": [
             (
@@ -119,17 +122,17 @@ def cache_image(runtime, state):
                 entry.shipped,
                 entry.prefetched,
             )
-            for entry in state.cache.table
+            for entry in state.cache.rows.values()
         ],
         "pages": {
             number: runtime.space.read_raw(number * page_size, page_size)
-            for number in state.cache.table.pages()
+            for number in listed
         },
         # The batch releases its pages in one pass; the reference one
         # page at a time.  Both must end on the same protections.
         "protections": {
             number: runtime.space.protection_of(number)
-            for number in state.cache.table.pages()
+            for number in listed
         },
         "session_ledger": state.transfer_stats.as_dict(),
         "ledger": runtime.stats.transfer_ledger.as_dict(),
@@ -173,7 +176,9 @@ class TestEncodeMatchesReference:
         transfer.apply_batch(
             pair.b, state_b, transfer.encode_batch(pair.a, state_a, items), False
         )
-        cached = [entry for entry in state_b.cache.table if entry.resident]
+        cached = [
+            entry for entry in state_b.cache.rows.values() if entry.resident
+        ]
         assert len(cached) == len(items)
         back = transfer.encode_batch(pair.b, state_b, cached)
         assert back == reference_encode_batch(pair.b, state_b, cached)
@@ -250,7 +255,7 @@ class TestApplyMatchesReference:
                 False,
             )
             cached = []
-            for entry in state_b.cache.table:
+            for entry in state_b.cache.rows.values():
                 if not entry.resident:
                     continue
                 if entry.pointer.type_id != HASH_TABLE_TYPE_ID:
@@ -263,7 +268,7 @@ class TestApplyMatchesReference:
             before = pair.a.stats.entries_transferred
             assert apply(pair.a, state_a, back, True) == len(cached)
             assert pair.a.stats.entries_transferred == before + len(cached)
-            assert len(state_a.cache.table) == 0
+            assert len(state_a.cache.rows) == 0
             heaps.append([
                 pair.a.space.read_raw(
                     item.local_address,
@@ -367,7 +372,7 @@ class TestEveryCheckStays:
         batch = batch_of([("A", LIST_NODE_TYPE_ID)], 1, body.getvalue())
         with pytest.raises(XdrError, match="address must be positive"):
             transfer.apply_batch(pair.b, state_b, batch, False)
-        assert len(state_b.cache.table) == 0
+        assert len(state_b.cache.rows) == 0
 
     def test_bad_pool_handle_in_a_skipped_item(self, worlds):
         pair, _, _, state_b = worlds
@@ -429,7 +434,7 @@ class TestEveryCheckStays:
             transfer.encode_batch(pair.a, state_a, [tree_item(pair.a, root)]),
             False,
         )
-        entry = state_b.cache.table.entry_for(
+        entry = state_b.cache.entry_for(
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         pair.b.codec.write_pointer(entry.local_address, fresh.local_address)
@@ -505,7 +510,7 @@ class TestEveryCheckStays:
         batch = transfer.encode_batch(pair.a, state_a, [tree_item(pair.a, root)])
         assert transfer.apply_batch(cold, state_c, batch, False) == 1
         assert cold.resolver.queries_sent == 1
-        assert len(state_c.cache.table) == 3
+        assert len(state_c.cache.rows) == 3
 
 
 # -- a cut batch ----------------------------------------------------------------

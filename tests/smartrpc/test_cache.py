@@ -80,7 +80,7 @@ class TestPlaceholderAllocation:
         pages = cache._entry_pages(entry)
         assert len(pages) == 3
         for number in pages:
-            assert cache.owns_page(number)
+            assert number in cache.pages
 
     def test_unknown_strategy_rejected(self):
         # Checked once, when the policy is built: a cache manager never
@@ -147,8 +147,8 @@ class TestResidencyAndRelease:
         cache = callee_state.cache
         entry = cache.ensure_entry(remote_pointer())
         cache.release_entry(entry)
-        assert cache.table.entry_for(entry.pointer) is None
-        assert cache.page_state(entry.page_number) == []
+        assert cache.entry_for(entry.pointer) is None
+        assert cache.pages[entry.page_number] == []
 
     def test_freeing_the_last_missing_row_releases_the_page(
         self, smart_pair, callee_state
@@ -197,8 +197,9 @@ class TestOnePageIndex:
         cache = callee_state.cache
         first = cache.ensure_entry(remote_pointer(0x1000))
         second = cache.ensure_entry(remote_pointer(0x2000))
-        rows = cache.page_state(first.page_number)
-        assert rows is cache.table.page_rows(first.page_number)
+        rows = cache.pages[first.page_number]
+        # The table's row list is the page the space maps.
+        assert rows is cache.space.page_if_mapped(first.page_number)
         assert rows == [first, second]
 
     def test_span_rows_are_listed_on_every_page(
@@ -209,10 +210,10 @@ class TestOnePageIndex:
         entry = cache.place(
             remote_pointer(0x8000, "big"), page_size * 2 + 100, 8
         )
-        for number in cache.pages_of(entry):
-            assert cache.page_state(number) == [entry]
+        for number in cache._entry_pages(entry):
+            assert cache.pages[number] == [entry]
         last = entry.local_address + entry.size - 1
-        assert cache.table.entry_containing(last) is entry
+        assert cache.entry_containing(last) is entry
 
 
 class TestDirtiness:
@@ -259,9 +260,9 @@ class TestInvalidate:
         entry = cache.ensure_entry(remote_pointer())
         page = entry.page_number
         cache.invalidate()
-        assert not cache.owns_page(page)
+        assert page not in cache.pages
         assert not smart_pair.b.space.is_mapped(page * 4096)
-        assert len(cache.table) == 0
+        assert len(cache.rows) == 0
         assert cache.dirty_pages == set()
 
     def test_invalidate_counts_in_stats(self, smart_pair, callee_state):
@@ -279,7 +280,3 @@ class TestFaultDispatch:
         )
         with pytest.raises(AccessViolation):
             runtime._handle_fault(fault)
-
-    def test_unknown_page_state_rejected(self, callee_state):
-        with pytest.raises(SmartRpcError):
-            callee_state.cache.page_state(424242)

@@ -123,7 +123,7 @@ class TestSessionEnd:
         with session:
             stub.search(session, root, 7)
             state_b = smart_pair.b.session_state(session.session_id)
-            assert len(state_b.cache.table) > 0
+            assert len(state_b.cache.rows) > 0
         from repro.rpc.errors import SessionError
 
         with pytest.raises(SessionError):

@@ -27,6 +27,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import pytest
 
 from repro.bench.harness import CALLEE, make_world, resolve_policy
+from repro.smartrpc.alloc_table import table_rows
 from repro.workloads.linked_list import build_list, list_client
 from repro.workloads.traversal import expected_search_checksum, tree_client
 from repro.workloads.trees import build_complete_tree
@@ -80,12 +81,12 @@ def run_session(
         cache = state.cache
         rows = [
             [page, offset, list(pointer)]
-            for page, offset, pointer in cache.table.rows()
+            for page, offset, pointer in table_rows(cache.rows.values())
         ]
         backing = [
-            (number, len(space.page(number).data),
-             cache.page_state(number).bump)
-            for number in cache.table.pages()
+            (number, len(space.page(number).data), page.bump)
+            for number, page in sorted(cache.pages.items())
+            if page
         ]
         snapshot = {
             "rows": rows,

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.bench.harness import CALLEE, make_world, resolve_policy
+from repro.smartrpc.alloc_table import table_rows
 from repro.workloads.linked_list import build_list, list_client
 from tests.smartrpc.test_fill_identity import FIXTURE, SESSIONS
 
@@ -37,15 +38,17 @@ def test_the_lazy_chase_reproduces_the_fixture(carrier):
             snapshot = {
                 "rows": [
                     [page, offset, list(pointer)]
-                    for page, offset, pointer in cache.table.rows()
+                    for page, offset, pointer in table_rows(
+                        cache.rows.values()
+                    )
                 ],
                 "high_water_page": space.high_water_page,
                 "session_ledger": state.transfer_stats.as_dict(),
             }
             backing = [
-                (number, len(space.page(number).data),
-                 cache.page_state(number).bump)
-                for number in cache.table.pages()
+                (number, len(space.page(number).data), page.bump)
+                for number, page in sorted(cache.pages.items())
+                if page
             ]
         stats = world.stats
         snapshot.update(

@@ -49,7 +49,7 @@ class TestExtendedMalloc:
         )
         # Immediately writable (fresh page is read-write + dirty).
         pair.b.mem.store(address, b"\x01\x02")
-        entry = state.cache.table.entry_containing(address)
+        entry = state.cache.entry_containing(address)
         assert entry is not None and entry.pointer.is_provisional
         assert entry.resident
 
@@ -59,7 +59,7 @@ class TestExtendedMalloc:
             _GroundSession(state), "A", LIST_NODE_TYPE_ID
         )
         remote_heap.flush(pair.b, state)
-        entry = state.cache.table.entry_containing(address)
+        entry = state.cache.entry_containing(address)
         assert not entry.pointer.is_provisional
         home = pair.a.heap
         assert home.allocation_based_at(entry.pointer.address) is not None
@@ -124,7 +124,7 @@ class TestExtendedFree:
         session = _GroundSession(state)
         address = pair.b.extended_malloc(session, "A", LIST_NODE_TYPE_ID)
         remote_heap.flush(pair.b, state)
-        entry = state.cache.table.entry_containing(address)
+        entry = state.cache.entry_containing(address)
         home_address = entry.pointer.address
         pair.b.extended_free(session, address)
         remote_heap.flush(pair.b, state)

@@ -55,7 +55,7 @@ class TestSwizzle:
     def test_remote_pointer_allocates_placeholder(self, state):
         remote = LongPointer("A", 0x1000, TREE_NODE_TYPE_ID)
         local = state.swizzler.swizzle(remote)
-        entry = state.cache.table.entry_for(remote)
+        entry = state.cache.entry_for(remote)
         assert entry is not None and entry.local_address == local
 
     def test_swizzle_is_cached(self, state):

@@ -45,12 +45,12 @@ class TestBatchRoundTrip:
         )
         applied = transfer.apply_batch(pair.b, state_b, batch, False)
         assert applied == 1
-        root_entry = state_b.cache.table.entry_for(
+        root_entry = state_b.cache.entry_for(
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         assert root_entry is not None and root_entry.resident
         # The root's two children were swizzled into placeholders.
-        assert len(state_b.cache.table) == 3
+        assert len(state_b.cache.rows) == 3
 
     def test_data_decoded_into_callee_layout(self, worlds):
         pair, root, state_a, state_b = worlds
@@ -58,7 +58,7 @@ class TestBatchRoundTrip:
             pair.a, state_a, home_items(pair.a, state_a, [root])
         )
         transfer.apply_batch(pair.b, state_b, batch, False)
-        entry = state_b.cache.table.entry_for(
+        entry = state_b.cache.entry_for(
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         spec = pair.b.resolver.resolve(TREE_NODE_TYPE_ID)
@@ -92,7 +92,7 @@ class TestBatchRoundTrip:
         )
         batch2 = transfer.encode_batch(pair.a, state_a, items)
         transfer.apply_batch(pair.b, state_b, batch2, True)
-        entry = state_b.cache.table.entry_for(
+        entry = state_b.cache.entry_for(
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         b_layout = pair.b.resolver.resolve(TREE_NODE_TYPE_ID).layout(
@@ -109,7 +109,7 @@ class TestBatchRoundTrip:
             pair.a, state_a, home_items(pair.a, state_a, [root])
         )
         transfer.apply_batch(pair.b, state_b, batch, True)
-        entry = state_b.cache.table.entry_for(
+        entry = state_b.cache.entry_for(
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         assert entry in state_b.relayed_dirty
@@ -122,7 +122,7 @@ class TestBatchRoundTrip:
             pair.a, state_a, home_items(pair.a, state_a, [root])
         )
         transfer.apply_batch(pair.b, state_b, batch, False)
-        entry = state_b.cache.table.entry_for(
+        entry = state_b.cache.entry_for(
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         spec_b = pair.b.resolver.resolve(TREE_NODE_TYPE_ID)
@@ -190,7 +190,7 @@ class TestSkipValue:
         datum = Item(LongPointer("A", address, "skipped"), address)
         first = transfer.encode_batch(pair.a, state_a, [datum])
         assert transfer.apply_batch(pair.b, state_b, first, False) == 1
-        rows = len(state_b.cache.table)  # the datum and the root it names
+        rows = len(state_b.cache.rows)  # the datum and the root it names
         # The resident datum again, then the root: the skip must stop
         # exactly where the root's item starts, swizzling nothing.
         second = transfer.encode_batch(
@@ -199,11 +199,11 @@ class TestSkipValue:
         duplicates = pair.b.stats.duplicate_entries
         assert transfer.apply_batch(pair.b, state_b, second, False) == 1
         assert pair.b.stats.duplicate_entries == duplicates + 1
-        root_entry = state_b.cache.table.entry_for(
+        root_entry = state_b.cache.entry_for(
             LongPointer("A", root, TREE_NODE_TYPE_ID)
         )
         assert root_entry.resident
-        assert len(state_b.cache.table) == rows + 2  # the root's children
+        assert len(state_b.cache.rows) == rows + 2  # the root's children
 
     def test_skip_does_not_swizzle(self, worlds):
         pair, root, state_a, state_b = worlds
@@ -211,9 +211,9 @@ class TestSkipValue:
             pair.a, state_a, home_items(pair.a, state_a, [root])
         )
         transfer.apply_batch(pair.b, state_b, batch, False)
-        entries_before = len(state_b.cache.table)
+        entries_before = len(state_b.cache.rows)
         transfer.apply_batch(pair.b, state_b, batch, False)  # all dup
-        assert len(state_b.cache.table) == entries_before
+        assert len(state_b.cache.rows) == entries_before
 
 
 class TestRequestProtocol:
@@ -225,7 +225,7 @@ class TestRequestProtocol:
         applied = transfer.request_data(pair.b, state_b, "A", [pointer])
         assert applied >= 1
         assert pair.network.stats.callbacks == before + 1
-        assert state_b.cache.table.entry_for(pointer).resident
+        assert state_b.cache.entry_for(pointer).resident
 
     def test_request_with_closure_prefetches(self, worlds):
         pair, root, state_a, state_b = worlds

@@ -57,6 +57,13 @@ def cold_entry(runtime):
     return state, entry
 
 
+def forge(state, row):
+    """File ``row`` in the cache's two indexes behind placement's back
+    (past every row of its page)."""
+    state.cache.pages[row.page_number].append(row)
+    state.cache.rows[row.pointer] = row
+
+
 def forge_other_home(state, entry):
     """Add a row homed at another space right after ``entry``."""
     forged = alloc_entry(
@@ -66,7 +73,7 @@ def forge_other_home(state, entry):
         page_number=entry.page_number,
         offset=entry.offset + entry.size,
     )
-    state.cache.table.add(forged)
+    forge(state, forged)
     return forged
 
 
@@ -83,12 +90,12 @@ class TestViolationsDetected:
             offset=0,
         )
         # Behind the table's back: the row exists, no page was mapped.
-        state.cache.table._by_pointer[forged.pointer] = forged
+        state.cache.rows[forged.pointer] = forged
         assert_violation(smart_pair.b, state, "SRPC201")
 
     def test_row_missing_from_its_page_detected(self, smart_pair):
         state, entry = cold_entry(smart_pair.b)
-        state.cache.page_state(entry.page_number).remove(entry)
+        state.cache.pages[entry.page_number].remove(entry)
         assert_violation(smart_pair.b, state, "SRPC202")
 
     def test_overlapping_placeholders_detected(self, smart_pair):
@@ -100,7 +107,7 @@ class TestViolationsDetected:
             page_number=entry.page_number,
             offset=entry.offset + 1,
         )
-        state.cache.table.add(forged)
+        forge(state, forged)
         assert_violation(smart_pair.b, state, "SRPC204")
 
     def test_wrong_protection_detected(self, active):
@@ -120,7 +127,7 @@ class TestViolationsDetected:
         state, entry = cold_entry(smart_pair.b)
         forged = forge_other_home(state, entry)
         # One list: the table's row lands in the page's entries too.
-        assert forged in state.cache.page_state(entry.page_number)
+        assert forged in state.cache.pages[entry.page_number]
         assert_violation(smart_pair.b, state, "SRPC205")
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -134,9 +141,9 @@ class TestViolationsDetected:
 
     def test_dead_relayed_entry_detected(self, active):
         pair, state = active
-        entry = next(iter(state.cache.table))
+        entry = next(iter(state.cache.rows.values()))
         state.relayed_dirty[entry] = state.epoch
-        state.cache.table.remove(entry)
+        state.cache.release_entry(entry)
         assert_violation(pair.b, state, "SRPC206")
 
 
@@ -158,9 +165,9 @@ class TestStructuredDiagnostics:
         # Break two independent invariants at once.
         dirty_page = next(iter(state.cache.dirty_pages))
         pair.b.space.protect(dirty_page, Protection.READ_WRITE)
-        entry = next(iter(state.cache.table))
+        entry = next(iter(state.cache.rows.values()))
         state.relayed_dirty[entry] = state.epoch
-        state.cache.table.remove(entry)
+        state.cache.release_entry(entry)
         findings = session_diagnostics(pair.b, state)
         assert {d.code for d in findings} >= {"SRPC203", "SRPC206"}
 

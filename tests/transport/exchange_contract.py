@@ -563,6 +563,38 @@ def test_nested_exchange_back_to_blocked_caller(stacks):
     assert _call(a, b"x") == b"relay:data:x"
 
 
+def test_a_deep_callback_chain_returns(stacks):
+    """Each handler forwards one level down to the other transport and
+    blocks in that nested exchange until the chain below returns: 70
+    levels keep 35 handlers running on each transport at once, every
+    one waiting on its own chain.  Running handlers are bounded only by
+    live connections; a bound that counted them would park the next
+    level at its gate, and the short retry schedule turns that into a
+    failure within seconds instead of a hang."""
+    retry = RetryPolicy(timeout=1.0, backoff=1.0, max_attempts=2)
+    a = stacks("A", retry=retry)
+    b = stacks("B", retry=retry)
+
+    def forward(transport, peer):
+        def handler(message):
+            depth = int(message.payload)
+            if depth == 0:
+                return b"0"
+            inner = transport.endpoint.send(
+                peer,
+                MessageKind.CALL,
+                b"%d" % (depth - 1),
+                reply_kind=MessageKind.REPLY,
+            )
+            return b"%d" % (int(inner) + 1)
+
+        return handler
+
+    a.endpoint.register_handler(MessageKind.CALL, forward(a, "B"))
+    b.endpoint.register_handler(MessageKind.CALL, forward(b, "A"))
+    assert _call(a, b"70") == b"70"
+
+
 def test_eight_threads_lose_no_fault_ordinal(stacks):
     """Callers' threads share the fault ordinals and the counters:
     every injected drop costs exactly one retransmission, and every

@@ -68,8 +68,9 @@ class CachePage(list):
     ``number``, ``protection``, ``data``) and the cache's bookkeeping
     for it.  A cold session maps a placeholder page per datum, so one
     object per page, not four, is what keeps the cyclic collector's
-    work down, and each is built by :func:`cache_page`, with no
-    ``__init__`` frame.  Slots are written out by hand for Python 3.9:
+    work down, and each is built with no ``__init__`` frame, by
+    :meth:`CacheManager.place_new` or (a span's) :func:`cache_page`.
+    Slots are written out by hand for Python 3.9:
 
     * ``cache`` — the owning cache: faults and first touches route
       through it;
@@ -211,7 +212,7 @@ class CacheManager:
         # Size and alignment come precomputed with the type's wire
         # plan; the id resolves here if this space has not met it yet.
         plan = self.runtime.wire_plan(pointer.type_id)
-        return self.place(pointer, plan.size, min(plan.alignment, 8))
+        return self.place_new(pointer, plan.size, min(plan.alignment, 8))
 
     def allocate_fresh(self, pointer: LongPointer, size: int) -> AllocEntry:
         """A resident, writable entry for ``extended_malloc`` data.
@@ -239,22 +240,41 @@ class CacheManager:
         allocation_class: str = _REMOTE,
         resident: bool = False,
     ) -> AllocEntry:
+        """The new row for ``pointer``, which the table must not hold
+        yet: :meth:`place_new` after the duplicate-pointer check."""
+        if pointer in self.rows:
+            raise SmartRpcError(f"allocation table already has {pointer!r}")
+        return self.place_new(
+            pointer, size, alignment, allocation_class, resident
+        )
+
+    def place_new(
+        self,
+        pointer: LongPointer,
+        size: int,
+        alignment: int,
+        allocation_class: str = _REMOTE,
+        resident: bool = False,
+    ) -> AllocEntry:
         """The new row for ``pointer``, on an open page or a fresh one.
 
-        The one allocator, in one step: a batch's swizzle miss calls it
-        directly with the target type's size and alignment (at most 8).
-        It builds the row (and a fresh page, mapped by the space, which
-        numbers it, without a generation bump: see
-        ``AddressSpace.map_page``) and files it in the table's two
-        indexes — a placeholder lands past every row of its page, so
-        the row list is appended to.
+        The one allocator, in one step, for a caller that has just
+        missed ``pointer`` in the table (a batch's swizzle miss,
+        :meth:`ensure_entry`), so the table is not probed again; other
+        callers go through :meth:`place`.  The size and alignment are
+        the target type's (alignment at most 8).  It builds the row
+        and, when no open page takes it, a fresh page, which the space
+        maps and numbers without a generation bump (see
+        ``AddressSpace.map_page``) — both written out here, as
+        :func:`alloc_entry` and :func:`cache_page` build them, so a
+        miss costs this frame and, for a fresh page, ``map_page``'s.
+        It files the row in the table's two indexes: a placeholder
+        lands past every row of its page, so the row list is appended
+        to.
         """
         page_size = self.page_size
         if size > page_size:
             return self._place_span(pointer, size, resident)
-        rows = self.rows
-        if pointer in rows:
-            raise SmartRpcError(f"allocation table already has {pointer!r}")
         home = pointer[0]
         key = page = None
         if self.strategy != ISOLATED:
@@ -270,31 +290,40 @@ class CacheManager:
                 if page.closed or offset + size > page_size:
                     page = None
         if page is None:
-            page = cache_page(self, home)
+            page = CachePage()
+            page.cache = self
+            page.protection = _PROTECTED
+            page.data = bytearray()
+            page.home = home
+            page.bump = page.version = page.stamp = 0
+            page.dirty = False
             number = self.space.map_page(page)
             self.pages[number] = page
             if key is None:
                 page.closed = True
             else:
+                page.closed = False
                 open_pages[key] = page
             offset = 0
         else:
             number = page.number
-        entry = alloc_entry(
-            pointer, number * page_size + offset, size, number, offset,
-            resident,
-        )
+        entry = AllocEntry()
+        entry.pointer = pointer
+        entry.local_address = number * page_size + offset
+        entry.size = size
+        entry.page_number = number
+        entry.offset = offset
+        entry.resident = resident
+        entry.shipped = entry.prefetched = entry.touched = False
         page.bump = offset + size
         page.append(entry)
-        rows[pointer] = entry
+        self.rows[pointer] = entry
         return entry
 
     def _place_span(
         self, pointer: LongPointer, size: int, resident: bool
     ) -> AllocEntry:
         """A row on fresh pages of its own, listed on each of them."""
-        if pointer in self.rows:
-            raise SmartRpcError(f"allocation table already has {pointer!r}")
         spanned = []
         for _ in range(-(-size // self.page_size)):
             page = cache_page(self, pointer.space_id)

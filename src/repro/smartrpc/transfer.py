@@ -25,7 +25,16 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from types import CodeType
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.memory.page import Protection
 from repro.simnet.message import Message, MessageKind
@@ -38,7 +47,7 @@ from repro.smartrpc.long_pointer import (
     read_pool_head,
 )
 from repro.xdr.errors import XdrError
-from repro.xdr.raw import LONG_SLOT, WirePlan
+from repro.xdr.raw import LONG_SLOT, FlatStep, WirePlan
 from repro.xdr.stream import (
     IMAGES,
     INTERN_MAX_BYTES,
@@ -117,26 +126,21 @@ def apply_batch(
     (:func:`~repro.smartrpc.long_pointer.read_pool_head`, each string
     probed once in the intern table — or, when the batch opens with
     the same table as the last one this runtime applied, that table's
-    pairs, ``SmartRpcRuntime.pool_head``), the item count, then each
-    flat item as one ``Struct`` unpack, chosen by peeking at its slot
-    handles.  Every read is bounds checked first, so a cut batch raises
-    the decoder's underflow error, and bytes past the last item are an
-    :class:`XdrError`.
-    Every long pointer of an item is checked (handle known, address
-    nonzero) before any row is placed; the pointers are then built
-    without :class:`LongPointer`'s own check.  One pass per item does
-    all of a datum's work: its own row (a lookup in the table's
-    long-pointer dict, keyed by a plain tuple — a :class:`LongPointer`
-    is built only for a row that is new), the swizzle of each pointer
-    slot (the same lookup; a miss is one
-    :meth:`~repro.smartrpc.cache.CacheManager.place`, which builds the
-    row and any fresh page), the pack straight into the placeholder
-    page's buffer, residency and the page release it may complete, the
-    shipped flags and the per-datum seal.  A union item goes through
-    a stream decoder and a handle pool, built at the batch's first
-    union item, the hook-driven codec, and swizzles through the
-    session's swizzler.  The counters and both ledgers move once, at
-    the end.
+    pairs, ``SmartRpcRuntime.pool_head``), the item count, then the
+    items.  Each item's handle is checked (non-NULL, known) where a
+    run of items of one type starts; a run of flat items is applied by
+    the loop generated for its type's :class:`~repro.xdr.raw.FlatStep`
+    (:func:`_compile_apply`), which reads each item as one ``Struct``
+    unpack, places the rows of its swizzle misses with one
+    :meth:`~repro.smartrpc.cache.CacheManager.place_new` each and
+    packs the datum straight into its placeholder page.  Every read is
+    bounds checked first, so a cut batch raises the decoder's
+    underflow error, and bytes past the last item are an
+    :class:`XdrError`.  A union item goes through a stream decoder
+    and a handle pool, built at the batch's first union item, the
+    hook-driven codec, and swizzles through the session's swizzler.
+    The counters and both ledgers move once, at the end, by what did
+    land, should an item raise.
     """
     view = payload
     end = len(view)
@@ -152,7 +156,7 @@ def apply_batch(
     if pos + 4 > end:
         raise underflow(4, end - pos)
     peek = _U32.unpack_from
-    count = peek(view, pos)[0]
+    left = peek(view, pos)[0]
     pos += 4
     # Per pool handle, filled at the handle's first item or first new
     # row so a cold resolver queries the name server where it always
@@ -161,207 +165,107 @@ def apply_batch(
     aligns: List[int] = [0] * known
     wire_plan_of = runtime.wire_plan
     site_id = runtime.site_id
-    allocation_based_at = runtime.heap.allocation_based_at
-    space = runtime.space
     cache = state.cache
-    entry_for = cache.entry_for
-    place = cache.place
-    pages = cache.pages
-    page_size = cache.page_size
     seal = cache.datum_seal
-    new_pointer = tuple.__new__
+    # What the item loops share, built at the batch's first flat run.
+    loop = None
     # A stream decoder and a handle pool only for a union item.
     decoder = pool = None
-    applied = 0
-    untouched = 0  # entries newly flagged shipped, none touched yet
-    shipped = [0, 0]  # bytes of demanded roots, bytes of prefetch
-    last = -1  # the previous item's handle: runs of one type are the rule
+    # Items applied, entries newly flagged shipped (none touched yet),
+    # bytes of demanded roots, bytes of prefetch, resident duplicates.
+    tally = [0, 0, 0, 0, 0]
     # Pages the batch completes turn READ in one pass at its end —
     # should an item raise, those completed before it still do.
     held: List[int] = []
     try:
-        for _ in range(count):
+        while left:
             if pos + 4 > end:
                 raise underflow(4, end - pos)
             handle = peek(view, pos)[0]
-            if handle != last:
-                if not handle:
-                    raise SmartRpcError("batch item with NULL long pointer")
-                if handle > known:
-                    raise XdrError(f"bad handle-pool handle {handle!r}")
-                space_id, type_id = pairs[handle - 1]
-                plan = plans[handle - 1]
-                if plan is None:
-                    plan = plans[handle - 1] = wire_plan_of(type_id)
-                    align = plan.alignment
-                    aligns[handle - 1] = align if align < 8 else 8
-                flat = plan.flat
-                home = space_id == site_id
-                last = handle
-            if flat is None:
-                codec = _LONG  # the header; the decoder reads the rest
-            else:
-                # The handle words ahead say which slots carry a long
-                # pointer; each one pushes the next 8 bytes further.
-                shape = 1
-                ahead = pos + _LONG.size
-                for bit, offset in flat.slot_wire:
-                    at = ahead + offset
-                    if at + 4 > end:
-                        raise underflow(at + 4 - pos, end - pos)
-                    if peek(view, at)[0]:
-                        shape |= bit
-                        ahead += 8
-                codecs = flat.codecs
-                codec = codecs[shape] if shape in codecs else flat.wire(shape)
-            if pos + codec.size > end:
-                raise underflow(codec.size, end - pos)
-            values = codec.unpack_from(view, pos)
-            pos += codec.size
-            address = values[1]
+            if not handle:
+                raise SmartRpcError("batch item with NULL long pointer")
+            if handle > known:
+                raise XdrError(f"bad handle-pool handle {handle!r}")
+            space_id, type_id = pairs[handle - 1]
+            plan = plans[handle - 1]
+            if plan is None:
+                plan = plans[handle - 1] = wire_plan_of(type_id)
+                align = plan.alignment
+                aligns[handle - 1] = align if align < 8 else 8
+            flat = plan.flat
+            home = space_id == site_id
+            if flat is not None:
+                if loop is None:
+                    loop = (
+                        known, pairs, plans, aligns, wire_plan_of, site_id,
+                        cache.entry_for, cache.place_new,
+                        state.swizzler.swizzle,
+                        runtime.heap.allocation_based_at, cache.pages,
+                        cache.page_size, runtime.space, runtime.codec.store,
+                        cache.mark_resident, overwrite, demanded, held,
+                        state.relayed_dirty, state.epoch, seal, tally,
+                    )
+                pos, left = (flat.apply_run or _compile_apply(flat))(
+                    view, end, pos, left, handle, space_id, type_id, home,
+                    plan.size, aligns[handle - 1], loop,
+                )
+                continue
+            # A union item: its header, then the stream decoder.
+            left -= 1
+            if pos + _LONG.size > end:
+                raise underflow(_LONG.size, end - pos)
+            address = _LONG.unpack_from(view, pos)[1]
+            pos += _LONG.size
             if not address:
                 raise _zero_address()
-            if flat is not None:
-                for _bit, index in flat.slot_bits:
-                    slot = values[index + 2]
-                    if slot:
-                        if slot > known:
-                            raise XdrError(f"bad handle-pool handle {slot!r}")
-                        if not values[index + 3]:
-                            raise _zero_address()
+            if decoder is None:
+                decoder = XdrDecoder(view)
+                pool = HandlePool(pairs)
+            decoder.seek(pos)
             if home:
                 # We are the home: the batch updates original data,
                 # named by its allocation's base.
-                if allocation_based_at(address) is None:
+                if runtime.heap.allocation_based_at(address) is None:
                     raise SmartRpcError(
                         "batch updates dead home data "
                         f"{LongPointer(space_id, address, type_id)!r}"
                     )
-                entry = None
-                target = address
-            else:
-                key = (space_id, address, type_id)
-                entry = entry_for(key)
-                if entry is None:
-                    entry = place(
-                        new_pointer(LongPointer, key),
-                        plan.size,
-                        aligns[handle - 1],
-                    )
-                elif entry.resident and not overwrite:
-                    if flat is None:
-                        if decoder is None:
-                            decoder = XdrDecoder(view)
-                            pool = HandlePool(pairs)
-                        decoder.seek(pos)
-                        _skip(decoder, plan.steps, pool)
-                        pos = decoder.tell()
-                    runtime.stats.duplicate_entries += 1
-                    if demanded is not None:
-                        # The closure overshot into data this space
-                        # holds: bytes that bought nothing score as
-                        # untouchable prefetch.
-                        shipped[1] += entry.size
-                    continue
-                target = entry.local_address
-            if flat is None:
-                if decoder is None:
-                    decoder = XdrDecoder(view)
-                    pool = HandlePool(pairs)
-                decoder.seek(pos)
-                _decode_union(runtime, state, decoder, pool, target, type_id)
+                _decode_union(runtime, state, decoder, pool, address, type_id)
                 pos = decoder.tell()
-            else:
-                if flat.checked:
-                    flat.check_decoded(values, 2)
-                if flat.slot_bits:
-                    values = list(values)
-                    for _bit, index in flat.slot_bits:
-                        index += 2
-                        slot = values[index]
-                        if not slot:
-                            continue
-                        slot_space, slot_type = pairs[slot - 1]
-                        slot_key = (slot_space, values[index + 1], slot_type)
-                        if slot_space == site_id:
-                            values[index] = state.swizzler.swizzle(
-                                new_pointer(LongPointer, slot_key)
-                            )
-                        else:
-                            row = entry_for(slot_key)
-                            if row is None:
-                                slot_plan = plans[slot - 1]
-                                if slot_plan is None:
-                                    slot_plan = plans[slot - 1] = (
-                                        wire_plan_of(slot_type)
-                                    )
-                                    align = slot_plan.alignment
-                                    aligns[slot - 1] = (
-                                        align if align < 8 else 8
-                                    )
-                                row = place(
-                                    new_pointer(LongPointer, slot_key),
-                                    slot_plan.size,
-                                    aligns[slot - 1],
-                                )
-                            values[index] = row.local_address
-                        values[index + 1] = b""
-                native = values[2:]
-                if entry is None or entry.offset + entry.size > page_size:
-                    # Original data, or a span.
-                    runtime.codec.store(flat, target, native)
-                else:
-                    # Straight into the placeholder's page buffer, backed
-                    # only as far as written: growing rebinds it, which
-                    # moves the space's generation (AddressSpace._grow).
-                    page = pages[entry.page_number]
-                    buffer = page.data
-                    at = entry.offset + flat.offset
-                    stop = at + flat.native.size
-                    if not buffer:  # a fresh placeholder page
-                        page.data = buffer = bytearray(stop)
-                        space.generation += 1
-                    elif stop > len(buffer):
-                        grown = bytearray(stop)
-                        grown[: len(buffer)] = buffer
-                        page.data = buffer = grown
-                        space.generation += 1
-                    try:
-                        flat.native.pack_into(buffer, at, *native)
-                    except struct.error:
-                        # Names the misfit.
-                        runtime.codec.store(flat, target, native)
-            applied += 1
-            if entry is None:
+                tally[0] += 1
                 continue
-            if not entry.resident:
-                if entry.offset + entry.size > page_size:
-                    cache.mark_resident(entry, held)  # a span: its pages
-                else:
-                    entry.resident = True
-                    number = entry.page_number
-                    page = pages[number]
-                    for row in page:
-                        if not row.resident:
-                            break
-                    else:
-                        page.closed = True
-                        if not page.dirty:
-                            held.append(number)
+            key = (space_id, address, type_id)
+            entry = cache.entry_for(key)
+            if entry is None:
+                entry = cache.place_new(
+                    tuple.__new__(LongPointer, key),
+                    plan.size,
+                    aligns[handle - 1],
+                )
+            elif entry.resident and not overwrite:
+                _skip(decoder, plan.steps, pool)
+                pos = decoder.tell()
+                tally[4] += 1
+                if demanded is not None:
+                    # The closure overshot into data this space holds:
+                    # bytes that bought nothing score as prefetch.
+                    tally[3] += entry.size
+                continue
+            _decode_union(
+                runtime, state, decoder, pool, entry.local_address, type_id
+            )
+            pos = decoder.tell()
+            tally[0] += 1
+            cache.mark_resident(entry, held)
             if demanded is not None:
                 prefetched = key not in demanded
                 if not entry.shipped and not entry.touched:
-                    untouched += 1
+                    tally[1] += 1
                 entry.shipped = True
                 entry.prefetched = prefetched
-                shipped[prefetched] += entry.size
+                tally[2 + prefetched] += entry.size
             if overwrite:
-                # Dirty data stays part of the modified data set here
-                # too, so it keeps travelling with the thread of control,
-                # stamped with the epoch it arrived in.
                 state.relayed_dirty[entry] = state.epoch
-            # One datum's frontier children share placeholder pages; the
-            # next datum's children start fresh ones (locality grouping).
             if seal is not None:
                 seal()
         if pos != end:
@@ -373,15 +277,258 @@ def apply_batch(
             runtime.space.protect_pages(held, Protection.READ)
         # Sums are order-free, so the counters move once per batch —
         # by what did land, should an item have raised.
+        applied, untouched, demanded_bytes, prefetched, duplicates = tally
         stats = runtime.stats
         stats.entries_transferred += applied
+        stats.duplicate_entries += duplicates
         cache.untouched_shipped += untouched
         if demanded is not None:
-            demanded_bytes, prefetched = shipped
             for ledger in (state.transfer_stats, stats.transfer_ledger):
                 ledger.closure_bytes_shipped += demanded_bytes + prefetched
                 ledger.prefetch_bytes_shipped += prefetched
     return applied
+
+
+#: Compiled item loops by source text, cleared when full.
+_LOOP_CODE: Dict[str, CodeType] = {}
+_LOOP_CODE_MAX = 256
+
+#: Slot counts up to this get every wire ``Struct`` of the type bound
+#: into its item loop, indexed by null mask; a type with more pointer
+#: slots takes its mask's ``Struct`` from ``FlatStep.codecs``.
+_BOUND_MASKS = 4
+
+
+def _compile_apply(flat: FlatStep) -> Callable:
+    """Generate the loop that applies a run of batch items of ``flat``.
+
+    The loop takes the batch cursor (``view``, ``end``, ``pos``), the
+    items left in the batch, the run's pool handle and what it names
+    (space, type id, whether this space is the home, the type's size
+    and placeholder alignment) and the batch's shared state (``loop``,
+    built in :func:`apply_batch`).  It applies items while they carry
+    ``handle`` and returns the cursor and the items left.  The step's
+    wire layout is bound as constants: the wire offset of each slot's
+    handle word, the value index of each slot, the wire ``Struct`` per
+    null mask, the enum and pad checks and ``flat.native.pack_into``
+    with every value written out.  So an item is read, checked,
+    swizzled and packed in straight-line code: the checks, their
+    order and their errors are those of one item as
+    :func:`apply_batch` describes it, and the sums it keeps go into
+    the batch's ``tally`` when the run ends, or raises.
+    """
+    slots = flat.slots
+    env = {
+        "_flat": flat,
+        "_peek": _U32.unpack_from,
+        "_underflow": underflow,
+        "_zero_address": _zero_address,
+        "_XdrError": XdrError,
+        "_SmartRpcError": SmartRpcError,
+        "_LongPointer": LongPointer,
+        "_new": tuple.__new__,
+        "_pack_into": flat.native.pack_into,
+        "_struct_error": struct.error,
+    }
+    count = len(flat.native.unpack(bytes(flat.native.size)))
+    # Each native value: a pointer slot's local address and its empty
+    # filler, or the wire value at the same index past the header.
+    values = [f"v[{index + 2}]" for index in range(count)]
+    for j, index in enumerate(slots):
+        values[index], values[index + 1] = f"p{j}", "b''"
+    values = ", ".join(values)
+    item = ["left -= 1"]
+    if slots:
+        # The handle words ahead say which slots carry a long pointer;
+        # each one pushes the rest 8 bytes further.
+        item += ["_s = 1", "_x = pos + 12"]
+        for bit, offset in flat.slot_wire:
+            item += [
+                f"_a = _x + {offset}" if offset else "_a = _x",
+                "if _a + 4 > end: raise _underflow(_a + 4 - pos, end - pos)",
+                "if _peek(view, _a)[0]:",
+                f" _s |= {bit}",
+                " _x += 8",
+            ]
+        item += [
+            f"_stop = _x + {flat.wire(0).size}",
+            "if _stop > end: raise _underflow(_stop - pos, end - pos)",
+        ]
+        if len(slots) <= _BOUND_MASKS:
+            env["_unpack"] = tuple(
+                flat.wire(key).unpack_from if key & 1 else None
+                for key in range(2 << len(slots))
+            )
+            item.append("v = _unpack[_s](view, pos)")
+        else:
+            env["_codecs"], env["_wire"] = flat.codecs, flat.wire
+            item.append(
+                "v = (_codecs.get(_s) or _wire(_s)).unpack_from(view, pos)"
+            )
+    else:
+        size = flat.wire(1).size
+        env["_unpack"] = flat.wire(1).unpack_from
+        item += [
+            f"_stop = pos + {size}",
+            f"if _stop > end: raise _underflow({size}, end - pos)",
+            "v = _unpack(view, pos)",
+        ]
+    item += [
+        "pos = _stop",
+        "address = v[1]",
+        "if not address: raise _zero_address()",
+    ]
+    for j, index in enumerate(slots):
+        item += [
+            f"h{j} = v[{index + 2}]",
+            f"if h{j}:",
+            f" if h{j} > known: raise _XdrError("
+            f"f'bad handle-pool handle {{h{j}!r}}')",
+            f" if not v[{index + 3}]: raise _zero_address()",
+        ]
+    after = [  # the next item, if it is one of this run
+        "if not left: break",
+        "if pos + 4 > end: raise _underflow(4, end - pos)",
+        "if _peek(view, pos)[0] != handle: break",
+    ]
+    item += [
+        "if home:",
+        # We are the home: the batch updates original data, named by
+        # its allocation's base.
+        " if allocation_based_at(address) is None: raise _SmartRpcError("
+        "'batch updates dead home data '"
+        " f'{_LongPointer(space_id, address, type_id)!r}')",
+        " entry = None",
+        "else:",
+        " key = (space_id, address, type_id)",
+        " entry = entry_for(key)",
+        " if entry is None:",
+        "  entry = place(_new(_LongPointer, key), size, align)",
+        " elif entry.resident and not overwrite:",
+        "  dupes += 1",
+        "  if demanded is not None: extra += entry.size",
+    ]
+    item += ["  " + line for line in after] + ["  continue"]
+    for n, (index, spec) in enumerate(flat.enums):
+        env[f"_enum{n}"] = spec.name_of
+        item.append(f"_enum{n}(v[{index + 2}])")
+    for n, (index, zeros) in enumerate(flat.pads):
+        env[f"_pad{n}"] = zeros
+        item += [
+            f"if v[{index + 2}] != _pad{n}: raise _XdrError("
+            f"f'nonzero XDR padding {{bytes(v[{index + 2}])!r}}')",
+        ]
+    for j, index in enumerate(slots):
+        item += [
+            f"if h{j}:",
+            f" _space, _type = pairs[h{j} - 1]",
+            f" _key = (_space, v[{index + 3}], _type)",
+            " if _space == site_id:",
+            f"  p{j} = swizzle(_new(_LongPointer, _key))",
+            " else:",
+            "  _row = entry_for(_key)",
+            "  if _row is None:",
+            f"   _plan = plans[h{j} - 1]",
+            "   if _plan is None:",
+            f"    _plan = plans[h{j} - 1] = wire_plan_of(_type)",
+            f"    aligns[h{j} - 1] = ("
+            "_plan.alignment if _plan.alignment < 8 else 8)",
+            "   _row = place(_new(_LongPointer, _key), _plan.size, "
+            f"aligns[h{j} - 1])",
+            f"  p{j} = _row.local_address",
+            "else:",
+            f" p{j} = 0",
+        ]
+    item += [
+        "if entry is None:",
+        f" store(_flat, address, ({values},))",
+        " applied += 1",
+        "else:",
+        " if entry.size > page_size:",  # a span, as place_new made it
+        f"  store(_flat, entry.local_address, ({values},))",
+        "  applied += 1",
+        "  if not entry.resident: mark_resident(entry, held)",
+        " else:",
+        # Straight into the placeholder's page buffer, backed only as
+        # far as written: growing rebinds it, which moves the space's
+        # generation (AddressSpace._grow).
+        "  number = entry.page_number",
+        "  page = pages[number]",
+        "  buffer = page.data",
+        f"  _at = entry.offset + {flat.offset}" if flat.offset
+        else "  _at = entry.offset",
+        f"  _end = _at + {flat.native.size}",
+        "  if not buffer:",
+        "   page.data = buffer = bytearray(_end)",
+        "   space.generation += 1",
+        "  elif _end > len(buffer):",
+        "   _grown = bytearray(_end)",
+        "   _grown[:len(buffer)] = buffer",
+        "   page.data = buffer = _grown",
+        "   space.generation += 1",
+        "  try:",
+        f"   _pack_into(buffer, _at, {values})",
+        "  except _struct_error:",  # names the misfit
+        f"   store(_flat, entry.local_address, ({values},))",
+        "  applied += 1",
+        "  if not entry.resident:",
+        "   entry.resident = True",
+        "   for _row in page:",
+        "    if not _row.resident: break",
+        "   else:",
+        "    page.closed = True",
+        "    if not page.dirty: held.append(number)",
+        " if demanded is not None:",
+        "  if not entry.shipped and not entry.touched: untouched += 1",
+        "  entry.shipped = True",
+        "  if key in demanded:",
+        "   entry.prefetched = False",
+        "   wanted += entry.size",
+        "  else:",
+        "   entry.prefetched = True",
+        "   extra += entry.size",
+        # Dirty data stays part of the modified data set here too, so
+        # it keeps travelling with the thread of control, stamped with
+        # the epoch it arrived in.
+        " if overwrite: relayed[entry] = epoch",
+        # One datum's frontier children share placeholder pages; the
+        # next datum's children start fresh ones (locality grouping).
+        " if seal is not None: seal()",
+    ] + after
+    source = "\n".join(
+        [
+            "def apply_run(view, end, pos, left, handle, space_id, type_id,"
+            " home, size, align, loop):",
+            " (known, pairs, plans, aligns, wire_plan_of, site_id,"
+            " entry_for, place, swizzle, allocation_based_at, pages,"
+            " page_size, space, store, mark_resident, overwrite, demanded,"
+            " held, relayed, epoch, seal, tally) = loop",
+            " applied = untouched = wanted = extra = dupes = 0",
+            " try:",
+            "  while True:",
+        ]
+        + ["   " + line for line in item]
+        + [
+            " finally:",
+            "  tally[0] += applied",
+            "  tally[1] += untouched",
+            "  tally[2] += wanted",
+            "  tally[3] += extra",
+            "  tally[4] += dupes",
+            " return pos, left",
+        ]
+    )
+    # The source is a function of the layout alone, and every runtime
+    # resolves its own spec objects: compile each source once.
+    code = _LOOP_CODE.get(source)
+    if code is None:
+        if len(_LOOP_CODE) >= _LOOP_CODE_MAX:
+            _LOOP_CODE.clear()
+        code = compile(source, "<batch item loop>", "exec")
+        _LOOP_CODE[source] = code
+    exec(code, env)
+    flat.apply_run = env["apply_run"]
+    return flat.apply_run
 
 
 def _zero_address() -> XdrError:

@@ -259,8 +259,10 @@ class Connection:
         self._buffer = b""
         return decode_frame(view)
 
-    def idle_alive(self) -> bool:
-        """Drain what arrived while pooled; False if the peer is gone.
+    def idle_alive(self) -> Optional[bool]:
+        """Drain what arrived while pooled: True if the connection is
+        still good, ``None`` if the peer ended it (EOF or GOODBYE) and
+        False if it broke.
 
         Nobody reads a pooled connection: a peer's EOF or GOODBYE and
         late duplicate replies wait in the kernel for the next taker,
@@ -274,7 +276,7 @@ class Connection:
             while True:
                 frame = self.read_frame()
                 if frame is None or isinstance(frame, Goodbye):
-                    return False
+                    return None
         except BlockingIOError:
             # Drained.  Mid-frame (a bulk duplicate still arriving) a
             # fresh dial is cheaper than waiting the rest out.
@@ -377,6 +379,10 @@ class ExchangeTransport(Transport):
         self._waiting = 0
         self._gate = threading.Condition(self._lock)
         self._pool: Dict[str, List[Connection]] = {}
+        # Peers whose last connection the peer ended (EOF or GOODBYE):
+        # a refused connect to one of them ends the exchange at once.
+        # Marked only on a failure path, cleared by the next dial.
+        self._ended: Set[str] = set()
         # Every live connection (pooled, in an exchange, being served),
         # so that close() can wake whoever is blocked on one.
         self._conns: Set[Connection] = set()
@@ -629,6 +635,16 @@ class ExchangeTransport(Transport):
             try:
                 conn = self._acquire(dst, address)
             except OSError as exc:  # a HandshakeError passes through
+                if isinstance(exc, ConnectionRefusedError) and (
+                    dst in self._ended
+                ):
+                    # The peer ended its last connection and nobody
+                    # listens any more: it is gone, not slow.
+                    raise TransportError(
+                        f"{kind.value} exchange {self.site_id!r}->"
+                        f"{dst!r} failed: the peer closed its connection "
+                        f"and refuses a new one ({exc})"
+                    ) from None
                 last_error = exc
                 self.note_timeout(
                     f"connect to {dst!r} failed ({exc}); retrying",
@@ -749,6 +765,7 @@ class ExchangeTransport(Transport):
                     f"malformed frame ({exc})"
                 ) from None
             if frame is None or isinstance(frame, Goodbye):
+                self._ended.add(conn.peer)
                 raise ConnectionResetError("connection lost")
             if isinstance(frame, Reply) and frame.exchange_id == ident:
                 return frame
@@ -764,10 +781,13 @@ class ExchangeTransport(Transport):
                 if not pool:
                     break
                 conn = pool.pop()
-            if conn.idle_alive():
+            alive = conn.idle_alive()
+            if alive:
                 return conn
             # The peer went away (restarted, say) while this sat idle:
             # nothing was lost, so dial afresh, not a retransmission.
+            if alive is None:
+                self._ended.add(dst)
             self._discard(conn)
         return self._dial(dst, address)
 
@@ -800,6 +820,7 @@ class ExchangeTransport(Transport):
                 self._check_running()  # close() may have come first
                 self._conns.add(conn)
                 self.dials[dst] = self.dials.get(dst, 0) + 1
+                self._ended.discard(dst)
         except BaseException:
             conn.close()
             raise

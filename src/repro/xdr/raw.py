@@ -218,8 +218,8 @@ class FlatStep:
 
     __slots__ = (
         "offset", "native", "slots", "slot_bits", "slot_wire",
-        "targets", "enums", "pads", "narrow", "checked", "segments",
-        "codecs", "_hooked",
+        "targets", "enums", "pads", "narrow", "segments",
+        "codecs", "apply_run", "_hooked",
     )
 
     #: Flat steps have no arms; :class:`UnionStep` does.
@@ -262,10 +262,12 @@ class FlatStep:
         self.pads = tuple(pads)
         #: Scalars narrower on this machine than on the wire.
         self.narrow = tuple(narrow)
-        #: Whether :meth:`check_decoded` has anything to look at.
-        self.checked = bool(self.enums or self.pads)
         #: ``wire()`` results by key — hot loops probe this directly.
         self.codecs: Dict[int, struct.Struct] = {}
+        #: The loop that applies a run of batch items of this step,
+        #: generated on first use by :mod:`repro.smartrpc.transfer`
+        #: and kept with the step, as its other codecs are.
+        self.apply_run: Optional[Callable] = None
         self._hooked: Optional[tuple] = None
 
     def wire(self, key: int) -> struct.Struct:

@@ -15,7 +15,16 @@ piggyback to its originals without relaying it further, so a space
 that cached a cell before such an apply can go stale once the home
 hands activity to it; no version of the protocol covers that case,
 and the generator stays clear of it.
+
+Every choice goes through one ``draw(options, label)`` hook, so the
+same sessions are sampled by hypothesis (sixty of them, up to five
+operations per activation) and enumerated exhaustively by
+:func:`sweep`: every session of one cell, nesting at most three deep,
+with at most N operations in all (a call counts as one).  N is
+``SRPC_SWEEP_OPS``, 5 by default.
 """
+
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +39,11 @@ from tests.conftest import SmartPair
 CELLS = 4
 MAX_DEPTH = 3
 MAX_OPS = 5
+
+#: The sweep's bound on operations per session, and how many sessions
+#: each bound spans (a check that the enumeration covers its space).
+SWEEP_OPS = int(os.environ.get("SRPC_SWEEP_OPS", "5"))
+SWEEP_SESSIONS = {1: 5, 2: 26, 3: 152, 4: 974, 5: 6630, 6: 42745}
 
 NODE = PointerType(TREE_NODE_TYPE_ID)
 STEPS = InterfaceDef(
@@ -52,18 +66,23 @@ CALLEES = {"A": ("B", "C"), "B": ("A", "C"), "C": ()}
 class Session:
     """One generated session: the spaces, the oracle, the draws.
 
-    ``draw(strategy, label)`` makes every choice as the session runs:
-    hypothesis's ``data.draw``, or a script.
+    ``draw(options, label)`` makes every choice as the session runs and
+    returns one of ``options``: hypothesis's ``data.draw``, a script or
+    the sweep.  An activation draws its operations one at a time, the
+    first option ending it; ``cells`` bounds which cells are drawn and
+    ``ops``, when given, the operations of the whole session.
     """
 
-    def __init__(self, draw):
+    def __init__(self, draw, cells=CELLS, ops=None):
         self.draw = draw
+        self.drawn_cells = range(cells)
+        self.ops_left = ops
         pair = SmartPair(Network())
         self.spaces = {"A": pair.a, "B": pair.b, "C": pair.add_runtime("C")}
         self.cells = [
-            build_complete_tree(self.spaces["C"], 1) for _ in range(CELLS)
+            build_complete_tree(self.spaces["C"], 1) for _ in range(cells)
         ]
-        self.oracle = [0] * CELLS
+        self.oracle = [0] * cells
         self.writes = 0
         for site, runtime in self.spaces.items():
             bind_server(
@@ -91,18 +110,24 @@ class Session:
         if site == "C":
             self.check_originals()
         draw = self.draw
-        for _ in range(draw(st.integers(0, MAX_OPS), f"{site} ops")):
-            kinds = ["read"] if site == "C" else ["read", "write"]
-            if CALLEES[site] and depth < MAX_DEPTH:
-                kinds.append("call")
-            kind = draw(st.sampled_from(kinds), f"{site} op")
+        kinds = ["end", "read"] if site == "C" else ["end", "read", "write"]
+        if CALLEES[site] and depth < MAX_DEPTH:
+            kinds.append("call")
+        for _ in range(MAX_OPS):
+            if self.ops_left == 0:
+                break
+            kind = draw(kinds, f"{site} op")
+            if kind == "end":
+                break
+            if self.ops_left is not None:
+                self.ops_left -= 1
             if kind == "call":
-                callee = draw(st.sampled_from(CALLEES[site]), "callee")
+                callee = draw(CALLEES[site], "callee")
                 ClientStub(runtime, STEPS, callee).step(
                     session, depth + 1, *cells
                 )
                 continue
-            index = draw(st.integers(0, CELLS - 1), "cell")
+            index = draw(self.drawn_cells, "cell")
             view = runtime.struct_view(cells[index], self.spec)
             if kind == "read":
                 value = int.from_bytes(view.get("data"), "big")
@@ -123,23 +148,71 @@ class Session:
         ground = self.spaces["A"]
         with ground.session() as session:
             stub = ClientStub(ground, STEPS, "C")
-            cells = [stub.cell(session, k) for k in range(CELLS)]
+            cells = [stub.cell(session, k) for k in self.drawn_cells]
+            # The step passes CELLS pointers; the cells not drawn are NULL.
+            cells += [0] * (CELLS - len(cells))
             self.run("A", session, 0, cells)
         self.check_originals()
+
+
+def sweep(ops, cells=1):
+    """Play every session of at most ``ops`` operations on ``cells``
+    cells, depth first, and return how many there were.
+
+    Each session's ``draw`` replays a prefix of choice indices and
+    takes the first option past it; the next prefix backtracks from the
+    last choice that has an option left.  A session that fails raises
+    an ``AssertionError`` naming its choices, which replay it as a
+    script (``Session(lambda options, label: next(script))``).
+    """
+    prefix = []
+    sessions = 0
+    while True:
+        trail = []
+
+        def draw(options, label):
+            index = prefix[len(trail)] if len(trail) < len(prefix) else 0
+            trail.append((index, len(options), options[index]))
+            return options[index]
+
+        try:
+            Session(draw, cells=cells, ops=ops).play()
+        except Exception as exc:
+            choices = [choice for _index, _count, choice in trail]
+            raise AssertionError(
+                f"session {sessions} of the sweep fails "
+                f"({type(exc).__name__}: {exc}); its choices: {choices!r}"
+            ) from exc
+        sessions += 1
+        while trail and trail[-1][0] + 1 == trail[-1][1]:
+            trail.pop()
+        if not trail:
+            return sessions
+        prefix = [index for index, _count, _choice in trail]
+        prefix[-1] += 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_generated_sessions_read_the_current_value(data):
-    Session(lambda strategy, label: data.draw(strategy, label=label)).play()
+    Session(
+        lambda options, label: data.draw(st.sampled_from(options), label)
+    ).play()
+
+
+def test_every_small_session_reads_the_current_value():
+    """Every session within the sweep's bounds, not a sample of them."""
+    sessions = sweep(SWEEP_OPS)
+    assert sessions == SWEEP_SESSIONS.get(SWEEP_OPS, sessions)
 
 
 def test_a_write_relayed_through_b_reaches_c():
     """A writes cell 0 and calls B, which calls C; C and A read it."""
     script = iter([
-        3, "write", 0, "call", "B",
-        1, "call", "C",
-        1, "read", 0,
-        "read", 0,
+        "write", 0, "call", "B",
+        "call", "C",
+        "read", 0, "end",
+        "end",
+        "read", 0, "end",
     ])
-    Session(lambda strategy, label: next(script)).play()
+    Session(lambda options, label: next(script)).play()

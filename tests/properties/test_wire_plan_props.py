@@ -24,7 +24,10 @@ from hypothesis import strategies as st
 from repro.memory.address_space import AddressSpace
 from repro.simnet.network import Network
 from repro.smartrpc import transfer
-from repro.smartrpc.long_pointer import LongPointer
+from repro.smartrpc.cache import ISOLATED, PACKED, SINGLE_HOME
+from repro.smartrpc.errors import SmartRpcError
+from repro.smartrpc.long_pointer import LongPointer, read_pool_head
+from repro.smartrpc.policy import make_policy
 from repro.xdr.arch import SPARC32, X86_64
 from repro.xdr.errors import XdrError
 from repro.xdr.raw import RawCodec
@@ -42,6 +45,7 @@ from repro.xdr.types import (
     int32,
 )
 from tests.conftest import SmartPair
+from tests.smartrpc.reference_apply import generic_apply_batch
 from tests.xdr.reference_codec import (
     Item,
     ReferenceCodec,
@@ -251,25 +255,44 @@ def test_plan_matches_ladder_through_hooks(arch, spec, data):
 
 # -- the batch functions ------------------------------------------------------
 
+STRATEGIES = (SINGLE_HOME, ISOLATED, PACKED)
+NODE_TYPE_ID = "node"
+
+
+def links(k: int, payload) -> StructType:
+    """A node of ``k`` pointers to its own type after a pointer-free
+    payload: the list (``k`` = 1) and tree (``k`` = 2) shapes."""
+    return _struct(
+        [payload] + [PointerType(NODE_TYPE_ID) for _ in range(k)]
+    )
+
 
 class Worlds:
     """A home A and two identical fresh callees, one per implementation."""
 
-    def __init__(self, spec) -> None:
-        self.plan = SmartPair(Network())
-        self.ladder = SmartPair(Network())
+    def __init__(self, spec, strategy=SINGLE_HOME, nodes=None) -> None:
+        policy = make_policy("paper", allocation_strategy=strategy)
+        self.plan = SmartPair(Network(), policy)
+        self.ladder = SmartPair(Network(), policy)
         for pair in (self.plan, self.ladder):
             for runtime in (pair.a, pair.b):
                 runtime.resolver.register("datum", spec)
                 runtime.resolver.register(LEAF_TYPE_ID, int32)
+                if nodes is not None:
+                    runtime.resolver.register(NODE_TYPE_ID, nodes)
 
 
 def cache_image(runtime, state):
-    """Everything a fill leaves behind at the callee, comparable."""
+    """Everything a fill leaves behind at the callee, comparable: the
+    rows with their page numbers and offsets, every page's bytes,
+    protection and seal, the relayed modified data, the counters and
+    both ledgers."""
     table = sorted(
         (
             tuple(entry.pointer),
             entry.local_address,
+            entry.page_number,
+            entry.offset,
             entry.size,
             entry.resident,
             entry.shipped,
@@ -278,13 +301,126 @@ def cache_image(runtime, state):
         for entry in state.cache.rows.values()
     )
     pages = {
-        number: runtime.space.read_raw(
-            number * runtime.space.page_size, runtime.space.page_size
+        number: (
+            runtime.space.read_raw(
+                number * runtime.space.page_size, runtime.space.page_size
+            ),
+            page.protection,
+            page.closed,
         )
         for number, page in sorted(state.cache.pages.items())
         if page
     }
-    return table, pages, state.transfer_stats.as_dict()
+    relayed = sorted(
+        (tuple(entry.pointer), stamp)
+        for entry, stamp in state.relayed_dirty.items()
+    )
+    stats = runtime.stats
+    counters = (
+        stats.entries_transferred,
+        stats.duplicate_entries,
+        state.cache.untouched_shipped,
+        stats.transfer_ledger.as_dict(),
+    )
+    return table, pages, relayed, counters, state.transfer_stats.as_dict()
+
+
+def home_image(runtime, items):
+    """The original bytes of every item at its home."""
+    return [
+        runtime.space.read_raw(
+            item.local_address,
+            runtime.resolver.resolve(item.pointer.type_id).sizeof(
+                runtime.arch
+            ),
+        )
+        for item in items
+    ]
+
+
+def build_datums(home, spec, streams):
+    """Three leaves and one ``datum`` per ``(scalars, nulls)`` stream,
+    each pointer to a leaf; the leaves and the datums as batch items."""
+    leaves = []
+    for index in range(3):
+        leaf = home.heap.malloc(4, LEAF_TYPE_ID)
+        home.space.write_raw(leaf, (index + 7).to_bytes(4, "big"))
+        leaves.append(leaf)
+    datums = []
+    for scalars, nulls in streams:
+        words = [
+            0 if null else leaves[index % len(leaves)]
+            for index, null in enumerate(nulls)
+        ]
+        address = home.heap.malloc(spec.sizeof(home.arch), "datum")
+        decoder = XdrDecoder(interleave(spec, scalars, words))
+        ReferenceCodec(home.space, home.arch).decode(
+            decoder, address, spec, lambda _target: decoder.unpack_uint32()
+        )
+        datums.append(Item(LongPointer("A", address, "datum"), address))
+    return datums + [
+        Item(LongPointer("A", leaf, LEAF_TYPE_ID), leaf) for leaf in leaves
+    ]
+
+
+def pick(items, order):
+    return [items[i] for i in order]
+
+
+def draw_streams(data, spec, count):
+    streams = []
+    for _ in range(count):
+        scalars = XdrEncoder()
+        nulls = []
+        draw_canonical(data, spec, scalars, nulls)
+        streams.append((scalars.getvalue(), nulls))
+    return streams
+
+
+def encode_both(worlds, build):
+    """Build the same data at both homes, then encode it through the
+    plans and through the ladder; the batches must be the same bytes."""
+    batches = []
+    for pair, encode in (
+        (worlds.plan, transfer.encode_batch),
+        (worlds.ladder, reference_encode_batch),
+    ):
+        home = pair.a
+        items = build(home)
+        state = home.ensure_smart_session("sess", "A")
+        batches.append(encode(home, state, items))
+    assert batches[0] == batches[1]
+    return items, batches[0]
+
+
+def applied_alike(worlds, items, batch, demanded):
+    """Apply ``batch`` through ``apply_batch`` and through the per-field
+    batch function: at the callee on the fill path, at the callee again
+    on the coherency path, and at the home on the coherency path (over
+    originals zeroed first).  Every step must return the same count and
+    leave the same cache (or home) image either way."""
+    results = []
+    for pair, apply in (
+        (worlds.plan, transfer.apply_batch),
+        (worlds.ladder, reference_apply_batch),
+    ):
+        callee, home = pair.b, pair.a
+        state = callee.ensure_smart_session("sess", "A")
+        steps = [apply(callee, state, batch, False, demanded)]
+        steps.append(cache_image(callee, state))
+        state.epoch += 1
+        steps.append(apply(callee, state, batch, True))
+        steps.append(cache_image(callee, state))
+        before = home_image(home, items)
+        for item, image in zip(items, before):
+            home.space.write_raw(item.local_address, bytes(len(image)))
+        home_state = home.ensure_smart_session("sess", "A")
+        steps.append(apply(home, home_state, batch, True))
+        steps.append(home_image(home, items))
+        assert steps[-1] == before  # the originals are back
+        results.append(steps)
+    assert results[0] == results[1]
+    return results[0]
 
 
 @settings(
@@ -294,41 +430,120 @@ def cache_image(runtime, state):
 )
 @given(spec=specs(), data=st.data())
 def test_batches_match_per_field_batches(spec, data):
-    scalars = XdrEncoder()
-    nulls = []
-    draw_canonical(data, spec, scalars, nulls)
-    worlds = Worlds(spec)
-    batches = []
-    for pair, encode in (
-        (worlds.plan, transfer.encode_batch),
-        (worlds.ladder, reference_encode_batch),
-    ):
-        home = pair.a
-        leaves = [home.heap.malloc(4, LEAF_TYPE_ID) for _ in range(3)]
-        words = [
-            0 if null else leaves[index % len(leaves)]
-            for index, null in enumerate(nulls)
-        ]
-        address = home.heap.malloc(spec.sizeof(home.arch), "datum")
-        decoder = XdrDecoder(interleave(spec, scalars.getvalue(), words))
-        ReferenceCodec(home.space, home.arch).decode(
-            decoder, address, spec, lambda _target: decoder.unpack_uint32()
-        )
-        state = home.ensure_smart_session("sess", "A")
-        item = Item(LongPointer("A", address, "datum"), address)
-        batches.append(encode(home, state, [item, item]))
-    assert batches[0] == batches[1]
+    """Runs of mixed types — datums and the leaves their slots name,
+    which may arrive later in the same batch — repeats included, under
+    every allocation strategy."""
+    streams = draw_streams(data, spec, data.draw(st.integers(1, 3)))
+    worlds = Worlds(spec, data.draw(st.sampled_from(STRATEGIES)))
+    pool = len(streams) + 3
+    order = data.draw(
+        st.lists(st.integers(0, pool - 1), min_size=1, max_size=8)
+    )
+    items, batch = encode_both(
+        worlds,
+        lambda home: pick(build_datums(home, spec, streams), order),
+    )
+    demanded = {
+        item.pointer for item in items if data.draw(st.booleans())
+    }
+    results = applied_alike(worlds, items, batch, demanded)
+    assert results[0] == len(set(order))  # repeats are resident duplicates
 
-    demanded = {LongPointer("A", address, "datum")}
-    images = []
-    for pair, apply in (
-        (worlds.plan, transfer.apply_batch),
-        (worlds.ladder, reference_apply_batch),
-    ):
-        callee = pair.b
-        state = callee.ensure_smart_session("sess", "A")
-        # The repeated item is a resident duplicate: skipped, not filled.
-        assert apply(callee, state, batches[0], False, demanded) == 1
-        assert callee.stats.duplicate_entries == 1
-        images.append(cache_image(callee, state))
-    assert images[0] == images[1]
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(payload=specs(pointers=False), data=st.data())
+def test_linked_batches_match_per_field_batches(payload, data):
+    """Nodes of 0–4 pointers to their own type, each pointer NULL or to
+    any node, shipped in a drawn order: a target arrives before its
+    referrer, after it (a placeholder first) or not at all."""
+    k = data.draw(st.integers(0, 4), label="pointer slots")
+    spec = links(k, payload)
+    count = data.draw(st.integers(1, 12), label="nodes")
+    targets = [
+        [data.draw(st.integers(-1, count - 1)) for _ in range(k)]
+        for _ in range(count)
+    ]
+    streams = draw_streams(data, payload, count)
+    order = data.draw(st.permutations(range(count)))[
+        : data.draw(st.integers(1, count))
+    ]
+    worlds = Worlds(int32, data.draw(st.sampled_from(STRATEGIES)), spec)
+
+    def build(home):
+        size = spec.sizeof(home.arch)
+        layout = spec.layout(home.arch)
+        addresses = [home.heap.malloc(size, NODE_TYPE_ID) for _ in targets]
+        codec = ReferenceCodec(home.space, home.arch)
+        for address, (scalars, _nulls), row in zip(
+            addresses, streams, targets
+        ):
+            decoder = XdrDecoder(scalars)
+            codec.decode(
+                decoder, address + layout.offsets["f0"], payload, None
+            )
+            for j, target in enumerate(row):
+                codec.write_pointer(
+                    address + layout.offsets[f"f{j + 1}"],
+                    addresses[target] if target >= 0 else 0,
+                )
+        return [
+            Item(LongPointer("A", addresses[i], NODE_TYPE_ID), addresses[i])
+            for i in order
+        ]
+
+    items, batch = encode_both(worlds, build)
+    demanded = {items[0].pointer}
+    assert applied_alike(worlds, items, batch, demanded)[0] == len(order)
+
+
+def outcome(apply, runtime, session, batch, overwrite):
+    """What applying ``batch`` in a fresh session does: the count or the
+    exception's type and text, and the image left behind."""
+    state = runtime.ensure_smart_session(session, "A")
+    try:
+        result = apply(runtime, state, batch, overwrite, None)
+    except (SmartRpcError, XdrError) as exc:
+        result = (type(exc), str(exc))
+    return result, cache_image(runtime, state)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(spec=specs(), data=st.data())
+def test_cut_and_forged_batches_fail_alike(spec, data):
+    """Every cut of a mixed batch, and every word of it forged into an
+    unknown handle or NULL, fails (or lands) as the generic loop did:
+    the same exception type and text and the same image left behind."""
+    streams = draw_streams(data, spec, data.draw(st.integers(1, 2)))
+    worlds = Worlds(spec)
+    order = data.draw(
+        st.lists(
+            st.integers(0, len(streams) + 2), min_size=1, max_size=5
+        )
+    )
+    _items, batch = encode_both(
+        worlds,
+        lambda home: pick(build_datums(home, spec, streams), order),
+    )
+    pairs, head = read_pool_head(batch, len(batch))
+    trials = [batch[:cut] for cut in range(len(batch))]
+    for at in range(head, len(batch) - 3, 4):
+        for word in (len(pairs) + 1, 0):
+            trials.append(
+                batch[:at] + word.to_bytes(4, "big") + batch[at + 4:]
+            )
+    overwrite = data.draw(st.booleans())
+    for n, trial in enumerate(trials):
+        session = f"trial {n}"
+        assert outcome(
+            transfer.apply_batch, worlds.plan.b, session, trial, overwrite
+        ) == outcome(
+            generic_apply_batch, worlds.ladder.b, session, trial, overwrite
+        ), n

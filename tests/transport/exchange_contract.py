@@ -520,6 +520,47 @@ def test_connect_failure_backs_off_per_carrier(stacks):
     assert client.dials == {}
 
 
+@pytest.mark.parametrize("moment", ["idle", "in flight"])
+def test_a_dead_peer_fails_fast(stacks, moment):
+    """A peer that ended its connection — it sent GOODBYE on the pooled
+    one, or the one in flight hit EOF — and then refuses a new one is
+    gone: the exchange ends at once with a ``TransportError`` instead
+    of waiting out its retry schedule (a refused connect with no such
+    ending still backs off: the test above)."""
+    retry = RetryPolicy(timeout=1.0, backoff=2.0, max_attempts=4)
+    client = stacks("A", retry=retry)
+    server = stacks("B")
+    entered = threading.Event()
+    release = threading.Event()
+
+    def handler(message):
+        if message.payload == b"hang":
+            entered.set()
+            release.wait(5)
+        return b"echo:" + message.payload
+
+    server.endpoint.register_handler(MessageKind.CALL, handler)
+    assert _call(client) == b"echo:hi"
+    if moment == "idle":
+        server.close()
+        (pooled,) = client._pool["B"]
+        assert select.select([pooled.sock], [], [], 5.0)[0]
+    else:
+
+        def close_under_the_call():
+            entered.wait(5)
+            server.close()
+            release.set()
+
+        threading.Thread(target=close_under_the_call, daemon=True).start()
+    started = time.monotonic()
+    with pytest.raises(TransportError, match="refuses a new one"):
+        _call(client, b"hang" if moment == "in flight" else b"again")
+    assert time.monotonic() - started < 0.5
+    assert client.retransmissions == (moment == "in flight")
+    assert client.dials == {"B": 1}
+
+
 def test_unknown_destination_raises(stacks):
     client = stacks("A")
     with pytest.raises(TransportError):
